@@ -20,9 +20,10 @@ the matrix identity it outputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .polyring import PolyElem, VarRegistry
-from .rootcore import Root, RootSystem
+from .rootcore import Root, RootSystem, collinear
 
 
 class CollectionError(ValueError):
@@ -238,6 +239,7 @@ class ChevalleyBasis:
         return powers
 
 
+@lru_cache(maxsize=None)
 def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
     return ChevalleyBasis(rs)
 
@@ -259,9 +261,6 @@ class UnipotentMatrix:
     def identity(cls, dim, registry):
         one = registry.one()
         return cls(dim, registry, {j: {j: one} for j in range(dim)})
-
-    def entry(self, i, j):
-        return self.cols.get(j, {}).get(i, self.registry.zero())
 
     def __matmul__(self, other):
         # (self @ other)[i][j] = sum_r self[i][r] * other[r][j]
@@ -309,17 +308,6 @@ class UnipotentMatrix:
 
     def __hash__(self):
         raise TypeError("unhashable")
-
-    def substitute(self, bindings):
-        out = {}
-        for j, col in self.cols.items():
-            nc = {}
-            for i, v in col.items():
-                w = v.substitute(bindings)
-                if not w.is_zero():
-                    nc[i] = w
-            out[j] = nc
-        return UnipotentMatrix(self.dim, self.registry, out)
 
 
 def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem) -> UnipotentMatrix:
@@ -499,14 +487,9 @@ def commutator_constants(cb, alpha: Root, beta: Root):
 
 def _check_not_opposite_ray(alpha, beta):
     # m*alpha = -k*beta for some m,k >= 1 iff beta is a negative multiple of alpha
-    a, b = alpha.coords, beta.coords
-    n = len(a)
-    collinear = all(a[i] * b[j] == a[j] * b[i]
-                    for i in range(n) for j in range(i + 1, n))
-    if collinear:
-        i = next(k for k in range(n) if a[k])
-        if a[i] * b[i] < 0:
-            raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
+    if collinear(alpha, beta) and sum(
+            x * y for x, y in zip(alpha.coords, beta.coords)) < 0:
+        raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
 
 
 def _span_slots(cb, a, b):

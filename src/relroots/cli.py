@@ -22,25 +22,23 @@ from fractions import Fraction
 from .chevalley import build_chevalley_basis
 from .folding import (
     FoldingError,
-    FoldingSpec,
     RelativeRoot,
     build_relative_system,
     classify_relative_type,
+    enumerate_foldings,
     parse_folding_spec,
-    trivial_gamma,
 )
-from .finitelab import CapExceeded, format_report, perfectness_report
+from .finitelab import CapExceeded, closure_cap, format_report, perfectness_report
 from .polyring import is_prime
 from .relcalc import (
     RelcalcError,
-    _collinear,
     applicable_surjectivity_cases,
     check_N11_surjectivity,
     check_spanning_lemma2_2,
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
-from .rootcore import InvalidRootType, RootType, build_root_system
+from .rootcore import InvalidRootType, RootType, build_root_system, collinear
 from .theoremlab import (
     VerificationCase,
     verify_C2_identities,
@@ -104,8 +102,7 @@ def cmd_fold(args):
         "spec": str(spec),
         "classifiedType": "%s%d" % (label, rank),
         "relativeRank": rrs.rank,
-        "components": [{"rank": r, "size": len(roots)}
-                       for roots, r in rrs.components],
+        "components": [{"rank": rrs.rank, "size": len(rrs.rel_roots)}],
         "relativeRoots": [{
             "coords": list(A.coords),
             "level": A.level,
@@ -170,30 +167,14 @@ def _report_case(cid, spec, report, params=None):
     return case
 
 
-def _simply_laced_foldings(max_rank):
-    for series in "ADE":
-        for l in range(1, max_rank + 1):
-            try:
-                t = RootType(series, l)
-            except InvalidRootType:
-                continue
-            for r in range(1, l + 1):
-                for J in itertools.combinations(range(l), r):
-                    yield FoldingSpec(t, trivial_gamma(t), tuple(J))
-
-
 def suite_lemma2(seed, max_rank=5):
     cases = []
     # case (a): unit constants — every valid pair of a simply laced folding
-    cb_cache = {}
-    for spec in _simply_laced_foldings(max_rank):
+    for spec in enumerate_foldings(max_rank, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
-        t = spec.root_type
-        if t not in cb_cache:
-            cb_cache[t] = build_chevalley_basis(rrs.rs)
-        cb = cb_cache[t]
+        cb = build_chevalley_basis(rrs.rs)
         pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-                 if A + B in rrs and not _collinear(A, B)]
+                 if A + B in rrs and not collinear(A, B)]
         if not pairs:
             continue
         case = VerificationCase(id="lemma2/a/%s" % spec, spec=str(spec),
@@ -374,7 +355,11 @@ def cmd_perfect(args):
         raise CliError(str(exc))
     if not is_prime(args.p):
         raise CliError("%d is not prime" % args.p)
-    rows = perfectness_report([(t, args.p)], cap=args.cap)
+    try:
+        cap = closure_cap() if args.cap is None else args.cap
+    except ValueError as exc:
+        raise CliError("bad RELROOT_CAP: %s" % exc)
+    rows = perfectness_report([(t, args.p)], cap=cap)
     print(format_report(rows))
     return 0 if all(r["status"] != "fail" for r in rows) else 1
 

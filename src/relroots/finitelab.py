@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chevalley import build_chevalley_basis
-from .polyring import PrimeFieldElem, is_prime
+from .polyring import is_prime, row_reduce
 from .rootcore import RootType, build_root_system
 
 DEFAULT_CAP = 10 ** 6
@@ -28,6 +28,13 @@ class CapExceeded(RuntimeError):
 
 def closure_cap():
     return int(os.environ.get("RELROOT_CAP", DEFAULT_CAP))
+
+
+def _keyer(p):
+    """Byte key of a matrix over F_p, entries in the smallest unsigned dtype
+    that holds p - 1 (uint8 up to p = 256)."""
+    dtype = np.min_scalar_type(p - 1)
+    return lambda a: a.astype(dtype).tobytes()
 
 
 class FqMatrix:
@@ -46,10 +53,7 @@ class FqMatrix:
         return self.array.shape[0]
 
     def key(self):
-        return self.array.astype(np.uint8).tobytes()
-
-    def entry(self, i, j):
-        return PrimeFieldElem(int(self.array[i, j]), self.p)
+        return _keyer(self.p)(self.array)
 
     def __matmul__(self, other):
         return FqMatrix(self.p, (self.array @ other.array) % self.p)
@@ -62,18 +66,13 @@ class FqMatrix:
         return hash(self.key())
 
     def inverse(self):
-        p, n = self.p, self.dim
-        a = np.concatenate([self.array.copy(), np.eye(n, dtype=np.int64)], axis=1)
-        for c in range(n):
-            piv = next(i for i in range(c, n) if a[i, c] % p)
-            if piv != c:
-                a[[c, piv]] = a[[piv, c]]
-            inv = pow(int(a[c, c]) % p, p - 2, p)
-            a[c] = (a[c] * inv) % p
-            for i in range(n):
-                if i != c and a[i, c] % p:
-                    a[i] = (a[i] - a[i, c] * a[c]) % p
-        return FqMatrix(p, a[:, n:])
+        n = self.dim
+        # row-reduce [A | I] to [I | A^-1]
+        aug = np.concatenate([self.array, np.eye(n, dtype=np.int64)], axis=1)
+        reduced, pivots = row_reduce(aug.tolist(), n, self.p)
+        if len(pivots) != n:
+            raise ZeroDivisionError("singular matrix over F_%d" % self.p)
+        return FqMatrix(self.p, [row[n:] for row in reduced])
 
 
 @dataclass
@@ -133,10 +132,11 @@ def _bfs_closure(seed_arrays, gen_arrays, p, cap):
     """Byte-keyed BFS closure of the seeds under right-multiplication."""
     dim = gen_arrays[0].shape[0]
     gens = np.stack(gen_arrays)
+    key = _keyer(p)
     elements = {}
     frontier = []
     for a in seed_arrays:
-        k = a.astype(np.uint8).tobytes()
+        k = key(a)
         if k not in elements:
             elements[k] = a
             frontier.append(a)
@@ -148,8 +148,9 @@ def _bfs_closure(seed_arrays, gen_arrays, p, cap):
             # (f, 1, n, n) @ (g, n, n) -> (f, g, n, n)
             prods = np.matmul(batch[:, None, :, :], gens[None, :, :, :]) % p
             for a in prods.reshape(-1, dim, dim):
-                k = a.astype(np.uint8).tobytes()
+                k = key(a)
                 if k not in elements:
+                    a = a.copy()  # a view would keep the whole batch alive
                     elements[k] = a
                     frontier.append(a)
             if len(elements) > cap:
@@ -178,6 +179,7 @@ def closure_is_idempotent(g: GroupClosure):
 def derived_subgroup(g: GroupClosure):
     """Closure of generator-pair commutators under products and conjugation."""
     p = g.p
+    key = _keyer(p)
     inv = {m.key(): m.inverse() for m in g.generators}
     seeds = []
     seen = set()
@@ -197,7 +199,7 @@ def derived_subgroup(g: GroupClosure):
             minv = inv[m.key()]
             for a in seed_arrays:
                 conj = (m.array @ a @ minv.array) % p
-                if conj.astype(np.uint8).tobytes() not in elements:
+                if key(conj) not in elements:
                     new.append(conj)
         if not new:
             break

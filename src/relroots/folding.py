@@ -17,8 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .rootcore import Root, RootType, build_root_system
+from .polyring import row_reduce
+from .rootcore import (
+    SERIES,
+    InvalidRootType,
+    Root,
+    RootType,
+    build_root_system,
+    collinear,
+)
 
 
 class FoldingError(ValueError):
@@ -161,6 +170,27 @@ def parse_folding_spec(text):
     return spec
 
 
+def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
+    """Foldings (J, Gamma) with J nonempty, for each type of rank <= max_rank.
+
+    Types run over ``series`` in order.  Per type, Gamma runs over
+    ``all_subgroups`` (only the trivial group if ``trivial_only``) and, for
+    each Gamma, J over the Gamma-invariant node subsets.
+    """
+    for s in series:
+        for l in range(1, max_rank + 1):
+            try:
+                t = RootType(s, l)
+            except InvalidRootType:
+                continue
+            for gamma in [trivial_gamma(t)] if trivial_only else all_subgroups(t):
+                gamma = tuple(gamma)
+                for bits in itertools.product((0, 1), repeat=l):
+                    levi = tuple(i for i, b in enumerate(bits) if b)
+                    if levi and all({a(i) for i in levi} == set(levi) for a in gamma):
+                        yield FoldingSpec(t, gamma, levi)
+
+
 @dataclass(frozen=True)
 class RelativeRoot:
     """Integer vector over the Gamma-orbits of J; all coords share a sign."""
@@ -220,9 +250,6 @@ class RelativeRootSystem:
             signs = {c > 0 for c in A.coords if c}
             if len(signs) != 1:
                 raise AssertionError("mixed-sign relative root %s" % A)
-        # the input system is irreducible, so Gamma permutes its single
-        # component transitively and the relative system is irreducible
-        self.components = ((self.rel_roots, self.rank),)
 
     def project_coords(self, coords):
         return tuple(sum(coords[j] for j in orbit) for orbit in self.orbits)
@@ -242,49 +269,12 @@ class RelativeRootSystem:
         return sorted((A for A in self.rel_roots if A.is_positive()),
                       key=lambda A: (A.level, A.coords))
 
-    def simple_relative_roots(self):
-        units = []
-        for k in range(self.rank):
-            units.append(RelativeRoot(tuple(1 if i == k else 0
-                                            for i in range(self.rank))))
-        return tuple(units)
-
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
     return RelativeRootSystem(spec)
 
 
 # -- induced metric ------------------------------------------------------
-
-
-def _nullspace(rows, n):
-    """Rational nullspace basis of the given constraint rows (length n)."""
-    from fractions import Fraction
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -mat[ri][fc]
-        basis.append(v)
-    return basis
 
 
 def relative_norms(rrs: RelativeRootSystem):
@@ -295,9 +285,6 @@ def relative_norms(rrs: RelativeRootSystem):
     orthogonal projection of any fiber representative (the projections of
     all representatives coincide, which is asserted).
     """
-    if getattr(rrs, "_rel_norms", None) is not None:
-        return rrs._rel_norms
-    from fractions import Fraction
     rs = rrs.rs
     l = rs.rank
     gram = rs.gram
@@ -313,7 +300,13 @@ def relative_norms(rrs: RelativeRootSystem):
     m = len(all_orbits)
     # constraint per killed node j: sum_O x_O * sum_{i in O} (alpha_i, alpha_j) = 0
     rows = [[sum(gram[i][j] for i in orb) for orb in all_orbits] for j in delta]
-    null = _nullspace(rows, m)
+    reduced, pivots = row_reduce(rows, m)
+    null = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [Fraction(c == fc) for c in range(m)]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        null.append(v)
     assert len(null) == rrs.rank, "fixed subspace has the wrong dimension"
     orbit_index = {i: k for k, orb in enumerate(all_orbits) for i in orb}
     basis = [[v[orbit_index[i]] for i in range(l)] for v in null]
@@ -322,36 +315,23 @@ def relative_norms(rrs: RelativeRootSystem):
         return sum(u[i] * w[i2] * gram[i][i2]
                    for i in range(l) if u[i] for i2 in range(l) if w[i2])
     sub_gram = [[inner(u, w) for w in basis] for u in basis]
-
-    def solve(mat, rhs):
-        a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-        n = len(a)
-        for c in range(n):
-            piv = next(i for i in range(c, n) if a[i][c] != 0)
-            a[c], a[piv] = a[piv], a[c]
-            inv = Fraction(1, 1) / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for i in range(n):
-                if i != c and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return [a[i][n] for i in range(n)]
+    n = len(basis)
 
     norms = {}
     for A, fiber in rrs.fibers.items():
         projections = set()
         for root in fiber:
-            alpha = [Fraction(c) for c in root.coords]
-            rhs = [inner(u, alpha) for u in basis]
-            coeffs = solve(sub_gram, rhs)
-            proj = tuple(sum(coeffs[k] * basis[k][i] for k in range(len(basis)))
+            # solve sub_gram * coeffs = (<u, alpha>)_u; sub_gram is nonsingular
+            reduced, _ = row_reduce([row + [inner(u, root.coords)]
+                                     for row, u in zip(sub_gram, basis)], n)
+            coeffs = [row[n] for row in reduced]
+            proj = tuple(sum(coeffs[k] * basis[k][i] for k in range(n))
                          for i in range(l))
             projections.add(proj)
         assert len(projections) == 1, \
             "fiber of %s does not project to a single point" % A
         p = projections.pop()
         norms[A] = inner(list(p), list(p))
-    rrs._rel_norms = norms
     return norms
 
 
@@ -377,12 +357,14 @@ def _reference_root_set(label, rank):
     return {r.coords for r in build_root_system(t).roots}
 
 
-def classify_relative_type(rrs: RelativeRootSystem, component=None):
-    """Match an irreducible component against the abstract root-system types."""
-    if component is None:
-        component = rrs.components[0]
-    roots, rank = component
-    coord_set = {A.coords for A in roots}
+def classify_relative_type(rrs: RelativeRootSystem):
+    """Match the relative system against the abstract root-system types.
+
+    The input system is irreducible, so Gamma permutes its single component
+    transitively and the relative system is irreducible too.
+    """
+    rank = rrs.rank
+    coord_set = {A.coords for A in rrs.rel_roots}
     if rank == 1:
         label = "BC" if any(abs(c) == 2 for (c,) in coord_set) else "A"
         return label, 1
@@ -450,13 +432,7 @@ def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
     """
     assert B in rrs and C in rrs, "B, C must be relative roots"
     assert B + C == A
-    bc, cc = B.coords, C.coords
-    n = len(bc)
-    collinear = all(bc[i] * cc[j] == bc[j] * cc[i]
-                    for i in range(n) for j in range(i + 1, n))
-    if n == 1:
-        collinear = True
-    assert not collinear, "B and C are collinear"
+    assert not collinear(B, C), "B and C are collinear"
     sign = 1 if A.is_positive() else -1
     for i in range(1, max_mult + 1):
         for j in range(1, max_mult + 1):
@@ -478,32 +454,35 @@ def decompose_relative_root(rrs: RelativeRootSystem, A: RelativeRoot):
     a single relative simple root borrow a chain through the nearest other
     J-node; anything else splits off the last J-node of a root chain.
     Falls back to exhaustive search if the construction fails, which would
-    indicate a gap in the recipe; either way the output is re-verified.
+    indicate a gap in the recipe.  Negative A takes the negated split of -A
+    (the clauses are symmetric under negation).  The returned split is the
+    first candidate that passes ``check_lemma1_decomposition``, so the
+    recipe's split is checked exactly once.
     """
-    comp_rank = next(rank for roots, rank in rrs.components if A in roots)
-    if comp_rank < 2:
+    if rrs.rank < 2:
         raise DecompositionError("relative root %s lies in a rank-1 component" % A)
-    if not A.is_positive():
-        B, C = decompose_relative_root(rrs, -A)
-        B, C = -B, -C
-        check_lemma1_decomposition(rrs, A, B, C)
-        return B, C
-    try:
-        B, C = _decompose_positive(rrs, A)
-        check_lemma1_decomposition(rrs, A, B, C)
-        return B, C
-    except AssertionError:
-        pass
-    for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
-        C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-        if C not in rrs:
-            continue
+    sign = 1 if A.is_positive() else -1
+    P = A.scaled(sign)
+    for B, C in _split_candidates(rrs, P):
+        B, C = B.scaled(sign), C.scaled(sign)
         try:
             check_lemma1_decomposition(rrs, A, B, C)
             return B, C
         except AssertionError:
             continue
     raise DecompositionError("no valid decomposition found for %s" % A)
+
+
+def _split_candidates(rrs, P):
+    """The recipe's split of a positive P, then every B + (P - B) in B order."""
+    try:
+        yield _decompose_positive(rrs, P)
+    except AssertionError:
+        pass
+    for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
+        C = RelativeRoot(tuple(a - b for a, b in zip(P.coords, B.coords)))
+        if C in rrs:
+            yield B, C
 
 
 def _decompose_positive(rrs, A):

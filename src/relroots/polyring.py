@@ -2,8 +2,8 @@
 
 Multivariate polynomials with rational coefficients over a fixed ordered
 set of indeterminates, optionally divided by a power of ``eps**2 - eps``
-(the only localization the identities need), plus prime-field scalars for
-the finite-group lab.
+(the only localization the identities need), plus the one exact row
+reduction over Q and F_p that every linear-algebra question here uses.
 
 Everything is exact: coefficients are Python ints or ``Fraction``s, never
 floats.  Values are immutable after construction.
@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 EPS = "eps"
-
-Coeff = "int | Fraction"
 
 
 def _norm_coeff(c):
@@ -376,20 +374,7 @@ class PolyElem:
         return s
 
 
-def poly_arith(a, b, op):
-    """Dispatch helper mirroring the basic ring operations by name."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "eq":
-        return a == b
-    raise ValueError("unknown op %r" % (op,))
-
-
-# -- prime fields --------------------------------------------------------
+# -- exact linear algebra -----------------------------------------------
 
 
 def is_prime(p):
@@ -403,51 +388,37 @@ def is_prime(p):
     return True
 
 
-class PrimeFieldElem:
-    """Residue in the prime field F_p."""
+def row_reduce(rows, ncols, p=None):
+    """Reduced row echelon form over Q, or over F_p when ``p`` is given.
 
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        if not is_prime(modulus):
-            raise ValueError("modulus %d is not prime" % modulus)
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return PrimeFieldElem(other, self.modulus)
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli %d, %d" % (self.modulus, other.modulus))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return PrimeFieldElem(self.value + other.value, self.modulus)
-
-    def __neg__(self):
-        return PrimeFieldElem(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return PrimeFieldElem(self.value * other.value, self.modulus)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_%d" % self.modulus)
-        return PrimeFieldElem(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (isinstance(other, PrimeFieldElem) and self.modulus == other.modulus
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return "%d (mod %d)" % (self.value, self.modulus)
+    Pivots are sought in the first ``ncols`` columns only; any further
+    columns (an augmented block) are carried along.  Returns the reduced
+    rows, pivot rows first, and the pivot columns; the rank is
+    ``len(pivots)``.
+    """
+    if p is None:
+        mat = [[Fraction(x) for x in row] for row in rows]
+    else:
+        mat = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        if p is None:
+            inv = 1 / mat[r][c]
+            mat[r] = top = [x * inv for x in mat[r]]
+        else:
+            inv = pow(mat[r][c], -1, p)
+            mat[r] = top = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    mat[i] = [x - f * y for x, y in zip(row, top)]
+                else:
+                    mat[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(c)
+    return mat, pivots

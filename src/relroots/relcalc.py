@@ -22,15 +22,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chevalley import (
-    ChevalleyBasis,
-    collect,
-    commutator_factors,
-    product_of_root_elements,
-)
+from .chevalley import collect, commutator_factors, product_of_root_elements
 from .folding import RelativeRoot, RelativeRootSystem, classify_relative_type
-from .polyring import PolyElem, VarRegistry
-from .rootcore import Root
+from .polyring import PolyElem, VarRegistry, row_reduce
+from .rootcore import collinear
 
 CONE_BOUND = 6  # no root system has iA+jB live beyond i+j = 5
 
@@ -43,30 +38,6 @@ class CaseHypothesisError(RelcalcError):
     """The named surjectivity case's hypothesis fails for this pair."""
 
 
-@dataclass(frozen=True)
-class RelModuleBasis:
-    A: RelativeRoot
-    basis_roots: tuple  # the fiber, lexicographic root-coordinate order
-
-    def __post_init__(self):
-        assert self.basis_roots, "empty fiber"
-        assert len({r.is_positive() for r in self.basis_roots}) == 1
-
-
-def module_basis(rrs: RelativeRootSystem, A: RelativeRoot) -> RelModuleBasis:
-    return RelModuleBasis(A, rrs.fiber(A))
-
-
-@dataclass
-class RelElement:
-    A: RelativeRoot
-    coords: dict  # Root -> PolyElem
-
-    def validate(self, rrs):
-        if set(self.coords) != set(rrs.fiber(self.A)):
-            raise RelcalcError("coords keyed by something other than the fiber")
-
-
 def _require_split(rrs):
     if len(rrs.spec.gamma) != 1:
         raise RelcalcError(
@@ -76,19 +47,6 @@ def _require_split(rrs):
 def relative_factors(rrs, A, coords):
     """Elementary factor word for X_A(v), fiber in lexicographic order."""
     return [(alpha, coords[alpha]) for alpha in rrs.fiber(A)]
-
-
-def embed_relative_element(rrs, cb: ChevalleyBasis, e: RelElement):
-    _require_split(rrs)
-    e.validate(rrs)
-    reg = next(iter(e.coords.values())).registry
-    return product_of_root_elements(cb, reg, relative_factors(rrs, e.A, e.coords))
-
-
-def _collinear(A, B):
-    n = len(A.coords)
-    return all(A.coords[i] * B.coords[j] == A.coords[j] * B.coords[i]
-               for i in range(n) for j in range(i + 1, n))
 
 
 def cone_pairs(rrs, A, B, bound=CONE_BOUND):
@@ -165,7 +123,7 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     _require_split(rrs)
     if A not in rrs or B not in rrs:
         raise RelcalcError("A and B must be relative roots")
-    if _collinear(A, B):
+    if collinear(A, B):
         raise RelcalcError("commutator maps need non-collinear A, B "
                            "(mA = -kB or proportional rays rejected)")
     fa, fb = rrs.fiber(A), rrs.fiber(B)
@@ -381,44 +339,16 @@ def applicable_surjectivity_cases(rrs, cb, A, B, units=frozenset({1, -1})):
 # -- linear spanning oracles ---------------------------------------------
 
 
-def _rank_rational(rows, ncols):
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_mod_p(rows, ncols, p):
-    mat = [[int(x) % p for x in row] for row in rows]
-    mat = [row for row in mat if any(row)]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p) if p > 2 else mat[rank][c]
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 SPAN_PRIMES = (2, 3, 5)
+
+
+def _span_verdict(rows, n):
+    """Whether the rows span the n-dimensional target over Q and each F_p."""
+    full = {"Q": len(row_reduce(rows, n)[1]) == n}
+    for p in SPAN_PRIMES:
+        full["F%d" % p] = len(row_reduce(rows, n, p)[1]) == n
+    return {"fields": {k: "full" if v else "deficient" for k, v in full.items()},
+            "status": "pass" if all(full.values()) else "fail"}
 
 
 def _probe_vectors(basis, rng, n_random):
@@ -471,15 +401,7 @@ def check_spanning_lemma2_2(rrs, cb, A, B, seed=0, n_random=100):
             rows.append(as_row(t12.evaluate(1, 2, {al: 1}, v)))
 
     n = len(target)
-    report = {"A": A, "B": B, "dim": n, "fields": {}}
-    ok = _rank_rational(rows, n) == n
-    report["fields"]["Q"] = "full" if ok else "deficient"
-    for p in SPAN_PRIMES:
-        okp = _rank_mod_p(rows, n, p) == n
-        report["fields"]["F%d" % p] = "full" if okp else "deficient"
-        ok = ok and okp
-    report["status"] = "pass" if ok else "fail"
-    return report
+    return {"A": A, "B": B, "dim": n, **_span_verdict(rows, n)}
 
 
 def check_spanning_lemma3(l, seed=0, n_random=100):
@@ -528,15 +450,7 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
             rows.append(as_row(t_a12.evaluate(1, 1, v, {be: 1}),
                                t_a12.evaluate(2, 1, v, {be: 1})))
 
-    report = {"l": l, "dim": n, "fields": {}}
-    ok = _rank_rational(rows, n) == n
-    report["fields"]["Q"] = "full" if ok else "deficient"
-    for p in SPAN_PRIMES:
-        okp = _rank_mod_p(rows, n, p) == n
-        report["fields"]["F%d" % p] = "full" if okp else "deficient"
-        ok = ok and okp
-    report["status"] = "pass" if ok else "fail"
-    return report
+    return {"l": l, "dim": n, **_span_verdict(rows, n)}
 
 
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):

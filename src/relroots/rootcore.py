@@ -267,17 +267,14 @@ class RootSystem:
         return tuple(out)
 
 
-def root_arithmetic(rs: RootSystem, a: Root, b: Root, query: str):
-    """Plumbing dispatch over the exact lattice operations."""
-    if query == "sum_is_root":
-        return rs.sum_is_root(a, b)
-    if query == "sum":
-        return rs.sum(a, b)
-    if query == "negate":
-        return -a
-    if query == "height":
-        return a.height
-    raise ValueError("unknown query %r" % (query,))
+def collinear(a, b):
+    """Whether two coordinate vectors lie on one line through the origin.
+
+    Takes coordinate tuples, or roots and relative roots via ``.coords``.
+    """
+    a, b = getattr(a, "coords", a), getattr(b, "coords", b)
+    n = len(a)
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
 
 @lru_cache(maxsize=None)

@@ -35,16 +35,14 @@ from .chevalley import (
 )
 from .folding import (
     DecompositionError,
-    FoldingSpec,
     RelativeRoot,
-    all_subgroups,
     build_relative_system,
-    check_lemma1_decomposition,
     decompose_relative_root,
+    enumerate_foldings,
     parse_folding_spec,
 )
-from .polyring import VarRegistry
-from .rootcore import SERIES, InvalidRootType, RootType, build_root_system
+from .polyring import PolyElem, VarRegistry
+from .rootcore import RootType, build_root_system, collinear
 
 
 @dataclass
@@ -60,60 +58,35 @@ class VerificationCase:
                 "status": self.status, "witness": self.witness}
 
 
-@dataclass
-class SignAssignment:
-    signs: dict  # slot name -> +1 / -1
-
-    def to_json(self):
-        return {k: v for k, v in sorted(self.signs.items())}
-
-
-def _types_up_to(max_rank):
-    out = []
-    for series in SERIES:
-        for l in range(1, max_rank + 1):
-            try:
-                out.append(RootType(series, l))
-            except InvalidRootType:
-                continue
-    return out
-
-
 # -- decomposition catalog ------------------------------------------------
 
 
 def verify_lemma1_catalog(max_rank=6):
-    """Decompose-and-check every relative root of every folding."""
+    """Decompose every relative root of every folding.
+
+    ``decompose_relative_root`` returns only splits that passed the
+    independent checker, so each witness is checked exactly once.
+    """
     assert max_rank <= 8
     cases = []
-    for t in _types_up_to(max_rank):
-        for gamma in all_subgroups(t):
-            gamma = tuple(gamma)
-            for bits in itertools.product((0, 1), repeat=t.rank):
-                levi = tuple(i for i, b in enumerate(bits) if b)
-                if not levi:
-                    continue
-                if any({a(i) for i in levi} != set(levi) for a in gamma):
-                    continue
-                spec = FoldingSpec(t, gamma, levi)
-                rrs = build_relative_system(spec)
-                case = VerificationCase(id="lemma1/%s" % spec, spec=str(spec))
-                if rrs.rank < 2:
-                    case.status = "skipped"
-                    case.witness = "rank-1 component"
-                    cases.append(case)
-                    continue
-                wit = []
-                try:
-                    for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
-                        B, C = decompose_relative_root(rrs, A)
-                        check_lemma1_decomposition(rrs, A, B, C)
-                        wit.append("%s = %s + %s" % (A, B, C))
-                    case.witness = wit
-                except (DecompositionError, AssertionError) as exc:
-                    case.status = "fail"
-                    case.witness = str(exc)
-                cases.append(case)
+    for spec in enumerate_foldings(max_rank):
+        rrs = build_relative_system(spec)
+        case = VerificationCase(id="lemma1/%s" % spec, spec=str(spec))
+        if rrs.rank < 2:
+            case.status = "skipped"
+            case.witness = "rank-1 component"
+            cases.append(case)
+            continue
+        wit = []
+        try:
+            for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
+                B, C = decompose_relative_root(rrs, A)
+                wit.append("%s = %s + %s" % (A, B, C))
+            case.witness = wit
+        except (DecompositionError, AssertionError) as exc:
+            case.status = "fail"
+            case.witness = str(exc)
+        cases.append(case)
     return cases
 
 
@@ -139,12 +112,13 @@ def _registry(eps_binding, extra=()):
 
 
 def _sign_search(slots, build, check):
-    """Try all +-1 assignments of the named slots; return the first hit."""
+    """Try all +-1 assignments of the named slots; return the first hit
+    as a {slot name: +1 / -1} dict."""
     assert len(slots) <= 6
     for values in itertools.product((1, -1), repeat=len(slots)):
         signs = dict(zip(slots, values))
         if check(build(signs)):
-            return SignAssignment(signs)
+            return signs
     return None
 
 
@@ -188,7 +162,7 @@ def verify_C2_identities(k, eps_binding=None):
         long_case.status = "fail"
         long_case.witness = "no sign assignment satisfies the identity"
     else:
-        long_case.witness = {"signs": assignment.to_json()}
+        long_case.witness = {"signs": assignment}
 
     target_short = adjoint_root_element(cb, a12, reg.var("Z", k) * v)
 
@@ -207,7 +181,7 @@ def verify_C2_identities(k, eps_binding=None):
         short_case.status = "fail"
         short_case.witness = "no sign assignment satisfies the identity"
     else:
-        short_case.witness = {"signs": assignment_s.to_json()}
+        short_case.witness = {"signs": assignment_s}
     return [long_case, short_case]
 
 
@@ -243,7 +217,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
         long_case.status = "fail"
         long_case.witness = "no sign assignment satisfies the identity"
     else:
-        long_case.witness = {"signs": assignment.to_json()}
+        long_case.witness = {"signs": assignment}
 
     # short root: collect the two-commutator left side to normal form and
     # check its shape: support {2A1+A2, 3A1+A2, 3A1+2A2}, leading Z^k v,
@@ -279,12 +253,12 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
         short_case.status = "fail"
         short_case.witness = "no sign assignment produces the stated shape"
     else:
-        coeffs = build_short(assignment_s.signs)
+        coeffs = build_short(assignment_s)
         trailing = sorted(r.coords for r in coeffs if r != r21)
         assert all(rs.root_from_coords(c).length_class == "long"
                    for c in trailing), "trailing factors on non-long roots"
         short_case.witness = {
-            "signs": assignment_s.to_json(),
+            "signs": assignment_s,
             "support": sorted(str(list(r.coords)) for r in coeffs),
             "trailing_long_roots": [str(list(c)) for c in trailing],
         }
@@ -367,9 +341,7 @@ def _schema_bl_pairs(l):
             C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
             if C not in rrs:
                 continue
-            n = len(B.coords)
-            if all(B.coords[i] * C.coords[j] == B.coords[j] * C.coords[i]
-                   for i in range(n) for j in range(i + 1, n)):
+            if collinear(B, C):
                 continue  # collinear pair, not a decomposition
             pair = next(((beta, gamma)
                          for beta in rrs.fiber(B) for gamma in rrs.fiber(C)
@@ -504,7 +476,6 @@ def _shift_z(p, reg, delta):
         e[zi] += delta
         assert e[zi] >= 0, "negative Z power"
         out[tuple(e)] = c
-    from .polyring import PolyElem
     return PolyElem(reg, out, p.denom_power)
 
 

@@ -31,13 +31,13 @@ from relroots.folding import (
 )
 from relroots.finitelab import derived_subgroup_index, generate_elementary_group
 from relroots.relcalc import (
-    _collinear,
     applicable_surjectivity_cases,
     check_N11_surjectivity,
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
 from relroots.rootcore import SERIES, InvalidRootType, RootType, build_root_system
+from relroots.rootcore import collinear as _collinear
 from relroots.theoremlab import (
     verify_C2_identities,
     verify_G2_identities,

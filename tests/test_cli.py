@@ -151,6 +151,13 @@ def test_perfect_cap_skip(capsys):
     assert "skipped: cap" in out
 
 
+def test_perfect_bad_cap_env_errors(capsys, monkeypatch):
+    monkeypatch.setenv("RELROOT_CAP", "abc")
+    code, _, err = run(capsys, "perfect", "--type", "A2", "--p", "2")
+    assert code == 2
+    assert err.startswith("error:") and "RELROOT_CAP" in err
+
+
 def test_perfect_rejects_composite(capsys):
     code, _, err = run(capsys, "perfect", "--type", "A2", "--p", "4")
     assert code == 2

@@ -102,3 +102,14 @@ def test_report_catalog(a2_mod2):
     assert by_type[("B3", 2)]["note"] == "skipped: cap"
     text = format_report(rows)
     assert "skipped: cap" in text and "matches prediction" in text
+
+
+def test_keys_distinguish_residues_above_255():
+    assert FqMatrix(257, [[256]]) != FqMatrix(257, [[0]])
+    assert FqMatrix(257, [[256]]).key() != FqMatrix(257, [[0]]).key()
+
+
+def test_unipotent_closure_over_f257():
+    m = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    elements = _bfs_closure([np.eye(2, dtype=np.int64)], [m], 257, cap=1000)
+    assert len(elements) == 257

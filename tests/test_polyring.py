@@ -6,10 +6,9 @@ import pytest
 from relroots.polyring import (
     LocalizationError,
     PolyElem,
-    PrimeFieldElem,
     RegistryMismatch,
     VarRegistry,
-    poly_arith,
+    row_reduce,
 )
 
 
@@ -46,16 +45,6 @@ def test_monomial_product(reg):
     expected[reg.index("t")] = 2
     assert exp == tuple(expected)
     assert prod == s ** 3 * t ** 2
-
-
-def test_poly_arith_dispatch(reg):
-    a, b = reg.var("s"), reg.var("t")
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "mul") == a * b
-    assert poly_arith(a, b, "neg") == -a
-    assert poly_arith(a, a, "eq") is True
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "frobnicate")
 
 
 def test_registry_mismatch(reg):
@@ -159,16 +148,25 @@ def test_substitution_commutes_with_arithmetic():
         assert (a + b).substitute(binding) == a.substitute(binding) + b.substitute(binding)
 
 
-def test_prime_field_basics():
-    a = PrimeFieldElem(3, 5)
-    b = PrimeFieldElem(4, 5)
-    assert a + b == 2
-    assert a * b == 2
-    assert (a - b) == 4
-    assert a.inverse() * a == 1
-    with pytest.raises(ValueError):
-        PrimeFieldElem(1, 6)
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldElem(0, 5).inverse()
-    with pytest.raises(ValueError):
-        a + PrimeFieldElem(1, 7)
+def test_row_reduce_rank_nullspace_inverse():
+    # rank 2 over Q but 1 over F_2: the rows agree mod 2
+    rows = [[1, 1, 0], [1, -1, 2]]
+    assert row_reduce(rows, 3)[1] == [0, 1]
+    assert row_reduce(rows, 3, 2)[1] == [0]
+    # nullspace over Q: the free column 2 gives (-1, 1, 1)
+    reduced, pivots = row_reduce(rows, 3)
+    v = [0, 0, 1]
+    for row, pc in zip(reduced, pivots):
+        v[pc] = -row[2]
+    assert v == [-1, 1, 1]
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    # inverse mod 7 by reducing [A | I] to [I | A^-1]
+    a = [[2, 3], [1, 4]]
+    reduced, pivots = row_reduce([row + [int(i == j) for j in range(2)]
+                                  for i, row in enumerate(a)], 2, 7)
+    assert pivots == [0, 1]
+    inv = [row[2:] for row in reduced]
+    prod = [[sum(a[i][k] * inv[k][j] for k in range(2)) % 7 for j in range(2)]
+            for i in range(2)]
+    assert prod == [[1, 0], [0, 1]]
+    assert all(isinstance(x, int) for row in inv for x in row)

@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from relroots.chevalley import adjoint_root_element, build_chevalley_basis
+from relroots.chevalley import (
+    adjoint_root_element,
+    build_chevalley_basis,
+    product_of_root_elements,
+)
 from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
 from relroots.polyring import VarRegistry
 from relroots.relcalc import (
     CaseHypothesisError,
     RelcalcError,
-    RelElement,
     applicable_surjectivity_cases,
     check_N11_surjectivity,
     check_spanning_lemma2_2,
@@ -16,9 +19,9 @@ from relroots.relcalc import (
     check_sum_formula,
     compute_relative_commutator_maps,
     cone_pairs,
-    embed_relative_element,
-    module_basis,
+    relative_factors,
 )
+from relroots.rootcore import collinear
 
 
 def setup_fold(text):
@@ -46,8 +49,8 @@ def test_embed_identity_folding_singleton(c2):
     reg = VarRegistry(["t"])
     A = RelativeRoot((1, 0))
     (alpha,) = rrs.fiber(A)
-    e = RelElement(A, {alpha: reg.var("t")})
-    assert embed_relative_element(rrs, cb, e) == adjoint_root_element(
+    word = relative_factors(rrs, A, {alpha: reg.var("t")})
+    assert product_of_root_elements(cb, reg, word) == adjoint_root_element(
         cb, alpha, reg.var("t"))
 
 
@@ -55,8 +58,8 @@ def test_embed_zero_is_identity(c3_bc2):
     rrs, cb = c3_bc2
     A = RelativeRoot((0, 1))
     reg = VarRegistry(["t"])
-    e = RelElement(A, {alpha: reg.zero() for alpha in rrs.fiber(A)})
-    assert embed_relative_element(rrs, cb, e).is_identity()
+    word = relative_factors(rrs, A, {alpha: reg.zero() for alpha in rrs.fiber(A)})
+    assert product_of_root_elements(cb, reg, word).is_identity()
 
 
 def test_embed_multi_factor_fiber():
@@ -66,21 +69,18 @@ def test_embed_multi_factor_fiber():
     assert len(fiber) > 1
     names = ["t%d" % k for k in range(len(fiber))]
     reg = VarRegistry(names)
-    e = RelElement(A, {alpha: reg.var(n) for alpha, n in zip(fiber, names)})
-    m = embed_relative_element(rrs, cb, e)
-    assert not m.is_identity()
-    basis = module_basis(rrs, A)
-    assert basis.basis_roots == fiber
+    coords = {alpha: reg.var(n) for alpha, n in zip(fiber, names)}
+    word = relative_factors(rrs, A, coords)
+    assert [root for root, _ in word] == list(fiber)
+    assert not product_of_root_elements(cb, reg, word).is_identity()
 
 
 def test_embed_rejects_nontrivial_gamma():
     rrs = build_relative_system(parse_folding_spec("A3 gamma=flip"))
     cb = build_chevalley_basis(rrs.rs)
-    A = RelativeRoot((1, 0))
-    reg = VarRegistry(["t"])
-    e = RelElement(A, {alpha: reg.var("t") for alpha in rrs.fiber(A)})
     with pytest.raises(RelcalcError):
-        embed_relative_element(rrs, cb, e)
+        compute_relative_commutator_maps(rrs, cb, RelativeRoot((1, 0)),
+                                         RelativeRoot((1, 1)))
 
 
 def test_c2_split_table_matches_displayed_formula(c2):
@@ -111,7 +111,7 @@ def test_simply_laced_unit_constants(a3_levi):
     rrs, cb = a3_levi
     pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
              if A + B in rrs and cone_pairs(rrs, A, B)
-             and not _collinear(A, B)]
+             and not collinear(A, B)]
     assert pairs
     for A, B in pairs:
         table = compute_relative_commutator_maps(rrs, cb, A, B)
@@ -119,12 +119,6 @@ def test_simply_laced_unit_constants(a3_levi):
             for be in rrs.fiber(B):
                 c = table.bilinear_constant(al, be)
                 assert c in (-1, 0, 1)
-
-
-def _collinear(A, B):
-    n = len(A.coords)
-    return all(A.coords[i] * B.coords[j] == A.coords[j] * B.coords[i]
-               for i in range(n) for j in range(i + 1, n))
 
 
 def test_rejects_collinear_pair(c3_bc2):
@@ -171,7 +165,7 @@ def test_sum_formula_identity_folding_no_corrections(c2):
 def test_surjectivity_simply_laced_case_a(a3_levi):
     rrs, cb = a3_levi
     pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-             if A + B in rrs and not _collinear(A, B)]
+             if A + B in rrs and not collinear(A, B)]
     assert pairs
     for A, B in pairs:
         report = check_N11_surjectivity(rrs, cb, A, B, "a")
