@@ -15,6 +15,20 @@ Root elements x_alpha(t) = exp(t ad e_alpha) are exact sparse matrices
 over :class:`~relroots.polyring.PolyElem`; products of them are collected
 back to normal form by graded elimination, which at the same time proves
 the matrix identity it outputs.
+
+A product carries only the 2l frame columns of its matrix, the images of
+h_1..h_l and e_{alpha_1}..e_{alpha_l} (``ChevalleyBasis.frame``): left
+multiplication acts column by column, and the frame determines the
+element for every word, mixed signs included.  Let phi be a product of
+exp(t ad e_alpha) over a Q-algebra.  If phi fixes every h_i, it commutes
+with ad h, so phi(e_alpha) = c_alpha e_alpha (distinct roots differ on
+some h_i by a nonzero integer).  If phi also fixes every e_{alpha_i},
+induction on height through [e_alpha, e_{alpha_i}], a nonzero integer
+multiple of e_{alpha+alpha_i}, gives c_alpha = 1 on positive roots, and
+[e_alpha, e_{-alpha}] = h_alpha != 0 gives c_{-alpha} = 1, so phi = 1.
+Hence two products are equal iff their frames are.  The h-columns alone
+are not enough: the torus element h_alpha(2) fixes every h_i.  See
+Steinberg, *Lectures on Chevalley Groups*.
 """
 
 from __future__ import annotations
@@ -46,6 +60,9 @@ class ChevalleyBasis:
             + [("e", c) for c in neg]
         self.dim = len(self.basis)
         self.index = {lab: i for i, lab in enumerate(self.basis)}
+        # h_1..h_l, then e_{alpha_1}..e_{alpha_l}: the columns a product carries
+        self.frame = tuple(self.index[("h", i)] for i in range(l)) + tuple(
+            self.index[("e", a.coords)] for a in rs.simple_roots)
         self._pos_set = set(pos)
         self._pos_order = {c: i for i, c in enumerate(pos)}
         self._extraspecial = self._find_extraspecial()
@@ -248,60 +265,32 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 
 
 class UnipotentMatrix:
-    """Sparse square matrix of PolyElem entries, stored column-wise."""
+    """Frame columns {col: {row: PolyElem}} of a product of root elements."""
 
     __slots__ = ("dim", "registry", "cols")
 
     def __init__(self, dim, registry, cols):
         self.dim = dim
         self.registry = registry
-        self.cols = cols  # {col: {row: PolyElem}}, identity entries included
-
-    @classmethod
-    def identity(cls, dim, registry):
-        one = registry.one()
-        return cls(dim, registry, {j: {j: one} for j in range(dim)})
-
-    def __matmul__(self, other):
-        # (self @ other)[i][j] = sum_r self[i][r] * other[r][j]
-        out = {}
-        for j, colB in other.cols.items():
-            acc = {}
-            for r, b in colB.items():
-                colA = self.cols.get(r)
-                if not colA:
-                    continue
-                for i, a in colA.items():
-                    v = a * b
-                    if v.is_zero():
-                        continue
-                    cur = acc.get(i)
-                    acc[i] = v if cur is None else cur + v
-            out[j] = {i: v for i, v in acc.items() if not v.is_zero()}
-        return UnipotentMatrix(self.dim, self.registry, out)
+        self.cols = cols  # identity entries included
 
     def is_identity(self):
         one = self.registry.one()
-        for j in range(self.dim):
-            col = self.cols.get(j, {})
-            for i, v in col.items():
-                if i == j:
-                    if v != one:
-                        return False
-                elif not v.is_zero():
-                    return False
-            if col.get(j) is None:
+        for j, col in self.cols.items():
+            if col.get(j) != one:
+                return False
+            if any(i != j and not v.is_zero() for i, v in col.items()):
                 return False
         return True
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):
             return NotImplemented
-        if self.dim != other.dim:
+        if self.dim != other.dim or self.cols.keys() != other.cols.keys():
             return False
-        for j in range(self.dim):
-            a = {i: v for i, v in self.cols.get(j, {}).items() if not v.is_zero()}
-            b = {i: v for i, v in other.cols.get(j, {}).items() if not v.is_zero()}
+        for j, col in self.cols.items():
+            a = {i: v for i, v in col.items() if not v.is_zero()}
+            b = {i: v for i, v in other.cols[j].items() if not v.is_zero()}
             if a != b:
                 return False
         return True
@@ -311,26 +300,8 @@ class UnipotentMatrix:
 
 
 def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem) -> UnipotentMatrix:
-    """exp(t ad e_alpha) as an exact matrix; the series terminates."""
-    coords = alpha.coords if isinstance(alpha, Root) else tuple(alpha)
-    reg = t.registry
-    mat = UnipotentMatrix.identity(cb.dim, reg)
-    tk = reg.one()
-    for power in cb.exp_ad_powers(coords):
-        tk = tk * t
-        if tk.is_zero():
-            break
-        for j, col in power.items():
-            dest = mat.cols.setdefault(j, {})
-            for i, c in col.items():
-                add = tk.scale(c)
-                cur = dest.get(i)
-                val = add if cur is None else cur + add
-                if val.is_zero():
-                    dest.pop(i, None)
-                else:
-                    dest[i] = val
-    return mat
+    """exp(t ad e_alpha), as a one-factor product."""
+    return product_of_root_elements(cb, t.registry, [(alpha, t)])
 
 
 def _mul_elem_left(cb, factor, M):
@@ -366,8 +337,9 @@ def _mul_elem_left(cb, factor, M):
 
 
 def product_of_root_elements(cb, registry, factors):
-    """Matrix of the left-to-right product of x_root(t) factors."""
-    M = UnipotentMatrix.identity(cb.dim, registry)
+    """Frame columns of the left-to-right product of x_root(t) factors."""
+    one = registry.one()
+    M = UnipotentMatrix(cb.dim, registry, {j: {j: one} for j in cb.frame})
     for root, t in reversed(list(factors)):
         M = _mul_elem_left(cb, (root, t), M)
     return M

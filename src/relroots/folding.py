@@ -27,6 +27,7 @@ from .rootcore import (
     RootType,
     build_root_system,
     collinear,
+    require,
 )
 
 
@@ -427,12 +428,12 @@ def _diagram_path(rs, start, targets):
 def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
     """Independent re-verification of every clause of the decomposition.
 
-    Exhaustive scan over small multiples; raises AssertionError on any
-    violated clause.
+    Exhaustive scan over small multiples; raises VerificationError (an
+    AssertionError that ``python -O`` keeps) on any violated clause.
     """
-    assert B in rrs and C in rrs, "B, C must be relative roots"
-    assert B + C == A
-    assert not collinear(B, C), "B and C are collinear"
+    require(B in rrs and C in rrs, "B, C must be relative roots")
+    require(B + C == A, "B + C is not A")
+    require(not collinear(B, C), "B and C are collinear")
     sign = 1 if A.is_positive() else -1
     for i in range(1, max_mult + 1):
         for j in range(1, max_mult + 1):
@@ -440,10 +441,10 @@ def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
                 continue
             D = B.scaled(i) + C.scaled(j)
             if D in rrs:
-                assert (1 if D.is_positive() else -1) == sign, \
-                    "%d*B+%d*C has the wrong sign" % (i, j)
-                assert abs(D.level) > abs(A.level), \
-                    "%d*B+%d*C does not increase the level" % (i, j)
+                require((1 if D.is_positive() else -1) == sign,
+                        "%d*B+%d*C has the wrong sign", i, j)
+                require(abs(D.level) > abs(A.level),
+                        "%d*B+%d*C does not increase the level", i, j)
     return True
 
 
@@ -459,6 +460,8 @@ def decompose_relative_root(rrs: RelativeRootSystem, A: RelativeRoot):
     first candidate that passes ``check_lemma1_decomposition``, so the
     recipe's split is checked exactly once.
     """
+    if A not in rrs:
+        raise DecompositionError("%s is not a relative root" % A)
     if rrs.rank < 2:
         raise DecompositionError("relative root %s lies in a rank-1 component" % A)
     sign = 1 if A.is_positive() else -1
@@ -500,9 +503,9 @@ def _decompose_positive(rrs, A):
         s = min(others, key=lambda v: (len(adj_path[v]), v))
         beta_nodes = adj_path[s][:-1] or [s]
         beta_coords = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
-        assert beta_coords in rs, "chain sum is not a root"
+        require(beta_coords in rs, "chain sum is not a root")
         beta = rs.root_from_coords(beta_coords)
-        assert rs.sum_is_root(alpha, beta), "alpha + beta is not a root"
+        require(rs.sum_is_root(alpha, beta), "alpha + beta is not a root")
         return rrs.project(rs.sum(alpha, beta)), rrs.project(-beta)
     # split off the last J-node of a root chain for alpha
     delta = set(range(rs.rank)) - set(rrs.spec.levi)

@@ -22,10 +22,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chevalley import collect, commutator_factors, product_of_root_elements
+from .chevalley import (collect, commutator_factors, invert_factors,
+                        product_of_root_elements)
 from .folding import RelativeRoot, RelativeRootSystem, classify_relative_type
 from .polyring import PolyElem, VarRegistry, row_reduce
-from .rootcore import collinear
+from .rootcore import collinear, require
 
 CONE_BOUND = 6  # no root system has iA+jB live beyond i+j = 5
 
@@ -159,29 +160,29 @@ def _verify_table(rrs, cb, table, U, slots, owner):
         p = table.entries.get(owner[gamma], {}).get(gamma)
         if p is not None:
             factors.append((gamma, p))
-    assert product_of_root_elements(cb, table.registry, factors) == U, \
-        "recomposed product differs from the commutator"
+    require(product_of_root_elements(cb, table.registry, factors) == U,
+            "recomposed product differs from the commutator")
     n_u = len(table.u_index)
     root_of_u = {k: alpha for alpha, k in table.u_index.items()}
     root_of_v = {k: beta for beta, k in table.v_index.items()}
     for (i, j), ent in table.entries.items():
         for gamma, p in ent.items():
-            assert p.denom_power == 0
+            require(p.denom_power == 0, "N_{%d%d} is not a polynomial", i, j)
             for exp, coeff in p.terms.items():
-                assert Fraction(coeff).denominator == 1
+                require(Fraction(coeff).denominator == 1, "non-integer N_{%d%d}", i, j)
                 du = sum(e for k, e in enumerate(exp) if k < n_u)
                 dv = sum(e for k, e in enumerate(exp) if k >= n_u)
                 # homogeneity: degree i in u, degree j in v
-                assert (du, dv) == (i, j), \
-                    "N_{%d%d} monomial of degree (%d,%d)" % (i, j, du, dv)
+                require((du, dv) == (i, j),
+                        "N_{%d%d} monomial of degree (%d,%d)", i, j, du, dv)
                 # fiber grading: underlying roots sum to gamma
                 total = [0] * rrs.rs.rank
                 for k, e in enumerate(exp):
                     root = root_of_u[k] if k < n_u else root_of_v[k]
                     for pos, c in enumerate(root.coords):
                         total[pos] += e * c
-                assert tuple(total) == gamma.coords, \
-                    "monomial roots do not sum to the target fiber root"
+                require(tuple(total) == gamma.coords,
+                        "monomial roots do not sum to the target fiber root")
 
 
 # -- sum formula ---------------------------------------------------------
@@ -197,11 +198,11 @@ def check_sum_formula(rrs, cb, A):
     u = {alpha: reg.var("u%d" % k) for k, alpha in enumerate(fiber)}
     w = {alpha: reg.var("w%d" % k) for k, alpha in enumerate(fiber)}
     both = {alpha: u[alpha] + w[alpha] for alpha in fiber}
-    lhs = product_of_root_elements(cb, reg, relative_factors(rrs, A, both))
+    lhs_factors = relative_factors(rrs, A, both)
+    lhs = product_of_root_elements(cb, reg, lhs_factors)
     base = (relative_factors(rrs, A, u) + relative_factors(rrs, A, w))
-    base_inv = [(r, -t) for r, t in reversed(base)]
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
-    residual = product_of_root_elements(cb, reg, base_inv) @ lhs
+    residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors)
     multiples = [i for i in range(2, CONE_BOUND + 1) if A.scaled(i) in rrs]
     slots, grade, owner = [], {}, {}
     for i in multiples:
@@ -219,7 +220,8 @@ def check_sum_formula(rrs, cb, A):
         p = corrections.get(owner[gamma], {}).get(gamma)
         if p is not None:
             rhs_factors.append((gamma, p))
-    assert product_of_root_elements(cb, reg, rhs_factors) == lhs
+    require(product_of_root_elements(cb, reg, rhs_factors) == lhs,
+            "recomposed sum formula differs from X_A(u+u')")
     return {
         "A": A,
         "corrections": corrections,
@@ -261,7 +263,6 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     _require_split(rrs)
     if A + B not in rrs:
         raise RelcalcError("A+B is not a relative root")
-    table = compute_relative_commutator_maps(rrs, cb, A, B)
     rs = rrs.rs
     fa, fb = rrs.fiber(A), rrs.fiber(B)
     target = rrs.fiber(A + B)
@@ -269,6 +270,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     unit_abs = {abs(x) for x in units}
 
     if case == "a":
+        # the only hypothesis read off the table; the others are checked first
+        table = compute_relative_commutator_maps(rrs, cb, A, B)
         hit = {abs(table.bilinear_constant(al, be))
                for al in fa for be in fb if table.bilinear_constant(al, be)}
         if not hit <= unit_abs:
@@ -290,11 +293,13 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
                       and rs.sum_is_root(al, be)]
         if not (laced and long_pairs):
             raise CaseHypothesisError("no summable long pair in the fibers")
-        assert _long_roots_single_weyl_orbit(rs), \
-            "long roots are not a single Weyl orbit"
+        require(_long_roots_single_weyl_orbit(rs),
+                "long roots are not a single Weyl orbit")
         unit_abs = {1}
     else:
         raise RelcalcError("unknown case %r" % (case,))
+    if case != "a":
+        table = compute_relative_commutator_maps(rrs, cb, A, B)
 
     witnesses = {}
     for gamma in target:
@@ -318,7 +323,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         al, be, c = found
         # re-verify the witness by direct evaluation
         value = table.evaluate(1, 1, {al: 1}, {be: 1})
-        assert {g: v for g, v in value.items() if v} == {gamma: c}
+        require({g: v for g, v in value.items() if v} == {gamma: c},
+                "witness %s + %s does not evaluate to %+d on %s", al, be, c, gamma)
         witnesses[gamma] = found
     return {"A": A, "B": B, "case": case, "witnesses": witnesses,
             "status": "pass"}
@@ -454,7 +460,7 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
 
 
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):
-    """The three fiber cases behind the span identity, asserted directly."""
+    """The three fiber cases behind the span identity, checked directly."""
     rs = rrs.rs
     A1 = RelativeRoot((1, 0))
     alpha_l = rs.simple_roots[rs.rank - 1]
@@ -463,13 +469,13 @@ def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):
             hits = [(al, be) for al in rrs.fiber(A1) for be in f_mid
                     if al.length_class == "short" and be.length_class == "short"
                     and rs.sum_is_root(al, be) and rs.sum(al, be) == gamma]
-            assert hits, "short top root %s lacks a short+short split" % gamma
+            require(hits, "short top root %s lacks a short+short split", gamma)
         else:
             hits = [(al, be) for al in rrs.fiber(A1)
                     for be in rrs.fiber(RelativeRoot((0, 1)))
                     if be != alpha_l and tuple(
                         2 * a + b for a, b in zip(al.coords, be.coords)
                     ) == gamma.coords]
-            assert hits, "long top root %s is not 2*alpha+beta" % gamma
+            require(hits, "long top root %s is not 2*alpha+beta", gamma)
     for gamma in f_mid:
-        assert gamma.length_class == "short"
+        require(gamma.length_class == "short", "middle root %s is not short", gamma)

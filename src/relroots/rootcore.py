@@ -31,6 +31,16 @@ class InvalidRootType(ValueError):
     pass
 
 
+class VerificationError(AssertionError):
+    """A verification check failed; raised even under ``python -O``."""
+
+
+def require(cond, msg, *args):
+    """Raise VerificationError(msg % args) unless cond holds."""
+    if not cond:
+        raise VerificationError(msg % args if args else msg)
+
+
 @dataclass(frozen=True)
 class RootType:
     series: str

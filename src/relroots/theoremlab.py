@@ -42,7 +42,7 @@ from .folding import (
     parse_folding_spec,
 )
 from .polyring import PolyElem, VarRegistry
-from .rootcore import RootType, build_root_system, collinear
+from .rootcore import RootType, build_root_system, collinear, require
 
 
 @dataclass
@@ -67,7 +67,8 @@ def verify_lemma1_catalog(max_rank=6):
     ``decompose_relative_root`` returns only splits that passed the
     independent checker, so each witness is checked exactly once.
     """
-    assert max_rank <= 8
+    if not 1 <= max_rank <= 8:
+        raise ValueError("max rank must be between 1 and 8, got %d" % max_rank)
     cases = []
     for spec in enumerate_foldings(max_rank):
         rrs = build_relative_system(spec)
@@ -255,8 +256,8 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     else:
         coeffs = build_short(assignment_s)
         trailing = sorted(r.coords for r in coeffs if r != r21)
-        assert all(rs.root_from_coords(c).length_class == "long"
-                   for c in trailing), "trailing factors on non-long roots"
+        require(all(rs.root_from_coords(c).length_class == "long"
+                    for c in trailing), "trailing factors on non-long roots")
         short_case.witness = {
             "signs": assignment_s,
             "support": sorted(str(list(r.coords)) for r in coeffs),
@@ -312,7 +313,7 @@ def _schema_f4_long(k):
         else:
             B, C = found
             n = cb.struct_const(B.coords, C.coords)
-            assert abs(n) == 1
+            require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
             word = commutator_factors([(B, Z)],
                                       [(C, (reg.var("Z", k - 1) * v).scale(n))])
             lhs = product_of_root_elements(cb, reg, word)
@@ -426,7 +427,7 @@ def _schema_cl_bc2(l, k):
                     break
             if hit:
                 break
-        assert hit, "no unit (2,1) pair for the long chain"
+        require(hit, "no unit (2,1) pair for the long chain")
         alpha, beta, tab = hit
         word1 = commutator_factors(
             [(alpha, Z)],
@@ -437,7 +438,8 @@ def _schema_cl_bc2(l, k):
         grade = {g: 2 for g in rrs.fiber(mid)}
         grade.update({g: 3 for g in rrs.fiber(A)})
         coeffs = collect(cb, M1, slots, lambda r: grade[r])
-        assert coeffs.get(gamma_A) == reg.var("Z", k) * v
+        require(coeffs.get(gamma_A) == reg.var("Z", k) * v,
+                "step 1 does not hit %s with Z^%d v", gamma_A, k)
         junk = {g: coeffs[g] for g in rrs.fiber(mid) if g in coeffs}
 
         # step 2: rewrite the junk-cancelling X_{A1+2A2}(-junk) factor as
@@ -445,7 +447,7 @@ def _schema_cl_bc2(l, k):
         cancel_factors = []
         for g, c in junk.items():
             got = _unit_pair(rrs, cb, A1 + A2, A2, g, clean=False)
-            assert got, "no unit pair for the middle fiber root %s" % g
+            require(got, "no unit pair for the middle fiber root %s", g)
             mu, nu, n = got
             arg = (c.scale(-Fraction(1, n)))
             # split Z-degrees: Z * Z^{k-3} against the total Z^{k-1} junk
@@ -454,7 +456,7 @@ def _schema_cl_bc2(l, k):
                 [(mu, Z)], [(nu, _shift_z(u5, reg, -1))])
         total = product_of_root_elements(cb, reg, word1 + cancel_factors)
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v)
-        assert total == rhs, "assembled chain does not reproduce X_A(Z^k v)"
+        require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
         chain.witness = {
             "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta,
                                                       tab[(2, 1)], k - 2),
@@ -468,13 +470,13 @@ def _schema_cl_bc2(l, k):
 
 
 def _shift_z(p, reg, delta):
-    """Multiply by Z**delta (delta may be negative; exactness asserted)."""
+    """Multiply by Z**delta (delta may be negative; exactness checked)."""
     zi = reg.index("Z")
     out = {}
     for exp, c in p.terms.items():
         e = list(exp)
         e[zi] += delta
-        assert e[zi] >= 0, "negative Z power"
+        require(e[zi] >= 0, "negative Z power")
         out[tuple(e)] = c
     return PolyElem(reg, out, p.denom_power)
 
@@ -506,7 +508,7 @@ def _schema_cl_c2(l, k):
         wit = []
         for j, gamma in enumerate(fiber):
             got = _unit_pair(rrs, cb, A1, A2, gamma, clean=True)
-            assert got, "no clean unit pair for %s" % gamma
+            require(got, "no clean unit pair for %s", gamma)
             alpha, beta, n = got
             vj = reg.var("v%d" % j)
             word += commutator_factors([(alpha, (Z * vj).scale(n))],
@@ -517,7 +519,7 @@ def _schema_cl_c2(l, k):
         rhs_factors = [(gamma, reg.var("Z", k) * reg.var("v%d" % j))
                        for j, gamma in enumerate(fiber)]
         rhs = product_of_root_elements(cb, reg, rhs_factors)
-        assert lhs == rhs
+        require(lhs == rhs, "product of commutators differs from the target")
         short.witness = wit
     except AssertionError as exc:
         short.status = "fail"
@@ -542,7 +544,7 @@ def _schema_cl_c2(l, k):
             if gamma.length_class == "short":
                 # reachable from the A1 x (A1+A2) commutator: single-slot cone
                 got = _unit_pair(rrs, cb, A1, mid, gamma, clean=False)
-                assert got, "no unit pair for short %s" % gamma
+                require(got, "no unit pair for short %s", gamma)
                 alpha, beta, n = got
                 word += commutator_factors([(alpha, (Z * vj).scale(n))],
                                            [(beta, reg.var("Z", k - 1))])
@@ -563,7 +565,7 @@ def _schema_cl_c2(l, k):
                 if abs(tab.get((2, 1), 0)) == 1:
                     hit = (alpha, beta, tab)
                     break
-            assert hit, "no unit (2,1) pair for long %s" % gamma
+            require(hit, "no unit (2,1) pair for long %s", gamma)
             alpha, beta, tab = hit
             word += commutator_factors(
                 [(alpha, Z)],
@@ -571,7 +573,7 @@ def _schema_cl_c2(l, k):
             byproduct = rs.sum(alpha, beta)
             c_by = tab[(1, 1)] * tab[(2, 1)]  # coefficient on x_{a+b}(Z^{k-1} v_j)
             got = _unit_pair(rrs, cb, A1, A2, byproduct, clean=True)
-            assert got, "no clean canceller for %s" % byproduct
+            require(got, "no clean canceller for %s", byproduct)
             mu, nu, n = got
             word += commutator_factors(
                 [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
@@ -582,7 +584,7 @@ def _schema_cl_c2(l, k):
         rhs_factors = [(gamma, reg.var("Z", k) * reg.var("v%d" % j))
                        for j, gamma in enumerate(fiber_t)]
         rhs = product_of_root_elements(cb, reg, rhs_factors)
-        assert lhs == rhs
+        require(lhs == rhs, "product of commutators differs from the target")
         long_case.witness = wit
     except AssertionError as exc:
         long_case.status = "fail"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -187,3 +188,82 @@ def test_all_constants_bounded_c4_f4():
             except ValueError:
                 continue
             assert all(v in (1, 2, 3) for v in table.values())
+
+
+# -- the frame against the full matrix ------------------------------------
+
+
+def full_product(cb, reg, factors):
+    """All dim columns of the product, right-multiplying I + sum t^k P_k.
+
+    Written apart from ``product_of_root_elements``: it multiplies on the
+    right and keeps every column, so it is the oracle for the frame.
+    """
+    one = reg.one()
+    M = {j: {j: one} for j in range(cb.dim)}
+    for root, t in factors:
+        tks, tk = [], one
+        for _ in cb.exp_ad_powers(root.coords):
+            tk = tk * t
+            tks.append(tk)
+        out = {}
+        for j in range(cb.dim):
+            acc = dict(M[j])
+            for tk, power in zip(tks, cb.exp_ad_powers(root.coords)):
+                for r, c in power.get(j, {}).items():
+                    for i, m in M[r].items():
+                        acc[i] = acc.get(i, reg.zero()) + (tk * m).scale(c)
+            out[j] = {i: v for i, v in acc.items() if not v.is_zero()}
+        M = out
+    return M
+
+
+def frame_of(U):
+    return {j: {i: v for i, v in col.items() if not v.is_zero()}
+            for j, col in U.cols.items()}
+
+
+def random_word(cb, reg, rng, length):
+    s, t = reg.var("s"), reg.var("t")
+    coeffs = [s, t, s * t, s + t, reg.const(2), reg.const(Fraction(-1, 3))]
+    return [(rng.choice(cb.rs.roots), rng.choice(coeffs).scale(rng.choice((1, -1))))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
+def test_frame_matches_full_matrix(name):
+    cb = cb_for(name)
+    reg = VarRegistry(["s", "t"])
+    rng = random.Random(name)
+    for _ in range(20):
+        w1 = random_word(cb, reg, rng, rng.randint(1, 5))
+        # an equal word (a cancelling pair inserted) and a different one
+        k = rng.randint(0, len(w1))
+        root, c = random_word(cb, reg, rng, 1)[0]
+        same = w1[:k] + [(root, c), (root, -c)] + w1[k:]
+        other = w1[:k] + [(root, c)] + w1[k:]
+        full1 = full_product(cb, reg, w1)
+        U1 = product_of_root_elements(cb, reg, w1)
+        assert set(U1.cols) == set(cb.frame)
+        assert frame_of(U1) == {j: full1[j] for j in cb.frame}
+        for w2 in (w1, same, other):
+            U2 = product_of_root_elements(cb, reg, w2)
+            assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
+        assert U1 == product_of_root_elements(cb, reg, same)
+        assert U1 != product_of_root_elements(cb, reg, other)
+
+
+def test_frame_rejects_torus_element():
+    # h_a(2) = w_a(2) w_a(1)^-1 fixes every h_i but scales the e_a
+    cb = cb_for("A2")
+    reg = VarRegistry(["t"])
+    a = cb.rs.simple_roots[0]
+    c = reg.const
+    word = [(a, c(2)), (-a, c(Fraction(-1, 2))), (a, c(2)),
+            (a, c(-1)), (-a, c(1)), (a, c(-1))]
+    full = full_product(cb, reg, word)
+    npos = len(cb.pos_roots)
+    hcols = range(npos, npos + cb.rs.rank)
+    assert all(full[j] == {j: reg.one()} for j in hcols)
+    assert any(full[j] != {j: reg.one()} for j in range(cb.dim))
+    assert not product_of_root_elements(cb, reg, word).is_identity()

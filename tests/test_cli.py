@@ -87,6 +87,12 @@ def test_verify_lemma1_skipped_matches_rank1_components(capsys, tmp_path):
     assert report["summary"]["fail"] == 0
 
 
+def test_verify_max_rank_out_of_range_errors(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "lemma1", "--max-rank", "9")
+    assert code == 2
+    assert err.startswith("error:") and "max rank" in err
+
+
 def test_verify_report_roundtrip_byte_identical(capsys, tmp_path):
     report_file = tmp_path / "g2.json"
     code, _, _ = run(capsys, "verify", "--suite", "g2", "--k", "3",

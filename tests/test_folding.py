@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import relroots
 from relroots.folding import (
     DecompositionError,
     FoldingError,
@@ -14,7 +19,7 @@ from relroots.folding import (
     parse_folding_spec,
     trivial_gamma,
 )
-from relroots.rootcore import RootType, build_root_system
+from relroots.rootcore import RootType, VerificationError, build_root_system
 
 
 def fold(text):
@@ -157,6 +162,11 @@ def test_decompose_rejects_rank_one():
         decompose_relative_root(rrs, RelativeRoot((1,)))
 
 
+def test_decompose_rejects_non_root():
+    with pytest.raises(DecompositionError, match="not a relative root"):
+        decompose_relative_root(fold("C2"), RelativeRoot((5, 5)))
+
+
 FOLDS_FOR_SWEEP = [
     "A2", "A3", "B3", "C3", "C4", "D4", "G2", "F4",
     "A3 gamma=flip", "A4 gamma=flip", "A5 gamma=flip",
@@ -204,3 +214,24 @@ def test_checker_rejects_bad_split():
     with pytest.raises(AssertionError):
         check_lemma1_decomposition(rrs, RelativeRoot((2, 1)),
                                    RelativeRoot((1, 1)), RelativeRoot((0, 1)))
+
+
+BAD_SPLIT = """
+from relroots.folding import RelativeRoot, build_relative_system, \\
+    check_lemma1_decomposition, parse_folding_spec
+rrs = build_relative_system(parse_folding_spec("A3"))
+check_lemma1_decomposition(rrs, RelativeRoot((1, 1, 0)),
+                           RelativeRoot((1, 0, 0)), RelativeRoot((1, 0, 0)))
+"""
+
+
+def test_checker_survives_optimized_mode():
+    # B + C != A and B, C collinear: the check must fail even under -O
+    with pytest.raises(VerificationError):
+        exec(BAD_SPLIT, {})
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_SPLIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "VerificationError: B + C is not A" in proc.stderr
