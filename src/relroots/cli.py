@@ -359,7 +359,10 @@ def cmd_perfect(args):
         cap = closure_cap() if args.cap is None else args.cap
     except ValueError as exc:
         raise CliError("bad RELROOT_CAP: %s" % exc)
-    rows = perfectness_report([(t, args.p)], cap=cap)
+    try:
+        rows = perfectness_report([(t, args.p)], cap=cap)
+    except ValueError as exc:  # p too large for exact int64 products
+        raise CliError(str(exc))
     print(format_report(rows))
     return 0 if all(r["status"] != "fail" for r in rows) else 1
 

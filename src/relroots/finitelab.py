@@ -1,9 +1,12 @@
 """Finite boundary exhibit: adjoint elementary groups over prime fields.
 
 Generates the matrix group spanned by all adjoint root elements x_alpha(c)
-over F_p by breadth-first closure, computes its derived subgroup, and
-compares perfectness against the prediction that only the rank-2
-doubly/triply laced types (B2 = C2 and G2) over F_2 fail to be perfect.
+over F_p, one generator x_alpha(1) per root, by Dimino's coset-by-coset
+closure (Butler, Fundamental Algorithms for Permutation Groups, 1991),
+grows its derived subgroup in place as the normal closure of the generator
+commutators, and compares perfectness against the prediction that only the
+rank-2 doubly/triply laced types (B2 = C2 and G2) over F_2 fail to be
+perfect.
 All statements are about the adjoint image of the group; rank-1 types are
 reported without a verdict, being outside the rank >= 2 hypothesis.
 """
@@ -17,7 +20,7 @@ import numpy as np
 
 from .chevalley import build_chevalley_basis
 from .polyring import is_prime, row_reduce
-from .rootcore import RootType, build_root_system
+from .rootcore import RootType, build_root_system, require
 
 DEFAULT_CAP = 10 ** 6
 
@@ -30,11 +33,10 @@ def closure_cap():
     return int(os.environ.get("RELROOT_CAP", DEFAULT_CAP))
 
 
-def _keyer(p):
-    """Byte key of a matrix over F_p, entries in the smallest unsigned dtype
-    that holds p - 1 (uint8 up to p = 256)."""
-    dtype = np.min_scalar_type(p - 1)
-    return lambda a: a.astype(dtype).tobytes()
+def _key_dtype(p):
+    """Group elements over F_p are stored, and keyed by their bytes, in the
+    smallest unsigned dtype that holds p - 1 (uint8 up to p = 256)."""
+    return np.min_scalar_type(p - 1)
 
 
 class FqMatrix:
@@ -47,13 +49,14 @@ class FqMatrix:
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.array = np.ascontiguousarray(np.asarray(array, dtype=np.int64) % p)
+        _matmul_bound(self.dim, p)
 
     @property
     def dim(self):
         return self.array.shape[0]
 
     def key(self):
-        return _keyer(self.p)(self.array)
+        return self.array.astype(_key_dtype(self.p)).tobytes()
 
     def __matmul__(self, other):
         return FqMatrix(self.p, (self.array @ other.array) % self.p)
@@ -77,8 +80,8 @@ class FqMatrix:
 
 @dataclass
 class GroupClosure:
-    elements: dict  # byte key -> np.ndarray
-    generators: list  # of FqMatrix
+    elements: dict  # byte key -> np.ndarray in _key_dtype(p)
+    generators: list  # of FqMatrix, each enlarging the group
     p: int
     dim: int
 
@@ -90,128 +93,149 @@ class GroupClosure:
         return m.key() in self.elements
 
 
-def _root_element_matrix(cb, coords, c, p):
-    """Adjoint x_alpha(c) reduced mod p, as an integer numpy matrix."""
-    n = cb.dim
-    mat = np.eye(n, dtype=np.int64)
-    ck = 1
-    for power in cb.exp_ad_powers(coords):
-        ck = (ck * c) % p
+def _root_powers(cb, coords, p):
+    """Stack N_0 = 1, N_k = (ad e)^k / k! mod p, so x_alpha(c) = sum c^k N_k."""
+    powers = cb.exp_ad_powers(coords)
+    out = np.zeros((len(powers) + 1, cb.dim, cb.dim), dtype=np.int64)
+    out[0] = np.eye(cb.dim, dtype=np.int64)
+    for k, power in enumerate(powers, 1):
         for j, col in power.items():
             for i, v in col.items():
-                mat[i, j] = (mat[i, j] + ck * v) % p
-        if ck == 0:
-            break
-    return mat % p
+                out[k, i, j] = v % p
+    return out
+
+
+def _check_one_parameter_law(powers, p):
+    """x(a) x(1) = x(a + 1) for every a in F_p.
+
+    With x(0) = N_0 = 1 this is the whole law x(a) x(b) = x(a + b), by
+    induction on b, so x(c) = x(1)^c and x(1) generates every x(c)."""
+    n = powers.shape[1]
+    flat = powers.reshape(len(powers), n * n)
+    x1 = powers.sum(axis=0) % p
+    chunk = max(1, (1 << 18) // (n * n))
+    for lo in range(0, p, chunk):
+        a = np.arange(lo, min(lo + chunk, p) + 1, dtype=np.int64)  # a and a + 1
+        coeff = np.ones((len(a), len(powers)), dtype=np.int64)
+        for k in range(1, len(powers)):
+            coeff[:, k] = coeff[:, k - 1] * a % p
+        x = (coeff @ flat % p).reshape(len(a), n, n)
+        require(np.array_equal(x[:-1] @ x1 % p, x[1:]),
+                "one-parameter law fails mod %d", p)
 
 
 def adjoint_generators(t: RootType, p):
-    """All x_alpha(c), alpha in Phi, c in F_p*, deduplicated."""
+    """One x_alpha(1) per root alpha, deduplicated; over the prime field
+    x_alpha(c) = x_alpha(1)^c, which the one-parameter law check confirms."""
     rs = build_root_system(t)
     cb = build_chevalley_basis(rs)
     gens, seen = [], set()
     for root in rs.roots:
-        for c in range(1, p):
-            m = FqMatrix(p, _root_element_matrix(cb, root.coords, c, p))
-            if m.key() not in seen:
-                seen.add(m.key())
-                gens.append(m)
-    # one-parameter law sanity: x(a) x(b) = x(a+b) in F_p
-    for root in rs.roots[:2]:
-        for a in range(p):
-            for b in range(p):
-                lhs = FqMatrix(p, _root_element_matrix(cb, root.coords, a, p)) \
-                    @ FqMatrix(p, _root_element_matrix(cb, root.coords, b, p))
-                rhs = FqMatrix(p, _root_element_matrix(cb, root.coords,
-                                                       (a + b) % p, p))
-                assert lhs == rhs, "one-parameter law fails mod %d" % p
+        powers = _root_powers(cb, root.coords, p)
+        m = FqMatrix(p, powers.sum(axis=0))  # checks the int64 bound first
+        _check_one_parameter_law(powers, p)
+        if m.key() not in seen:
+            seen.add(m.key())
+            gens.append(m)
     return gens
 
 
-def _bfs_closure(seed_arrays, gen_arrays, p, cap):
-    """Byte-keyed BFS closure of the seeds under right-multiplication."""
-    dim = gen_arrays[0].shape[0]
-    gens = np.stack(gen_arrays)
-    key = _keyer(p)
-    elements = {}
-    frontier = []
-    for a in seed_arrays:
-        k = key(a)
-        if k not in elements:
-            elements[k] = a
-            frontier.append(a)
-    chunk = max(1, (1 << 22) // (len(gen_arrays) * dim * dim))
-    while frontier:
-        work, frontier = frontier, []
-        for lo in range(0, len(work), chunk):
-            batch = np.stack(work[lo:lo + chunk])
-            # (f, 1, n, n) @ (g, n, n) -> (f, g, n, n)
-            prods = np.matmul(batch[:, None, :, :], gens[None, :, :, :]) % p
-            for a in prods.reshape(-1, dim, dim):
-                k = key(a)
-                if k not in elements:
-                    a = a.copy()  # a view would keep the whole batch alive
-                    elements[k] = a
-                    frontier.append(a)
-            if len(elements) > cap:
-                raise CapExceeded("closure exceeded cap %d" % cap)
-    return elements
+def _identity_group(dim, p):
+    """The trivial subgroup, as a closure dict for ``_extend``."""
+    ident = np.eye(dim, dtype=_key_dtype(p))
+    return {ident.tobytes(): ident}
+
+
+def _extend(elements, gens, g, p, cap):
+    """Grow the subgroup H = <gens> held in ``elements`` to <gens, g> in place,
+    by Dimino's algorithm; return whether g was new.
+
+    The new subgroup is the union of right cosets H r: each is added whole,
+    with one product (H @ r) % p and keys cut in bulk from one buffer, and
+    a membership lookup is made only for each coset representative times
+    generator.  ``CapExceeded`` is raised before a coset would take the order
+    past ``cap``, so the dict never holds more than ``cap`` elements (it is
+    left part-grown)."""
+    dtype = _key_dtype(p)
+    if g.astype(dtype).tobytes() in elements:
+        return False
+    gens.append(g)
+    dim = g.shape[0]
+    width = dim * dim * dtype.itemsize
+    h = np.stack(list(elements.values())).astype(np.int64).reshape(-1, dim)
+    order = len(h) // dim
+    stacked = np.stack(gens)
+
+    def add_coset(r):
+        if len(elements) + order > cap:
+            raise CapExceeded("closure exceeded cap %d" % cap)
+        block = (h @ r % p).astype(dtype).reshape(order, dim, dim)
+        buf = block.tobytes()
+        elements.update(zip((buf[i:i + width]
+                             for i in range(0, len(buf), width)), block))
+
+    add_coset(g)
+    reps = [g]
+    for r in reps:  # grows while it is walked
+        prods = r @ stacked % p
+        buf = prods.astype(dtype).tobytes()
+        for i, e in enumerate(prods):
+            if buf[i * width:(i + 1) * width] not in elements:
+                add_coset(e)
+                reps.append(e)
+    return True
+
+
+def _matmul_bound(dim, p):
+    """Products of int64 matrices over F_p are exact iff dim (p-1)^2 < 2^63."""
+    if dim * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError("F_%d matrices of size %d overflow int64 products"
+                         % (p, dim))
 
 
 def generate_elementary_group(t: RootType, p, cap=None) -> GroupClosure:
+    """The adjoint group generated by the x_alpha(c), grown generator by
+    generator; ``generators`` keeps the ones that enlarged it."""
     cap = closure_cap() if cap is None else cap
-    gens = adjoint_generators(t, p)
-    arrays = [g.array for g in gens]
-    ident = np.eye(gens[0].dim, dtype=np.int64)
-    elements = _bfs_closure([ident], arrays, p, cap)
-    closure = GroupClosure(elements, gens, p, gens[0].dim)
-    return closure
-
-
-def closure_is_idempotent(g: GroupClosure):
-    """Re-running BFS on all elements adds nothing."""
-    again = _bfs_closure(list(g.elements.values()),
-                         [m.array for m in g.generators], g.p,
-                         cap=2 * g.order + 1)
-    return set(again) == set(g.elements)
+    dim = t.rank + len(build_root_system(t).roots)
+    _matmul_bound(dim, p)
+    if p > cap:
+        # x_{alpha_1}(t) e_{-alpha_1} = e_{-alpha_1} + t h_1 - t^2 e_{alpha_1}:
+        # the p elements x_{alpha_1}(t) are distinct
+        raise CapExceeded("order >= p = %d exceeds cap %d" % (p, cap))
+    elements, kept = _identity_group(dim, p), []
+    gens = [m for m in adjoint_generators(t, p)
+            if _extend(elements, kept, m.array, p, cap)]
+    return GroupClosure(elements, gens, p, dim)
 
 
 def derived_subgroup(g: GroupClosure):
-    """Closure of generator-pair commutators under products and conjugation."""
+    """Normal closure of the generator commutators, grown in one dict: each
+    kept subgroup generator h is conjugated by every group generator m and
+    m h m^-1 extends the subgroup unless it is already inside."""
     p = g.p
-    key = _keyer(p)
-    inv = {m.key(): m.inverse() for m in g.generators}
-    seeds = []
-    seen = set()
-    for a in g.generators:
-        for b in g.generators:
-            comm = a @ b @ inv[a.key()] @ inv[b.key()]
-            if comm.key() not in seen:
-                seen.add(comm.key())
-                seeds.append(comm)
-    seed_arrays = [m.array for m in seeds]
-    elements = _bfs_closure([np.eye(g.dim, dtype=np.int64)], seed_arrays, p,
-                            cap=g.order + 1)
-    # normal closure: conjugating by the group generators must stay inside
-    while True:
-        new = []
-        for m in g.generators:
-            minv = inv[m.key()]
-            for a in seed_arrays:
-                conj = (m.array @ a @ minv.array) % p
-                if key(conj) not in elements:
-                    new.append(conj)
-        if not new:
-            break
-        seed_arrays.extend(new)
-        elements = _bfs_closure(list(elements.values()) + new, seed_arrays, p,
-                                cap=g.order + 1)
+    gens = [(m.array, m.inverse().array) for m in g.generators]
+    elements, kept = _identity_group(g.dim, p), []
+    queue = []
+    for a, a_inv in gens:
+        for b, b_inv in gens:
+            comm = (a @ b % p) @ (a_inv @ b_inv % p) % p
+            if _extend(elements, kept, comm, p, g.order):
+                queue.append(comm)
+    while queue:
+        h = queue.pop()
+        for m, m_inv in gens:
+            conj = (m @ h % p) @ m_inv % p
+            if _extend(elements, kept, conj, p, g.order):
+                queue.append(conj)
     return elements
 
 
 def derived_subgroup_index(g: GroupClosure):
     h = derived_subgroup(g)
-    assert g.order % len(h) == 0, "subgroup order does not divide group order"
+    require(g.order % len(h) == 0,
+            "subgroup order %d does not divide group order %d",
+            len(h), g.order)
     return g.order // len(h)
 
 

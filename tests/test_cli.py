@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -168,3 +169,19 @@ def test_perfect_rejects_composite(capsys):
     code, _, err = run(capsys, "perfect", "--type", "A2", "--p", "4")
     assert code == 2
     assert "not prime" in err
+
+
+def test_perfect_large_p_skips_cap(capsys):
+    # the group has at least p elements, so p > cap skips before building
+    t0 = time.time()
+    code, out, _ = run(capsys, "perfect", "--type", "A1", "--p", "100003",
+                       "--cap", "1000")
+    assert code == 0
+    assert "skipped: cap" in out
+    assert time.time() - t0 < 10
+
+
+def test_perfect_int64_bound_errors(capsys):
+    code, _, err = run(capsys, "perfect", "--type", "A1", "--p", "2147483647")
+    assert code == 2
+    assert err.startswith("error:") and "int64" in err

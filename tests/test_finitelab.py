@@ -1,20 +1,103 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import relroots
+from relroots import finitelab
+from relroots.chevalley import build_chevalley_basis
 from relroots.finitelab import (
     CapExceeded,
     FqMatrix,
     GroupClosure,
-    _bfs_closure,
+    _extend,
+    _identity_group,
     adjoint_generators,
     closure_cap,
-    closure_is_idempotent,
+    derived_subgroup,
     derived_subgroup_index,
     format_report,
     generate_elementary_group,
     perfectness_report,
 )
-from relroots.rootcore import RootType
+from relroots.rootcore import RootType, VerificationError, build_root_system
+
+
+def oracle_key(a, p):
+    return np.asarray(a, dtype=np.int64).astype(np.min_scalar_type(p - 1)).tobytes()
+
+
+def bfs_closure(seed_arrays, gen_arrays, p, cap):
+    """Oracle: byte-keyed BFS closure of the seeds under right-multiplication,
+    one lookup per element times generator."""
+    dim = gen_arrays[0].shape[0]
+    gens = np.stack(gen_arrays)
+    elements = {}
+    frontier = []
+    for a in seed_arrays:
+        k = oracle_key(a, p)
+        if k not in elements:
+            elements[k] = a
+            frontier.append(a)
+    chunk = max(1, (1 << 22) // (len(gen_arrays) * dim * dim))
+    while frontier:
+        work, frontier = frontier, []
+        for lo in range(0, len(work), chunk):
+            batch = np.stack(work[lo:lo + chunk])
+            # (f, 1, n, n) @ (g, n, n) -> (f, g, n, n)
+            prods = np.matmul(batch[:, None, :, :], gens[None, :, :, :]) % p
+            for a in prods.reshape(-1, dim, dim):
+                k = oracle_key(a, p)
+                if k not in elements:
+                    a = a.copy()
+                    elements[k] = a
+                    frontier.append(a)
+            if len(elements) > cap:
+                raise CapExceeded("closure exceeded cap %d" % cap)
+    return elements
+
+
+def all_root_elements(t, p):
+    """Oracle generators: every x_alpha(c), c in F_p^*, summed term by term."""
+    cb = build_chevalley_basis(build_root_system(t))
+    out = []
+    for root in cb.rs.roots:
+        for c in range(1, p):
+            mat = np.eye(cb.dim, dtype=np.int64)
+            for k, power in enumerate(cb.exp_ad_powers(root.coords), 1):
+                for j, col in power.items():
+                    for i, v in col.items():
+                        mat[i, j] = (mat[i, j] + pow(c, k, p) * v) % p
+            out.append(mat)
+    return out
+
+
+def bfs_derived_subgroup(gen_arrays, p, cap):
+    """Oracle: BFS closure of the generator commutators, re-run from scratch
+    until conjugation by every generator stays inside."""
+    dim = gen_arrays[0].shape[0]
+    inv = [FqMatrix(p, a).inverse().array for a in gen_arrays]
+    seeds = {}
+    for a, ai in zip(gen_arrays, inv):
+        for b, bi in zip(gen_arrays, inv):
+            comm = (((a @ b) % p @ ai) % p @ bi) % p
+            seeds.setdefault(oracle_key(comm, p), comm)
+    seed_arrays = list(seeds.values())
+    elements = bfs_closure([np.eye(dim, dtype=np.int64)], seed_arrays, p, cap)
+    while True:
+        new = []
+        for m, mi in zip(gen_arrays, inv):
+            for a in seed_arrays:
+                conj = ((m @ a) % p @ mi) % p
+                if oracle_key(conj, p) not in elements:
+                    new.append(conj)
+        if not new:
+            return elements
+        seed_arrays.extend(new)
+        elements = bfs_closure(list(elements.values()) + new, seed_arrays, p,
+                               cap)
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +134,29 @@ def test_c2_mod3_perfect():
 
 def test_abelian_group_index_equals_order():
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    elements = _bfs_closure([np.eye(2, dtype=np.int64)], [m], 5, cap=10)
+    elements = _identity_group(2, 5)
+    _extend(elements, [], m, 5, cap=10)
     g = GroupClosure(elements, [FqMatrix(5, m)], 5, 2)
     assert g.order == 5
     assert derived_subgroup_index(g) == 5
 
 
 def test_closure_idempotent(a2_mod2):
-    assert closure_is_idempotent(a2_mod2)
+    # the BFS oracle run on every element adds nothing
+    again = bfs_closure(list(a2_mod2.elements.values()),
+                        [m.array for m in a2_mod2.generators], 2,
+                        cap=2 * a2_mod2.order + 1)
+    assert set(again) == set(a2_mod2.elements)
+
+
+@pytest.mark.parametrize("name,p", [("A2", 2), ("C2", 2), ("A2", 3), ("A1", 5)])
+def test_dimino_matches_bfs_oracle(name, p):
+    t = RootType.parse(name)
+    g = generate_elementary_group(t, p)
+    gens = all_root_elements(t, p)
+    elements = bfs_closure([np.eye(g.dim, dtype=np.int64)], gens, p, cap=10 ** 5)
+    assert set(g.elements) == set(elements)
+    assert set(derived_subgroup(g)) == set(bfs_derived_subgroup(gens, p, 10 ** 5))
 
 
 def test_fq_matrix_inverse(a2_mod2):
@@ -111,5 +209,88 @@ def test_keys_distinguish_residues_above_255():
 
 def test_unipotent_closure_over_f257():
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    elements = _bfs_closure([np.eye(2, dtype=np.int64)], [m], 257, cap=1000)
+    elements = _identity_group(2, 257)
+    _extend(elements, [], m, 257, cap=1000)
     assert len(elements) == 257
+
+
+def test_cap_boundary_c2_f2(monkeypatch):
+    sizes = []
+
+    def spy(elements, *args):
+        try:
+            return _extend(elements, *args)
+        finally:
+            sizes.append(len(elements))
+
+    monkeypatch.setattr(finitelab, "_extend", spy)
+    assert generate_elementary_group(RootType.parse("C2"), 2, cap=720).order == 720
+    assert max(sizes) == 720
+    sizes.clear()
+    with pytest.raises(CapExceeded):
+        generate_elementary_group(RootType.parse("C2"), 2, cap=719)
+    assert sizes and max(sizes) <= 719
+
+
+def test_one_generator_per_root():
+    t = RootType.parse("A2")
+    gens = adjoint_generators(t, 3)
+    assert len(gens) == len(build_root_system(t).roots)
+    x1 = {oracle_key(a, 3) for a in all_root_elements(t, 3)[::2]}  # c = 1
+    assert {m.key() for m in gens} == x1
+
+
+def test_one_parameter_law_violation_raises(monkeypatch):
+    real = finitelab._root_powers
+
+    def broken(cb, coords, p):
+        powers = real(cb, coords, p)
+        if len(powers) > 2:  # perturb (ad e)^2 / 2: x(a) x(1) != x(a + 1)
+            powers[2] = (powers[2] + powers[1]) % p
+        else:
+            powers[1] = (2 * powers[1]) % p
+        return powers
+
+    monkeypatch.setattr(finitelab, "_root_powers", broken)
+    with pytest.raises(VerificationError):
+        adjoint_generators(RootType.parse("A1"), 211)
+
+
+def test_p_over_cap_raises_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("generators built")
+
+    monkeypatch.setattr(finitelab, "adjoint_generators", fail)
+    with pytest.raises(CapExceeded):
+        generate_elementary_group(RootType.parse("A1"), 100003, cap=1000)
+
+
+def test_fq_matrix_rejects_int64_overflow():
+    # 3 (p - 1)^2 >= 2^63 > 2 (p - 1)^2 for p = 2^31 - 1
+    FqMatrix(2 ** 31 - 1, np.eye(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="overflow int64"):
+        FqMatrix(2 ** 31 - 1, np.eye(3, dtype=np.int64))
+
+
+WRONG_ORDER = """
+import numpy as np
+from relroots.finitelab import FqMatrix, GroupClosure, _extend, _identity_group, \
+    derived_subgroup_index
+# S3 as permutation matrices over F_5; its derived subgroup A3 has order 3
+gens = [np.array(m, dtype=np.int64) for m in
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+elements = _identity_group(3, 5)
+for m in gens:
+    _extend(elements, [], m, 5, cap=6)
+elements.popitem()  # claims order 5
+derived_subgroup_index(GroupClosure(elements, [FqMatrix(5, m) for m in gens], 5, 3))
+"""
+
+
+def test_divisibility_check_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_ORDER], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "VerificationError: subgroup order 3 does not divide" in proc.stderr
