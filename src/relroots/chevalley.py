@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polyring import PolyElem, VarRegistry
-from .rootcore import Root, RootSystem, collinear
+from .rootcore import Root, RootSystem, collinear, require
 
 
 class CollectionError(ValueError):
@@ -128,7 +128,7 @@ class ChevalleyBasis:
             val = -ratio * self.struct_const(tuple(-x for x in b), s)
         else:
             val = -self.struct_const(tuple(-x for x in a), tuple(-x for x in b))
-        assert val.denominator == 1, (a, b, val)
+        require(val.denominator == 1, "N(%s, %s) = %s is not an integer", a, b, val)
         return int(val)
 
     def _n_pos(self, a, b):
@@ -147,9 +147,9 @@ class ChevalleyBasis:
         if b_m in self.rs:
             num += self.struct_const(b, neg_eps) * self.struct_const(a, b_m)
         den = self.struct_const(gamma, neg_eps)
-        assert den != 0
+        require(den != 0, "N(%s, %s) vanishes on an extraspecial pair", gamma, neg_eps)
         val = Fraction(num, den)
-        assert val.denominator == 1, (a, b, val)
+        require(val.denominator == 1, "N(%s, %s) = %s is not an integer", a, b, val)
         return int(val)
 
     def _verify_pair_laws(self):
@@ -160,8 +160,10 @@ class ChevalleyBasis:
                     continue
                 if tuple(x + y for x, y in zip(a, b)) in self._pos_set:
                     n = self.struct_const(a, b)
-                    assert n == -self.struct_const(b, a)
-                    assert abs(n) == self._string_p(a, b) + 1, (a, b, n)
+                    require(n == -self.struct_const(b, a),
+                            "N is not antisymmetric on %s, %s", a, b)
+                    require(abs(n) == self._string_p(a, b) + 1,
+                            "|N(%s, %s)| = %d breaks the law |N| = p+1", a, b, abs(n))
 
     # -- brackets --------------------------------------------------------
 
@@ -248,7 +250,7 @@ class ChevalleyBasis:
                     frac = {}
                     for i, v in out.items():
                         q = Fraction(v, k)
-                        assert q.denominator == 1, "divided power not integral"
+                        require(q.denominator == 1, "divided power not integral")
                         frac[i] = int(q)
                     nxt[j] = frac
             cur = nxt
@@ -358,22 +360,16 @@ def commutator_factors(f1, f2):
 # -- collection ----------------------------------------------------------
 
 
-def collect(cb, U, slots, grading):
+def collect(cb, U, slots):
     """Normal-form coefficients of a group element along ordered slots.
 
-    ``slots`` is a list of Root (distinct) and ``grading`` maps each slot
-    root to a positive rational; the slot order must be non-decreasing in
-    the grading, and any sum of two slot roots that is again a root must
-    be a slot root (of strictly larger grade -- automatic for additive
-    positive gradings).  Returns {root: PolyElem}; raises
-    CollectionError if U is not a product of slot root elements.
+    ``slots`` is a list of distinct Root.  Each coefficient is read off a
+    Cartan column and its factor peeled off the left; the final residual
+    check proves U = prod x_r(t_r) over the slots in order, so any slot
+    order gives a correct answer or a CollectionError.  Collection
+    succeeds when every root that is a sum of two slot roots is a later
+    slot, e.g. slots in order of |height|.  Returns {root: PolyElem}.
     """
-    reg = U.registry
-    grades = [grading(r) for r in slots]
-    if any(g <= 0 for g in grades):
-        raise CollectionError("grading must be strictly positive on slots")
-    if any(grades[i] > grades[i + 1] for i in range(len(grades) - 1)):
-        raise CollectionError("slots out of grading order")
     npos = len(cb.pos_roots)
     W = U
     coeffs = {}
@@ -423,7 +419,7 @@ def collect_to_normal_form(cb, word, ordering=None):
             ordering = [-r for r in ordering]
             ordering = [cb.rs.root_from_coords(r.coords) for r in ordering]
     U = product_of_root_elements(cb, reg, word)
-    coeffs = collect(cb, U, ordering, lambda r: abs(r.height))
+    coeffs = collect(cb, U, ordering)
     return [(r, coeffs[r]) for r in ordering if r in coeffs]
 
 
@@ -443,16 +439,20 @@ def commutator_constants(cb, alpha: Root, beta: Root):
     word = commutator_factors([(alpha, s)], [(beta, t)])
     U = product_of_root_elements(cb, reg, word)
     slots = _span_slots(cb, alpha.coords, beta.coords)
-    coeffs = collect(cb, U, [r for r, _ in slots], lambda r: _slot_grade(slots, r))
+    coeffs = collect(cb, U, [r for r, _ in slots])
     table = {}
     for root, (i, j) in ((r, ij) for r, ij in slots):
         c = coeffs.get(root)
         if c is None:
             continue
-        # must be a single monomial C * s^i t^j
-        (exp, coeff), = c.terms.items()
-        assert exp == (i, j), (alpha, beta, root, c)
-        assert isinstance(coeff, int) and abs(coeff) in (1, 2, 3), coeff
+        # must be a single monomial C * s^i t^j with |C| in {1, 2, 3}
+        require(len(c.terms) == 1 and (i, j) in c.terms,
+                "coefficient of %s in [x_%s(s), x_%s(t)] is %r, not a monomial "
+                "in s^%d t^%d", root, alpha, beta, c, i, j)
+        coeff = c.terms[(i, j)]
+        require(isinstance(coeff, int) and abs(coeff) in (1, 2, 3),
+                "commutator constant %s for %s, %s is not in {1, 2, 3}",
+                coeff, alpha, beta)
         table[(i, j)] = coeff
     return table
 
@@ -474,13 +474,6 @@ def _span_slots(cb, a, b):
                 out.append((cb.rs.root_from_coords(c), (i, j)))
     out.sort(key=lambda e: (e[1][0] + e[1][1], e[1][0]))
     return out
-
-
-def _slot_grade(slots, root):
-    for r, (i, j) in slots:
-        if r == root:
-            return i + j
-    raise KeyError(root)
 
 
 def commutator_constants_fast(cb, alpha: Root, beta: Root):
@@ -521,6 +514,7 @@ def commutator_constants_fast(cb, alpha: Root, beta: Root):
             val = m_chain(a, vec(1, 1), 2) * 2 / 3
         else:  # (2, 3)
             val = m_chain(b, vec(1, 1), 2) / 3
-        assert val.denominator == 1, (alpha, beta, i, j, val)
+        require(val.denominator == 1, "C_%d%d(%s, %s) = %s is not an integer",
+                i, j, alpha, beta, val)
         table[(i, j)] = abs(int(val))
     return table

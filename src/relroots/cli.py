@@ -38,9 +38,9 @@ from .relcalc import (
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
-from .rootcore import InvalidRootType, RootType, build_root_system, collinear
+from .rootcore import InvalidRootType, RootType, build_root_system, collinear, require
 from .theoremlab import (
-    VerificationCase,
+    run_case,
     verify_C2_identities,
     verify_G2_identities,
     verify_case_schemas,
@@ -151,10 +151,8 @@ def cmd_nmaps(args):
     return 0
 
 
-def _report_case(cid, spec, report, params=None):
-    """Wrap a relcalc report dict into a VerificationCase."""
-    case = VerificationCase(id=cid, spec=spec, params=params or {})
-    case.status = report["status"]
+def _report_witness(report):
+    """The witness of a relcalc report; a deficient span fails the case."""
     wit = {}
     if "witnesses" in report:
         wit["witnesses"] = {
@@ -163,8 +161,9 @@ def _report_case(cid, spec, report, params=None):
                                          key=lambda kv: kv[0].coords)}
     if "fields" in report:
         wit["fields"] = dict(sorted(report["fields"].items()))
-    case.witness = wit or None
-    return case
+        require(report["status"] == "pass", "image does not span the target: %s",
+                wit["fields"])
+    return wit
 
 
 def suite_lemma2(seed, max_rank=5):
@@ -177,74 +176,59 @@ def suite_lemma2(seed, max_rank=5):
                  if A + B in rrs and not collinear(A, B)]
         if not pairs:
             continue
-        case = VerificationCase(id="lemma2/a/%s" % spec, spec=str(spec),
-                                params={"case": "a"})
-        bad = []
-        for A, B in pairs:
-            report = check_N11_surjectivity(rrs, cb, A, B, "a")
-            if report["status"] != "pass":
-                bad.append("%s, %s" % (A, B))
-        if bad:
-            case.status = "fail"
-            case.witness = bad
-        else:
-            case.witness = {"pairs_checked": len(pairs)}
-        cases.append(case)
 
-    # case (d): long-root targets in the B_l half-spin folding
-    for l in (3, 4):
-        spec = parse_folding_spec("B%d levi=1,2" % l)
+        def case_a():
+            for A, B in pairs:
+                check_N11_surjectivity(rrs, cb, A, B, "a")
+            return {"pairs_checked": len(pairs)}
+
+        cases.append(run_case("lemma2/a/%s" % spec, str(spec), case_a,
+                              {"case": "a"}))
+
+    def surjectivity(spec, case):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
         A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-        report = check_N11_surjectivity(rrs, cb, A, B, "d")
-        cases.append(_report_case("lemma2/d/%s" % spec, str(spec), report,
-                                  {"case": "d", "A": "1,0", "B": "0,1"}))
+        return run_case(
+            "lemma2/%s/%s" % (case, spec), str(spec),
+            lambda: _report_witness(check_N11_surjectivity(rrs, cb, A, B, case)),
+            {"case": case, "A": "1,0", "B": "0,1"})
 
+    # case (d): long-root targets in the B_l half-spin folding
+    for l in (3, 4):
+        cases.append(surjectivity(parse_folding_spec("B%d levi=1,2" % l), "d"))
     # cases (b) and (c) on the BC2 folding of C3
-    spec = parse_folding_spec("C3 levi=1,2")
-    rrs = build_relative_system(spec)
-    cb = build_chevalley_basis(rrs.rs)
-    A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    for tag in ("b", "c"):
-        report = check_N11_surjectivity(rrs, cb, A, B, tag)
-        cases.append(_report_case("lemma2/%s/%s" % (tag, spec), str(spec),
-                                  report, {"case": tag, "A": "1,0", "B": "0,1"}))
+    bc2 = parse_folding_spec("C3 levi=1,2")
+    cases += [surjectivity(bc2, "b"), surjectivity(bc2, "c")]
 
     # the split C2 pair with structure constant +-2 sits outside every case
-    spec = parse_folding_spec("C2")
-    rrs = build_relative_system(spec)
-    cb = build_chevalley_basis(rrs.rs)
-    A, B = RelativeRoot((1, 0)), RelativeRoot((1, 1))
-    applicable = applicable_surjectivity_cases(rrs, cb, A, B)
-    case = VerificationCase(id="lemma2/outside/C2", spec="C2",
-                            params={"A": "1,0", "B": "1,1"})
-    if applicable:
-        case.status = "fail"
-        case.witness = "unexpectedly applicable: %s" % (applicable,)
-    else:
-        case.witness = "no unit-coefficient case applies (constant is +-2)"
-    cases.append(case)
+    def outside():
+        rrs = build_relative_system(parse_folding_spec("C2"))
+        applicable = applicable_surjectivity_cases(
+            rrs, build_chevalley_basis(rrs.rs),
+            RelativeRoot((1, 0)), RelativeRoot((1, 1)))
+        require(not applicable, "unexpectedly applicable: %s", applicable)
+        return "no unit-coefficient case applies (constant is +-2)"
 
     # part (2): image spanning over Q and small prime fields
-    spec = parse_folding_spec("C3 levi=1,2")
-    rrs = build_relative_system(spec)
-    cb = build_chevalley_basis(rrs.rs)
-    report = check_spanning_lemma2_2(rrs, cb, RelativeRoot((1, 1)),
-                                     RelativeRoot((0, 1)), seed=seed)
-    cases.append(_report_case("lemma2/spanning/%s" % spec, str(spec), report,
-                              {"A": "1,1", "B": "0,1", "seed": seed}))
+    def spanning():
+        rrs = build_relative_system(bc2)
+        return _report_witness(check_spanning_lemma2_2(
+            rrs, build_chevalley_basis(rrs.rs),
+            RelativeRoot((1, 1)), RelativeRoot((0, 1)), seed=seed))
+
+    cases.append(run_case("lemma2/outside/C2", "C2", outside,
+                          {"A": "1,0", "B": "1,1"}))
+    cases.append(run_case("lemma2/spanning/%s" % bc2, str(bc2), spanning,
+                          {"A": "1,1", "B": "0,1", "seed": seed}))
     return cases
 
 
 def suite_lemma3(seed):
-    cases = []
-    for l in (4, 6):
-        report = check_spanning_lemma3(l, seed=seed)
-        cases.append(_report_case("lemma3/l=%d" % l, "C%d levi=%d,%d"
-                                  % (l, l // 2, l), report,
-                                  {"l": l, "seed": seed}))
-    return cases
+    return [run_case("lemma3/l=%d" % l, "C%d levi=%d,%d" % (l, l // 2, l),
+                     lambda: _report_witness(check_spanning_lemma3(l, seed=seed)),
+                     {"l": l, "seed": seed})
+            for l in (4, 6)]
 
 
 def suite_c2(k=None, eps=None):
@@ -286,27 +270,21 @@ def suite_cases():
 
 
 def run_suite(name, args):
-    if name == "lemma1":
-        return verify_lemma1_catalog(args.max_rank or 6)
-    if name == "lemma2":
-        return suite_lemma2(args.seed, max_rank=args.max_rank or 5)
-    if name == "lemma3":
-        return suite_lemma3(args.seed)
-    if name == "c2":
-        return suite_c2(args.k, args.eps)
-    if name == "g2":
-        return suite_g2(args.k, args.eps)
-    if name == "cases":
-        return suite_cases()
-    assert name == "all"
-    out = []
-    out += verify_lemma1_catalog(args.max_rank or 6)
-    out += suite_lemma2(args.seed, max_rank=5)
-    out += suite_lemma3(args.seed)
-    out += suite_c2()
-    out += suite_g2()
-    out += suite_cases()
-    return out
+    """Cases of one suite; ``all`` runs the six others, in this order, with
+    the same flags."""
+    def max_rank(default):
+        return default if args.max_rank is None else args.max_rank
+
+    suites = {
+        "lemma1": lambda: verify_lemma1_catalog(max_rank(6)),
+        "lemma2": lambda: suite_lemma2(args.seed, max_rank(5)),
+        "lemma3": lambda: suite_lemma3(args.seed),
+        "c2": lambda: suite_c2(args.k, args.eps),
+        "g2": lambda: suite_g2(args.k, args.eps),
+        "cases": suite_cases,
+    }
+    names = list(suites) if name == "all" else [name]
+    return [case for n in names for case in suites[n]()]
 
 
 def make_report(suite, cases):

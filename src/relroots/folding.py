@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polyring import row_reduce
 from .rootcore import (
     SERIES,
     InvalidRootType,
@@ -176,8 +174,12 @@ def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
 
     Types run over ``series`` in order.  Per type, Gamma runs over
     ``all_subgroups`` (only the trivial group if ``trivial_only``) and, for
-    each Gamma, J over the Gamma-invariant node subsets.
+    each Gamma, J over the Gamma-invariant node subsets.  Raises ValueError
+    unless 1 <= max_rank <= 8.
     """
+    if not 1 <= max_rank <= 8:
+        raise ValueError("max rank must be between 1 and 8, got %d" % max_rank)
+    specs = []
     for s in series:
         for l in range(1, max_rank + 1):
             try:
@@ -189,7 +191,8 @@ def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
                 for bits in itertools.product((0, 1), repeat=l):
                     levi = tuple(i for i, b in enumerate(bits) if b)
                     if levi and all({a(i) for i in levi} == set(levi) for a in gamma):
-                        yield FoldingSpec(t, gamma, levi)
+                        specs.append(FoldingSpec(t, gamma, levi))
+    return specs
 
 
 @dataclass(frozen=True)
@@ -275,67 +278,6 @@ def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
     return RelativeRootSystem(spec)
 
 
-# -- induced metric ------------------------------------------------------
-
-
-def relative_norms(rrs: RelativeRootSystem):
-    """Exact squared lengths of relative roots in the induced metric.
-
-    Relative roots live in the subspace fixed by Gamma and orthogonal to
-    the killed simple roots; the norm of A is the squared length of the
-    orthogonal projection of any fiber representative (the projections of
-    all representatives coincide, which is asserted).
-    """
-    rs = rrs.rs
-    l = rs.rank
-    gram = rs.gram
-    delta = sorted(set(range(l)) - set(rrs.spec.levi))
-    # Gamma-orbit-constant coordinates: one variable per orbit of all nodes
-    all_orbits = []
-    seen = set()
-    for i in range(l):
-        if i not in seen:
-            orb = tuple(sorted({a(i) for a in rrs.spec.gamma}))
-            all_orbits.append(orb)
-            seen |= set(orb)
-    m = len(all_orbits)
-    # constraint per killed node j: sum_O x_O * sum_{i in O} (alpha_i, alpha_j) = 0
-    rows = [[sum(gram[i][j] for i in orb) for orb in all_orbits] for j in delta]
-    reduced, pivots = row_reduce(rows, m)
-    null = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [Fraction(c == fc) for c in range(m)]
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        null.append(v)
-    assert len(null) == rrs.rank, "fixed subspace has the wrong dimension"
-    orbit_index = {i: k for k, orb in enumerate(all_orbits) for i in orb}
-    basis = [[v[orbit_index[i]] for i in range(l)] for v in null]
-    # basis vectors in root coordinates; Gram of the subspace basis
-    def inner(u, w):
-        return sum(u[i] * w[i2] * gram[i][i2]
-                   for i in range(l) if u[i] for i2 in range(l) if w[i2])
-    sub_gram = [[inner(u, w) for w in basis] for u in basis]
-    n = len(basis)
-
-    norms = {}
-    for A, fiber in rrs.fibers.items():
-        projections = set()
-        for root in fiber:
-            # solve sub_gram * coeffs = (<u, alpha>)_u; sub_gram is nonsingular
-            reduced, _ = row_reduce([row + [inner(u, root.coords)]
-                                     for row, u in zip(sub_gram, basis)], n)
-            coeffs = [row[n] for row in reduced]
-            proj = tuple(sum(coeffs[k] * basis[k][i] for k in range(n))
-                         for i in range(l))
-            projections.add(proj)
-        assert len(projections) == 1, \
-            "fiber of %s does not project to a single point" % A
-        p = projections.pop()
-        norms[A] = inner(list(p), list(p))
-    return norms
-
-
 # -- type classification -------------------------------------------------
 
 
@@ -377,12 +319,9 @@ def classify_relative_type(rrs: RelativeRootSystem):
             mapped = {tuple(c[perm[i]] for i in range(rank)) for c in coord_set}
             if mapped == ref:
                 if rank == 2 and label in ("B", "C"):
-                    # B2 and C2 coincide as coordinate sets; orient by the
-                    # induced metric (B2 leads with the long simple root)
-                    norms = relative_norms(rrs)
-                    n1 = norms[RelativeRoot((1, 0))]
-                    n2 = norms[RelativeRoot((0, 1))]
-                    label = "B" if n1 > n2 else "C"
+                    # B2 and C2 coincide up to swapping the coordinates; B2
+                    # leads with the long simple root, so A1 + 2A2 is a root
+                    label = "B" if (1, 2) in coord_set else "C"
                 return label, rank
     # not every (J, Gamma) pair is admissible: the projected set can fail
     # to be reflection-closed, in which case it matches no abstract type

@@ -26,7 +26,7 @@ from .chevalley import (collect, commutator_factors, invert_factors,
                         product_of_root_elements)
 from .folding import RelativeRoot, RelativeRootSystem, classify_relative_type
 from .polyring import PolyElem, VarRegistry, row_reduce
-from .rootcore import collinear, require
+from .rootcore import VerificationError, collinear, require
 
 CONE_BOUND = 6  # no root system has iA+jB live beyond i+j = 5
 
@@ -35,8 +35,11 @@ class RelcalcError(ValueError):
     pass
 
 
-class CaseHypothesisError(RelcalcError):
-    """The named surjectivity case's hypothesis fails for this pair."""
+class CaseHypothesisError(RelcalcError, VerificationError):
+    """The named surjectivity case's hypothesis fails for this pair.
+
+    Also a VerificationError: a case that relies on the hypothesis fails.
+    """
 
 
 def _require_split(rrs):
@@ -108,7 +111,7 @@ class NMapTable:
 
 
 def _poly_eval(p: PolyElem, vals):
-    assert p.denom_power == 0
+    require(p.denom_power == 0, "cannot evaluate a polynomial with an eps denominator")
     total = Fraction(0)
     for exp, coeff in p.terms.items():
         term = Fraction(coeff)
@@ -116,7 +119,7 @@ def _poly_eval(p: PolyElem, vals):
             if e:
                 term *= Fraction(vals.get(k, 0)) ** e
         total += term
-    assert total.denominator == 1
+    require(total.denominator == 1, "N-map value %s is not an integer", total)
     return int(total)
 
 
@@ -138,13 +141,12 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     U = product_of_root_elements(cb, reg, word)
 
     pairs = cone_pairs(rrs, A, B)
-    slots, grade, owner = [], {}, {}
+    slots, owner = [], {}
     for (i, j) in pairs:
         for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
             slots.append(gamma)
-            grade[gamma] = i + j
             owner[gamma] = (i, j)
-    coeffs = collect(cb, U, slots, lambda r: grade[r])
+    coeffs = collect(cb, U, slots)
 
     table = NMapTable(rrs, A, B, reg, u_index, v_index)
     for gamma, p in coeffs.items():
@@ -204,13 +206,12 @@ def check_sum_formula(rrs, cb, A):
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors)
     multiples = [i for i in range(2, CONE_BOUND + 1) if A.scaled(i) in rrs]
-    slots, grade, owner = [], {}, {}
+    slots, owner = [], {}
     for i in multiples:
         for gamma in rrs.fiber(A.scaled(i)):
             slots.append(gamma)
-            grade[gamma] = i
             owner[gamma] = i
-    coeffs = collect(cb, residual, slots, lambda r: grade.get(r, 0))
+    coeffs = collect(cb, residual, slots)
     corrections = {}
     for gamma, p in coeffs.items():
         corrections.setdefault(owner[gamma], {})[gamma] = p
@@ -276,7 +277,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
                for al in fa for be in fb if table.bilinear_constant(al, be)}
         if not hit <= unit_abs:
             raise CaseHypothesisError(
-                "constants %s not all invertible for the supplied units" % sorted(hit))
+                "constants %s of %s, %s not all invertible for the supplied units"
+                % (sorted(hit), A, B))
     elif case == "b":
         diff = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
         if A == B or diff in rrs:
@@ -317,9 +319,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
                     break
             if found:
                 break
-        if found is None:
-            raise AssertionError(
-                "no unit hit for %s (falsifies surjectivity case %s)" % (gamma, case))
+        require(found, "no unit hit for %s (falsifies surjectivity case %s)",
+                gamma, case)
         al, be, c = found
         # re-verify the witness by direct evaluation
         value = table.evaluate(1, 1, {al: 1}, {be: 1})

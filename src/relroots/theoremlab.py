@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chevalley import (
+    CollectionError,
     adjoint_root_element,
     build_chevalley_basis,
     collect,
@@ -42,7 +43,13 @@ from .folding import (
     parse_folding_spec,
 )
 from .polyring import PolyElem, VarRegistry
-from .rootcore import RootType, build_root_system, collinear, require
+from .rootcore import (
+    RootType,
+    VerificationError,
+    build_root_system,
+    collinear,
+    require,
+)
 
 
 @dataclass
@@ -58,6 +65,24 @@ class VerificationCase:
                 "status": self.status, "witness": self.witness}
 
 
+def run_case(cid, spec, body, params=None):
+    """Run one case: its witness is ``body()``.
+
+    A check that does not hold inside the body (an ``AssertionError``,
+    which covers ``VerificationError`` and relcalc's ``CaseHypothesisError``,
+    a ``DecompositionError`` or a ``CollectionError``) makes the case a
+    fail whose witness is the failing check's message.  Any other
+    exception propagates, so bad parameters still abort the run.
+    """
+    case = VerificationCase(id=cid, spec=spec, params=params or {})
+    try:
+        case.witness = body()
+    except (AssertionError, DecompositionError, CollectionError) as exc:
+        case.status = "fail"
+        case.witness = str(exc)
+    return case
+
+
 # -- decomposition catalog ------------------------------------------------
 
 
@@ -67,27 +92,17 @@ def verify_lemma1_catalog(max_rank=6):
     ``decompose_relative_root`` returns only splits that passed the
     independent checker, so each witness is checked exactly once.
     """
-    if not 1 <= max_rank <= 8:
-        raise ValueError("max rank must be between 1 and 8, got %d" % max_rank)
     cases = []
     for spec in enumerate_foldings(max_rank):
         rrs = build_relative_system(spec)
-        case = VerificationCase(id="lemma1/%s" % spec, spec=str(spec))
+        cid = "lemma1/%s" % spec
         if rrs.rank < 2:
-            case.status = "skipped"
-            case.witness = "rank-1 component"
-            cases.append(case)
+            cases.append(VerificationCase(id=cid, spec=str(spec), status="skipped",
+                                          witness="rank-1 component"))
             continue
-        wit = []
-        try:
-            for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
-                B, C = decompose_relative_root(rrs, A)
-                wit.append("%s = %s + %s" % (A, B, C))
-            case.witness = wit
-        except (DecompositionError, AssertionError) as exc:
-            case.status = "fail"
-            case.witness = str(exc)
-        cases.append(case)
+        cases.append(run_case(cid, str(spec), lambda: [
+            "%s = %s + %s" % (A, *decompose_relative_root(rrs, A))
+            for A in sorted(rrs.rel_roots, key=lambda R: R.coords)]))
     return cases
 
 
@@ -112,15 +127,16 @@ def _registry(eps_binding, extra=()):
     return reg, eps, inv
 
 
-def _sign_search(slots, build, check):
+def _sign_search(slots, build, check,
+                 failure="no sign assignment satisfies the identity"):
     """Try all +-1 assignments of the named slots; return the first hit
-    as a {slot name: +1 / -1} dict."""
+    as a {slot name: +1 / -1} dict, or raise VerificationError(failure)."""
     assert len(slots) <= 6
     for values in itertools.product((1, -1), repeat=len(slots)):
         signs = dict(zip(slots, values))
         if check(build(signs)):
             return signs
-    return None
+    raise VerificationError(failure)
 
 
 def verify_C2_identities(k, eps_binding=None):
@@ -143,8 +159,6 @@ def verify_C2_identities(k, eps_binding=None):
         inner = commutator_factors([(a12, s)], [(-a2, t)])
         return commutator_factors([(a2, u)], inner)
 
-    target_long = adjoint_root_element(cb, a21, reg.var("Z", k) * v)
-
     def build_long(signs):
         word = (g1(reg.var("Z", 2).scale(signs["g1.s"]),
                    (reg.var("Z", k - 4) * eps * inv * v).scale(-signs["g1.t"]))
@@ -153,37 +167,25 @@ def verify_C2_identities(k, eps_binding=None):
                      (reg.var("Z", k - 4) * inv * v).scale(-signs["g2.u"])))
         return product_of_root_elements(cb, reg, word)
 
-    assignment = _sign_search(
-        ["g1.s", "g1.t", "g2.s", "g2.t", "g2.u"],
-        build_long, lambda m: m == target_long)
-    long_case = VerificationCase(
-        id="c2/long/k=%d/eps=%s" % (k, eps_str), spec="C2",
-        params={"k": k, "eps": eps_str, "root": "2A1+A2"})
-    if assignment is None:
-        long_case.status = "fail"
-        long_case.witness = "no sign assignment satisfies the identity"
-    else:
-        long_case.witness = {"signs": assignment}
-
-    target_short = adjoint_root_element(cb, a12, reg.var("Z", k) * v)
-
     def build_short(signs):
         word = (g1(Z.scale(signs["g1.s"]),
                    (reg.var("Z", k - 1) * v).scale(signs["g1.t"]))
                 + [(a21, (reg.var("Z", k + 1) * v).scale(-signs["x.t"]))])
         return product_of_root_elements(cb, reg, word)
 
-    assignment_s = _sign_search(["g1.s", "g1.t", "x.t"],
-                                build_short, lambda m: m == target_short)
-    short_case = VerificationCase(
-        id="c2/short/k=%d/eps=%s" % (k, eps_str), spec="C2",
-        params={"k": k, "eps": eps_str, "root": "A1+A2"})
-    if assignment_s is None:
-        short_case.status = "fail"
-        short_case.witness = "no sign assignment satisfies the identity"
-    else:
-        short_case.witness = {"signs": assignment_s}
-    return [long_case, short_case]
+    def witness(root, slots, build):
+        target = adjoint_root_element(cb, root, reg.var("Z", k) * v)
+        return {"signs": _sign_search(slots, build, lambda m: m == target)}
+
+    return [
+        run_case("c2/long/k=%d/eps=%s" % (k, eps_str), "C2",
+                 lambda: witness(a21, ["g1.s", "g1.t", "g2.s", "g2.t", "g2.u"],
+                                 build_long),
+                 {"k": k, "eps": eps_str, "root": "2A1+A2"}),
+        run_case("c2/short/k=%d/eps=%s" % (k, eps_str), "C2",
+                 lambda: witness(a12, ["g1.s", "g1.t", "x.t"], build_short),
+                 {"k": k, "eps": eps_str, "root": "A1+A2"}),
+    ]
 
 
 def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
@@ -202,23 +204,20 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     Z, v = reg.var("Z"), reg.var("v")
     eps_str = "symbolic" if eps_binding is None else str(eps_binding)
 
-    target_long = adjoint_root_element(cb, r32, reg.var("Z", k_long) * v)
-
     def build_long(signs):
         word = commutator_factors(
             [(a2, (Z * v).scale(signs["s"]))],
             [(r31, reg.var("Z", k_long - 1).scale(signs["t"]))])
         return product_of_root_elements(cb, reg, word)
 
-    assignment = _sign_search(["s", "t"], build_long, lambda m: m == target_long)
-    long_case = VerificationCase(
-        id="g2/long/k=%d/eps=%s" % (k_long, eps_str), spec="G2",
-        params={"k": k_long, "eps": eps_str, "root": "3A1+2A2"})
-    if assignment is None:
-        long_case.status = "fail"
-        long_case.witness = "no sign assignment satisfies the identity"
-    else:
-        long_case.witness = {"signs": assignment}
+    def long_witness():
+        target = adjoint_root_element(cb, r32, reg.var("Z", k_long) * v)
+        return {"signs": _sign_search(["s", "t"], build_long,
+                                      lambda m: m == target)}
+
+    long_case = run_case("g2/long/k=%d/eps=%s" % (k_long, eps_str), "G2",
+                         long_witness,
+                         {"k": k_long, "eps": eps_str, "root": "3A1+2A2"})
 
     # short root: collect the two-commutator left side to normal form and
     # check its shape: support {2A1+A2, 3A1+A2, 3A1+2A2}, leading Z^k v,
@@ -235,7 +234,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
             [(a2, (zk2 * eps * inv * v).scale(-signs["t2"]))])
         word = invert_factors(first) + second
         U = product_of_root_elements(cb, reg, word)
-        return collect(cb, U, slots, lambda r: r.height)
+        return collect(cb, U, slots)
 
     want_lead = reg.var("Z", k_short) * v
 
@@ -245,24 +244,22 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
             return False
         return coeffs.get(r21) == want_lead
 
-    assignment_s = _sign_search(["s1", "t1", "s2", "t2"],
-                                build_short, check_short)
-    short_case = VerificationCase(
-        id="g2/short/k=%d/eps=%s" % (k_short, eps_str), spec="G2",
-        params={"k": k_short, "eps": eps_str, "root": "2A1+A2"})
-    if assignment_s is None:
-        short_case.status = "fail"
-        short_case.witness = "no sign assignment produces the stated shape"
-    else:
-        coeffs = build_short(assignment_s)
+    def short_witness():
+        signs = _sign_search(["s1", "t1", "s2", "t2"], build_short, check_short,
+                             "no sign assignment produces the stated shape")
+        coeffs = build_short(signs)
         trailing = sorted(r.coords for r in coeffs if r != r21)
         require(all(rs.root_from_coords(c).length_class == "long"
                     for c in trailing), "trailing factors on non-long roots")
-        short_case.witness = {
-            "signs": assignment_s,
+        return {
+            "signs": signs,
             "support": sorted(str(list(r.coords)) for r in coeffs),
             "trailing_long_roots": [str(list(c)) for c in trailing],
         }
+
+    short_case = run_case(
+        "g2/short/k=%d/eps=%s" % (k_short, eps_str), "G2", short_witness,
+        {"k": k_short, "eps": eps_str, "root": "2A1+A2"})
     return [long_case, short_case]
 
 
@@ -288,10 +285,8 @@ def _schema_f4_long(k):
     reg = VarRegistry(["Z", "v"])
     Z, v = reg.var("Z"), reg.var("v")
     longs = [r for r in rs.roots if r.length_class == "long"]
-    cases = []
-    for A in longs:
-        cid = "f4long/%s/k=%d" % (A, k)
-        found = None
+
+    def clean_long_pair(A):
         for B in longs:
             Ccoords = tuple(a - b for a, b in zip(A.coords, B.coords))
             if Ccoords not in rs:
@@ -299,32 +294,25 @@ def _schema_f4_long(k):
             C = rs.root_from_coords(Ccoords)
             if C.length_class != "long":
                 continue
-            higher = [(i, j) for i in range(1, 5) for j in range(1, 5)
-                      if (i, j) != (1, 1) and tuple(
-                          i * b + j * c for b, c in zip(B.coords, C.coords)) in rs]
-            if higher:
-                continue
-            found = (B, C)
-            break
-        vcase = VerificationCase(id=cid, spec="F4", params={"k": k})
-        if found is None:
-            vcase.status = "fail"
-            vcase.witness = "no clean long pair"
-        else:
-            B, C = found
-            n = cb.struct_const(B.coords, C.coords)
-            require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
-            word = commutator_factors([(B, Z)],
-                                      [(C, (reg.var("Z", k - 1) * v).scale(n))])
-            lhs = product_of_root_elements(cb, reg, word)
-            rhs = adjoint_root_element(cb, A, reg.var("Z", k) * v)
-            if lhs == rhs:
-                vcase.witness = {"B": str(B), "C": str(C), "constant": n}
-            else:
-                vcase.status = "fail"
-                vcase.witness = "matrix identity failed for %s = %s + %s" % (A, B, C)
-        cases.append(vcase)
-    return cases
+            higher = any(tuple(i * b + j * c for b, c in zip(B.coords, C.coords)) in rs
+                         for i in range(1, 5) for j in range(1, 5) if (i, j) != (1, 1))
+            if not higher:
+                return B, C
+        raise VerificationError("no clean long pair")
+
+    def witness(A):
+        B, C = clean_long_pair(A)
+        n = cb.struct_const(B.coords, C.coords)
+        require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
+        word = commutator_factors([(B, Z)],
+                                  [(C, (reg.var("Z", k - 1) * v).scale(n))])
+        lhs = product_of_root_elements(cb, reg, word)
+        rhs = adjoint_root_element(cb, A, reg.var("Z", k) * v)
+        require(lhs == rhs, "matrix identity failed for %s = %s + %s", A, B, C)
+        return {"B": str(B), "C": str(C), "constant": n}
+
+    return [run_case("f4long/%s/k=%d" % (A, k), "F4", lambda: witness(A), {"k": k})
+            for A in longs]
 
 
 def _schema_bl_pairs(l):
@@ -333,12 +321,11 @@ def _schema_bl_pairs(l):
         raise ValueError("need l >= 3")
     rrs = build_relative_system(parse_folding_spec("B%d levi=1,2" % l))
     rs = rrs.rs
-    cases = []
-    for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
-        vcase = VerificationCase(id="blpairs/B%d/%s" % (l, A), spec="B%d levi=1,2" % l)
+    rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
+
+    def witness(A):
         wit = []
-        ok = True
-        for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
+        for B in rel_roots:
             C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
             if C not in rrs:
                 continue
@@ -349,16 +336,13 @@ def _schema_bl_pairs(l):
                          if beta.length_class == "long"
                          and gamma.length_class == "long"
                          and rs.sum_is_root(beta, gamma)), None)
-            if pair is None:
-                ok = False
-                wit.append("no long pair for %s = %s + %s" % (A, B, C))
-            else:
-                wit.append("%s = %s + %s via %s + %s"
-                           % (A, B, C, pair[0], pair[1]))
-        vcase.status = "pass" if ok else "fail"
-        vcase.witness = wit
-        cases.append(vcase)
-    return cases
+            require(pair, "no long pair for %s = %s + %s", A, B, C)
+            wit.append("%s = %s + %s via %s + %s" % (A, B, C, pair[0], pair[1]))
+        return wit
+
+    return [run_case("blpairs/B%d/%s" % (l, A), "B%d levi=1,2" % l,
+                     lambda: witness(A))
+            for A in rel_roots]
 
 
 def _unit_pair(rrs, cb, src_rel, mid_rel, gamma, clean=True):
@@ -387,30 +371,24 @@ def _schema_cl_bc2(l, k):
     rs = rrs.rs
     cb = build_chevalley_basis(rs)
     A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    cases = []
+    spec_str = "C%d levi=1,2" % l
 
     # extra-short and short relative roots have all-short fibers
-    shortness = VerificationCase(
-        id="clbc2/C%d/fibers" % l, spec="C%d levi=1,2" % l)
-    # a relative root is long here iff it is twice another relative root
-    long_rel = {D.scaled(2) for D in rrs.rel_roots if D.scaled(2) in rrs}
-    bad = [str(A) for A in rrs.rel_roots if A not in long_rel
-           and any(g.length_class != "short" for g in rrs.fiber(A))]
-    if bad:
-        shortness.status = "fail"
-        shortness.witness = bad
-    else:
-        shortness.witness = "all non-long relative roots have short fibers"
-    cases.append(shortness)
+    def shortness():
+        # a relative root is long here iff it is twice another relative root
+        long_rel = {D.scaled(2) for D in rrs.rel_roots if D.scaled(2) in rrs}
+        bad = [str(A) for A in rrs.rel_roots if A not in long_rel
+               and any(g.length_class != "short" for g in rrs.fiber(A))]
+        require(not bad, "non-long relative roots with a non-short fiber: %s",
+                ", ".join(bad))
+        return "all non-long relative roots have short fibers"
 
     # chain for the long root A = 2A1 + 2A2 at the stated threshold
-    A = RelativeRoot((2, 2))
-    (gamma_A,) = rrs.fiber(A)
-    reg = VarRegistry(["Z", "v"])
-    Z, v = reg.var("Z"), reg.var("v")
-    chain = VerificationCase(id="clbc2/C%d/chain/k=%d" % (l, k),
-                             spec="C%d levi=1,2" % l, params={"k": k})
-    try:
+    def chain():
+        A = RelativeRoot((2, 2))
+        (gamma_A,) = rrs.fiber(A)
+        reg = VarRegistry(["Z", "v"])
+        Z, v = reg.var("Z"), reg.var("v")
         # step 1: [X_{A1}(Z e_a), X_{2A2}(Z^{k-2} c v e_b)] hits gamma_A with
         # coefficient Z^k v and junk only on the fiber of A1+2A2
         twoA2 = A2.scaled(2)
@@ -435,9 +413,7 @@ def _schema_cl_bc2(l, k):
         M1 = product_of_root_elements(cb, reg, word1)
         mid = RelativeRoot((1, 2))
         slots = list(rrs.fiber(mid)) + list(rrs.fiber(A))
-        grade = {g: 2 for g in rrs.fiber(mid)}
-        grade.update({g: 3 for g in rrs.fiber(A)})
-        coeffs = collect(cb, M1, slots, lambda r: grade[r])
+        coeffs = collect(cb, M1, slots)
         require(coeffs.get(gamma_A) == reg.var("Z", k) * v,
                 "step 1 does not hit %s with Z^%d v", gamma_A, k)
         junk = {g: coeffs[g] for g in rrs.fiber(mid) if g in coeffs}
@@ -457,16 +433,14 @@ def _schema_cl_bc2(l, k):
         total = product_of_root_elements(cb, reg, word1 + cancel_factors)
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
-        chain.witness = {
+        return {
             "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta,
                                                       tab[(2, 1)], k - 2),
             "cancellers": [str(g) for g in junk],
         }
-    except AssertionError as exc:
-        chain.status = "fail"
-        chain.witness = str(exc)
-    cases.append(chain)
-    return cases
+
+    return [run_case("clbc2/C%d/fibers" % l, spec_str, shortness),
+            run_case("clbc2/C%d/chain/k=%d" % (l, k), spec_str, chain, {"k": k})]
 
 
 def _shift_z(p, reg, delta):
@@ -493,101 +467,83 @@ def _schema_cl_c2(l, k):
     cb = build_chevalley_basis(rs)
     A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     spec_str = "C%d levi=%d,%d" % (l, i, l)
-    cases = []
+    mid, top = A1 + A2, A1.scaled(2) + A2
 
-    # short root A = A1+A2: per-fiber clean commutators
-    mid = A1 + A2
-    fiber = rrs.fiber(mid)
-    names = ["Z"] + ["v%d" % j for j in range(len(fiber))]
-    reg = VarRegistry(names)
-    Z = reg.var("Z")
-    short = VerificationCase(id="clc2/C%d/short/k=%d" % (l, k), spec=spec_str,
-                             params={"k": k, "root": "A1+A2"})
-    try:
-        word = []
-        wit = []
+    def product_formula(A, factors_for):
+        """prod_j (commutator word for gamma_j) == prod_j x_{gamma_j}(Z^k v_j)
+        over the fiber of A; returns the per-root witness lines."""
+        fiber = rrs.fiber(A)
+        reg = VarRegistry(["Z"] + ["v%d" % j for j in range(len(fiber))])
+        word, wit = [], []
         for j, gamma in enumerate(fiber):
-            got = _unit_pair(rrs, cb, A1, A2, gamma, clean=True)
-            require(got, "no clean unit pair for %s", gamma)
-            alpha, beta, n = got
-            vj = reg.var("v%d" % j)
-            word += commutator_factors([(alpha, (Z * vj).scale(n))],
-                                       [(beta, reg.var("Z", k - 1))])
-            wit.append("%s: [x_%s(%+dZ v%d), x_%s(Z^%d)]"
-                       % (gamma, alpha, n, j, beta, k - 1))
+            factors, line = factors_for(reg, j, gamma)
+            word += factors
+            wit.append(line)
         lhs = product_of_root_elements(cb, reg, word)
         rhs_factors = [(gamma, reg.var("Z", k) * reg.var("v%d" % j))
                        for j, gamma in enumerate(fiber)]
         rhs = product_of_root_elements(cb, reg, rhs_factors)
         require(lhs == rhs, "product of commutators differs from the target")
-        short.witness = wit
-    except AssertionError as exc:
-        short.status = "fail"
-        short.witness = str(exc)
-    cases.append(short)
+        return wit
+
+    def unit_commutator(reg, j, gamma, pair):
+        # [x_alpha(n Z v_j), x_beta(Z^{k-1})] for a unit pair (alpha, beta, n)
+        alpha, beta, n = pair
+        Z, vj = reg.var("Z"), reg.var("v%d" % j)
+        return (commutator_factors([(alpha, (Z * vj).scale(n))],
+                                   [(beta, reg.var("Z", k - 1))]),
+                "%s: [x_%s(%+dZ v%d), x_%s(Z^%d)]" % (gamma, alpha, n, j, beta, k - 1))
+
+    # short root A = A1+A2: per-fiber clean commutators
+    def short_factors(reg, j, gamma):
+        got = _unit_pair(rrs, cb, A1, A2, gamma, clean=True)
+        require(got, "no clean unit pair for %s", gamma)
+        return unit_commutator(reg, j, gamma, got)
 
     # long root A = 2A1+A2 (the source text calls this root C; read as A)
-    top = A1.scaled(2) + A2
-    fiber_t = rrs.fiber(top)
-    names = ["Z"] + ["v%d" % j for j in range(len(fiber_t))]
-    reg = VarRegistry(names)
-    Z = reg.var("Z")
-    long_case = VerificationCase(
-        id="clc2/C%d/long/k=%d" % (l, k), spec=spec_str,
-        params={"k": k, "root": "2A1+A2",
-                "note": "source text writes C=2A1+A2 for this root; read as A"})
-    try:
-        word = []
-        wit = []
-        for j, gamma in enumerate(fiber_t):
-            vj = reg.var("v%d" % j)
-            if gamma.length_class == "short":
-                # reachable from the A1 x (A1+A2) commutator: single-slot cone
-                got = _unit_pair(rrs, cb, A1, mid, gamma, clean=False)
-                require(got, "no unit pair for short %s", gamma)
-                alpha, beta, n = got
-                word += commutator_factors([(alpha, (Z * vj).scale(n))],
-                                           [(beta, reg.var("Z", k - 1))])
-                wit.append("%s: [x_%s(%+dZ v%d), x_%s(Z^%d)]"
-                           % (gamma, alpha, n, j, beta, k - 1))
+    def long_factors(reg, j, gamma):
+        if gamma.length_class == "short":
+            # reachable from the A1 x (A1+A2) commutator: single-slot cone
+            got = _unit_pair(rrs, cb, A1, mid, gamma, clean=False)
+            require(got, "no unit pair for short %s", gamma)
+            return unit_commutator(reg, j, gamma, got)
+        # long gamma = 2 alpha + beta: take the (2,1) slot of an
+        # A1 x A2 commutator, then cancel its (1,1) byproduct
+        hit = None
+        for alpha in rrs.fiber(A1):
+            two = tuple(g - 2 * a for g, a in zip(gamma.coords, alpha.coords))
+            if two not in rs:
                 continue
-            # long gamma = 2 alpha + beta: take the (2,1) slot of an
-            # A1 x A2 commutator, then cancel its (1,1) byproduct
-            hit = None
-            for alpha in rrs.fiber(A1):
-                two = tuple(g - 2 * a for g, a in zip(gamma.coords, alpha.coords))
-                if two not in rs:
-                    continue
-                beta = rs.root_from_coords(two)
-                if beta not in set(rrs.fiber(A2)):
-                    continue
-                tab = commutator_constants(cb, alpha, beta)
-                if abs(tab.get((2, 1), 0)) == 1:
-                    hit = (alpha, beta, tab)
-                    break
-            require(hit, "no unit (2,1) pair for long %s", gamma)
-            alpha, beta, tab = hit
-            word += commutator_factors(
-                [(alpha, Z)],
-                [(beta, (reg.var("Z", k - 2) * vj).scale(tab[(2, 1)]))])
-            byproduct = rs.sum(alpha, beta)
-            c_by = tab[(1, 1)] * tab[(2, 1)]  # coefficient on x_{a+b}(Z^{k-1} v_j)
-            got = _unit_pair(rrs, cb, A1, A2, byproduct, clean=True)
-            require(got, "no clean canceller for %s", byproduct)
-            mu, nu, n = got
-            word += commutator_factors(
-                [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
-                [(nu, reg.var("Z", k - 2))])
-            wit.append("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
-                       % (gamma, alpha, beta, tab[(2, 1)], k - 2, j, byproduct))
-        lhs = product_of_root_elements(cb, reg, word)
-        rhs_factors = [(gamma, reg.var("Z", k) * reg.var("v%d" % j))
-                       for j, gamma in enumerate(fiber_t)]
-        rhs = product_of_root_elements(cb, reg, rhs_factors)
-        require(lhs == rhs, "product of commutators differs from the target")
-        long_case.witness = wit
-    except AssertionError as exc:
-        long_case.status = "fail"
-        long_case.witness = str(exc)
-    cases.append(long_case)
-    return cases
+            beta = rs.root_from_coords(two)
+            if beta not in set(rrs.fiber(A2)):
+                continue
+            tab = commutator_constants(cb, alpha, beta)
+            if abs(tab.get((2, 1), 0)) == 1:
+                hit = (alpha, beta, tab)
+                break
+        require(hit, "no unit (2,1) pair for long %s", gamma)
+        alpha, beta, tab = hit
+        Z, vj = reg.var("Z"), reg.var("v%d" % j)
+        word = commutator_factors(
+            [(alpha, Z)],
+            [(beta, (reg.var("Z", k - 2) * vj).scale(tab[(2, 1)]))])
+        byproduct = rs.sum(alpha, beta)
+        c_by = tab[(1, 1)] * tab[(2, 1)]  # coefficient on x_{a+b}(Z^{k-1} v_j)
+        got = _unit_pair(rrs, cb, A1, A2, byproduct, clean=True)
+        require(got, "no clean canceller for %s", byproduct)
+        mu, nu, n = got
+        word += commutator_factors(
+            [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
+            [(nu, reg.var("Z", k - 2))])
+        return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
+                      % (gamma, alpha, beta, tab[(2, 1)], k - 2, j, byproduct))
+
+    return [
+        run_case("clc2/C%d/short/k=%d" % (l, k), spec_str,
+                 lambda: product_formula(mid, short_factors),
+                 {"k": k, "root": "A1+A2"}),
+        run_case("clc2/C%d/long/k=%d" % (l, k), spec_str,
+                 lambda: product_formula(top, long_factors),
+                 {"k": k, "root": "2A1+A2",
+                  "note": "source text writes C=2A1+A2 for this root; read as A"}),
+    ]

@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import relroots
 from relroots.chevalley import (
     CollectionError,
     adjoint_root_element,
@@ -267,3 +271,51 @@ def test_frame_rejects_torus_element():
     assert all(full[j] == {j: reg.one()} for j in hcols)
     assert any(full[j] != {j: reg.one()} for j in range(cb.dim))
     assert not product_of_root_elements(cb, reg, word).is_identity()
+
+
+PERTURBED_CONSTANTS = """
+from relroots.chevalley import ChevalleyBasis, commutator_constants, \\
+    commutator_constants_fast
+import relroots.chevalley as chevalley
+from relroots.rootcore import RootType, VerificationError, build_root_system
+
+def expect_failure(label, run):
+    try:
+        run()
+    except VerificationError as exc:
+        print("%s: %s" % (label, exc))
+    else:
+        raise SystemExit("%s: perturbation went unnoticed" % label)
+
+# |N| = p+1: double one antisymmetric pair of A2
+cb = ChevalleyBasis(build_root_system(RootType("A", 2)))
+cb._n_cache[((1, 0), (0, 1))] *= 2
+cb._n_cache[((0, 1), (1, 0))] *= 2
+expect_failure("pair law", cb._verify_pair_laws)
+
+# integrality before int(): C_31 of G2 becomes N(a1,a2) N(a1,a1+a2) / 6
+cb = ChevalleyBasis(build_root_system(RootType("G", 2)))
+a1, a2 = cb.rs.simple_roots
+cb._n_cache[((1, 0), (2, 1))] = 1
+expect_failure("fast table", lambda: commutator_constants_fast(cb, a1, a2))
+
+# the {1, 2, 3} bound: scale every collected coefficient by 5
+collect = chevalley.collect
+chevalley.collect = lambda *args: {r: c.scale(5) for r, c in collect(*args).items()}
+cb = ChevalleyBasis(build_root_system(RootType("A", 2)))
+a1, a2 = cb.rs.simple_roots
+expect_failure("constant bound", lambda: commutator_constants(cb, a1, a2))
+"""
+
+
+def test_constant_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_CONSTANTS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "pair law", "fast table", "constant bound"]
+    assert "|N" in lines[0] and "not an integer" in lines[1]
+    assert "not in {1, 2, 3}" in lines[2]

@@ -1,9 +1,15 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+import relroots.cli as cli
+import relroots.relcalc as relcalc
+import relroots.theoremlab as theoremlab
 from relroots.cli import main
+from relroots.folding import DecompositionError
+from relroots.rootcore import require
 from relroots.theoremlab import verify_lemma1_catalog
 
 
@@ -40,6 +46,15 @@ def test_fold_c3_levi_is_bc2(capsys):
     code, out, _ = run(capsys, "fold", "--type", "C3", "--levi", "1,2")
     assert code == 0
     assert json.loads(out)["classifiedType"] == "BC2"
+
+
+def test_fold_c5_outer_levi_is_c2(capsys):
+    # 2A1 + A2 is a relative root, so A1 is the short simple root
+    code, out, _ = run(capsys, "fold", "--type", "C5", "--levi", "1,5")
+    assert code == 0
+    data = json.loads(out)
+    assert [2, 1] in [r["coords"] for r in data["relativeRoots"]]
+    assert data["classifiedType"] == "C2"
 
 
 def test_fold_inadmissible_levi_errors(capsys):
@@ -92,6 +107,90 @@ def test_verify_max_rank_out_of_range_errors(capsys):
     code, _, err = run(capsys, "verify", "--suite", "lemma1", "--max-rank", "9")
     assert code == 2
     assert err.startswith("error:") and "max rank" in err
+
+
+@pytest.mark.parametrize("suite,rank", [("lemma1", "0"), ("lemma2", "0"),
+                                        ("lemma2", "9"), ("all", "0")])
+def test_verify_max_rank_bounds_every_suite(capsys, suite, rank):
+    code, _, err = run(capsys, "verify", "--suite", suite, "--max-rank", rank)
+    assert code == 2
+    assert err.startswith("error:") and "max rank" in err
+
+
+def test_verify_all_passes_flags_to_every_suite(capsys, monkeypatch):
+    calls = []
+
+    def recorder(name):
+        return lambda *args: calls.append((name,) + args) or []
+
+    for name in ("verify_lemma1_catalog", "suite_lemma2", "suite_lemma3",
+                 "suite_c2", "suite_g2", "suite_cases"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--max-rank", "3",
+                     "--k", "6", "--eps", "3", "--seed", "4")
+    assert code == 0
+    assert calls == [("verify_lemma1_catalog", 3), ("suite_lemma2", 4, 3),
+                     ("suite_lemma3", 4), ("suite_c2", 6, Fraction(3)),
+                     ("suite_g2", 6, Fraction(3)), ("suite_cases",)]
+
+
+def _fault_in_c3_table(rrs, cb, A, B,
+                       _table=relcalc.compute_relative_commutator_maps):
+    require(str(rrs.rs.type) != "C3", "injected fault in a C3 table")
+    return _table(rrs, cb, A, B)
+
+
+def _fault_in_decomposition(rrs, A,
+                            _decompose=theoremlab.decompose_relative_root):
+    if str(rrs.spec) == "A2 gamma=trivial levi=1,2":
+        raise DecompositionError("injected fault in %s" % A)
+    return _decompose(rrs, A)
+
+
+def _case_a_without_units(rrs, cb, A, B, case,
+                          _check=relcalc.check_N11_surjectivity):
+    # no constant is a unit in {7}, so the case (a) hypothesis fails
+    return _check(rrs, cb, A, B, case, units=frozenset({7}))
+
+
+def _doubled_target(cb, alpha, t, _adjoint=theoremlab.adjoint_root_element):
+    return _adjoint(cb, alpha, t.scale(2))
+
+
+# (suite, extra flags, module, attribute, replacement, fail rows, pass rows)
+FAULTS = {
+    "lemma1": ("lemma1", ["--max-rank", "2"], theoremlab,
+               "decompose_relative_root", _fault_in_decomposition, 1, 3),
+    "lemma2-table": ("lemma2", ["--max-rank", "2"], relcalc,
+                     "compute_relative_commutator_maps", _fault_in_c3_table, 3, 4),
+    "lemma2-hypothesis": ("lemma2", ["--max-rank", "2"], cli,
+                          "check_N11_surjectivity", _case_a_without_units, 1, 6),
+    "lemma3": ("lemma3", [], relcalc, "_probe_vectors",
+               lambda basis, rng, n_random: [], 2, 0),
+    "c2": ("c2", ["--k", "5"], theoremlab, "adjoint_root_element",
+           _doubled_target, 2, 0),
+    "g2": ("g2", ["--k", "3"], theoremlab, "adjoint_root_element",
+           _doubled_target, 1, 1),
+    "cases": ("cases", [], theoremlab, "commutator_constants",
+              lambda cb, alpha, beta: {}, 3, 43),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_failed_check_is_a_fail_row(capsys, monkeypatch, tmp_path, fault):
+    suite, flags, module, attr, replacement, fails, passes = FAULTS[fault]
+    monkeypatch.setattr(module, attr, replacement)
+    report_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", suite, *flags,
+                         "--report", str(report_file))
+    assert code == 1
+    assert "Traceback" not in err and "error:" not in err
+    report = json.loads(report_file.read_text())
+    assert report["summary"]["fail"] == fails
+    assert report["summary"]["pass"] == passes
+    failed = [c for c in report["cases"] if c["status"] == "fail"]
+    assert all(isinstance(c["witness"], str) for c in failed)
+    assert all("FAIL %s: %s" % (c["id"], c["witness"]) in err for c in failed)
 
 
 def test_verify_report_roundtrip_byte_identical(capsys, tmp_path):
