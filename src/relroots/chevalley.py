@@ -29,6 +29,22 @@ multiple of e_{alpha+alpha_i}, gives c_alpha = 1 on positive roots, and
 Hence two products are equal iff their frames are.  The h-columns alone
 are not enough: the torus element h_alpha(2) fixes every h_i.  See
 Steinberg, *Lectures on Chevalley Groups*.
+
+Frame entries stay packed for the whole word, through ``collect`` too:
+each is a dict {packed exponent: coefficient} whose int key holds the
+exponent of registry variable i in bits 16i..16i+15 and, in the slot
+after the last variable, the power of w = 1/(eps^2 - eps).  A product of
+two terms is one integer addition, and the localized C2/G2 identities
+take the same path as the polynomial tables.  Packed entries are not
+reduced by w (eps^2 - eps) = 1, so two equal entries that carry w can
+differ raw; equality and the identity test reduce exactly those entries
+through PolyElem.  PolyElem values are made only at the edges: each
+factor's coefficient is packed once, ``collect`` unpacks one entry per
+slot, and ``UnipotentMatrix.cols`` unpacks the frame on request.  No slot
+may pass 2^16 - 1: a running bound, the sum over factors x(t) of
+(number of divided powers of ad e) * (largest slot of t), is checked
+before any column work, and a word that could overflow raises
+VerificationError.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyring import PolyElem, VarRegistry
+from .polyring import PolyElem, RegistryMismatch, VarRegistry
 from .rootcore import Root, RootSystem, collinear, require
 
 
@@ -266,36 +282,103 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 # -- symbolic matrices ---------------------------------------------------
 
 
+_BITS = 16  # exponent bits per slot of a packed term
+_SLOT_MAX = (1 << _BITS) - 1
+
+
+def _pack(p, n):
+    """PolyElem over n variables -> ({packed exponent: coeff}, its largest slot).
+
+    Slot i holds the exponent of variable i; slot n holds the power of
+    w = 1/(eps^2 - eps), here ``p.denom_power`` on every term.
+    """
+    w = p.denom_power << (_BITS * n)
+    deg = p.denom_power
+    out = {}
+    for exp, c in p.terms.items():
+        key = w
+        for i, e in enumerate(exp):
+            key += e << (_BITS * i)
+        out[key] = c
+        deg = max(deg, max(exp, default=0))
+    return out, deg
+
+
+def _unpack(reg, d):
+    """{packed exponent: coeff} -> PolyElem, each power of w a denominator."""
+    n = len(reg.names)
+    by_w = {}
+    for key, c in d.items():
+        exp = tuple((key >> (_BITS * i)) & _SLOT_MAX for i in range(n))
+        by_w.setdefault(key >> (_BITS * n), {})[exp] = c
+    out = reg.zero()
+    for w, terms in by_w.items():
+        p = PolyElem(reg, terms, w)
+        out = p if out.is_zero() else out + p
+    return out
+
+
+def _grow_bound(bound, powers, deg):
+    """The slot bound after a factor x(t), t with slots <= deg: x(t) reaches
+    t^len(powers)."""
+    bound += len(powers) * deg
+    require(bound <= _SLOT_MAX, "exponents up to %d overflow a %d-bit packed slot",
+            bound, _BITS)
+    return bound
+
+
 class UnipotentMatrix:
-    """Frame columns {col: {row: PolyElem}} of a product of root elements."""
+    """Frame columns of a product of root elements.
 
-    __slots__ = ("dim", "registry", "cols")
+    ``packed`` is {col: {row: {packed exponent: coeff}}} with no empty
+    entry; every slot exponent of every entry is at most ``bound``.
+    """
 
-    def __init__(self, dim, registry, cols):
+    __slots__ = ("dim", "registry", "packed", "bound")
+
+    def __init__(self, dim, registry, packed, bound):
         self.dim = dim
         self.registry = registry
-        self.cols = cols  # identity entries included
+        self.packed = packed  # identity entries included
+        self.bound = bound
 
-    def is_identity(self):
-        one = self.registry.one()
-        for j, col in self.cols.items():
-            if col.get(j) != one:
+    @property
+    def cols(self):
+        """The frame as {col: {row: PolyElem}}, zero entries dropped."""
+        out = {}
+        for j, col in self.packed.items():
+            vals = ((i, _unpack(self.registry, d)) for i, d in col.items())
+            out[j] = {i: v for i, v in vals if not v.is_zero()}
+        return out
+
+    def _same_column(self, a, b):
+        # equal raw entries are equal; w-free entries are plain polynomials,
+        # so raw inequality is inequality; anything else is compared reduced
+        if a == b:
+            return True
+        w1 = 1 << (_BITS * len(self.registry.names))
+        for i in a.keys() | b.keys():
+            x, y = a.get(i, {}), b.get(i, {})
+            if x == y:
+                continue
+            if max(x, default=0) < w1 and max(y, default=0) < w1:
                 return False
-            if any(i != j and not v.is_zero() for i, v in col.items()):
+            if _unpack(self.registry, x) != _unpack(self.registry, y):
                 return False
         return True
+
+    def is_identity(self):
+        return all(self._same_column(col, {j: {0: 1}})
+                   for j, col in self.packed.items())
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):
             return NotImplemented
-        if self.dim != other.dim or self.cols.keys() != other.cols.keys():
+        if (self.dim != other.dim or self.registry != other.registry
+                or self.packed.keys() != other.packed.keys()):
             return False
-        for j, col in self.cols.items():
-            a = {i: v for i, v in col.items() if not v.is_zero()}
-            b = {i: v for i, v in other.cols[j].items() if not v.is_zero()}
-            if a != b:
-                return False
-        return True
+        return all(self._same_column(col, other.packed[j])
+                   for j, col in self.packed.items())
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -306,45 +389,76 @@ def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem) -> UnipotentMat
     return product_of_root_elements(cb, t.registry, [(alpha, t)])
 
 
-def _mul_elem_left(cb, factor, M):
-    """x_root(t) @ M without materializing the elementary matrix."""
-    root, t = factor
-    reg = M.registry
-    powers = cb.exp_ad_powers(root.coords if isinstance(root, Root) else tuple(root))
+def _times(a, b):
     out = {}
-    tks = []
-    tk = reg.one()
-    for _ in powers:
-        tk = tk * t
-        if tk.is_zero():
-            break
-        tks.append(tk)
-    for j, colM in M.cols.items():
-        acc = dict(colM)
-        for r, m in colM.items():
-            for tk, power in zip(tks, powers):
-                col = power.get(r)
-                if not col:
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _left_multiply(packed, powers, t):
+    """packed <- x(t) packed in place, x(t) = I + sum_k t^k powers[k-1].
+
+    ``t`` is a nonzero packed term dict.  Entry dicts are never changed
+    once stored (a changed entry is a new dict), so they may be shared.
+    """
+    steps, tk = [], t
+    for k, power in enumerate(powers):
+        if k:
+            tk = _times(tk, t)
+        steps.append((tk, power))
+    for col in packed.values():
+        delta = {}
+        for r, m in col.items():
+            for tk, power in steps:
+                targets = power.get(r)
+                if targets is None:
                     continue
-                for i, c in col.items():
-                    add = (tk * m).scale(c)
-                    cur = acc.get(i)
-                    val = add if cur is None else cur + add
-                    if val.is_zero():
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = val
-        out[j] = acc
-    return UnipotentMatrix(M.dim, reg, out)
+                for ka, ca in tk.items():
+                    for km, cm in m.items():
+                        k = ka + km
+                        v = ca * cm
+                        for i, c in targets.items():
+                            d = delta.get(i)
+                            if d is None:
+                                delta[i] = {k: v * c}
+                            else:
+                                d[k] = d.get(k, 0) + v * c
+        for i, d in delta.items():
+            cur = col.get(i)
+            if cur is not None:
+                for k, v in cur.items():
+                    d[k] = d.get(k, 0) + v
+            if not all(d.values()):
+                d = {k: v for k, v in d.items() if v}
+            if d:
+                col[i] = d
+            elif cur is not None:
+                del col[i]
 
 
 def product_of_root_elements(cb, registry, factors):
-    """Frame columns of the left-to-right product of x_root(t) factors."""
-    one = registry.one()
-    M = UnipotentMatrix(cb.dim, registry, {j: {j: one} for j in cb.frame})
+    """Frame columns of the left-to-right product of x_root(t) factors.
+
+    Every coefficient is packed, and the word's slot bound checked, before
+    any column work.
+    """
+    n = len(registry.names)
+    word, bound = [], 0
     for root, t in reversed(list(factors)):
-        M = _mul_elem_left(cb, (root, t), M)
-    return M
+        if t.registry != registry:
+            raise RegistryMismatch("factor over a different registry")
+        powers = cb.exp_ad_powers(root)
+        packed, deg = _pack(t, n)
+        bound = _grow_bound(bound, powers, deg)
+        if packed:
+            word.append((powers, packed))
+    cols = {j: {j: {0: 1}} for j in cb.frame}
+    for powers, packed in word:
+        _left_multiply(cols, powers, packed)
+    return UnipotentMatrix(cb.dim, registry, cols, bound)
 
 
 def invert_factors(factors):
@@ -371,22 +485,28 @@ def collect(cb, U, slots):
     slot, e.g. slots in order of |height|.  Returns {root: PolyElem}.
     """
     npos = len(cb.pos_roots)
-    W = U
+    reg = U.registry
+    W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
+                        U.bound)
     coeffs = {}
     for root in slots:
-        # pick a Cartan column whose image sees e_root
-        for i in range(cb.rs.rank):
-            pair = cb.rs._pairing_coords(root.coords, i)
+        # pick a Cartan column whose image sees e_root: <root, alpha_i^vee> != 0
+        for i, row in enumerate(cb.rs.cartan):
+            pair = sum(c * n for c, n in zip(root.coords, row))
             if pair:
                 break
-        hcol = npos + i
-        row = cb.index[("e", root.coords)]
-        c = W.cols.get(hcol, {}).get(row)
-        if c is None or c.is_zero():
+        raw = W.packed[npos + i].get(cb.index[("e", root.coords)])
+        if raw is None:
+            continue
+        c = _unpack(reg, raw)
+        if c.is_zero():
             continue
         t = c.scale(Fraction(-1, pair))
         coeffs[root] = t
-        W = _mul_elem_left(cb, (root, -t), W)
+        packed, deg = _pack(-t, len(reg.names))
+        powers = cb.exp_ad_powers(root)
+        W.bound = _grow_bound(W.bound, powers, deg)
+        _left_multiply(W.packed, powers, packed)
     if not W.is_identity():
         raise CollectionError("residual is not the identity; "
                               "input not supported on the given slots")

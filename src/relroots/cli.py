@@ -40,6 +40,7 @@ from .relcalc import (
 )
 from .rootcore import InvalidRootType, RootType, build_root_system, collinear, require
 from .theoremlab import (
+    check_identity_params,
     run_case,
     verify_C2_identities,
     verify_G2_identities,
@@ -284,6 +285,11 @@ def run_suite(name, args):
         "cases": suite_cases,
     }
     names = list(suites) if name == "all" else [name]
+    # the identity flags are checked before any suite starts
+    if "c2" in names:
+        check_identity_params(args.eps, c2_long=args.k)
+    if "g2" in names:
+        check_identity_params(args.eps, g2_long=args.k)
     return [case for n in names for case in suites[n]()]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootcore import (
     SERIES,
@@ -52,17 +53,14 @@ class DiagramAut:
         return ",".join(str(p + 1) for p in self.perm)
 
 
+@lru_cache(maxsize=None)
 def enumerate_diagram_automorphisms(t: RootType):
-    """All graph automorphisms of the Dynkin diagram of t."""
-    rs = build_root_system(t)
+    """All graph automorphisms of the Dynkin diagram of t, as a tuple."""
+    cartan = build_root_system(t).cartan
     l = t.rank
-    cartan = rs.cartan
-    auts = []
-    for perm in itertools.permutations(range(l)):
-        if all(cartan[perm[i]][perm[j]] == cartan[i][j]
-               for i in range(l) for j in range(l)):
-            auts.append(DiagramAut(perm))
-    return auts
+    return tuple(DiagramAut(perm) for perm in itertools.permutations(range(l))
+                 if all(cartan[perm[i]][perm[j]] == cartan[i][j]
+                        for i in range(l) for j in range(l)))
 
 
 def closure_of_auts(gens, l):
@@ -250,6 +248,7 @@ class RelativeRootSystem:
         self.fibers = {RelativeRoot(c): tuple(sorted(f, key=lambda r: r.coords))
                        for c, f in fibers.items()}
         self.rel_roots = frozenset(self.fibers)
+        self.rel_coords = frozenset(A.coords for A in self.rel_roots)
         for A in self.rel_roots:
             signs = {c > 0 for c in A.coords if c}
             if len(signs) != 1:
@@ -374,15 +373,18 @@ def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
     require(B + C == A, "B + C is not A")
     require(not collinear(B, C), "B and C are collinear")
     sign = 1 if A.is_positive() else -1
+    level = abs(A.level)
+    b, c = B.coords, C.coords
     for i in range(1, max_mult + 1):
         for j in range(1, max_mult + 1):
             if (i, j) == (1, 1):
                 continue
-            D = B.scaled(i) + C.scaled(j)
-            if D in rrs:
-                require((1 if D.is_positive() else -1) == sign,
+            D = tuple(i * x + j * y for x, y in zip(b, c))
+            if D in rrs.rel_coords:
+                d_level = sum(D)
+                require((1 if d_level > 0 else -1) == sign,
                         "%d*B+%d*C has the wrong sign", i, j)
-                require(abs(D.level) > abs(A.level),
+                require(abs(d_level) > level,
                         "%d*B+%d*C does not increase the level", i, j)
     return True
 
@@ -393,38 +395,23 @@ def decompose_relative_root(rrs: RelativeRootSystem, A: RelativeRoot):
     The two branches mirror the constructive existence proof: multiples of
     a single relative simple root borrow a chain through the nearest other
     J-node; anything else splits off the last J-node of a root chain.
-    Falls back to exhaustive search if the construction fails, which would
-    indicate a gap in the recipe.  Negative A takes the negated split of -A
-    (the clauses are symmetric under negation).  The returned split is the
-    first candidate that passes ``check_lemma1_decomposition``, so the
-    recipe's split is checked exactly once.
+    Negative A takes the negated split of -A (the clauses are symmetric
+    under negation).  The split is checked exactly once, by
+    ``check_lemma1_decomposition``.  A recipe step or clause that fails
+    raises DecompositionError naming A, so a gap in the recipe shows as a
+    failed case.
     """
     if A not in rrs:
         raise DecompositionError("%s is not a relative root" % A)
     if rrs.rank < 2:
         raise DecompositionError("relative root %s lies in a rank-1 component" % A)
     sign = 1 if A.is_positive() else -1
-    P = A.scaled(sign)
-    for B, C in _split_candidates(rrs, P):
-        B, C = B.scaled(sign), C.scaled(sign)
-        try:
-            check_lemma1_decomposition(rrs, A, B, C)
-            return B, C
-        except AssertionError:
-            continue
-    raise DecompositionError("no valid decomposition found for %s" % A)
-
-
-def _split_candidates(rrs, P):
-    """The recipe's split of a positive P, then every B + (P - B) in B order."""
     try:
-        yield _decompose_positive(rrs, P)
-    except AssertionError:
-        pass
-    for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
-        C = RelativeRoot(tuple(a - b for a, b in zip(P.coords, B.coords)))
-        if C in rrs:
-            yield B, C
+        B, C = (R.scaled(sign) for R in _decompose_positive(rrs, A.scaled(sign)))
+        check_lemma1_decomposition(rrs, A, B, C)
+    except AssertionError as exc:
+        raise DecompositionError("no valid decomposition found for %s: %s" % (A, exc))
+    return B, C
 
 
 def _decompose_positive(rrs, A):

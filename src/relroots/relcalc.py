@@ -59,7 +59,7 @@ def cone_pairs(rrs, A, B, bound=CONE_BOUND):
     for total in range(2, bound + 1):
         for i in range(1, total):
             j = total - i
-            if A.scaled(i) + B.scaled(j) in rrs:
+            if tuple(i * a + j * b for a, b in zip(A.coords, B.coords)) in rrs.rel_coords:
                 out.append((i, j))
     return out
 
@@ -112,14 +112,14 @@ class NMapTable:
 
 def _poly_eval(p: PolyElem, vals):
     require(p.denom_power == 0, "cannot evaluate a polynomial with an eps denominator")
-    total = Fraction(0)
+    total = 0  # exact: ints stay ints, a Fraction stays a Fraction
     for exp, coeff in p.terms.items():
-        term = Fraction(coeff)
+        term = coeff
         for k, e in enumerate(exp):
             if e:
-                term *= Fraction(vals.get(k, 0)) ** e
+                term *= vals.get(k, 0) ** e
         total += term
-    require(total.denominator == 1, "N-map value %s is not an integer", total)
+    require(Fraction(total).denominator == 1, "N-map value %s is not an integer", total)
     return int(total)
 
 

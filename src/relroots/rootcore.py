@@ -195,7 +195,8 @@ class RootSystem:
         """<coords, alpha_i^vee> as an exact integer."""
         g = self.gram
         val = 2 * sum(c * g[j][i] for j, c in enumerate(coords) if c) / g[i][i]
-        assert val.denominator == 1
+        require(val.denominator == 1, "<%s, alpha_%d^vee> = %s is not an integer",
+                coords, i + 1, val)
         return int(val)
 
     def _generate(self):
@@ -237,7 +238,8 @@ class RootSystem:
                   for i, bi in enumerate(beta.coords) if bi
                   for j, aj in enumerate(alpha.coords) if aj)
         val = 2 * num / self._norm(alpha.coords)
-        assert val.denominator == 1
+        require(val.denominator == 1, "<%s, %s^vee> = %s is not an integer",
+                beta, alpha, val)
         return int(val)
 
     def norm(self, alpha: Root):
@@ -272,7 +274,8 @@ class RootSystem:
         out = []
         for i, k in enumerate(alpha.coords):
             v = k * self.gram[i][i] / na
-            assert v.denominator == 1
+            require(v.denominator == 1, "coroot of %s has the non-integer coordinate %s",
+                    alpha, v)
             out.append(int(v))
         return tuple(out)
 

@@ -109,6 +109,26 @@ def verify_lemma1_catalog(max_rank=6):
 # -- sign-searched identity verification ---------------------------------
 
 
+# the least k at which each explicit identity is stated
+IDENTITY_MIN_K = {"c2_long": 5, "g2_long": 2, "g2_short": 3}
+
+
+def check_identity_params(eps=None, **ks):
+    """Raise ValueError unless each named identity (a key of IDENTITY_MIN_K)
+    holds at its k and eps, when bound, keeps eps**2 - eps invertible.
+
+    A k of None is not checked.  The identity functions call this first,
+    and ``relroots verify`` calls it before any suite starts.
+    """
+    for name, k in ks.items():
+        least = IDENTITY_MIN_K[name]
+        if k is not None and k < least:
+            raise ValueError("the %s-root identity needs k >= %d"
+                             % (name.split("_")[1], least))
+    if eps is not None and Fraction(eps) in (0, 1):
+        raise ValueError("eps binding makes eps**2 - eps vanish")
+
+
 def _registry(eps_binding, extra=()):
     names = ["Z", "v"] + list(extra)
     if eps_binding is None:
@@ -119,11 +139,8 @@ def _registry(eps_binding, extra=()):
         inv = reg.eps_unit_inverse()
     else:
         c = Fraction(eps_binding)
-        unit = c * c - c
-        if unit == 0:
-            raise ValueError("eps binding makes eps**2 - eps vanish")
         eps = reg.const(c)
-        inv = reg.const(Fraction(1) / unit)
+        inv = reg.const(1 / (c * c - c))
     return reg, eps, inv
 
 
@@ -131,7 +148,7 @@ def _sign_search(slots, build, check,
                  failure="no sign assignment satisfies the identity"):
     """Try all +-1 assignments of the named slots; return the first hit
     as a {slot name: +1 / -1} dict, or raise VerificationError(failure)."""
-    assert len(slots) <= 6
+    require(len(slots) <= 6, "a sign search over %d slots is too large", len(slots))
     for values in itertools.product((1, -1), repeat=len(slots)):
         signs = dict(zip(slots, values))
         if check(build(signs)):
@@ -141,8 +158,7 @@ def _sign_search(slots, build, check,
 
 def verify_C2_identities(k, eps_binding=None):
     """The split-C2 long and short decompositions of X_A(Z^k v)."""
-    if k < 5:
-        raise ValueError("the long-root identity needs k >= 5")
+    check_identity_params(eps_binding, c2_long=k)
     rs = build_root_system(RootType("C", 2))
     cb = build_chevalley_basis(rs)
     a1, a2 = rs.simple_roots
@@ -190,10 +206,7 @@ def verify_C2_identities(k, eps_binding=None):
 
 def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     """The split-G2 long commutator identity and the short-root shape."""
-    if k_long < 2:
-        raise ValueError("the long-root identity needs k >= 2")
-    if k_short < 3:
-        raise ValueError("the short-root identity needs k >= 3")
+    check_identity_params(eps_binding, g2_long=k_long, g2_short=k_short)
     rs = build_root_system(RootType("G", 2))
     cb = build_chevalley_basis(rs)
     a1, a2 = rs.simple_roots

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import relroots
+import relroots.chevalley as chevalley
 from relroots.chevalley import (
     CollectionError,
     adjoint_root_element,
@@ -16,10 +17,11 @@ from relroots.chevalley import (
     commutator_constants,
     commutator_constants_fast,
     commutator_factors,
+    invert_factors,
     product_of_root_elements,
 )
 from relroots.polyring import VarRegistry
-from relroots.rootcore import RootType, build_root_system
+from relroots.rootcore import RootType, VerificationError, build_root_system
 
 
 def cb_for(name):
@@ -230,6 +232,10 @@ def frame_of(U):
 def random_word(cb, reg, rng, length):
     s, t = reg.var("s"), reg.var("t")
     coeffs = [s, t, s * t, s + t, reg.const(2), reg.const(Fraction(-1, 3))]
+    if reg.eps_index is not None:
+        # localized coefficients: w = 1/(eps^2 - eps) and its multiples
+        inv, eps = reg.eps_unit_inverse(), reg.var("eps")
+        coeffs += [inv, eps * inv * s, (eps + t) * inv, inv * inv * t]
     return [(rng.choice(cb.rs.roots), rng.choice(coeffs).scale(rng.choice((1, -1))))
             for _ in range(length)]
 
@@ -237,9 +243,9 @@ def random_word(cb, reg, rng, length):
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
 def test_frame_matches_full_matrix(name):
     cb = cb_for(name)
-    reg = VarRegistry(["s", "t"])
     rng = random.Random(name)
-    for _ in range(20):
+    plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
+    for reg in [plain] * 20 + [localized] * 8:
         w1 = random_word(cb, reg, rng, rng.randint(1, 5))
         # an equal word (a cancelling pair inserted) and a different one
         k = rng.randint(0, len(w1))
@@ -255,6 +261,23 @@ def test_frame_matches_full_matrix(name):
             assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
         assert U1 == product_of_root_elements(cb, reg, same)
         assert U1 != product_of_root_elements(cb, reg, other)
+        assert product_of_root_elements(cb, reg, w1 + invert_factors(w1)).is_identity()
+        # x_r(c) x_r(d) = x_r(c + d): when c or d carries 1/(eps^2 - eps),
+        # the packed entries of the two sides differ until reduced
+        (r, c), (_, d) = random_word(cb, reg, rng, 2)
+        assert product_of_root_elements(cb, reg, [(r, c), (r, d)]) == \
+            product_of_root_elements(cb, reg, [(r, c + d)])
+        assert product_of_root_elements(cb, reg, [(r, c), (r, d), (r, -(c + d))]).is_identity()
+
+
+def test_slot_overflow_rejected_before_column_work(monkeypatch):
+    # x_a(t) reaches t^2 in A2, so s^40000 needs exponents up to 80000
+    cb = cb_for("A2")
+    reg = VarRegistry(["s"])
+    a1, a2 = cb.rs.simple_roots
+    monkeypatch.setattr(chevalley, "_left_multiply", None)  # any column work fails
+    with pytest.raises(VerificationError, match="overflow"):
+        product_of_root_elements(cb, reg, [(a1, reg.var("s", 40000)), (a2, reg.var("s"))])
 
 
 def test_frame_rejects_torus_element():
@@ -273,11 +296,13 @@ def test_frame_rejects_torus_element():
     assert not product_of_root_elements(cb, reg, word).is_identity()
 
 
-PERTURBED_CONSTANTS = """
+PERTURBED_CHECKS = """
 from relroots.chevalley import ChevalleyBasis, commutator_constants, \\
-    commutator_constants_fast
+    commutator_constants_fast, product_of_root_elements
 import relroots.chevalley as chevalley
-from relroots.rootcore import RootType, VerificationError, build_root_system
+from relroots.polyring import VarRegistry
+from relroots.rootcore import RootSystem, RootType, VerificationError, build_root_system
+from relroots.theoremlab import _sign_search
 
 def expect_failure(label, run):
     try:
@@ -305,17 +330,36 @@ chevalley.collect = lambda *args: {r: c.scale(5) for r, c in collect(*args).item
 cb = ChevalleyBasis(build_root_system(RootType("A", 2)))
 a1, a2 = cb.rs.simple_roots
 expect_failure("constant bound", lambda: commutator_constants(cb, a1, a2))
+
+# packed exponent slots: s^40000 under x_a1, whose series reaches t^2
+reg = VarRegistry(["s"])
+expect_failure("slot bound", lambda: product_of_root_elements(
+    cb, reg, [(a1, reg.var("s", 40000))]))
+
+# integrality of pairings: |alpha_2|^2 = 3 makes <alpha_1, alpha_2^vee> = -2/3
+rs = RootSystem(RootType("A", 2))
+rs.gram[1][1] = 3
+b1, b2 = rs.simple_roots
+expect_failure("pairing", lambda: rs._pairing_coords((1, 0), 1))
+expect_failure("cartan pairing", lambda: rs.cartan_pairing(b1, b2))
+expect_failure("coroot", lambda: rs.coroot_coords(rs.root_from_coords((1, 1))))
+
+# the sign search is bounded at six slots
+expect_failure("sign search", lambda: _sign_search(list("abcdefg"), None, None))
 """
 
 
 def test_constant_checks_survive_optimized_mode():
     src = os.path.dirname(os.path.dirname(relroots.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_CONSTANTS],
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_CHECKS],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "pair law", "fast table", "constant bound"]
+        "pair law", "fast table", "constant bound", "slot bound", "pairing",
+        "cartan pairing", "coroot", "sign search"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
-    assert "not in {1, 2, 3}" in lines[2]
+    assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
+    assert all("not an integer" in line for line in lines[4:6])
+    assert "non-integer" in lines[6] and "7 slots" in lines[7]

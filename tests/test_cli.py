@@ -134,6 +134,23 @@ def test_verify_all_passes_flags_to_every_suite(capsys, monkeypatch):
                      ("suite_g2", 6, Fraction(3)), ("suite_cases",)]
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--suite", "all", "--k", "3"], "the long-root identity needs k >= 5"),
+    (["--suite", "all", "--eps", "1"], "eps binding makes eps**2 - eps vanish"),
+    (["--suite", "g2", "--k", "1"], "the long-root identity needs k >= 2"),
+    (["--suite", "c2", "--eps", "0"], "eps binding makes eps**2 - eps vanish"),
+])
+def test_verify_identity_flags_checked_before_any_suite(capsys, monkeypatch,
+                                                        flags, message):
+    for name in ("verify_lemma1_catalog", "suite_lemma2", "suite_lemma3"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a suite ran"))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", *flags)
+    assert code == 2
+    assert err == "error: %s\n" % message
+    assert time.perf_counter() - t0 < 5
+
+
 def _fault_in_c3_table(rrs, cb, A, B,
                        _table=relcalc.compute_relative_commutator_maps):
     require(str(rrs.rs.type) != "C3", "injected fault in a C3 table")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import relroots
+import relroots.folding as folding
 from relroots.folding import (
     DecompositionError,
     FoldingError,
@@ -20,6 +21,7 @@ from relroots.folding import (
     trivial_gamma,
 )
 from relroots.rootcore import RootType, VerificationError, build_root_system
+from relroots.theoremlab import verify_lemma1_catalog
 
 
 def fold(text):
@@ -193,6 +195,53 @@ def test_decompose_every_relative_root(text):
     for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
         B, C = decompose_relative_root(rrs, A)
         assert check_lemma1_decomposition(rrs, A, B, C)
+
+
+def exhaustive_splits(rrs, A):
+    """Every B + (A - B) that passes the checker, in B order.
+
+    Written apart from the recipe in ``decompose_relative_root``, so it is
+    the oracle for it.
+    """
+    out = []
+    for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
+        C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
+        if C in rrs:
+            try:
+                check_lemma1_decomposition(rrs, A, B, C)
+            except VerificationError:
+                continue
+            out.append((B, C))
+    return out
+
+
+@pytest.mark.parametrize("text", ["C2", "G2", "B3 levi=1,2", "C3 levi=1,2",
+                                  "A3 gamma=flip", "D4 gamma=triality"])
+def test_recipe_split_is_among_oracle_splits(text):
+    rrs = fold(text)
+    for A in rrs.rel_roots:
+        assert decompose_relative_root(rrs, A) in exhaustive_splits(rrs, A)
+
+
+def test_broken_recipe_is_a_fail_row(monkeypatch):
+    # a recipe gap for (1,1) of C2 must fail that case, naming the root,
+    # although the oracle finds a valid split there
+    recipe = folding._decompose_positive
+    bad = (RelativeRoot((2, 1)), RelativeRoot((-1, 0)))  # 1*B+2*C = (0,1)
+
+    def broken(rrs, P):
+        if str(rrs.spec) == "C2 gamma=trivial levi=1,2" and P == RelativeRoot((1, 1)):
+            return bad
+        return recipe(rrs, P)
+
+    assert exhaustive_splits(fold("C2"), RelativeRoot((1, 1)))
+    monkeypatch.setattr(folding, "_decompose_positive", broken)
+    cases = {c.id: c for c in verify_lemma1_catalog(2)}
+    broken_case = cases.pop("lemma1/C2 gamma=trivial levi=1,2")
+    assert broken_case.status == "fail"
+    assert broken_case.witness == ("no valid decomposition found for (-1,-1): "
+                                   "1*B+2*C does not increase the level")
+    assert {c.status for c in cases.values()} == {"pass", "skipped"}
 
 
 @pytest.mark.parametrize("text", FOLDS_FOR_SWEEP)
