@@ -82,6 +82,7 @@ class ChevalleyBasis:
         self._pos_set = set(pos)
         self._pos_order = {c: i for i, c in enumerate(pos)}
         self._extraspecial = self._find_extraspecial()
+        self._norm_cache = {}
         self._n_cache = {}
         self._ad_cache = {}
         self._exp_cache = {}
@@ -104,7 +105,11 @@ class ChevalleyBasis:
         return esp
 
     def _norm(self, coords):
-        return self.rs._norm(coords)
+        """|coords|^2, each root's Gram sum taken once per basis."""
+        norm = self._norm_cache.get(coords)
+        if norm is None:
+            norm = self._norm_cache[coords] = self.rs._norm(coords)
+        return norm
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""

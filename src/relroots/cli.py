@@ -28,7 +28,6 @@ from .folding import (
     enumerate_foldings,
     parse_folding_spec,
 )
-from .finitelab import CapExceeded, closure_cap, format_report, perfectness_report
 from .polyring import is_prime
 from .relcalc import (
     RelcalcError,
@@ -333,6 +332,9 @@ def cmd_verify(args):
 
 
 def cmd_perfect(args):
+    # finitelab loads numpy, which no other command needs
+    from .finitelab import CapExceeded, closure_cap, format_report, perfectness_report
+
     try:
         t = RootType.parse(args.type)
     except InvalidRootType as exc:
@@ -347,6 +349,9 @@ def cmd_perfect(args):
         rows = perfectness_report([(t, args.p)], cap=cap)
     except ValueError as exc:  # p too large for exact int64 products
         raise CliError(str(exc))
+    except CapExceeded as exc:
+        print("skipped: cap (%s)" % exc, file=sys.stderr)
+        return 2
     print(format_report(rows))
     return 0 if all(r["status"] != "fail" for r in rows) else 1
 
@@ -407,9 +412,6 @@ def main(argv=None):
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print("skipped: cap (%s)" % exc, file=sys.stderr)
         return 2
 
 

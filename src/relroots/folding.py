@@ -363,11 +363,15 @@ def _diagram_path(rs, start, targets):
     raise AssertionError("diagram is connected; no path found")
 
 
-def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
+def check_lemma1_decomposition(rrs, A, B, C):
     """Independent re-verification of every clause of the decomposition.
 
-    Exhaustive scan over small multiples; raises VerificationError (an
-    AssertionError that ``python -O`` keeps) on any violated clause.
+    Solves D = i*B + j*C for each relative root D through one nonzero 2x2
+    minor of (B, C), so every multiple i, j >= 1 other than (1, 1) is
+    covered, with no bound on i and j.  Each integral solution that holds
+    on every coordinate must keep the sign of A and raise its level; the
+    first violation in (i, j) order raises VerificationError (an
+    AssertionError that ``python -O`` keeps).
     """
     require(B in rrs and C in rrs, "B, C must be relative roots")
     require(B + C == A, "B + C is not A")
@@ -375,17 +379,26 @@ def check_lemma1_decomposition(rrs, A, B, C, max_mult=8):
     sign = 1 if A.is_positive() else -1
     level = abs(A.level)
     b, c = B.coords, C.coords
-    for i in range(1, max_mult + 1):
-        for j in range(1, max_mult + 1):
-            if (i, j) == (1, 1):
-                continue
-            D = tuple(i * x + j * y for x, y in zip(b, c))
-            if D in rrs.rel_coords:
-                d_level = sum(D)
-                require((1 if d_level > 0 else -1) == sign,
-                        "%d*B+%d*C has the wrong sign", i, j)
-                require(abs(d_level) > level,
-                        "%d*B+%d*C does not increase the level", i, j)
+    n = len(b)
+    p, q = next((p, q) for p in range(n) for q in range(p + 1, n)
+                if b[p] * c[q] != b[q] * c[p])
+    bp, bq, cp, cq = b[p], b[q], c[p], c[q]
+    det = bp * cq - bq * cp
+    multiples = []
+    for d in rrs.rel_coords:
+        i, ri = divmod(d[p] * cq - d[q] * cp, det)
+        if ri or i < 1:
+            continue
+        j, rj = divmod(bp * d[q] - bq * d[p], det)
+        if (rj or j < 1 or i == j == 1
+                or any(x != i * y + j * z for x, y, z in zip(d, b, c))):
+            continue
+        multiples.append((i, j, sum(d)))
+    for i, j, d_level in sorted(multiples):
+        require((1 if d_level > 0 else -1) == sign,
+                "%d*B+%d*C has the wrong sign", i, j)
+        require(abs(d_level) > level,
+                "%d*B+%d*C does not increase the level", i, j)
     return True
 
 

@@ -11,6 +11,7 @@ floats.  Values are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 EPS = "eps"
@@ -394,12 +395,12 @@ def row_reduce(rows, ncols, p=None):
     Pivots are sought in the first ``ncols`` columns only; any further
     columns (an augmented block) are carried along.  Returns the reduced
     rows, pivot rows first, and the pivot columns; the rank is
-    ``len(pivots)``.
+    ``len(pivots)``.  Over Q the entries are ints or Fractions and come
+    back as Fractions, equal to those of Fraction Gauss-Jordan.
     """
     if p is None:
-        mat = [[Fraction(x) for x in row] for row in rows]
-    else:
-        mat = [[int(x) % p for x in row] for row in rows]
+        return _row_reduce_rational(rows, ncols)
+    mat = [[int(x) % p for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -407,18 +408,54 @@ def row_reduce(rows, ncols, p=None):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        if p is None:
-            inv = 1 / mat[r][c]
-            mat[r] = top = [x * inv for x in mat[r]]
-        else:
-            inv = pow(mat[r][c], -1, p)
-            mat[r] = top = [x * inv % p for x in mat[r]]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = top = [x * inv % p for x in mat[r]]
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
-                if p is None:
-                    mat[i] = [x - f * y for x, y in zip(row, top)]
-                else:
-                    mat[i] = [(x - f * y) % p for x, y in zip(row, top)]
+                mat[i] = [(x - f * y) % p for x, y in zip(row, top)]
         pivots.append(c)
     return mat, pivots
+
+
+def _row_reduce_rational(rows, ncols):
+    """``row_reduce`` over Q by integer-preserving elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, and
+    eliminating with pivot a sets row := (a*row - f*top) / gcd, so no
+    Fraction is made until the end.  ``scale[i] = (num, den)`` tracks
+    row i as num/den times the row Fraction Gauss-Jordan would hold at
+    the same step (the eliminations, swaps and zero patterns are the
+    same); a pivot row is divided by its pivot, which Fraction
+    Gauss-Jordan sets to 1, and any other row by its scale.
+    """
+    mat, scale = [], []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
+        scale.append((den, 1))
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        scale[r], scale[piv] = scale[piv], scale[r]
+        top = mat[r]
+        a = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                new = [a * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*new) or 1
+                mat[i] = [x // g for x in new] if g > 1 else new
+                num, den = scale[i]
+                scale[i] = (num * a, den * g)
+        pivots.append(c)
+    out = []
+    for i, row in enumerate(mat):
+        num, den = (row[pivots[i]], 1) if i < len(pivots) else scale[i]
+        out.append([Fraction(x * den, num) for x in row] if any(row)
+                   else [Fraction(0)] * len(row))
+    return out, pivots

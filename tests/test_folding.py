@@ -20,7 +20,13 @@ from relroots.folding import (
     parse_folding_spec,
     trivial_gamma,
 )
-from relroots.rootcore import RootType, VerificationError, build_root_system
+from relroots.rootcore import (
+    RootType,
+    VerificationError,
+    build_root_system,
+    collinear,
+    require,
+)
 from relroots.theoremlab import verify_lemma1_catalog
 
 
@@ -250,6 +256,56 @@ def test_classification_always_succeeds(text):
     label, rank = classify_relative_type(rrs)
     assert rank == rrs.rank
     assert label in ("A", "B", "C", "BC", "D", "E", "F", "G")
+
+
+def scan_clauses(rrs, A, B, C, max_mult=8):
+    """The clause check as an 8x8 scan of the multiples i*B + j*C.
+
+    Written apart from the per-root solve in ``check_lemma1_decomposition``,
+    so it is the oracle for it on the multiples it reaches.
+    """
+    require(B in rrs and C in rrs, "B, C must be relative roots")
+    require(B + C == A, "B + C is not A")
+    require(not collinear(B, C), "B and C are collinear")
+    sign = 1 if A.is_positive() else -1
+    level = abs(A.level)
+    for i in range(1, max_mult + 1):
+        for j in range(1, max_mult + 1):
+            if (i, j) == (1, 1):
+                continue
+            D = B.scaled(i) + C.scaled(j)
+            if D in rrs:
+                require((1 if D.level > 0 else -1) == sign,
+                        "%d*B+%d*C has the wrong sign", i, j)
+                require(abs(D.level) > level,
+                        "%d*B+%d*C does not increase the level", i, j)
+    return True
+
+
+def clause_verdict(check, rrs, A, B, C):
+    try:
+        return check(rrs, A, B, C)
+    except VerificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", ["C2", "G2", "B3 levi=1,2", "C3 levi=1,2",
+                                  "A3 gamma=flip", "D4 gamma=triality",
+                                  "F4 levi=1,4", "B3", "F4"])
+def test_checker_agrees_with_scan_on_every_split(text):
+    # relative rank 3 and 4 (B3, F4) reach coordinates outside the 2x2 minor
+    rrs = fold(text)
+    roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
+    verdicts = set()
+    for A in roots:
+        for B in roots:
+            C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
+            if C in rrs:
+                want = clause_verdict(scan_clauses, rrs, A, B, C)
+                assert clause_verdict(check_lemma1_decomposition, rrs, A, B, C) == want
+                verdicts.add(want is True)
+    # the sweep covers passing and failing splits alike
+    assert verdicts == {True, False}
 
 
 def test_checker_rejects_bad_split():

@@ -170,3 +170,69 @@ def test_row_reduce_rank_nullspace_inverse():
             for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
     assert all(isinstance(x, int) for row in inv for x in row)
+
+
+def fraction_row_reduce(rows, ncols):
+    """Gauss-Jordan over Q in Fractions, pivot normalized to 1 at each step.
+
+    Written apart from the integer elimination of ``row_reduce``, so it is
+    the oracle for it.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = top = [x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+    return mat, pivots
+
+
+def _random_matrix(rng, nrows, width, rank, fractions, zero_rows):
+    """Rows spanned by ``rank`` random rows, some replaced by zero rows."""
+    def entry():
+        x = rng.randint(-6, 6)
+        return Fraction(x, rng.randint(1, 7)) if fractions and rng.random() < 0.4 else x
+
+    basis = [[entry() for _ in range(width)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(k * b[j] for k, b in zip(coeffs, basis)) for j in range(width)])
+    for i in rng.sample(range(nrows), min(zero_rows, nrows)):
+        rows[i] = [0] * width
+    return rows
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["ints", "fractions"])
+@pytest.mark.parametrize("augmented", [0, 3], ids=["square", "augmented"])
+def test_row_reduce_matches_fraction_gauss_jordan(fractions, augmented):
+    rng = random.Random(17 + 2 * fractions + augmented)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        nrows = rng.randint(1, 9)
+        rank = rng.randint(0, min(nrows, ncols + augmented))
+        rows = _random_matrix(rng, nrows, ncols + augmented, rank, fractions,
+                              zero_rows=rng.randint(0, 2))
+        reduced, pivots = row_reduce(rows, ncols)
+        assert (reduced, pivots) == fraction_row_reduce(rows, ncols)
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+        assert len(pivots) <= rank
+
+
+def test_row_reduce_matches_oracle_on_a_lemma3_sized_matrix():
+    # about the shape of lemma3's probe matrices: many rows, 15 columns
+    rng = random.Random(5)
+    rows = _random_matrix(rng, 1000, 15, 12, fractions=False, zero_rows=40)
+    rows += [[rng.randint(-4, 4) for _ in range(15)] for _ in range(5)]
+    reduced, pivots = row_reduce(rows, 15)
+    assert (reduced, pivots) == fraction_row_reduce(rows, 15)
+    assert len(pivots) == 15
