@@ -30,6 +30,27 @@ Hence two products are equal iff their frames are.  The h-columns alone
 are not enough: the torus element h_alpha(2) fixes every h_i.  See
 Steinberg, *Lectures on Chevalley Groups*.
 
+A word whose roots all lie in a half-space needs one column.  Let f be an
+integer linear form on root coordinates (``cone`` weights) with f > 0 on
+every factor, Psi = {gamma : f(gamma) > 0} and h_f = sum c_i h_i the
+Cartan vector with gamma(h_f) = m f(gamma) for one integer m > 0
+(``ChevalleyBasis.cone_vector``).  Psi is closed and holds no opposite
+pair, so it lies in a positive system (Bourbaki, *Lie Groups and Lie
+Algebras* VI 1.7) and every element u of U_Psi is a unique ordered
+product of x_gamma(t_gamma), gamma in Psi (Steinberg).  Over a
+torsion-free Q-algebra, the localization at w = 1/(eps^2 - eps)
+included, u = u' on U_Psi iff u(h_f) = u'(h_f): if u'' = u'^-1 u != 1,
+let alpha be an f-minimal root of its normal form with t_alpha != 0.
+Any other way to reach e_alpha from h_f brackets with two or more roots
+of Psi, whose f-values add up past f(alpha), so e_alpha appears in
+u''(h_f) with coefficient -t_alpha m f(alpha) != 0.  A product with
+``cone`` weights therefore starts from the single column h_f and checks
+f > 0 on every factor, and ``collect`` checks it on every slot, so every
+residual stays in U_Psi.  Torus elements such as h_alpha(2), which fix
+h_f, do not break this: they are not in U_Psi, and no word of f-positive
+root elements reaches them.  Mixed-sign words keep the frame.  Products
+that start from different columns are not compared: that raises.
+
 Frame entries stay packed for the whole word, through ``collect`` too:
 each is a dict {packed exponent: coefficient} whose int key holds the
 exponent of registry variable i in bits 16i..16i+15 and, in the slot
@@ -39,20 +60,21 @@ take the same path as the polynomial tables.  Packed entries are not
 reduced by w (eps^2 - eps) = 1, so two equal entries that carry w can
 differ raw; equality and the identity test reduce exactly those entries
 through PolyElem.  PolyElem values are made only at the edges: each
-factor's coefficient is packed once, ``collect`` unpacks one entry per
-slot, and ``UnipotentMatrix.cols`` unpacks the frame on request.  No slot
-may pass 2^16 - 1: a running bound, the sum over factors x(t) of
-(number of divided powers of ad e) * (largest slot of t), is checked
-before any column work, and a word that could overflow raises
+factor's coefficient is packed once, ``collect`` unpacks each coefficient
+it returns once, and ``UnipotentMatrix.cols`` unpacks the columns on
+request.  No slot may pass 2^16 - 1: a running bound, the sum over
+factors x(t) of (number of divided powers of ad e) * (largest slot of t),
+is checked before any column work, and a word that could overflow raises
 VerificationError.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyring import PolyElem, RegistryMismatch, VarRegistry
+from .polyring import PolyElem, RegistryMismatch, VarRegistry, row_reduce
 from .rootcore import Root, RootSystem, collinear, require
 
 
@@ -86,6 +108,15 @@ class ChevalleyBasis:
         self._n_cache = {}
         self._ad_cache = {}
         self._exp_cache = {}
+        # for cone_vector: (C^T)^-1 times a positive integer, row j of C^T
+        # being (<alpha_j, alpha_i^vee>)_i
+        rows = [[rs.cartan[i][j] for i in range(l)] + [int(i == j) for i in range(l)]
+                for j in range(l)]
+        reduced, pivots = row_reduce(rows, l)
+        require(len(pivots) == l, "the Cartan matrix of %s is singular", rs.type)
+        den = math.lcm(*(x.denominator for row in reduced for x in row))
+        self._cartan_t_inv = tuple(tuple(int(x * den) for x in row[l:])
+                                   for row in reduced)
         self._verify_pair_laws()
 
     # -- structure constants ---------------------------------------------
@@ -110,6 +141,16 @@ class ChevalleyBasis:
         if norm is None:
             norm = self._norm_cache[coords] = self.rs._norm(coords)
         return norm
+
+    def cone_vector(self, weights):
+        """Integer (c_1..c_l) with gamma(sum c_i h_i) = m * f(gamma) for one m > 0.
+
+        ``weights`` are the integer coefficients of f on the simple-root
+        coordinates, not all zero.
+        """
+        c = [sum(x * w for x, w in zip(row, weights)) for row in self._cartan_t_inv]
+        g = math.gcd(*c)
+        return tuple(x // g for x in c)
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""
@@ -333,23 +374,28 @@ def _grow_bound(bound, powers, deg):
 
 
 class UnipotentMatrix:
-    """Frame columns of a product of root elements.
+    """Start columns of a product of root elements, carried through the word.
 
-    ``packed`` is {col: {row: {packed exponent: coeff}}} with no empty
-    entry; every slot exponent of every entry is at most ``bound``.
+    ``start`` is {col: {row: {0: int}}}, the columns before any factor:
+    the frame's unit columns, or the one column h_f of a product with
+    ``cone`` weights (None for the frame).  ``packed`` holds their images,
+    {col: {row: {packed exponent: coeff}}} with no empty entry; every slot
+    exponent of every entry is at most ``bound``.
     """
 
-    __slots__ = ("dim", "registry", "packed", "bound")
+    __slots__ = ("dim", "registry", "packed", "bound", "start", "cone")
 
-    def __init__(self, dim, registry, packed, bound):
+    def __init__(self, dim, registry, packed, bound, start, cone):
         self.dim = dim
         self.registry = registry
         self.packed = packed  # identity entries included
         self.bound = bound
+        self.start = start
+        self.cone = cone
 
     @property
     def cols(self):
-        """The frame as {col: {row: PolyElem}}, zero entries dropped."""
+        """The carried columns as {col: {row: PolyElem}}, zero entries dropped."""
         out = {}
         for j, col in self.packed.items():
             vals = ((i, _unpack(self.registry, d)) for i, d in col.items())
@@ -373,15 +419,17 @@ class UnipotentMatrix:
         return True
 
     def is_identity(self):
-        return all(self._same_column(col, {j: {0: 1}})
+        return all(self._same_column(col, self.start[j])
                    for j, col in self.packed.items())
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):
             return NotImplemented
-        if (self.dim != other.dim or self.registry != other.registry
-                or self.packed.keys() != other.packed.keys()):
+        if self.dim != other.dim or self.registry != other.registry:
             return False
+        # the images of different columns say nothing about each other
+        require(self.start == other.start,
+                "cannot compare products that start from different columns")
         return all(self._same_column(col, other.packed[j])
                    for j, col in self.packed.items())
 
@@ -444,26 +492,55 @@ def _left_multiply(packed, powers, t):
                 del col[i]
 
 
-def product_of_root_elements(cb, registry, factors):
-    """Frame columns of the left-to-right product of x_root(t) factors.
+def cone_weights(a, b):
+    """Integer weights of a form f > 0 on every i*a + j*b, i, j >= 0, i + j > 0.
 
-    Every coefficient is packed, and the word's slot bound checked, before
-    any column work.
+    f(x) = (a.x)(|b|^2 - a.b) + (b.x)(|a|^2 - a.b) in the plain coordinate
+    dot product, so f(i*a + j*b) = (i + j)(|a|^2 |b|^2 - (a.b)^2) > 0 for
+    non-collinear a, b; for collinear a, b on one ray f(x) = a.x.
+    """
+    if collinear(a, b):
+        return tuple(a)
+    aa, bb, ab = (sum(x * y for x, y in zip(u, v)) for u, v in ((a, a), (b, b), (a, b)))
+    return tuple(x * (bb - ab) + y * (aa - ab) for x, y in zip(a, b))
+
+
+def _require_in_cone(cone, root):
+    require(sum(w * x for w, x in zip(cone, root.coords)) > 0,
+            "root %s lies outside the cone %s", root, cone)
+
+
+def product_of_root_elements(cb, registry, factors, cone=None):
+    """Start columns of the left-to-right product of x_root(t) factors.
+
+    Without ``cone`` the product carries the 2l frame columns.  With
+    ``cone``, integer weights of a form f that must be positive on every
+    factor's root, it carries the one column h_f (module docstring).
+    Every coefficient is packed, and the word's slot bound and cone
+    checked, before any column work.
     """
     n = len(registry.names)
     word, bound = [], 0
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
+        if cone is not None:
+            _require_in_cone(cone, root)
         powers = cb.exp_ad_powers(root)
         packed, deg = _pack(t, n)
         bound = _grow_bound(bound, powers, deg)
         if packed:
             word.append((powers, packed))
-    cols = {j: {j: {0: 1}} for j in cb.frame}
+    if cone is None:
+        start = {j: {j: {0: 1}} for j in cb.frame}
+    else:
+        npos = len(cb.pos_roots)
+        start = {"h_f": {npos + i: {0: c}
+                         for i, c in enumerate(cb.cone_vector(cone)) if c}}
+    cols = {j: dict(col) for j, col in start.items()}
     for powers, packed in word:
         _left_multiply(cols, powers, packed)
-    return UnipotentMatrix(cb.dim, registry, cols, bound)
+    return UnipotentMatrix(cb.dim, registry, cols, bound, start, cone)
 
 
 def invert_factors(factors):
@@ -483,69 +560,53 @@ def collect(cb, U, slots):
     """Normal-form coefficients of a group element along ordered slots.
 
     ``slots`` is a list of distinct Root.  Each coefficient is read off a
-    Cartan column and its factor peeled off the left; the final residual
+    start column whose Cartan vector h pairs nonzero with the slot, as
+    -t * root(h), and its factor peeled off the left; the final residual
     check proves U = prod x_r(t_r) over the slots in order, so any slot
-    order gives a correct answer or a CollectionError.  Collection
-    succeeds when every root that is a sum of two slot roots is a later
-    slot, e.g. slots in order of |height|.  Returns {root: PolyElem}.
+    order gives a correct answer or a CollectionError.  A product with
+    ``cone`` weights needs every slot inside the cone, or the one-column
+    check would not cover the residual.  Collection succeeds when every
+    root that is a sum of two slot roots is a later slot, e.g. slots in
+    order of |height|.  Returns {root: PolyElem}.
     """
-    npos = len(cb.pos_roots)
+    npos, l = len(cb.pos_roots), cb.rs.rank
     reg = U.registry
+    n = len(reg.names)
+    w1 = 1 << (_BITS * n)
+    # (column, coefficients of root -> root(h)) for each start column h in
+    # the Cartan span: the frame's h_i, or h_f
+    readers = []
+    for j, col in U.start.items():
+        h = [(r - npos, d[0]) for r, d in col.items() if npos <= r < npos + l]
+        if h:
+            readers.append((j, [sum(c * cb.rs.cartan[i][k] for i, c in h)
+                                for k in range(l)]))
     W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
-                        U.bound)
+                        U.bound, U.start, U.cone)
     coeffs = {}
     for root in slots:
-        # pick a Cartan column whose image sees e_root: <root, alpha_i^vee> != 0
-        for i, row in enumerate(cb.rs.cartan):
-            pair = sum(c * n for c, n in zip(root.coords, row))
+        if U.cone is not None:
+            _require_in_cone(U.cone, root)
+        for j, form in readers:
+            pair = sum(c * x for c, x in zip(root.coords, form))
             if pair:
                 break
-        raw = W.packed[npos + i].get(cb.index[("e", root.coords)])
-        if raw is None:
+        raw = W.packed[j].get(cb.index[("e", root.coords)])
+        if raw is None or (max(raw) >= w1 and _unpack(reg, raw).is_zero()):
             continue
-        c = _unpack(reg, raw)
-        if c.is_zero():
-            continue
-        t = c.scale(Fraction(-1, pair))
+        t = {}
+        for k, v in raw.items():
+            q = Fraction(-v, pair)
+            t[k] = q.numerator if q.denominator == 1 else q
         coeffs[root] = t
-        packed, deg = _pack(-t, len(reg.names))
         powers = cb.exp_ad_powers(root)
-        W.bound = _grow_bound(W.bound, powers, deg)
-        _left_multiply(W.packed, powers, packed)
+        W.bound = _grow_bound(W.bound, powers, max(
+            (k >> (_BITS * i)) & _SLOT_MAX for k in t for i in range(n + 1)))
+        _left_multiply(W.packed, powers, {k: -v for k, v in t.items()})
     if not W.is_identity():
         raise CollectionError("residual is not the identity; "
                               "input not supported on the given slots")
-    return coeffs
-
-
-def positive_root_order(cb):
-    """All positive roots in the collection order (height, then coords)."""
-    return [cb.rs.root_from_coords(c) for c in cb.pos_roots]
-
-
-def collect_to_normal_form(cb, word, ordering=None):
-    """Rewrite a product of root elements as an ordered normal form.
-
-    ``word`` is a list of (Root, PolyElem) with all roots positive (or all
-    negative); returns the list of (Root, PolyElem) with nonzero
-    coefficients in the normal-form order.
-    """
-    word = list(word)
-    if not word:
-        return []
-    reg = word[0][1].registry
-    signs = {r.is_positive() for r, _ in word}
-    if len(signs) != 1:
-        raise CollectionError("mixed-sign word is not unipotent")
-    positive = signs.pop()
-    if ordering is None:
-        ordering = positive_root_order(cb)
-        if not positive:
-            ordering = [-r for r in ordering]
-            ordering = [cb.rs.root_from_coords(r.coords) for r in ordering]
-    U = product_of_root_elements(cb, reg, word)
-    coeffs = collect(cb, U, ordering)
-    return [(r, coeffs[r]) for r in ordering if r in coeffs]
+    return {root: _unpack(reg, t) for root, t in coeffs.items()}
 
 
 # -- classical commutator constants --------------------------------------
@@ -554,15 +615,15 @@ def collect_to_normal_form(cb, word, ordering=None):
 def commutator_constants(cb, alpha: Root, beta: Root):
     """Constants C_ij with [x_alpha(s), x_beta(t)] = prod x_{i a + j b}(C_ij s^i t^j).
 
-    Computed by symbolic collection of the commutator matrix, so the
-    returned table is verified by construction.  Empty dict when no
-    i*alpha + j*beta is a root.
+    Computed by symbolic collection of the commutator on one column
+    (``cone_weights`` of alpha, beta), so the returned table is verified
+    by construction.  Empty dict when no i*alpha + j*beta is a root.
     """
     _check_not_opposite_ray(alpha, beta)
     reg = VarRegistry(["s", "t"])
     s, t = reg.var("s"), reg.var("t")
     word = commutator_factors([(alpha, s)], [(beta, t)])
-    U = product_of_root_elements(cb, reg, word)
+    U = product_of_root_elements(cb, reg, word, cone_weights(alpha.coords, beta.coords))
     slots = _span_slots(cb, alpha.coords, beta.coords)
     coeffs = collect(cb, U, [r for r, _ in slots])
     table = {}

@@ -333,7 +333,7 @@ def cmd_verify(args):
 
 def cmd_perfect(args):
     # finitelab loads numpy, which no other command needs
-    from .finitelab import CapExceeded, closure_cap, format_report, perfectness_report
+    from .finitelab import closure_cap, format_report, perfectness_report
 
     try:
         t = RootType.parse(args.type)
@@ -349,9 +349,6 @@ def cmd_perfect(args):
         rows = perfectness_report([(t, args.p)], cap=cap)
     except ValueError as exc:  # p too large for exact int64 products
         raise CliError(str(exc))
-    except CapExceeded as exc:
-        print("skipped: cap (%s)" % exc, file=sys.stderr)
-        return 2
     print(format_report(rows))
     return 0 if all(r["status"] != "fail" for r in rows) else 1
 

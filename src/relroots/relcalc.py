@@ -9,10 +9,12 @@ generalized Chevalley commutator formula
 
 is computed symbolically and the polynomial maps N_{ABij} are extracted
 by graded collection; every table is re-verified by recomposition and by
-structural homogeneity and fiber-grading checks.  On top of the tables
-sit the surjectivity and spanning verifications used by the perfectness
-argument (unit-coefficient witnesses for N_{AB11}, and exact linear-span
-oracles over the rationals and small prime fields).
+structural homogeneity and fiber-grading checks.  Every root of these
+words lies in the half-space f > 0 of ``_relative_cone``, so each product
+carries the one column h_f (see ``relroots.chevalley``).  On top of the
+tables sit the surjectivity and spanning verifications used by the
+perfectness argument (unit-coefficient witnesses for N_{AB11}, and exact
+linear-span oracles over the rationals and small prime fields).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chevalley import (collect, commutator_factors, invert_factors,
+from .chevalley import (collect, commutator_factors, cone_weights, invert_factors,
                         product_of_root_elements)
 from .folding import RelativeRoot, RelativeRootSystem, classify_relative_type
 from .polyring import PolyElem, VarRegistry, row_reduce
@@ -51,6 +53,17 @@ def _require_split(rrs):
 def relative_factors(rrs, A, coords):
     """Elementary factor word for X_A(v), fiber in lexicographic order."""
     return [(alpha, coords[alpha]) for alpha in rrs.fiber(A)]
+
+
+def _relative_cone(rrs, A, B):
+    """Weights of f = g o proj, g = ``cone_weights(A, B)`` on relative coordinates.
+
+    f is positive on the fiber of every iA + jB (i, j >= 0, i + j > 0), so
+    every word of an N-map table lies in one half-space.
+    """
+    g = cone_weights(A.coords, B.coords)
+    return tuple(sum(gk * row[j] for gk, row in zip(g, rrs.proj_matrix))
+                 for j in range(rrs.rs.rank))
 
 
 def cone_pairs(rrs, A, B, bound=CONE_BOUND):
@@ -138,7 +151,7 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     word = commutator_factors(
         [(alpha, reg.var("u%d" % k)) for k, alpha in enumerate(fa)],
         [(beta, reg.var("v%d" % k)) for k, beta in enumerate(fb)])
-    U = product_of_root_elements(cb, reg, word)
+    U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
 
     pairs = cone_pairs(rrs, A, B)
     slots, owner = [], {}
@@ -162,7 +175,7 @@ def _verify_table(rrs, cb, table, U, slots, owner):
         p = table.entries.get(owner[gamma], {}).get(gamma)
         if p is not None:
             factors.append((gamma, p))
-    require(product_of_root_elements(cb, table.registry, factors) == U,
+    require(product_of_root_elements(cb, table.registry, factors, U.cone) == U,
             "recomposed product differs from the commutator")
     n_u = len(table.u_index)
     root_of_u = {k: alpha for alpha, k in table.u_index.items()}
@@ -200,11 +213,13 @@ def check_sum_formula(rrs, cb, A):
     u = {alpha: reg.var("u%d" % k) for k, alpha in enumerate(fiber)}
     w = {alpha: reg.var("w%d" % k) for k, alpha in enumerate(fiber)}
     both = {alpha: u[alpha] + w[alpha] for alpha in fiber}
+    cone = _relative_cone(rrs, A, A)
     lhs_factors = relative_factors(rrs, A, both)
-    lhs = product_of_root_elements(cb, reg, lhs_factors)
+    lhs = product_of_root_elements(cb, reg, lhs_factors, cone)
     base = (relative_factors(rrs, A, u) + relative_factors(rrs, A, w))
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
-    residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors)
+    residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
+                                        cone)
     multiples = [i for i in range(2, CONE_BOUND + 1) if A.scaled(i) in rrs]
     slots, owner = [], {}
     for i in multiples:
@@ -221,7 +236,7 @@ def check_sum_formula(rrs, cb, A):
         p = corrections.get(owner[gamma], {}).get(gamma)
         if p is not None:
             rhs_factors.append((gamma, p))
-    require(product_of_root_elements(cb, reg, rhs_factors) == lhs,
+    require(product_of_root_elements(cb, reg, rhs_factors, cone) == lhs,
             "recomposed sum formula differs from X_A(u+u')")
     return {
         "A": A,
@@ -273,8 +288,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     if case == "a":
         # the only hypothesis read off the table; the others are checked first
         table = compute_relative_commutator_maps(rrs, cb, A, B)
-        hit = {abs(table.bilinear_constant(al, be))
-               for al in fa for be in fb if table.bilinear_constant(al, be)}
+        hit = {abs(c) for c in (table.bilinear_constant(al, be)
+                                for al in fa for be in fb) if c}
         if not hit <= unit_abs:
             raise CaseHypothesisError(
                 "constants %s of %s, %s not all invertible for the supplied units"

@@ -13,10 +13,11 @@ from relroots.chevalley import (
     CollectionError,
     adjoint_root_element,
     build_chevalley_basis,
-    collect_to_normal_form,
+    collect,
     commutator_constants,
     commutator_constants_fast,
     commutator_factors,
+    cone_weights,
     invert_factors,
     product_of_root_elements,
 )
@@ -101,11 +102,20 @@ def test_a1_ad_cube_vanishes():
     assert len(powers) == 2  # ad and ad^2/2 nonzero, ad^3 = 0
 
 
+def positive_slots(cb, sign=1):
+    """All roots of one sign, in the collection order (height, then coords)."""
+    return [cb.rs.root_from_coords(tuple(sign * x for x in c)) for c in cb.pos_roots]
+
+
+def height(cb, sign=1):
+    return (sign,) * cb.rs.rank
+
+
 def test_collect_single_letter(c2):
     reg = VarRegistry(["t"])
     a = c2.rs.simple_roots[0]
-    out = collect_to_normal_form(c2, [(a, reg.var("t"))])
-    assert out == [(a, reg.var("t"))]
+    U = product_of_root_elements(c2, reg, [(a, reg.var("t"))], height(c2))
+    assert collect(c2, U, positive_slots(c2)) == {a: reg.var("t")}
 
 
 def test_collect_a2_swap():
@@ -114,24 +124,26 @@ def test_collect_a2_swap():
     s, t = reg.var("s"), reg.var("t")
     a1, a2 = cb.rs.simple_roots
     high = cb.rs.root_from_coords((1, 1))
-    out = collect_to_normal_form(cb, [(a2, t), (a1, s)], ordering=[a1, a2, high])
-    coeffs = dict(out)
+    U = product_of_root_elements(cb, reg, [(a2, t), (a1, s)], height(cb))
+    coeffs = collect(cb, U, [a1, a2, high])
     assert coeffs[a1] == s
     assert coeffs[a2] == t
     c = coeffs[high]
     (exp, coeff), = c.terms.items()
     assert exp == (1, 1) and abs(coeff) == 1
-    # oracle: recompose and compare matrices
+    # oracle: recompose and compare frames
+    out = [(r, coeffs[r]) for r in (a1, a2, high)]
     lhs = product_of_root_elements(cb, reg, [(a2, t), (a1, s)])
     rhs = product_of_root_elements(cb, reg, out)
     assert lhs == rhs
 
 
-def test_collect_rejects_mixed_signs(c2):
+def test_cone_rejects_mixed_signs(c2):
     reg = VarRegistry(["s"])
     a = c2.rs.simple_roots[0]
-    with pytest.raises(CollectionError):
-        collect_to_normal_form(c2, [(a, reg.var("s")), (-a, reg.var("s"))])
+    with pytest.raises(VerificationError, match="outside the cone"):
+        product_of_root_elements(c2, reg, [(a, reg.var("s")), (-a, reg.var("s"))],
+                                 height(c2))
 
 
 def test_collect_negative_word(c2):
@@ -139,10 +151,34 @@ def test_collect_negative_word(c2):
     s, t = reg.var("s"), reg.var("t")
     a1, a2 = c2.rs.simple_roots
     word = [(-a2, t), (-a1, s)]
-    out = collect_to_normal_form(c2, word)
+    coeffs = collect(c2, product_of_root_elements(c2, reg, word, height(c2, -1)),
+                     positive_slots(c2, -1))
+    out = [(r, coeffs[r]) for r in positive_slots(c2, -1) if r in coeffs]
     lhs = product_of_root_elements(c2, reg, word)
     rhs = product_of_root_elements(c2, reg, out)
     assert lhs == rhs
+
+
+def test_collect_rejects_slot_outside_the_cone(c2):
+    reg = VarRegistry(["s"])
+    a1, a2 = c2.rs.simple_roots
+    U = product_of_root_elements(c2, reg, [(a1, reg.var("s"))], (1, 0))
+    with pytest.raises(VerificationError, match="outside the cone"):
+        collect(c2, U, [a1, a2])
+
+
+def test_products_on_different_columns_do_not_compare(c2):
+    reg = VarRegistry(["s"])
+    a1, a2 = c2.rs.simple_roots
+    word = [(a1, reg.var("s"))]
+    frame = product_of_root_elements(c2, reg, word)
+    on_h = product_of_root_elements(c2, reg, word, (1, 1))
+    on_other_h = product_of_root_elements(c2, reg, word, (1, 0))
+    for U, V in ((frame, on_h), (on_h, frame), (on_h, on_other_h)):
+        with pytest.raises(VerificationError, match="different columns"):
+            U == V
+    # proportional weights give the same column
+    assert on_h == product_of_root_elements(c2, reg, word, (2, 2))
 
 
 def test_commutator_constants_orthogonal():
@@ -270,6 +306,57 @@ def test_frame_matches_full_matrix(name):
         assert product_of_root_elements(cb, reg, [(r, c), (r, d), (r, -(c + d))]).is_identity()
 
 
+@pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
+def test_cone_column_matches_full_matrix(name):
+    # a product with cone weights carries h_f's image, and equal columns
+    # mean equal matrices on words inside the cone
+    cb = cb_for(name)
+    rng = random.Random("cone " + name)
+    npos, l = len(cb.pos_roots), cb.rs.rank
+    plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
+    for reg in [plain] * 20 + [localized] * 8:
+        weights = (0,) * l
+        while not any(weights):
+            weights = tuple(rng.randint(-3, 3) for _ in range(l))
+        h = cb.cone_vector(weights)
+        inside = [r for r in cb.rs.roots if sum(w * x for w, x in zip(weights, r.coords)) > 0]
+        # gamma(h_f) is one positive multiple of f(gamma)
+        ratios = {Fraction(sum(c * cb.rs._pairing_coords(r.coords, i) for i, c in enumerate(h)),
+                           sum(w * x for w, x in zip(weights, r.coords))) for r in inside}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+        def cone_word(length):
+            return [(rng.choice(inside), c) for _, c in random_word(cb, reg, rng, length)]
+
+        w1 = cone_word(rng.randint(1, 5))
+        k = rng.randint(0, len(w1))
+        (root, c), = cone_word(1)
+        same = w1[:k] + [(root, c), (root, -c)] + w1[k:]
+        other = w1[:k] + [(root, c)] + w1[k:]
+        full1 = full_product(cb, reg, w1)
+        image = {}
+        for i, hi in enumerate(h):
+            for r, v in full1[npos + i].items():
+                image[r] = image.get(r, reg.zero()) + v.scale(hi)
+        U1 = product_of_root_elements(cb, reg, w1, weights)
+        assert frame_of(U1) == {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
+        for w2 in (w1, same, other):
+            U2 = product_of_root_elements(cb, reg, w2, weights)
+            assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
+        assert U1 == product_of_root_elements(cb, reg, same, weights)
+        assert U1 != product_of_root_elements(cb, reg, other, weights)
+        assert product_of_root_elements(cb, reg, w1 + invert_factors(w1), weights).is_identity()
+
+
+def test_cone_weights_are_positive_on_the_span():
+    for a, b in [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (-1, 0)), ((1, 2, 1), (0, -1, 1)),
+                 ((1, 1), (1, 1))]:
+        w = cone_weights(a, b)
+        for i, j in itertools.product(range(4), repeat=2):
+            if i + j:
+                assert sum(x * (i * p + j * q) for x, p, q in zip(w, a, b)) > 0
+
+
 def test_slot_overflow_rejected_before_column_work(monkeypatch):
     # x_a(t) reaches t^2 in A2, so s^40000 needs exponents up to 80000
     cb = cb_for("A2")
@@ -336,6 +423,15 @@ reg = VarRegistry(["s"])
 expect_failure("slot bound", lambda: product_of_root_elements(
     cb, reg, [(a1, reg.var("s", 40000))]))
 
+# the one-column lemma: a factor and a slot outside the cone, and a
+# comparison across start columns
+s = reg.var("s")
+expect_failure("cone factor", lambda: product_of_root_elements(
+    cb, reg, [(a1, s), (-a2, s)], (1, 1)))
+U = product_of_root_elements(cb, reg, [(a1, s)], (1, 1))
+expect_failure("cone slot", lambda: collect(cb, U, [a1, -a2]))
+expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)]))
+
 # integrality of pairings: |alpha_2|^2 = 3 makes <alpha_1, alpha_2^vee> = -2/3
 rs = RootSystem(RootType("A", 2))
 rs.gram[1][1] = 3
@@ -357,9 +453,11 @@ def test_constant_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "pair law", "fast table", "constant bound", "slot bound", "pairing",
-        "cartan pairing", "coroot", "sign search"]
+        "pair law", "fast table", "constant bound", "slot bound", "cone factor",
+        "cone slot", "columns", "pairing", "cartan pairing", "coroot", "sign search"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
-    assert all("not an integer" in line for line in lines[4:6])
-    assert "non-integer" in lines[6] and "7 slots" in lines[7]
+    assert all("outside the cone" in line for line in lines[4:6])
+    assert "different columns" in lines[6]
+    assert all("not an integer" in line for line in lines[7:9])
+    assert "non-integer" in lines[9] and "7 slots" in lines[10]

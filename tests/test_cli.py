@@ -9,7 +9,6 @@ import pytest
 
 import relroots
 import relroots.cli as cli
-import relroots.finitelab as finitelab
 import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
 from relroots.cli import main
@@ -277,16 +276,6 @@ def test_perfect_cap_skip(capsys):
                        "--cap", "1000")
     assert code == 0
     assert "skipped: cap" in out
-
-
-def test_perfect_cap_exceeded_is_a_skip_line(capsys, monkeypatch):
-    def over_cap(cases, cap=None):
-        raise finitelab.CapExceeded("closure exceeded cap %d" % cap)
-
-    monkeypatch.setattr(finitelab, "perfectness_report", over_cap)
-    code, _, err = run(capsys, "perfect", "--type", "A2", "--p", "2", "--cap", "7")
-    assert code == 2
-    assert err == "skipped: cap (closure exceeded cap 7)\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():

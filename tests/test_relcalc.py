@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
+import relroots.relcalc as relcalc
 from relroots.chevalley import (
     adjoint_root_element,
     build_chevalley_basis,
+    collect,
+    commutator_factors,
     product_of_root_elements,
 )
 from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
-from relroots.polyring import VarRegistry
+from relroots.polyring import PolyElem, VarRegistry
 from relroots.relcalc import (
     CaseHypothesisError,
     RelcalcError,
@@ -21,7 +24,7 @@ from relroots.relcalc import (
     cone_pairs,
     relative_factors,
 )
-from relroots.rootcore import collinear
+from relroots.rootcore import VerificationError, collinear
 
 
 def setup_fold(text):
@@ -136,6 +139,53 @@ def test_bc2_table_verifies_internally(c3_bc2):
     A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     table = compute_relative_commutator_maps(rrs, cb, A, B)
     assert (1, 1) in table.entries
+
+
+def frame_path_coefficients(rrs, cb, table):
+    """The table's coefficients again, from the 2l frame columns: the same
+    commutator word multiplied without a cone, then collected on the frame."""
+    reg = table.registry
+    u = {alpha: reg.var(reg.names[k]) for alpha, k in table.u_index.items()}
+    v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
+    word = commutator_factors(relative_factors(rrs, table.A, u),
+                              relative_factors(rrs, table.B, v))
+    slots = [gamma for i, j in cone_pairs(rrs, table.A, table.B)
+             for gamma in rrs.fiber(table.A.scaled(i) + table.B.scaled(j))]
+    return collect(cb, product_of_root_elements(cb, reg, word), slots)
+
+
+@pytest.mark.parametrize("spec", ["C3 levi=1,2", "B3 levi=1,2", "G2", "A4 levi=1,3",
+                                  "D4 levi=1,2"])
+def test_cone_path_tables_equal_frame_path_tables(spec):
+    rrs, cb = setup_fold(spec)
+    pairs = [(A, B) for A, B in itertools.product(sorted(rrs.rel_roots, key=lambda R: R.coords),
+                                                  repeat=2) if not collinear(A, B)]
+    assert len(pairs) > 20
+    for A, B in pairs:
+        table = compute_relative_commutator_maps(rrs, cb, A, B)
+        coeffs = {gamma: p for ent in table.entries.values() for gamma, p in ent.items()}
+        assert coeffs == frame_path_coefficients(rrs, cb, table), (A, B)
+
+
+@pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4", "G2"])
+def test_one_column_recomposition_catches_a_perturbed_monomial(spec, monkeypatch):
+    rrs, cb = setup_fold(spec)
+    A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
+    table = compute_relative_commutator_maps(rrs, cb, A, B)
+    monomials = [(gamma, exp) for ent in table.entries.values()
+                 for gamma, p in ent.items() for exp in p.terms]
+    assert monomials
+    real_collect = relcalc.collect
+    for gamma, exp in monomials:
+        def bumped(cb, U, slots, gamma=gamma, exp=exp):
+            assert list(U.packed) == ["h_f"]  # the commutator is carried on one column
+            coeffs = real_collect(cb, U, slots)
+            coeffs[gamma] = coeffs[gamma] + PolyElem(table.registry, {exp: 1})
+            return coeffs
+
+        monkeypatch.setattr(relcalc, "collect", bumped)
+        with pytest.raises(VerificationError, match="recomposed product differs"):
+            compute_relative_commutator_maps(rrs, cb, A, B)
 
 
 def test_sum_formula_singleton_no_corrections(c2):
