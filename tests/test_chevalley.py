@@ -125,6 +125,8 @@ def test_collect_a2_swap():
     a1, a2 = cb.rs.simple_roots
     high = cb.rs.root_from_coords((1, 1))
     U = product_of_root_elements(cb, reg, [(a2, t), (a1, s)], height(cb))
+    with pytest.raises(CollectionError):  # the one-column residual sees the missing slot
+        collect(cb, U, [a1, a2])
     coeffs = collect(cb, U, [a1, a2, high])
     assert coeffs[a1] == s
     assert coeffs[a2] == t
