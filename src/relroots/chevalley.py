@@ -12,9 +12,10 @@ summing to zero, and a Jacobi-derived recursion, and are verified against
 the magnitude law |N| = p+1.
 
 Root elements x_alpha(t) = exp(t ad e_alpha) are exact sparse matrices
-over :class:`~relroots.polyring.PolyElem`; products of them are collected
-back to normal form by graded elimination, which at the same time proves
-the matrix identity it outputs.
+over :class:`~relroots.polyring.PolyElem`; ``collect`` reads a product
+back to normal form along ordered slots, peeling one factor per slot, and
+its check that the residual is the identity proves the matrix identity it
+outputs.
 
 A product carries only the 2l frame columns of its matrix, the images of
 h_1..h_l and e_{alpha_1}..e_{alpha_l} (``ChevalleyBasis.frame``): left
@@ -75,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polyring import PolyElem, RegistryMismatch, VarRegistry, row_reduce
-from .rootcore import Root, RootSystem, collinear, require
+from .rootcore import Root, RootSystem, collinear, multiples, require
 
 
 class CollectionError(ValueError):
@@ -624,10 +625,12 @@ def commutator_constants(cb, alpha: Root, beta: Root):
     s, t = reg.var("s"), reg.var("t")
     word = commutator_factors([(alpha, s)], [(beta, t)])
     U = product_of_root_elements(cb, reg, word, cone_weights(alpha.coords, beta.coords))
-    slots = _span_slots(cb, alpha.coords, beta.coords)
+    a, b = alpha.coords, beta.coords
+    slots = [(cb.rs.root_from_coords(tuple(i * x + j * y for x, y in zip(a, b))), (i, j))
+             for i, j in multiples(a, b, cb.rs)]
     coeffs = collect(cb, U, [r for r, _ in slots])
     table = {}
-    for root, (i, j) in ((r, ij) for r, ij in slots):
+    for root, (i, j) in slots:
         c = coeffs.get(root)
         if c is None:
             continue
@@ -648,18 +651,6 @@ def _check_not_opposite_ray(alpha, beta):
     if collinear(alpha, beta) and sum(
             x * y for x, y in zip(alpha.coords, beta.coords)) < 0:
         raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
-
-
-def _span_slots(cb, a, b):
-    """[(root, (i,j))] for all i*a + j*b in Phi with i,j > 0, ordered by i+j."""
-    out = []
-    for i in range(1, 6):
-        for j in range(1, 6):
-            c = tuple(i * x + j * y for x, y in zip(a, b))
-            if c in cb.rs:
-                out.append((cb.rs.root_from_coords(c), (i, j)))
-    out.sort(key=lambda e: (e[1][0] + e[1][1], e[1][0]))
-    return out
 
 
 def commutator_constants_fast(cb, alpha: Root, beta: Root):

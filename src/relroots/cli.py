@@ -246,18 +246,11 @@ def suite_c2(k=None, eps=None):
 
 
 def suite_g2(k=None, eps=None):
-    cases = []
-    if k is not None:
-        long_case, short_case = verify_G2_identities(
-            k_long=k, k_short=max(k, 3), eps_binding=eps)
-        return [long_case, short_case]
-    for kk in (2, 3, 4):
-        long_case, _ = verify_G2_identities(k_long=kk, eps_binding=eps)
-        cases.append(long_case)
-    for kk in (3, 4, 5):
-        _, short_case = verify_G2_identities(k_short=kk, eps_binding=eps)
-        cases.append(short_case)
-    return cases
+    """Long and short G2 cases, both kept from each identity call."""
+    ks = [(k, max(k, 3))] if k is not None else [(2, 3), (3, 4), (4, 5)]
+    return [case for k_long, k_short in ks
+            for case in verify_G2_identities(k_long=k_long, k_short=k_short,
+                                             eps_binding=eps)]
 
 
 def suite_cases():

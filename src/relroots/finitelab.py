@@ -58,9 +58,6 @@ class FqMatrix:
     def key(self):
         return self.array.astype(_key_dtype(self.p)).tobytes()
 
-    def __matmul__(self, other):
-        return FqMatrix(self.p, (self.array @ other.array) % self.p)
-
     def __eq__(self, other):
         return isinstance(other, FqMatrix) and self.p == other.p \
             and self.key() == other.key()
@@ -88,9 +85,6 @@ class GroupClosure:
     @property
     def order(self):
         return len(self.elements)
-
-    def __contains__(self, m: FqMatrix):
-        return m.key() in self.elements
 
 
 def _root_powers(cb, coords, p):

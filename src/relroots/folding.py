@@ -46,9 +46,6 @@ class DiagramAut:
     def compose(self, other):
         return DiagramAut(tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
 
-    def is_identity(self):
-        return all(p == i for i, p in enumerate(self.perm))
-
     def __str__(self):
         return ",".join(str(p + 1) for p in self.perm)
 
@@ -114,6 +111,8 @@ class FoldingSpec:
         if tuple(range(l)) not in perms:
             raise FoldingError("gamma does not contain the identity")
         jset = set(self.levi)
+        if len(jset) != len(self.levi):
+            raise FoldingError("repeated levi nodes")
         if not jset <= set(range(l)):
             raise FoldingError("levi nodes out of range")
         for a in self.gamma:
@@ -267,10 +266,6 @@ class RelativeRootSystem:
 
     def fiber(self, A):
         return self.fibers[A]
-
-    def positive_roots(self):
-        return sorted((A for A in self.rel_roots if A.is_positive()),
-                      key=lambda A: (A.level, A.coords))
 
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:

@@ -51,9 +51,6 @@ class VarRegistry:
         self._index = {n: i for i, n in enumerate(names)}
         self.eps_index = self._index.get(EPS)
 
-    def __len__(self):
-        return len(self.names)
-
     def __eq__(self, other):
         return isinstance(other, VarRegistry) and self.names == other.names
 
@@ -68,9 +65,6 @@ class VarRegistry:
 
     def zero(self):
         return PolyElem(self, {})
-
-    def one(self):
-        return self.const(1)
 
     def const(self, c):
         c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
@@ -160,26 +154,6 @@ class PolyElem:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        zero = (0,) * len(self.registry.names)
-        return self.denom_power == 0 and all(e == zero for e in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant: %s" % self)
-        zero = (0,) * len(self.registry.names)
-        return self.terms.get(zero, 0)
-
-    def variables(self):
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.registry.names[i])
-        if self.denom_power > 0:
-            used.add(EPS)
-        return used
-
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other):
@@ -222,9 +196,6 @@ class PolyElem:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -241,18 +212,6 @@ class PolyElem:
         return PolyElem(self.registry, terms, self.denom_power + other.denom_power)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.registry.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def scale(self, c):
         """Multiply by an exact scalar (possibly a non-integer rational)."""
@@ -287,57 +246,6 @@ class PolyElem:
             num = nxt
         return PolyElem(self.registry, num, self.denom_power + extra, _canonical=True)
 
-    def localize_divide(self):
-        """Divide by ``eps**2 - eps``, staying in the localized ring."""
-        return PolyElem(self.registry, self.terms, self.denom_power + 1)
-
-    # -- substitution ----------------------------------------------------
-
-    def substitute(self, bindings):
-        """Substitute variables by polynomials (or exact scalars).
-
-        Unbound variables are left alone.  ``eps`` may only be bound to a
-        constant; when the element carries a denominator the constant c
-        must satisfy c**2 - c != 0.
-        """
-        reg = self.registry
-        bound = {}
-        for name, val in bindings.items():
-            i = reg.index(name)
-            if not isinstance(val, PolyElem):
-                val = reg.const(val)
-            elif val.registry != reg:
-                raise RegistryMismatch("binding over a different registry")
-            bound[i] = val
-
-        denom_scalar = 1
-        if self.denom_power > 0 and reg.eps_index in bound:
-            v = bound[reg.eps_index]
-            if not v.is_constant():
-                raise LocalizationError("eps must be bound to a constant under localization")
-            c = v.constant_value()
-            u = c * c - c
-            if u == 0:
-                raise LocalizationError("eps binding makes eps**2 - eps vanish")
-            denom_scalar = Fraction(1, 1) / Fraction(u) ** self.denom_power
-
-        out = reg.zero()
-        for exp, coeff in self.terms.items():
-            term = reg.const(coeff)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i in bound:
-                    term = term * bound[i] ** e
-                else:
-                    term = term * reg.var(reg.names[i], e)
-            out = out + term
-        if self.denom_power > 0 and reg.eps_index in bound:
-            out = out.scale(denom_scalar)
-        else:
-            out = PolyElem(reg, out.terms, out.denom_power + self.denom_power)
-        return out
-
     # -- structure -------------------------------------------------------
 
     def __eq__(self, other):
@@ -351,15 +259,12 @@ class PolyElem:
     def __hash__(self):
         return hash((self.registry, self.denom_power, frozenset(self.terms.items())))
 
-    def sorted_terms(self):
-        """Terms in the canonical lexicographic-on-registry order."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for exp, c in self.sorted_terms():
+        # lexicographic on the registry order, highest exponent first
+        for exp, c in sorted(self.terms.items(), key=lambda t: t[0], reverse=True):
             factors = [str(c)] if c != 1 or not any(exp) else []
             if c == 1 and not any(exp):
                 factors = ["1"]

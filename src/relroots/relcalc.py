@@ -8,13 +8,15 @@ generalized Chevalley commutator formula
     [X_A(u), X_B(v)] = prod_{i,j>0} X_{iA+jB}(N_{ABij}(u, v))
 
 is computed symbolically and the polynomial maps N_{ABij} are extracted
-by graded collection; every table is re-verified by recomposition and by
-structural homogeneity and fiber-grading checks.  Every root of these
-words lies in the half-space f > 0 of ``_relative_cone``, so each product
-carries the one column h_f (see ``relroots.chevalley``).  On top of the
-tables sit the surjectivity and spanning verifications used by the
-perfectness argument (unit-coefficient witnesses for N_{AB11}, and exact
-linear-span oracles over the rationals and small prime fields).
+by ``collect`` along the ordered slots of the fibers of iA + jB, whose
+residual check proves the table; every table is also re-verified by
+recomposition and by structural homogeneity and fiber-grading checks.
+Every root of these words lies in the half-space f > 0 of
+``_relative_cone``, so each product carries the one column h_f (see
+``relroots.chevalley``).  On top of the tables sit the surjectivity and
+spanning verifications used by the perfectness argument
+(unit-coefficient witnesses for N_{AB11}, and exact linear-span oracles
+over the rationals and small prime fields).
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chevalley import (collect, commutator_factors, cone_weights, invert_factors,
-                        product_of_root_elements)
-from .folding import RelativeRoot, RelativeRootSystem, classify_relative_type
+from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
+                        invert_factors, product_of_root_elements)
+from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
+                      classify_relative_type, parse_folding_spec)
 from .polyring import PolyElem, VarRegistry, row_reduce
-from .rootcore import VerificationError, collinear, require
-
-CONE_BOUND = 6  # no root system has iA+jB live beyond i+j = 5
+from .rootcore import MULTIPLE_BOUND, VerificationError, collinear, multiples, require
 
 
 class RelcalcError(ValueError):
@@ -64,17 +65,6 @@ def _relative_cone(rrs, A, B):
     g = cone_weights(A.coords, B.coords)
     return tuple(sum(gk * row[j] for gk, row in zip(g, rrs.proj_matrix))
                  for j in range(rrs.rs.rank))
-
-
-def cone_pairs(rrs, A, B, bound=CONE_BOUND):
-    """(i, j) with i, j > 0 and iA+jB a relative root, sorted by (i+j, i)."""
-    out = []
-    for total in range(2, bound + 1):
-        for i in range(1, total):
-            j = total - i
-            if tuple(i * a + j * b for a, b in zip(A.coords, B.coords)) in rrs.rel_coords:
-                out.append((i, j))
-    return out
 
 
 @dataclass
@@ -153,9 +143,8 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
         [(beta, reg.var("v%d" % k)) for k, beta in enumerate(fb)])
     U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
 
-    pairs = cone_pairs(rrs, A, B)
     slots, owner = [], {}
-    for (i, j) in pairs:
+    for (i, j) in multiples(A, B, rrs.rel_coords):
         for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
             slots.append(gamma)
             owner[gamma] = (i, j)
@@ -220,9 +209,10 @@ def check_sum_formula(rrs, cb, A):
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
                                         cone)
-    multiples = [i for i in range(2, CONE_BOUND + 1) if A.scaled(i) in rrs]
     slots, owner = [], {}
-    for i in multiples:
+    for i in range(2, MULTIPLE_BOUND + 1):
+        if A.scaled(i) not in rrs:
+            continue
         for gamma in rrs.fiber(A.scaled(i)):
             slots.append(gamma)
             owner[gamma] = i
@@ -373,6 +363,16 @@ def _span_verdict(rows, n):
             "status": "pass" if all(full.values()) else "fail"}
 
 
+def _as_row(col, n, *vals):
+    """A length-n row holding each nonzero value of the dicts at ``col[root]``."""
+    row = [0] * n
+    for val in vals:
+        for g, v in val.items():
+            if v:
+                row[col[g]] = v
+    return row
+
+
 def _probe_vectors(basis, rng, n_random):
     """Basis vectors, pairwise sums (polarization), and random vectors."""
     probes = [{b: 1} for b in basis]
@@ -397,32 +397,24 @@ def check_spanning_lemma2_2(rrs, cb, A, B, seed=0, n_random=100):
         raise RelcalcError("excluded for G2")
     target = rrs.fiber(A + B)
     col = {g: k for k, g in enumerate(target)}
+    n = len(target)
     rng = random.Random(seed)
-
-    def as_row(valdict):
-        row = [0] * len(target)
-        for g, v in valdict.items():
-            if v:
-                row[col[g]] = v
-        return row
 
     rows = []
     t11 = compute_relative_commutator_maps(rrs, cb, A, B)
     for al in rrs.fiber(A):
         for be in rrs.fiber(B):
-            rows.append(as_row(t11.evaluate(1, 1, {al: 1}, {be: 1})))
+            rows.append(_as_row(col, n, t11.evaluate(1, 1, {al: 1}, {be: 1})))
     twoB = B.scaled(2)
     if twoB in rrs:
         tmid = compute_relative_commutator_maps(rrs, cb, diff, twoB)
         for al in rrs.fiber(diff):
             for be in rrs.fiber(twoB):
-                rows.append(as_row(tmid.evaluate(1, 1, {al: 1}, {be: 1})))
+                rows.append(_as_row(col, n, tmid.evaluate(1, 1, {al: 1}, {be: 1})))
     t12 = compute_relative_commutator_maps(rrs, cb, diff, B)
     for v in _probe_vectors(rrs.fiber(B), rng, n_random):
         for al in rrs.fiber(diff):
-            rows.append(as_row(t12.evaluate(1, 2, {al: 1}, v)))
-
-    n = len(target)
+            rows.append(_as_row(col, n, t12.evaluate(1, 2, {al: 1}, v)))
     return {"A": A, "B": B, "dim": n, **_span_verdict(rows, n)}
 
 
@@ -433,8 +425,6 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
     (0, N_{A1,A1+A2,1,1}) and of f_v = (N_{A1,A2,1,1}(v,-), N_{A1,A2,2,1}(v,-))
     over v in V_{A1} span the direct sum, over Q and F_2, F_3, F_5.
     """
-    from .chevalley import build_chevalley_basis
-    from .folding import build_relative_system, parse_folding_spec
     if l < 4 or l % 2:
         raise RelcalcError("need an even l >= 4")
     i = l // 2
@@ -451,26 +441,16 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
 
     _verify_lemma3_fiber_structure(rrs, f_mid, f_top)
 
-    def as_row(val_mid, val_top):
-        row = [0] * n
-        for g, v in val_mid.items():
-            if v:
-                row[col[g]] = v
-        for g, v in val_top.items():
-            if v:
-                row[col[g]] = v
-        return row
-
     rows = []
     t_a1mid = compute_relative_commutator_maps(rrs, cb, A1, mid)
     for al in rrs.fiber(A1):
         for be in f_mid:
-            rows.append(as_row({}, t_a1mid.evaluate(1, 1, {al: 1}, {be: 1})))
+            rows.append(_as_row(col, n, t_a1mid.evaluate(1, 1, {al: 1}, {be: 1})))
     t_a12 = compute_relative_commutator_maps(rrs, cb, A1, A2)
     for v in _probe_vectors(rrs.fiber(A1), rng, n_random):
         for be in rrs.fiber(A2):
-            rows.append(as_row(t_a12.evaluate(1, 1, v, {be: 1}),
-                               t_a12.evaluate(2, 1, v, {be: 1})))
+            rows.append(_as_row(col, n, t_a12.evaluate(1, 1, v, {be: 1}),
+                                t_a12.evaluate(2, 1, v, {be: 1})))
 
     return {"l": l, "dim": n, **_span_verdict(rows, n)}
 

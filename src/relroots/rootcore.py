@@ -242,9 +242,6 @@ class RootSystem:
                 beta, alpha, val)
         return int(val)
 
-    def norm(self, alpha: Root):
-        return self._norm(alpha.coords)
-
     # -- arithmetic ------------------------------------------------------
 
     def sum_is_root(self, a: Root, b: Root):
@@ -288,6 +285,22 @@ def collinear(a, b):
     a, b = getattr(a, "coords", a), getattr(b, "coords", b)
     n = len(a)
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+MULTIPLE_BOUND = 6  # no root system has i*a + j*b a root beyond i + j = 5
+
+
+def multiples(a, b, coords):
+    """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
+
+    ``a`` and ``b`` are coordinate tuples, or roots and relative roots via
+    ``.coords``; ``coords`` is any container of coordinate tuples (a
+    :class:`RootSystem`, the relative coordinates of a folding).
+    """
+    a, b = getattr(a, "coords", a), getattr(b, "coords", b)
+    return [(i, total - i)
+            for total in range(2, MULTIPLE_BOUND + 1) for i in range(1, total)
+            if tuple(i * x + (total - i) * y for x, y in zip(a, b)) in coords]
 
 
 @lru_cache(maxsize=None)

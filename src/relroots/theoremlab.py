@@ -48,6 +48,7 @@ from .rootcore import (
     VerificationError,
     build_root_system,
     collinear,
+    multiples,
     require,
 )
 
@@ -307,9 +308,7 @@ def _schema_f4_long(k):
             C = rs.root_from_coords(Ccoords)
             if C.length_class != "long":
                 continue
-            higher = any(tuple(i * b + j * c for b, c in zip(B.coords, C.coords)) in rs
-                         for i in range(1, 5) for j in range(1, 5) if (i, j) != (1, 1))
-            if not higher:
+            if multiples(B, C, rs) == [(1, 1)]:
                 return B, C
         raise VerificationError("no clean long pair")
 
@@ -374,6 +373,27 @@ def _unit_pair(rrs, cb, src_rel, mid_rel, gamma, clean=True):
     return None
 
 
+def _unit_21_pair(rrs, cb, src_rel, mid_rel, gamma):
+    """(alpha, beta, table) with 2*alpha + beta = gamma and |C_21| = 1.
+
+    alpha runs over the fiber of ``src_rel``; beta = gamma - 2*alpha must
+    lie in the fiber of ``mid_rel``.  ``table`` is the
+    ``commutator_constants`` of the pair.
+    """
+    rs = rrs.rs
+    for alpha in rrs.fiber(src_rel):
+        coords = tuple(g - 2 * a for g, a in zip(gamma.coords, alpha.coords))
+        if coords not in rs:
+            continue
+        beta = rs.root_from_coords(coords)
+        if beta not in rrs.fiber(mid_rel):
+            continue
+        tab = commutator_constants(cb, alpha, beta)
+        if abs(tab.get((2, 1), 0)) == 1:
+            return alpha, beta, tab
+    return None
+
+
 def _schema_cl_bc2(l, k):
     """C_l folded to BC2: fiber shortness plus the two-step long chain."""
     if l < 3:
@@ -404,20 +424,7 @@ def _schema_cl_bc2(l, k):
         Z, v = reg.var("Z"), reg.var("v")
         # step 1: [X_{A1}(Z e_a), X_{2A2}(Z^{k-2} c v e_b)] hits gamma_A with
         # coefficient Z^k v and junk only on the fiber of A1+2A2
-        twoA2 = A2.scaled(2)
-        hit = None
-        for alpha in rrs.fiber(A1):
-            for beta in rrs.fiber(twoA2):
-                two = tuple(2 * a + b for a, b in zip(alpha.coords, beta.coords))
-                if two != gamma_A.coords:
-                    continue
-                tab = commutator_constants(cb, alpha, beta)
-                c21 = tab.get((2, 1))
-                if c21 is not None and abs(c21) == 1:
-                    hit = (alpha, beta, tab)
-                    break
-            if hit:
-                break
+        hit = _unit_21_pair(rrs, cb, A1, A2.scaled(2), gamma_A)
         require(hit, "no unit (2,1) pair for the long chain")
         alpha, beta, tab = hit
         word1 = commutator_factors(
@@ -522,18 +529,7 @@ def _schema_cl_c2(l, k):
             return unit_commutator(reg, j, gamma, got)
         # long gamma = 2 alpha + beta: take the (2,1) slot of an
         # A1 x A2 commutator, then cancel its (1,1) byproduct
-        hit = None
-        for alpha in rrs.fiber(A1):
-            two = tuple(g - 2 * a for g, a in zip(gamma.coords, alpha.coords))
-            if two not in rs:
-                continue
-            beta = rs.root_from_coords(two)
-            if beta not in set(rrs.fiber(A2)):
-                continue
-            tab = commutator_constants(cb, alpha, beta)
-            if abs(tab.get((2, 1), 0)) == 1:
-                hit = (alpha, beta, tab)
-                break
+        hit = _unit_21_pair(rrs, cb, A1, A2, gamma)
         require(hit, "no unit (2,1) pair for long %s", gamma)
         alpha, beta, tab = hit
         Z, vj = reg.var("Z"), reg.var("v%d" % j)

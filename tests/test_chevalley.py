@@ -243,7 +243,7 @@ def full_product(cb, reg, factors):
     Written apart from ``product_of_root_elements``: it multiplies on the
     right and keeps every column, so it is the oracle for the frame.
     """
-    one = reg.one()
+    one = reg.const(1)
     M = {j: {j: one} for j in range(cb.dim)}
     for root, t in factors:
         tks, tk = [], one
@@ -380,8 +380,8 @@ def test_frame_rejects_torus_element():
     full = full_product(cb, reg, word)
     npos = len(cb.pos_roots)
     hcols = range(npos, npos + cb.rs.rank)
-    assert all(full[j] == {j: reg.one()} for j in hcols)
-    assert any(full[j] != {j: reg.one()} for j in range(cb.dim))
+    assert all(full[j] == {j: reg.const(1)} for j in hcols)
+    assert any(full[j] != {j: reg.const(1)} for j in range(cb.dim))
     assert not product_of_root_elements(cb, reg, word).is_identity()
 
 

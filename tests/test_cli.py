@@ -67,6 +67,13 @@ def test_fold_inadmissible_levi_errors(capsys):
     assert "no root-system type" in err
 
 
+def test_fold_repeated_levi_node_errors(capsys):
+    code, out, err = run(capsys, "fold", "--type", "A3", "--levi", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: repeated levi nodes\n"
+
+
 def test_nmaps_c2_pair(capsys):
     code, out, _ = run(capsys, "nmaps", "--type", "C2", "--a", "1,0",
                        "--b", "0,1")
@@ -136,6 +143,21 @@ def test_verify_all_passes_flags_to_every_suite(capsys, monkeypatch):
     assert calls == [("verify_lemma1_catalog", 3), ("suite_lemma2", 4, 3),
                      ("suite_lemma3", 4), ("suite_c2", 6, Fraction(3)),
                      ("suite_g2", 6, Fraction(3)), ("suite_cases",)]
+
+
+def test_g2_suite_runs_each_reported_case_once(monkeypatch):
+    ran = []
+
+    def counting(cid, *args, _run=theoremlab.run_case):
+        ran.append(cid)
+        return _run(cid, *args)
+
+    monkeypatch.setattr(theoremlab, "run_case", counting)
+    cases = cli.suite_g2()
+    assert sorted(c.id for c in cases) == sorted(ran)
+    assert sorted(ran) == ["g2/long/k=%d/eps=symbolic" % k for k in (2, 3, 4)] + [
+        "g2/short/k=%d/eps=symbolic" % k for k in (3, 4, 5)]
+    assert all(c.status == "pass" for c in cases)
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -162,15 +162,15 @@ def test_dimino_matches_bfs_oracle(name, p):
 def test_fq_matrix_inverse(a2_mod2):
     for arr in list(a2_mod2.elements.values())[:20]:
         m = FqMatrix(2, arr)
-        prod = m @ m.inverse()
-        assert np.array_equal(prod.array, np.eye(m.dim, dtype=np.int64))
+        prod = m.array @ m.inverse().array % m.p
+        assert np.array_equal(prod, np.eye(m.dim, dtype=np.int64))
 
 
 def test_generator_dedup_and_membership(a2_mod2):
     gens = adjoint_generators(RootType.parse("A2"), 2)
     assert len({g.key() for g in gens}) == len(gens)
     for g in gens:
-        assert g in a2_mod2
+        assert g.key() in a2_mod2.elements
 
 
 def test_cap_enforced():

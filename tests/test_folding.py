@@ -52,7 +52,8 @@ def test_subgroup_enumeration():
 
 def test_folding_spec_validation():
     t = RootType.parse("A3")
-    flip = [a for a in enumerate_diagram_automorphisms(t) if not a.is_identity()]
+    identity = tuple(range(t.rank))
+    flip = [a for a in enumerate_diagram_automorphisms(t) if a.perm != identity]
     gamma = trivial_gamma(t) + tuple(flip)
     with pytest.raises(FoldingError):
         FoldingSpec(t, gamma, (0,)).validate()  # not flip-invariant
@@ -103,7 +104,7 @@ def test_c3_levi_gives_bc2():
 def test_d4_triality_gives_g2():
     rrs = fold("D4 gamma=triality")
     assert classify_relative_type(rrs) == ("G", 2)
-    assert sorted(A.level for A in rrs.positive_roots()) == [1, 1, 2, 3, 4, 5]
+    assert sorted(A.level for A in rrs.rel_roots if A.is_positive()) == [1, 1, 2, 3, 4, 5]
 
 
 def test_rank_one_classification():

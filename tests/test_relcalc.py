@@ -21,10 +21,9 @@ from relroots.relcalc import (
     check_spanning_lemma3,
     check_sum_formula,
     compute_relative_commutator_maps,
-    cone_pairs,
     relative_factors,
 )
-from relroots.rootcore import VerificationError, collinear
+from relroots.rootcore import VerificationError, collinear, multiples
 
 
 def setup_fold(text):
@@ -113,7 +112,7 @@ def test_empty_table_for_unlinked_pair():
 def test_simply_laced_unit_constants(a3_levi):
     rrs, cb = a3_levi
     pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-             if A + B in rrs and cone_pairs(rrs, A, B)
+             if A + B in rrs and multiples(A, B, rrs.rel_coords)
              and not collinear(A, B)]
     assert pairs
     for A, B in pairs:
@@ -149,7 +148,7 @@ def frame_path_coefficients(rrs, cb, table):
     v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
     word = commutator_factors(relative_factors(rrs, table.A, u),
                               relative_factors(rrs, table.B, v))
-    slots = [gamma for i, j in cone_pairs(rrs, table.A, table.B)
+    slots = [gamma for i, j in multiples(table.A, table.B, rrs.rel_coords)
              for gamma in rrs.fiber(table.A.scaled(i) + table.B.scaled(j))]
     return collect(cb, product_of_root_elements(cb, reg, word), slots)
 
@@ -207,7 +206,7 @@ def test_sum_formula_extra_short_correction(c3_bc2):
 
 def test_sum_formula_identity_folding_no_corrections(c2):
     rrs, cb = c2
-    for A in rrs.positive_roots():
+    for A in [A for A in rrs.rel_roots if A.is_positive()]:
         report = check_sum_formula(rrs, cb, A)
         assert report["corrections"] == {}
 

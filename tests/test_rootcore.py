@@ -7,6 +7,8 @@ from relroots.rootcore import (
     Root,
     RootType,
     build_root_system,
+    collinear,
+    multiples,
 )
 
 ALL_TYPES_RANK8 = (
@@ -123,3 +125,20 @@ def test_length_classes():
     assert all(r.length_class == "long" for r in a3.roots)
     b3 = build_root_system(RootType.parse("B3"))
     assert sum(1 for r in b3.roots if r.length_class == "short") == 6
+
+
+def test_multiples_order_and_bound():
+    g2 = build_root_system(RootType.parse("G2"))
+    a1, a2 = g2.simple_roots
+    assert multiples(a1, a2, g2) == [(1, 1), (2, 1), (3, 1), (3, 2)]
+    assert multiples(a2, a1, g2) == [(1, 1), (1, 2), (1, 3), (2, 3)]
+    # oracle: a scan far past the bound, sorted by (i + j, i)
+    for t in SMALL_TYPES:
+        rs = build_root_system(t)
+        for a, b in itertools.product(rs.roots, repeat=2):
+            if collinear(a, b):
+                continue
+            scan = [(i, j) for i in range(1, 9) for j in range(1, 9)
+                    if tuple(i * x + j * y for x, y in zip(a.coords, b.coords)) in rs]
+            assert multiples(a.coords, b.coords, rs) == sorted(
+                scan, key=lambda ij: (ij[0] + ij[1], ij[0]))
