@@ -17,42 +17,35 @@ back to normal form along ordered slots, peeling one factor per slot, and
 its check that the residual is the identity proves the matrix identity it
 outputs.
 
-A product carries only the 2l frame columns of its matrix, the images of
-h_1..h_l and e_{alpha_1}..e_{alpha_l} (``ChevalleyBasis.frame``): left
-multiplication acts column by column, and the frame determines the
-element for every word, mixed signs included.  Let phi be a product of
-exp(t ad e_alpha) over a Q-algebra.  If phi fixes every h_i, it commutes
-with ad h, so phi(e_alpha) = c_alpha e_alpha (distinct roots differ on
-some h_i by a nonzero integer).  If phi also fixes every e_{alpha_i},
-induction on height through [e_alpha, e_{alpha_i}], a nonzero integer
-multiple of e_{alpha+alpha_i}, gives c_alpha = 1 on positive roots, and
-[e_alpha, e_{-alpha}] = h_alpha != 0 gives c_{-alpha} = 1, so phi = 1.
-Hence two products are equal iff their frames are.  The h-columns alone
-are not enough: the torus element h_alpha(2) fixes every h_i.  See
-Steinberg, *Lectures on Chevalley Groups*.
-
-A word whose roots all lie in a half-space needs one column.  Let f be an
-integer linear form on root coordinates (``cone`` weights) with f > 0 on
-every factor, Psi = {gamma : f(gamma) > 0} and h_f = sum c_i h_i the
-Cartan vector with gamma(h_f) = m f(gamma) for one integer m > 0
-(``ChevalleyBasis.cone_vector``).  Psi is closed and holds no opposite
-pair, so it lies in a positive system (Bourbaki, *Lie Groups and Lie
-Algebras* VI 1.7) and every element u of U_Psi is a unique ordered
-product of x_gamma(t_gamma), gamma in Psi (Steinberg).  Over a
-torsion-free Q-algebra, the localization at w = 1/(eps^2 - eps)
-included, u = u' on U_Psi iff u(h_f) = u'(h_f): if u'' = u'^-1 u != 1,
-let alpha be an f-minimal root of its normal form with t_alpha != 0.
-Any other way to reach e_alpha from h_f brackets with two or more roots
-of Psi, whose f-values add up past f(alpha), so e_alpha appears in
-u''(h_f) with coefficient -t_alpha m f(alpha) != 0.  A product with
-``cone`` weights therefore starts from the single column h_f and checks
-f > 0 on every factor, and ``collect`` checks it on every slot, so every
+Every product carries one column.  Its word must lie in a half-space:
+let f be an integer linear form on root coordinates (``cone`` weights)
+with f > 0 on every factor, Psi = {gamma : f(gamma) > 0} and h_f =
+sum c_i h_i the Cartan vector with gamma(h_f) = m f(gamma) for one
+integer m > 0 (``ChevalleyBasis.cone_vector``).  Psi is closed and holds
+no opposite pair, so it lies in a positive system (Bourbaki, *Lie Groups
+and Lie Algebras* VI 1.7) and every element u of U_Psi is a unique
+ordered product of x_gamma(t_gamma), gamma in Psi (Steinberg, *Lectures
+on Chevalley Groups*).  Over a torsion-free Q-algebra, the localization
+at w = 1/(eps^2 - eps) included, u = u' on U_Psi iff u(h_f) = u'(h_f):
+if u'' = u'^-1 u != 1, let alpha be an f-minimal root of its normal form
+with t_alpha != 0.  Any other way to reach e_alpha from h_f brackets with
+two or more roots of Psi, whose f-values add up past f(alpha), so
+e_alpha appears in u''(h_f) with coefficient -t_alpha m f(alpha) != 0.
+A product therefore starts from the single column h_f and checks f > 0
+on every factor, and ``collect`` checks it on every slot, so every
 residual stays in U_Psi.  Torus elements such as h_alpha(2), which fix
 h_f, do not break this: they are not in U_Psi, and no word of f-positive
-root elements reaches them.  Mixed-sign words keep the frame.  Products
-that start from different columns are not compared: that raises.
+root elements reaches them.  A word with a root outside the cone raises,
+and so does a comparison of products on different columns.
 
-Frame entries stay packed for the whole word, through ``collect`` too:
+A commutator [x_alpha(s), x_beta(t)] of non-opposite roots lies in the
+half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
+and beta.  ``collected_commutator`` returns its normal form there, a word
+on the roots i*alpha + j*beta, which may then stand inside a word of
+another half-space.  The residual check of the collection proves the
+rewrite for the s and t given.
+
+Column entries stay packed for the whole word, through ``collect`` too:
 each is a dict {packed exponent: coefficient} whose int key holds the
 exponent of registry variable i in bits 16i..16i+15 and, in the slot
 after the last variable, the power of w = 1/(eps^2 - eps).  A product of
@@ -99,9 +92,6 @@ class ChevalleyBasis:
             + [("e", c) for c in neg]
         self.dim = len(self.basis)
         self.index = {lab: i for i, lab in enumerate(self.basis)}
-        # h_1..h_l, then e_{alpha_1}..e_{alpha_l}: the columns a product carries
-        self.frame = tuple(self.index[("h", i)] for i in range(l)) + tuple(
-            self.index[("e", a.coords)] for a in rs.simple_roots)
         self._pos_set = set(pos)
         self._pos_order = {c: i for i, c in enumerate(pos)}
         self._extraspecial = self._find_extraspecial()
@@ -254,21 +244,6 @@ class ChevalleyBasis:
             return {self.index[("e", s)]: n} if n else {}
         return {}
 
-    def verify_jacobi(self, triples=None):
-        """Check [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on basis triples."""
-        import itertools
-        if triples is None:
-            triples = itertools.combinations(self.basis, 3)
-        for x, y, z in triples:
-            acc = {}
-            for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-                for i, c in self.bracket(u, v).items():
-                    for j, d in self.bracket(self.basis[i], w).items():
-                        acc[j] = acc.get(j, 0) + c * d
-            if any(acc.values()):
-                raise AssertionError("Jacobi fails on %r %r %r: %r" % (x, y, z, acc))
-        return True
-
     # -- adjoint matrices ------------------------------------------------
 
     def ad_matrix(self, coords):
@@ -375,12 +350,11 @@ def _grow_bound(bound, powers, deg):
 
 
 class UnipotentMatrix:
-    """Start columns of a product of root elements, carried through the word.
+    """The column h_f of a product of root elements, carried through the word.
 
-    ``start`` is {col: {row: {0: int}}}, the columns before any factor:
-    the frame's unit columns, or the one column h_f of a product with
-    ``cone`` weights (None for the frame).  ``packed`` holds their images,
-    {col: {row: {packed exponent: coeff}}} with no empty entry; every slot
+    ``start`` is {"h_f": {row: {0: int}}}, the column before any factor,
+    for the ``cone`` weights of f.  ``packed`` holds its image, {"h_f":
+    {row: {packed exponent: coeff}}} with no empty entry; every slot
     exponent of every entry is at most ``bound``.
     """
 
@@ -438,9 +412,10 @@ class UnipotentMatrix:
         raise TypeError("unhashable")
 
 
-def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem) -> UnipotentMatrix:
-    """exp(t ad e_alpha), as a one-factor product."""
-    return product_of_root_elements(cb, t.registry, [(alpha, t)])
+def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem, cone) -> UnipotentMatrix:
+    """exp(t ad e_alpha), as a one-factor product on the column of ``cone``,
+    the weights of the word it is compared against."""
+    return product_of_root_elements(cb, t.registry, [(alpha, t)], cone)
 
 
 def _times(a, b):
@@ -511,33 +486,27 @@ def _require_in_cone(cone, root):
             "root %s lies outside the cone %s", root, cone)
 
 
-def product_of_root_elements(cb, registry, factors, cone=None):
-    """Start columns of the left-to-right product of x_root(t) factors.
+def product_of_root_elements(cb, registry, factors, cone):
+    """The column h_f of the left-to-right product of x_root(t) factors.
 
-    Without ``cone`` the product carries the 2l frame columns.  With
-    ``cone``, integer weights of a form f that must be positive on every
-    factor's root, it carries the one column h_f (module docstring).
-    Every coefficient is packed, and the word's slot bound and cone
-    checked, before any column work.
+    ``cone`` holds the integer weights of a form f that must be positive
+    on every factor's root (module docstring).  Every coefficient is
+    packed, and the word's slot bound and cone checked, before any column
+    work.
     """
     n = len(registry.names)
     word, bound = [], 0
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
-        if cone is not None:
-            _require_in_cone(cone, root)
+        _require_in_cone(cone, root)
         powers = cb.exp_ad_powers(root)
         packed, deg = _pack(t, n)
         bound = _grow_bound(bound, powers, deg)
         if packed:
             word.append((powers, packed))
-    if cone is None:
-        start = {j: {j: {0: 1}} for j in cb.frame}
-    else:
-        npos = len(cb.pos_roots)
-        start = {"h_f": {npos + i: {0: c}
-                         for i, c in enumerate(cb.cone_vector(cone)) if c}}
+    npos = len(cb.pos_roots)
+    start = {"h_f": {npos + i: {0: c} for i, c in enumerate(cb.cone_vector(cone)) if c}}
     cols = {j: dict(col) for j, col in start.items()}
     for powers, packed in word:
         _left_multiply(cols, powers, packed)
@@ -560,13 +529,12 @@ def commutator_factors(f1, f2):
 def collect(cb, U, slots):
     """Normal-form coefficients of a group element along ordered slots.
 
-    ``slots`` is a list of distinct Root.  Each coefficient is read off a
-    start column whose Cartan vector h pairs nonzero with the slot, as
-    -t * root(h), and its factor peeled off the left; the final residual
-    check proves U = prod x_r(t_r) over the slots in order, so any slot
-    order gives a correct answer or a CollectionError.  A product with
-    ``cone`` weights needs every slot inside the cone, or the one-column
-    check would not cover the residual.  Collection succeeds when every
+    ``slots`` is a list of distinct Root, each inside the cone of ``U``,
+    or the one-column check would not cover the residual.  Each
+    coefficient is read off the column h_f as -t * root(h_f), and its
+    factor peeled off the left; the final residual check proves U =
+    prod x_r(t_r) over the slots in order, so any slot order gives a
+    correct answer or a CollectionError.  Collection succeeds when every
     root that is a sum of two slot roots is a later slot, e.g. slots in
     order of |height|.  Returns {root: PolyElem}.
     """
@@ -574,25 +542,16 @@ def collect(cb, U, slots):
     reg = U.registry
     n = len(reg.names)
     w1 = 1 << (_BITS * n)
-    # (column, coefficients of root -> root(h)) for each start column h in
-    # the Cartan span: the frame's h_i, or h_f
-    readers = []
-    for j, col in U.start.items():
-        h = [(r - npos, d[0]) for r, d in col.items() if npos <= r < npos + l]
-        if h:
-            readers.append((j, [sum(c * cb.rs.cartan[i][k] for i, c in h)
-                                for k in range(l)]))
+    # alpha_k(h_f) for each simple root: root(h_f) is linear in root
+    form = [sum(d[0] * cb.rs.cartan[r - npos][k] for r, d in U.start["h_f"].items())
+            for k in range(l)]
     W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
                         U.bound, U.start, U.cone)
     coeffs = {}
     for root in slots:
-        if U.cone is not None:
-            _require_in_cone(U.cone, root)
-        for j, form in readers:
-            pair = sum(c * x for c, x in zip(root.coords, form))
-            if pair:
-                break
-        raw = W.packed[j].get(cb.index[("e", root.coords)])
+        _require_in_cone(U.cone, root)
+        pair = sum(c * x for c, x in zip(root.coords, form))
+        raw = W.packed["h_f"].get(cb.index[("e", root.coords)])
         if raw is None or (max(raw) >= w1 and _unpack(reg, raw).is_zero()):
             continue
         t = {}
@@ -613,32 +572,44 @@ def collect(cb, U, slots):
 # -- classical commutator constants --------------------------------------
 
 
+def collected_commutator(cb, registry, first, second):
+    """Normal form of [x_alpha(s), x_beta(t)], ``first`` = (alpha, s) and
+    ``second`` = (beta, t), for non-opposite roots of any signs.
+
+    The commutator is multiplied on the column of ``cone_weights(alpha,
+    beta)`` and collected along the roots i*alpha + j*beta in the order of
+    ``multiples``.  Returns the word [(gamma, c_gamma)] in that order, zero
+    coefficients left out; the residual check of ``collect`` proves that
+    its product is the commutator.
+    """
+    (alpha, _), (beta, _) = first, second
+    _check_not_opposite_ray(alpha, beta)
+    a, b = alpha.coords, beta.coords
+    U = product_of_root_elements(cb, registry, commutator_factors([first], [second]),
+                                 cone_weights(a, b))
+    slots = [cb.rs.root_from_coords(tuple(i * x + j * y for x, y in zip(a, b)))
+             for i, j in multiples(a, b, cb.rs)]
+    return list(collect(cb, U, slots).items())
+
+
 def commutator_constants(cb, alpha: Root, beta: Root):
     """Constants C_ij with [x_alpha(s), x_beta(t)] = prod x_{i a + j b}(C_ij s^i t^j).
 
-    Computed by symbolic collection of the commutator on one column
-    (``cone_weights`` of alpha, beta), so the returned table is verified
-    by construction.  Empty dict when no i*alpha + j*beta is a root.
+    Read off ``collected_commutator`` over Z[s, t], so the returned table
+    is verified by construction.  Empty dict when no i*alpha + j*beta is a
+    root.
     """
-    _check_not_opposite_ray(alpha, beta)
     reg = VarRegistry(["s", "t"])
-    s, t = reg.var("s"), reg.var("t")
-    word = commutator_factors([(alpha, s)], [(beta, t)])
-    U = product_of_root_elements(cb, reg, word, cone_weights(alpha.coords, beta.coords))
     a, b = alpha.coords, beta.coords
-    slots = [(cb.rs.root_from_coords(tuple(i * x + j * y for x, y in zip(a, b))), (i, j))
-             for i, j in multiples(a, b, cb.rs)]
-    coeffs = collect(cb, U, [r for r, _ in slots])
     table = {}
-    for root, (i, j) in slots:
-        c = coeffs.get(root)
-        if c is None:
-            continue
-        # must be a single monomial C * s^i t^j with |C| in {1, 2, 3}
-        require(len(c.terms) == 1 and (i, j) in c.terms,
+    for root, c in collected_commutator(cb, reg, (alpha, reg.var("s")), (beta, reg.var("t"))):
+        # must be a single monomial C * s^i t^j on the root i*alpha + j*beta,
+        # with |C| in {1, 2, 3}
+        (i, j), coeff = next(iter(c.terms.items()))
+        require(len(c.terms) == 1
+                and root.coords == tuple(i * x + j * y for x, y in zip(a, b)),
                 "coefficient of %s in [x_%s(s), x_%s(t)] is %r, not a monomial "
-                "in s^%d t^%d", root, alpha, beta, c, i, j)
-        coeff = c.terms[(i, j)]
+                "s^i t^j with %s = i*%s + j*%s", root, alpha, beta, c, root, alpha, beta)
         require(isinstance(coeff, int) and abs(coeff) in (1, 2, 3),
                 "commutator constant %s for %s, %s is not in {1, 2, 3}",
                 coeff, alpha, beta)

@@ -154,6 +154,9 @@ def parse_folding_spec(text):
         gamma = tuple(closure_of_auts(auts, t.rank))
     elif gamma_arg.startswith("perm:"):
         images = tuple(int(x) - 1 for x in gamma_arg[len("perm:"):].split(","))
+        if sorted(images) != list(range(t.rank)):
+            raise FoldingError("gamma images %s are not a permutation of 1..%d"
+                               % (gamma_arg[len("perm:"):], t.rank))
         gamma = tuple(closure_of_auts([DiagramAut(images)], t.rank))
     else:
         raise FoldingError("bad gamma %r" % gamma_arg)

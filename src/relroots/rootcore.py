@@ -231,17 +231,6 @@ class RootSystem:
     def positive_roots(self):
         return tuple(r for r in self.roots if r.is_positive())
 
-    def cartan_pairing(self, beta: Root, alpha: Root):
-        """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha)."""
-        g = self.gram
-        num = sum(bi * aj * g[i][j]
-                  for i, bi in enumerate(beta.coords) if bi
-                  for j, aj in enumerate(alpha.coords) if aj)
-        val = 2 * num / self._norm(alpha.coords)
-        require(val.denominator == 1, "<%s, %s^vee> = %s is not an integer",
-                beta, alpha, val)
-        return int(val)
-
     # -- arithmetic ------------------------------------------------------
 
     def sum_is_root(self, a: Root, b: Root):
@@ -252,18 +241,6 @@ class RootSystem:
         if coords not in self._by_coords:
             raise ValueError("%s + %s is not a root of %s" % (a, b, self.type))
         return self._by_coords[coords]
-
-    def root_string(self, a: Root, b: Root):
-        """(p, q) with b - p*a, ..., b + q*a the a-string through b."""
-        if a.coords == b.coords or a.coords == (-b).coords:
-            raise ValueError("root string undefined for collinear pair")
-        p = 0
-        while tuple(x - (p + 1) * y for x, y in zip(b.coords, a.coords)) in self._by_coords:
-            p += 1
-        q = 0
-        while tuple(x + (q + 1) * y for x, y in zip(b.coords, a.coords)) in self._by_coords:
-            q += 1
-        return p, q
 
     def coroot_coords(self, alpha: Root):
         """alpha^vee as an integer vector over the simple coroots."""

@@ -16,6 +16,13 @@ Three families of checks live here:
   constructions for the BC2 and half-split C2 foldings, assembled from
   explicit unit-coefficient factors and re-verified as exact matrix
   identities.
+
+Every matrix identity compares products on one column h_f (see
+``relroots.chevalley``), so each word lies in a half-space: the positive
+words under the height form, and each F4 long split under
+``cone_weights`` of its pair.  The C2 long identity nests the commutator
+[x_{A1+A2}(s), x_{-A2}(t)]; it enters the word as its collected normal
+form on A1 and 2A1+A2, which keeps the whole word positive.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from .chevalley import (
     adjoint_root_element,
     build_chevalley_basis,
     collect,
+    collected_commutator,
     commutator_constants,
     commutator_factors,
+    cone_weights,
     invert_factors,
     product_of_root_elements,
 )
@@ -168,12 +177,14 @@ def verify_C2_identities(k, eps_binding=None):
     reg, eps, inv = _registry(eps_binding)
     Z, v = reg.var("Z"), reg.var("v")
     eps_str = "symbolic" if eps_binding is None else str(eps_binding)
+    height = (1, 1)
 
     def g1(s, t):
         return commutator_factors([(a1, s)], [(a2, t)])
 
     def g2(s, t, u):
-        inner = commutator_factors([(a12, s)], [(-a2, t)])
+        # the inner commutator, collected, has factors on A1 and 2A1+A2
+        inner = collected_commutator(cb, reg, (a12, s), (-a2, t))
         return commutator_factors([(a2, u)], inner)
 
     def build_long(signs):
@@ -182,16 +193,16 @@ def verify_C2_identities(k, eps_binding=None):
                 + g2(Z.scale(signs["g2.s"]),
                      (Z * eps).scale(signs["g2.t"]),
                      (reg.var("Z", k - 4) * inv * v).scale(-signs["g2.u"])))
-        return product_of_root_elements(cb, reg, word)
+        return product_of_root_elements(cb, reg, word, height)
 
     def build_short(signs):
         word = (g1(Z.scale(signs["g1.s"]),
                    (reg.var("Z", k - 1) * v).scale(signs["g1.t"]))
                 + [(a21, (reg.var("Z", k + 1) * v).scale(-signs["x.t"]))])
-        return product_of_root_elements(cb, reg, word)
+        return product_of_root_elements(cb, reg, word, height)
 
     def witness(root, slots, build):
-        target = adjoint_root_element(cb, root, reg.var("Z", k) * v)
+        target = adjoint_root_element(cb, root, reg.var("Z", k) * v, height)
         return {"signs": _sign_search(slots, build, lambda m: m == target)}
 
     return [
@@ -217,15 +228,16 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     reg, eps, inv = _registry(eps_binding)
     Z, v = reg.var("Z"), reg.var("v")
     eps_str = "symbolic" if eps_binding is None else str(eps_binding)
+    height = (1, 1)
 
     def build_long(signs):
         word = commutator_factors(
             [(a2, (Z * v).scale(signs["s"]))],
             [(r31, reg.var("Z", k_long - 1).scale(signs["t"]))])
-        return product_of_root_elements(cb, reg, word)
+        return product_of_root_elements(cb, reg, word, height)
 
     def long_witness():
-        target = adjoint_root_element(cb, r32, reg.var("Z", k_long) * v)
+        target = adjoint_root_element(cb, r32, reg.var("Z", k_long) * v, height)
         return {"signs": _sign_search(["s", "t"], build_long,
                                       lambda m: m == target)}
 
@@ -247,7 +259,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
             [(a1, Z.scale(signs["s2"]))],
             [(a2, (zk2 * eps * inv * v).scale(-signs["t2"]))])
         word = invert_factors(first) + second
-        U = product_of_root_elements(cb, reg, word)
+        U = product_of_root_elements(cb, reg, word, height)
         return collect(cb, U, slots)
 
     want_lead = reg.var("Z", k_short) * v
@@ -318,8 +330,9 @@ def _schema_f4_long(k):
         require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
         word = commutator_factors([(B, Z)],
                                   [(C, (reg.var("Z", k - 1) * v).scale(n))])
-        lhs = product_of_root_elements(cb, reg, word)
-        rhs = adjoint_root_element(cb, A, reg.var("Z", k) * v)
+        cone = cone_weights(B.coords, C.coords)
+        lhs = product_of_root_elements(cb, reg, word, cone)
+        rhs = adjoint_root_element(cb, A, reg.var("Z", k) * v, cone)
         require(lhs == rhs, "matrix identity failed for %s = %s + %s", A, B, C)
         return {"B": str(B), "C": str(C), "constant": n}
 
@@ -405,6 +418,7 @@ def _schema_cl_bc2(l, k):
     cb = build_chevalley_basis(rs)
     A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     spec_str = "C%d levi=1,2" % l
+    height = (1,) * l
 
     # extra-short and short relative roots have all-short fibers
     def shortness():
@@ -430,7 +444,7 @@ def _schema_cl_bc2(l, k):
         word1 = commutator_factors(
             [(alpha, Z)],
             [(beta, (reg.var("Z", k - 2) * v).scale(tab[(2, 1)]))])
-        M1 = product_of_root_elements(cb, reg, word1)
+        M1 = product_of_root_elements(cb, reg, word1, height)
         mid = RelativeRoot((1, 2))
         slots = list(rrs.fiber(mid)) + list(rrs.fiber(A))
         coeffs = collect(cb, M1, slots)
@@ -450,8 +464,8 @@ def _schema_cl_bc2(l, k):
             u5 = arg  # carries Z^{k-1}; fold Z-powers into the second slot
             cancel_factors += commutator_factors(
                 [(mu, Z)], [(nu, _shift_z(u5, reg, -1))])
-        total = product_of_root_elements(cb, reg, word1 + cancel_factors)
-        rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v)
+        total = product_of_root_elements(cb, reg, word1 + cancel_factors, height)
+        rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
         return {
             "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta,
@@ -488,6 +502,7 @@ def _schema_cl_c2(l, k):
     A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     spec_str = "C%d levi=%d,%d" % (l, i, l)
     mid, top = A1 + A2, A1.scaled(2) + A2
+    height = (1,) * l
 
     def product_formula(A, factors_for):
         """prod_j (commutator word for gamma_j) == prod_j x_{gamma_j}(Z^k v_j)
@@ -499,10 +514,10 @@ def _schema_cl_c2(l, k):
             factors, line = factors_for(reg, j, gamma)
             word += factors
             wit.append(line)
-        lhs = product_of_root_elements(cb, reg, word)
+        lhs = product_of_root_elements(cb, reg, word, height)
         rhs_factors = [(gamma, reg.var("Z", k) * reg.var("v%d" % j))
                        for j, gamma in enumerate(fiber)]
-        rhs = product_of_root_elements(cb, reg, rhs_factors)
+        rhs = product_of_root_elements(cb, reg, rhs_factors, height)
         require(lhs == rhs, "product of commutators differs from the target")
         return wit
 

@@ -1,0 +1,52 @@
+"""Oracles the tests share, written apart from the paths they check.
+
+``full_product`` is the one full-matrix oracle for products of root
+elements; ``root_string`` and ``cartan_pairing`` recompute root data from
+the root set and the Gram matrix alone.
+"""
+
+
+def full_product(cb, reg, factors):
+    """All dim columns of the product, right-multiplying I + sum t^k P_k.
+
+    Written apart from ``product_of_root_elements``: it multiplies on the
+    right and keeps every column, for words of any signs.
+    """
+    one = reg.const(1)
+    M = {j: {j: one} for j in range(cb.dim)}
+    for root, t in factors:
+        tks, tk = [], one
+        for _ in cb.exp_ad_powers(root.coords):
+            tk = tk * t
+            tks.append(tk)
+        out = {}
+        for j in range(cb.dim):
+            acc = dict(M[j])
+            for tk, power in zip(tks, cb.exp_ad_powers(root.coords)):
+                for r, c in power.get(j, {}).items():
+                    for i, m in M[r].items():
+                        acc[i] = acc.get(i, reg.zero()) + (tk * m).scale(c)
+            out[j] = {i: v for i, v in acc.items() if not v.is_zero()}
+        M = out
+    return M
+
+
+def root_string(rs, a, b):
+    """(p, q) with b - p*a, ..., b + q*a the a-string through b."""
+    if a.coords == b.coords or a.coords == (-b).coords:
+        raise ValueError("root string undefined for collinear pair")
+    p = 0
+    while tuple(x - (p + 1) * y for x, y in zip(b.coords, a.coords)) in rs:
+        p += 1
+    q = 0
+    while tuple(x + (q + 1) * y for x, y in zip(b.coords, a.coords)) in rs:
+        q += 1
+    return p, q
+
+
+def cartan_pairing(rs, beta, alpha):
+    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an exact Fraction."""
+    def dot(x, y):
+        return sum(xi * yj * rs.gram[i][j]
+                   for i, xi in enumerate(x.coords) for j, yj in enumerate(y.coords))
+    return 2 * dot(beta, alpha) / dot(alpha, alpha)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from lie_oracles import full_product, root_string
 
 import relroots
 import relroots.chevalley as chevalley
@@ -14,6 +15,7 @@ from relroots.chevalley import (
     adjoint_root_element,
     build_chevalley_basis,
     collect,
+    collected_commutator,
     commutator_constants,
     commutator_constants_fast,
     commutator_factors,
@@ -65,25 +67,36 @@ def test_antisymmetry_and_magnitude_law(c2):
         if any(s) and s in c2.rs:
             n = c2.struct_const(a.coords, b.coords)
             assert n == -c2.struct_const(b.coords, a.coords)
-            p, _ = c2.rs.root_string(a, b)
+            p, _ = root_string(c2.rs, a, b)
             assert abs(n) == p + 1
+
+
+def assert_jacobi(cb, triples):
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on basis triples, by ``cb.bracket``."""
+    for x, y, z in triples:
+        acc = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for i, c in cb.bracket(u, v).items():
+                for j, d in cb.bracket(cb.basis[i], w).items():
+                    acc[j] = acc.get(j, 0) + c * d
+        assert not any(acc.values()), (x, y, z, acc)
 
 
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "A3", "B3"])
 def test_jacobi_full(name):
-    assert cb_for(name).verify_jacobi()
+    cb = cb_for(name)
+    assert_jacobi(cb, itertools.combinations(cb.basis, 3))
 
 
 def test_jacobi_sampled_f4():
     cb = cb_for("F4")
     rng = random.Random(0)
-    triples = [tuple(rng.choice(cb.basis) for _ in range(3)) for _ in range(2000)]
-    assert cb.verify_jacobi(triples)
+    assert_jacobi(cb, [tuple(rng.choice(cb.basis) for _ in range(3)) for _ in range(2000)])
 
 
 def test_adjoint_element_identity_at_zero(c2):
     reg = VarRegistry(["t"])
-    m = adjoint_root_element(c2, c2.rs.simple_roots[0], reg.zero())
+    m = adjoint_root_element(c2, c2.rs.simple_roots[0], reg.zero(), height(c2))
     assert m.is_identity()
 
 
@@ -91,8 +104,8 @@ def test_one_parameter_law(c2):
     reg = VarRegistry(["s", "t"])
     s, t = reg.var("s"), reg.var("t")
     a = c2.rs.simple_roots[0]
-    left = product_of_root_elements(c2, reg, [(a, s), (a, t)])
-    right = adjoint_root_element(c2, a, s + t)
+    left = product_of_root_elements(c2, reg, [(a, s), (a, t)], height(c2))
+    right = adjoint_root_element(c2, a, s + t, height(c2))
     assert left == right
 
 
@@ -133,11 +146,9 @@ def test_collect_a2_swap():
     c = coeffs[high]
     (exp, coeff), = c.terms.items()
     assert exp == (1, 1) and abs(coeff) == 1
-    # oracle: recompose and compare frames
+    # oracle: recompose and compare full matrices
     out = [(r, coeffs[r]) for r in (a1, a2, high)]
-    lhs = product_of_root_elements(cb, reg, [(a2, t), (a1, s)])
-    rhs = product_of_root_elements(cb, reg, out)
-    assert lhs == rhs
+    assert full_product(cb, reg, [(a2, t), (a1, s)]) == full_product(cb, reg, out)
 
 
 def test_cone_rejects_mixed_signs(c2):
@@ -156,9 +167,7 @@ def test_collect_negative_word(c2):
     coeffs = collect(c2, product_of_root_elements(c2, reg, word, height(c2, -1)),
                      positive_slots(c2, -1))
     out = [(r, coeffs[r]) for r in positive_slots(c2, -1) if r in coeffs]
-    lhs = product_of_root_elements(c2, reg, word)
-    rhs = product_of_root_elements(c2, reg, out)
-    assert lhs == rhs
+    assert full_product(c2, reg, word) == full_product(c2, reg, out)
 
 
 def test_collect_rejects_slot_outside_the_cone(c2):
@@ -173,10 +182,9 @@ def test_products_on_different_columns_do_not_compare(c2):
     reg = VarRegistry(["s"])
     a1, a2 = c2.rs.simple_roots
     word = [(a1, reg.var("s"))]
-    frame = product_of_root_elements(c2, reg, word)
     on_h = product_of_root_elements(c2, reg, word, (1, 1))
     on_other_h = product_of_root_elements(c2, reg, word, (1, 0))
-    for U, V in ((frame, on_h), (on_h, frame), (on_h, on_other_h)):
+    for U, V in ((on_h, on_other_h), (on_other_h, on_h)):
         with pytest.raises(VerificationError, match="different columns"):
             U == V
     # proportional weights give the same column
@@ -234,37 +242,7 @@ def test_all_constants_bounded_c4_f4():
             assert all(v in (1, 2, 3) for v in table.values())
 
 
-# -- the frame against the full matrix ------------------------------------
-
-
-def full_product(cb, reg, factors):
-    """All dim columns of the product, right-multiplying I + sum t^k P_k.
-
-    Written apart from ``product_of_root_elements``: it multiplies on the
-    right and keeps every column, so it is the oracle for the frame.
-    """
-    one = reg.const(1)
-    M = {j: {j: one} for j in range(cb.dim)}
-    for root, t in factors:
-        tks, tk = [], one
-        for _ in cb.exp_ad_powers(root.coords):
-            tk = tk * t
-            tks.append(tk)
-        out = {}
-        for j in range(cb.dim):
-            acc = dict(M[j])
-            for tk, power in zip(tks, cb.exp_ad_powers(root.coords)):
-                for r, c in power.get(j, {}).items():
-                    for i, m in M[r].items():
-                        acc[i] = acc.get(i, reg.zero()) + (tk * m).scale(c)
-            out[j] = {i: v for i, v in acc.items() if not v.is_zero()}
-        M = out
-    return M
-
-
-def frame_of(U):
-    return {j: {i: v for i, v in col.items() if not v.is_zero()}
-            for j, col in U.cols.items()}
+# -- the one column against the full matrix -------------------------------
 
 
 def random_word(cb, reg, rng, length):
@@ -278,34 +256,41 @@ def random_word(cb, reg, rng, length):
             for _ in range(length)]
 
 
+def cone_word(cb, reg, rng, inside, length):
+    return [(rng.choice(inside), c) for _, c in random_word(cb, reg, rng, length)]
+
+
+def random_cone(cb, rng):
+    """Nonzero integer weights and the roots on which they are positive."""
+    weights = (0,) * cb.rs.rank
+    while not any(weights):
+        weights = tuple(rng.randint(-3, 3) for _ in range(cb.rs.rank))
+    return weights, [r for r in cb.rs.roots
+                     if sum(w * x for w, x in zip(weights, r.coords)) > 0]
+
+
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
 def test_frame_matches_full_matrix(name):
+    # w w^-1 = 1 and x_r(c) x_r(d) = x_r(c + d) on the column h_f of a
+    # random cone; with 1/(eps^2 - eps) in c or d the packed entries of the
+    # two sides differ raw, and equality reduces them
     cb = cb_for(name)
     rng = random.Random(name)
     plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
+    raw_differs = 0
     for reg in [plain] * 20 + [localized] * 8:
-        w1 = random_word(cb, reg, rng, rng.randint(1, 5))
-        # an equal word (a cancelling pair inserted) and a different one
-        k = rng.randint(0, len(w1))
-        root, c = random_word(cb, reg, rng, 1)[0]
-        same = w1[:k] + [(root, c), (root, -c)] + w1[k:]
-        other = w1[:k] + [(root, c)] + w1[k:]
-        full1 = full_product(cb, reg, w1)
-        U1 = product_of_root_elements(cb, reg, w1)
-        assert set(U1.cols) == set(cb.frame)
-        assert frame_of(U1) == {j: full1[j] for j in cb.frame}
-        for w2 in (w1, same, other):
-            U2 = product_of_root_elements(cb, reg, w2)
-            assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
-        assert U1 == product_of_root_elements(cb, reg, same)
-        assert U1 != product_of_root_elements(cb, reg, other)
-        assert product_of_root_elements(cb, reg, w1 + invert_factors(w1)).is_identity()
-        # x_r(c) x_r(d) = x_r(c + d): when c or d carries 1/(eps^2 - eps),
-        # the packed entries of the two sides differ until reduced
-        (r, c), (_, d) = random_word(cb, reg, rng, 2)
-        assert product_of_root_elements(cb, reg, [(r, c), (r, d)]) == \
-            product_of_root_elements(cb, reg, [(r, c + d)])
-        assert product_of_root_elements(cb, reg, [(r, c), (r, d), (r, -(c + d))]).is_identity()
+        weights, inside = random_cone(cb, rng)
+        w1 = cone_word(cb, reg, rng, inside, rng.randint(1, 5))
+        assert product_of_root_elements(cb, reg, w1 + invert_factors(w1), weights).is_identity()
+        (r, c), (_, d) = cone_word(cb, reg, rng, inside, 2)
+        assert full_product(cb, reg, [(r, c), (r, d)]) == full_product(cb, reg, [(r, c + d)])
+        two = product_of_root_elements(cb, reg, [(r, c), (r, d)], weights)
+        one = product_of_root_elements(cb, reg, [(r, c + d)], weights)
+        assert two == one
+        raw_differs += two.packed != one.packed
+        assert product_of_root_elements(cb, reg, [(r, c), (r, d), (r, -(c + d))],
+                                        weights).is_identity()
+    assert raw_differs
 
 
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
@@ -314,25 +299,19 @@ def test_cone_column_matches_full_matrix(name):
     # mean equal matrices on words inside the cone
     cb = cb_for(name)
     rng = random.Random("cone " + name)
-    npos, l = len(cb.pos_roots), cb.rs.rank
+    npos = len(cb.pos_roots)
     plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
     for reg in [plain] * 20 + [localized] * 8:
-        weights = (0,) * l
-        while not any(weights):
-            weights = tuple(rng.randint(-3, 3) for _ in range(l))
+        weights, inside = random_cone(cb, rng)
         h = cb.cone_vector(weights)
-        inside = [r for r in cb.rs.roots if sum(w * x for w, x in zip(weights, r.coords)) > 0]
         # gamma(h_f) is one positive multiple of f(gamma)
         ratios = {Fraction(sum(c * cb.rs._pairing_coords(r.coords, i) for i, c in enumerate(h)),
                            sum(w * x for w, x in zip(weights, r.coords))) for r in inside}
         assert len(ratios) == 1 and ratios.pop() > 0
 
-        def cone_word(length):
-            return [(rng.choice(inside), c) for _, c in random_word(cb, reg, rng, length)]
-
-        w1 = cone_word(rng.randint(1, 5))
+        w1 = cone_word(cb, reg, rng, inside, rng.randint(1, 5))
         k = rng.randint(0, len(w1))
-        (root, c), = cone_word(1)
+        (root, c), = cone_word(cb, reg, rng, inside, 1)
         same = w1[:k] + [(root, c), (root, -c)] + w1[k:]
         other = w1[:k] + [(root, c)] + w1[k:]
         full1 = full_product(cb, reg, w1)
@@ -341,13 +320,29 @@ def test_cone_column_matches_full_matrix(name):
             for r, v in full1[npos + i].items():
                 image[r] = image.get(r, reg.zero()) + v.scale(hi)
         U1 = product_of_root_elements(cb, reg, w1, weights)
-        assert frame_of(U1) == {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
+        assert U1.cols == {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
         for w2 in (w1, same, other):
             U2 = product_of_root_elements(cb, reg, w2, weights)
             assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
         assert U1 == product_of_root_elements(cb, reg, same, weights)
         assert U1 != product_of_root_elements(cb, reg, other, weights)
         assert product_of_root_elements(cb, reg, w1 + invert_factors(w1), weights).is_identity()
+
+
+@pytest.mark.parametrize("name", ["C2", "G2", "B3"])
+def test_collected_commutator_matches_full_matrix(name):
+    # every non-opposite pair of roots of opposite signs: the collected
+    # word and the commutator have the same full matrix
+    cb = cb_for(name)
+    reg = VarRegistry(["s", "t"])
+    s, t = reg.var("s"), reg.var("t")
+    pairs = [(a, b) for a, b in itertools.product(cb.rs.roots, repeat=2)
+             if a.is_positive() != b.is_positive() and a != -b]
+    assert pairs
+    for a, b in pairs:
+        word = collected_commutator(cb, reg, (a, s), (b, t))
+        assert full_product(cb, reg, word) == full_product(
+            cb, reg, commutator_factors([(a, s)], [(b, t)])), (a, b)
 
 
 def test_cone_weights_are_positive_on_the_span():
@@ -366,11 +361,14 @@ def test_slot_overflow_rejected_before_column_work(monkeypatch):
     a1, a2 = cb.rs.simple_roots
     monkeypatch.setattr(chevalley, "_left_multiply", None)  # any column work fails
     with pytest.raises(VerificationError, match="overflow"):
-        product_of_root_elements(cb, reg, [(a1, reg.var("s", 40000)), (a2, reg.var("s"))])
+        product_of_root_elements(cb, reg, [(a1, reg.var("s", 40000)), (a2, reg.var("s"))],
+                                 height(cb))
 
 
 def test_frame_rejects_torus_element():
-    # h_a(2) = w_a(2) w_a(1)^-1 fixes every h_i but scales the e_a
+    # h_a(2) = w_a(2) w_a(1)^-1 fixes every h_i but scales the e_a, so no
+    # column h_f tells it from 1; its word leaves every half-space, so the
+    # product path refuses it
     cb = cb_for("A2")
     reg = VarRegistry(["t"])
     a = cb.rs.simple_roots[0]
@@ -382,14 +380,19 @@ def test_frame_rejects_torus_element():
     hcols = range(npos, npos + cb.rs.rank)
     assert all(full[j] == {j: reg.const(1)} for j in hcols)
     assert any(full[j] != {j: reg.const(1)} for j in range(cb.dim))
-    assert not product_of_root_elements(cb, reg, word).is_identity()
+    for weights in [(1, 1), (1, 0), (-1, 0), (2, -1)]:
+        with pytest.raises(VerificationError, match="outside the cone"):
+            product_of_root_elements(cb, reg, word, weights)
 
 
 PERTURBED_CHECKS = """
+from fractions import Fraction
+
 from relroots.chevalley import ChevalleyBasis, commutator_constants, \\
     commutator_constants_fast, product_of_root_elements
 import relroots.chevalley as chevalley
 from relroots.polyring import VarRegistry
+import relroots.rootcore as rootcore
 from relroots.rootcore import RootSystem, RootType, VerificationError, build_root_system
 from relroots.theoremlab import _sign_search
 
@@ -423,23 +426,33 @@ expect_failure("constant bound", lambda: commutator_constants(cb, a1, a2))
 # packed exponent slots: s^40000 under x_a1, whose series reaches t^2
 reg = VarRegistry(["s"])
 expect_failure("slot bound", lambda: product_of_root_elements(
-    cb, reg, [(a1, reg.var("s", 40000))]))
+    cb, reg, [(a1, reg.var("s", 40000))], (1, 1)))
 
 # the one-column lemma: a factor and a slot outside the cone, and a
-# comparison across start columns
+# comparison of the columns of two cones
 s = reg.var("s")
 expect_failure("cone factor", lambda: product_of_root_elements(
     cb, reg, [(a1, s), (-a2, s)], (1, 1)))
 U = product_of_root_elements(cb, reg, [(a1, s)], (1, 1))
 expect_failure("cone slot", lambda: collect(cb, U, [a1, -a2]))
-expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)]))
+expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)], (1, 0)))
 
 # integrality of pairings: |alpha_2|^2 = 3 makes <alpha_1, alpha_2^vee> = -2/3
 rs = RootSystem(RootType("A", 2))
 rs.gram[1][1] = 3
-b1, b2 = rs.simple_roots
 expect_failure("pairing", lambda: rs._pairing_coords((1, 0), 1))
-expect_failure("cartan pairing", lambda: rs.cartan_pairing(b1, b2))
+# and building a root system from such a Gram matrix: the reflections that
+# generate its roots pair simple roots, its Cartan integers
+gram = rootcore._gram_matrix
+
+def bad_gram(t):
+    g = gram(t)
+    g[1][1] = Fraction(3)
+    return g
+
+rootcore._gram_matrix = bad_gram
+expect_failure("cartan pairing", lambda: RootSystem(RootType("A", 2)))
+rootcore._gram_matrix = gram
 expect_failure("coroot", lambda: rs.coroot_coords(rs.root_from_coords((1, 1))))
 
 # the sign search is bounded at six slots

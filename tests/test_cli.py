@@ -74,6 +74,16 @@ def test_fold_repeated_levi_node_errors(capsys):
     assert err == "error: repeated levi nodes\n"
 
 
+@pytest.mark.parametrize("command", ["fold", "nmaps"])
+@pytest.mark.parametrize("images", ["1,2,3,4", "3,2,5", "1,1,3", "0,1,2"])
+def test_gamma_images_must_permute_the_nodes(capsys, command, images):
+    extra = ["--a", "1,0,0", "--b", "0,1,0"] if command == "nmaps" else []
+    code, out, err = run(capsys, command, "--type", "A3", "--gamma", "perm:" + images, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: gamma images %s are not a permutation of 1..3\n" % images
+
+
 def test_nmaps_c2_pair(capsys):
     code, out, _ = run(capsys, "nmaps", "--type", "C2", "--a", "1,0",
                        "--b", "0,1")
@@ -196,8 +206,8 @@ def _case_a_without_units(rrs, cb, A, B, case,
     return _check(rrs, cb, A, B, case, units=frozenset({7}))
 
 
-def _doubled_target(cb, alpha, t, _adjoint=theoremlab.adjoint_root_element):
-    return _adjoint(cb, alpha, t.scale(2))
+def _doubled_target(cb, alpha, t, cone, _adjoint=theoremlab.adjoint_root_element):
+    return _adjoint(cb, alpha, t.scale(2), cone)
 
 
 # (suite, extra flags, module, attribute, replacement, fail rows, pass rows)
@@ -234,6 +244,25 @@ def test_failed_check_is_a_fail_row(capsys, monkeypatch, tmp_path, fault):
     failed = [c for c in report["cases"] if c["status"] == "fail"]
     assert all(isinstance(c["witness"], str) for c in failed)
     assert all("FAIL %s: %s" % (c["id"], c["witness"]) in err for c in failed)
+
+
+def test_perturbed_collected_commutator_fails_the_c2_long_cases(capsys, monkeypatch, tmp_path):
+    # the C2 long word holds the collected [x_{A1+A2}(s), x_{-A2}(t)]; the
+    # short word does not
+    def perturbed(cb, reg, first, second, _collected=theoremlab.collected_commutator):
+        (root, c), *rest = _collected(cb, reg, first, second)
+        return [(root, c.scale(2))] + rest
+
+    monkeypatch.setattr(theoremlab, "collected_commutator", perturbed)
+    report_file = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--suite", "c2", "--report", str(report_file))
+    assert code == 1
+    assert "Traceback" not in err
+    cases = json.loads(report_file.read_text())["cases"]
+    assert len(cases) == 12
+    assert [c["id"] for c in cases if c["status"] == "fail"] == [
+        c["id"] for c in cases if c["id"].startswith("c2/long/")]
+    assert all(c["status"] == "pass" for c in cases if c["id"].startswith("c2/short/"))
 
 
 def test_verify_report_roundtrip_byte_identical(capsys, tmp_path):

@@ -1,12 +1,12 @@
 import itertools
 
 import pytest
+from lie_oracles import full_product
 
 import relroots.relcalc as relcalc
 from relroots.chevalley import (
     adjoint_root_element,
     build_chevalley_basis,
-    collect,
     commutator_factors,
     product_of_root_elements,
 )
@@ -52,8 +52,8 @@ def test_embed_identity_folding_singleton(c2):
     A = RelativeRoot((1, 0))
     (alpha,) = rrs.fiber(A)
     word = relative_factors(rrs, A, {alpha: reg.var("t")})
-    assert product_of_root_elements(cb, reg, word) == adjoint_root_element(
-        cb, alpha, reg.var("t"))
+    assert product_of_root_elements(cb, reg, word, (1, 1)) == adjoint_root_element(
+        cb, alpha, reg.var("t"), (1, 1))
 
 
 def test_embed_zero_is_identity(c3_bc2):
@@ -61,7 +61,7 @@ def test_embed_zero_is_identity(c3_bc2):
     A = RelativeRoot((0, 1))
     reg = VarRegistry(["t"])
     word = relative_factors(rrs, A, {alpha: reg.zero() for alpha in rrs.fiber(A)})
-    assert product_of_root_elements(cb, reg, word).is_identity()
+    assert product_of_root_elements(cb, reg, word, (1, 1, 1)).is_identity()
 
 
 def test_embed_multi_factor_fiber():
@@ -74,7 +74,7 @@ def test_embed_multi_factor_fiber():
     coords = {alpha: reg.var(n) for alpha, n in zip(fiber, names)}
     word = relative_factors(rrs, A, coords)
     assert [root for root, _ in word] == list(fiber)
-    assert not product_of_root_elements(cb, reg, word).is_identity()
+    assert not product_of_root_elements(cb, reg, word, (1, 1, 1, 1)).is_identity()
 
 
 def test_embed_rejects_nontrivial_gamma():
@@ -140,30 +140,26 @@ def test_bc2_table_verifies_internally(c3_bc2):
     assert (1, 1) in table.entries
 
 
-def frame_path_coefficients(rrs, cb, table):
-    """The table's coefficients again, from the 2l frame columns: the same
-    commutator word multiplied without a cone, then collected on the frame."""
-    reg = table.registry
-    u = {alpha: reg.var(reg.names[k]) for alpha, k in table.u_index.items()}
-    v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
-    word = commutator_factors(relative_factors(rrs, table.A, u),
-                              relative_factors(rrs, table.B, v))
-    slots = [gamma for i, j in multiples(table.A, table.B, rrs.rel_coords)
-             for gamma in rrs.fiber(table.A.scaled(i) + table.B.scaled(j))]
-    return collect(cb, product_of_root_elements(cb, reg, word), slots)
-
-
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "B3 levi=1,2", "G2", "A4 levi=1,3",
                                   "D4 levi=1,2"])
 def test_cone_path_tables_equal_frame_path_tables(spec):
+    # each table, recomposed in slot order, has the full matrix of its
+    # commutator word
     rrs, cb = setup_fold(spec)
     pairs = [(A, B) for A, B in itertools.product(sorted(rrs.rel_roots, key=lambda R: R.coords),
                                                   repeat=2) if not collinear(A, B)]
     assert len(pairs) > 20
     for A, B in pairs:
         table = compute_relative_commutator_maps(rrs, cb, A, B)
-        coeffs = {gamma: p for ent in table.entries.values() for gamma, p in ent.items()}
-        assert coeffs == frame_path_coefficients(rrs, cb, table), (A, B)
+        reg = table.registry
+        u = {alpha: reg.var(reg.names[k]) for alpha, k in table.u_index.items()}
+        v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
+        word = commutator_factors(relative_factors(rrs, A, u), relative_factors(rrs, B, v))
+        recomposed = [(gamma, table.entries[(i, j)][gamma])
+                      for i, j in multiples(A, B, rrs.rel_coords)
+                      for gamma in rrs.fiber(A.scaled(i) + B.scaled(j))
+                      if gamma in table.entries.get((i, j), {})]
+        assert full_product(cb, reg, word) == full_product(cb, reg, recomposed), (A, B)
 
 
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4", "G2"])
