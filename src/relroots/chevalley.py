@@ -45,21 +45,17 @@ on the roots i*alpha + j*beta, which may then stand inside a word of
 another half-space.  The residual check of the collection proves the
 rewrite for the s and t given.
 
-Column entries stay packed for the whole word, through ``collect`` too:
-each is a dict {packed exponent: coefficient} whose int key holds the
-exponent of registry variable i in bits 16i..16i+15 and, in the slot
-after the last variable, the power of w = 1/(eps^2 - eps).  A product of
-two terms is one integer addition, and the localized C2/G2 identities
-take the same path as the polynomial tables.  Packed entries are not
-reduced by w (eps^2 - eps) = 1, so two equal entries that carry w can
-differ raw; equality and the identity test reduce exactly those entries
-through PolyElem.  PolyElem values are made only at the edges: each
-factor's coefficient is packed once, ``collect`` unpacks each coefficient
-it returns once, and ``UnipotentMatrix.cols`` unpacks the columns on
-request.  No slot may pass 2^16 - 1: a running bound, the sum over
-factors x(t) of (number of divided powers of ad e) * (largest slot of t),
-is checked before any column work, and a word that could overflow raises
-VerificationError.
+A column entry is a raw term dict of :class:`~relroots.polyring.PolyElem`
+({packed exponent: coefficient}, see ``relroots.polyring``): each
+factor's word term is its coefficient's own ``terms``, and a product of
+two terms is one integer addition, so the localized C2/G2 identities take
+the same path as the polynomial tables.  Column work does not reduce by
+w (eps^2 - eps) = 1, so two equal entries can differ raw; equality, the
+identity test and ``collect`` compare and read entries as the PolyElem
+they build, which is reduced.  No slot may pass 2^16 - 1: a running
+bound, the sum over factors x(t) of (number of divided powers of ad e) *
+(largest slot of t), is checked before any column work, and a word that
+could overflow raises ``SlotOverflow``.
 """
 
 from __future__ import annotations
@@ -68,7 +64,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyring import PolyElem, RegistryMismatch, VarRegistry, row_reduce
+from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _largest_slot,
+                       _require_slot, row_reduce)
 from .rootcore import Root, RootSystem, collinear, multiples, require
 
 
@@ -304,49 +301,10 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 # -- symbolic matrices ---------------------------------------------------
 
 
-_BITS = 16  # exponent bits per slot of a packed term
-_SLOT_MAX = (1 << _BITS) - 1
-
-
-def _pack(p, n):
-    """PolyElem over n variables -> ({packed exponent: coeff}, its largest slot).
-
-    Slot i holds the exponent of variable i; slot n holds the power of
-    w = 1/(eps^2 - eps), here ``p.denom_power`` on every term.
-    """
-    w = p.denom_power << (_BITS * n)
-    deg = p.denom_power
-    out = {}
-    for exp, c in p.terms.items():
-        key = w
-        for i, e in enumerate(exp):
-            key += e << (_BITS * i)
-        out[key] = c
-        deg = max(deg, max(exp, default=0))
-    return out, deg
-
-
-def _unpack(reg, d):
-    """{packed exponent: coeff} -> PolyElem, each power of w a denominator."""
-    n = len(reg.names)
-    by_w = {}
-    for key, c in d.items():
-        exp = tuple((key >> (_BITS * i)) & _SLOT_MAX for i in range(n))
-        by_w.setdefault(key >> (_BITS * n), {})[exp] = c
-    out = reg.zero()
-    for w, terms in by_w.items():
-        p = PolyElem(reg, terms, w)
-        out = p if out.is_zero() else out + p
-    return out
-
-
-def _grow_bound(bound, powers, deg):
-    """The slot bound after a factor x(t), t with slots <= deg: x(t) reaches
-    t^len(powers)."""
-    bound += len(powers) * deg
-    require(bound <= _SLOT_MAX, "exponents up to %d overflow a %d-bit packed slot",
-            bound, _BITS)
-    return bound
+def _grow_bound(bound, powers, t):
+    """The slot bound after a factor x(t): x(t) reaches t^len(powers)."""
+    return _require_slot(bound + len(powers) * _largest_slot(
+        t.terms, len(t.registry.names)))
 
 
 class UnipotentMatrix:
@@ -354,8 +312,8 @@ class UnipotentMatrix:
 
     ``start`` is {"h_f": {row: {0: int}}}, the column before any factor,
     for the ``cone`` weights of f.  ``packed`` holds its image, {"h_f":
-    {row: {packed exponent: coeff}}} with no empty entry; every slot
-    exponent of every entry is at most ``bound``.
+    {row: raw PolyElem terms}} with no empty entry; every slot exponent of
+    every entry is at most ``bound``.
     """
 
     __slots__ = ("dim", "registry", "packed", "bound", "start", "cone")
@@ -373,25 +331,15 @@ class UnipotentMatrix:
         """The carried columns as {col: {row: PolyElem}}, zero entries dropped."""
         out = {}
         for j, col in self.packed.items():
-            vals = ((i, _unpack(self.registry, d)) for i, d in col.items())
+            vals = ((i, PolyElem(self.registry, d)) for i, d in col.items())
             out[j] = {i: v for i, v in vals if not v.is_zero()}
         return out
 
     def _same_column(self, a, b):
-        # equal raw entries are equal; w-free entries are plain polynomials,
-        # so raw inequality is inequality; anything else is compared reduced
-        if a == b:
-            return True
-        w1 = 1 << (_BITS * len(self.registry.names))
-        for i in a.keys() | b.keys():
-            x, y = a.get(i, {}), b.get(i, {})
-            if x == y:
-                continue
-            if max(x, default=0) < w1 and max(y, default=0) < w1:
-                return False
-            if _unpack(self.registry, x) != _unpack(self.registry, y):
-                return False
-        return True
+        # equal raw entries are equal; others are compared in normal form
+        reg = self.registry
+        return a == b or all(PolyElem(reg, a.get(i, {})) == PolyElem(reg, b.get(i, {}))
+                             for i in a.keys() | b.keys() if a.get(i) != b.get(i))
 
     def is_identity(self):
         return all(self._same_column(col, self.start[j])
@@ -490,26 +438,23 @@ def product_of_root_elements(cb, registry, factors, cone):
     """The column h_f of the left-to-right product of x_root(t) factors.
 
     ``cone`` holds the integer weights of a form f that must be positive
-    on every factor's root (module docstring).  Every coefficient is
-    packed, and the word's slot bound and cone checked, before any column
-    work.
+    on every factor's root (module docstring).  The word's slot bound and
+    cone are checked before any column work.
     """
-    n = len(registry.names)
     word, bound = [], 0
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
         _require_in_cone(cone, root)
         powers = cb.exp_ad_powers(root)
-        packed, deg = _pack(t, n)
-        bound = _grow_bound(bound, powers, deg)
-        if packed:
-            word.append((powers, packed))
+        bound = _grow_bound(bound, powers, t)
+        if t.terms:
+            word.append((powers, t.terms))
     npos = len(cb.pos_roots)
     start = {"h_f": {npos + i: {0: c} for i, c in enumerate(cb.cone_vector(cone)) if c}}
     cols = {j: dict(col) for j, col in start.items()}
-    for powers, packed in word:
-        _left_multiply(cols, powers, packed)
+    for powers, terms in word:
+        _left_multiply(cols, powers, terms)
     return UnipotentMatrix(cb.dim, registry, cols, bound, start, cone)
 
 
@@ -540,8 +485,6 @@ def collect(cb, U, slots):
     """
     npos, l = len(cb.pos_roots), cb.rs.rank
     reg = U.registry
-    n = len(reg.names)
-    w1 = 1 << (_BITS * n)
     # alpha_k(h_f) for each simple root: root(h_f) is linear in root
     form = [sum(d[0] * cb.rs.cartan[r - npos][k] for r, d in U.start["h_f"].items())
             for k in range(l)]
@@ -552,21 +495,19 @@ def collect(cb, U, slots):
         _require_in_cone(U.cone, root)
         pair = sum(c * x for c, x in zip(root.coords, form))
         raw = W.packed["h_f"].get(cb.index[("e", root.coords)])
-        if raw is None or (max(raw) >= w1 and _unpack(reg, raw).is_zero()):
+        if raw is None:
             continue
-        t = {}
-        for k, v in raw.items():
-            q = Fraction(-v, pair)
-            t[k] = q.numerator if q.denominator == 1 else q
+        t = PolyElem(reg, {k: Fraction(-v, pair) for k, v in raw.items()})
+        if t.is_zero():
+            continue
         coeffs[root] = t
         powers = cb.exp_ad_powers(root)
-        W.bound = _grow_bound(W.bound, powers, max(
-            (k >> (_BITS * i)) & _SLOT_MAX for k in t for i in range(n + 1)))
-        _left_multiply(W.packed, powers, {k: -v for k, v in t.items()})
+        W.bound = _grow_bound(W.bound, powers, t)
+        _left_multiply(W.packed, powers, {k: -v for k, v in t.terms.items()})
     if not W.is_identity():
         raise CollectionError("residual is not the identity; "
                               "input not supported on the given slots")
-    return {root: _unpack(reg, t) for root, t in coeffs.items()}
+    return coeffs
 
 
 # -- classical commutator constants --------------------------------------
@@ -605,7 +546,8 @@ def commutator_constants(cb, alpha: Root, beta: Root):
     for root, c in collected_commutator(cb, reg, (alpha, reg.var("s")), (beta, reg.var("t"))):
         # must be a single monomial C * s^i t^j on the root i*alpha + j*beta,
         # with |C| in {1, 2, 3}
-        (i, j), coeff = next(iter(c.terms.items()))
+        key, coeff = next(iter(c.terms.items()))
+        (i, j), _ = _decode(key, 2)
         require(len(c.terms) == 1
                 and root.coords == tuple(i * x + j * y for x, y in zip(a, b)),
                 "coefficient of %s in [x_%s(s), x_%s(t)] is %r, not a monomial "
@@ -622,47 +564,3 @@ def _check_not_opposite_ray(alpha, beta):
     if collinear(alpha, beta) and sum(
             x * y for x, y in zip(alpha.coords, beta.coords)) < 0:
         raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
-
-
-def commutator_constants_fast(cb, alpha: Root, beta: Root):
-    """|C_ij| table from the structure constants, without matrix work.
-
-    Classical closed forms in terms of N values; magnitudes only (the
-    signs depend on the product ordering convention, which the symbolic
-    route pins down instead).
-    """
-    _check_not_opposite_ray(alpha, beta)
-    a, b = alpha.coords, beta.coords
-    N = cb.struct_const
-
-    def vec(i, j):
-        return tuple(i * x + j * y for x, y in zip(a, b))
-
-    def m_chain(base, step, count):
-        # (1/count!) * prod_{j<count} N(step, j*step + base)
-        val = Fraction(1)
-        cur = base
-        for j in range(count):
-            val *= N(step, cur)
-            cur = tuple(x + y for x, y in zip(cur, step))
-        fact = 1
-        for j in range(2, count + 1):
-            fact *= j
-        return val / fact
-
-    table = {}
-    for (i, j) in ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (3, 2), (2, 3)):
-        if vec(i, j) not in cb.rs:
-            continue
-        if j == 1:
-            val = m_chain(b, a, i)
-        elif i == 1:
-            val = m_chain(a, b, j)
-        elif (i, j) == (3, 2):
-            val = m_chain(a, vec(1, 1), 2) * 2 / 3
-        else:  # (2, 3)
-            val = m_chain(b, vec(1, 1), 2) / 3
-        require(val.denominator == 1, "C_%d%d(%s, %s) = %s is not an integer",
-                i, j, alpha, beta, val)
-        table[(i, j)] = abs(int(val))
-    return table

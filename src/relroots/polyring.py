@@ -1,9 +1,23 @@
 """Exact coefficient arithmetic for the symbolic group computations.
 
 Multivariate polynomials with rational coefficients over a fixed ordered
-set of indeterminates, optionally divided by a power of ``eps**2 - eps``
-(the only localization the identities need), plus the one exact row
-reduction over Q and F_p that every linear-algebra question here uses.
+set of indeterminates, in the ring localized at ``eps**2 - eps`` when one
+of them is ``eps`` (the only localization the identities need), plus the
+one exact row reduction over Q and F_p that every linear-algebra question
+here uses.
+
+A :class:`PolyElem` over n variables is one dict {packed exponent:
+coefficient}.  The int key holds the exponent of variable i in bits
+16i..16i+15 and, in the slot after the last variable, the power of
+w = 1/(eps**2 - eps), so the product of two terms is one integer addition
+and ``chevalley`` multiplies these dicts as they are.  The localized ring
+is Q[vars, w] / (w*(eps**2 - eps) - 1).  The one binomial is a Groebner
+basis of its ideal with leading term w*eps**2, so the normal form is
+unique: no term has both w >= 1 and eps >= 2, and w*eps**2 is rewritten
+to w*eps + 1 until none does.  Every PolyElem is kept in that form, so
+equality is plain dict equality.  No slot may pass 2**16 - 1: ``var`` and
+``*`` check it, and products of root elements check a running bound
+before any column work; a value past it raises :class:`SlotOverflow`.
 
 Everything is exact: coefficients are Python ints or ``Fraction``s, never
 floats.  Values are immutable after construction.
@@ -12,9 +26,14 @@ floats.  Values are immutable after construction.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
 
 EPS = "eps"
+
+_BITS = 16  # exponent bits per slot of a packed term, one struct "H"
+_SLOT_MAX = (1 << _BITS) - 1
 
 
 def _norm_coeff(c):
@@ -32,16 +51,54 @@ class LocalizationError(ValueError):
     pass
 
 
+class SlotOverflow(ValueError):
+    """An exponent does not fit a packed slot: bad input, not a failed check."""
+
+
+def _require_slot(e):
+    """``e``, unless it passes the largest exponent a slot holds."""
+    if e > _SLOT_MAX:
+        raise SlotOverflow("exponents up to %d overflow a %d-bit packed slot"
+                           % (e, _BITS))
+    return e
+
+
+@lru_cache(maxsize=None)
+def _slot_struct(n):
+    return struct.Struct("<%dH" % (n + 1))
+
+
+def _slots(key, n):
+    """The n + 1 slots of a packed key over n variables, the power of w last."""
+    return _slot_struct(n).unpack(key.to_bytes(2 * n + 2, "little"))
+
+
+def _decode(key, n):
+    """(exponents of the n variables, power of w) of a packed key."""
+    slots = _slots(key, n)
+    return slots[:n], slots[n]
+
+
+def _slot_maxima(terms, n):
+    """The largest exponent in each slot, w last, over the keys of ``terms``."""
+    return [max(col) for col in zip(*(_slots(k, n) for k in terms))] or [0] * (n + 1)
+
+
+def _largest_slot(terms, n):
+    """The largest exponent, the power of w included, of any term."""
+    return max((max(_slots(k, n)) for k in terms), default=0)
+
+
 class VarRegistry:
     """Ordered set of indeterminate names, fixing the term order.
 
-    The order of ``names`` is the canonical variable order; exponent
-    vectors of every :class:`PolyElem` over this registry are indexed by
-    it.  A variable named ``eps`` plays a special role: the ring may be
+    The order of ``names`` is the canonical variable order; ``units[i]`` is
+    the packed key of variable i to the first power, and ``w_unit`` that of
+    w.  A variable named ``eps`` plays a special role: the ring is
     localized at ``eps**2 - eps``.
     """
 
-    __slots__ = ("names", "_index", "eps_index")
+    __slots__ = ("names", "_index", "eps_index", "units", "w_unit")
 
     def __init__(self, names):
         names = tuple(names)
@@ -50,6 +107,8 @@ class VarRegistry:
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
         self.eps_index = self._index.get(EPS)
+        self.units = tuple(1 << (_BITS * i) for i in range(len(names)))
+        self.w_unit = 1 << (_BITS * len(names))
 
     def __eq__(self, other):
         return isinstance(other, VarRegistry) and self.names == other.names
@@ -68,86 +127,58 @@ class VarRegistry:
 
     def const(self, c):
         c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        if c == 0:
-            return PolyElem(self, {})
-        return PolyElem(self, {(0,) * len(self.names): c})
+        return PolyElem(self, {0: c} if c else {}, _canonical=True)
 
     def var(self, name, power=1):
-        exp = [0] * len(self.names)
-        exp[self.index(name)] = power
-        return PolyElem(self, {tuple(exp): 1})
+        if power < 0:
+            raise ValueError("negative power %d of %s" % (power, name))
+        return PolyElem(self, {_require_slot(power) * self.units[self.index(name)]: 1},
+                        _canonical=True)
 
     def eps_unit_inverse(self):
-        """The localized unit ``(eps**2 - eps)**-1``."""
+        """The localized unit w = ``(eps**2 - eps)**-1``."""
         if self.eps_index is None:
             raise LocalizationError("registry has no 'eps' variable")
-        return PolyElem(self, {(0,) * len(self.names): 1}, denom_power=1)
+        return PolyElem(self, {self.w_unit: 1}, _canonical=True)
 
 
-def _divide_by_eps_minus_one(terms, k):
-    """Exact division of a term dict by ``(eps - 1)``; None if inexact.
-
-    Synthetic division in the eps exponent, grouping terms by the
-    remaining exponents.
-    """
-    groups = {}
-    for exp, c in terms.items():
-        rest = exp[:k] + (0,) + exp[k + 1:]
-        groups.setdefault(rest, {})[exp[k]] = c
+def _reduce(terms, registry):
+    """The normal form of ``terms``: w*eps**2 -> w*eps + 1 until no term has
+    both w >= 1 and eps >= 2 (module docstring)."""
+    w1, e1 = registry.w_unit, registry.units[registry.eps_index]
+    shift = _BITS * registry.eps_index
     out = {}
-    for rest, coeffs in groups.items():
-        deg = max(coeffs)
-        quot = [0] * deg
-        carry = 0
-        for d in range(deg, 0, -1):
-            carry = coeffs.get(d, 0) + carry
-            quot[d - 1] = carry
-        if coeffs.get(0, 0) + carry != 0:
-            return None
-        for d, c in enumerate(quot):
-            if c != 0:
-                out[rest[:k] + (d,) + rest[k + 1:]] = c
-    return out
-
-
-def _divide_by_eps2_minus_eps(terms, k):
-    """Exact division by ``eps**2 - eps = eps*(eps - 1)``; None if inexact."""
-    if any(exp[k] == 0 for exp in terms):
-        return None
-    shifted = {exp[:k] + (exp[k] - 1,) + exp[k + 1:]: c for exp, c in terms.items()}
-    return _divide_by_eps_minus_one(shifted, k)
+    while terms:
+        rest = {}
+        for k, c in terms.items():
+            if k >= w1 and (k >> shift) & _SLOT_MAX >= 2:
+                for r in (k - e1, k - w1 - 2 * e1):
+                    rest[r] = rest.get(r, 0) + c
+            else:
+                out[k] = out.get(k, 0) + c
+        terms = rest
+    return {k: _norm_coeff(c) for k, c in out.items() if c}
 
 
 class PolyElem:
-    """A polynomial divided by ``(eps**2 - eps)**denom_power``.
+    """An element of the (localized) polynomial ring, as packed terms.
 
-    ``terms`` maps exponent tuples (one slot per registry variable) to
-    nonzero int/Fraction coefficients.  Canonical form: no zero
-    coefficients, and when ``denom_power > 0`` the numerator is not
-    divisible by ``eps**2 - eps``.  Equality is structural.
+    ``terms`` maps packed exponents (module docstring) to nonzero
+    int/Fraction coefficients, in the normal form with no w*eps**2
+    factor; equality is structural.
     """
 
-    __slots__ = ("registry", "terms", "denom_power")
+    __slots__ = ("registry", "terms")
 
-    def __init__(self, registry, terms, denom_power=0, _canonical=False):
+    def __init__(self, registry, terms, _canonical=False):
         self.registry = registry
-        if denom_power < 0:
-            raise ValueError("negative denominator power")
-        if denom_power > 0 and registry.eps_index is None:
-            raise LocalizationError("localization requires an 'eps' variable")
         if not _canonical:
-            terms = {e: _norm_coeff(c) for e, c in terms.items() if c != 0}
-            k = registry.eps_index
-            while denom_power > 0 and terms:
-                reduced = _divide_by_eps2_minus_eps(terms, k)
-                if reduced is None:
-                    break
-                terms = reduced
-                denom_power -= 1
-            if not terms:
-                denom_power = 0
+            terms = {k: _norm_coeff(c) for k, c in terms.items() if c != 0}
+            if terms and max(terms) >= registry.w_unit:
+                if registry.eps_index is None:
+                    raise LocalizationError("localization requires an 'eps' variable")
+                terms = _reduce(terms, registry)
         self.terms = terms
-        self.denom_power = denom_power
 
     # -- queries ---------------------------------------------------------
 
@@ -169,26 +200,21 @@ class PolyElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        # common denominator power
-        if a.denom_power != b.denom_power:
-            if a.denom_power < b.denom_power:
-                a, b = b, a
-            b = b._scale_denominator(a.denom_power - b.denom_power)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            s = terms.get(exp, 0) + c
+        # a sum of normal forms is one: no new monomial appears
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = terms.get(k, 0) + c
             if s == 0:
-                terms.pop(exp, None)
+                terms.pop(k, None)
             else:
-                terms[exp] = _norm_coeff(s)
-        return PolyElem(self.registry, terms, a.denom_power)
+                terms[k] = _norm_coeff(s)
+        return PolyElem(self.registry, terms, _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyElem(self.registry, {e: -c for e, c in self.terms.items()},
-                        self.denom_power, _canonical=True)
+        return PolyElem(self.registry, {k: -c for k, c in self.terms.items()},
+                        _canonical=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -200,16 +226,15 @@ class PolyElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        n = len(self.registry.names)
+        _require_slot(max(x + y for x, y in zip(_slot_maxima(self.terms, n),
+                                                _slot_maxima(other.terms, n))))
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(exp, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = _norm_coeff(s)
-        return PolyElem(self.registry, terms, self.denom_power + other.denom_power)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                terms[k] = terms.get(k, 0) + c1 * c2
+        return PolyElem(self.registry, terms)
 
     __rmul__ = __mul__
 
@@ -218,33 +243,8 @@ class PolyElem:
         if c == 0:
             return self.registry.zero()
         return PolyElem(self.registry,
-                        {e: _norm_coeff(v * c) for e, v in self.terms.items()},
-                        self.denom_power)
-
-    def _scale_denominator(self, extra):
-        """Multiply numerator by (eps**2 - eps)**extra without reducing."""
-        if extra == 0:
-            return self
-        k = self.registry.eps_index
-        unit = {}
-        e2 = [0] * len(self.registry.names)
-        e1 = list(e2)
-        e2[k], e1[k] = 2, 1
-        unit[tuple(e2)] = 1
-        unit[tuple(e1)] = -1
-        num = dict(self.terms)
-        for _ in range(extra):
-            nxt = {}
-            for exp, c in num.items():
-                for ue, uc in unit.items():
-                    key = tuple(x + y for x, y in zip(exp, ue))
-                    s = nxt.get(key, 0) + c * uc
-                    if s == 0:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
-            num = nxt
-        return PolyElem(self.registry, num, self.denom_power + extra, _canonical=True)
+                        {k: _norm_coeff(v * c) for k, v in self.terms.items()},
+                        _canonical=True)
 
     # -- structure -------------------------------------------------------
 
@@ -253,31 +253,26 @@ class PolyElem:
             other = self.registry.const(other)
         if not isinstance(other, PolyElem):
             return NotImplemented
-        return (self.registry == other.registry and self.denom_power == other.denom_power
-                and self.terms == other.terms)
+        return self.registry == other.registry and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.registry, self.denom_power, frozenset(self.terms.items())))
+        return hash((self.registry, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = self.registry.names
         parts = []
-        # lexicographic on the registry order, highest exponent first
-        for exp, c in sorted(self.terms.items(), key=lambda t: t[0], reverse=True):
-            factors = [str(c)] if c != 1 or not any(exp) else []
-            if c == 1 and not any(exp):
-                factors = ["1"]
-            for name, e in zip(self.registry.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
+        # lexicographic on the registry order, then w, highest exponent first
+        for (exp, w), c in sorted(((_decode(k, len(names)), c)
+                                   for k, c in self.terms.items()), reverse=True):
+            factors = [] if c == 1 and (any(exp) or w) else [str(c)]
+            factors += [name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(names, exp) if e]
+            if w:
+                factors.append("(eps^2-eps)^-%d" % w)
             parts.append("*".join(factors))
-        s = " + ".join(parts).replace("+ -", "- ")
-        if self.denom_power:
-            s = "(%s)/(eps^2-eps)^%d" % (s, self.denom_power)
-        return s
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- exact linear algebra -----------------------------------------------

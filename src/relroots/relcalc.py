@@ -30,7 +30,7 @@ from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone
                         invert_factors, product_of_root_elements)
 from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
                       classify_relative_type, parse_folding_spec)
-from .polyring import PolyElem, VarRegistry, row_reduce
+from .polyring import PolyElem, VarRegistry, _decode, row_reduce
 from .rootcore import MULTIPLE_BOUND, VerificationError, collinear, multiples, require
 
 
@@ -106,17 +106,16 @@ class NMapTable:
         p = self.entries.get((1, 1), {}).get(gamma)
         if p is None:
             return 0
-        n = len(self.registry.names)
-        exp = [0] * n
-        exp[self.u_index[alpha]] = 1
-        exp[self.v_index[beta]] = 1
-        return p.terms.get(tuple(exp), 0)
+        units = self.registry.units
+        return p.terms.get(units[self.u_index[alpha]] + units[self.v_index[beta]], 0)
 
 
 def _poly_eval(p: PolyElem, vals):
-    require(p.denom_power == 0, "cannot evaluate a polynomial with an eps denominator")
+    n = len(p.registry.names)
     total = 0  # exact: ints stay ints, a Fraction stays a Fraction
-    for exp, coeff in p.terms.items():
+    for key, coeff in p.terms.items():
+        exp, w = _decode(key, n)
+        require(not w, "cannot evaluate a polynomial with an eps denominator")
         term = coeff
         for k, e in enumerate(exp):
             if e:
@@ -166,16 +165,17 @@ def _verify_table(rrs, cb, table, U, slots, owner):
             factors.append((gamma, p))
     require(product_of_root_elements(cb, table.registry, factors, U.cone) == U,
             "recomposed product differs from the commutator")
+    n = len(table.registry.names)
     n_u = len(table.u_index)
     root_of_u = {k: alpha for alpha, k in table.u_index.items()}
     root_of_v = {k: beta for beta, k in table.v_index.items()}
     for (i, j), ent in table.entries.items():
         for gamma, p in ent.items():
-            require(p.denom_power == 0, "N_{%d%d} is not a polynomial", i, j)
-            for exp, coeff in p.terms.items():
+            for key, coeff in p.terms.items():
+                exp, w = _decode(key, n)
+                require(not w, "N_{%d%d} is not a polynomial", i, j)
                 require(Fraction(coeff).denominator == 1, "non-integer N_{%d%d}", i, j)
-                du = sum(e for k, e in enumerate(exp) if k < n_u)
-                dv = sum(e for k, e in enumerate(exp) if k >= n_u)
+                du, dv = sum(exp[:n_u]), sum(exp[n_u:])
                 # homogeneity: degree i in u, degree j in v
                 require((du, dv) == (i, j),
                         "N_{%d%d} monomial of degree (%d,%d)", i, j, du, dv)

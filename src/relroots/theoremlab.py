@@ -51,7 +51,7 @@ from .folding import (
     enumerate_foldings,
     parse_folding_spec,
 )
-from .polyring import PolyElem, VarRegistry
+from .polyring import PolyElem, VarRegistry, _decode, _require_slot
 from .rootcore import (
     RootType,
     VerificationError,
@@ -182,17 +182,20 @@ def verify_C2_identities(k, eps_binding=None):
     def g1(s, t):
         return commutator_factors([(a1, s)], [(a2, t)])
 
-    def g2(s, t, u):
-        # the inner commutator, collected, has factors on A1 and 2A1+A2
-        inner = collected_commutator(cb, reg, (a12, s), (-a2, t))
-        return commutator_factors([(a2, u)], inner)
+    # the inner commutator [x_{A1+A2}(+-Z), x_{-A2}(+-Z eps)], collected,
+    # has factors on A1 and 2A1+A2; it is built once per pair of its signs
+    inner = {}
 
     def build_long(signs):
+        st = signs["g2.s"], signs["g2.t"]
+        if st not in inner:
+            inner[st] = collected_commutator(cb, reg, (a12, Z.scale(st[0])),
+                                             (-a2, (Z * eps).scale(st[1])))
         word = (g1(reg.var("Z", 2).scale(signs["g1.s"]),
                    (reg.var("Z", k - 4) * eps * inv * v).scale(-signs["g1.t"]))
-                + g2(Z.scale(signs["g2.s"]),
-                     (Z * eps).scale(signs["g2.t"]),
-                     (reg.var("Z", k - 4) * inv * v).scale(-signs["g2.u"])))
+                + commutator_factors(
+                    [(a2, (reg.var("Z", k - 4) * inv * v).scale(-signs["g2.u"]))],
+                    inner[st]))
         return product_of_root_elements(cb, reg, word, height)
 
     def build_short(signs):
@@ -480,13 +483,14 @@ def _schema_cl_bc2(l, k):
 def _shift_z(p, reg, delta):
     """Multiply by Z**delta (delta may be negative; exactness checked)."""
     zi = reg.index("Z")
+    n, shift = len(reg.names), delta * reg.units[zi]
     out = {}
-    for exp, c in p.terms.items():
-        e = list(exp)
-        e[zi] += delta
-        require(e[zi] >= 0, "negative Z power")
-        out[tuple(e)] = c
-    return PolyElem(reg, out, p.denom_power)
+    for key, c in p.terms.items():
+        e = _decode(key, n)[0][zi] + delta
+        require(e >= 0, "negative Z power")
+        _require_slot(e)
+        out[key + shift] = c
+    return PolyElem(reg, out)
 
 
 def _schema_cl_c2(l, k):

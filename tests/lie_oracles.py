@@ -2,8 +2,14 @@
 
 ``full_product`` is the one full-matrix oracle for products of root
 elements; ``root_string`` and ``cartan_pairing`` recompute root data from
-the root set and the Gram matrix alone.
+the root set and the Gram matrix alone; ``commutator_constants_fast``
+gives the magnitudes of the commutator constants from the structure
+constants, with no matrix work.
 """
+
+from fractions import Fraction
+
+from relroots.rootcore import collinear, require
 
 
 def full_product(cb, reg, factors):
@@ -50,3 +56,48 @@ def cartan_pairing(rs, beta, alpha):
         return sum(xi * yj * rs.gram[i][j]
                    for i, xi in enumerate(x.coords) for j, yj in enumerate(y.coords))
     return 2 * dot(beta, alpha) / dot(alpha, alpha)
+
+
+def commutator_constants_fast(cb, alpha, beta):
+    """|C_ij| table from the structure constants, without matrix work.
+
+    Classical closed forms in terms of N values; magnitudes only (the
+    signs depend on the product ordering convention, which the symbolic
+    route pins down instead).
+    """
+    a, b = alpha.coords, beta.coords
+    if collinear(alpha, beta) and sum(x * y for x, y in zip(a, b)) < 0:
+        raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
+    N = cb.struct_const
+
+    def vec(i, j):
+        return tuple(i * x + j * y for x, y in zip(a, b))
+
+    def m_chain(base, step, count):
+        # (1/count!) * prod_{j<count} N(step, j*step + base)
+        val = Fraction(1)
+        cur = base
+        for j in range(count):
+            val *= N(step, cur)
+            cur = tuple(x + y for x, y in zip(cur, step))
+        fact = 1
+        for j in range(2, count + 1):
+            fact *= j
+        return val / fact
+
+    table = {}
+    for (i, j) in ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (3, 2), (2, 3)):
+        if vec(i, j) not in cb.rs:
+            continue
+        if j == 1:
+            val = m_chain(b, a, i)
+        elif i == 1:
+            val = m_chain(a, b, j)
+        elif (i, j) == (3, 2):
+            val = m_chain(a, vec(1, 1), 2) * 2 / 3
+        else:  # (2, 3)
+            val = m_chain(b, vec(1, 1), 2) / 3
+        require(val.denominator == 1, "C_%d%d(%s, %s) = %s is not an integer",
+                i, j, alpha, beta, val)
+        table[(i, j)] = abs(int(val))
+    return table

@@ -20,7 +20,9 @@ import json
 import time
 from fractions import Fraction
 
-from relroots.chevalley import build_chevalley_basis, commutator_constants_fast
+from lie_oracles import commutator_constants_fast
+
+from relroots.chevalley import build_chevalley_basis
 from relroots.cli import main
 from relroots.folding import (
     FoldingSpec,

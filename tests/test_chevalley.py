@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from lie_oracles import full_product, root_string
+from lie_oracles import commutator_constants_fast, full_product, root_string
 
 import relroots
 import relroots.chevalley as chevalley
@@ -17,13 +17,12 @@ from relroots.chevalley import (
     collect,
     collected_commutator,
     commutator_constants,
-    commutator_constants_fast,
     commutator_factors,
     cone_weights,
     invert_factors,
     product_of_root_elements,
 )
-from relroots.polyring import VarRegistry
+from relroots.polyring import SlotOverflow, VarRegistry, _decode
 from relroots.rootcore import RootType, VerificationError, build_root_system
 
 
@@ -144,8 +143,8 @@ def test_collect_a2_swap():
     assert coeffs[a1] == s
     assert coeffs[a2] == t
     c = coeffs[high]
-    (exp, coeff), = c.terms.items()
-    assert exp == (1, 1) and abs(coeff) == 1
+    (key, coeff), = c.terms.items()
+    assert _decode(key, 2) == ((1, 1), 0) and abs(coeff) == 1
     # oracle: recompose and compare full matrices
     out = [(r, coeffs[r]) for r in (a1, a2, high)]
     assert full_product(cb, reg, [(a2, t), (a1, s)]) == full_product(cb, reg, out)
@@ -272,12 +271,24 @@ def random_cone(cb, rng):
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
 def test_frame_matches_full_matrix(name):
     # w w^-1 = 1 and x_r(c) x_r(d) = x_r(c + d) on the column h_f of a
-    # random cone; with 1/(eps^2 - eps) in c or d the packed entries of the
-    # two sides differ raw, and equality reduces them
+    # random cone, and w is the product of its collected normal form
     cb = cb_for(name)
     rng = random.Random(name)
     plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
-    raw_differs = 0
+
+    def recollected(reg, word, weights):
+        # slots in order of f: a sum of two slot roots comes later
+        inside = {g for g in cb.rs.roots if sum(x * y for x, y in zip(weights, g.coords)) > 0}
+        slots = sorted(inside, key=lambda g: (sum(x * y for x, y in zip(weights, g.coords)),
+                                              g.coords))
+        U = product_of_root_elements(cb, reg, word, weights)
+        coeffs = collect(cb, U, slots)
+        normal = [(g, coeffs[g]) for g in slots if g in coeffs]
+        assert full_product(cb, reg, word) == full_product(cb, reg, normal)
+        V = product_of_root_elements(cb, reg, normal, weights)
+        assert U == V
+        return U, V
+
     for reg in [plain] * 20 + [localized] * 8:
         weights, inside = random_cone(cb, rng)
         w1 = cone_word(cb, reg, rng, inside, rng.randint(1, 5))
@@ -287,10 +298,17 @@ def test_frame_matches_full_matrix(name):
         two = product_of_root_elements(cb, reg, [(r, c), (r, d)], weights)
         one = product_of_root_elements(cb, reg, [(r, c + d)], weights)
         assert two == one
-        raw_differs += two.packed != one.packed
         assert product_of_root_elements(cb, reg, [(r, c), (r, d), (r, -(c + d))],
                                         weights).is_identity()
-    assert raw_differs
+        recollected(reg, w1, weights)
+    # column work multiplies unreduced terms: eps w times eps w gives
+    # w^2 eps^2 on e_{a1+a2}, which the collected coefficient, reduced,
+    # does not carry; equality reduces the raw entries
+    reg = localized
+    x = reg.var("eps") * reg.eps_unit_inverse()
+    a1, a2 = cb.rs.simple_roots[:2]
+    U, V = recollected(reg, [(a1, x * reg.var("s")), (a2, x * reg.var("t"))], height(cb))
+    assert U.packed != V.packed
 
 
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
@@ -360,9 +378,11 @@ def test_slot_overflow_rejected_before_column_work(monkeypatch):
     reg = VarRegistry(["s"])
     a1, a2 = cb.rs.simple_roots
     monkeypatch.setattr(chevalley, "_left_multiply", None)  # any column work fails
-    with pytest.raises(VerificationError, match="overflow"):
+    with pytest.raises(SlotOverflow, match="overflow") as info:
         product_of_root_elements(cb, reg, [(a1, reg.var("s", 40000)), (a2, reg.var("s"))],
                                  height(cb))
+    # bad input, not a failed check: run_case lets it through
+    assert not isinstance(info.value, AssertionError)
 
 
 def test_frame_rejects_torus_element():
@@ -388,18 +408,19 @@ def test_frame_rejects_torus_element():
 PERTURBED_CHECKS = """
 from fractions import Fraction
 
+from lie_oracles import commutator_constants_fast
 from relroots.chevalley import ChevalleyBasis, commutator_constants, \\
-    commutator_constants_fast, product_of_root_elements
+    product_of_root_elements
 import relroots.chevalley as chevalley
-from relroots.polyring import VarRegistry
+from relroots.polyring import SlotOverflow, VarRegistry
 import relroots.rootcore as rootcore
 from relroots.rootcore import RootSystem, RootType, VerificationError, build_root_system
 from relroots.theoremlab import _sign_search
 
-def expect_failure(label, run):
+def expect_failure(label, run, error=VerificationError):
     try:
         run()
-    except VerificationError as exc:
+    except error as exc:
         print("%s: %s" % (label, exc))
     else:
         raise SystemExit("%s: perturbation went unnoticed" % label)
@@ -426,7 +447,7 @@ expect_failure("constant bound", lambda: commutator_constants(cb, a1, a2))
 # packed exponent slots: s^40000 under x_a1, whose series reaches t^2
 reg = VarRegistry(["s"])
 expect_failure("slot bound", lambda: product_of_root_elements(
-    cb, reg, [(a1, reg.var("s", 40000))], (1, 1)))
+    cb, reg, [(a1, reg.var("s", 40000))], (1, 1)), SlotOverflow)
 
 # the one-column lemma: a factor and a slot outside the cone, and a
 # comparison of the columns of two cones
@@ -462,7 +483,7 @@ expect_failure("sign search", lambda: _sign_search(list("abcdefg"), None, None))
 
 def test_constant_checks_survive_optimized_mode():
     src = os.path.dirname(os.path.dirname(relroots.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_CHECKS],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -92,6 +92,35 @@ def test_nmaps_c2_pair(capsys):
     assert sorted((m["i"], m["j"]) for m in data["maps"]) == [(1, 1), (2, 1)]
 
 
+# the literal maps of two tables, as ``nmaps`` prints them
+NMAPS_GOLDEN = {
+    ("C4", "2,4", "1,0", "0,1"): [
+        {"i": 1, "j": 1, "entries": {
+            "(0,1,1,1)": "-1*u0*v1 - 1*u1*v0",
+            "(0,1,2,1)": "-1*u0*v2 + u1*v1",
+            "(1,1,1,1)": "-1*u2*v1 - 1*u3*v0",
+            "(1,1,2,1)": "-1*u2*v2 + u3*v1"}},
+        {"i": 2, "j": 1, "entries": {
+            "(0,2,2,1)": "-1*u0^2*v2 + 2*u0*u1*v1 + u1^2*v0",
+            "(1,2,2,1)": "-1*u0*u2*v2 + u0*u3*v1 + u1*u2*v1 + u1*u3*v0",
+            "(2,2,2,1)": "u2^2*v2 - 2*u2*u3*v1 - 1*u3^2*v0"}},
+    ],
+    ("C3", "1,2", "0,1", "1,0"): [
+        {"i": 1, "j": 1, "entries": {"(1,1,0)": "u0*v0", "(1,1,1)": "u1*v0"}},
+        {"i": 2, "j": 1, "entries": {"(1,2,1)": "u0*u1*v0"}},
+        {"i": 2, "j": 2, "entries": {"(2,2,1)": "2*u0*u1*v0^2"}},
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(NMAPS_GOLDEN), ids=lambda key: key[0])
+def test_nmaps_golden_entries(capsys, key):
+    t, levi, a, b = key
+    code, out, _ = run(capsys, "nmaps", "--type", t, "--levi", levi, "--a", a, "--b", b)
+    assert code == 0
+    assert json.loads(out)["maps"] == NMAPS_GOLDEN[key]
+
+
 def test_nmaps_rejects_collinear(capsys):
     code, _, err = run(capsys, "nmaps", "--type", "C2", "--a", "1,0",
                        "--b=-1,0")
@@ -110,6 +139,18 @@ def test_verify_c2_k5_two_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "c2", "--k", "5")
     assert code == 0
     assert "pass=2 fail=0" in out
+
+
+def test_verify_slot_overflow_is_an_error_not_a_fail(capsys, tmp_path):
+    # Z^9996 under the C2 long word passes a 16-bit exponent slot: bad
+    # input, so no case fails and no report is written
+    report_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "c2", "--k", "10000",
+                         "--report", str(report_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponents up to 79992 overflow a 16-bit packed slot\n"
+    assert not report_file.exists()
 
 
 def test_verify_lemma1_skipped_matches_rank1_components(capsys, tmp_path):

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from ring_oracle import RefPoly, RefRegistry
 
 from relroots.polyring import (
     LocalizationError,
     PolyElem,
     RegistryMismatch,
     VarRegistry,
+    _decode,
     row_reduce,
 )
 
@@ -38,12 +40,12 @@ def test_monomial_product(reg):
     s, t = reg.var("s"), reg.var("t")
     # independent oracle: compare exponent vectors directly
     prod = (s * t) * (s * s * t)
-    (exp, coeff), = prod.terms.items()
+    (key, coeff), = prod.terms.items()
     assert coeff == 1
     expected = [0] * len(reg.names)
     expected[reg.index("s")] = 3
     expected[reg.index("t")] = 2
-    assert exp == tuple(expected)
+    assert _decode(key, len(reg.names)) == (tuple(expected), 0)
     assert prod == s * s * s * t * t
 
 
@@ -104,8 +106,75 @@ def test_denominator_minimality(reg):
     eps = reg.var("eps")
     unit = eps * eps - eps
     p = (unit * reg.var("Z")) * reg.eps_unit_inverse()
-    assert p.denom_power == 0
+    assert all(_decode(k, len(reg.names))[1] == 0 for k in p.terms)
     assert p == reg.var("Z")
+
+
+def _random_pair(reg, ref, rng, max_w):
+    """One random element, spelled in the packed ring and in the reference ring."""
+    p, q = reg.zero(), ref.zero()
+    for _ in range(rng.randint(0, 4)):
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        tp, tq = reg.const(c), ref.const(c)
+        for name in reg.names:
+            e = rng.randint(0, 3)
+            tp, tq = tp * reg.var(name, e), tq * ref.var(name, e)
+        for _ in range(rng.randint(0, max_w)):
+            tp, tq = tp * reg.eps_unit_inverse(), tq * ref.eps_unit_inverse()
+        p, q = p + tp, q + tq
+    return p, q
+
+
+def _as_ref(p, ref):
+    """The reference element of packed terms: w^a is a denominator power a."""
+    by_w = {}
+    for key, c in p.terms.items():
+        exp, w = _decode(key, len(ref.names))
+        by_w.setdefault(w, {})[tuple(exp)] = c
+    out = ref.zero()
+    for w, terms in by_w.items():
+        out = out + RefPoly(ref, terms, w)
+    return out
+
+
+def test_packed_ring_agrees_with_the_reference_ring():
+    names = ["Z", "v", "eps"]
+    reg, ref = VarRegistry(names), RefRegistry(names)
+    rng = random.Random(11)
+    unit = reg.var("eps", 2) - reg.var("eps")
+    unit_ref = ref.var("eps", 2) - ref.var("eps")
+    w_free = 0
+    for _ in range(1000):
+        max_w = rng.choice((0, 3))
+        (a, ra), (b, rb), (c, rc) = (_random_pair(reg, ref, rng, max_w) for _ in range(3))
+        if rng.random() < 0.25:
+            # another spelling of a: a * (eps^2 - eps) * w
+            c = a * unit * reg.eps_unit_inverse()
+            rc = ra * unit_ref * ref.eps_unit_inverse()
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for got, want in [(a, ra), (b, rb), (c, rc), (a + b, ra + rb), (a - c, ra - rc),
+                          (a * b, ra * rb), (a * (b + c), ra * (rb + rc)),
+                          (a.scale(k), ra.scale(k))]:
+            assert _as_ref(got, ref) == want
+            assert got.is_zero() == want.is_zero()
+            if not want.denom_power:
+                w_free += 1
+                assert repr(got) == repr(want)
+        assert (a == b) == (ra == rb)
+        assert (a == c) == (ra == rc)
+        assert (a * b == c) == (ra * rb == rc)
+    assert w_free > 1000
+
+
+def test_raw_spellings_build_one_element():
+    reg = VarRegistry(["Z", "v", "eps"])
+    w, e = reg.w_unit, reg.units[reg.index("eps")]
+    for raw, reduced in [({w + 2 * e: 1}, {w + e: 1, 0: 1}),
+                         ({w + 2 * e: 1, w + e: -1}, {0: 1})]:
+        p, q = PolyElem(reg, raw), PolyElem(reg, reduced)
+        assert p == q
+        assert p.terms == q.terms == reduced
+        assert hash(p) == hash(q)
 
 
 def test_localization_needs_eps():
@@ -113,7 +182,7 @@ def test_localization_needs_eps():
     with pytest.raises(LocalizationError):
         reg.eps_unit_inverse()
     with pytest.raises(LocalizationError):
-        PolyElem(reg, {(1, 0): 1}, 1)
+        PolyElem(reg, {reg.units[0] + reg.w_unit: 1})
 
 
 def test_row_reduce_rank_nullspace_inverse():

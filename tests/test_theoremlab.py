@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import relroots.theoremlab as theoremlab
 from relroots.chevalley import build_chevalley_basis, commutator_constants
 from relroots.rootcore import RootType, build_root_system
 from relroots.theoremlab import (
@@ -43,6 +44,20 @@ def test_c2_identities_symbolic(k):
     assert [c.status for c in cases] == ["pass", "pass"]
     for c in cases:
         assert "signs" in c.witness
+
+
+def test_c2_long_inner_commutator_built_once_per_sign_pair(monkeypatch):
+    # the long word's inner commutator depends on two of its five signs
+    calls = []
+
+    def counted(*args, _collected=theoremlab.collected_commutator):
+        calls.append(args)
+        return _collected(*args)
+
+    monkeypatch.setattr(theoremlab, "collected_commutator", counted)
+    cases = verify_C2_identities(5)
+    assert [c.status for c in cases] == ["pass", "pass"]
+    assert 1 <= len(calls) <= 4
 
 
 def test_c2_identities_bound_eps():
