@@ -278,9 +278,10 @@ def test_frame_matches_full_matrix(name):
 
     def recollected(reg, word, weights):
         # slots in order of f: a sum of two slot roots comes later
-        inside = {g for g in cb.rs.roots if sum(x * y for x, y in zip(weights, g.coords)) > 0}
-        slots = sorted(inside, key=lambda g: (sum(x * y for x, y in zip(weights, g.coords)),
-                                              g.coords))
+        def f(g):
+            return sum(x * y for x, y in zip(weights, g.coords))
+
+        slots = sorted((g for g in cb.rs.roots if f(g) > 0), key=lambda g: (f(g), g.coords))
         U = product_of_root_elements(cb, reg, word, weights)
         coeffs = collect(cb, U, slots)
         normal = [(g, coeffs[g]) for g in slots if g in coeffs]
