@@ -30,7 +30,7 @@ from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone
                         invert_factors, product_of_root_elements)
 from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
                       classify_relative_type, parse_folding_spec)
-from .polyring import PolyElem, VarRegistry, _decode, row_reduce
+from .polyring import VarRegistry, _decode, evaluate, row_reduce
 from .rootcore import MULTIPLE_BOUND, VerificationError, collinear, multiples, require
 
 
@@ -94,7 +94,7 @@ class NMapTable:
             vals[k] = u_coords.get(alpha, 0)
         for beta, k in self.v_index.items():
             vals[k] = v_coords.get(beta, 0)
-        return {gamma: _poly_eval(p, vals)
+        return {gamma: _integral(evaluate(p, vals))
                 for gamma, p in self.entries.get((i, j), {}).items()}
 
     def bilinear_constant(self, alpha, beta):
@@ -110,19 +110,9 @@ class NMapTable:
         return p.terms.get(units[self.u_index[alpha]] + units[self.v_index[beta]], 0)
 
 
-def _poly_eval(p: PolyElem, vals):
-    n = len(p.registry.names)
-    total = 0  # exact: ints stay ints, a Fraction stays a Fraction
-    for key, coeff in p.terms.items():
-        exp, w = _decode(key, n)
-        require(not w, "cannot evaluate a polynomial with an eps denominator")
-        term = coeff
-        for k, e in enumerate(exp):
-            if e:
-                term *= vals.get(k, 0) ** e
-        total += term
-    require(Fraction(total).denominator == 1, "N-map value %s is not an integer", total)
-    return int(total)
+def _integral(value):
+    require(Fraction(value).denominator == 1, "N-map value %s is not an integer", value)
+    return int(value)
 
 
 def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:

@@ -407,6 +407,7 @@ def test_frame_rejects_torus_element():
 
 
 PERTURBED_CHECKS = """
+import dataclasses
 from fractions import Fraction
 
 from lie_oracles import commutator_constants_fast
@@ -479,6 +480,21 @@ expect_failure("coroot", lambda: rs.coroot_coords(rs.root_from_coords((1, 1))))
 
 # the sign search is bounded at six slots
 expect_failure("sign search", lambda: _sign_search(list("abcdefg"), None, None))
+
+# commutator witnesses: C_ij + 1 on a witness's own entry, and a dropped
+# factor, each fail the F_p re-check
+from relroots.finitelab import check_witnesses, find_witnesses
+chevalley.collect = collect
+c2 = RootType("C", 2)
+for label, edit in [("witness constant", lambda w, tab: tab.update({w.ij: tab[w.ij] + 1})),
+                    ("witness factor", lambda w, tab: tab.pop(
+                        next(kl for kl in tab if kl != w.ij and tab[kl] % 3)))]:
+    ws = find_witnesses(c2, 3)
+    k = next(k for k, w in enumerate(ws) if len(w.table) > 1 and w.table[w.ij] % 3 == 1)
+    table = dict(ws[k].table)
+    edit(ws[k], table)
+    ws[k] = dataclasses.replace(ws[k], table=table)
+    expect_failure(label, lambda: check_witnesses(c2, 3, ws))
 """
 
 
@@ -491,10 +507,12 @@ def test_constant_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "pair law", "fast table", "constant bound", "slot bound", "cone factor",
-        "cone slot", "columns", "pairing", "cartan pairing", "coroot", "sign search"]
+        "cone slot", "columns", "pairing", "cartan pairing", "coroot", "sign search",
+        "witness constant", "witness factor"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
     assert all("outside the cone" in line for line in lines[4:6])
     assert "different columns" in lines[6]
     assert all("not an integer" in line for line in lines[7:9])
     assert "non-integer" in lines[9] and "7 slots" in lines[10]
+    assert all("not the product of its table" in line for line in lines[11:13])

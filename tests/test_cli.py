@@ -364,10 +364,30 @@ def test_perfect_a2_p2_perfect(capsys):
 
 
 def test_perfect_cap_skip(capsys):
+    # G2/F_2 has no witness route, and 2^12 <= 1000 < 12096
+    code, out, _ = run(capsys, "perfect", "--type", "G2", "--p", "2",
+                       "--cap", "1000")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["G2", "2", "enumeration", "-", "-",
+                                           "skipped:", "cap"]
+
+
+def test_perfect_b3_witness_row_over_the_cap(capsys):
     code, out, _ = run(capsys, "perfect", "--type", "B3", "--p", "2",
                        "--cap", "1000")
     assert code == 0
-    assert "skipped: cap" in out
+    assert out.splitlines()[1].split() == ["B3", "2", "witness", "-", "1",
+                                           "matches", "prediction"]
+
+
+def test_perfect_e6_by_witness(capsys):
+    t0 = time.time()
+    code, out, _ = run(capsys, "perfect", "--type", "E6", "--p", "2")
+    assert code == 0
+    row = out.splitlines()[1].split()
+    assert row[:3] == ["E6", "2", "witness"] and row[4] == "1"
+    assert "matches prediction" in out
+    assert time.time() - t0 < 60
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -394,7 +414,7 @@ def test_perfect_rejects_composite(capsys):
 
 
 def test_perfect_large_p_skips_cap(capsys):
-    # the group has at least p elements, so p > cap skips before building
+    # the group has at least p^(2N) elements, so p^2 > cap skips before building
     t0 = time.time()
     code, out, _ = run(capsys, "perfect", "--type", "A1", "--p", "100003",
                        "--cap", "1000")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ from relroots.finitelab import (
     CapExceeded,
     FqMatrix,
     GroupClosure,
+    _enumerated_index,
     _extend,
     _identity_group,
     adjoint_generators,
+    check_witnesses,
     closure_cap,
     derived_subgroup,
     derived_subgroup_index,
+    find_witnesses,
     format_report,
     generate_elementary_group,
+    perfect_by_witness,
     perfectness_report,
 )
 from relroots.rootcore import RootType, VerificationError, build_root_system
@@ -132,13 +137,144 @@ def test_c2_mod3_perfect():
     assert derived_subgroup_index(g) == 1
 
 
-def test_abelian_group_index_equals_order():
+def test_abelian_group_index_equals_order(monkeypatch):
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
     elements = _identity_group(2, 5)
     _extend(elements, [], m, 5, cap=10)
     g = GroupClosure(elements, [FqMatrix(5, m)], 5, 2)
     assert g.order == 5
+    assert g.root_type is None  # hand-built: no witness search, enumeration
+
+    def no_search(*args):
+        raise AssertionError("witness search on a hand-built group")
+
+    monkeypatch.setattr(finitelab, "perfect_by_witness", no_search)
     assert derived_subgroup_index(g) == 5
+
+
+# acceptance test 7's four groups and the other two benchmark groups:
+# (order, derived index)
+SIX_GROUPS = {
+    ("A2", 2): (168, 1),
+    ("C2", 2): (720, 2),
+    ("G2", 2): (12096, 2),
+    ("C2", 3): (25920, 1),
+    ("A3", 2): (20160, 1),
+    ("A2", 3): (5616, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def six_groups():
+    return {key: generate_elementary_group(RootType.parse(key[0]), key[1])
+            for key in SIX_GROUPS}
+
+
+@pytest.mark.parametrize("key", sorted(SIX_GROUPS))
+def test_witness_route_agrees_with_enumeration(six_groups, key):
+    name, p = key
+    t = RootType.parse(name)
+    g = six_groups[key]
+    order, index = SIX_GROUPS[key]
+    assert g.root_type == t and g.order == order
+    assert _enumerated_index(g) == index
+    resolved = check_witnesses(t, p, find_witnesses(t, p))
+    n_roots = len(build_root_system(t).roots)
+    # perfect groups are proved so by witnesses; for C2 and G2 over F_2 the
+    # search stops short (a failed search proves nothing either way)
+    assert (len(resolved) == n_roots) == (index == 1)
+    assert len(resolved) == {("C2", 2): 0, ("G2", 2): 6}.get(key, n_roots)
+    assert derived_subgroup_index(g) == index
+
+
+@pytest.mark.parametrize("key", sorted(SIX_GROUPS))
+def test_order_at_least_p_to_the_2n(six_groups, key):
+    # the bound behind the cap early-out: U- U+ has p^(2N) distinct elements
+    name, p = key
+    n_pos = len(build_root_system(RootType.parse(name)).roots) // 2
+    assert six_groups[key].order >= p ** (2 * n_pos)
+
+
+def test_rank_one_has_no_witness():
+    assert find_witnesses(RootType.parse("A1"), 5) == []
+    g = generate_elementary_group(RootType.parse("A1"), 5)
+    assert derived_subgroup_index(g) == 1  # SL2(F_5) / center, by enumeration
+
+
+def test_witness_tables_are_read_once_per_pair(monkeypatch):
+    calls = []
+    real = finitelab.commutator_constants
+
+    def spy(cb, beta, gamma):
+        calls.append((beta.coords, gamma.coords))
+        return real(cb, beta, gamma)
+
+    monkeypatch.setattr(finitelab, "commutator_constants", spy)
+    witnesses = find_witnesses(RootType.parse("C3"), 2)  # three rounds
+    assert len(witnesses) == 18
+    assert len(calls) == len(set(calls))
+
+
+def corrupt(witnesses, p, how):
+    """(position, witness) of the first witness that can be corrupted:
+    C_ij + 1 on its own entry (still nonzero mod p), or its first other
+    factor that is nonzero mod p dropped."""
+    for k, w in enumerate(witnesses):
+        others = [kl for kl, c in w.table.items() if kl != w.ij and c % p]
+        if how == "constant" and (w.table[w.ij] + 1) % p:
+            return k, replace(w, table={**w.table, w.ij: w.table[w.ij] + 1})
+        if how == "dropped" and others:
+            return k, replace(w, table={kl: c for kl, c in w.table.items()
+                                        if kl != others[0]})
+    raise AssertionError("no witness to corrupt")
+
+
+@pytest.mark.parametrize("how", ["constant", "dropped"])
+def test_corrupted_witness_fails_the_recheck(how):
+    t, p = RootType.parse("C2"), 3
+    witnesses = find_witnesses(t, p)
+    k, bad = corrupt(witnesses, p, how)
+    witnesses[k] = bad
+    with pytest.raises(VerificationError, match="not the product of its table"):
+        check_witnesses(t, p, witnesses)
+
+
+def test_witness_out_of_order_fails_the_recheck():
+    t, p = RootType.parse("C3"), 2
+    witnesses = find_witnesses(t, p)
+    with pytest.raises(VerificationError, match="not resolved before it"):
+        check_witnesses(t, p, witnesses[::-1])
+
+
+@pytest.mark.parametrize("how", ["constant", "dropped"])
+def test_corrupted_witness_is_a_fail_row(monkeypatch, how):
+    t, p = RootType.parse("C2"), 3
+    _, bad = corrupt(find_witnesses(t, p), p, how)
+    real = finitelab.commutator_constants
+
+    def corrupted(cb, beta, gamma):
+        if (beta.coords, gamma.coords) == (bad.beta, bad.gamma):
+            return bad.table
+        return real(cb, beta, gamma)
+
+    monkeypatch.setattr(finitelab, "commutator_constants", corrupted)
+    row, = perfectness_report([(t, p)])
+    assert row["status"] == "fail"
+    assert row["note"].startswith("fail: witness for")
+    assert "fail: witness for" in format_report([row])
+
+
+def test_witness_route_checks_the_one_parameter_law(monkeypatch):
+    real = finitelab._root_powers
+
+    def broken(cb, coords, p):
+        powers = real(cb, coords, p)
+        powers[2] = (powers[2] + powers[1]) % p
+        return powers
+
+    monkeypatch.setattr(finitelab, "_root_powers", broken)
+    with pytest.raises(VerificationError, match="one-parameter law"):
+        perfect_by_witness(RootType.parse("A2"), 5)
 
 
 def test_closure_idempotent(a2_mod2):
@@ -192,14 +328,29 @@ def test_report_catalog(a2_mod2):
         (RootType.parse("A1"), 2),
         (RootType.parse("B3"), 2),
     ], cap=10 ** 5)
+    # G2/F_2 has no witness route and 2^12 <= 1000 < 12096: the closure is
+    # grown and stops at the cap
+    rows += perfectness_report([(RootType.parse("G2"), 2)], cap=1000)
     by_type = {(r["type"], r["p"]): r for r in rows}
     assert by_type[("A2", 2)]["verdict"] == "matches prediction"
+    assert by_type[("A2", 2)]["route"] == "witness"
+    assert by_type[("A2", 2)]["order"] == 168
     assert by_type[("C2", 2)]["derived_index"] == 2
     assert by_type[("C2", 2)]["verdict"] == "matches prediction"
+    assert by_type[("C2", 2)]["route"] == "enumeration"
     assert by_type[("A1", 2)]["verdict"].startswith("out-of-hypothesis")
-    assert by_type[("B3", 2)]["note"] == "skipped: cap"
+    # 2^18 > 10^5: witnessed perfect, the closure skipped for the order
+    b3 = by_type[("B3", 2)]
+    assert (b3["route"], b3["derived_index"], b3["verdict"]) == (
+        "witness", 1, "matches prediction")
+    assert "order" not in b3
+    g2 = by_type[("G2", 2)]
+    assert (g2["route"], g2["note"]) == ("enumeration", "skipped: cap")
     text = format_report(rows)
     assert "skipped: cap" in text and "matches prediction" in text
+    assert text.splitlines()[0].split() == ["type", "p", "route", "order", "index",
+                                            "verdict"]
+    assert text.splitlines()[4].split()[:5] == ["B3", "2", "witness", "-", "1"]
 
 
 def test_keys_distinguish_residues_above_255():
@@ -263,6 +414,28 @@ def test_p_over_cap_raises_before_building(monkeypatch):
     monkeypatch.setattr(finitelab, "adjoint_generators", fail)
     with pytest.raises(CapExceeded):
         generate_elementary_group(RootType.parse("A1"), 100003, cap=1000)
+
+
+def test_cap_early_out_at_p_to_the_2n(monkeypatch):
+    built = []
+    real = finitelab.adjoint_generators
+
+    def spy(t, p):
+        built.append(t)
+        return real(t, p)
+
+    monkeypatch.setattr(finitelab, "adjoint_generators", spy)
+    a2 = RootType.parse("A2")
+    with pytest.raises(CapExceeded, match=r"p\^\(2N\)"):
+        generate_elementary_group(a2, 2, cap=2 ** 6 - 1)
+    assert built == []
+    with pytest.raises(CapExceeded):  # 2^6 <= cap < 168: grown, then stopped
+        generate_elementary_group(a2, 2, cap=2 ** 6)
+    assert built == [a2]
+    built.clear()
+    with pytest.raises(CapExceeded):  # 2^72 elements at least
+        generate_elementary_group(RootType.parse("E6"), 2)
+    assert built == []
 
 
 def test_fq_matrix_rejects_int64_overflow():

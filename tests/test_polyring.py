@@ -10,8 +10,10 @@ from relroots.polyring import (
     RegistryMismatch,
     VarRegistry,
     _decode,
+    evaluate,
     row_reduce,
 )
+from relroots.rootcore import VerificationError
 
 
 @pytest.fixture
@@ -164,6 +166,33 @@ def test_packed_ring_agrees_with_the_reference_ring():
         assert (a == c) == (ra == rc)
         assert (a * b == c) == (ra * rb == rc)
     assert w_free > 1000
+
+
+def test_evaluate_agrees_with_the_reference_ring():
+    names = ["u0", "u1", "v0", "eps"]
+    reg, ref = VarRegistry(names), RefRegistry(names)
+    rng = random.Random(5)
+    skipped = 0
+    for _ in range(1000):
+        p, q = _random_pair(reg, ref, rng, 0)
+        values = {k: rng.choice((0, 0, 1, -2, Fraction(1, 3))) for k in range(len(names))}
+        want = 0
+        for exp, c in q.terms.items():
+            for k, e in enumerate(exp):
+                c *= values[k] ** e
+            want += c
+        assert evaluate(p, values) == want
+        skipped += any(values[k] == 0 and e for exp in q.terms for k, e in enumerate(exp))
+    assert skipped > 100
+
+
+def test_evaluate_never_skips_an_eps_denominator():
+    # u0 is 0, so the mask would skip the term, but it carries w
+    reg = VarRegistry(["u0", "eps"])
+    p = reg.var("u0") * reg.eps_unit_inverse() + 1
+    for values in ({}, {0: 0}, {0: 2, 1: 3}):
+        with pytest.raises(VerificationError, match="eps denominator"):
+            evaluate(p, values)
 
 
 def test_raw_spellings_build_one_element():
