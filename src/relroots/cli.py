@@ -326,7 +326,7 @@ def cmd_verify(args):
 
 def cmd_perfect(args):
     # finitelab loads numpy, which no other command needs
-    from .finitelab import closure_cap, format_report, perfectness_report
+    from .finitelab import DEFAULT_CAP, format_report, perfectness_report
 
     try:
         t = RootType.parse(args.type)
@@ -334,10 +334,9 @@ def cmd_perfect(args):
         raise CliError(str(exc))
     if not is_prime(args.p):
         raise CliError("%d is not prime" % args.p)
-    try:
-        cap = closure_cap() if args.cap is None else args.cap
-    except ValueError as exc:
-        raise CliError("bad RELROOT_CAP: %s" % exc)
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    if cap < 1:
+        raise CliError("--cap must be a positive integer")
     try:
         rows = perfectness_report([(t, args.p)], cap=cap)
     except ValueError as exc:  # p too large for exact int64 products
@@ -390,7 +389,7 @@ def build_parser():
     p.add_argument("--type", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--cap", type=int, default=None,
-                   help="closure cap (also RELROOT_CAP env var)")
+                   help="largest group order built or shown (default 10^6)")
     p.set_defaults(func=cmd_perfect)
     return parser
 

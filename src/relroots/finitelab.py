@@ -22,6 +22,8 @@ doubly/triply laced types (B2 = C2 and G2) over F_2 fail to be perfect.
   commutators.  This is the route wherever the search stops short (a failed
   search proves nothing), for rank 1, and for hand-built groups.
 
+Only the enumeration route builds the closure, whose order is checked
+against ``adjoint_order``; a witness row takes its order from that formula.
 The closure stops at a cap on its element count, and before it builds
 anything when p^(2N) already exceeds the cap (N positive roots).
 All statements are about the adjoint image of the group; rank-1 types are
@@ -30,8 +32,9 @@ reported without a verdict, being outside the rank >= 2 hypothesis.
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -47,56 +50,25 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def closure_cap():
-    return int(os.environ.get("RELROOT_CAP", DEFAULT_CAP))
-
-
 def _key_dtype(p):
     """Group elements over F_p are stored, and keyed by their bytes, in the
     smallest unsigned dtype that holds p - 1 (uint8 up to p = 256)."""
     return np.min_scalar_type(p - 1)
 
 
-class FqMatrix:
-    """Square matrix over F_p with a canonical hashable byte encoding."""
-
-    __slots__ = ("p", "array")
-
-    def __init__(self, p, array):
-        if not is_prime(p):
-            raise ValueError("modulus %d is not prime" % p)
-        self.p = p
-        self.array = np.ascontiguousarray(np.asarray(array, dtype=np.int64) % p)
-        _matmul_bound(self.dim, p)
-
-    @property
-    def dim(self):
-        return self.array.shape[0]
-
-    def key(self):
-        return self.array.astype(_key_dtype(self.p)).tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, FqMatrix) and self.p == other.p \
-            and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def inverse(self):
-        n = self.dim
-        # row-reduce [A | I] to [I | A^-1]
-        aug = np.concatenate([self.array, np.eye(n, dtype=np.int64)], axis=1)
-        reduced, pivots = row_reduce(aug.tolist(), n, self.p)
-        if len(pivots) != n:
-            raise ZeroDivisionError("singular matrix over F_%d" % self.p)
-        return FqMatrix(self.p, [row[n:] for row in reduced])
+def _inverse(a, p):
+    """A^-1 over F_p, by row-reducing [A | I] to [I | A^-1]."""
+    n = len(a)
+    reduced, pivots = row_reduce(np.hstack([a, np.eye(n, dtype=np.int64)]).tolist(), n, p)
+    if len(pivots) != n:
+        raise ZeroDivisionError("singular matrix over F_%d" % p)
+    return np.array([row[n:] for row in reduced], dtype=np.int64)
 
 
 @dataclass
 class GroupClosure:
     elements: dict  # byte key -> np.ndarray in _key_dtype(p)
-    generators: list  # of FqMatrix, each enlarging the group
+    generators: list  # of int64 arrays mod p, each enlarging the group
     p: int
     dim: int
     root_type: RootType | None = None  # None for a hand-built group
@@ -138,18 +110,14 @@ def _check_one_parameter_law(powers, p):
 
 
 def adjoint_generators(t: RootType, p):
-    """One x_alpha(1) per root alpha, deduplicated; over the prime field
+    """One x_alpha(1) per root alpha, mod p; over the prime field
     x_alpha(c) = x_alpha(1)^c, which the one-parameter law check confirms."""
-    rs = build_root_system(t)
-    cb = build_chevalley_basis(rs)
-    gens, seen = [], set()
-    for root in rs.roots:
+    cb = build_chevalley_basis(build_root_system(t))
+    gens = []
+    for root in cb.rs.roots:
         powers = _root_powers(cb, root.coords, p)
-        m = FqMatrix(p, powers.sum(axis=0))  # checks the int64 bound first
         _check_one_parameter_law(powers, p)
-        if m.key() not in seen:
-            seen.add(m.key())
-            gens.append(m)
+        gens.append(powers.sum(axis=0) % p)
     return gens
 
 
@@ -200,16 +168,18 @@ def _extend(elements, gens, g, p, cap):
 
 
 def _matmul_bound(dim, p):
-    """Products of int64 matrices over F_p are exact iff dim (p-1)^2 < 2^63."""
+    """Reject a p that is not prime, and a field where int64 products of
+    F_p matrices are not exact (they are iff dim (p-1)^2 < 2^63)."""
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
     if dim * (p - 1) ** 2 >= 1 << 63:
         raise ValueError("F_%d matrices of size %d overflow int64 products"
                          % (p, dim))
 
 
-def generate_elementary_group(t: RootType, p, cap=None) -> GroupClosure:
+def generate_elementary_group(t: RootType, p, cap=DEFAULT_CAP) -> GroupClosure:
     """The adjoint group generated by the x_alpha(c), grown generator by
     generator; ``generators`` keeps the ones that enlarged it."""
-    cap = closure_cap() if cap is None else cap
     n_pos = len(build_root_system(t).roots) // 2
     dim = t.rank + 2 * n_pos
     _matmul_bound(dim, p)
@@ -219,9 +189,9 @@ def generate_elementary_group(t: RootType, p, cap=None) -> GroupClosure:
         # height order), so the products u- u+ are p^(2N) distinct elements
         raise CapExceeded("order >= p^(2N) = %d^%d exceeds cap %d"
                           % (p, 2 * n_pos, cap))
-    elements, kept = _identity_group(dim, p), []
-    gens = [m for m in adjoint_generators(t, p)
-            if _extend(elements, kept, m.array, p, cap)]
+    elements, gens = _identity_group(dim, p), []
+    for m in adjoint_generators(t, p):
+        _extend(elements, gens, m, p, cap)
     return GroupClosure(elements, gens, p, dim, t)
 
 
@@ -230,7 +200,7 @@ def derived_subgroup(g: GroupClosure):
     kept subgroup generator h is conjugated by every group generator m and
     m h m^-1 extends the subgroup unless it is already inside."""
     p = g.p
-    gens = [(m.array, m.inverse().array) for m in g.generators]
+    gens = [(m, _inverse(m, p)) for m in g.generators]
     elements, kept = _identity_group(g.dim, p), []
     queue = []
     for a, a_inv in gens:
@@ -389,36 +359,66 @@ def derived_subgroup_index(g: GroupClosure):
     return _enumerated_index(g)
 
 
+def _exponents(t: RootType):
+    """m_j = #{k : n_k >= j} for j = 1..rank, where n_k is the number of
+    positive roots of height k: the partition of the positive roots by
+    height is dual to the exponents (Kostant)."""
+    heights = Counter(r.height for r in build_root_system(t).positive_roots())
+    return [sum(n >= j for n in heights.values()) for j in range(1, t.rank + 1)]
+
+
+def adjoint_order(t: RootType, p):
+    """Order of the adjoint elementary group over F_p (Carter, *Simple
+    Groups of Lie Type*, Thm 9.4.10): p^N prod (p^(m_j + 1) - 1) / |Z|, where
+    |Z| = prod gcd(e, p - 1) over the invariant factors e of the centre of
+    the simply connected group."""
+    l, exponents = t.rank, _exponents(t)
+    order = p ** sum(exponents)  # the exponents sum to N
+    for m in exponents:
+        order *= p ** (m + 1) - 1
+    centre = {"A": (l + 1,), "B": (2,), "C": (2,), "D": (2, 2) if l % 2 == 0 else (4,),
+              "E": {6: (3,), 7: (2,)}.get(l, ())}  # none for E8, F4 and G2
+    for e in centre.get(t.series, ()):
+        order //= gcd(e, p - 1)
+    return order
+
+
 PREDICTED_IMPERFECT = {("C", 2), ("B", 2), ("G", 2)}
 
 
-def perfectness_report(cases, cap=None):
+def perfectness_report(cases, cap=DEFAULT_CAP):
     """Rows of (type, p, route, order, derived index, verdict) for the catalog.
 
-    The witness search runs first; a witness row builds the closure only
-    for its order column.  A failed check becomes a ``fail`` row."""
+    A witness row has index 1 and the order from ``adjoint_order``, shown
+    when it is at most ``cap``; otherwise the closure is built (or the row
+    is ``skipped: cap``), checked against that order, and its derived
+    subgroup enumerated.  A failed check becomes a ``fail`` row."""
     rows = []
     for t, p in cases:
         row = {"type": str(t), "p": p}
         rows.append(row)
         try:
-            witnessed = perfect_by_witness(t, p)
-            row["route"] = "witness" if witnessed else "enumeration"
-            try:
-                g = generate_elementary_group(t, p, cap=cap)
-            except CapExceeded:
-                if not witnessed:
+            order = adjoint_order(t, p)
+            if perfect_by_witness(t, p):
+                row.update(route="witness", derived_index=1)
+                if order <= cap:
+                    row["order"] = order
+            else:
+                row["route"] = "enumeration"
+                try:
+                    g = generate_elementary_group(t, p, cap=cap)
+                except CapExceeded:
                     row.update(status="skipped", note="skipped: cap")
                     continue
-                g = None
-            idx = 1 if witnessed else _enumerated_index(g)
+                require(g.order == order,
+                        "closure order %d is not the order formula's %d",
+                        g.order, order)
+                row.update(order=order, derived_index=_enumerated_index(g))
         except VerificationError as exc:
             row.update(status="fail", note="fail: %s" % exc)
             continue
-        if g is not None:
-            row["order"] = g.order
-        perfect = idx == 1
-        row.update(status="pass", derived_index=idx, perfect=perfect)
+        perfect = row["derived_index"] == 1
+        row.update(status="pass", perfect=perfect)
         if t.rank < 2:
             row["verdict"] = "out-of-hypothesis (rank 1)"
         else:

@@ -101,3 +101,17 @@ def commutator_constants_fast(cb, alpha, beta):
                 i, j, alpha, beta, val)
         table[(i, j)] = abs(int(val))
     return table
+
+
+# degrees d_i = m_i + 1 of the basic invariants of the Weyl group
+# (Humphreys, *Reflection Groups and Coxeter Groups*, Table 3.1)
+DEGREES = {
+    "A": lambda l: list(range(2, l + 2)),
+    "B": lambda l: list(range(2, 2 * l + 1, 2)),
+    "C": lambda l: list(range(2, 2 * l + 1, 2)),
+    "D": lambda l: list(range(2, 2 * l - 1, 2)) + [l],
+    "E": lambda l: {6: [2, 5, 6, 8, 9, 12], 7: [2, 6, 8, 10, 12, 14, 18],
+                    8: [2, 8, 12, 14, 18, 20, 24, 30]}[l],
+    "F": lambda l: [2, 6, 8, 12],
+    "G": lambda l: [2, 6],
+}

@@ -400,11 +400,11 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_perfect_bad_cap_env_errors(capsys, monkeypatch):
-    monkeypatch.setenv("RELROOT_CAP", "abc")
-    code, _, err = run(capsys, "perfect", "--type", "A2", "--p", "2")
-    assert code == 2
-    assert err.startswith("error:") and "RELROOT_CAP" in err
+@pytest.mark.parametrize("name,cap", [("A2", "0"), ("A2", "-5"), ("C2", "-1")])
+def test_perfect_cap_must_be_positive(capsys, name, cap):
+    code, out, err = run(capsys, "perfect", "--type", name, "--p", "2", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == "error: --cap must be a positive integer\n"
 
 
 def test_perfect_rejects_composite(capsys):

@@ -11,14 +11,17 @@ from relroots import finitelab
 from relroots.chevalley import build_chevalley_basis
 from relroots.finitelab import (
     CapExceeded,
-    FqMatrix,
     GroupClosure,
     _enumerated_index,
     _extend,
+    _exponents,
     _identity_group,
+    _inverse,
+    _key_dtype,
+    _matmul_bound,
     adjoint_generators,
+    adjoint_order,
     check_witnesses,
-    closure_cap,
     derived_subgroup,
     derived_subgroup_index,
     find_witnesses,
@@ -27,7 +30,9 @@ from relroots.finitelab import (
     perfect_by_witness,
     perfectness_report,
 )
-from relroots.rootcore import RootType, VerificationError, build_root_system
+from relroots.rootcore import InvalidRootType, RootType, VerificationError, build_root_system
+
+from lie_oracles import DEGREES
 
 
 def oracle_key(a, p):
@@ -83,7 +88,7 @@ def bfs_derived_subgroup(gen_arrays, p, cap):
     """Oracle: BFS closure of the generator commutators, re-run from scratch
     until conjugation by every generator stays inside."""
     dim = gen_arrays[0].shape[0]
-    inv = [FqMatrix(p, a).inverse().array for a in gen_arrays]
+    inv = [_inverse(a, p) for a in gen_arrays]
     seeds = {}
     for a, ai in zip(gen_arrays, inv):
         for b, bi in zip(gen_arrays, inv):
@@ -141,7 +146,7 @@ def test_abelian_group_index_equals_order(monkeypatch):
     m = np.array([[1, 1], [0, 1]], dtype=np.int64)
     elements = _identity_group(2, 5)
     _extend(elements, [], m, 5, cap=10)
-    g = GroupClosure(elements, [FqMatrix(5, m)], 5, 2)
+    g = GroupClosure(elements, [m], 5, 2)
     assert g.order == 5
     assert g.root_type is None  # hand-built: no witness search, enumeration
 
@@ -176,7 +181,7 @@ def test_witness_route_agrees_with_enumeration(six_groups, key):
     t = RootType.parse(name)
     g = six_groups[key]
     order, index = SIX_GROUPS[key]
-    assert g.root_type == t and g.order == order
+    assert g.root_type == t and g.order == order == adjoint_order(t, p)
     assert _enumerated_index(g) == index
     resolved = check_witnesses(t, p, find_witnesses(t, p))
     n_roots = len(build_root_system(t).roots)
@@ -193,6 +198,62 @@ def test_order_at_least_p_to_the_2n(six_groups, key):
     name, p = key
     n_pos = len(build_root_system(RootType.parse(name)).roots) // 2
     assert six_groups[key].order >= p ** (2 * n_pos)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_order_formula_matches_the_closure_rank_one(p):
+    t = RootType.parse("A1")
+    assert adjoint_order(t, p) == generate_elementary_group(t, p).order
+
+
+def all_types(max_rank):
+    for series in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                yield RootType(series, rank)
+            except InvalidRootType:
+                pass
+
+
+def test_exponents_from_heights_match_the_degrees():
+    types = list(all_types(8))
+    assert len(types) == 8 + 7 + 7 + 6 + 3 + 1 + 1
+    for t in types:
+        degrees = sorted(DEGREES[t.series](t.rank))
+        assert sorted(m + 1 for m in _exponents(t)) == degrees, t
+
+
+def test_perturbed_order_formula_is_a_fail_row(monkeypatch):
+    real = finitelab.adjoint_order
+    monkeypatch.setattr(finitelab, "adjoint_order", lambda t, p: real(t, p) + 1)
+    row, = perfectness_report([(RootType.parse("C2"), 2)])
+    assert (row["route"], row["status"]) == ("enumeration", "fail")
+    assert row["note"] == "fail: closure order 720 is not the order formula's 721"
+
+
+def test_witness_rows_build_no_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure built for a witness row")
+
+    monkeypatch.setattr(finitelab, "generate_elementary_group", no_closure)
+    rows = perfectness_report([(RootType.parse(name), p)
+                               for name, p in (("A2", 2), ("C2", 3), ("B3", 2))])
+    assert [(r["route"], r["status"], r.get("order")) for r in rows] == [
+        ("witness", "pass", 168), ("witness", "pass", 25920),
+        ("witness", "pass", None)]  # B3/F_2 has 1,451,520 > 10^6 elements
+    lines = format_report(rows).splitlines()
+    assert lines[1].split()[:5] == ["A2", "2", "witness", "168", "1"]
+    assert lines[2].split()[:5] == ["C2", "3", "witness", "25920", "1"]
+    assert lines[3].split()[:5] == ["B3", "2", "witness", "-", "1"]
+
+
+@pytest.mark.parametrize("name,p", [("A2", 1), ("A2", 4), ("C2", 9)])
+def test_composite_modulus_is_rejected(name, p):
+    t = RootType.parse(name)
+    with pytest.raises(ValueError, match="not prime"):
+        perfect_by_witness(t, p)
+    with pytest.raises(ValueError, match="not prime"):
+        generate_elementary_group(t, p)
 
 
 def test_rank_one_has_no_witness():
@@ -280,7 +341,7 @@ def test_witness_route_checks_the_one_parameter_law(monkeypatch):
 def test_closure_idempotent(a2_mod2):
     # the BFS oracle run on every element adds nothing
     again = bfs_closure(list(a2_mod2.elements.values()),
-                        [m.array for m in a2_mod2.generators], 2,
+                        a2_mod2.generators, 2,
                         cap=2 * a2_mod2.order + 1)
     assert set(again) == set(a2_mod2.elements)
 
@@ -297,28 +358,21 @@ def test_dimino_matches_bfs_oracle(name, p):
 
 def test_fq_matrix_inverse(a2_mod2):
     for arr in list(a2_mod2.elements.values())[:20]:
-        m = FqMatrix(2, arr)
-        prod = m.array @ m.inverse().array % m.p
-        assert np.array_equal(prod, np.eye(m.dim, dtype=np.int64))
+        m = arr.astype(np.int64)
+        prod = m @ _inverse(m, 2) % 2
+        assert np.array_equal(prod, np.eye(a2_mod2.dim, dtype=np.int64))
 
 
 def test_generator_dedup_and_membership(a2_mod2):
     gens = adjoint_generators(RootType.parse("A2"), 2)
-    assert len({g.key() for g in gens}) == len(gens)
+    assert len({oracle_key(g, 2) for g in gens}) == len(gens)
     for g in gens:
-        assert g.key() in a2_mod2.elements
+        assert oracle_key(g, 2) in a2_mod2.elements
 
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         generate_elementary_group(RootType.parse("A3"), 3, cap=100)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("RELROOT_CAP", "1234")
-    assert closure_cap() == 1234
-    monkeypatch.delenv("RELROOT_CAP")
-    assert closure_cap() == 10 ** 6
 
 
 def test_report_catalog(a2_mod2):
@@ -354,8 +408,13 @@ def test_report_catalog(a2_mod2):
 
 
 def test_keys_distinguish_residues_above_255():
-    assert FqMatrix(257, [[256]]) != FqMatrix(257, [[0]])
-    assert FqMatrix(257, [[256]]).key() != FqMatrix(257, [[0]]).key()
+    def key(a):
+        return np.array(a, dtype=np.int64).astype(_key_dtype(257)).tobytes()
+
+    assert key([[256]]) != key([[0]])
+    elements = _identity_group(1, 257)
+    _extend(elements, [], np.array([[256]], dtype=np.int64), 257, cap=10)
+    assert set(elements) == {key([[1]]), key([[256]])}
 
 
 def test_unipotent_closure_over_f257():
@@ -388,7 +447,7 @@ def test_one_generator_per_root():
     gens = adjoint_generators(t, 3)
     assert len(gens) == len(build_root_system(t).roots)
     x1 = {oracle_key(a, 3) for a in all_root_elements(t, 3)[::2]}  # c = 1
-    assert {m.key() for m in gens} == x1
+    assert {oracle_key(m, 3) for m in gens} == x1
 
 
 def test_one_parameter_law_violation_raises(monkeypatch):
@@ -440,14 +499,14 @@ def test_cap_early_out_at_p_to_the_2n(monkeypatch):
 
 def test_fq_matrix_rejects_int64_overflow():
     # 3 (p - 1)^2 >= 2^63 > 2 (p - 1)^2 for p = 2^31 - 1
-    FqMatrix(2 ** 31 - 1, np.eye(2, dtype=np.int64))
+    _matmul_bound(2, 2 ** 31 - 1)
     with pytest.raises(ValueError, match="overflow int64"):
-        FqMatrix(2 ** 31 - 1, np.eye(3, dtype=np.int64))
+        _matmul_bound(3, 2 ** 31 - 1)
 
 
 WRONG_ORDER = """
 import numpy as np
-from relroots.finitelab import FqMatrix, GroupClosure, _extend, _identity_group, \
+from relroots.finitelab import GroupClosure, _extend, _identity_group, \
     derived_subgroup_index
 # S3 as permutation matrices over F_5; its derived subgroup A3 has order 3
 gens = [np.array(m, dtype=np.int64) for m in
@@ -456,7 +515,7 @@ elements = _identity_group(3, 5)
 for m in gens:
     _extend(elements, [], m, 5, cap=6)
 elements.popitem()  # claims order 5
-derived_subgroup_index(GroupClosure(elements, [FqMatrix(5, m) for m in gens], 5, 3))
+derived_subgroup_index(GroupClosure(elements, gens, 5, 3))
 """
 
 
