@@ -28,6 +28,15 @@ The closure stops at a cap on its element count, and before it builds
 anything when p^(2N) already exceeds the cap (N positive roots).
 All statements are about the adjoint image of the group; rank-1 types are
 reported without a verdict, being outside the rank >= 2 hypothesis.
+
+Both routes multiply F_p matrices through one exact kernel, ``_times``: a
+stack of matrices held by columns times a right factor, summed over the
+factor's nonzeros in the narrowest unsigned dtype that holds every sum
+(uint8 over F_2).  A Dimino coset is one such product of the whole
+subgroup, and the witness re-check and the one-parameter law multiply by
+root elements, which have few nonzeros.  Single dense products (coset
+representatives times generators, the commutators of the derived
+subgroup) stay int64 matmul, exact while dim (p - 1)^2 < 2^63.
 """
 
 from __future__ import annotations
@@ -54,6 +63,49 @@ def _key_dtype(p):
     """Group elements over F_p are stored, and keyed by their bytes, in the
     smallest unsigned dtype that holds p - 1 (uint8 up to p = 256)."""
     return np.min_scalar_type(p - 1)
+
+
+def _sum_dtype(n, p):
+    """The smallest unsigned dtype that holds n (p - 1)^2: a sum of n
+    products of residues in [0, p), so no sum of ``_times`` can wrap."""
+    return np.min_scalar_type(n * (p - 1) ** 2)
+
+
+def _columns(stack, dtype=np.int64):
+    """A stack of n x n matrices held by columns: row k is column k of
+    every row of the stack, the rows in stack order (a single matrix A
+    gives A^T)."""
+    n = stack.shape[-1]
+    return stack.reshape(-1, n, n).transpose(2, 0, 1).reshape(n, -1).astype(
+        dtype, copy=False)
+
+
+def _times(cols, r, p):
+    """A r mod p for a stack A held by columns (``_columns``), entries of
+    both in [0, p); the product comes back by columns, so products chain.
+
+    Column j of the product is the sum of r[k, j] cols[k] over the nonzeros
+    of r, added in place.  The sums are held in ``_sum_dtype(len(cols), p)``,
+    so they are exact by construction (uint8 for p = 2 and n <= 255, with
+    n = len(cols)), and a right factor with few nonzeros costs few vector
+    additions.  They are reduced as s - p (s // p): numpy divides unsigned
+    integers by a scalar about ten times faster than it takes remainders."""
+    dtype = _sum_dtype(len(cols), p)
+    cols = cols.astype(dtype, copy=False)
+    out = np.zeros((r.shape[1], cols.shape[1]), dtype=dtype)
+    term = np.empty(cols.shape[1], dtype=dtype)
+    sums, terms = list(out), list(cols)  # row views, made once
+    n, flat = r.shape[1], np.flatnonzero(r)
+    for f, c in zip(flat.tolist(), r.ravel()[flat].tolist()):
+        k, j = divmod(f, n)
+        if c == 1:
+            np.add(sums[j], terms[k], out=sums[j])
+        else:
+            np.add(sums[j], np.multiply(terms[k], c, out=term), out=sums[j])
+    quotient = out // p
+    quotient *= p
+    out -= quotient
+    return out
 
 
 def _inverse(a, p):
@@ -105,7 +157,7 @@ def _check_one_parameter_law(powers, p):
         for k in range(1, len(powers)):
             coeff[:, k] = coeff[:, k - 1] * a % p
         x = (coeff @ flat % p).reshape(len(a), n, n)
-        require(np.array_equal(x[:-1] @ x1 % p, x[1:]),
+        require(np.array_equal(_times(_columns(x[:-1]), x1, p), _columns(x[1:])),
                 "one-parameter law fails mod %d", p)
 
 
@@ -132,28 +184,28 @@ def _extend(elements, gens, g, p, cap):
     by Dimino's algorithm; return whether g was new.
 
     The new subgroup is the union of right cosets H r: each is added whole,
-    with one product (H @ r) % p and keys cut in bulk from one buffer, and
-    a membership lookup is made only for each coset representative times
-    generator.  ``CapExceeded`` is raised before a coset would take the order
-    past ``cap``, so the dict never holds more than ``cap`` elements (it is
-    left part-grown)."""
+    as one ``_times`` product of H, laid out by columns once per extension,
+    with r, and its keys are cut from that block in one call.  A membership
+    lookup is made only for each coset representative times generator.
+    ``CapExceeded`` is raised before a coset would take the order past
+    ``cap``, so the dict never holds more than ``cap`` elements (it is left
+    part-grown)."""
     dtype = _key_dtype(p)
     if g.astype(dtype).tobytes() in elements:
         return False
     gens.append(g)
     dim = g.shape[0]
     width = dim * dim * dtype.itemsize
-    h = np.stack(list(elements.values())).astype(np.int64).reshape(-1, dim)
-    order = len(h) // dim
+    order = len(elements)
+    cols = _columns(np.stack(list(elements.values())), _sum_dtype(dim, p))
     stacked = np.stack(gens)
 
     def add_coset(r):
         if len(elements) + order > cap:
             raise CapExceeded("closure exceeded cap %d" % cap)
-        block = (h @ r % p).astype(dtype).reshape(order, dim, dim)
-        buf = block.tobytes()
-        elements.update(zip((buf[i:i + width]
-                             for i in range(0, len(buf), width)), block))
+        block = _times(cols, r, p).T.astype(dtype, order="C")
+        keys = block.reshape(order, -1).view("V%d" % width).ravel().tolist()
+        elements.update(zip(keys, block.reshape(order, dim, dim)))
 
     add_coset(g)
     reps = [g]
@@ -327,8 +379,10 @@ def check_witnesses(t: RootType, p, witnesses):
                 and w.table.get(w.ij, 0) % p,
                 "witness for %s: %s*%s + %s*%s with constant %s mod %d",
                 w.root, w.ij[0], b, w.ij[1], g, w.table.get(w.ij), p)
-        lhs = x(b, 1) @ x(g, 1) % p @ x(b, -1) % p @ x(g, -1) % p
-        rhs = np.eye(cb.dim, dtype=np.int64)
+        lhs = _columns(x(b, 1))
+        for r in (x(g, 1), x(b, -1), x(g, -1)):
+            lhs = _times(lhs, r, p)
+        rhs = np.eye(cb.dim, dtype=np.int64)  # by columns, as lhs
         for kl, c in w.table.items():
             if c % p == 0:
                 continue
@@ -336,7 +390,7 @@ def check_witnesses(t: RootType, p, witnesses):
             require(delta in rs and (kl == w.ij or delta in resolved),
                     "witness for %s: factor on %s is not resolved before it",
                     w.root, delta)
-            rhs = rhs @ x(delta, c) % p
+            rhs = _times(rhs, x(delta, c), p)
         require(np.array_equal(lhs, rhs),
                 "witness for %s: [x_%s(1), x_%s(1)] is not the product of its "
                 "table mod %d", w.root, b, g, p)

@@ -52,12 +52,31 @@ class DiagramAut:
 
 @lru_cache(maxsize=None)
 def enumerate_diagram_automorphisms(t: RootType):
-    """All graph automorphisms of the Dynkin diagram of t, as a tuple."""
+    """All graph automorphisms of the Dynkin diagram of t, as a tuple in
+    lexicographic order of the permutations.
+
+    The permutation is built node by node, smallest image first, and a
+    partial one is dropped as soon as a Cartan entry between assigned
+    nodes is not preserved."""
     cartan = build_root_system(t).cartan
     l = t.rank
-    return tuple(DiagramAut(perm) for perm in itertools.permutations(range(l))
-                 if all(cartan[perm[i]][perm[j]] == cartan[i][j]
-                        for i in range(l) for j in range(l)))
+    found, perm = [], []
+
+    def extend():
+        i = len(perm)
+        if i == l:
+            found.append(DiagramAut(tuple(perm)))
+            return
+        for v in range(l):
+            if v not in perm and cartan[v][v] == cartan[i][i] and all(
+                    cartan[v][w] == cartan[i][j] and cartan[w][v] == cartan[j][i]
+                    for j, w in enumerate(perm)):
+                perm.append(v)
+                extend()
+                perm.pop()
+
+    extend()
+    return tuple(found)
 
 
 def closure_of_auts(gens, l):

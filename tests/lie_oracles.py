@@ -4,9 +4,11 @@
 elements; ``root_string`` and ``cartan_pairing`` recompute root data from
 the root set and the Gram matrix alone; ``commutator_constants_fast``
 gives the magnitudes of the commutator constants from the structure
-constants, with no matrix work.
+constants, with no matrix work; ``diagram_automorphisms`` tries every
+permutation of the Dynkin nodes.
 """
 
+import itertools
 from fractions import Fraction
 
 from relroots.rootcore import collinear, require
@@ -115,3 +117,12 @@ DEGREES = {
     "F": lambda l: [2, 6, 8, 12],
     "G": lambda l: [2, 6],
 }
+
+
+def diagram_automorphisms(cartan):
+    """Every permutation of the nodes that preserves the Cartan matrix, in
+    lexicographic order: all l! of them are tried."""
+    l = len(cartan)
+    return tuple(perm for perm in itertools.permutations(range(l))
+                 if all(cartan[perm[i]][perm[j]] == cartan[i][j]
+                        for i in range(l) for j in range(l)))

@@ -15,10 +15,13 @@ from relroots.finitelab import (
     _enumerated_index,
     _extend,
     _exponents,
+    _columns,
     _identity_group,
     _inverse,
     _key_dtype,
     _matmul_bound,
+    _sum_dtype,
+    _times,
     adjoint_generators,
     adjoint_order,
     check_witnesses,
@@ -190,6 +193,45 @@ def test_witness_route_agrees_with_enumeration(six_groups, key):
     assert (len(resolved) == n_roots) == (index == 1)
     assert len(resolved) == {("C2", 2): 0, ("G2", 2): 6}.get(key, n_roots)
     assert derived_subgroup_index(g) == index
+
+
+@pytest.mark.parametrize("key", sorted(SIX_GROUPS))
+def test_closure_keys_match_bfs_oracle(six_groups, key):
+    # Dimino by column-kernel cosets against the BFS oracle, which multiplies
+    # every x_alpha(c) in int64 and keys each product on its own
+    name, p = key
+    g = six_groups[key]
+    elements = bfs_closure([np.eye(g.dim, dtype=np.int64)],
+                           all_root_elements(RootType.parse(name), p), p,
+                           cap=g.order)
+    assert set(g.elements) == set(elements)
+
+
+# (n, p) on both sides of each accumulator boundary: n (p - 1)^2 is
+# 240 | 256, 57,132 | 65,712 and 4,293,326,700 | 4,296,959,148
+ACCUMULATORS = [(15, 5, np.uint8), (16, 5, np.uint16), (3, 139, np.uint16),
+                (3, 149, np.uint32), (3, 37831, np.uint32), (3, 37847, np.uint64)]
+
+
+@pytest.mark.parametrize("n,p,dtype", ACCUMULATORS)
+def test_times_agrees_with_int64_matmul(n, p, dtype):
+    assert _sum_dtype(n, p) == dtype
+    rng = np.random.default_rng(n * p)
+    zero_column = rng.integers(0, p, (n, n))
+    zero_column[:, n // 2] = 0
+    rights = [rng.integers(0, p, (n, n)), np.full((n, n), p - 1),
+              np.eye(n, dtype=np.int64), zero_column]
+    for stack in (rng.integers(0, p, (5, n, n)), np.full((4, n, n), p - 1),
+                  rng.integers(0, p, (1, n, n))):
+        for r in rights:
+            got = _times(_columns(stack), r, p)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _columns(stack @ r % p))
+    # every sum reaches n (p - 1)^2, the largest value the dtype must hold
+    full = np.full((1, n, n), p - 1)
+    assert np.iinfo(dtype).max >= n * (p - 1) ** 2
+    assert np.array_equal(_times(_columns(full), np.full((n, n), p - 1), p),
+                          np.full((n, n), n * (p - 1) ** 2 % p))
 
 
 @pytest.mark.parametrize("key", sorted(SIX_GROUPS))
@@ -526,3 +568,38 @@ def test_divisibility_check_survives_optimized_mode():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "VerificationError: subgroup order 3 does not divide" in proc.stderr
+
+
+WRONG_KERNEL = """
+import numpy as np
+from relroots import finitelab
+from relroots.rootcore import RootType
+real = finitelab._times
+
+def dropped(cols, r, p):
+    # drop the last nonzero of r on a stack of one matrix: every product of
+    # the witness re-check and a closure's first coset, but no one-parameter
+    # law check, whose stack holds p matrices and would catch it first
+    if cols.shape[1] == len(cols):
+        r = r.copy()
+        r.flat[np.flatnonzero(r)[-1]] = 0
+    return real(cols, r, p)
+
+finitelab._times = dropped
+rows = finitelab.perfectness_report([(RootType.parse(t), 2) for t in ("C2", "A3")])
+for row in rows:
+    print(row["status"], row["note"])
+"""
+
+
+def test_wrong_kernel_is_a_fail_row_in_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_KERNEL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    c2, a3 = proc.stdout.splitlines()
+    assert c2.startswith("fail fail: closure order ")
+    assert c2.endswith(" is not the order formula's 720")
+    assert a3.startswith("fail fail: witness for ")
+    assert a3.endswith("is not the product of its table mod 2")

@@ -21,6 +21,8 @@ from relroots.folding import (
     trivial_gamma,
 )
 from relroots.rootcore import (
+    SERIES,
+    InvalidRootType,
     RootType,
     VerificationError,
     build_root_system,
@@ -28,6 +30,8 @@ from relroots.rootcore import (
     require,
 )
 from relroots.theoremlab import verify_lemma1_catalog
+
+from lie_oracles import diagram_automorphisms
 
 
 def fold(text):
@@ -41,6 +45,22 @@ def test_automorphism_groups():
     assert len(enumerate_diagram_automorphisms(RootType.parse("C2"))) == 1
     assert len(enumerate_diagram_automorphisms(RootType.parse("E6"))) == 2
     assert len(enumerate_diagram_automorphisms(RootType.parse("F4"))) == 1
+
+
+def test_automorphisms_match_every_permutation_up_to_rank_8():
+    # the backtracking search against trying all l! permutations: the same
+    # tuple, in the same order
+    types = []
+    for series in SERIES:
+        for rank in range(1, 9):
+            try:
+                types.append(RootType(series, rank))
+            except InvalidRootType:
+                pass
+    assert len(types) == 33
+    for t in types:
+        perms = tuple(a.perm for a in enumerate_diagram_automorphisms(t))
+        assert perms == diagram_automorphisms(build_root_system(t).cartan), t
 
 
 def test_subgroup_enumeration():
