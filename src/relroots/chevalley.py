@@ -38,6 +38,23 @@ h_f, do not break this: they are not in U_Psi, and no word of f-positive
 root elements reaches them.  A word with a root outside the cone raises,
 and so does a comparison of products on different columns.
 
+On such a column the Cartan part never moves.  ad e_alpha, alpha in
+Psi, sends h to g_alpha and g_gamma to g_{gamma+alpha}, and gamma + alpha
+= 0 would need f(gamma) < 0, so u(h_f) - h_f lies in the sum of the g_gamma,
+gamma in Psi, for every u in U_Psi: the h rows of the column stay those of
+h_f, and x_alpha(t) adds to them the single term -t alpha(h_f) on e_alpha
+([e_alpha, h_f] = -alpha(h_f) e_alpha, and [e_alpha, e_alpha] = 0).  The
+product takes alpha(h_f) = sum_j alpha_j (C^T h_f)_j once per distinct root
+of the word, and ``collect`` the same value as the ``pair`` it divides by.
+Every other row moves by the root's compiled action, built once per root
+with its divided powers in the one per-basis cache entry
+(``ChevalleyBasis._root_entry``): (powers, row of e_alpha, action), where
+``action[r]`` is None or the flat tuple (k, i, c, k', i', c', ...) of the
+nonzero entries c = ((ad e_alpha)^(k+1) / (k+1)!)[i][r], k ascending, h
+rows left out as sources and targets.  A factor whose coefficient is a
+monomial a X multiplies each entry by one key shift (k+1) X and one scalar
+a^(k+1) c per triple.
+
 A commutator [x_alpha(s), x_beta(t)] of non-opposite roots lies in the
 half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
 and beta.  ``collected_commutator`` returns its normal form there, a word
@@ -63,6 +80,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _largest_slot,
                        _require_slot, row_reduce)
@@ -94,7 +112,6 @@ class ChevalleyBasis:
         self._extraspecial = self._find_extraspecial()
         self._norm_cache = {}
         self._n_cache = {}
-        self._ad_cache = {}
         self._exp_cache = {}
         # for cone_vector: (C^T)^-1 times a positive integer, row j of C^T
         # being (<alpha_j, alpha_i^vee>)_i
@@ -102,7 +119,7 @@ class ChevalleyBasis:
                 for j in range(l)]
         reduced, pivots = row_reduce(rows, l)
         require(len(pivots) == l, "the Cartan matrix of %s is singular", rs.type)
-        den = math.lcm(*(x.denominator for row in reduced for x in row))
+        den = self._cartan_t_den = math.lcm(*(x.denominator for row in reduced for x in row))
         self._cartan_t_inv = tuple(tuple(int(x * den) for x in row[l:])
                                    for row in reduced)
         self._verify_pair_laws()
@@ -136,9 +153,17 @@ class ChevalleyBasis:
         ``weights`` are the integer coefficients of f on the simple-root
         coordinates, not all zero.
         """
-        c = [sum(x * w for x, w in zip(row, weights)) for row in self._cartan_t_inv]
+        return self._cone(weights)[0]
+
+    def _cone(self, weights):
+        """(h, form): h = ``cone_vector(weights)`` and form = (alpha_j(h_f))_j,
+        so root(h_f) = sum_j root_j form_j.  With D (C^T)^-1 the integer
+        ``_cartan_t_inv``, h = D (C^T)^-1 weights / g for the gcd g, so form
+        = C^T h = D weights / g, an integer vector as C^T and h are."""
+        c = [sum(map(mul, row, weights)) for row in self._cartan_t_inv]
         g = math.gcd(*c)
-        return tuple(x // g for x in c)
+        den = self._cartan_t_den
+        return tuple(x // g for x in c), tuple(den * w // g for w in weights)
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""
@@ -241,30 +266,26 @@ class ChevalleyBasis:
             return {self.index[("e", s)]: n} if n else {}
         return {}
 
-    # -- adjoint matrices ------------------------------------------------
+    # -- root elements ---------------------------------------------------
 
-    def ad_matrix(self, coords):
-        """Sparse columns of ad e_coords: {col: {row: int}}."""
-        coords = coords.coords if isinstance(coords, Root) else tuple(coords)
-        cached = self._ad_cache.get(coords)
-        if cached is not None:
-            return cached
+    def _root_entry(self, coords):
+        """The cache entry of one root, built on first use: (divided powers
+        (ad e)^k / k! for k >= 1 as sparse columns {col: {row: int}}, the
+        row of e_coords, the compiled action indexed by source row).
+
+        ``action[r]`` is None or the flat tuple (k, i, c, ...) of the
+        nonzero c = ((ad e)^(k+1) / (k+1)!)[i][r], k ascending, the targets
+        of each power in its column's order; h rows are neither sources nor
+        targets (module docstring)."""
+        entry = self._exp_cache.get(coords)
+        if entry is not None:
+            return entry
         lab = ("e", coords)
-        cols = {}
+        ad = {}
         for j, other in enumerate(self.basis):
             col = self.bracket(lab, other)
             if col:
-                cols[j] = col
-        self._ad_cache[coords] = cols
-        return cols
-
-    def exp_ad_powers(self, coords):
-        """[(ad e)^k / k! for k >= 1], integer sparse columns, until zero."""
-        coords = coords.coords if isinstance(coords, Root) else tuple(coords)
-        cached = self._exp_cache.get(coords)
-        if cached is not None:
-            return cached
-        ad = self.ad_matrix(coords)
+                ad[j] = col
         powers = []
         cur = ad
         k = 1
@@ -284,13 +305,28 @@ class ChevalleyBasis:
                 if out:
                     frac = {}
                     for i, v in out.items():
-                        q = Fraction(v, k)
-                        require(q.denominator == 1, "divided power not integral")
-                        frac[i] = int(q)
+                        q, rem = divmod(v, k)
+                        require(rem == 0, "divided power not integral")
+                        frac[i] = q
                     nxt[j] = frac
             cur = nxt
-        self._exp_cache[coords] = powers
-        return powers
+        npos, l = len(self.pos_roots), self.rs.rank
+        h_rows = range(npos, npos + l)
+        action = [[] for _ in range(self.dim)]
+        for k, power in enumerate(powers):
+            for r, col in power.items():
+                if r not in h_rows:
+                    for i, c in col.items():
+                        if i not in h_rows:
+                            action[r] += (k, i, c)
+        entry = self._exp_cache[coords] = (
+            powers, self.index[lab], tuple(tuple(t) if t else None for t in action))
+        return entry
+
+    def exp_ad_powers(self, coords):
+        """[(ad e)^k / k! for k >= 1], integer sparse columns, until zero."""
+        coords = coords.coords if isinstance(coords, Root) else tuple(coords)
+        return self._root_entry(coords)[0]
 
 
 @lru_cache(maxsize=None)
@@ -375,45 +411,50 @@ def _times(a, b):
     return {k: c for k, c in out.items() if c}
 
 
-def _left_multiply(packed, powers, t):
-    """packed <- x(t) packed in place, x(t) = I + sum_k t^k powers[k-1].
+def _left_multiply(col, entry, pair, t):
+    """col <- x(t) col in place, for the column of a product on U_Psi.
 
-    ``t`` is a nonzero packed term dict.  Entry dicts are never changed
-    once stored (a changed entry is a new dict), so they may be shared.
+    ``entry`` is the root's ``ChevalleyBasis._root_entry``, ``pair`` is
+    root(h_f) and ``t`` a nonzero packed term dict.  x(t) = I + sum_k t^k
+    P_k fixes the Cartan part of the column and adds -t pair on e_root;
+    every other row r adds t^(k+1) c times its entry on row i for each
+    compiled triple (k, i, c).  Entry dicts are never changed once stored
+    (a changed entry is a new dict), so they may be shared.
     """
-    steps, tk = [], t
-    for k, power in enumerate(powers):
-        if k:
-            tk = _times(tk, t)
-        steps.append((tk, power))
-    for col in packed.values():
-        delta = {}
-        for r, m in col.items():
-            for tk, power in steps:
-                targets = power.get(r)
-                if targets is None:
-                    continue
-                for ka, ca in tk.items():
-                    for km, cm in m.items():
-                        k = ka + km
-                        v = ca * cm
-                        for i, c in targets.items():
-                            d = delta.get(i)
-                            if d is None:
-                                delta[i] = {k: v * c}
-                            else:
-                                d[k] = d.get(k, 0) + v * c
-        for i, d in delta.items():
-            cur = col.get(i)
-            if cur is not None:
-                for k, v in cur.items():
-                    d[k] = d.get(k, 0) + v
-            if not all(d.values()):
-                d = {k: v for k, v in d.items() if v}
-            if d:
-                col[i] = d
-            elif cur is not None:
-                del col[i]
+    powers, row, action = entry
+    if len(t) == 1:  # a monomial a X: t^(k+1) is one key shift and one scalar
+        (key, coef), = t.items()
+        tks = [{(k + 1) * key: coef ** (k + 1)} for k in range(len(powers))]
+    else:
+        tks = [t]
+        for _ in powers[1:]:
+            tks.append(_times(tks[-1], t))
+    delta = {row: {k: -pair * c for k, c in t.items()}}
+    for r, m in col.items():
+        flat = action[r]
+        if flat is None:
+            continue
+        it = iter(flat)
+        for k, i, c in zip(it, it, it):
+            d = delta.get(i)
+            if d is None:
+                d = delta[i] = {}
+            for ka, ca in tks[k].items():
+                v = ca * c
+                for km, cm in m.items():
+                    km += ka
+                    d[km] = d.get(km, 0) + cm * v
+    for i, d in delta.items():
+        cur = col.get(i)
+        if cur is not None:
+            for k, v in cur.items():
+                d[k] = d.get(k, 0) + v
+        if not all(d.values()):
+            d = {k: v for k, v in d.items() if v}
+        if d:
+            col[i] = d
+        elif cur is not None:
+            del col[i]
 
 
 def cone_weights(a, b):
@@ -430,7 +471,7 @@ def cone_weights(a, b):
 
 
 def _require_in_cone(cone, root):
-    require(sum(w * x for w, x in zip(cone, root.coords)) > 0,
+    require(sum(map(mul, cone, root.coords)) > 0,
             "root %s lies outside the cone %s", root, cone)
 
 
@@ -446,16 +487,21 @@ def product_of_root_elements(cb, registry, factors, cone):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
         _require_in_cone(cone, root)
-        powers = cb.exp_ad_powers(root)
-        bound = _grow_bound(bound, powers, t)
+        entry = cb._root_entry(root.coords)
+        bound = _grow_bound(bound, entry[0], t)
         if t.terms:
-            word.append((powers, t.terms))
+            word.append((root.coords, entry, t.terms))
     npos = len(cb.pos_roots)
-    start = {"h_f": {npos + i: {0: c} for i, c in enumerate(cb.cone_vector(cone)) if c}}
-    cols = {j: dict(col) for j, col in start.items()}
-    for powers, terms in word:
-        _left_multiply(cols, powers, terms)
-    return UnipotentMatrix(cb.dim, registry, cols, bound, start, cone)
+    h, form = cb._cone(cone)
+    start = {"h_f": {npos + i: {0: c} for i, c in enumerate(h) if c}}
+    col = dict(start["h_f"])
+    pairs = {}
+    for coords, entry, terms in word:
+        pair = pairs.get(coords)
+        if pair is None:
+            pair = pairs[coords] = sum(map(mul, coords, form))
+        _left_multiply(col, entry, pair, terms)
+    return UnipotentMatrix(cb.dim, registry, {"h_f": col}, bound, start, cone)
 
 
 def invert_factors(factors):
@@ -483,27 +529,25 @@ def collect(cb, U, slots):
     root that is a sum of two slot roots is a later slot, e.g. slots in
     order of |height|.  Returns {root: PolyElem}.
     """
-    npos, l = len(cb.pos_roots), cb.rs.rank
     reg = U.registry
-    # alpha_k(h_f) for each simple root: root(h_f) is linear in root
-    form = [sum(d[0] * cb.rs.cartan[r - npos][k] for r, d in U.start["h_f"].items())
-            for k in range(l)]
+    form = cb._cone(U.cone)[1]
     W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
                         U.bound, U.start, U.cone)
+    col = W.packed["h_f"]
     coeffs = {}
     for root in slots:
         _require_in_cone(U.cone, root)
-        pair = sum(c * x for c, x in zip(root.coords, form))
-        raw = W.packed["h_f"].get(cb.index[("e", root.coords)])
+        pair = sum(map(mul, root.coords, form))
+        entry = cb._root_entry(root.coords)
+        raw = col.get(entry[1])
         if raw is None:
             continue
         t = PolyElem(reg, {k: Fraction(-v, pair) for k, v in raw.items()})
         if t.is_zero():
             continue
         coeffs[root] = t
-        powers = cb.exp_ad_powers(root)
-        W.bound = _grow_bound(W.bound, powers, t)
-        _left_multiply(W.packed, powers, {k: -v for k, v in t.terms.items()})
+        W.bound = _grow_bound(W.bound, entry[0], t)
+        _left_multiply(col, entry, pair, {k: -v for k, v in t.terms.items()})
     if not W.is_identity():
         raise CollectionError("residual is not the identity; "
                               "input not supported on the given slots")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .chevalley import build_chevalley_basis, commutator_constants
 from .polyring import is_prime, row_reduce
-from .rootcore import (MULTIPLE_BOUND, RootType, VerificationError, build_root_system,
+from .rootcore import (MULTIPLE_PAIRS, RootType, VerificationError, build_root_system,
                        collinear, require)
 
 DEFAULT_CAP = 10 ** 6
@@ -131,10 +131,12 @@ class GroupClosure:
 
 
 def _root_powers(cb, coords, p):
-    """Stack N_0 = 1, N_k = (ad e)^k / k! mod p, so x_alpha(c) = sum c^k N_k."""
+    """Stack N_0 = 1, N_k = (ad e)^k / k! mod p, so x_alpha(c) = sum c^k N_k,
+    in ``_key_dtype(p)``."""
     powers = cb.exp_ad_powers(coords)
-    out = np.zeros((len(powers) + 1, cb.dim, cb.dim), dtype=np.int64)
-    out[0] = np.eye(cb.dim, dtype=np.int64)
+    dtype = _key_dtype(p)
+    out = np.zeros((len(powers) + 1, cb.dim, cb.dim), dtype=dtype)
+    out[0] = np.eye(cb.dim, dtype=dtype)
     for k, power in enumerate(powers, 1):
         for j, col in power.items():
             for i, v in col.items():
@@ -169,7 +171,7 @@ def adjoint_generators(t: RootType, p):
     for root in cb.rs.roots:
         powers = _root_powers(cb, root.coords, p)
         _check_one_parameter_law(powers, p)
-        gens.append(powers.sum(axis=0) % p)
+        gens.append(powers.sum(axis=0, dtype=np.int64) % p)
     return gens
 
 
@@ -298,15 +300,11 @@ def _combination(ij, beta, gamma):
     return tuple(i * x + j * y for x, y in zip(beta, gamma))
 
 
-_MULTIPLES = [(i, total - i) for total in range(2, MULTIPLE_BOUND + 1)
-              for i in range(1, total)]
-
-
 def _candidates(position, alpha):
     """(beta, gamma, (i, j)) with i*beta + j*gamma = alpha, non-collinear,
     one of the two orders of each pair: [x_gamma, x_beta] is the inverse of
     [x_beta, x_gamma], whose factors sit on the same roots."""
-    for i, j in _MULTIPLES:
+    for i, j in MULTIPLE_PAIRS:
         for beta in position:
             rest = tuple(a - i * b for a, b in zip(alpha, beta))
             if any(x % j for x in rest):
@@ -353,7 +351,8 @@ def check_witnesses(t: RootType, p, witnesses):
 
     The matrices x_delta(c) = sum_k c^k N_k come from ``_root_powers``
     and the one-parameter law is checked for every root used, so x(-1) =
-    x(1)^-1 and x(c) = x(1)^c.  Each witness must name its root by its
+    x(1)^-1 and x(c) = x(1)^c.  The stacks and the x(delta, c) are kept
+    in ``_key_dtype(p)`` (uint8 for p < 257), an eighth of int64.  Each witness must name its root by its
     entry, with p not dividing that constant, put every other nonzero
     factor on a root resolved by an earlier witness, and satisfy
     [x_beta(1), x_gamma(1)] = prod x_delta(C mod p) in table order."""
@@ -368,8 +367,9 @@ def check_witnesses(t: RootType, p, witnesses):
             if root not in powers:
                 powers[root] = _root_powers(cb, root, p)
                 _check_one_parameter_law(powers[root], p)
-            coeff = [pow(c, k, p) for k in range(len(powers[root]))]
-            elements[key] = np.tensordot(coeff, powers[root], 1) % p
+            coeff = np.array([pow(c, k, p) for k in range(len(powers[root]))])
+            elements[key] = (np.tensordot(coeff, powers[root], 1) % p).astype(
+                powers[root].dtype)
         return elements[key]
 
     resolved = set()

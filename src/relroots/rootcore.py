@@ -1,18 +1,22 @@
 """Irreducible reduced root systems with Bourbaki numbering.
 
 Roots are integer coordinate vectors over the simple roots; all metric
-data (Cartan pairings, length classes) is derived from an exact rational
-Gram matrix of the simple roots, so there are no irrational norms
-anywhere.  The full root set is generated by closing the simple roots
-under the simple reflections and is cross-checked against the closed-form
-root counts.
+data is derived from an integer Gram matrix of the simple roots (each
+type scaled so that every squared length is an integer), so there are no
+irrational norms anywhere.  The Cartan integers 2 g_ij / g_ii are checked
+integral when they are built, and every pairing <beta, alpha_i^vee> is
+then the integer sum over j of beta_j times the Cartan integer
+<alpha_j, alpha_i^vee>; squared lengths, which fix the length classes, are
+integer quadratic forms.  The full root set is generated by closing the
+simple roots under the simple reflections and is cross-checked against the
+closed-form root counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 SERIES = "ABCDEFG"
 
@@ -72,46 +76,46 @@ class RootType:
 
 
 def _gram_matrix(t: RootType):
-    """Exact inner products of the simple roots, Bourbaki numbering.
+    """Integer inner products of the simple roots, Bourbaki numbering.
 
     Normalized so long roots have squared length 2 in the simply laced
     and B series; C/F/G use a uniform scaling (only ratios matter).
     """
     l = t.rank
     s = t.series
-    G = [[Fraction(0)] * l for _ in range(l)]
+    G = [[0] * l for _ in range(l)]
 
     def chain(i, j, val=-1):
-        G[i][j] = G[j][i] = Fraction(val)
+        G[i][j] = G[j][i] = val
 
     if s == "A":
         for i in range(l):
-            G[i][i] = Fraction(2)
+            G[i][i] = 2
         for i in range(l - 1):
             chain(i, i + 1)
     elif s == "B":
         # alpha_l is short
         for i in range(l):
-            G[i][i] = Fraction(2) if i < l - 1 else Fraction(1)
+            G[i][i] = 2 if i < l - 1 else 1
         for i in range(l - 1):
             chain(i, i + 1)
     elif s == "C":
         # alpha_l is long (scaled: short norm 2, long norm 4)
         for i in range(l):
-            G[i][i] = Fraction(2) if i < l - 1 else Fraction(4)
+            G[i][i] = 2 if i < l - 1 else 4
         for i in range(l - 2):
             chain(i, i + 1)
         chain(l - 2, l - 1, -2)
     elif s == "D":
         for i in range(l):
-            G[i][i] = Fraction(2)
+            G[i][i] = 2
         for i in range(l - 3):
             chain(i, i + 1)
         chain(l - 3, l - 2)
         chain(l - 3, l - 1)
     elif s == "E":
         for i in range(l):
-            G[i][i] = Fraction(2)
+            G[i][i] = 2
         # Bourbaki: chain 1-3-4-5-...-l, node 2 attached to 4
         chain(0, 2)
         chain(1, 3)
@@ -121,16 +125,33 @@ def _gram_matrix(t: RootType):
         # alpha_1, alpha_2 long (norm 4); alpha_3, alpha_4 short (norm 2)
         norms = [4, 4, 2, 2]
         for i in range(4):
-            G[i][i] = Fraction(norms[i])
+            G[i][i] = norms[i]
         chain(0, 1, -2)
         chain(1, 2, -2)
         chain(2, 3, -1)
     elif s == "G":
         # alpha_1 short (norm 2), alpha_2 long (norm 6)
-        G[0][0] = Fraction(2)
-        G[1][1] = Fraction(6)
+        G[0][0] = 2
+        G[1][1] = 6
         chain(0, 1, -3)
     return G
+
+
+def _cartan_matrix(gram):
+    """The Cartan integers <alpha_j, alpha_i^vee> = 2 g_ij / g_ii, each
+    checked integral: a Gram matrix that no root system has fails here
+    instead of being truncated."""
+    l = len(gram)
+    rows = []
+    for i in range(l):
+        row = []
+        for j in range(l):
+            a, rem = divmod(2 * gram[i][j], gram[i][i])
+            require(rem == 0, "Cartan entry 2*(%s)/(%s) of alpha_%d, alpha_%d is not "
+                    "an integer", gram[i][j], gram[i][i], j + 1, i + 1)
+            row.append(int(a))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -166,16 +187,14 @@ class RootSystem:
         self.type = root_type
         self.rank = root_type.rank
         self.gram = _gram_matrix(root_type)
+        self.cartan = _cartan_matrix(self.gram)
         l = self.rank
-        self.cartan = tuple(
-            tuple(int(2 * self.gram[i][j] / self.gram[i][i]) for j in range(l))
-            for i in range(l)
-        )
         coord_set = self._generate()
-        long_norm = max(self._norm(c) for c in coord_set)
+        norms = {c: self._norm(c) for c in coord_set}
+        long_norm = max(norms.values())
         self._by_coords = {}
         for c in sorted(coord_set):
-            cls = "long" if self._norm(c) == long_norm else "short"
+            cls = "long" if norms[c] == long_norm else "short"
             self._by_coords[c] = Root(c, cls)
         self.roots = tuple(self._by_coords.values())
         self.simple_roots = tuple(self.root_from_coords(
@@ -186,18 +205,14 @@ class RootSystem:
                                  % (len(self.roots), root_type, expected))
 
     def _norm(self, coords):
+        """|coords|^2 as an integer."""
         g = self.gram
-        return sum(ci * cj * g[i][j]
-                   for i, ci in enumerate(coords) if ci
-                   for j, cj in enumerate(coords) if cj)
+        return sum(ci * sum(cj * gij for cj, gij in zip(coords, g[i]) if cj)
+                   for i, ci in enumerate(coords) if ci)
 
     def _pairing_coords(self, coords, i):
-        """<coords, alpha_i^vee> as an exact integer."""
-        g = self.gram
-        val = 2 * sum(c * g[j][i] for j, c in enumerate(coords) if c) / g[i][i]
-        require(val.denominator == 1, "<%s, alpha_%d^vee> = %s is not an integer",
-                coords, i + 1, val)
-        return int(val)
+        """<coords, alpha_i^vee> = sum_j coords_j <alpha_j, alpha_i^vee>, an integer."""
+        return sum(map(mul, coords, self.cartan[i]))
 
     def _generate(self):
         l = self.rank
@@ -206,8 +221,8 @@ class RootSystem:
         while frontier:
             nxt = set()
             for c in frontier:
-                for i in range(l):
-                    n = self._pairing_coords(c, i)
+                for i, row in enumerate(self.cartan):
+                    n = sum(map(mul, c, row))
                     if n == 0:
                         continue
                     refl = list(c)
@@ -247,10 +262,10 @@ class RootSystem:
         na = self._norm(alpha.coords)
         out = []
         for i, k in enumerate(alpha.coords):
-            v = k * self.gram[i][i] / na
-            require(v.denominator == 1, "coroot of %s has the non-integer coordinate %s",
-                    alpha, v)
-            out.append(int(v))
+            v, rem = divmod(k * self.gram[i][i], na)
+            require(rem == 0, "coroot of %s has the non-integer coordinate %s/%s",
+                    alpha, k * self.gram[i][i], na)
+            out.append(v)
         return tuple(out)
 
 
@@ -265,6 +280,9 @@ def collinear(a, b):
 
 
 MULTIPLE_BOUND = 6  # no root system has i*a + j*b a root beyond i + j = 5
+# (i, j) with i, j >= 1 and i + j <= MULTIPLE_BOUND, sorted by (i + j, i)
+MULTIPLE_PAIRS = tuple((i, total - i) for total in range(2, MULTIPLE_BOUND + 1)
+                       for i in range(1, total))
 
 
 def multiples(a, b, coords):
@@ -274,10 +292,9 @@ def multiples(a, b, coords):
     ``.coords``; ``coords`` is any container of coordinate tuples (a
     :class:`RootSystem`, the relative coordinates of a folding).
     """
-    a, b = getattr(a, "coords", a), getattr(b, "coords", b)
-    return [(i, total - i)
-            for total in range(2, MULTIPLE_BOUND + 1) for i in range(1, total)
-            if tuple(i * x + (total - i) * y for x, y in zip(a, b)) in coords]
+    ab = list(zip(getattr(a, "coords", a), getattr(b, "coords", b)))
+    return [(i, j) for i, j in MULTIPLE_PAIRS
+            if tuple([i * x + j * y for x, y in ab]) in coords]
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Oracles the tests share, written apart from the paths they check.
 
 ``full_product`` is the one full-matrix oracle for products of root
-elements; ``root_string`` and ``cartan_pairing`` recompute root data from
-the root set and the Gram matrix alone; ``commutator_constants_fast``
+elements; ``root_string``, ``gram_dot`` and ``cartan_pairing`` recompute
+root data from the root set and the Gram matrix alone; ``commutator_constants_fast``
 gives the magnitudes of the commutator constants from the structure
 constants, with no matrix work; ``diagram_automorphisms`` tries every
 permutation of the Dynkin nodes.
@@ -52,12 +52,16 @@ def root_string(rs, a, b):
     return p, q
 
 
+def gram_dot(rs, x, y):
+    """(x, y) of two roots from the Gram matrix alone, an exact Fraction."""
+    return sum(Fraction(xi * yj) * rs.gram[i][j]
+               for i, xi in enumerate(x.coords) if xi for j, yj in enumerate(y.coords) if yj)
+
+
 def cartan_pairing(rs, beta, alpha):
-    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an exact Fraction."""
-    def dot(x, y):
-        return sum(xi * yj * rs.gram[i][j]
-                   for i, xi in enumerate(x.coords) for j, yj in enumerate(y.coords))
-    return 2 * dot(beta, alpha) / dot(alpha, alpha)
+    """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an exact Fraction,
+    from the Gram matrix alone, not from the Cartan integers of ``rs``."""
+    return 2 * gram_dot(rs, beta, alpha) / gram_dot(rs, alpha, alpha)
 
 
 def commutator_constants_fast(cb, alpha, beta):

@@ -246,7 +246,9 @@ def test_all_constants_bounded_c4_f4():
 
 def random_word(cb, reg, rng, length):
     s, t = reg.var("s"), reg.var("t")
-    coeffs = [s, t, s * t, s + t, reg.const(2), reg.const(Fraction(-1, 3))]
+    # monomials with coefficients 1, 2, -1/3, 3 and 5/2, and sums of terms
+    coeffs = [s, t, s * t, s + t, reg.const(2), reg.const(Fraction(-1, 3)),
+              (s * s).scale(3), t.scale(Fraction(5, 2)), s.scale(2) + (s * t).scale(-3)]
     if reg.eps_index is not None:
         # localized coefficients: w = 1/(eps^2 - eps) and its multiples
         inv, eps = reg.eps_unit_inverse(), reg.var("eps")
@@ -312,14 +314,23 @@ def test_frame_matches_full_matrix(name):
     assert U.packed != V.packed
 
 
-@pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3"])
+def column_image(cb, full, h):
+    """The column h_f = sum h_i h_i of a full product, zero entries dropped."""
+    npos, image = len(cb.pos_roots), {}
+    for i, hi in enumerate(h):
+        for r, v in full[npos + i].items():
+            image[r] = image[r] + v.scale(hi) if r in image else v.scale(hi)
+    return {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3", "F4"])
 def test_cone_column_matches_full_matrix(name):
     # a product with cone weights carries h_f's image, and equal columns
     # mean equal matrices on words inside the cone
     cb = cb_for(name)
     rng = random.Random("cone " + name)
-    npos = len(cb.pos_roots)
     plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
+    coeffs = []
     for reg in [plain] * 20 + [localized] * 8:
         weights, inside = random_cone(cb, rng)
         h = cb.cone_vector(weights)
@@ -333,19 +344,61 @@ def test_cone_column_matches_full_matrix(name):
         (root, c), = cone_word(cb, reg, rng, inside, 1)
         same = w1[:k] + [(root, c), (root, -c)] + w1[k:]
         other = w1[:k] + [(root, c)] + w1[k:]
+        coeffs += [c for _, c in w1]
         full1 = full_product(cb, reg, w1)
-        image = {}
-        for i, hi in enumerate(h):
-            for r, v in full1[npos + i].items():
-                image[r] = image.get(r, reg.zero()) + v.scale(hi)
         U1 = product_of_root_elements(cb, reg, w1, weights)
-        assert U1.cols == {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
+        assert U1.cols == column_image(cb, full1, h)
         for w2 in (w1, same, other):
             U2 = product_of_root_elements(cb, reg, w2, weights)
             assert (U1 == U2) == (full1 == full_product(cb, reg, w2))
         assert U1 == product_of_root_elements(cb, reg, same, weights)
         assert U1 != product_of_root_elements(cb, reg, other, weights)
         assert product_of_root_elements(cb, reg, w1 + invert_factors(w1), weights).is_identity()
+    # the words met both paths of a factor: a monomial whose coefficient is
+    # not +-1, and a sum of terms
+    assert any(len(c.terms) == 1 and abs(next(iter(c.terms.values()))) != 1 for c in coeffs)
+    assert any(len(c.terms) > 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"])
+def test_every_divided_power_matches_full_matrix(name):
+    # x_a(c) x_b(d) on the height cone for every pair of positive roots
+    # with a + b a root, c and d a monomial with coefficient 3 and a sum of
+    # terms: the Cartan
+    # term of each factor, and every divided power of ad e_a acting on the
+    # e_b that x_b(d) put on the column, meet the full product
+    cb = cb_for(name)
+    reg = VarRegistry(["s", "t"])
+    s, t = reg.var("s"), reg.var("t")
+    h = cb.cone_vector(height(cb))
+    reached = set()
+    for a, b in itertools.product(positive_slots(cb), repeat=2):
+        if not cb.rs.sum_is_root(a, b):  # else no b + k a is a root (strings are unbroken)
+            continue
+        for c, d in [(s.scale(3), s * t + t), (s - t.scale(2), (t * t).scale(3))]:
+            word = [(a, c), (b, d)]
+            U = product_of_root_elements(cb, reg, word, height(cb))
+            assert U.cols == column_image(cb, full_product(cb, reg, word), h), (a, b)
+            reached.update(k for k in range(1, len(cb.exp_ad_powers(a)) + 1)
+                           if tuple(k * x + y for x, y in zip(a.coords, b.coords)) in cb.rs)
+    assert max(reached) == (3 if name == "G2" else 2)
+
+
+def test_perturbed_cartan_term_fails_collection(monkeypatch):
+    # collect peels each slot with the Cartan term -t root(h_f); one that is
+    # off by h_f leaves e_root on the residual
+    cb = cb_for("C2")
+    reg = VarRegistry(["s", "t"])
+    a1, a2 = cb.rs.simple_roots
+    U = product_of_root_elements(cb, reg, [(a1, reg.var("s")), (a2, reg.var("t"))],
+                                 height(cb))
+    slots = positive_slots(cb)
+    assert set(collect(cb, U, slots)) == set(slots)
+    real = chevalley._left_multiply
+    monkeypatch.setattr(chevalley, "_left_multiply",
+                        lambda col, entry, pair, t: real(col, entry, pair + 1, t))
+    with pytest.raises(CollectionError, match="residual"):
+        collect(cb, U, slots)
 
 
 @pytest.mark.parametrize("name", ["C2", "G2", "B3"])
@@ -460,12 +513,12 @@ U = product_of_root_elements(cb, reg, [(a1, s)], (1, 1))
 expect_failure("cone slot", lambda: collect(cb, U, [a1, -a2]))
 expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)], (1, 0)))
 
-# integrality of pairings: |alpha_2|^2 = 3 makes <alpha_1, alpha_2^vee> = -2/3
-rs = RootSystem(RootType("A", 2))
-rs.gram[1][1] = 3
-expect_failure("pairing", lambda: rs._pairing_coords((1, 0), 1))
-# and building a root system from such a Gram matrix: the reflections that
-# generate its roots pair simple roots, its Cartan integers
+# Cartan integers are checked, not truncated: (alpha_1, alpha_2) = -1/2 in
+# A2 makes 2(alpha_1, alpha_2)/|alpha_1|^2 = -1/2, which int() reads as 0
+expect_failure("cartan", lambda: rootcore._cartan_matrix(
+    [[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]]))
+# and building a root system from a Gram matrix with |alpha_2|^2 = 3, which
+# makes <alpha_1, alpha_2^vee> = -2/3
 gram = rootcore._gram_matrix
 
 def bad_gram(t):
@@ -476,6 +529,8 @@ def bad_gram(t):
 rootcore._gram_matrix = bad_gram
 expect_failure("cartan pairing", lambda: RootSystem(RootType("A", 2)))
 rootcore._gram_matrix = gram
+rs = RootSystem(RootType("A", 2))
+rs.gram[1][1] = 3
 expect_failure("coroot", lambda: rs.coroot_coords(rs.root_from_coords((1, 1))))
 
 # the sign search is bounded at six slots
@@ -507,7 +562,7 @@ def test_constant_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "pair law", "fast table", "constant bound", "slot bound", "cone factor",
-        "cone slot", "columns", "pairing", "cartan pairing", "coroot", "sign search",
+        "cone slot", "columns", "cartan", "cartan pairing", "coroot", "sign search",
         "witness constant", "witness factor"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]

@@ -1,12 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from lie_oracles import cartan_pairing, root_string
+from lie_oracles import cartan_pairing, gram_dot, root_string
 
+import relroots.rootcore as rootcore
 from relroots.rootcore import (
     InvalidRootType,
     Root,
+    RootSystem,
     RootType,
+    VerificationError,
     build_root_system,
     collinear,
     multiples,
@@ -118,6 +122,33 @@ def test_cartan_entries():
             for j, v in enumerate(row):
                 assert v == 2 if i == j else v in (0, -1, -2, -3)
                 assert v == cartan_pairing(rs, rs.simple_roots[j], rs.simple_roots[i])
+
+
+@pytest.mark.parametrize("t", ALL_TYPES_RANK8, ids=str)
+def test_integer_root_data_matches_fraction_oracle(t):
+    # every pairing with a simple coroot, every squared length and every
+    # length class, against the Gram matrix in exact Fractions
+    rs = build_root_system(t)
+    norms = {r: gram_dot(rs, r, r) for r in rs.roots}
+    longest = max(norms.values())
+    for r in rs.roots:
+        assert rs._norm(r.coords) == norms[r]
+        assert r.length_class == ("long" if norms[r] == longest else "short")
+        for i, simple in enumerate(rs.simple_roots):
+            assert rs._pairing_coords(r.coords, i) == cartan_pairing(rs, r, simple)
+
+
+@pytest.mark.parametrize("gram", [
+    [[2, Fraction(-1, 2)], [Fraction(-1, 2), 2]],  # int() would read -1/2 as 0
+    [[2, -1], [-1, 3]],  # 2 (alpha_1, alpha_2) / |alpha_2|^2 = -2/3
+    [[4, -3], [-3, 6]],  # -3/2 and -1
+])
+def test_non_integral_cartan_entry_is_rejected(gram, monkeypatch):
+    with pytest.raises(VerificationError, match="is not an integer"):
+        rootcore._cartan_matrix(gram)
+    monkeypatch.setattr(rootcore, "_gram_matrix", lambda t: gram)
+    with pytest.raises(VerificationError, match="Cartan entry"):
+        RootSystem(RootType("A", 2))
 
 
 def test_length_classes():
