@@ -38,22 +38,22 @@ h_f, do not break this: they are not in U_Psi, and no word of f-positive
 root elements reaches them.  A word with a root outside the cone raises,
 and so does a comparison of products on different columns.
 
-On such a column the Cartan part never moves.  ad e_alpha, alpha in
-Psi, sends h to g_alpha and g_gamma to g_{gamma+alpha}, and gamma + alpha
-= 0 would need f(gamma) < 0, so u(h_f) - h_f lies in the sum of the g_gamma,
-gamma in Psi, for every u in U_Psi: the h rows of the column stay those of
-h_f, and x_alpha(t) adds to them the single term -t alpha(h_f) on e_alpha
-([e_alpha, h_f] = -alpha(h_f) e_alpha, and [e_alpha, e_alpha] = 0).  The
-product takes alpha(h_f) = sum_j alpha_j (C^T h_f)_j once per distinct root
-of the word, and ``collect`` the same value as the ``pair`` it divides by.
-Every other row moves by the root's compiled action, built once per root
-with its divided powers in the one per-basis cache entry
-(``ChevalleyBasis._root_entry``): (powers, row of e_alpha, action), where
-``action[r]`` is None or the flat tuple (k, i, c, k', i', c', ...) of the
-nonzero entries c = ((ad e_alpha)^(k+1) / (k+1)!)[i][r], k ascending, h
-rows left out as sources and targets.  A factor whose coefficient is a
-monomial a X multiplies each entry by one key shift (k+1) X and one scalar
-a^(k+1) c per triple.
+On such a column the Cartan part never moves.  ad e_alpha, alpha in Psi,
+sends h to g_alpha and g_gamma to g_{gamma+alpha}, and gamma + alpha = 0
+would need f(gamma) < 0, so u(h_f) - h_f lies in the sum of the g_gamma,
+gamma in Psi, for every u in U_Psi: the h rows of the column stay those
+of h_f, and x_alpha(t) sends the Cartan part h_f to h_f plus the single
+term -t alpha(h_f) e_alpha ([e_alpha, h_f] = -alpha(h_f) e_alpha, and
+[e_alpha, e_alpha] = 0).  The product takes alpha(h_f) = sum_j alpha_j
+(C^T h_f)_j once per distinct root of the word, and ``collect`` takes the
+same value as the ``pair`` it divides by.  Every other row moves by the
+root's compiled action, built once per root with its divided powers in
+the one per-basis cache entry (``ChevalleyBasis._root_entry``): (powers,
+row of e_alpha, action), where ``action[r]`` is None or the flat tuple
+(k, i, c, k', i', c', ...) of the nonzero entries c = ((ad e_alpha)^(k+1)
+/ (k+1)!)[i][r], k ascending, h rows left out as sources and targets.  A
+factor whose coefficient is a monomial a X multiplies each entry by one
+key shift (k+1) X and one scalar a^(k+1) c per triple.
 
 A commutator [x_alpha(s), x_beta(t)] of non-opposite roots lies in the
 half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
@@ -119,7 +119,8 @@ class ChevalleyBasis:
                 for j in range(l)]
         reduced, pivots = row_reduce(rows, l)
         require(len(pivots) == l, "the Cartan matrix of %s is singular", rs.type)
-        den = self._cartan_t_den = math.lcm(*(x.denominator for row in reduced for x in row))
+        den = math.lcm(*(x.denominator for row in reduced for x in row))
+        self._cartan_t_den = den
         self._cartan_t_inv = tuple(tuple(int(x * den) for x in row[l:])
                                    for row in reduced)
         self._verify_pair_laws()

@@ -351,10 +351,10 @@ def check_witnesses(t: RootType, p, witnesses):
 
     The matrices x_delta(c) = sum_k c^k N_k come from ``_root_powers``
     and the one-parameter law is checked for every root used, so x(-1) =
-    x(1)^-1 and x(c) = x(1)^c.  The stacks and the x(delta, c) are kept
-    in ``_key_dtype(p)`` (uint8 for p < 257), an eighth of int64.  Each witness must name its root by its
-    entry, with p not dividing that constant, put every other nonzero
-    factor on a root resolved by an earlier witness, and satisfy
+    x(1)^-1 and x(c) = x(1)^c; the stacks and every x(delta, c) are kept
+    in ``_key_dtype(p)``, uint8 up to p = 256.  Each witness must name its
+    root by its entry, with p not dividing that constant, put every other
+    nonzero factor on a root resolved by an earlier witness, and satisfy
     [x_beta(1), x_gamma(1)] = prod x_delta(C mod p) in table order."""
     rs = build_root_system(t)
     cb = build_chevalley_basis(rs)
@@ -367,7 +367,7 @@ def check_witnesses(t: RootType, p, witnesses):
             if root not in powers:
                 powers[root] = _root_powers(cb, root, p)
                 _check_one_parameter_law(powers[root], p)
-            coeff = np.array([pow(c, k, p) for k in range(len(powers[root]))])
+            coeff = [pow(c, k, p) for k in range(len(powers[root]))]
             elements[key] = (np.tensordot(coeff, powers[root], 1) % p).astype(
                 powers[root].dtype)
         return elements[key]

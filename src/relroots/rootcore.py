@@ -190,11 +190,10 @@ class RootSystem:
         self.cartan = _cartan_matrix(self.gram)
         l = self.rank
         coord_set = self._generate()
-        norms = {c: self._norm(c) for c in coord_set}
-        long_norm = max(norms.values())
+        long_norm = max(self._norm(c) for c in coord_set)
         self._by_coords = {}
         for c in sorted(coord_set):
-            cls = "long" if norms[c] == long_norm else "short"
+            cls = "long" if self._norm(c) == long_norm else "short"
             self._by_coords[c] = Root(c, cls)
         self.roots = tuple(self._by_coords.values())
         self.simple_roots = tuple(self.root_from_coords(
@@ -207,8 +206,9 @@ class RootSystem:
     def _norm(self, coords):
         """|coords|^2 as an integer."""
         g = self.gram
-        return sum(ci * sum(cj * gij for cj, gij in zip(coords, g[i]) if cj)
-                   for i, ci in enumerate(coords) if ci)
+        return sum(ci * cj * g[i][j]
+                   for i, ci in enumerate(coords) if ci
+                   for j, cj in enumerate(coords) if cj)
 
     def _pairing_coords(self, coords, i):
         """<coords, alpha_i^vee> = sum_j coords_j <alpha_j, alpha_i^vee>, an integer."""
@@ -221,8 +221,8 @@ class RootSystem:
         while frontier:
             nxt = set()
             for c in frontier:
-                for i, row in enumerate(self.cartan):
-                    n = sum(map(mul, c, row))
+                for i in range(l):
+                    n = self._pairing_coords(c, i)
                     if n == 0:
                         continue
                     refl = list(c)
