@@ -2,10 +2,10 @@
 
 ``full_product`` is the one full-matrix oracle for products of root
 elements; ``root_string``, ``gram_dot`` and ``cartan_pairing`` recompute
-root data from the root set and the Gram matrix alone; ``commutator_constants_fast``
-gives the magnitudes of the commutator constants from the structure
-constants, with no matrix work; ``diagram_automorphisms`` tries every
-permutation of the Dynkin nodes.
+root data from the root set and the Gram matrix alone, in Fractions;
+``commutator_constants_fast`` gives the magnitudes of the commutator
+constants from the structure constants, with no matrix work;
+``diagram_automorphisms`` tries every permutation of the Dynkin nodes.
 """
 
 import itertools
@@ -55,7 +55,8 @@ def root_string(rs, a, b):
 def gram_dot(rs, x, y):
     """(x, y) of two roots from the Gram matrix alone, an exact Fraction."""
     return sum(Fraction(xi * yj) * rs.gram[i][j]
-               for i, xi in enumerate(x.coords) if xi for j, yj in enumerate(y.coords) if yj)
+               for i, xi in enumerate(x.coords) if xi
+               for j, yj in enumerate(y.coords) if yj)
 
 
 def cartan_pairing(rs, beta, alpha):

@@ -364,9 +364,9 @@ def test_cone_column_matches_full_matrix(name):
 def test_every_divided_power_matches_full_matrix(name):
     # x_a(c) x_b(d) on the height cone for every pair of positive roots
     # with a + b a root, c and d a monomial with coefficient 3 and a sum of
-    # terms: the Cartan
-    # term of each factor, and every divided power of ad e_a acting on the
-    # e_b that x_b(d) put on the column, meet the full product
+    # terms: the Cartan term of each factor, and every divided power of
+    # ad e_a acting on the e_b that x_b(d) put on the column, meet the full
+    # product
     cb = cb_for(name)
     reg = VarRegistry(["s", "t"])
     s, t = reg.var("s"), reg.var("t")
