@@ -45,15 +45,13 @@ gamma in Psi, for every u in U_Psi: the h rows of the column stay those
 of h_f, and x_alpha(t) sends the Cartan part h_f to h_f plus the single
 term -t alpha(h_f) e_alpha ([e_alpha, h_f] = -alpha(h_f) e_alpha, and
 [e_alpha, e_alpha] = 0).  The product takes alpha(h_f) = sum_j alpha_j
-(C^T h_f)_j once per distinct root of the word, and ``collect`` takes the
-same value as the ``pair`` it divides by.  Every other row moves by the
+(C^T h_f)_j for each factor, and ``collect`` takes the same value as the
+``pair`` it divides by.  Every other row moves by the
 root's compiled action, built once per root with its divided powers in
 the one per-basis cache entry (``ChevalleyBasis._root_entry``): (powers,
 row of e_alpha, action), where ``action[r]`` is None or the flat tuple
 (k, i, c, k', i', c', ...) of the nonzero entries c = ((ad e_alpha)^(k+1)
-/ (k+1)!)[i][r], k ascending, h rows left out as sources and targets.  A
-factor whose coefficient is a monomial a X multiplies each entry by one
-key shift (k+1) X and one scalar a^(k+1) c per triple.
+/ (k+1)!)[i][r], k ascending, h rows left out as sources and targets.
 
 A commutator [x_alpha(s), x_beta(t)] of non-opposite roots lies in the
 half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
@@ -123,6 +121,12 @@ class ChevalleyBasis:
         self._cartan_t_den = den
         self._cartan_t_inv = tuple(tuple(int(x * den) for x in row[l:])
                                    for row in reduced)
+        # _cone reads alpha_j(h_f) off C^T _cartan_t_inv = den I, not off h
+        for j in range(l):
+            for k in range(l):
+                require(sum(rs.cartan[i][j] * self._cartan_t_inv[i][k] for i in range(l))
+                        == den * (j == k), "the inverse Cartan matrix of %s is wrong",
+                        rs.type)
         self._verify_pair_laws()
 
     # -- structure constants ---------------------------------------------
@@ -159,7 +163,8 @@ class ChevalleyBasis:
     def _cone(self, weights):
         """(h, form): h = ``cone_vector(weights)`` and form = (alpha_j(h_f))_j,
         so root(h_f) = sum_j root_j form_j.  With D (C^T)^-1 the integer
-        ``_cartan_t_inv``, h = D (C^T)^-1 weights / g for the gcd g, so form
+        ``_cartan_t_inv`` (checked when the basis is built), h = D (C^T)^-1
+        weights / g for the gcd g, so form
         = C^T h = D weights / g, an integer vector as C^T and h are."""
         c = [sum(map(mul, row, weights)) for row in self._cartan_t_inv]
         g = math.gcd(*c)
@@ -423,13 +428,9 @@ def _left_multiply(col, entry, pair, t):
     (a changed entry is a new dict), so they may be shared.
     """
     powers, row, action = entry
-    if len(t) == 1:  # a monomial a X: t^(k+1) is one key shift and one scalar
-        (key, coef), = t.items()
-        tks = [{(k + 1) * key: coef ** (k + 1)} for k in range(len(powers))]
-    else:
-        tks = [t]
-        for _ in powers[1:]:
-            tks.append(_times(tks[-1], t))
+    tks = [t]
+    for _ in powers[1:]:
+        tks.append(_times(tks[-1], t))
     delta = {row: {k: -pair * c for k, c in t.items()}}
     for r, m in col.items():
         flat = action[r]
@@ -496,12 +497,8 @@ def product_of_root_elements(cb, registry, factors, cone):
     h, form = cb._cone(cone)
     start = {"h_f": {npos + i: {0: c} for i, c in enumerate(h) if c}}
     col = dict(start["h_f"])
-    pairs = {}
     for coords, entry, terms in word:
-        pair = pairs.get(coords)
-        if pair is None:
-            pair = pairs[coords] = sum(map(mul, coords, form))
-        _left_multiply(col, entry, pair, terms)
+        _left_multiply(col, entry, sum(map(mul, coords, form)), terms)
     return UnipotentMatrix(cb.dim, registry, {"h_f": col}, bound, start, cone)
 
 

@@ -354,8 +354,7 @@ def test_cone_column_matches_full_matrix(name):
         assert U1 == product_of_root_elements(cb, reg, same, weights)
         assert U1 != product_of_root_elements(cb, reg, other, weights)
         assert product_of_root_elements(cb, reg, w1 + invert_factors(w1), weights).is_identity()
-    # the words met both paths of a factor: a monomial whose coefficient is
-    # not +-1, and a sum of terms
+    # the words met a monomial whose coefficient is not +-1, and a sum of terms
     assert any(len(c.terms) == 1 and abs(next(iter(c.terms.values()))) != 1 for c in coeffs)
     assert any(len(c.terms) > 1 for c in coeffs)
 
@@ -513,6 +512,17 @@ U = product_of_root_elements(cb, reg, [(a1, s)], (1, 1))
 expect_failure("cone slot", lambda: collect(cb, U, [a1, -a2]))
 expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)], (1, 0)))
 
+# the inverse Cartan matrix that alpha(h_f) is read from: one entry off by 1
+row_reduce = chevalley.row_reduce
+
+def off_by_one(rows, ncols):
+    reduced, pivots = row_reduce(rows, ncols)
+    return [row[:-1] + [row[-1] + 1] for row in reduced], pivots
+
+chevalley.row_reduce = off_by_one
+expect_failure("inverse cartan", lambda: ChevalleyBasis(build_root_system(RootType("A", 2))))
+chevalley.row_reduce = row_reduce
+
 # Cartan integers are checked, not truncated: (alpha_1, alpha_2) = -1/2 in
 # A2 makes 2(alpha_1, alpha_2)/|alpha_1|^2 = -1/2, which int() reads as 0
 expect_failure("cartan", lambda: rootcore._cartan_matrix(
@@ -562,12 +572,12 @@ def test_constant_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "pair law", "fast table", "constant bound", "slot bound", "cone factor",
-        "cone slot", "columns", "cartan", "cartan pairing", "coroot", "sign search",
-        "witness constant", "witness factor"]
+        "cone slot", "columns", "inverse cartan", "cartan", "cartan pairing", "coroot",
+        "sign search", "witness constant", "witness factor"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
     assert all("outside the cone" in line for line in lines[4:6])
-    assert "different columns" in lines[6]
-    assert all("not an integer" in line for line in lines[7:9])
-    assert "non-integer" in lines[9] and "7 slots" in lines[10]
-    assert all("not the product of its table" in line for line in lines[11:13])
+    assert "different columns" in lines[6] and "inverse Cartan" in lines[7]
+    assert all("not an integer" in line for line in lines[8:10])
+    assert "non-integer" in lines[10] and "7 slots" in lines[11]
+    assert all("not the product of its table" in line for line in lines[12:14])
