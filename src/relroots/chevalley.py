@@ -82,7 +82,7 @@ from operator import mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _largest_slot,
                        _require_slot, row_reduce)
-from .rootcore import Root, RootSystem, collinear, multiples, require
+from .rootcore import Root, RootSystem, collinear, multiples, require, splits
 
 
 class CollectionError(ValueError):
@@ -132,17 +132,15 @@ class ChevalleyBasis:
     # -- structure constants ---------------------------------------------
 
     def _find_extraspecial(self):
+        """gamma -> (alpha, beta), alpha + beta = gamma with alpha least in
+        the positive order, for each non-simple positive gamma."""
+        by_coords = {c: c for c in self.pos_roots}
         esp = {}
         for gamma in self.pos_roots:
-            if sum(gamma) == 1:
-                continue
-            for alpha in self.pos_roots:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in self._pos_set:
-                    esp[gamma] = (alpha, beta)
-                    break
-            else:
-                raise AssertionError("no decomposition for %r" % (gamma,))
+            if sum(gamma) > 1:
+                split = next(splits(gamma, self.pos_roots, by_coords, ((1, 1),)), None)
+                require(split, "no decomposition for %s", gamma)
+                esp[gamma] = split[:2]
         return esp
 
     def _norm(self, coords):

@@ -49,8 +49,7 @@ import numpy as np
 
 from .chevalley import build_chevalley_basis, commutator_constants
 from .polyring import is_prime, row_reduce
-from .rootcore import (MULTIPLE_PAIRS, RootType, VerificationError, build_root_system,
-                       collinear, require)
+from .rootcore import RootType, VerificationError, build_root_system, require, splits
 
 DEFAULT_CAP = 10 ** 6
 
@@ -300,20 +299,6 @@ def _combination(ij, beta, gamma):
     return tuple(i * x + j * y for x, y in zip(beta, gamma))
 
 
-def _candidates(position, alpha):
-    """(beta, gamma, (i, j)) with i*beta + j*gamma = alpha, non-collinear,
-    one of the two orders of each pair: [x_gamma, x_beta] is the inverse of
-    [x_beta, x_gamma], whose factors sit on the same roots."""
-    for i, j in MULTIPLE_PAIRS:
-        for beta in position:
-            rest = tuple(a - i * b for a, b in zip(alpha, beta))
-            if any(x % j for x in rest):
-                continue
-            gamma = tuple(x // j for x in rest)
-            if position.get(gamma, -1) > position[beta] and not collinear(beta, gamma):
-                yield beta, gamma, (i, j)
-
-
 def find_witnesses(t: RootType, p):
     """Commutator witnesses over F_p, in the order they were accepted.
 
@@ -329,7 +314,12 @@ def find_witnesses(t: RootType, p):
         for alpha in position:
             if alpha in resolved:
                 continue
-            for beta, gamma, ij in _candidates(position, alpha):
+            for beta, gamma, ij in splits(alpha, position, rs._by_coords):
+                # one of the two orders of each pair: [x_gamma, x_beta] is the
+                # inverse of [x_beta, x_gamma], whose factors sit on the same roots
+                gamma = gamma.coords
+                if position[gamma] <= position[beta]:
+                    continue
                 table = tables.get((beta, gamma))
                 if table is None:
                     table = tables[beta, gamma] = commutator_constants(
@@ -351,26 +341,34 @@ def check_witnesses(t: RootType, p, witnesses):
 
     The matrices x_delta(c) = sum_k c^k N_k come from ``_root_powers``
     and the one-parameter law is checked for every root used, so x(-1) =
-    x(1)^-1 and x(c) = x(1)^c; the stacks and every x(delta, c) are kept
-    in ``_key_dtype(p)``, uint8 up to p = 256.  Each witness must name its
+    x(1)^-1 and x(c) = x(1)^c; every x(delta, c) is kept in
+    ``_key_dtype(p)``, uint8 up to p = 256.  The c each root is used with
+    are read off the witnesses first, so each root's stack is dropped once
+    its law is checked and its elements built.  Each witness must name its
     root by its entry, with p not dividing that constant, put every other
     nonzero factor on a root resolved by an earlier witness, and satisfy
     [x_beta(1), x_gamma(1)] = prod x_delta(C mod p) in table order."""
     rs = build_root_system(t)
     cb = build_chevalley_basis(rs)
     _matmul_bound(cb.dim, p)
-    powers, elements = {}, {}
+    uses = {}  # root -> the c mod p of its elements
+    for w in witnesses:
+        for root in (w.beta, w.gamma):
+            uses.setdefault(root, set()).update((1, -1 % p))
+        for kl, c in w.table.items():
+            delta = _combination(kl, w.beta, w.gamma)
+            if c % p and delta in rs:  # a factor off the roots fails below
+                uses.setdefault(delta, set()).add(c % p)
+    elements = {}
+    for root, cs in uses.items():
+        powers = _root_powers(cb, root, p)
+        _check_one_parameter_law(powers, p)
+        for c in cs:
+            coeff = [pow(c, k, p) for k in range(len(powers))]
+            elements[root, c] = (np.tensordot(coeff, powers, 1) % p).astype(powers.dtype)
 
     def x(root, c):
-        key = (root, c % p)
-        if key not in elements:
-            if root not in powers:
-                powers[root] = _root_powers(cb, root, p)
-                _check_one_parameter_law(powers[root], p)
-            coeff = [pow(c, k, p) for k in range(len(powers[root]))]
-            elements[key] = (np.tensordot(coeff, powers[root], 1) % p).astype(
-                powers[root].dtype)
-        return elements[key]
+        return elements[root, c % p]
 
     resolved = set()
     for w in witnesses:

@@ -14,9 +14,12 @@ recomposition and by structural homogeneity and fiber-grading checks.
 Every root of these words lies in the half-space f > 0 of
 ``_relative_cone``, so each product carries the one column h_f (see
 ``relroots.chevalley``).  On top of the tables sit the surjectivity and
-spanning verifications used by the perfectness argument
-(unit-coefficient witnesses for N_{AB11}, and exact linear-span oracles
-over the rationals and small prime fields).
+spanning verifications used by the perfectness argument: unit-coefficient
+witnesses for N_{AB11}, and exact linear-span oracles over the rationals
+and small prime fields.  A witness alpha + beta = gamma is found by
+``rootcore.splits`` from the integer structure constant N_{alpha,beta},
+not from the table; evaluating the table at u_alpha = v_beta = 1 then
+re-checks it, so the table is an oracle independent of the search.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone
 from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
                       classify_relative_type, parse_folding_spec)
 from .polyring import VarRegistry, _decode, evaluate, row_reduce
-from .rootcore import MULTIPLE_BOUND, VerificationError, collinear, multiples, require
+from .rootcore import (MULTIPLE_BOUND, VerificationError, collinear, multiples, require,
+                       splits)
 
 
 class RelcalcError(ValueError):
@@ -96,18 +100,6 @@ class NMapTable:
             vals[k] = v_coords.get(beta, 0)
         return {gamma: _integral(evaluate(p, vals))
                 for gamma, p in self.entries.get((i, j), {}).items()}
-
-    def bilinear_constant(self, alpha, beta):
-        """Coefficient of u_alpha * v_beta in the (1,1) map (0 if absent)."""
-        gamma_coords = tuple(a + b for a, b in zip(alpha.coords, beta.coords))
-        if gamma_coords not in self.rrs.rs:
-            return 0
-        gamma = self.rrs.rs.root_from_coords(gamma_coords)
-        p = self.entries.get((1, 1), {}).get(gamma)
-        if p is None:
-            return 0
-        units = self.registry.units
-        return p.terms.get(units[self.u_index[alpha]] + units[self.v_index[beta]], 0)
 
 
 def _integral(value):
@@ -268,8 +260,9 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     if case == "a":
         # the only hypothesis read off the table; the others are checked first
         table = compute_relative_commutator_maps(rrs, cb, A, B)
-        hit = {abs(c) for c in (table.bilinear_constant(al, be)
-                                for al in fa for be in fb) if c}
+        # _verify_table checked that each (1,1) term is some u_al v_be
+        hit = {abs(c) for p in table.entries.get((1, 1), {}).values()
+               for c in p.terms.values()}
         if not hit <= unit_abs:
             raise CaseHypothesisError(
                 "constants %s of %s, %s not all invertible for the supplied units"
@@ -298,22 +291,17 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     if case != "a":
         table = compute_relative_commutator_maps(rrs, cb, A, B)
 
+    longs = [al for al in fa if al.length_class == "long"]
+    seconds = {be.coords: be for be in fb}
+    long_seconds = {c: be for c, be in seconds.items() if be.length_class == "long"}
     witnesses = {}
     for gamma in target:
-        found = None
-        for al in fa:
-            for be in fb:
-                if not rs.sum_is_root(al, be) or rs.sum(al, be) != gamma:
-                    continue
-                c = table.bilinear_constant(al, be)
-                if c and abs(c) in unit_abs:
-                    if case == "d" and gamma.length_class == "long" and not (
-                            al.length_class == "long" and be.length_class == "long"):
-                        continue
-                    found = (al, be, c)
-                    break
-            if found:
-                break
+        firsts, by_coords = fa, seconds
+        if case == "d" and gamma.length_class == "long":
+            firsts, by_coords = longs, long_seconds
+        found = next(((al, be, cb.struct_const(al, be))
+                      for al, be, _ in splits(gamma, firsts, by_coords, ((1, 1),))
+                      if abs(cb.struct_const(al, be)) in unit_abs), None)
         require(found, "no unit hit for %s (falsifies surjectivity case %s)",
                 gamma, case)
         al, be, c = found
@@ -448,20 +436,17 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):
     """The three fiber cases behind the span identity, checked directly."""
     rs = rrs.rs
-    A1 = RelativeRoot((1, 0))
+    f_a1 = rrs.fiber(RelativeRoot((1, 0)))
+    short_a1 = [al for al in f_a1 if al.length_class == "short"]
+    short_mid = {be.coords: be for be in f_mid if be.length_class == "short"}
     alpha_l = rs.simple_roots[rs.rank - 1]
+    a2_but_l = {be.coords: be for be in rrs.fiber(RelativeRoot((0, 1))) if be != alpha_l}
     for gamma in f_top:
         if gamma.length_class == "short":
-            hits = [(al, be) for al in rrs.fiber(A1) for be in f_mid
-                    if al.length_class == "short" and be.length_class == "short"
-                    and rs.sum_is_root(al, be) and rs.sum(al, be) == gamma]
-            require(hits, "short top root %s lacks a short+short split", gamma)
+            require(any(splits(gamma, short_a1, short_mid, ((1, 1),))),
+                    "short top root %s lacks a short+short split", gamma)
         else:
-            hits = [(al, be) for al in rrs.fiber(A1)
-                    for be in rrs.fiber(RelativeRoot((0, 1)))
-                    if be != alpha_l and tuple(
-                        2 * a + b for a, b in zip(al.coords, be.coords)
-                    ) == gamma.coords]
-            require(hits, "long top root %s is not 2*alpha+beta", gamma)
+            require(any(splits(gamma, f_a1, a2_but_l, ((2, 1),))),
+                    "long top root %s is not 2*alpha+beta", gamma)
     for gamma in f_mid:
         require(gamma.length_class == "short", "middle root %s is not short", gamma)

@@ -10,6 +10,10 @@ then the integer sum over j of beta_j times the Cartan integer
 integer quadratic forms.  The full root set is generated by closing the
 simple roots under the simple reflections and is cross-checked against the
 closed-form root counts.
+
+Three helpers read pairs of roots: ``collinear``, ``multiples`` (the
+i*a + j*b that are roots) and ``splits`` (the pairs whose i*beta + j*gamma
+is a given root), the one search behind every commutator witness.
 """
 
 from __future__ import annotations
@@ -295,6 +299,31 @@ def multiples(a, b, coords):
     ab = list(zip(getattr(a, "coords", a), getattr(b, "coords", b)))
     return [(i, j) for i, j in MULTIPLE_PAIRS
             if tuple([i * x + j * y for x, y in ab]) in coords]
+
+
+def splits(alpha, firsts, seconds, pairs=MULTIPLE_PAIRS):
+    """(beta, gamma, (i, j)) with i*beta + j*gamma = alpha, beta and gamma
+    not collinear: the ways to write ``alpha`` as the root of an entry of a
+    commutator [x_beta, x_gamma].
+
+    (i, j) runs over ``pairs`` in order, then beta over ``firsts`` in
+    order; gamma = (alpha - i*beta) / j is looked up in ``seconds``, a map
+    from coordinate tuples to roots (``RootSystem._by_coords``, or a fiber
+    keyed by coordinates).
+    ``alpha`` and the members of ``firsts`` are coordinate tuples, or roots
+    and relative roots via ``.coords``.
+    """
+    alpha = getattr(alpha, "coords", alpha)
+    for i, j in pairs:
+        for beta in firsts:
+            rest = [a - i * b for a, b in zip(alpha, getattr(beta, "coords", beta))]
+            if j > 1:
+                if any(x % j for x in rest):
+                    continue
+                rest = [x // j for x in rest]
+            gamma = seconds.get(tuple(rest))
+            if gamma is not None and not collinear(beta, gamma):
+                yield beta, gamma, (i, j)
 
 
 @lru_cache(maxsize=None)

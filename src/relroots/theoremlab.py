@@ -56,9 +56,9 @@ from .rootcore import (
     RootType,
     VerificationError,
     build_root_system,
-    collinear,
     multiples,
     require,
+    splits,
 )
 
 
@@ -314,21 +314,13 @@ def _schema_f4_long(k):
     reg = VarRegistry(["Z", "v"])
     Z, v = reg.var("Z"), reg.var("v")
     longs = [r for r in rs.roots if r.length_class == "long"]
-
-    def clean_long_pair(A):
-        for B in longs:
-            Ccoords = tuple(a - b for a, b in zip(A.coords, B.coords))
-            if Ccoords not in rs:
-                continue
-            C = rs.root_from_coords(Ccoords)
-            if C.length_class != "long":
-                continue
-            if multiples(B, C, rs) == [(1, 1)]:
-                return B, C
-        raise VerificationError("no clean long pair")
+    long_by_coords = {r.coords: r for r in longs}
 
     def witness(A):
-        B, C = clean_long_pair(A)
+        clean = [(B, C) for B, C, _ in splits(A, longs, long_by_coords, ((1, 1),))
+                 if multiples(B, C, rs) == [(1, 1)]]
+        require(clean, "no clean long pair")
+        B, C = clean[0]
         n = cb.struct_const(B.coords, C.coords)
         require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
         word = commutator_factors([(B, Z)],
@@ -350,15 +342,11 @@ def _schema_bl_pairs(l):
     rrs = build_relative_system(parse_folding_spec("B%d levi=1,2" % l))
     rs = rrs.rs
     rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
+    rel_by_coords = {R.coords: R for R in rel_roots}
 
     def witness(A):
         wit = []
-        for B in rel_roots:
-            C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-            if C not in rrs:
-                continue
-            if collinear(B, C):
-                continue  # collinear pair, not a decomposition
+        for B, C, _ in splits(A, rel_roots, rel_by_coords, ((1, 1),)):
             pair = next(((beta, gamma)
                          for beta in rrs.fiber(B) for gamma in rrs.fiber(C)
                          if beta.length_class == "long"
@@ -373,40 +361,24 @@ def _schema_bl_pairs(l):
             for A in rel_roots]
 
 
-def _unit_pair(rrs, cb, src_rel, mid_rel, gamma, clean=True):
-    """(alpha, beta, n) with alpha+beta = gamma, |n| = 1, optionally 2a+b not a root."""
-    rs = rrs.rs
-    for alpha in rrs.fiber(src_rel):
-        for beta in rrs.fiber(mid_rel):
-            if not rs.sum_is_root(alpha, beta) or rs.sum(alpha, beta) != gamma:
-                continue
-            if clean and tuple(2 * a + b for a, b in
-                               zip(alpha.coords, beta.coords)) in rs:
-                continue
-            n = cb.struct_const(alpha.coords, beta.coords)
-            if abs(n) == 1:
-                return alpha, beta, n
-    return None
+def _unit_split(rrs, cb, src_rel, mid_rel, gamma, ij, clean=False):
+    """(alpha, beta, C_ij) with i*alpha + j*beta = gamma for ``ij`` = (i, j)
+    and |C_ij| = 1, alpha in the fiber of ``src_rel`` (in fiber order) and
+    beta in that of ``mid_rel``; with ``clean``, also 2*alpha + beta not a
+    root.  None if no pair qualifies.
 
-
-def _unit_21_pair(rrs, cb, src_rel, mid_rel, gamma):
-    """(alpha, beta, table) with 2*alpha + beta = gamma and |C_21| = 1.
-
-    alpha runs over the fiber of ``src_rel``; beta = gamma - 2*alpha must
-    lie in the fiber of ``mid_rel``.  ``table`` is the
-    ``commutator_constants`` of the pair.
+    C_11 is the structure constant N_{alpha,beta}; any other C_ij is read
+    from the ``commutator_constants`` of the pair.
     """
     rs = rrs.rs
-    for alpha in rrs.fiber(src_rel):
-        coords = tuple(g - 2 * a for g, a in zip(gamma.coords, alpha.coords))
-        if coords not in rs:
+    seconds = {beta.coords: beta for beta in rrs.fiber(mid_rel)}
+    for alpha, beta, _ in splits(gamma, rrs.fiber(src_rel), seconds, (ij,)):
+        if clean and tuple(2 * a + b for a, b in zip(alpha.coords, beta.coords)) in rs:
             continue
-        beta = rs.root_from_coords(coords)
-        if beta not in rrs.fiber(mid_rel):
-            continue
-        tab = commutator_constants(cb, alpha, beta)
-        if abs(tab.get((2, 1), 0)) == 1:
-            return alpha, beta, tab
+        c = (cb.struct_const(alpha, beta) if ij == (1, 1)
+             else commutator_constants(cb, alpha, beta).get(ij, 0))
+        if abs(c) == 1:
+            return alpha, beta, c
     return None
 
 
@@ -441,12 +413,12 @@ def _schema_cl_bc2(l, k):
         Z, v = reg.var("Z"), reg.var("v")
         # step 1: [X_{A1}(Z e_a), X_{2A2}(Z^{k-2} c v e_b)] hits gamma_A with
         # coefficient Z^k v and junk only on the fiber of A1+2A2
-        hit = _unit_21_pair(rrs, cb, A1, A2.scaled(2), gamma_A)
+        hit = _unit_split(rrs, cb, A1, A2.scaled(2), gamma_A, (2, 1))
         require(hit, "no unit (2,1) pair for the long chain")
-        alpha, beta, tab = hit
+        alpha, beta, c21 = hit
         word1 = commutator_factors(
             [(alpha, Z)],
-            [(beta, (reg.var("Z", k - 2) * v).scale(tab[(2, 1)]))])
+            [(beta, (reg.var("Z", k - 2) * v).scale(c21))])
         M1 = product_of_root_elements(cb, reg, word1, height)
         mid = RelativeRoot((1, 2))
         slots = list(rrs.fiber(mid)) + list(rrs.fiber(A))
@@ -459,7 +431,7 @@ def _schema_cl_bc2(l, k):
         # [X_{A1+A2}(Z u4), X_{A2}(Z^{k-3} u5)] (single-slot cone)
         cancel_factors = []
         for g, c in junk.items():
-            got = _unit_pair(rrs, cb, A1 + A2, A2, g, clean=False)
+            got = _unit_split(rrs, cb, A1 + A2, A2, g, (1, 1))
             require(got, "no unit pair for the middle fiber root %s", g)
             mu, nu, n = got
             arg = (c.scale(-Fraction(1, n)))
@@ -471,8 +443,7 @@ def _schema_cl_bc2(l, k):
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
         return {
-            "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta,
-                                                      tab[(2, 1)], k - 2),
+            "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta, c21, k - 2),
             "cancellers": [str(g) for g in junk],
         }
 
@@ -535,7 +506,7 @@ def _schema_cl_c2(l, k):
 
     # short root A = A1+A2: per-fiber clean commutators
     def short_factors(reg, j, gamma):
-        got = _unit_pair(rrs, cb, A1, A2, gamma, clean=True)
+        got = _unit_split(rrs, cb, A1, A2, gamma, (1, 1), clean=True)
         require(got, "no clean unit pair for %s", gamma)
         return unit_commutator(reg, j, gamma, got)
 
@@ -543,28 +514,29 @@ def _schema_cl_c2(l, k):
     def long_factors(reg, j, gamma):
         if gamma.length_class == "short":
             # reachable from the A1 x (A1+A2) commutator: single-slot cone
-            got = _unit_pair(rrs, cb, A1, mid, gamma, clean=False)
+            got = _unit_split(rrs, cb, A1, mid, gamma, (1, 1))
             require(got, "no unit pair for short %s", gamma)
             return unit_commutator(reg, j, gamma, got)
         # long gamma = 2 alpha + beta: take the (2,1) slot of an
         # A1 x A2 commutator, then cancel its (1,1) byproduct
-        hit = _unit_21_pair(rrs, cb, A1, A2, gamma)
+        hit = _unit_split(rrs, cb, A1, A2, gamma, (2, 1))
         require(hit, "no unit (2,1) pair for long %s", gamma)
-        alpha, beta, tab = hit
+        alpha, beta, c21 = hit
         Z, vj = reg.var("Z"), reg.var("v%d" % j)
         word = commutator_factors(
             [(alpha, Z)],
-            [(beta, (reg.var("Z", k - 2) * vj).scale(tab[(2, 1)]))])
+            [(beta, (reg.var("Z", k - 2) * vj).scale(c21))])
         byproduct = rs.sum(alpha, beta)
-        c_by = tab[(1, 1)] * tab[(2, 1)]  # coefficient on x_{a+b}(Z^{k-1} v_j)
-        got = _unit_pair(rrs, cb, A1, A2, byproduct, clean=True)
+        # coefficient on x_{a+b}(Z^{k-1} v_j), C_11 = N_{alpha,beta}
+        c_by = cb.struct_const(alpha, beta) * c21
+        got = _unit_split(rrs, cb, A1, A2, byproduct, (1, 1), clean=True)
         require(got, "no clean canceller for %s", byproduct)
         mu, nu, n = got
         word += commutator_factors(
             [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
             [(nu, reg.var("Z", k - 2))])
         return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
-                      % (gamma, alpha, beta, tab[(2, 1)], k - 2, j, byproduct))
+                      % (gamma, alpha, beta, c21, k - 2, j, byproduct))
 
     return [
         run_case("clc2/C%d/short/k=%d" % (l, k), spec_str,

@@ -230,6 +230,18 @@ def test_fast_table_matches_symbolic(name):
             assert abs(c) == fast[ij]
 
 
+@pytest.mark.parametrize("name", ["A3", "B2", "B3", "C3", "C4", "D4", "F4", "G2", "E6"])
+def test_c11_is_the_structure_constant(name):
+    # the witness searches read C_11 of [x_beta(s), x_gamma(t)] as N_{beta,gamma}
+    cb = cb_for(name)
+    rs = cb.rs
+    pairs = [(b, g) for b, g in itertools.product(rs.roots, repeat=2)
+             if rs.sum_is_root(b, g)]
+    assert pairs
+    for b, g in pairs:
+        assert commutator_constants(cb, b, g)[(1, 1)] == cb.struct_const(b, g)
+
+
 def test_all_constants_bounded_c4_f4():
     for name in ["C4", "F4"]:
         cb = cb_for(name)

@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from lie_oracles import full_product
 
+import relroots
 import relroots.relcalc as relcalc
 from relroots.chevalley import (
     adjoint_root_element,
@@ -117,9 +121,9 @@ def test_simply_laced_unit_constants(a3_levi):
     assert pairs
     for A, B in pairs:
         table = compute_relative_commutator_maps(rrs, cb, A, B)
-        for al in rrs.fiber(A):
-            for be in rrs.fiber(B):
-                c = table.bilinear_constant(al, be)
+        # every (1,1) term is one u_al * v_be (homogeneity and fiber grading)
+        for p in table.entries.get((1, 1), {}).values():
+            for c in p.terms.values():
                 assert c in (-1, 0, 1)
 
 
@@ -224,6 +228,50 @@ def test_surjectivity_b3_case_d():
     A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     report = check_N11_surjectivity(rrs, cb, A, B, "d")
     assert report["status"] == "pass"
+
+
+# the witness of one B3 target is found from N_{al,be}; its (1,1) coefficient
+# doubled in the table must fail the re-check by evaluation, under -O too
+DOUBLED_COEFFICIENT = """
+import relroots.relcalc as relcalc
+from relroots.chevalley import build_chevalley_basis
+from relroots.cli import suite_lemma2
+from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.polyring import PolyElem
+
+rrs = build_relative_system(parse_folding_spec("B3 levi=1,2"))
+A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
+report = relcalc.check_N11_surjectivity(rrs, build_chevalley_basis(rrs.rs), A, B, "d")
+gamma, (al, be, c) = min(report["witnesses"].items(), key=lambda kv: kv[0].coords)
+real = relcalc.compute_relative_commutator_maps
+
+def doubled(rrs_, cb, A_, B_):
+    table = real(rrs_, cb, A_, B_)
+    if (rrs_.spec, A_, B_) == (rrs.spec, A, B):
+        units = table.registry.units
+        key = units[table.u_index[al]] + units[table.v_index[be]]
+        p = table.entries[1, 1][gamma]
+        table.entries[1, 1][gamma] = PolyElem(table.registry,
+                                              {**p.terms, key: 2 * p.terms[key]})
+    return table
+
+relcalc.compute_relative_commutator_maps = doubled
+for case in suite_lemma2(0, max_rank=2):
+    if case.id.startswith("lemma2/d/"):
+        print("%s: %s %s" % (case.id, case.status, case.witness))
+"""
+
+
+def test_doubled_witness_coefficient_is_a_fail_row_under_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", DOUBLED_COEFFICIENT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("lemma2/d/B3 gamma=trivial levi=1,2: fail witness")
+    assert "does not evaluate to" in lines[0]
+    assert lines[1].startswith("lemma2/d/B4 gamma=trivial levi=1,2: pass")
 
 
 def test_surjectivity_c2_no_case_applies(c2):

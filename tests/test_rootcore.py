@@ -5,6 +5,7 @@ import pytest
 from lie_oracles import cartan_pairing, gram_dot, root_string
 
 import relroots.rootcore as rootcore
+from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.rootcore import (
     InvalidRootType,
     Root,
@@ -14,6 +15,7 @@ from relroots.rootcore import (
     build_root_system,
     collinear,
     multiples,
+    splits,
 )
 
 ALL_TYPES_RANK8 = (
@@ -175,3 +177,51 @@ def test_multiples_order_and_bound():
                     if tuple(i * x + j * y for x, y in zip(a.coords, b.coords)) in rs]
             assert multiples(a.coords, b.coords, rs) == sorted(
                 scan, key=lambda ij: (ij[0] + ij[1], ij[0]))
+
+
+SPLIT_PAIRS = ((1, 1), (2, 1), (1, 2))
+
+
+def _brute_splits(alpha, firsts, seconds, pairs):
+    """The splits of alpha by a double loop over every pair of roots."""
+    return [(b, g, (i, j)) for i, j in pairs for b in firsts for g in seconds
+            if tuple(i * x + j * y for x, y in zip(b.coords, g.coords)) == alpha.coords
+            and not collinear(b, g)]
+
+
+def _check_splits(targets, firsts, seconds):
+    """Compare splits with the double loop for every target, in both pair
+    orders; return the (i, j) of every split found."""
+    by_coords = {g.coords: g for g in seconds}
+    found = []
+    for alpha in targets:
+        for pairs in (SPLIT_PAIRS, SPLIT_PAIRS[::-1]):
+            got = list(splits(alpha, firsts, by_coords, pairs))
+            assert got == _brute_splits(alpha, firsts, seconds, pairs)
+            found += [ij for _, _, ij in got]
+    return found
+
+
+@pytest.mark.parametrize("t", [t for t in ALL_TYPES_RANK8 if t.rank <= 4],
+                         ids=str)
+def test_splits_match_brute_force_on_root_sets(t):
+    rs = build_root_system(t)
+    found = set(_check_splits(rs.roots, rs.roots, rs.roots))
+    # (1, 1) splits from rank 2 on, (2, 1) and (1, 2) in the multiply laced types
+    assert found == (set() if t.rank == 1 else set(SPLIT_PAIRS)
+                     if t.series in "BCFG" else {(1, 1)})
+    # coordinate tuples as firsts give the same splits, by coordinates
+    alpha = max(rs.roots, key=lambda r: r.height)
+    assert [(b, g.coords, ij) for b, g, ij in splits(
+        alpha.coords, [r.coords for r in rs.roots], rs._by_coords)] == [
+        (b.coords, g.coords, ij) for b, g, ij in splits(alpha, rs.roots, rs._by_coords)]
+
+
+@pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4"])
+def test_splits_match_brute_force_on_fibers(spec):
+    rrs = build_relative_system(parse_folding_spec(spec))
+    rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
+    found = set()
+    for A, B in itertools.product(rel_roots, repeat=2):
+        found.update(_check_splits(rrs.rs.roots, rrs.fiber(A), rrs.fiber(B)))
+    assert found == set(SPLIT_PAIRS)
