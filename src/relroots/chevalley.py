@@ -44,14 +44,19 @@ would need f(gamma) < 0, so u(h_f) - h_f lies in the sum of the g_gamma,
 gamma in Psi, for every u in U_Psi: the h rows of the column stay those
 of h_f, and x_alpha(t) sends the Cartan part h_f to h_f plus the single
 term -t alpha(h_f) e_alpha ([e_alpha, h_f] = -alpha(h_f) e_alpha, and
-[e_alpha, e_alpha] = 0).  The product takes alpha(h_f) = sum_j alpha_j
-(C^T h_f)_j for each factor, and ``collect`` takes the same value as the
-``pair`` it divides by.  Every other row moves by the
-root's compiled action, built once per root with its divided powers in
-the one per-basis cache entry (``ChevalleyBasis._root_entry``): (powers,
-row of e_alpha, action), where ``action[r]`` is None or the flat tuple
-(k, i, c, k', i', c', ...) of the nonzero entries c = ((ad e_alpha)^(k+1)
-/ (k+1)!)[i][r], k ascending, h rows left out as sources and targets.
+[e_alpha, e_alpha] = 0).  The product computes form = (alpha_j(h_f))_j
+= C^T h_f once, keeps it on the ``UnipotentMatrix`` it returns, and takes
+alpha(h_f) = sum_j alpha_j form_j for each factor; ``collect`` reads the form there and takes the
+same value as the ``pair`` it divides by, by ``divmod``, with a
+``Fraction`` only where a remainder is left.  Every other row moves by
+the root's compiled action, built once per root with its divided powers
+in the one per-basis cache entry (``ChevalleyBasis._root_entry``):
+(powers, row of e_alpha, action), where ``action[r]`` is None or the flat
+tuple (k, i, c, k', i', c', ...) of the nonzero entries c = ((ad
+e_alpha)^(k+1) / (k+1)!)[i][r], k ascending, h rows left out as sources
+and targets.  A factor x(t) builds t^(k+1) for k >= 1 only when one of
+these triples first needs it: on a column in U_Psi they rarely fire, and
+never in a simply laced type, where their only source row is e_-alpha.
 
 A commutator [x_alpha(s), x_beta(t)] of non-opposite roots lies in the
 half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
@@ -69,8 +74,11 @@ w (eps^2 - eps) = 1, so two equal entries can differ raw; equality, the
 identity test and ``collect`` compare and read entries as the PolyElem
 they build, which is reduced.  No slot may pass 2^16 - 1: a running
 bound, the sum over factors x(t) of (number of divided powers of ad e) *
-(largest slot of t), is checked before any column work, and a word that
-could overflow raises ``SlotOverflow``.
+(largest slot of any key of t), is checked before any column work, and a
+word that could overflow raises ``SlotOverflow``.  The largest slot of a
+key is unpacked once per distinct key within one product or ``collect``
+call (t and -t share their keys), and the cone once per distinct root of
+the word.
 """
 
 from __future__ import annotations
@@ -80,8 +88,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _largest_slot,
-                       _require_slot, row_reduce)
+from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _require_slot,
+                       _slots, row_reduce)
 from .rootcore import Root, RootSystem, collinear, multiples, require, splits
 
 
@@ -167,7 +175,7 @@ class ChevalleyBasis:
         c = [sum(map(mul, row, weights)) for row in self._cartan_t_inv]
         g = math.gcd(*c)
         den = self._cartan_t_den
-        return tuple(x // g for x in c), tuple(den * w // g for w in weights)
+        return tuple([x // g for x in c]), tuple([den * w // g for w in weights])
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""
@@ -341,30 +349,40 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 # -- symbolic matrices ---------------------------------------------------
 
 
-def _grow_bound(bound, powers, t):
-    """The slot bound after a factor x(t): x(t) reaches t^len(powers)."""
-    return _require_slot(bound + len(powers) * _largest_slot(
-        t.terms, len(t.registry.names)))
+def _grow_bound(bound, reach, terms, n, largest):
+    """The slot bound after a factor x(t), t with ``terms``: x(t) reaches
+    t^reach.  ``largest`` memoizes the largest slot of each key over one
+    product or ``collect`` call."""
+    top = 0
+    for key in terms:
+        slot = largest.get(key)
+        if slot is None:
+            slot = largest[key] = max(_slots(key, n))
+        if slot > top:
+            top = slot
+    return _require_slot(bound + reach * top)
 
 
 class UnipotentMatrix:
     """The column h_f of a product of root elements, carried through the word.
 
     ``start`` is {"h_f": {row: {0: int}}}, the column before any factor,
-    for the ``cone`` weights of f.  ``packed`` holds its image, {"h_f":
+    for the ``cone`` weights of f, and ``form`` = (alpha_j(h_f))_j, so
+    root(h_f) = sum_j root_j form_j.  ``packed`` holds its image, {"h_f":
     {row: raw PolyElem terms}} with no empty entry; every slot exponent of
     every entry is at most ``bound``.
     """
 
-    __slots__ = ("dim", "registry", "packed", "bound", "start", "cone")
+    __slots__ = ("dim", "registry", "packed", "bound", "start", "cone", "form")
 
-    def __init__(self, dim, registry, packed, bound, start, cone):
+    def __init__(self, dim, registry, packed, bound, start, cone, form):
         self.dim = dim
         self.registry = registry
         self.packed = packed  # identity entries included
         self.bound = bound
         self.start = start
         self.cone = cone
+        self.form = form
 
     @property
     def cols(self):
@@ -422,13 +440,12 @@ def _left_multiply(col, entry, pair, t):
     root(h_f) and ``t`` a nonzero packed term dict.  x(t) = I + sum_k t^k
     P_k fixes the Cartan part of the column and adds -t pair on e_root;
     every other row r adds t^(k+1) c times its entry on row i for each
-    compiled triple (k, i, c).  Entry dicts are never changed once stored
-    (a changed entry is a new dict), so they may be shared.
+    compiled triple (k, i, c); t^(k+1) is built the first time a triple
+    needs it.  Entry dicts are never changed once stored (a changed entry
+    is a new dict), so they may be shared.
     """
-    powers, row, action = entry
+    _, row, action = entry
     tks = [t]
-    for _ in powers[1:]:
-        tks.append(_times(tks[-1], t))
     delta = {row: {k: -pair * c for k, c in t.items()}}
     for r, m in col.items():
         flat = action[r]
@@ -439,7 +456,13 @@ def _left_multiply(col, entry, pair, t):
             d = delta.get(i)
             if d is None:
                 d = delta[i] = {}
-            for ka, ca in tks[k].items():
+            try:
+                tk = tks[k]
+            except IndexError:
+                while len(tks) <= k:
+                    tks.append(_times(tks[-1], t))
+                tk = tks[k]
+            for ka, ca in tk.items():
                 v = ca * c
                 for km, cm in m.items():
                     km += ka
@@ -466,8 +489,8 @@ def cone_weights(a, b):
     """
     if collinear(a, b):
         return tuple(a)
-    aa, bb, ab = (sum(x * y for x, y in zip(u, v)) for u, v in ((a, a), (b, b), (a, b)))
-    return tuple(x * (bb - ab) + y * (aa - ab) for x, y in zip(a, b))
+    aa, bb, ab = sum(map(mul, a, a)), sum(map(mul, b, b)), sum(map(mul, a, b))
+    return tuple([x * (bb - ab) + y * (aa - ab) for x, y in zip(a, b)])
 
 
 def _require_in_cone(cone, root):
@@ -480,24 +503,30 @@ def product_of_root_elements(cb, registry, factors, cone):
 
     ``cone`` holds the integer weights of a form f that must be positive
     on every factor's root (module docstring).  The word's slot bound and
-    cone are checked before any column work.
+    cone, the latter once per distinct root, are checked before any column
+    work.
     """
+    n = len(registry.names)
+    entries, largest = {}, {}
     word, bound = [], 0
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
-        _require_in_cone(cone, root)
-        entry = cb._root_entry(root.coords)
-        bound = _grow_bound(bound, entry[0], t)
+        coords = root.coords
+        entry = entries.get(coords)
+        if entry is None:
+            _require_in_cone(cone, root)
+            entry = entries[coords] = cb._root_entry(coords)
+        bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
         if t.terms:
-            word.append((root.coords, entry, t.terms))
+            word.append((coords, entry, t.terms))
     npos = len(cb.pos_roots)
     h, form = cb._cone(cone)
     start = {"h_f": {npos + i: {0: c} for i, c in enumerate(h) if c}}
     col = dict(start["h_f"])
     for coords, entry, terms in word:
         _left_multiply(col, entry, sum(map(mul, coords, form)), terms)
-    return UnipotentMatrix(cb.dim, registry, {"h_f": col}, bound, start, cone)
+    return UnipotentMatrix(cb.dim, registry, {"h_f": col}, bound, start, cone, form)
 
 
 def invert_factors(factors):
@@ -525,24 +554,28 @@ def collect(cb, U, slots):
     root that is a sum of two slot roots is a later slot, e.g. slots in
     order of |height|.  Returns {root: PolyElem}.
     """
-    reg = U.registry
-    form = cb._cone(U.cone)[1]
+    reg, form = U.registry, U.form
+    n = len(reg.names)
     W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
-                        U.bound, U.start, U.cone)
+                        U.bound, U.start, U.cone, form)
     col = W.packed["h_f"]
-    coeffs = {}
+    coeffs, largest = {}, {}
     for root in slots:
         _require_in_cone(U.cone, root)
-        pair = sum(map(mul, root.coords, form))
         entry = cb._root_entry(root.coords)
         raw = col.get(entry[1])
         if raw is None:
             continue
-        t = PolyElem(reg, {k: Fraction(-v, pair) for k, v in raw.items()})
+        pair = sum(map(mul, root.coords, form))
+        terms = {}
+        for k, v in raw.items():
+            q, rem = divmod(-v, pair)
+            terms[k] = Fraction(-v, pair) if rem else q
+        t = PolyElem(reg, terms)
         if t.is_zero():
             continue
         coeffs[root] = t
-        W.bound = _grow_bound(W.bound, entry[0], t)
+        W.bound = _grow_bound(W.bound, len(entry[0]), t.terms, n, largest)
         _left_multiply(col, entry, pair, {k: -v for k, v in t.terms.items()})
     if not W.is_identity():
         raise CollectionError("residual is not the identity; "
@@ -568,8 +601,9 @@ def collected_commutator(cb, registry, first, second):
     a, b = alpha.coords, beta.coords
     U = product_of_root_elements(cb, registry, commutator_factors([first], [second]),
                                  cone_weights(a, b))
-    slots = [cb.rs.root_from_coords(tuple(i * x + j * y for x, y in zip(a, b)))
-             for i, j in multiples(a, b, cb.rs)]
+    by_coords = cb.rs._by_coords
+    slots = [by_coords[tuple(i * x + j * y for x, y in zip(a, b))]
+             for i, j in multiples(a, b, by_coords)]
     return list(collect(cb, U, slots).items())
 
 

@@ -143,11 +143,13 @@ def _root_powers(cb, coords, p):
     return out
 
 
-def _check_one_parameter_law(powers, p):
-    """x(a) x(1) = x(a + 1) for every a in F_p.
+def _check_one_parameter_law(powers, p, keep=()):
+    """x(a) x(1) = x(a + 1) for every a in F_p; returns {c: x(c)} for each
+    c in ``keep`` (0 <= c < p), in the dtype of ``powers``.
 
     With x(0) = N_0 = 1 this is the whole law x(a) x(b) = x(a + b), by
     induction on b, so x(c) = x(1)^c and x(1) generates every x(c)."""
+    kept = {}
     n = powers.shape[1]
     flat = powers.reshape(len(powers), n * n)
     x1 = powers.sum(axis=0) % p
@@ -160,6 +162,10 @@ def _check_one_parameter_law(powers, p):
         x = (coeff @ flat % p).reshape(len(a), n, n)
         require(np.array_equal(_times(_columns(x[:-1]), x1, p), _columns(x[1:])),
                 "one-parameter law fails mod %d", p)
+        for c in keep:
+            if lo <= c < lo + len(a) - 1:
+                kept[c] = x[c - lo].astype(powers.dtype)
+    return kept
 
 
 def adjoint_generators(t: RootType, p):
@@ -343,9 +349,9 @@ def check_witnesses(t: RootType, p, witnesses):
     and the one-parameter law is checked for every root used, so x(-1) =
     x(1)^-1 and x(c) = x(1)^c; every x(delta, c) is kept in
     ``_key_dtype(p)``, uint8 up to p = 256.  The c each root is used with
-    are read off the witnesses first, so each root's stack is dropped once
-    its law is checked and its elements built.  Each witness must name its
-    root by its entry, with p not dividing that constant, put every other
+    are read off the witnesses first, so the law check hands back each
+    root's x(c) and its stack is dropped at once.  Each witness must name
+    its root by its entry, with p not dividing that constant, put every other
     nonzero factor on a root resolved by an earlier witness, and satisfy
     [x_beta(1), x_gamma(1)] = prod x_delta(C mod p) in table order."""
     rs = build_root_system(t)
@@ -361,11 +367,8 @@ def check_witnesses(t: RootType, p, witnesses):
                 uses.setdefault(delta, set()).add(c % p)
     elements = {}
     for root, cs in uses.items():
-        powers = _root_powers(cb, root, p)
-        _check_one_parameter_law(powers, p)
-        for c in cs:
-            coeff = [pow(c, k, p) for k in range(len(powers))]
-            elements[root, c] = (np.tensordot(coeff, powers, 1) % p).astype(powers.dtype)
+        for c, xc in _check_one_parameter_law(_root_powers(cb, root, p), p, cs).items():
+            elements[root, c] = xc
 
     def x(root, c):
         return elements[root, c % p]

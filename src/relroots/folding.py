@@ -284,7 +284,7 @@ class RelativeRootSystem:
 
     def __contains__(self, item):
         coords = item.coords if isinstance(item, RelativeRoot) else tuple(item)
-        return RelativeRoot(coords) in self.rel_roots
+        return coords in self.rel_coords
 
     def fiber(self, A):
         return self.fibers[A]

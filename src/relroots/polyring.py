@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .rootcore import require
 
@@ -86,21 +87,16 @@ def _slot_maxima(terms, n):
     return [max(col) for col in zip(*(_slots(k, n) for k in terms))] or [0] * (n + 1)
 
 
-def _largest_slot(terms, n):
-    """The largest exponent, the power of w included, of any term."""
-    return max((max(_slots(k, n)) for k in terms), default=0)
-
-
 class VarRegistry:
     """Ordered set of indeterminate names, fixing the term order.
 
     The order of ``names`` is the canonical variable order; ``units[i]`` is
-    the packed key of variable i to the first power, and ``w_unit`` that of
-    w.  A variable named ``eps`` plays a special role: the ring is
-    localized at ``eps**2 - eps``.
+    the packed key of variable i to the first power, ``w_unit`` that of w,
+    and ``top_bits`` has the top bit of every slot.  A variable named
+    ``eps`` plays a special role: the ring is localized at ``eps**2 - eps``.
     """
 
-    __slots__ = ("names", "_index", "eps_index", "units", "w_unit")
+    __slots__ = ("names", "_index", "eps_index", "units", "w_unit", "top_bits")
 
     def __init__(self, names):
         names = tuple(names)
@@ -111,6 +107,7 @@ class VarRegistry:
         self.eps_index = self._index.get(EPS)
         self.units = tuple(1 << (_BITS * i) for i in range(len(names)))
         self.w_unit = 1 << (_BITS * len(names))
+        self.top_bits = (1 << (_BITS - 1)) * sum(self.units + (self.w_unit,))
 
     def __eq__(self, other):
         return isinstance(other, VarRegistry) and self.names == other.names
@@ -228,9 +225,11 @@ class PolyElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = len(self.registry.names)
-        _require_slot(max(x + y for x, y in zip(_slot_maxima(self.terms, n),
-                                                _slot_maxima(other.terms, n))))
+        # two slots below 2**15 cannot add up past _SLOT_MAX
+        if (reduce(or_, self.terms, 0) | reduce(or_, other.terms, 0)) & self.registry.top_bits:
+            n = len(self.registry.names)
+            _require_slot(max(x + y for x, y in zip(_slot_maxima(self.terms, n),
+                                                    _slot_maxima(other.terms, n))))
         terms = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -19,7 +19,9 @@ witnesses for N_{AB11}, and exact linear-span oracles over the rationals
 and small prime fields.  A witness alpha + beta = gamma is found by
 ``rootcore.splits`` from the integer structure constant N_{alpha,beta},
 not from the table; evaluating the table at u_alpha = v_beta = 1 then
-re-checks it, so the table is an oracle independent of the search.
+re-checks it: that value is the table's coefficient of u_alpha v_beta in
+each (1,1) entry, read off the packed terms, so the table is an oracle
+independent of the search.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
                         invert_factors, product_of_root_elements)
@@ -67,8 +70,7 @@ def _relative_cone(rrs, A, B):
     every word of an N-map table lies in one half-space.
     """
     g = cone_weights(A.coords, B.coords)
-    return tuple(sum(gk * row[j] for gk, row in zip(g, rrs.proj_matrix))
-                 for j in range(rrs.rs.rank))
+    return tuple(sum(map(mul, g, col)) for col in zip(*rrs.proj_matrix))
 
 
 @dataclass
@@ -149,14 +151,17 @@ def _verify_table(rrs, cb, table, U, slots, owner):
             "recomposed product differs from the commutator")
     n = len(table.registry.names)
     n_u = len(table.u_index)
-    root_of_u = {k: alpha for alpha, k in table.u_index.items()}
-    root_of_v = {k: beta for beta, k in table.v_index.items()}
+    # the root coordinates of each variable, in registry order
+    coords = [None] * n
+    for root, k in itertools.chain(table.u_index.items(), table.v_index.items()):
+        coords[k] = root.coords
     for (i, j), ent in table.entries.items():
         for gamma, p in ent.items():
             for key, coeff in p.terms.items():
                 exp, w = _decode(key, n)
                 require(not w, "N_{%d%d} is not a polynomial", i, j)
-                require(Fraction(coeff).denominator == 1, "non-integer N_{%d%d}", i, j)
+                # PolyElem keeps an integral coefficient as an int
+                require(type(coeff) is int, "non-integer N_{%d%d}", i, j)
                 du, dv = sum(exp[:n_u]), sum(exp[n_u:])
                 # homogeneity: degree i in u, degree j in v
                 require((du, dv) == (i, j),
@@ -164,9 +169,9 @@ def _verify_table(rrs, cb, table, U, slots, owner):
                 # fiber grading: underlying roots sum to gamma
                 total = [0] * rrs.rs.rank
                 for k, e in enumerate(exp):
-                    root = root_of_u[k] if k < n_u else root_of_v[k]
-                    for pos, c in enumerate(root.coords):
-                        total[pos] += e * c
+                    if e:
+                        for pos, c in enumerate(coords[k]):
+                            total[pos] += e * c
                 require(tuple(total) == gamma.coords,
                         "monomial roots do not sum to the target fiber root")
 
@@ -291,6 +296,10 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     if case != "a":
         table = compute_relative_commutator_maps(rrs, cb, A, B)
 
+    # N_AB11 at u_al = v_be = 1, others 0: _verify_table checked that each
+    # (1,1) term is some u_al v_be with an integer coefficient
+    var_keys = table.registry.units
+    entries11 = table.entries.get((1, 1), {})
     longs = [al for al in fa if al.length_class == "long"]
     seconds = {be.coords: be for be in fb}
     long_seconds = {c: be for c, be in seconds.items() if be.length_class == "long"}
@@ -305,9 +314,10 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         require(found, "no unit hit for %s (falsifies surjectivity case %s)",
                 gamma, case)
         al, be, c = found
-        # re-verify the witness by direct evaluation
-        value = table.evaluate(1, 1, {al: 1}, {be: 1})
-        require({g: v for g, v in value.items() if v} == {gamma: c},
+        # re-verify the witness by the table's coefficients of u_al v_be
+        key = var_keys[table.u_index[al]] + var_keys[table.v_index[be]]
+        value = {g: p.terms[key] for g, p in entries11.items() if key in p.terms}
+        require(value == {gamma: c},
                 "witness %s + %s does not evaluate to %+d on %s", al, be, c, gamma)
         witnesses[gamma] = found
     return {"A": A, "B": B, "case": case, "witnesses": witnesses,

@@ -279,8 +279,9 @@ def collinear(a, b):
     Takes coordinate tuples, or roots and relative roots via ``.coords``.
     """
     a, b = getattr(a, "coords", a), getattr(b, "coords", b)
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+    # b = (b_k / a_k) a for the first k with a_k != 0, or a = 0
+    k = next((k for k, x in enumerate(a) if x), None)
+    return k is None or [a[k] * y for y in b] == [b[k] * x for x in a]
 
 
 MULTIPLE_BOUND = 6  # no root system has i*a + j*b a root beyond i + j = 5
@@ -293,8 +294,9 @@ def multiples(a, b, coords):
     """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
 
     ``a`` and ``b`` are coordinate tuples, or roots and relative roots via
-    ``.coords``; ``coords`` is any container of coordinate tuples (a
-    :class:`RootSystem`, the relative coordinates of a folding).
+    ``.coords``; ``coords`` is any container of coordinate tuples
+    (``RootSystem._by_coords``, which skips the conversions of
+    ``RootSystem.__contains__``, or the relative coordinates of a folding).
     """
     ab = list(zip(getattr(a, "coords", a), getattr(b, "coords", b)))
     return [(i, j) for i, j in MULTIPLE_PAIRS

@@ -318,7 +318,7 @@ def _schema_f4_long(k):
 
     def witness(A):
         clean = [(B, C) for B, C, _ in splits(A, longs, long_by_coords, ((1, 1),))
-                 if multiples(B, C, rs) == [(1, 1)]]
+                 if multiples(B, C, rs._by_coords) == [(1, 1)]]
         require(clean, "no clean long pair")
         B, C = clean[0]
         n = cb.struct_const(B.coords, C.coords)

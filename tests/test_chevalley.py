@@ -22,7 +22,7 @@ from relroots.chevalley import (
     invert_factors,
     product_of_root_elements,
 )
-from relroots.polyring import SlotOverflow, VarRegistry, _decode
+from relroots.polyring import SlotOverflow, VarRegistry, _decode, _slots
 from relroots.rootcore import RootType, VerificationError, build_root_system
 
 
@@ -289,6 +289,7 @@ def test_frame_matches_full_matrix(name):
     cb = cb_for(name)
     rng = random.Random(name)
     plain, localized = VarRegistry(["s", "t"]), VarRegistry(["s", "t", "eps"])
+    branches = set()
 
     def recollected(reg, word, weights):
         # slots in order of f: a sum of two slot roots comes later
@@ -298,6 +299,17 @@ def test_frame_matches_full_matrix(name):
         slots = sorted((g for g in cb.rs.roots if f(g) > 0), key=lambda g: (f(g), g.coords))
         U = product_of_root_elements(cb, reg, word, weights)
         coeffs = collect(cb, U, slots)
+        # collect divides each entry by pair = root(h_f); over the plain
+        # registry no reduction merges terms, so an int coefficient with
+        # |pair| > 1 came from an exact integer quotient, and a
+        # non-integral one from a remainder
+        form = cb._cone(weights)[1]
+        for g, c in coeffs.items():
+            pair = sum(x * y for x, y in zip(g.coords, form))
+            if reg == plain:
+                branches.update("quotient" if type(v) is int and abs(pair) > 1 else
+                                "fraction" if type(v) is Fraction else "unit"
+                                for v in c.terms.values())
         normal = [(g, coeffs[g]) for g in slots if g in coeffs]
         assert full_product(cb, reg, word) == full_product(cb, reg, normal)
         V = product_of_root_elements(cb, reg, normal, weights)
@@ -324,6 +336,7 @@ def test_frame_matches_full_matrix(name):
     a1, a2 = cb.rs.simple_roots[:2]
     U, V = recollected(reg, [(a1, x * reg.var("s")), (a2, x * reg.var("t"))], height(cb))
     assert U.packed != V.packed
+    assert {"quotient", "fraction"} <= branches
 
 
 def column_image(cb, full, h):
@@ -448,6 +461,36 @@ def test_slot_overflow_rejected_before_column_work(monkeypatch):
                                  height(cb))
     # bad input, not a failed check: run_case lets it through
     assert not isinstance(info.value, AssertionError)
+
+
+@pytest.mark.parametrize("exps, bound", [((5000, 5133, 5001), 65535),
+                                         ((5000, 5134, 5000), 65536)])
+def test_slot_bound_at_its_edge(exps, bound, g2, monkeypatch):
+    # G2: x_a(t) reaches t^3 on a short root, t^2 on a long one, so the
+    # word below has the bound 3p + 2q + 3r + 2q + 3p; p and -p, q and -q
+    # repeat their keys, and the largest slot of each coefficient is its
+    # largest exponent in any variable, not its degree
+    p_exp, q_exp, r_exp = exps
+    reg = VarRegistry(["s", "t"])
+    s, t = reg.var("s"), reg.var("t")
+    short, long = g2.rs.simple_roots
+    mid = g2.rs.root_from_coords((1, 1))
+    # the largest slot is on neither the first nor the last term
+    p = (reg.var("s", 4000) * reg.var("t", 7)).scale(3) + reg.var("s", p_exp) \
+        - reg.var("t", 4999)
+    q = (s * s * t).scale(-2) + reg.var("t", q_exp) + reg.var("s", 3)
+    r = reg.var("s", r_exp) * t
+    word = [(short, p), (long, q), (mid, r), (long, -q), (short, -p)]
+    if bound < 65536:
+        U = product_of_root_elements(g2, reg, word, height(g2))
+        assert U.bound == bound
+        slots = [e for col in U.packed.values() for d in col.values()
+                 for key in d for e in _slots(key, 2)]
+        assert max(slots) <= bound
+    else:
+        monkeypatch.setattr(chevalley, "_left_multiply", None)  # any column work fails
+        with pytest.raises(SlotOverflow, match="exponents up to 65536 overflow"):
+            product_of_root_elements(g2, reg, word, height(g2))
 
 
 def test_frame_rejects_torus_element():

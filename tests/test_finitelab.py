@@ -12,6 +12,7 @@ from relroots.chevalley import build_chevalley_basis
 from relroots.finitelab import (
     CapExceeded,
     GroupClosure,
+    _check_one_parameter_law,
     _enumerated_index,
     _extend,
     _exponents,
@@ -20,6 +21,7 @@ from relroots.finitelab import (
     _inverse,
     _key_dtype,
     _matmul_bound,
+    _root_powers,
     _sum_dtype,
     _times,
     adjoint_generators,
@@ -378,6 +380,21 @@ def test_witness_route_checks_the_one_parameter_law(monkeypatch):
     monkeypatch.setattr(finitelab, "_root_powers", broken)
     with pytest.raises(VerificationError, match="one-parameter law"):
         perfect_by_witness(RootType.parse("A2"), 5)
+
+
+def test_law_check_hands_back_every_requested_element():
+    # F4 over F_101 runs the law check in two chunks of a; the x(c) it
+    # hands back are sum c^k N_k mod p, on both sides of the chunk edge
+    cb = build_chevalley_basis(build_root_system(RootType.parse("F4")))
+    p = 101
+    powers = _root_powers(cb, cb.rs.roots[0].coords, p)
+    assert (1 << 18) // cb.dim ** 2 < p
+    kept = _check_one_parameter_law(powers, p, range(p))
+    assert sorted(kept) == list(range(p))
+    for c, x in kept.items():
+        expected = sum(pow(c, k, p) * n.astype(np.int64) for k, n in enumerate(powers)) % p
+        assert x.dtype == powers.dtype and np.array_equal(x, expected), c
+    assert _check_one_parameter_law(powers, p) == {}
 
 
 def test_closure_idempotent(a2_mod2):

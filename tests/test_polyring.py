@@ -8,6 +8,7 @@ from relroots.polyring import (
     LocalizationError,
     PolyElem,
     RegistryMismatch,
+    SlotOverflow,
     VarRegistry,
     _decode,
     evaluate,
@@ -24,6 +25,26 @@ def reg():
 def test_registry_rejects_duplicates():
     with pytest.raises(ValueError):
         VarRegistry(["s", "s"])
+
+
+def test_product_slot_bound_at_its_edge(reg):
+    # a product may reach 2**16 - 1 in any slot, w's included, and no
+    # further; the exact check runs only when a top slot bit is set
+    s, t = reg.var("s"), reg.var("t")
+
+    def w(k):
+        return PolyElem(reg, {k * reg.w_unit: 1})
+
+    assert reg.var("s", 32767) * reg.var("s", 32767) == reg.var("s", 65534)
+    assert reg.var("s", 32767) * reg.var("s", 32768) == reg.var("s", 65535)
+    assert reg.var("s", 65534) * s == reg.var("s", 65535)
+    assert (reg.var("s", 40000) * t) * reg.var("t", 40000) == \
+        reg.var("s", 40000) * reg.var("t", 40001)
+    assert (w(32767) * w(32768)).terms == {65535 * reg.w_unit: 1}
+    for a, b in [(reg.var("s", 32768), reg.var("s", 32768)), (reg.var("s", 65535), s),
+                 (t + reg.var("s", 40000), reg.var("s", 30000) * t), (w(32768), w(32768) * t)]:
+        with pytest.raises(SlotOverflow, match="overflow"):
+            a * b
 
 
 def test_additive_cancellation(reg):

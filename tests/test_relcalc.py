@@ -145,7 +145,7 @@ def test_bc2_table_verifies_internally(c3_bc2):
 
 
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "B3 levi=1,2", "G2", "A4 levi=1,3",
-                                  "D4 levi=1,2"])
+                                  "D4 levi=1,2", "D5 levi=1,3", "F4 levi=1,4"])
 def test_cone_path_tables_equal_frame_path_tables(spec):
     # each table, recomposed in slot order, has the full matrix of its
     # commutator word

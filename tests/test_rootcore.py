@@ -162,6 +162,20 @@ def test_length_classes():
     assert sum(1 for r in b3.roots if r.length_class == "short") == 6
 
 
+def test_collinear_matches_every_minor():
+    # oracle: every 2x2 minor vanishes; zero vectors, zero leading
+    # coordinates, multiples and near misses of every length up to 8
+    vectors = [(0,) * 3, (0, 0, 1), (0, 2, -4), (0, -1, 2), (0, 1, 2), (3, 0, 0), (0, 0, 0, 5),
+               (0, 0, 0, -10), (0, 0, 1, -10)]
+    vectors += [tuple(k * x for x in r.coords) for t in SMALL_TYPES
+                for r in build_root_system(t).roots for k in (1, -2)]
+    for a, b in itertools.product(vectors, repeat=2):
+        if len(a) == len(b):
+            minors = all(a[i] * b[j] == a[j] * b[i]
+                         for i, j in itertools.combinations(range(len(a)), 2))
+            assert collinear(a, b) == minors, (a, b)
+
+
 def test_multiples_order_and_bound():
     g2 = build_root_system(RootType.parse("G2"))
     a1, a2 = g2.simple_roots
