@@ -304,12 +304,11 @@ def test_frame_matches_full_matrix(name):
         # |pair| > 1 came from an exact integer quotient, and a
         # non-integral one from a remainder
         form = cb._cone(weights)[1]
-        for g, c in coeffs.items():
+        for g, c in coeffs.items() if reg == plain else ():
             pair = sum(x * y for x, y in zip(g.coords, form))
-            if reg == plain:
-                branches.update("quotient" if type(v) is int and abs(pair) > 1 else
-                                "fraction" if type(v) is Fraction else "unit"
-                                for v in c.terms.values())
+            branches.update("quotient" if type(v) is int and abs(pair) > 1 else
+                            "fraction" if type(v) is Fraction else "unit"
+                            for v in c.terms.values())
         normal = [(g, coeffs[g]) for g in slots if g in coeffs]
         assert full_product(cb, reg, word) == full_product(cb, reg, normal)
         V = product_of_root_elements(cb, reg, normal, weights)
