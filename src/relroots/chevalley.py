@@ -12,8 +12,9 @@ summing to zero, and a Jacobi-derived recursion, and are verified against
 the magnitude law |N| = p+1.
 
 Root elements x_alpha(t) = exp(t ad e_alpha) are exact sparse matrices
-over :class:`~relroots.polyring.PolyElem`; ``collect`` reads a product
-back to normal form along ordered slots, peeling one factor per slot, and
+over :class:`~relroots.polyring.PolyElem`, a root being its coordinate
+tuple; ``collect`` reads a product back to normal form along ordered slots
+(coordinate tuples), peeling one factor per slot, and
 its check that the residual is the identity proves the matrix identity it
 outputs.
 
@@ -21,7 +22,7 @@ Every product carries one column.  Its word must lie in a half-space:
 let f be an integer linear form on root coordinates (``cone`` weights)
 with f > 0 on every factor, Psi = {gamma : f(gamma) > 0} and h_f =
 sum c_i h_i the Cartan vector with gamma(h_f) = m f(gamma) for one
-integer m > 0 (``ChevalleyBasis.cone_vector``).  Psi is closed and holds
+integer m > 0 (``ChevalleyBasis._cone``).  Psi is closed and holds
 no opposite pair, so it lies in a positive system (Bourbaki, *Lie Groups
 and Lie Algebras* VI 1.7) and every element u of U_Psi is a unique
 ordered product of x_gamma(t_gamma), gamma in Psi (Steinberg, *Lectures
@@ -90,7 +91,7 @@ from operator import mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _require_slot,
                        _slots, row_reduce)
-from .rootcore import Root, RootSystem, collinear, multiples, require, splits
+from .rootcore import RootSystem, collinear, multiples, require, root_str, splits
 
 
 class CollectionError(ValueError):
@@ -105,7 +106,7 @@ class ChevalleyBasis:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         l = rs.rank
-        pos = sorted((r.coords for r in rs.positive_roots()), key=_pos_key)
+        pos = sorted(rs.positive_roots(), key=_pos_key)
         neg = sorted((tuple(-c for c in p) for p in pos), key=_pos_key)
         self.pos_roots = pos
         # basis layout: e_alpha (alpha > 0), h_1..h_l, e_alpha (alpha < 0)
@@ -119,7 +120,7 @@ class ChevalleyBasis:
         self._norm_cache = {}
         self._n_cache = {}
         self._exp_cache = {}
-        # for cone_vector: (C^T)^-1 times a positive integer, row j of C^T
+        # for _cone: (C^T)^-1 times a positive integer, row j of C^T
         # being (<alpha_j, alpha_i^vee>)_i
         rows = [[rs.cartan[i][j] for i in range(l)] + [int(i == j) for i in range(l)]
                 for j in range(l)]
@@ -142,11 +143,10 @@ class ChevalleyBasis:
     def _find_extraspecial(self):
         """gamma -> (alpha, beta), alpha + beta = gamma with alpha least in
         the positive order, for each non-simple positive gamma."""
-        by_coords = {c: c for c in self.pos_roots}
         esp = {}
         for gamma in self.pos_roots:
             if sum(gamma) > 1:
-                split = next(splits(gamma, self.pos_roots, by_coords, ((1, 1),)), None)
+                split = next(splits(gamma, self.pos_roots, self._pos_set, ((1, 1),)), None)
                 require(split, "no decomposition for %s", gamma)
                 esp[gamma] = split[:2]
         return esp
@@ -158,17 +158,11 @@ class ChevalleyBasis:
             norm = self._norm_cache[coords] = self.rs._norm(coords)
         return norm
 
-    def cone_vector(self, weights):
-        """Integer (c_1..c_l) with gamma(sum c_i h_i) = m * f(gamma) for one m > 0.
-
-        ``weights`` are the integer coefficients of f on the simple-root
-        coordinates, not all zero.
-        """
-        return self._cone(weights)[0]
-
     def _cone(self, weights):
-        """(h, form): h = ``cone_vector(weights)`` and form = (alpha_j(h_f))_j,
-        so root(h_f) = sum_j root_j form_j.  With D (C^T)^-1 the integer
+        """(h, form) for the integer ``weights`` of a form f, not all zero:
+        h = (c_1..c_l) is integer with gamma(sum c_i h_i) = m * f(gamma) for
+        one m > 0, and form = (alpha_j(h_f))_j, so root(h_f) = sum_j root_j
+        form_j.  With D (C^T)^-1 the integer
         ``_cartan_t_inv`` (checked when the basis is built), h = D (C^T)^-1
         weights / g for the gcd g, so form
         = C^T h = D weights / g, an integer vector as C^T and h are."""
@@ -186,8 +180,6 @@ class ChevalleyBasis:
 
     def struct_const(self, a, b):
         """N_{a,b} for roots a, b (coordinate tuples) with a+b a root; else 0."""
-        a = a.coords if isinstance(a, Root) else tuple(a)
-        b = b.coords if isinstance(b, Root) else tuple(b)
         key = (a, b)
         cached = self._n_cache.get(key)
         if cached is not None:
@@ -270,7 +262,7 @@ class ChevalleyBasis:
         s = tuple(p + q for p, q in zip(a, b))
         if not any(s):
             # [e_a, e_-a] = h_a (coroot of a)
-            cor = self.rs.coroot_coords(self.rs.root_from_coords(a))
+            cor = self.rs.coroot_coords(a)
             npos = len(self.pos_roots)
             return {npos + i: c for i, c in enumerate(cor) if c}
         if s in self.rs:
@@ -337,7 +329,6 @@ class ChevalleyBasis:
 
     def exp_ad_powers(self, coords):
         """[(ad e)^k / k! for k >= 1], integer sparse columns, until zero."""
-        coords = coords.coords if isinstance(coords, Root) else tuple(coords)
         return self._root_entry(coords)[0]
 
 
@@ -366,11 +357,11 @@ def _grow_bound(bound, reach, terms, n, largest):
 class UnipotentMatrix:
     """The column h_f of a product of root elements, carried through the word.
 
-    ``start`` is {"h_f": {row: {0: int}}}, the column before any factor,
-    for the ``cone`` weights of f, and ``form`` = (alpha_j(h_f))_j, so
-    root(h_f) = sum_j root_j form_j.  ``packed`` holds its image, {"h_f":
-    {row: raw PolyElem terms}} with no empty entry; every slot exponent of
-    every entry is at most ``bound``.
+    ``start`` is the column h_f before any factor, {row: {0: int}}, for
+    the ``cone`` weights of f, and ``form`` = (alpha_j(h_f))_j, so root(h_f)
+    = sum_j root_j form_j.  ``packed`` holds its image, {row: raw PolyElem
+    terms} with no empty entry; every slot exponent of every entry is at
+    most ``bound``.
     """
 
     __slots__ = ("dim", "registry", "packed", "bound", "start", "cone", "form")
@@ -386,12 +377,9 @@ class UnipotentMatrix:
 
     @property
     def cols(self):
-        """The carried columns as {col: {row: PolyElem}}, zero entries dropped."""
-        out = {}
-        for j, col in self.packed.items():
-            vals = ((i, PolyElem(self.registry, d)) for i, d in col.items())
-            out[j] = {i: v for i, v in vals if not v.is_zero()}
-        return out
+        """The carried column as {"h_f": {row: PolyElem}}, zero entries dropped."""
+        vals = ((i, PolyElem(self.registry, d)) for i, d in self.packed.items())
+        return {"h_f": {i: v for i, v in vals if not v.is_zero()}}
 
     def _same_column(self, a, b):
         # equal raw entries are equal; others are compared in normal form
@@ -400,8 +388,7 @@ class UnipotentMatrix:
                              for i in a.keys() | b.keys() if a.get(i) != b.get(i))
 
     def is_identity(self):
-        return all(self._same_column(col, self.start[j])
-                   for j, col in self.packed.items())
+        return self._same_column(self.packed, self.start)
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):
@@ -411,8 +398,7 @@ class UnipotentMatrix:
         # the images of different columns say nothing about each other
         require(self.start == other.start,
                 "cannot compare products that start from different columns")
-        return all(self._same_column(col, other.packed[j])
-                   for j, col in self.packed.items())
+        return self._same_column(self.packed, other.packed)
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -494,8 +480,7 @@ def cone_weights(a, b):
 
 
 def _require_in_cone(cone, root):
-    require(sum(map(mul, cone, root.coords)) > 0,
-            "root %s lies outside the cone %s", root, cone)
+    require(sum(map(mul, cone, root)) > 0, "root %s lies outside the cone %s", root, cone)
 
 
 def product_of_root_elements(cb, registry, factors, cone):
@@ -512,21 +497,20 @@ def product_of_root_elements(cb, registry, factors, cone):
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
-        coords = root.coords
-        entry = entries.get(coords)
+        entry = entries.get(root)
         if entry is None:
             _require_in_cone(cone, root)
-            entry = entries[coords] = cb._root_entry(coords)
+            entry = entries[root] = cb._root_entry(root)
         bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
         if t.terms:
-            word.append((coords, entry, t.terms))
+            word.append((root, entry, t.terms))
     npos = len(cb.pos_roots)
     h, form = cb._cone(cone)
-    start = {"h_f": {npos + i: {0: c} for i, c in enumerate(h) if c}}
-    col = dict(start["h_f"])
-    for coords, entry, terms in word:
-        _left_multiply(col, entry, sum(map(mul, coords, form)), terms)
-    return UnipotentMatrix(cb.dim, registry, {"h_f": col}, bound, start, cone, form)
+    start = {npos + i: {0: c} for i, c in enumerate(h) if c}
+    col = dict(start)
+    for root, entry, terms in word:
+        _left_multiply(col, entry, sum(map(mul, root, form)), terms)
+    return UnipotentMatrix(cb.dim, registry, col, bound, start, cone, form)
 
 
 def invert_factors(factors):
@@ -545,9 +529,10 @@ def commutator_factors(f1, f2):
 def collect(cb, U, slots):
     """Normal-form coefficients of a group element along ordered slots.
 
-    ``slots`` is a list of distinct Root, each inside the cone of ``U``,
-    or the one-column check would not cover the residual.  Each
-    coefficient is read off the column h_f as -t * root(h_f), and its
+    ``slots`` is a list of distinct roots (coordinate tuples), each inside
+    the cone of ``U``, or the one-column check would not cover the
+    residual.  Each coefficient is read off the column h_f as -t *
+    root(h_f), and its
     factor peeled off the left; the final residual check proves U =
     prod x_r(t_r) over the slots in order, so any slot order gives a
     correct answer or a CollectionError.  Collection succeeds when every
@@ -556,17 +541,16 @@ def collect(cb, U, slots):
     """
     reg, form = U.registry, U.form
     n = len(reg.names)
-    W = UnipotentMatrix(U.dim, reg, {j: dict(col) for j, col in U.packed.items()},
-                        U.bound, U.start, U.cone, form)
-    col = W.packed["h_f"]
+    W = UnipotentMatrix(U.dim, reg, dict(U.packed), U.bound, U.start, U.cone, form)
+    col = W.packed
     coeffs, largest = {}, {}
     for root in slots:
         _require_in_cone(U.cone, root)
-        entry = cb._root_entry(root.coords)
+        entry = cb._root_entry(root)
         raw = col.get(entry[1])
         if raw is None:
             continue
-        pair = sum(map(mul, root.coords, form))
+        pair = sum(map(mul, root, form))
         terms = {}
         for k, v in raw.items():
             q, rem = divmod(-v, pair)
@@ -596,26 +580,24 @@ def collected_commutator(cb, registry, first, second):
     coefficients left out; the residual check of ``collect`` proves that
     its product is the commutator.
     """
-    (alpha, _), (beta, _) = first, second
-    _check_not_opposite_ray(alpha, beta)
-    a, b = alpha.coords, beta.coords
+    (a, _), (b, _) = first, second
+    _check_not_opposite_ray(a, b)
     U = product_of_root_elements(cb, registry, commutator_factors([first], [second]),
                                  cone_weights(a, b))
-    by_coords = cb.rs._by_coords
-    slots = [by_coords[tuple(i * x + j * y for x, y in zip(a, b))]
-             for i, j in multiples(a, b, by_coords)]
+    slots = [tuple(i * x + j * y for x, y in zip(a, b))
+             for i, j in multiples(a, b, cb.rs.root_set)]
     return list(collect(cb, U, slots).items())
 
 
-def commutator_constants(cb, alpha: Root, beta: Root):
-    """Constants C_ij with [x_alpha(s), x_beta(t)] = prod x_{i a + j b}(C_ij s^i t^j).
+def commutator_constants(cb, alpha, beta):
+    """Constants C_ij with [x_alpha(s), x_beta(t)] = prod x_{i a + j b}(C_ij s^i t^j),
+    for roots alpha and beta given as coordinate tuples.
 
     Read off ``collected_commutator`` over Z[s, t], so the returned table
     is verified by construction.  Empty dict when no i*alpha + j*beta is a
     root.
     """
     reg = VarRegistry(["s", "t"])
-    a, b = alpha.coords, beta.coords
     table = {}
     for root, c in collected_commutator(cb, reg, (alpha, reg.var("s")), (beta, reg.var("t"))):
         # must be a single monomial C * s^i t^j on the root i*alpha + j*beta,
@@ -623,7 +605,7 @@ def commutator_constants(cb, alpha: Root, beta: Root):
         key, coeff = next(iter(c.terms.items()))
         (i, j), _ = _decode(key, 2)
         require(len(c.terms) == 1
-                and root.coords == tuple(i * x + j * y for x, y in zip(a, b)),
+                and root == tuple(i * x + j * y for x, y in zip(alpha, beta)),
                 "coefficient of %s in [x_%s(s), x_%s(t)] is %r, not a monomial "
                 "s^i t^j with %s = i*%s + j*%s", root, alpha, beta, c, root, alpha, beta)
         require(isinstance(coeff, int) and abs(coeff) in (1, 2, 3),
@@ -635,6 +617,6 @@ def commutator_constants(cb, alpha: Root, beta: Root):
 
 def _check_not_opposite_ray(alpha, beta):
     # m*alpha = -k*beta for some m,k >= 1 iff beta is a negative multiple of alpha
-    if collinear(alpha, beta) and sum(
-            x * y for x, y in zip(alpha.coords, beta.coords)) < 0:
-        raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
+    if collinear(alpha, beta) and sum(map(mul, alpha, beta)) < 0:
+        raise ValueError("collinear opposite pair %s, %s"
+                         % (root_str(alpha), root_str(beta)))

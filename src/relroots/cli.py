@@ -37,7 +37,8 @@ from .relcalc import (
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
-from .rootcore import InvalidRootType, RootType, build_root_system, collinear, require
+from .rootcore import (InvalidRootType, RootType, build_root_system, collinear, require,
+                       root_str)
 from .theoremlab import (
     check_identity_params,
     run_case,
@@ -65,11 +66,20 @@ def _dump(obj, stream=None):
     (stream or sys.stdout).write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _fraction(text):
+    """An argparse type: ``Fraction(text)``, where a zero denominator is a
+    bad value too (argparse itself catches only ValueError and TypeError)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text)
+
+
 def _parse_spec(args):
     text = args.type
-    if args.gamma:
+    if args.gamma is not None:
         text += " gamma=" + args.gamma
-    if args.levi:
+    if args.levi is not None:
         text += " levi=" + args.levi
     try:
         return parse_folding_spec(text)
@@ -85,8 +95,8 @@ def cmd_roots(args):
     _dump({
         "type": str(rs.type),
         "count": len(rs.roots),
-        "roots": [{"coords": list(r.coords), "height": r.height,
-                   "length": r.length_class} for r in rs.roots],
+        "roots": [{"coords": list(r), "height": sum(r),
+                   "length": "long" if r in rs.long_roots else "short"} for r in rs.roots],
     })
     return 0
 
@@ -107,7 +117,7 @@ def cmd_fold(args):
             "coords": list(A.coords),
             "level": A.level,
             "sign": 1 if A.is_positive() else -1,
-            "fiber": [list(g.coords) for g in rrs.fiber(A)],
+            "fiber": [list(g) for g in rrs.fiber(A)],
         } for A in sorted(rrs.rel_roots, key=lambda A: A.coords)],
     })
     return 0
@@ -138,14 +148,13 @@ def cmd_nmaps(args):
         "spec": str(spec),
         "A": list(A.coords),
         "B": list(B.coords),
-        "fiberA": [list(g.coords) for g in rrs.fiber(A)],
-        "fiberB": [list(g.coords) for g in rrs.fiber(B)],
+        "fiberA": [list(g) for g in rrs.fiber(A)],
+        "fiberB": [list(g) for g in rrs.fiber(B)],
         "maps": [{
             "i": i,
             "j": j,
-            "entries": {str(gamma): repr(p)
-                        for gamma, p in sorted(table.entries[(i, j)].items(),
-                                               key=lambda kv: kv[0].coords)},
+            "entries": {root_str(gamma): repr(p)
+                        for gamma, p in sorted(table.entries[(i, j)].items())},
         } for i, j in table.pairs()],
     })
     return 0
@@ -156,9 +165,8 @@ def _report_witness(report):
     wit = {}
     if "witnesses" in report:
         wit["witnesses"] = {
-            str(g): "%s + %s -> %+d" % (al, be, c)
-            for g, (al, be, c) in sorted(report["witnesses"].items(),
-                                         key=lambda kv: kv[0].coords)}
+            root_str(g): "%s + %s -> %+d" % (root_str(al), root_str(be), c)
+            for g, (al, be, c) in sorted(report["witnesses"].items())}
     if "fields" in report:
         wit["fields"] = dict(sorted(report["fields"].items()))
         require(report["status"] == "pass", "image does not span the target: %s",
@@ -173,7 +181,7 @@ def suite_lemma2(seed, max_rank=5):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
         pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-                 if A + B in rrs and not collinear(A, B)]
+                 if A + B in rrs and not collinear(A.coords, B.coords)]
         if not pairs:
             continue
 
@@ -378,7 +386,7 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps", type=Fraction, default=None)
+    p.add_argument("--eps", type=_fraction, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, metavar="FILE")
     p.set_defaults(func=cmd_verify)

@@ -174,7 +174,7 @@ def adjoint_generators(t: RootType, p):
     cb = build_chevalley_basis(build_root_system(t))
     gens = []
     for root in cb.rs.roots:
-        powers = _root_powers(cb, root.coords, p)
+        powers = _root_powers(cb, root, p)
         _check_one_parameter_law(powers, p)
         gens.append(powers.sum(axis=0, dtype=np.int64) % p)
     return gens
@@ -313,23 +313,21 @@ def find_witnesses(t: RootType, p):
     its first use."""
     rs = build_root_system(t)
     cb = build_chevalley_basis(rs)
-    position = {r.coords: k for k, r in enumerate(rs.roots)}
+    position = {r: k for k, r in enumerate(rs.roots)}
     tables, resolved, witnesses = {}, set(), []
     while True:
         before = len(witnesses)
         for alpha in position:
             if alpha in resolved:
                 continue
-            for beta, gamma, ij in splits(alpha, position, rs._by_coords):
+            for beta, gamma, ij in splits(alpha, position, rs.root_set):
                 # one of the two orders of each pair: [x_gamma, x_beta] is the
                 # inverse of [x_beta, x_gamma], whose factors sit on the same roots
-                gamma = gamma.coords
                 if position[gamma] <= position[beta]:
                     continue
                 table = tables.get((beta, gamma))
                 if table is None:
-                    table = tables[beta, gamma] = commutator_constants(
-                        cb, rs.root_from_coords(beta), rs.root_from_coords(gamma))
+                    table = tables[beta, gamma] = commutator_constants(cb, beta, gamma)
                 if table.get(ij, 0) % p and all(
                         kl == ij or c % p == 0
                         or _combination(kl, beta, gamma) in resolved
@@ -418,7 +416,7 @@ def _exponents(t: RootType):
     """m_j = #{k : n_k >= j} for j = 1..rank, where n_k is the number of
     positive roots of height k: the partition of the positive roots by
     height is dual to the exponents (Kostant)."""
-    heights = Counter(r.height for r in build_root_system(t).positive_roots())
+    heights = Counter(sum(r) for r in build_root_system(t).positive_roots())
     return [sum(n >= j for n in heights.values()) for j in range(1, t.rank + 1)]
 
 

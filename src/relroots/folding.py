@@ -22,11 +22,11 @@ from functools import lru_cache
 from .rootcore import (
     SERIES,
     InvalidRootType,
-    Root,
     RootType,
     build_root_system,
     collinear,
     require,
+    root_str,
 )
 
 
@@ -182,7 +182,10 @@ def parse_folding_spec(text):
     if levi_arg == "all":
         levi = tuple(range(t.rank))
     else:
-        levi = tuple(sorted(int(x) - 1 for x in levi_arg.split(",")))
+        try:
+            levi = tuple(sorted(int(x) - 1 for x in levi_arg.split(",")))
+        except ValueError:
+            raise FoldingError("bad levi %r" % levi_arg)
     spec = FoldingSpec(t, gamma, levi)
     spec.validate()
     return spec
@@ -237,7 +240,7 @@ class RelativeRoot:
         return RelativeRoot(tuple(k * c for c in self.coords))
 
     def __str__(self):
-        return "(%s)" % ",".join(str(c) for c in self.coords)
+        return root_str(self.coords)
 
 
 class RelativeRootSystem:
@@ -263,11 +266,11 @@ class RelativeRootSystem:
             for orbit in orbits)
         fibers = {}
         for root in self.rs.roots:
-            c = self.project_coords(root.coords)
+            c = self.project_coords(root)
             if any(c):
                 fibers.setdefault(c, []).append(root)
-        self.fibers = {RelativeRoot(c): tuple(sorted(f, key=lambda r: r.coords))
-                       for c, f in fibers.items()}
+        # the roots are in increasing order, so each fiber is too
+        self.fibers = {RelativeRoot(c): tuple(f) for c, f in fibers.items()}
         self.rel_roots = frozenset(self.fibers)
         self.rel_coords = frozenset(A.coords for A in self.rel_roots)
         for A in self.rel_roots:
@@ -279,12 +282,11 @@ class RelativeRootSystem:
         return tuple(sum(coords[j] for j in orbit) for orbit in self.orbits)
 
     def project(self, root):
-        c = self.project_coords(root.coords if isinstance(root, Root) else root)
+        c = self.project_coords(root)
         return RelativeRoot(c) if any(c) else None
 
-    def __contains__(self, item):
-        coords = item.coords if isinstance(item, RelativeRoot) else tuple(item)
-        return coords in self.rel_coords
+    def __contains__(self, A):
+        return A.coords in self.rel_coords
 
     def fiber(self, A):
         return self.fibers[A]
@@ -303,17 +305,15 @@ def _reference_root_set(label, rank):
         base = build_root_system(RootType("B", rank)) if rank >= 2 else None
         if rank == 1:
             return {(1,), (-1,), (2,), (-2,)}
-        roots = {r.coords for r in base.roots}
-        roots |= {tuple(2 * c for c in r.coords) for r in base.roots
-                  if r.length_class == "short"}
-        return roots
+        shorts = base.root_set - base.long_roots
+        return base.root_set | {tuple(2 * c for c in r) for r in shorts}
     if rank == 1:
         return {(1,), (-1,)} if label == "A" else None
     try:
         t = RootType(label, rank)
     except ValueError:
         return None
-    return {r.coords for r in build_root_system(t).roots}
+    return build_root_system(t).root_set
 
 
 def classify_relative_type(rrs: RelativeRootSystem):
@@ -323,7 +323,7 @@ def classify_relative_type(rrs: RelativeRootSystem):
     transitively and the relative system is irreducible too.
     """
     rank = rrs.rank
-    coord_set = {A.coords for A in rrs.rel_roots}
+    coord_set = rrs.rel_coords
     if rank == 1:
         label = "BC" if any(abs(c) == 2 for (c,) in coord_set) else "A"
         return label, 1
@@ -392,10 +392,10 @@ def check_lemma1_decomposition(rrs, A, B, C):
     """
     require(B in rrs and C in rrs, "B, C must be relative roots")
     require(B + C == A, "B + C is not A")
-    require(not collinear(B, C), "B and C are collinear")
+    b, c = B.coords, C.coords
+    require(not collinear(b, c), "B and C are collinear")
     sign = 1 if A.is_positive() else -1
     level = abs(A.level)
-    b, c = B.coords, C.coords
     n = len(b)
     p, q = next((p, q) for p in range(n) for q in range(p + 1, n)
                 if b[p] * c[q] != b[q] * c[p])
@@ -455,30 +455,27 @@ def _decompose_positive(rrs, A):
         r = orbit[0]
         others = [s for s in rrs.spec.levi if s not in set(orbit)]
         adj_path = {s: _diagram_path(rs, s, set(
-            i for i, c in enumerate(alpha.coords) if c)) for s in others}
+            i for i, c in enumerate(alpha) if c)) for s in others}
         s = min(others, key=lambda v: (len(adj_path[v]), v))
         beta_nodes = adj_path[s][:-1] or [s]
-        beta_coords = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
-        require(beta_coords in rs, "chain sum is not a root")
-        beta = rs.root_from_coords(beta_coords)
+        beta = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
+        require(beta in rs, "chain sum is not a root")
         require(rs.sum_is_root(alpha, beta), "alpha + beta is not a root")
-        return rrs.project(rs.sum(alpha, beta)), rrs.project(-beta)
+        return rrs.project(rs.sum(alpha, beta)), rrs.project(tuple(-c for c in beta))
     # split off the last J-node of a root chain for alpha
     delta = set(range(rs.rank)) - set(rrs.spec.levi)
     gamma = alpha
     while True:
         strippable = [i for i in range(rs.rank)
-                      if gamma.coords[i] > 0 and tuple(
-                          c - (1 if k == i else 0)
-                          for k, c in enumerate(gamma.coords)) in rs]
+                      if gamma[i] > 0 and tuple(
+                          c - (1 if k == i else 0) for k, c in enumerate(gamma)) in rs]
         in_delta = [i for i in strippable if i in delta]
         if in_delta:
             i = in_delta[0]
-            gamma = rs.root_from_coords(tuple(
-                c - (1 if k == i else 0) for k, c in enumerate(gamma.coords)))
+            gamma = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma))
             continue
         i = next(i for i in strippable if i in set(rrs.spec.levi))
-        rest = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma.coords))
+        rest = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma))
         B = rrs.project(rest)
         C = rrs.project(tuple(1 if k == i else 0 for k in range(rs.rank)))
         return B, C

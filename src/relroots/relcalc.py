@@ -86,15 +86,15 @@ class NMapTable:
     A: RelativeRoot
     B: RelativeRoot
     registry: VarRegistry
-    u_index: dict  # Root in fiber(A) -> registry variable position
+    u_index: dict  # root (coordinate tuple) in fiber(A) -> registry variable position
     v_index: dict
-    entries: dict = field(default_factory=dict)  # (i,j) -> {Root: PolyElem}
+    entries: dict = field(default_factory=dict)  # (i,j) -> {root: PolyElem}
 
     def pairs(self):
         return sorted(self.entries, key=lambda ij: (ij[0] + ij[1], ij[0]))
 
     def evaluate(self, i, j, u_coords, v_coords):
-        """N_{ABij} at concrete coordinates (Root -> number)."""
+        """N_{ABij} at concrete coordinates (root -> number)."""
         vals = {}
         for alpha, k in self.u_index.items():
             vals[k] = u_coords.get(alpha, 0)
@@ -113,7 +113,7 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     _require_split(rrs)
     if A not in rrs or B not in rrs:
         raise RelcalcError("A and B must be relative roots")
-    if collinear(A, B):
+    if collinear(A.coords, B.coords):
         raise RelcalcError("commutator maps need non-collinear A, B "
                            "(mA = -kB or proportional rays rejected)")
     fa, fb = rrs.fiber(A), rrs.fiber(B)
@@ -127,7 +127,7 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
 
     slots, owner = [], {}
-    for (i, j) in multiples(A, B, rrs.rel_coords):
+    for (i, j) in multiples(A.coords, B.coords, rrs.rel_coords):
         for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
             slots.append(gamma)
             owner[gamma] = (i, j)
@@ -151,10 +151,10 @@ def _verify_table(rrs, cb, table, U, slots, owner):
             "recomposed product differs from the commutator")
     n = len(table.registry.names)
     n_u = len(table.u_index)
-    # the root coordinates of each variable, in registry order
-    coords = [None] * n
+    # the root of each variable, in registry order
+    roots = [None] * n
     for root, k in itertools.chain(table.u_index.items(), table.v_index.items()):
-        coords[k] = root.coords
+        roots[k] = root
     for (i, j), ent in table.entries.items():
         for gamma, p in ent.items():
             for key, coeff in p.terms.items():
@@ -170,9 +170,9 @@ def _verify_table(rrs, cb, table, U, slots, owner):
                 total = [0] * rrs.rs.rank
                 for k, e in enumerate(exp):
                     if e:
-                        for pos, c in enumerate(coords[k]):
+                        for pos, c in enumerate(roots[k]):
                             total[pos] += e * c
-                require(tuple(total) == gamma.coords,
+                require(tuple(total) == gamma,
                         "monomial roots do not sum to the target fiber root")
 
 
@@ -227,8 +227,8 @@ def check_sum_formula(rrs, cb, A):
 
 def _long_roots_single_weyl_orbit(rs):
     """Simple reflections act transitively on the long roots."""
-    longs = {r.coords for r in rs.roots if r.length_class == "long"}
-    start = next(iter(sorted(longs)))
+    longs = rs.long_roots
+    start = min(longs)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -278,13 +278,13 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
             raise CaseHypothesisError("need A != B and A-B not a relative root")
         unit_abs = {1}
     elif case == "c":
-        if not (laced and all(g.length_class == "short" for g in target)):
+        if not (laced and rs.long_roots.isdisjoint(target)):
             raise CaseHypothesisError(
                 "target fiber must be all short in a doubly laced type")
         unit_abs = {1}
     elif case == "d":
         long_pairs = [(al, be) for al in fa for be in fb
-                      if al.length_class == "long" and be.length_class == "long"
+                      if al in rs.long_roots and be in rs.long_roots
                       and rs.sum_is_root(al, be)]
         if not (laced and long_pairs):
             raise CaseHypothesisError("no summable long pair in the fibers")
@@ -300,16 +300,15 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     # (1,1) term is some u_al v_be with an integer coefficient
     var_keys = table.registry.units
     entries11 = table.entries.get((1, 1), {})
-    longs = [al for al in fa if al.length_class == "long"]
-    seconds = {be.coords: be for be in fb}
-    long_seconds = {c: be for c, be in seconds.items() if be.length_class == "long"}
+    longs = [al for al in fa if al in rs.long_roots]
+    seconds = set(fb)
     witnesses = {}
     for gamma in target:
-        firsts, by_coords = fa, seconds
-        if case == "d" and gamma.length_class == "long":
-            firsts, by_coords = longs, long_seconds
+        firsts, among = fa, seconds
+        if case == "d" and gamma in rs.long_roots:
+            firsts, among = longs, seconds & rs.long_roots
         found = next(((al, be, cb.struct_const(al, be))
-                      for al, be, _ in splits(gamma, firsts, by_coords, ((1, 1),))
+                      for al, be, _ in splits(gamma, firsts, among, ((1, 1),))
                       if abs(cb.struct_const(al, be)) in unit_abs), None)
         require(found, "no unit hit for %s (falsifies surjectivity case %s)",
                 gamma, case)
@@ -447,16 +446,15 @@ def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):
     """The three fiber cases behind the span identity, checked directly."""
     rs = rrs.rs
     f_a1 = rrs.fiber(RelativeRoot((1, 0)))
-    short_a1 = [al for al in f_a1 if al.length_class == "short"]
-    short_mid = {be.coords: be for be in f_mid if be.length_class == "short"}
-    alpha_l = rs.simple_roots[rs.rank - 1]
-    a2_but_l = {be.coords: be for be in rrs.fiber(RelativeRoot((0, 1))) if be != alpha_l}
+    short_a1 = [al for al in f_a1 if al not in rs.long_roots]
+    short_mid = set(f_mid) - rs.long_roots
+    a2_but_l = set(rrs.fiber(RelativeRoot((0, 1)))) - {rs.simple_roots[rs.rank - 1]}
     for gamma in f_top:
-        if gamma.length_class == "short":
+        if gamma not in rs.long_roots:
             require(any(splits(gamma, short_a1, short_mid, ((1, 1),))),
                     "short top root %s lacks a short+short split", gamma)
         else:
             require(any(splits(gamma, f_a1, a2_but_l, ((2, 1),))),
                     "long top root %s is not 2*alpha+beta", gamma)
     for gamma in f_mid:
-        require(gamma.length_class == "short", "middle root %s is not short", gamma)
+        require(gamma not in rs.long_roots, "middle root %s is not short", gamma)

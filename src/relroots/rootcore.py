@@ -1,19 +1,22 @@
 """Irreducible reduced root systems with Bourbaki numbering.
 
-Roots are integer coordinate vectors over the simple roots; all metric
-data is derived from an integer Gram matrix of the simple roots (each
-type scaled so that every squared length is an integer), so there are no
-irrational norms anywhere.  The Cartan integers 2 g_ij / g_ii are checked
-integral when they are built, and every pairing <beta, alpha_i^vee> is
-then the integer sum over j of beta_j times the Cartan integer
-<alpha_j, alpha_i^vee>; squared lengths, which fix the length classes, are
-integer quadratic forms.  The full root set is generated by closing the
-simple roots under the simple reflections and is cross-checked against the
-closed-form root counts.
+A root is its integer coordinate tuple over the simple roots: its height
+is ``sum(root)``, its length class is membership in
+``RootSystem.long_roots``, and ``root_str`` prints it, as ``(1,0,1)``, in
+every report.  All metric data is derived from an integer Gram matrix of
+the simple roots (each type scaled so that every squared length is an
+integer), so there are no irrational norms anywhere.  The Cartan integers
+2 g_ij / g_ii are checked integral when they are built, and every pairing
+<beta, alpha_i^vee> is then the integer sum over j of beta_j times the
+Cartan integer <alpha_j, alpha_i^vee>; squared lengths, which fix the
+length classes, are integer quadratic forms.  The full root set is
+generated by closing the simple roots under the simple reflections and is
+cross-checked against the closed-form root counts.
 
-Three helpers read pairs of roots: ``collinear``, ``multiples`` (the
-i*a + j*b that are roots) and ``splits`` (the pairs whose i*beta + j*gamma
-is a given root), the one search behind every commutator witness.
+Three helpers read pairs of coordinate tuples: ``collinear``,
+``multiples`` (the i*a + j*b that are roots) and ``splits`` (the pairs
+whose i*beta + j*gamma is a given root), the one search behind every
+commutator witness.  Relative roots reach them by their ``coords``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ class VerificationError(AssertionError):
 
 
 def require(cond, msg, *args):
-    """Raise VerificationError(msg % args) unless cond holds."""
+    """Raise VerificationError(msg % args) unless cond holds; a tuple in
+    ``args``, a root, is printed by ``root_str`` as in the reports."""
     if not cond:
+        args = tuple(root_str(a) if isinstance(a, tuple) else a for a in args)
         raise VerificationError(msg % args if args else msg)
 
 
@@ -158,31 +163,18 @@ def _cartan_matrix(gram):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root as an integer vector over the simple roots."""
-
-    coords: tuple
-    length_class: str  # "short" or "long"
-
-    @property
-    def height(self):
-        return sum(self.coords)
-
-    def is_positive(self):
-        return self.height > 0
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coords), self.length_class)
-
-    def __str__(self):
-        return "(%s)" % ",".join(str(c) for c in self.coords)
+def root_str(coords):
+    """A root or relative root as printed in every report, e.g. ``(1,0,1)``."""
+    return "(%s)" % ",".join(map(str, coords))
 
 
 class RootSystem:
     """All roots of an irreducible type, closed under reflections.
 
-    Immutable after construction.  ``cartan[i][j]`` is the Cartan integer
+    Immutable after construction.  A root is its coordinate tuple over the
+    simple roots; ``roots`` lists them in increasing order, ``root_set``
+    holds them for lookups and ``long_roots`` holds the long ones (every
+    root of a simply laced type).  ``cartan[i][j]`` is the Cartan integer
     <alpha_j, alpha_i^vee>, so the simple reflection s_i acts by
     ``beta - <beta, alpha_i^vee> * alpha_i``.
     """
@@ -193,15 +185,11 @@ class RootSystem:
         self.gram = _gram_matrix(root_type)
         self.cartan = _cartan_matrix(self.gram)
         l = self.rank
-        coord_set = self._generate()
-        long_norm = max(self._norm(c) for c in coord_set)
-        self._by_coords = {}
-        for c in sorted(coord_set):
-            cls = "long" if self._norm(c) == long_norm else "short"
-            self._by_coords[c] = Root(c, cls)
-        self.roots = tuple(self._by_coords.values())
-        self.simple_roots = tuple(self.root_from_coords(
-            tuple(1 if j == i else 0 for j in range(l))) for i in range(l))
+        self.roots = tuple(sorted(self._generate()))
+        self.root_set = frozenset(self.roots)
+        long_norm = max(self._norm(c) for c in self.roots)
+        self.long_roots = frozenset(c for c in self.roots if self._norm(c) == long_norm)
+        self.simple_roots = tuple(tuple(int(j == i) for j in range(l)) for i in range(l))
         expected = ROOT_COUNT[root_type.series](l)
         if len(self.roots) != expected:
             raise AssertionError("generated %d roots for %s, expected %d"
@@ -240,32 +228,36 @@ class RootSystem:
 
     # -- lookups ---------------------------------------------------------
 
-    def __contains__(self, item):
-        coords = item.coords if isinstance(item, Root) else tuple(item)
-        return coords in self._by_coords
+    def __contains__(self, coords):
+        return coords in self.root_set
 
     def root_from_coords(self, coords):
-        return self._by_coords[tuple(coords)]
+        """``coords`` as a tuple; KeyError unless it is a root."""
+        coords = tuple(coords)
+        if coords not in self.root_set:
+            raise KeyError(coords)
+        return coords
 
     def positive_roots(self):
-        return tuple(r for r in self.roots if r.is_positive())
+        return tuple(r for r in self.roots if sum(r) > 0)
 
     # -- arithmetic ------------------------------------------------------
 
-    def sum_is_root(self, a: Root, b: Root):
-        return tuple(x + y for x, y in zip(a.coords, b.coords)) in self._by_coords
+    def sum_is_root(self, a, b):
+        return tuple(x + y for x, y in zip(a, b)) in self.root_set
 
-    def sum(self, a: Root, b: Root):
-        coords = tuple(x + y for x, y in zip(a.coords, b.coords))
-        if coords not in self._by_coords:
-            raise ValueError("%s + %s is not a root of %s" % (a, b, self.type))
-        return self._by_coords[coords]
+    def sum(self, a, b):
+        coords = tuple(x + y for x, y in zip(a, b))
+        if coords not in self.root_set:
+            raise ValueError("%s + %s is not a root of %s"
+                             % (root_str(a), root_str(b), self.type))
+        return coords
 
-    def coroot_coords(self, alpha: Root):
+    def coroot_coords(self, alpha):
         """alpha^vee as an integer vector over the simple coroots."""
-        na = self._norm(alpha.coords)
+        na = self._norm(alpha)
         out = []
-        for i, k in enumerate(alpha.coords):
+        for i, k in enumerate(alpha):
             v, rem = divmod(k * self.gram[i][i], na)
             require(rem == 0, "coroot of %s has the non-integer coordinate %s/%s",
                     alpha, k * self.gram[i][i], na)
@@ -274,11 +266,7 @@ class RootSystem:
 
 
 def collinear(a, b):
-    """Whether two coordinate vectors lie on one line through the origin.
-
-    Takes coordinate tuples, or roots and relative roots via ``.coords``.
-    """
-    a, b = getattr(a, "coords", a), getattr(b, "coords", b)
+    """Whether two coordinate tuples lie on one line through the origin."""
     # b = (b_k / a_k) a for the first k with a_k != 0, or a = 0
     k = next((k for k, x in enumerate(a) if x), None)
     return k is None or [a[k] * y for y in b] == [b[k] * x for x in a]
@@ -293,12 +281,11 @@ MULTIPLE_PAIRS = tuple((i, total - i) for total in range(2, MULTIPLE_BOUND + 1)
 def multiples(a, b, coords):
     """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
 
-    ``a`` and ``b`` are coordinate tuples, or roots and relative roots via
-    ``.coords``; ``coords`` is any container of coordinate tuples
-    (``RootSystem._by_coords``, which skips the conversions of
-    ``RootSystem.__contains__``, or the relative coordinates of a folding).
+    ``a`` and ``b`` are coordinate tuples; ``coords`` is any container of
+    coordinate tuples (``RootSystem.root_set``, or the relative coordinates
+    of a folding).
     """
-    ab = list(zip(getattr(a, "coords", a), getattr(b, "coords", b)))
+    ab = list(zip(a, b))
     return [(i, j) for i, j in MULTIPLE_PAIRS
             if tuple([i * x + j * y for x, y in ab]) in coords]
 
@@ -308,23 +295,20 @@ def splits(alpha, firsts, seconds, pairs=MULTIPLE_PAIRS):
     not collinear: the ways to write ``alpha`` as the root of an entry of a
     commutator [x_beta, x_gamma].
 
-    (i, j) runs over ``pairs`` in order, then beta over ``firsts`` in
-    order; gamma = (alpha - i*beta) / j is looked up in ``seconds``, a map
-    from coordinate tuples to roots (``RootSystem._by_coords``, or a fiber
-    keyed by coordinates).
-    ``alpha`` and the members of ``firsts`` are coordinate tuples, or roots
-    and relative roots via ``.coords``.
+    All are coordinate tuples.  (i, j) runs over ``pairs`` in order, then
+    beta over ``firsts`` in order; gamma = (alpha - i*beta) / j must lie in
+    ``seconds``, a container of coordinate tuples (``RootSystem.root_set``,
+    or a fiber).
     """
-    alpha = getattr(alpha, "coords", alpha)
     for i, j in pairs:
         for beta in firsts:
-            rest = [a - i * b for a, b in zip(alpha, getattr(beta, "coords", beta))]
+            rest = [a - i * b for a, b in zip(alpha, beta)]
             if j > 1:
                 if any(x % j for x in rest):
                     continue
                 rest = [x // j for x in rest]
-            gamma = seconds.get(tuple(rest))
-            if gamma is not None and not collinear(beta, gamma):
+            gamma = tuple(rest)
+            if gamma in seconds and not collinear(beta, gamma):
                 yield beta, gamma, (i, j)
 
 

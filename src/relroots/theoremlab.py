@@ -58,6 +58,7 @@ from .rootcore import (
     build_root_system,
     multiples,
     require,
+    root_str,
     splits,
 )
 
@@ -174,6 +175,7 @@ def verify_C2_identities(k, eps_binding=None):
     a1, a2 = rs.simple_roots
     a12 = rs.root_from_coords((1, 1))
     a21 = rs.root_from_coords((2, 1))
+    minus_a2 = rs.root_from_coords((0, -1))
     reg, eps, inv = _registry(eps_binding)
     Z, v = reg.var("Z"), reg.var("v")
     eps_str = "symbolic" if eps_binding is None else str(eps_binding)
@@ -190,7 +192,7 @@ def verify_C2_identities(k, eps_binding=None):
         st = signs["g2.s"], signs["g2.t"]
         if st not in inner:
             inner[st] = collected_commutator(cb, reg, (a12, Z.scale(st[0])),
-                                             (-a2, (Z * eps).scale(st[1])))
+                                             (minus_a2, (Z * eps).scale(st[1])))
         word = (g1(reg.var("Z", 2).scale(signs["g1.s"]),
                    (reg.var("Z", k - 4) * eps * inv * v).scale(-signs["g1.t"]))
                 + commutator_factors(
@@ -252,7 +254,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     # check its shape: support {2A1+A2, 3A1+A2, 3A1+2A2}, leading Z^k v,
     # trailing factors on long roots only
     zk2 = reg.var("Z", k_short - 2)
-    slots = [rs.root_from_coords(c) for c in cb.pos_roots]
+    slots = cb.pos_roots
 
     def build_short(signs):
         first = commutator_factors(
@@ -268,8 +270,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     want_lead = reg.var("Z", k_short) * v
 
     def check_short(coeffs):
-        support = {r.coords for r in coeffs}
-        if not support <= {(2, 1), (3, 1), (3, 2)}:
+        if not set(coeffs) <= {(2, 1), (3, 1), (3, 2)}:
             return False
         return coeffs.get(r21) == want_lead
 
@@ -277,12 +278,11 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
         signs = _sign_search(["s1", "t1", "s2", "t2"], build_short, check_short,
                              "no sign assignment produces the stated shape")
         coeffs = build_short(signs)
-        trailing = sorted(r.coords for r in coeffs if r != r21)
-        require(all(rs.root_from_coords(c).length_class == "long"
-                    for c in trailing), "trailing factors on non-long roots")
+        trailing = sorted(r for r in coeffs if r != r21)
+        require(rs.long_roots.issuperset(trailing), "trailing factors on non-long roots")
         return {
             "signs": signs,
-            "support": sorted(str(list(r.coords)) for r in coeffs),
+            "support": sorted(str(list(r)) for r in coeffs),
             "trailing_long_roots": [str(list(c)) for c in trailing],
         }
 
@@ -313,25 +313,25 @@ def _schema_f4_long(k):
     cb = build_chevalley_basis(rs)
     reg = VarRegistry(["Z", "v"])
     Z, v = reg.var("Z"), reg.var("v")
-    longs = [r for r in rs.roots if r.length_class == "long"]
-    long_by_coords = {r.coords: r for r in longs}
+    longs = [r for r in rs.roots if r in rs.long_roots]
 
     def witness(A):
-        clean = [(B, C) for B, C, _ in splits(A, longs, long_by_coords, ((1, 1),))
-                 if multiples(B, C, rs._by_coords) == [(1, 1)]]
+        clean = [(B, C) for B, C, _ in splits(A, longs, rs.long_roots, ((1, 1),))
+                 if multiples(B, C, rs.root_set) == [(1, 1)]]
         require(clean, "no clean long pair")
         B, C = clean[0]
-        n = cb.struct_const(B.coords, C.coords)
+        n = cb.struct_const(B, C)
         require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
         word = commutator_factors([(B, Z)],
                                   [(C, (reg.var("Z", k - 1) * v).scale(n))])
-        cone = cone_weights(B.coords, C.coords)
+        cone = cone_weights(B, C)
         lhs = product_of_root_elements(cb, reg, word, cone)
         rhs = adjoint_root_element(cb, A, reg.var("Z", k) * v, cone)
         require(lhs == rhs, "matrix identity failed for %s = %s + %s", A, B, C)
-        return {"B": str(B), "C": str(C), "constant": n}
+        return {"B": root_str(B), "C": root_str(C), "constant": n}
 
-    return [run_case("f4long/%s/k=%d" % (A, k), "F4", lambda: witness(A), {"k": k})
+    return [run_case("f4long/%s/k=%d" % (root_str(A), k), "F4", lambda: witness(A),
+                     {"k": k})
             for A in longs]
 
 
@@ -342,18 +342,19 @@ def _schema_bl_pairs(l):
     rrs = build_relative_system(parse_folding_spec("B%d levi=1,2" % l))
     rs = rrs.rs
     rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
-    rel_by_coords = {R.coords: R for R in rel_roots}
+    firsts = [R.coords for R in rel_roots]
 
     def witness(A):
         wit = []
-        for B, C, _ in splits(A, rel_roots, rel_by_coords, ((1, 1),)):
+        for b, c, _ in splits(A.coords, firsts, rrs.rel_coords, ((1, 1),)):
+            B, C = RelativeRoot(b), RelativeRoot(c)
             pair = next(((beta, gamma)
                          for beta in rrs.fiber(B) for gamma in rrs.fiber(C)
-                         if beta.length_class == "long"
-                         and gamma.length_class == "long"
+                         if beta in rs.long_roots and gamma in rs.long_roots
                          and rs.sum_is_root(beta, gamma)), None)
             require(pair, "no long pair for %s = %s + %s", A, B, C)
-            wit.append("%s = %s + %s via %s + %s" % (A, B, C, pair[0], pair[1]))
+            wit.append("%s = %s + %s via %s + %s"
+                       % (A, B, C, root_str(pair[0]), root_str(pair[1])))
         return wit
 
     return [run_case("blpairs/B%d/%s" % (l, A), "B%d levi=1,2" % l,
@@ -371,9 +372,8 @@ def _unit_split(rrs, cb, src_rel, mid_rel, gamma, ij, clean=False):
     from the ``commutator_constants`` of the pair.
     """
     rs = rrs.rs
-    seconds = {beta.coords: beta for beta in rrs.fiber(mid_rel)}
-    for alpha, beta, _ in splits(gamma, rrs.fiber(src_rel), seconds, (ij,)):
-        if clean and tuple(2 * a + b for a, b in zip(alpha.coords, beta.coords)) in rs:
+    for alpha, beta, _ in splits(gamma, rrs.fiber(src_rel), set(rrs.fiber(mid_rel)), (ij,)):
+        if clean and tuple(2 * a + b for a, b in zip(alpha, beta)) in rs:
             continue
         c = (cb.struct_const(alpha, beta) if ij == (1, 1)
              else commutator_constants(cb, alpha, beta).get(ij, 0))
@@ -400,7 +400,7 @@ def _schema_cl_bc2(l, k):
         # a relative root is long here iff it is twice another relative root
         long_rel = {D.scaled(2) for D in rrs.rel_roots if D.scaled(2) in rrs}
         bad = [str(A) for A in rrs.rel_roots if A not in long_rel
-               and any(g.length_class != "short" for g in rrs.fiber(A))]
+               and not rs.long_roots.isdisjoint(rrs.fiber(A))]
         require(not bad, "non-long relative roots with a non-short fiber: %s",
                 ", ".join(bad))
         return "all non-long relative roots have short fibers"
@@ -443,8 +443,9 @@ def _schema_cl_bc2(l, k):
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
         return {
-            "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (alpha, beta, c21, k - 2),
-            "cancellers": [str(g) for g in junk],
+            "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (root_str(alpha), root_str(beta),
+                                                       c21, k - 2),
+            "cancellers": [root_str(g) for g in junk],
         }
 
     return [run_case("clbc2/C%d/fibers" % l, spec_str, shortness),
@@ -502,7 +503,8 @@ def _schema_cl_c2(l, k):
         Z, vj = reg.var("Z"), reg.var("v%d" % j)
         return (commutator_factors([(alpha, (Z * vj).scale(n))],
                                    [(beta, reg.var("Z", k - 1))]),
-                "%s: [x_%s(%+dZ v%d), x_%s(Z^%d)]" % (gamma, alpha, n, j, beta, k - 1))
+                "%s: [x_%s(%+dZ v%d), x_%s(Z^%d)]"
+                % (root_str(gamma), root_str(alpha), n, j, root_str(beta), k - 1))
 
     # short root A = A1+A2: per-fiber clean commutators
     def short_factors(reg, j, gamma):
@@ -512,7 +514,7 @@ def _schema_cl_c2(l, k):
 
     # long root A = 2A1+A2 (the source text calls this root C; read as A)
     def long_factors(reg, j, gamma):
-        if gamma.length_class == "short":
+        if gamma not in rs.long_roots:
             # reachable from the A1 x (A1+A2) commutator: single-slot cone
             got = _unit_split(rrs, cb, A1, mid, gamma, (1, 1))
             require(got, "no unit pair for short %s", gamma)
@@ -536,7 +538,8 @@ def _schema_cl_c2(l, k):
             [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
             [(nu, reg.var("Z", k - 2))])
         return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
-                      % (gamma, alpha, beta, c21, k - 2, j, byproduct))
+                      % (root_str(gamma), root_str(alpha), root_str(beta), c21, k - 2, j,
+                         root_str(byproduct)))
 
     return [
         run_case("clc2/C%d/short/k=%d" % (l, k), spec_str,

@@ -24,13 +24,13 @@ def full_product(cb, reg, factors):
     M = {j: {j: one} for j in range(cb.dim)}
     for root, t in factors:
         tks, tk = [], one
-        for _ in cb.exp_ad_powers(root.coords):
+        for _ in cb.exp_ad_powers(root):
             tk = tk * t
             tks.append(tk)
         out = {}
         for j in range(cb.dim):
             acc = dict(M[j])
-            for tk, power in zip(tks, cb.exp_ad_powers(root.coords)):
+            for tk, power in zip(tks, cb.exp_ad_powers(root)):
                 for r, c in power.get(j, {}).items():
                     for i, m in M[r].items():
                         acc[i] = acc.get(i, reg.zero()) + (tk * m).scale(c)
@@ -41,13 +41,13 @@ def full_product(cb, reg, factors):
 
 def root_string(rs, a, b):
     """(p, q) with b - p*a, ..., b + q*a the a-string through b."""
-    if a.coords == b.coords or a.coords == (-b).coords:
+    if a == b or a == tuple(-x for x in b):
         raise ValueError("root string undefined for collinear pair")
     p = 0
-    while tuple(x - (p + 1) * y for x, y in zip(b.coords, a.coords)) in rs:
+    while tuple(x - (p + 1) * y for x, y in zip(b, a)) in rs:
         p += 1
     q = 0
-    while tuple(x + (q + 1) * y for x, y in zip(b.coords, a.coords)) in rs:
+    while tuple(x + (q + 1) * y for x, y in zip(b, a)) in rs:
         q += 1
     return p, q
 
@@ -55,8 +55,8 @@ def root_string(rs, a, b):
 def gram_dot(rs, x, y):
     """(x, y) of two roots from the Gram matrix alone, an exact Fraction."""
     return sum(Fraction(xi * yj) * rs.gram[i][j]
-               for i, xi in enumerate(x.coords) if xi
-               for j, yj in enumerate(y.coords) if yj)
+               for i, xi in enumerate(x) if xi
+               for j, yj in enumerate(y) if yj)
 
 
 def cartan_pairing(rs, beta, alpha):
@@ -72,8 +72,8 @@ def commutator_constants_fast(cb, alpha, beta):
     signs depend on the product ordering convention, which the symbolic
     route pins down instead).
     """
-    a, b = alpha.coords, beta.coords
-    if collinear(alpha, beta) and sum(x * y for x, y in zip(a, b)) < 0:
+    a, b = alpha, beta
+    if collinear(a, b) and sum(x * y for x, y in zip(a, b)) < 0:
         raise ValueError("collinear opposite pair %s, %s" % (alpha, beta))
     N = cb.struct_const
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,6 +84,74 @@ def test_gamma_images_must_permute_the_nodes(capsys, command, images):
     assert code == 2
     assert out == ""
     assert err == "error: gamma images %s are not a permutation of 1..3\n" % images
+
+
+@pytest.mark.parametrize("flag", ["--levi", "--gamma"])
+def test_fold_empty_levi_or_gamma_errors(capsys, flag):
+    # an empty value is bad input, not "all nodes" or the trivial group
+    code, out, err = run(capsys, "fold", "--type", "A3", flag, "")
+    assert (code, out) == (2, "")
+    assert err == "error: bad %s ''\n" % flag[2:]
+
+
+@pytest.mark.parametrize("eps", ["1/0", "abc"])
+def test_verify_bad_eps_errors(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "c2", "--eps", eps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --eps: invalid Fraction value: '%s'" % eps in err
+    assert "Traceback" not in err
+
+
+# sha1 of the output of each command, pinned when roots became coordinate
+# tuples: every root in a key, case id or witness prints as (1,0,1)
+GOLDEN_SHA1 = {
+    ("roots", "--type", "G2"): "bd35d39fdfd122c69574d71f115d2be7b32cc791",
+    ("fold", "--type", "C3", "--levi", "1,2"): "00fa22ba21275ae6cffa62ce5ce3a0aeede28307",
+    ("nmaps", "--type", "C3", "--levi", "1,2", "--a", "1,0", "--b", "0,1"):
+        "3cab54aa7be184d49f685e305a5edf11cb021925",
+}
+CASES_REPORT_SHA1 = "dec1a282040df051ab69793472587a57c505de9f"
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA1), ids=lambda argv: argv[0])
+def test_golden_output_sha1(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == GOLDEN_SHA1[argv]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "-O"])
+def test_golden_cases_report_sha1(tmp_path, optimize):
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    report = tmp_path / "cases.json"
+    proc = subprocess.run(
+        [sys.executable] + ["-O"] * optimize
+        + ["-m", "relroots.cli", "verify", "--suite", "cases", "--report", str(report)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha1(report.read_bytes()).hexdigest() == CASES_REPORT_SHA1
+
+
+def test_benchmark_tracer_counts_nmaps(capsys):
+    # perfbench/tracing.py wraps relroots from outside and reads A.coords of
+    # each table's pair, spec.gamma[i].perm and the ``cols`` of each product
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer().install()
+    try:
+        code, _, _ = run(capsys, *next(argv for argv in GOLDEN_SHA1 if argv[0] == "nmaps"))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["relcalc.tables"] == 1
+    assert metrics["chevalley.products"] == 2
+    assert metrics["chevalley.entries_out"] > 0
 
 
 def test_nmaps_c2_pair(capsys):

@@ -81,7 +81,7 @@ def all_root_elements(t, p):
     for root in cb.rs.roots:
         for c in range(1, p):
             mat = np.eye(cb.dim, dtype=np.int64)
-            for k, power in enumerate(cb.exp_ad_powers(root.coords), 1):
+            for k, power in enumerate(cb.exp_ad_powers(root), 1):
                 for j, col in power.items():
                     for i, v in col.items():
                         mat[i, j] = (mat[i, j] + pow(c, k, p) * v) % p
@@ -311,7 +311,7 @@ def test_witness_tables_are_read_once_per_pair(monkeypatch):
     real = finitelab.commutator_constants
 
     def spy(cb, beta, gamma):
-        calls.append((beta.coords, gamma.coords))
+        calls.append((beta, gamma))
         return real(cb, beta, gamma)
 
     monkeypatch.setattr(finitelab, "commutator_constants", spy)
@@ -358,7 +358,7 @@ def test_corrupted_witness_is_a_fail_row(monkeypatch, how):
     real = finitelab.commutator_constants
 
     def corrupted(cb, beta, gamma):
-        if (beta.coords, gamma.coords) == (bad.beta, bad.gamma):
+        if (beta, gamma) == (bad.beta, bad.gamma):
             return bad.table
         return real(cb, beta, gamma)
 
@@ -387,7 +387,7 @@ def test_law_check_hands_back_every_requested_element():
     # hands back are sum c^k N_k mod p, on both sides of the chunk edge
     cb = build_chevalley_basis(build_root_system(RootType.parse("F4")))
     p = 101
-    powers = _root_powers(cb, cb.rs.roots[0].coords, p)
+    powers = _root_powers(cb, cb.rs.roots[0], p)
     assert (1 << 18) // cb.dim ** 2 < p
     kept = _check_one_parameter_law(powers, p, range(p))
     assert sorted(kept) == list(range(p))

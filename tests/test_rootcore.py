@@ -8,7 +8,6 @@ import relroots.rootcore as rootcore
 from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.rootcore import (
     InvalidRootType,
-    Root,
     RootSystem,
     RootType,
     VerificationError,
@@ -49,15 +48,15 @@ def test_example_counts():
     assert len(build_root_system(RootType.parse("G2")).roots) == 12
     assert len(build_root_system(RootType.parse("C4")).roots) == 32
     a1 = build_root_system(RootType.parse("A1"))
-    assert sorted(r.coords for r in a1.roots) == [(-1,), (1,)]
+    assert a1.roots == ((-1,), (1,))
 
 
 @pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
 def test_negation_closure_and_sign_coherence(t):
     rs = build_root_system(t)
     for r in rs.roots:
-        assert -r in rs
-        pos = [c > 0 for c in r.coords if c != 0]
+        assert tuple(-c for c in r) in rs
+        pos = [c > 0 for c in r if c != 0]
         assert all(pos) or not any(pos)
 
 
@@ -65,14 +64,14 @@ def test_negation_closure_and_sign_coherence(t):
 def test_reduced(t):
     rs = build_root_system(t)
     for r in rs.roots:
-        assert tuple(2 * c for c in r.coords) not in rs
+        assert tuple(2 * c for c in r) not in rs
 
 
 def test_c2_sum_example():
     rs = build_root_system(RootType.parse("C2"))
     a1, a2 = rs.simple_roots
     assert rs.sum_is_root(a1, a2)
-    assert rs.sum(a1, a2).coords == (1, 1)
+    assert rs.sum(a1, a2) == (1, 1)
     # 2A1+A2 is a root of C2
     assert (2, 1) in rs
 
@@ -81,13 +80,13 @@ def test_g2_sum_example():
     rs = build_root_system(RootType.parse("G2"))
     r = rs.root_from_coords((3, 1))
     a2 = rs.simple_roots[1]
-    assert rs.sum(r, a2).coords == (3, 2)
+    assert rs.sum(r, a2) == (3, 2)
 
 
 def test_height_linearity():
     rs = build_root_system(RootType.parse("B3"))
-    for r in rs.roots:
-        assert (-r).height == -r.height
+    pos = rs.positive_roots()
+    assert len(pos) == len(rs.roots) // 2 and all(sum(r) > 0 for r in pos)
     with pytest.raises(ValueError):
         a = rs.simple_roots[0]
         rs.sum(a, a)
@@ -111,7 +110,7 @@ def test_root_string_examples():
 def test_root_string_matches_cartan_pairing(t):
     rs = build_root_system(t)
     for a, b in itertools.product(rs.roots, repeat=2):
-        if a.coords == b.coords or a.coords == (-b).coords:
+        if a == b or a == tuple(-x for x in b):
             continue
         p, q = root_string(rs, a, b)
         assert p - q == cartan_pairing(rs, b, a)
@@ -134,10 +133,10 @@ def test_integer_root_data_matches_fraction_oracle(t):
     norms = {r: gram_dot(rs, r, r) for r in rs.roots}
     longest = max(norms.values())
     for r in rs.roots:
-        assert rs._norm(r.coords) == norms[r]
-        assert r.length_class == ("long" if norms[r] == longest else "short")
+        assert rs._norm(r) == norms[r]
+        assert (r in rs.long_roots) == (norms[r] == longest)
         for i, simple in enumerate(rs.simple_roots):
-            assert rs._pairing_coords(r.coords, i) == cartan_pairing(rs, r, simple)
+            assert rs._pairing_coords(r, i) == cartan_pairing(rs, r, simple)
 
 
 @pytest.mark.parametrize("gram", [
@@ -155,11 +154,11 @@ def test_non_integral_cartan_entry_is_rejected(gram, monkeypatch):
 
 def test_length_classes():
     g2 = build_root_system(RootType.parse("G2"))
-    assert sum(1 for r in g2.roots if r.length_class == "long") == 6
+    assert len(g2.long_roots) == 6
     a3 = build_root_system(RootType.parse("A3"))
-    assert all(r.length_class == "long" for r in a3.roots)
+    assert a3.long_roots == a3.root_set
     b3 = build_root_system(RootType.parse("B3"))
-    assert sum(1 for r in b3.roots if r.length_class == "short") == 6
+    assert len(b3.root_set - b3.long_roots) == 6
 
 
 def test_collinear_matches_every_minor():
@@ -167,7 +166,7 @@ def test_collinear_matches_every_minor():
     # coordinates, multiples and near misses of every length up to 8
     vectors = [(0,) * 3, (0, 0, 1), (0, 2, -4), (0, -1, 2), (0, 1, 2), (3, 0, 0), (0, 0, 0, 5),
                (0, 0, 0, -10), (0, 0, 1, -10)]
-    vectors += [tuple(k * x for x in r.coords) for t in SMALL_TYPES
+    vectors += [tuple(k * x for x in r) for t in SMALL_TYPES
                 for r in build_root_system(t).roots for k in (1, -2)]
     for a, b in itertools.product(vectors, repeat=2):
         if len(a) == len(b):
@@ -188,8 +187,8 @@ def test_multiples_order_and_bound():
             if collinear(a, b):
                 continue
             scan = [(i, j) for i in range(1, 9) for j in range(1, 9)
-                    if tuple(i * x + j * y for x, y in zip(a.coords, b.coords)) in rs]
-            assert multiples(a.coords, b.coords, rs) == sorted(
+                    if tuple(i * x + j * y for x, y in zip(a, b)) in rs]
+            assert multiples(a, b, rs) == sorted(
                 scan, key=lambda ij: (ij[0] + ij[1], ij[0]))
 
 
@@ -199,18 +198,17 @@ SPLIT_PAIRS = ((1, 1), (2, 1), (1, 2))
 def _brute_splits(alpha, firsts, seconds, pairs):
     """The splits of alpha by a double loop over every pair of roots."""
     return [(b, g, (i, j)) for i, j in pairs for b in firsts for g in seconds
-            if tuple(i * x + j * y for x, y in zip(b.coords, g.coords)) == alpha.coords
+            if tuple(i * x + j * y for x, y in zip(b, g)) == alpha
             and not collinear(b, g)]
 
 
 def _check_splits(targets, firsts, seconds):
     """Compare splits with the double loop for every target, in both pair
     orders; return the (i, j) of every split found."""
-    by_coords = {g.coords: g for g in seconds}
     found = []
     for alpha in targets:
         for pairs in (SPLIT_PAIRS, SPLIT_PAIRS[::-1]):
-            got = list(splits(alpha, firsts, by_coords, pairs))
+            got = list(splits(alpha, firsts, frozenset(seconds), pairs))
             assert got == _brute_splits(alpha, firsts, seconds, pairs)
             found += [ij for _, _, ij in got]
     return found
@@ -224,11 +222,6 @@ def test_splits_match_brute_force_on_root_sets(t):
     # (1, 1) splits from rank 2 on, (2, 1) and (1, 2) in the multiply laced types
     assert found == (set() if t.rank == 1 else set(SPLIT_PAIRS)
                      if t.series in "BCFG" else {(1, 1)})
-    # coordinate tuples as firsts give the same splits, by coordinates
-    alpha = max(rs.roots, key=lambda r: r.height)
-    assert [(b, g.coords, ij) for b, g, ij in splits(
-        alpha.coords, [r.coords for r in rs.roots], rs._by_coords)] == [
-        (b.coords, g.coords, ij) for b, g, ij in splits(alpha, rs.roots, rs._by_coords)]
 
 
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4"])
