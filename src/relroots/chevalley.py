@@ -20,9 +20,11 @@ outputs.
 
 Every product carries one column.  Its word must lie in a half-space:
 let f be an integer linear form on root coordinates (``cone`` weights)
-with f > 0 on every factor, Psi = {gamma : f(gamma) > 0} and h_f =
-sum c_i h_i the Cartan vector with gamma(h_f) = m f(gamma) for one
-integer m > 0 (``ChevalleyBasis._cone``).  Psi is closed and holds
+with f > 0 on every factor, Psi = {gamma : f(gamma) > 0}, form the
+weights divided by their gcd g, and h_f = (C^T)^-1 form the Cartan vector
+over Q with alpha_j(h_f) = form_j, so gamma(h_f) = f(gamma) / g for every
+root gamma.  h_f exists because the Cartan matrix C is nonsingular, which
+the basis checks when it is built.  Psi is closed and holds
 no opposite pair, so it lies in a positive system (Bourbaki, *Lie Groups
 and Lie Algebras* VI 1.7) and every element u of U_Psi is a unique
 ordered product of x_gamma(t_gamma), gamma in Psi (Steinberg, *Lectures
@@ -31,8 +33,8 @@ at w = 1/(eps^2 - eps) included, u = u' on U_Psi iff u(h_f) = u'(h_f):
 if u'' = u'^-1 u != 1, let alpha be an f-minimal root of its normal form
 with t_alpha != 0.  Any other way to reach e_alpha from h_f brackets with
 two or more roots of Psi, whose f-values add up past f(alpha), so
-e_alpha appears in u''(h_f) with coefficient -t_alpha m f(alpha) != 0.
-A product therefore starts from the single column h_f and checks f > 0
+e_alpha appears in u''(h_f) with coefficient -t_alpha alpha(h_f) != 0.
+A product therefore carries the single column h_f and checks f > 0
 on every factor, and ``collect`` checks it on every slot, so every
 residual stays in U_Psi.  Torus elements such as h_alpha(2), which fix
 h_f, do not break this: they are not in U_Psi, and no word of f-positive
@@ -42,12 +44,13 @@ and so does a comparison of products on different columns.
 On such a column the Cartan part never moves.  ad e_alpha, alpha in Psi,
 sends h to g_alpha and g_gamma to g_{gamma+alpha}, and gamma + alpha = 0
 would need f(gamma) < 0, so u(h_f) - h_f lies in the sum of the g_gamma,
-gamma in Psi, for every u in U_Psi: the h rows of the column stay those
-of h_f, and x_alpha(t) sends the Cartan part h_f to h_f plus the single
-term -t alpha(h_f) e_alpha ([e_alpha, h_f] = -alpha(h_f) e_alpha, and
-[e_alpha, e_alpha] = 0).  The product computes form = (alpha_j(h_f))_j
-= C^T h_f once, keeps it on the ``UnipotentMatrix`` it returns, and takes
-alpha(h_f) = sum_j alpha_j form_j for each factor; ``collect`` reads the form there and takes the
+gamma in Psi, for every u in U_Psi.  A product starts from the empty
+column and carries u(h_f) - h_f, its root rows alone: x_alpha(t) adds the
+single term -t alpha(h_f) e_alpha for the Cartan part ([e_alpha, h_f] =
+-alpha(h_f) e_alpha, and [e_alpha, e_alpha] = 0), and u = 1 iff every
+entry is zero.  The product keeps form as the ``cone`` of the
+``UnipotentMatrix`` it returns and takes alpha(h_f) = sum_j alpha_j
+form_j for each factor; ``collect`` reads the form there and takes the
 same value as the ``pair`` it divides by, by ``divmod``, with a
 ``Fraction`` only where a remainder is left.  Every other row moves by
 the root's compiled action, built once per root with its divided powers
@@ -120,22 +123,9 @@ class ChevalleyBasis:
         self._norm_cache = {}
         self._n_cache = {}
         self._exp_cache = {}
-        # for _cone: (C^T)^-1 times a positive integer, row j of C^T
-        # being (<alpha_j, alpha_i^vee>)_i
-        rows = [[rs.cartan[i][j] for i in range(l)] + [int(i == j) for i in range(l)]
-                for j in range(l)]
-        reduced, pivots = row_reduce(rows, l)
-        require(len(pivots) == l, "the Cartan matrix of %s is singular", rs.type)
-        den = math.lcm(*(x.denominator for row in reduced for x in row))
-        self._cartan_t_den = den
-        self._cartan_t_inv = tuple(tuple(int(x * den) for x in row[l:])
-                                   for row in reduced)
-        # _cone reads alpha_j(h_f) off C^T _cartan_t_inv = den I, not off h
-        for j in range(l):
-            for k in range(l):
-                require(sum(rs.cartan[i][j] * self._cartan_t_inv[i][k] for i in range(l))
-                        == den * (j == k), "the inverse Cartan matrix of %s is wrong",
-                        rs.type)
+        # h_f = (C^T)^-1 form must exist for every cone (module docstring)
+        require(len(row_reduce(rs.cartan, l)[1]) == l,
+                "the Cartan matrix of %s is singular", rs.type)
         self._verify_pair_laws()
 
     # -- structure constants ---------------------------------------------
@@ -157,19 +147,6 @@ class ChevalleyBasis:
         if norm is None:
             norm = self._norm_cache[coords] = self.rs._norm(coords)
         return norm
-
-    def _cone(self, weights):
-        """(h, form) for the integer ``weights`` of a form f, not all zero:
-        h = (c_1..c_l) is integer with gamma(sum c_i h_i) = m * f(gamma) for
-        one m > 0, and form = (alpha_j(h_f))_j, so root(h_f) = sum_j root_j
-        form_j.  With D (C^T)^-1 the integer
-        ``_cartan_t_inv`` (checked when the basis is built), h = D (C^T)^-1
-        weights / g for the gcd g, so form
-        = C^T h = D weights / g, an integer vector as C^T and h are."""
-        c = [sum(map(mul, row, weights)) for row in self._cartan_t_inv]
-        g = math.gcd(*c)
-        den = self._cartan_t_den
-        return tuple([x // g for x in c]), tuple([den * w // g for w in weights])
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""
@@ -357,23 +334,20 @@ def _grow_bound(bound, reach, terms, n, largest):
 class UnipotentMatrix:
     """The column h_f of a product of root elements, carried through the word.
 
-    ``start`` is the column h_f before any factor, {row: {0: int}}, for
-    the ``cone`` weights of f, and ``form`` = (alpha_j(h_f))_j, so root(h_f)
-    = sum_j root_j form_j.  ``packed`` holds its image, {row: raw PolyElem
-    terms} with no empty entry; every slot exponent of every entry is at
-    most ``bound``.
+    ``cone`` is the form (alpha_j(h_f))_j, the weights of f divided by their
+    gcd, so root(h_f) = sum_j root_j cone_j.  ``packed`` holds u(h_f) - h_f,
+    the root rows of the image, {row: raw PolyElem terms} with no empty
+    entry; every slot exponent of every entry is at most ``bound``.
     """
 
-    __slots__ = ("dim", "registry", "packed", "bound", "start", "cone", "form")
+    __slots__ = ("dim", "registry", "packed", "bound", "cone")
 
-    def __init__(self, dim, registry, packed, bound, start, cone, form):
+    def __init__(self, dim, registry, packed, bound, cone):
         self.dim = dim
         self.registry = registry
-        self.packed = packed  # identity entries included
+        self.packed = packed
         self.bound = bound
-        self.start = start
         self.cone = cone
-        self.form = form
 
     @property
     def cols(self):
@@ -381,14 +355,8 @@ class UnipotentMatrix:
         vals = ((i, PolyElem(self.registry, d)) for i, d in self.packed.items())
         return {"h_f": {i: v for i, v in vals if not v.is_zero()}}
 
-    def _same_column(self, a, b):
-        # equal raw entries are equal; others are compared in normal form
-        reg = self.registry
-        return a == b or all(PolyElem(reg, a.get(i, {})) == PolyElem(reg, b.get(i, {}))
-                             for i in a.keys() | b.keys() if a.get(i) != b.get(i))
-
     def is_identity(self):
-        return self._same_column(self.packed, self.start)
+        return _vanishes(self.registry, self.packed)
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):
@@ -396,12 +364,20 @@ class UnipotentMatrix:
         if self.dim != other.dim or self.registry != other.registry:
             return False
         # the images of different columns say nothing about each other
-        require(self.start == other.start,
+        require(self.cone == other.cone,
                 "cannot compare products that start from different columns")
-        return self._same_column(self.packed, other.packed)
+        # equal raw entries are equal; others are compared in normal form
+        a, b, reg = self.packed, other.packed, self.registry
+        return a == b or all(PolyElem(reg, a.get(i, {})) == PolyElem(reg, b.get(i, {}))
+                             for i in a.keys() | b.keys() if a.get(i) != b.get(i))
 
     def __hash__(self):
         raise TypeError("unhashable")
+
+
+def _vanishes(registry, col):
+    """Whether every entry of a column is zero in normal form."""
+    return all(PolyElem(registry, d).is_zero() for d in col.values())
 
 
 def adjoint_root_element(cb: ChevalleyBasis, alpha, t: PolyElem, cone) -> UnipotentMatrix:
@@ -424,7 +400,8 @@ def _left_multiply(col, entry, pair, t):
 
     ``entry`` is the root's ``ChevalleyBasis._root_entry``, ``pair`` is
     root(h_f) and ``t`` a nonzero packed term dict.  x(t) = I + sum_k t^k
-    P_k fixes the Cartan part of the column and adds -t pair on e_root;
+    P_k adds -t pair on e_root for the Cartan part h_f, which the column
+    leaves out;
     every other row r adds t^(k+1) c times its entry on row i for each
     compiled triple (k, i, c); t^(k+1) is built the first time a triple
     needs it.  Entry dicts are never changed once stored (a changed entry
@@ -504,13 +481,12 @@ def product_of_root_elements(cb, registry, factors, cone):
         bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
         if t.terms:
             word.append((root, entry, t.terms))
-    npos = len(cb.pos_roots)
-    h, form = cb._cone(cone)
-    start = {npos + i: {0: c} for i, c in enumerate(h) if c}
-    col = dict(start)
+    g = math.gcd(*cone)
+    form = tuple([w // g for w in cone])
+    col = {}
     for root, entry, terms in word:
         _left_multiply(col, entry, sum(map(mul, root, form)), terms)
-    return UnipotentMatrix(cb.dim, registry, col, bound, start, cone, form)
+    return UnipotentMatrix(cb.dim, registry, col, bound, form)
 
 
 def invert_factors(factors):
@@ -539,13 +515,12 @@ def collect(cb, U, slots):
     root that is a sum of two slot roots is a later slot, e.g. slots in
     order of |height|.  Returns {root: PolyElem}.
     """
-    reg, form = U.registry, U.form
+    reg, form = U.registry, U.cone
     n = len(reg.names)
-    W = UnipotentMatrix(U.dim, reg, dict(U.packed), U.bound, U.start, U.cone, form)
-    col = W.packed
+    col, bound = dict(U.packed), U.bound
     coeffs, largest = {}, {}
     for root in slots:
-        _require_in_cone(U.cone, root)
+        _require_in_cone(form, root)
         entry = cb._root_entry(root)
         raw = col.get(entry[1])
         if raw is None:
@@ -559,9 +534,9 @@ def collect(cb, U, slots):
         if t.is_zero():
             continue
         coeffs[root] = t
-        W.bound = _grow_bound(W.bound, len(entry[0]), t.terms, n, largest)
+        bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
         _left_multiply(col, entry, pair, {k: -v for k, v in t.terms.items()})
-    if not W.is_identity():
+    if not _vanishes(reg, col):
         raise CollectionError("residual is not the identity; "
                               "input not supported on the given slots")
     return coeffs

@@ -172,7 +172,10 @@ def parse_folding_spec(text):
             raise FoldingError("%s has no %s automorphism group" % (t, gamma_arg))
         gamma = tuple(closure_of_auts(auts, t.rank))
     elif gamma_arg.startswith("perm:"):
-        images = tuple(int(x) - 1 for x in gamma_arg[len("perm:"):].split(","))
+        try:
+            images = tuple(int(x) - 1 for x in gamma_arg[len("perm:"):].split(","))
+        except ValueError:
+            raise FoldingError("bad gamma %r" % gamma_arg)
         if sorted(images) != list(range(t.rank)):
             raise FoldingError("gamma images %s are not a permutation of 1..%d"
                                % (gamma_arg[len("perm:"):], t.rank))

@@ -2,13 +2,15 @@
 
 ``full_product`` is the one full-matrix oracle for products of root
 elements; ``root_string``, ``gram_dot`` and ``cartan_pairing`` recompute
-root data from the root set and the Gram matrix alone, in Fractions;
+root data from the root set and the Gram matrix alone, in Fractions, and
+``h_of`` the Cartan vector h_f of a cone from them;
 ``commutator_constants_fast`` gives the magnitudes of the commutator
 constants from the structure constants, with no matrix work;
 ``diagram_automorphisms`` tries every permutation of the Dynkin nodes.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from relroots.rootcore import collinear, require
@@ -63,6 +65,26 @@ def cartan_pairing(rs, beta, alpha):
     """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha), an exact Fraction,
     from the Gram matrix alone, not from the Cartan integers of ``rs``."""
     return 2 * gram_dot(rs, beta, alpha) / gram_dot(rs, alpha, alpha)
+
+
+def h_of(cb, weights):
+    """(c_1..c_l) with h_f = sum c_i h_i and alpha_j(h_f) = form_j, form
+    the ``weights`` divided by their gcd, an exact Fraction vector solved by
+    Gauss-Jordan from the Gram matrix alone (alpha_j(h_i) = <alpha_j,
+    alpha_i^vee>)."""
+    l = cb.rs.rank
+    g = math.gcd(*weights)
+    simple = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+    rows = [[cartan_pairing(cb.rs, simple[j], simple[i]) for i in range(l)]
+            + [Fraction(weights[j], g)] for j in range(l)]
+    for c in range(l):
+        piv = next(r for r in range(c, l) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(l):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[l] for row in rows)
 
 
 def commutator_constants_fast(cb, alpha, beta):

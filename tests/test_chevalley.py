@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from lie_oracles import commutator_constants_fast, full_product, root_string
+from lie_oracles import commutator_constants_fast, full_product, h_of, root_string
 
 import relroots
 import relroots.chevalley as chevalley
@@ -307,9 +307,8 @@ def test_frame_matches_full_matrix(name):
         # registry no reduction merges terms, so an int coefficient with
         # |pair| > 1 came from an exact integer quotient, and a
         # non-integral one from a remainder
-        form = cb._cone(weights)[1]
         for g, c in coeffs.items() if reg == plain else ():
-            pair = sum(x * y for x, y in zip(g, form))
+            pair = sum(x * y for x, y in zip(g, U.cone))
             branches.update("quotient" if type(v) is int and abs(pair) > 1 else
                             "fraction" if type(v) is Fraction else "unit"
                             for v in c.terms.values())
@@ -343,12 +342,14 @@ def test_frame_matches_full_matrix(name):
 
 
 def column_image(cb, full, h):
-    """The column h_f = sum h_i h_i of a full product, zero entries dropped."""
-    npos, image = len(cb.pos_roots), {}
+    """The root rows of the image of h_f = sum h_i h_i under a full product,
+    zero entries dropped."""
+    npos, l, image = len(cb.pos_roots), cb.rs.rank, {}
     for i, hi in enumerate(h):
         for r, v in full[npos + i].items():
             image[r] = image[r] + v.scale(hi) if r in image else v.scale(hi)
-    return {"h_f": {r: v for r, v in image.items() if not v.is_zero()}}
+    return {"h_f": {r: v for r, v in image.items()
+                    if not npos <= r < npos + l and not v.is_zero()}}
 
 
 @pytest.mark.parametrize("name", ["A2", "C2", "G2", "B3", "F4"])
@@ -361,7 +362,7 @@ def test_cone_column_matches_full_matrix(name):
     coeffs = []
     for reg in [plain] * 20 + [localized] * 8:
         weights, inside = random_cone(cb, rng)
-        h = cb._cone(weights)[0]
+        h = h_of(cb, weights)
         # gamma(h_f) is one positive multiple of f(gamma)
         ratios = {Fraction(sum(c * cb.rs._pairing_coords(r, i) for i, c in enumerate(h)),
                            sum(w * x for w, x in zip(weights, r))) for r in inside}
@@ -397,7 +398,7 @@ def test_every_divided_power_matches_full_matrix(name):
     cb = cb_for(name)
     reg = VarRegistry(["s", "t"])
     s, t = reg.var("s"), reg.var("t")
-    h = cb._cone(height(cb))[0]
+    h = h_of(cb, height(cb))
     reached = set()
     for a, b in itertools.product(positive_slots(cb), repeat=2):
         if not cb.rs.sum_is_root(a, b):  # else no b + k a is a root (strings are unbroken)
@@ -409,6 +410,37 @@ def test_every_divided_power_matches_full_matrix(name):
             reached.update(k for k in range(1, len(cb.exp_ad_powers(a)) + 1)
                            if tuple(k * x + y for x, y in zip(a, b)) in cb.rs)
     assert max(reached) == (3 if name == "G2" else 2)
+
+
+@pytest.mark.parametrize("name", ["C2", "G2", "F4"])
+def test_columns_hold_root_rows_alone(name, monkeypatch):
+    # on random cones, the column of every product and of every collect
+    # residual, after each factor, has no h row; and collect reads the same
+    # coefficients on the proportional weights w and 3w
+    cb = cb_for(name)
+    npos = len(cb.pos_roots)
+    h_rows = set(range(npos, npos + cb.rs.rank))
+    real = chevalley._left_multiply
+    calls = []
+
+    def checked(col, entry, pair, t):
+        real(col, entry, pair, t)
+        calls.append(bool(h_rows & col.keys()))
+
+    monkeypatch.setattr(chevalley, "_left_multiply", checked)
+    rng = random.Random("rows " + name)
+    reg = VarRegistry(["s", "t"])
+    for _ in range(12):
+        weights, inside = random_cone(cb, rng)
+        slots = sorted(inside, key=lambda g: (sum(x * y for x, y in zip(weights, g)), g))
+        word = cone_word(cb, reg, rng, inside, rng.randint(1, 5))
+        coeffs = []
+        for w in (weights, tuple(3 * x for x in weights)):
+            U = product_of_root_elements(cb, reg, word, w)
+            assert not h_rows & U.packed.keys()
+            coeffs.append(collect(cb, U, slots))
+        assert coeffs[0] == coeffs[1]
+    assert calls and not any(calls)
 
 
 def test_perturbed_cartan_term_fails_collection(monkeypatch):
@@ -569,15 +601,16 @@ U = product_of_root_elements(cb, reg, [(a1, s)], (1, 1))
 expect_failure("cone slot", lambda: collect(cb, U, [a1, (0, -1)]))
 expect_failure("columns", lambda: U == product_of_root_elements(cb, reg, [(a1, s)], (1, 0)))
 
-# the inverse Cartan matrix that alpha(h_f) is read from: one entry off by 1
+# h_f exists only for a nonsingular Cartan matrix: a row reduction that
+# drops a pivot
 row_reduce = chevalley.row_reduce
 
-def off_by_one(rows, ncols):
+def drop_pivot(rows, ncols):
     reduced, pivots = row_reduce(rows, ncols)
-    return [row[:-1] + [row[-1] + 1] for row in reduced], pivots
+    return reduced, pivots[:-1]
 
-chevalley.row_reduce = off_by_one
-expect_failure("inverse cartan", lambda: ChevalleyBasis(build_root_system(RootType("A", 2))))
+chevalley.row_reduce = drop_pivot
+expect_failure("singular cartan", lambda: ChevalleyBasis(build_root_system(RootType("A", 2))))
 chevalley.row_reduce = row_reduce
 
 # Cartan integers are checked, not truncated: (alpha_1, alpha_2) = -1/2 in
@@ -629,12 +662,12 @@ def test_constant_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "pair law", "fast table", "constant bound", "slot bound", "cone factor",
-        "cone slot", "columns", "inverse cartan", "cartan", "cartan pairing", "coroot",
+        "cone slot", "columns", "singular cartan", "cartan", "cartan pairing", "coroot",
         "sign search", "witness constant", "witness factor"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
     assert all("outside the cone" in line for line in lines[4:6])
-    assert "different columns" in lines[6] and "inverse Cartan" in lines[7]
+    assert "different columns" in lines[6] and "is singular" in lines[7]
     assert all("not an integer" in line for line in lines[8:10])
     assert "non-integer" in lines[10] and "7 slots" in lines[11]
     assert all("not the product of its table" in line for line in lines[12:14])

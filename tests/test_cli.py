@@ -86,6 +86,14 @@ def test_gamma_images_must_permute_the_nodes(capsys, command, images):
     assert err == "error: gamma images %s are not a permutation of 1..3\n" % images
 
 
+@pytest.mark.parametrize("command", ["fold", "nmaps"])
+def test_gamma_images_must_be_integers(capsys, command):
+    extra = ["--a", "1,0,0", "--b", "0,1,0"] if command == "nmaps" else []
+    code, out, err = run(capsys, command, "--type", "A3", "--gamma", "perm:x", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: bad gamma 'perm:x'\n"
+
+
 @pytest.mark.parametrize("flag", ["--levi", "--gamma"])
 def test_fold_empty_levi_or_gamma_errors(capsys, flag):
     # an empty value is bad input, not "all nodes" or the trivial group
@@ -111,11 +119,21 @@ GOLDEN_SHA1 = {
     ("fold", "--type", "C3", "--levi", "1,2"): "00fa22ba21275ae6cffa62ce5ce3a0aeede28307",
     ("nmaps", "--type", "C3", "--levi", "1,2", "--a", "1,0", "--b", "0,1"):
         "3cab54aa7be184d49f685e305a5edf11cb021925",
+    ("nmaps", "--type", "G2", "--a", "1,0", "--b", "0,1"):
+        "48ada52eae05530986daafebadbff0063c406875",
+    ("nmaps", "--type", "B3", "--levi", "1,2", "--a", "1,0", "--b", "0,1"):
+        "64b6479b39204c3b150482e371e51b16716fc52a",
 }
 CASES_REPORT_SHA1 = "dec1a282040df051ab69793472587a57c505de9f"
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA1), ids=lambda argv: argv[0])
+def golden_id(argv):
+    # the first pin of each command keeps the bare command name
+    first = next(key for key in GOLDEN_SHA1 if key[0] == argv[0])
+    return argv[0] if argv == first else "%s-%s" % (argv[0], argv[2])
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA1), ids=golden_id)
 def test_golden_output_sha1(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
