@@ -74,9 +74,9 @@ A column entry is a raw term dict of :class:`~relroots.polyring.PolyElem`
 factor's word term is its coefficient's own ``terms``, and a product of
 two terms is one integer addition, so the localized C2/G2 identities take
 the same path as the polynomial tables.  Column work does not reduce by
-w (eps^2 - eps) = 1, so two equal entries can differ raw; equality, the
-identity test and ``collect`` compare and read entries as the PolyElem
-they build, which is reduced.  No slot may pass 2^16 - 1: a running
+w (eps^2 - eps) = 1, so two equal entries can differ raw; equality and
+``collect``, its residual test included, compare and read entries as the
+PolyElem they build, which is reduced.  No slot may pass 2^16 - 1: a running
 bound, the sum over factors x(t) of (number of divided powers of ad e) *
 (largest slot of any key of t), is checked before any column work, and a
 word that could overflow raises ``SlotOverflow``.  The largest slot of a
@@ -354,9 +354,6 @@ class UnipotentMatrix:
         """The carried column as {"h_f": {row: PolyElem}}, zero entries dropped."""
         vals = ((i, PolyElem(self.registry, d)) for i, d in self.packed.items())
         return {"h_f": {i: v for i, v in vals if not v.is_zero()}}
-
-    def is_identity(self):
-        return _vanishes(self.registry, self.packed)
 
     def __eq__(self, other):
         if not isinstance(other, UnipotentMatrix):

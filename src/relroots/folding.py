@@ -247,39 +247,40 @@ class RelativeRoot:
 
 
 class RelativeRootSystem:
+    """``fibers`` maps the coordinate tuple of each relative root to its
+    fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
+    node j, or ``rank`` for a node outside J."""
+
     def __init__(self, spec: FoldingSpec):
         spec.validate()
         self.spec = spec
         self.rs = build_root_system(spec.root_type)
-        jset = set(spec.levi)
-        orbit_of = {}
-        orbits = []
-        for i in sorted(jset):
-            if i in orbit_of:
-                continue
-            orbit = tuple(sorted({a(i) for a in spec.gamma}))
-            orbits.append(orbit)
-            for j in orbit:
-                orbit_of[j] = len(orbits) - 1
+        orbits, index = [], [None] * spec.root_type.rank
+        for i in sorted(set(spec.levi)):
+            if index[i] is None:
+                orbit = tuple(sorted({a(i) for a in spec.gamma}))
+                for j in orbit:
+                    index[j] = len(orbits)
+                orbits.append(orbit)
         self.orbits = tuple(orbits)
         self.rank = len(orbits)
-        # projection matrix: rows indexed by orbits, columns by nodes
-        self.proj_matrix = tuple(
-            tuple(1 if j in set(orbit) else 0 for j in range(spec.root_type.rank))
-            for orbit in orbits)
+        self.orbit_index = tuple(self.rank if k is None else k for k in index)
+        # project every root at once: orbit k sums columns orbit[k] of the roots
+        cols = tuple(zip(*self.rs.roots))
+        projected = zip(*[cols[o[0]] if len(o) == 1 else tuple(map(sum, zip(*map(
+            cols.__getitem__, o)))) for o in orbits])
         fibers = {}
-        for root in self.rs.roots:
-            c = self.project_coords(root)
+        for root, c in zip(self.rs.roots, projected):
             if any(c):
                 fibers.setdefault(c, []).append(root)
         # the roots are in increasing order, so each fiber is too
-        self.fibers = {RelativeRoot(c): tuple(f) for c, f in fibers.items()}
-        self.rel_roots = frozenset(self.fibers)
-        self.rel_coords = frozenset(A.coords for A in self.rel_roots)
-        for A in self.rel_roots:
-            signs = {c > 0 for c in A.coords if c}
-            if len(signs) != 1:
-                raise AssertionError("mixed-sign relative root %s" % A)
+        self.fibers = {c: tuple(f) for c, f in fibers.items()}
+        self.rel_coords = frozenset(self.fibers)
+        self.rel_roots = frozenset(map(RelativeRoot, self.fibers))
+        for c in self.rel_coords:
+            if len({x > 0 for x in c if x}) != 1:
+                raise AssertionError("mixed-sign relative root %s" % root_str(c))
+        self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
     def project_coords(self, coords):
         return tuple(sum(coords[j] for j in orbit) for orbit in self.orbits)
@@ -292,7 +293,7 @@ class RelativeRootSystem:
         return A.coords in self.rel_coords
 
     def fiber(self, A):
-        return self.fibers[A]
+        return self.fibers[A.coords]
 
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
@@ -355,9 +356,10 @@ class DecompositionError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def _diagram_adjacency(rs):
     l = rs.rank
-    return {i: [j for j in range(l) if j != i and rs.cartan[i][j] != 0]
+    return {i: tuple(j for j in range(l) if j != i and rs.cartan[i][j] != 0)
             for i in range(l)}
 
 
@@ -429,18 +431,23 @@ def decompose_relative_root(rrs: RelativeRootSystem, A: RelativeRoot):
     a single relative simple root borrow a chain through the nearest other
     J-node; anything else splits off the last J-node of a root chain.
     Negative A takes the negated split of -A (the clauses are symmetric
-    under negation).  The split is checked exactly once, by
-    ``check_lemma1_decomposition``.  A recipe step or clause that fails
-    raises DecompositionError naming A, so a gap in the recipe shows as a
-    failed case.
+    under negation): the recipe runs once per +-pair, for whichever sign
+    comes first, and ``rrs`` keeps the split for the other.  The split of
+    each sign is checked once, by ``check_lemma1_decomposition``.  A
+    recipe step or clause that fails raises DecompositionError naming A,
+    so a gap in the recipe shows as a failed case.
     """
     if A not in rrs:
         raise DecompositionError("%s is not a relative root" % A)
     if rrs.rank < 2:
         raise DecompositionError("relative root %s lies in a rank-1 component" % A)
     sign = 1 if A.is_positive() else -1
+    P = A if sign > 0 else -A
     try:
-        B, C = (R.scaled(sign) for R in _decompose_positive(rrs, A.scaled(sign)))
+        split = rrs._splits.get(P.coords)
+        if split is None:
+            split = rrs._splits[P.coords] = _decompose_positive(rrs, P)
+        B, C = split if sign > 0 else (-split[0], -split[1])
         check_lemma1_decomposition(rrs, A, B, C)
     except AssertionError as exc:
         raise DecompositionError("no valid decomposition found for %s: %s" % (A, exc))

@@ -30,15 +30,15 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
                         invert_factors, product_of_root_elements)
 from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
                       classify_relative_type, parse_folding_spec)
-from .polyring import VarRegistry, _decode, evaluate, row_reduce
-from .rootcore import (MULTIPLE_BOUND, VerificationError, collinear, multiples, require,
-                       splits)
+from .polyring import PolyElem, VarRegistry, _decode, row_reduce
+from .rootcore import (MULTIPLE_BOUND, MULTIPLE_PAIRS, VerificationError, collinear,
+                       require, splits)
 
 
 class RelcalcError(ValueError):
@@ -69,8 +69,8 @@ def _relative_cone(rrs, A, B):
     f is positive on the fiber of every iA + jB (i, j >= 0, i + j > 0), so
     every word of an N-map table lies in one half-space.
     """
-    g = cone_weights(A.coords, B.coords)
-    return tuple(sum(map(mul, g, col)) for col in zip(*rrs.proj_matrix))
+    g = cone_weights(A.coords, B.coords) + (0,)  # g[rank] = 0 for the nodes outside J
+    return tuple([g[k] for k in rrs.orbit_index])
 
 
 @dataclass
@@ -89,23 +89,41 @@ class NMapTable:
     u_index: dict  # root (coordinate tuple) in fiber(A) -> registry variable position
     v_index: dict
     entries: dict = field(default_factory=dict)  # (i,j) -> {root: PolyElem}
+    # (i,j) -> [(root, [(coeff, [(variable, exponent), ...]), ...])], by ``evaluate``
+    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def pairs(self):
         return sorted(self.entries, key=lambda ij: (ij[0] + ij[1], ij[0]))
 
     def evaluate(self, i, j, u_coords, v_coords):
-        """N_{ABij} at concrete coordinates (root -> number)."""
-        vals = {}
+        """N_{ABij} at concrete coordinates (root -> number); each entry's
+        terms, none with w (``_verify_table``), are decoded on the first call."""
+        n = len(self.registry.names)
+        vals = [0] * n
         for alpha, k in self.u_index.items():
             vals[k] = u_coords.get(alpha, 0)
         for beta, k in self.v_index.items():
             vals[k] = v_coords.get(beta, 0)
-        return {gamma: _integral(evaluate(p, vals))
-                for gamma, p in self.entries.get((i, j), {}).items()}
+        compiled = self._compiled.get((i, j))
+        if compiled is None:
+            compiled = self._compiled[(i, j)] = [
+                (gamma, [(c, [(k, e) for k, e in enumerate(_decode(key, n)[0]) if e])
+                         for key, c in p.terms.items()])
+                for gamma, p in self.entries.get((i, j), {}).items()]
+        out = {}
+        for gamma, terms in compiled:
+            total = 0
+            for c, mono in terms:
+                for k, e in mono:
+                    c *= vals[k] ** e
+                total += c
+            out[gamma] = _integral(total)
+        return out
 
 
 def _integral(value):
-    require(Fraction(value).denominator == 1, "N-map value %s is not an integer", value)
+    if type(value) is not int:
+        require(Fraction(value).denominator == 1, "N-map value %s is not an integer", value)
     return int(value)
 
 
@@ -121,16 +139,11 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     reg = VarRegistry(names)
     u_index = {alpha: k for k, alpha in enumerate(fa)}
     v_index = {beta: len(fa) + k for k, beta in enumerate(fb)}
-    word = commutator_factors(
-        [(alpha, reg.var("u%d" % k)) for k, alpha in enumerate(fa)],
-        [(beta, reg.var("v%d" % k)) for k, beta in enumerate(fb)])
+    x = [PolyElem(reg, {unit: 1}, _canonical=True) for unit in reg.units]  # the variables
+    word = commutator_factors(zip(fa, x), zip(fb, x[len(fa):]))
     U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
 
-    slots, owner = [], {}
-    for (i, j) in multiples(A.coords, B.coords, rrs.rel_coords):
-        for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
-            slots.append(gamma)
-            owner[gamma] = (i, j)
+    slots, owner = _table_slots(rrs, A, B)
     coeffs = collect(cb, U, slots)
 
     table = NMapTable(rrs, A, B, reg, u_index, v_index)
@@ -138,6 +151,19 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
         table.entries.setdefault(owner[gamma], {})[gamma] = p
     _verify_table(rrs, cb, table, U, slots, owner)
     return table
+
+
+def _table_slots(rrs, A, B):
+    """The fibers of the relative roots iA + jB, (i, j) in the order of
+    ``multiples``, as slots, and the (i, j) that owns each slot."""
+    slots, owner = [], {}
+    ab = list(zip(A.coords, B.coords))
+    for ij in MULTIPLE_PAIRS:
+        i, j = ij
+        for gamma in rrs.fibers.get(tuple([i * a + j * b for a, b in ab]), ()):
+            slots.append(gamma)
+            owner[gamma] = ij
+    return slots, owner
 
 
 def _verify_table(rrs, cb, table, U, slots, owner):
@@ -254,11 +280,11 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
       d -- the fibers of A and B contain long roots summing to a root.
     """
     _require_split(rrs)
-    if A + B not in rrs:
+    target = rrs.fibers.get(tuple(map(add, A.coords, B.coords)))
+    if target is None:
         raise RelcalcError("A+B is not a relative root")
     rs = rrs.rs
     fa, fb = rrs.fiber(A), rrs.fiber(B)
-    target = rrs.fiber(A + B)
     laced = rs.type.series in ("B", "C", "F")
     unit_abs = {abs(x) for x in units}
 
@@ -290,6 +316,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
             raise CaseHypothesisError("no summable long pair in the fibers")
         require(_long_roots_single_weyl_orbit(rs),
                 "long roots are not a single Weyl orbit")
+        longs = [al for al in fa if al in rs.long_roots]
+        long_seconds = rs.long_roots.intersection(fb)
         unit_abs = {1}
     else:
         raise RelcalcError("unknown case %r" % (case,))
@@ -300,13 +328,12 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     # (1,1) term is some u_al v_be with an integer coefficient
     var_keys = table.registry.units
     entries11 = table.entries.get((1, 1), {})
-    longs = [al for al in fa if al in rs.long_roots]
     seconds = set(fb)
     witnesses = {}
     for gamma in target:
         firsts, among = fa, seconds
         if case == "d" and gamma in rs.long_roots:
-            firsts, among = longs, seconds & rs.long_roots
+            firsts, among = longs, long_seconds
         found = next(((al, be, cb.struct_const(al, be))
                       for al, be, _ in splits(gamma, firsts, among, ((1, 1),))
                       if abs(cb.struct_const(al, be)) in unit_abs), None)

@@ -17,6 +17,7 @@ from relroots.folding import (
     classify_relative_type,
     decompose_relative_root,
     enumerate_diagram_automorphisms,
+    enumerate_foldings,
     parse_folding_spec,
     trivial_gamma,
 )
@@ -144,11 +145,27 @@ def test_projection_is_gamma_invariant():
                 assert rrs.project_coords(moved) == rrs.project_coords(r)
 
 
+def test_gathered_fibers_match_the_projection():
+    # the fibers built by projecting every root at once against the
+    # orbit sums of each root on its own, for every Gamma up to rank 6
+    for spec in enumerate_foldings(6):
+        rrs = build_relative_system(spec)
+        want = {}
+        for r in rrs.rs.roots:
+            c = rrs.project_coords(r)
+            if any(c):
+                want.setdefault(c, []).append(r)
+        assert rrs.fibers == {c: tuple(f) for c, f in want.items()}, spec
+        assert list(rrs.fibers) == list(want), spec
+        for j, k in enumerate(rrs.orbit_index):
+            assert (j in rrs.orbits[k]) if k < rrs.rank else j not in rrs.spec.levi
+
+
 def test_sign_and_level_coherence():
     for text in ["A3 gamma=flip", "C3 levi=1,2", "D4 gamma=triality"]:
         rrs = fold(text)
-        for A, fiber in rrs.fibers.items():
-            root_signs = {sum(r) > 0 for r in fiber}
+        for A in rrs.rel_roots:
+            root_signs = {sum(r) > 0 for r in rrs.fiber(A)}
             assert root_signs == {A.is_positive()}
         assert {-A for A in rrs.rel_roots} == set(rrs.rel_roots)
 
@@ -269,6 +286,30 @@ def test_broken_recipe_is_a_fail_row(monkeypatch):
     assert broken_case.witness == ("no valid decomposition found for (-1,-1): "
                                    "1*B+2*C does not increase the level")
     assert {c.status for c in cases.values()} == {"pass", "skipped"}
+
+
+def test_recipe_runs_once_per_pair_and_checker_once_per_root(monkeypatch):
+    recipe, check = folding._decompose_positive, folding.check_lemma1_decomposition
+    decomposed, checked = [], []
+
+    def counted_recipe(rrs, P):
+        decomposed.append((str(rrs.spec), P.coords))
+        return recipe(rrs, P)
+
+    def counted_check(rrs, A, B, C):
+        checked.append((str(rrs.spec), A.coords))
+        return check(rrs, A, B, C)
+
+    monkeypatch.setattr(folding, "_decompose_positive", counted_recipe)
+    monkeypatch.setattr(folding, "check_lemma1_decomposition", counted_check)
+    cases = verify_lemma1_catalog(4)
+    assert {c.status for c in cases} == {"pass", "skipped"}
+    roots = [(str(spec), A.coords) for spec in enumerate_foldings(4)
+             for rrs in [build_relative_system(spec)] if rrs.rank >= 2
+             for A in rrs.rel_roots]
+    assert sorted(checked) == sorted(roots)
+    assert sorted(decomposed) == sorted(r for r in roots if sum(r[1]) > 0)
+    assert 2 * len(decomposed) == len(checked) > 0
 
 
 @pytest.mark.parametrize("text", FOLDS_FOR_SWEEP)

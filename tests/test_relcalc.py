@@ -1,7 +1,9 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+from operator import mul
 
 import pytest
 from lie_oracles import full_product
@@ -12,10 +14,12 @@ from relroots.chevalley import (
     adjoint_root_element,
     build_chevalley_basis,
     commutator_factors,
+    cone_weights,
     product_of_root_elements,
 )
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
-from relroots.polyring import PolyElem, VarRegistry, _decode
+from relroots.folding import (RelativeRoot, build_relative_system, enumerate_foldings,
+                              parse_folding_spec)
+from relroots.polyring import PolyElem, VarRegistry, _decode, evaluate
 from relroots.relcalc import (
     CaseHypothesisError,
     RelcalcError,
@@ -65,7 +69,8 @@ def test_embed_zero_is_identity(c3_bc2):
     A = RelativeRoot((0, 1))
     reg = VarRegistry(["t"])
     word = relative_factors(rrs, A, {alpha: reg.zero() for alpha in rrs.fiber(A)})
-    assert product_of_root_elements(cb, reg, word, (1, 1, 1)).is_identity()
+    assert (product_of_root_elements(cb, reg, word, (1, 1, 1))
+            == product_of_root_elements(cb, reg, [], (1, 1, 1)))
 
 
 def test_embed_multi_factor_fiber():
@@ -78,7 +83,8 @@ def test_embed_multi_factor_fiber():
     coords = {alpha: reg.var(n) for alpha, n in zip(fiber, names)}
     word = relative_factors(rrs, A, coords)
     assert [root for root, _ in word] == list(fiber)
-    assert not product_of_root_elements(cb, reg, word, (1, 1, 1, 1)).is_identity()
+    assert not (product_of_root_elements(cb, reg, word, (1, 1, 1, 1))
+                == product_of_root_elements(cb, reg, [], (1, 1, 1, 1)))
 
 
 def test_embed_rejects_nontrivial_gamma():
@@ -339,3 +345,57 @@ def test_lemma3_rejects_odd_or_small():
     for bad in (3, 5, 2):
         with pytest.raises(RelcalcError):
             check_spanning_lemma3(bad)
+
+
+def test_table_slots_and_cone_match_their_definitions():
+    # the coordinate-keyed slots against multiples and the fibers of
+    # A.scaled(i) + B.scaled(j), and the gathered cone against the weights
+    # pulled back through the projection matrix, on every non-collinear pair
+    specs = enumerate_foldings(5, trivial_only=True)
+    assert {"C3 gamma=trivial levi=1,2", "F4 gamma=trivial levi=1,4",
+            "G2 gamma=trivial levi=1,2"} <= set(map(str, specs))
+    pairs = 0
+    for spec in specs:
+        rrs = build_relative_system(spec)
+        proj = [[int(j in orbit) for j in range(rrs.rs.rank)] for orbit in rrs.orbits]
+        for A, B in itertools.product(rrs.rel_roots, repeat=2):
+            if collinear(A.coords, B.coords):
+                continue
+            slots, owner = [], {}
+            for i, j in multiples(A.coords, B.coords, rrs.rel_coords):
+                for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
+                    slots.append(gamma)
+                    owner[gamma] = (i, j)
+            assert relcalc._table_slots(rrs, A, B) == (slots, owner)
+            g = cone_weights(A.coords, B.coords)
+            assert relcalc._relative_cone(rrs, A, B) == tuple(
+                sum(map(mul, g, col)) for col in zip(*proj))
+            pairs += 1
+    assert pairs > 10000
+
+
+def test_compiled_evaluate_matches_polynomial_evaluation(monkeypatch):
+    # every table the Lemma 3 span (l = 4) and the lemma2 spanning case
+    # build, at random integer points with zeros and at 0
+    tables, build = [], relcalc.compute_relative_commutator_maps
+
+    def recorded(rrs, cb, A, B):
+        tables.append(build(rrs, cb, A, B))
+        return tables[-1]
+
+    monkeypatch.setattr(relcalc, "compute_relative_commutator_maps", recorded)
+    check_spanning_lemma3(4)
+    rrs, cb = setup_fold("C3 levi=1,2")
+    check_spanning_lemma2_2(rrs, cb, RelativeRoot((1, 1)), RelativeRoot((0, 1)))
+    assert len(tables) == 5
+    rng = random.Random(0)
+    for table in tables:
+        n = len(table.registry.names)
+        points = [dict.fromkeys(range(n), 0)] + [
+            {k: rng.choice((0, 0, rng.randint(-9, 9))) for k in range(n)} for _ in range(50)]
+        for vals in points:
+            u = {al: vals[k] for al, k in table.u_index.items()}
+            v = {be: vals[k] for be, k in table.v_index.items()}
+            for i, j in table.pairs():
+                assert table.evaluate(i, j, u, v) == {
+                    gamma: evaluate(p, vals) for gamma, p in table.entries[(i, j)].items()}
