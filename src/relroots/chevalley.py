@@ -67,7 +67,10 @@ half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
 and beta.  ``collected_commutator`` returns its normal form there, a word
 on the roots i*alpha + j*beta, which may then stand inside a word of
 another half-space.  The residual check of the collection proves the
-rewrite for the s and t given.
+rewrite for the s and t given.  ``commutator_constants`` reads the C_ij
+off it over Z[s, t], and ``unit_split``, the one search for a commutator
+witness with a unit constant, reads C_11 = N_{alpha,beta} and any other
+C_ij there.
 
 A column entry is a raw term dict of :class:`~relroots.polyring.PolyElem`
 ({packed exponent: coefficient}, see ``relroots.polyring``): each
@@ -120,7 +123,6 @@ class ChevalleyBasis:
         self._pos_set = set(pos)
         self._pos_order = {c: i for i, c in enumerate(pos)}
         self._extraspecial = self._find_extraspecial()
-        self._norm_cache = {}
         self._n_cache = {}
         self._exp_cache = {}
         # h_f = (C^T)^-1 form must exist for every cone (module docstring)
@@ -140,13 +142,6 @@ class ChevalleyBasis:
                 require(split, "no decomposition for %s", gamma)
                 esp[gamma] = split[:2]
         return esp
-
-    def _norm(self, coords):
-        """|coords|^2, each root's Gram sum taken once per basis."""
-        norm = self._norm_cache.get(coords)
-        if norm is None:
-            norm = self._norm_cache[coords] = self.rs._norm(coords)
-        return norm
 
     def _string_p(self, a, b):
         """max i with b - i*a a root."""
@@ -180,7 +175,7 @@ class ChevalleyBasis:
         # a positive, b negative
         if s in self._pos_set:
             # cyclic relation for a + b + (-s) = 0
-            ratio = Fraction(self._norm(s), self._norm(a))
+            ratio = Fraction(self.rs.norms[s], self.rs.norms[a])
             val = -ratio * self.struct_const(tuple(-x for x in b), s)
         else:
             val = -self.struct_const(tuple(-x for x in a), tuple(-x for x in b))
@@ -585,6 +580,24 @@ def commutator_constants(cb, alpha, beta):
                 coeff, alpha, beta)
         table[(i, j)] = coeff
     return table
+
+
+def unit_split(cb, gamma, firsts, seconds, ij=(1, 1), units=frozenset({1}), clean=False):
+    """The first (alpha, beta, C_ij) of ``splits(gamma, firsts, seconds,
+    (ij,))`` with |C_ij| in ``units``, or None; with ``clean``, 2*alpha +
+    beta must not be a root.
+
+    C_11 is the structure constant N_{alpha,beta}; any other C_ij is read
+    from the ``commutator_constants`` of the pair.
+    """
+    for alpha, beta, _ in splits(gamma, firsts, seconds, (ij,)):
+        if clean and tuple(2 * a + b for a, b in zip(alpha, beta)) in cb.rs:
+            continue
+        c = (cb.struct_const(alpha, beta) if ij == (1, 1)
+             else commutator_constants(cb, alpha, beta).get(ij, 0))
+        if abs(c) in units:
+            return alpha, beta, c
+    return None
 
 
 def _check_not_opposite_ray(alpha, beta):

@@ -2,9 +2,9 @@
 
 Multivariate polynomials with rational coefficients over a fixed ordered
 set of indeterminates, in the ring localized at ``eps**2 - eps`` when one
-of them is ``eps`` (the only localization the identities need), their
-exact evaluation, and the one exact row reduction over Q and F_p that
-every linear-algebra question here uses.
+of them is ``eps`` (the only localization the identities need), and the
+one exact row reduction over Q and F_p that every linear-algebra question
+here uses.
 
 A :class:`PolyElem` over n variables is one dict {packed exponent:
 coefficient}.  The int key holds the exponent of variable i in bits
@@ -274,31 +274,6 @@ class PolyElem:
                 factors.append("(eps^2-eps)^-%d" % w)
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def evaluate(p, values):
-    """The exact value of ``p`` at variable i = ``values.get(i, 0)``.
-
-    A term with a zero-valued variable is skipped by one mask test on its
-    key; a term carrying w never is, and a polynomial with any such term
-    (an eps denominator) cannot be evaluated."""
-    n = len(p.registry.names)
-    zero = 0
-    for i, unit in enumerate(p.registry.units):
-        if not values.get(i, 0):
-            zero |= _SLOT_MAX * unit
-    w1 = p.registry.w_unit
-    total = 0  # exact: ints stay ints, a Fraction stays a Fraction
-    for key, coeff in p.terms.items():
-        if key & zero and key < w1:
-            continue
-        exp, w = _decode(key, n)
-        require(not w, "cannot evaluate a polynomial with an eps denominator")
-        for k, e in enumerate(exp):
-            if e:
-                coeff *= values[k] ** e
-        total += coeff
-    return total
 
 
 # -- exact linear algebra -----------------------------------------------

@@ -17,7 +17,7 @@ Every root of these words lies in the half-space f > 0 of
 spanning verifications used by the perfectness argument: unit-coefficient
 witnesses for N_{AB11}, and exact linear-span oracles over the rationals
 and small prime fields.  A witness alpha + beta = gamma is found by
-``rootcore.splits`` from the integer structure constant N_{alpha,beta},
+``chevalley.unit_split`` from the integer structure constant N_{alpha,beta},
 not from the table; evaluating the table at u_alpha = v_beta = 1 then
 re-checks it: that value is the table's coefficient of u_alpha v_beta in
 each (1,1) entry, read off the packed terms, so the table is an oracle
@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import add
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
-                        invert_factors, product_of_root_elements)
+                        invert_factors, product_of_root_elements, unit_split)
 from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
                       classify_relative_type, parse_folding_spec)
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
@@ -251,25 +251,6 @@ def check_sum_formula(rrs, cb, A):
 # -- surjectivity of N_AB11 (four unit-coefficient cases) ----------------
 
 
-def _long_roots_single_weyl_orbit(rs):
-    """Simple reflections act transitively on the long roots."""
-    longs = rs.long_roots
-    start = min(longs)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        c = frontier.pop()
-        for i in range(rs.rank):
-            n = rs._pairing_coords(c, i)
-            refl = list(c)
-            refl[i] -= n
-            refl = tuple(refl)
-            if refl in longs and refl not in seen:
-                seen.add(refl)
-                frontier.append(refl)
-    return seen == longs
-
-
 def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     """Unit-coefficient witnesses that N_AB11 covers every target basis vector.
 
@@ -314,7 +295,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
                       and rs.sum_is_root(al, be)]
         if not (laced and long_pairs):
             raise CaseHypothesisError("no summable long pair in the fibers")
-        require(_long_roots_single_weyl_orbit(rs),
+        # simple reflections act transitively on the long roots
+        require(rs.orbit({min(rs.long_roots)}) == rs.long_roots,
                 "long roots are not a single Weyl orbit")
         longs = [al for al in fa if al in rs.long_roots]
         long_seconds = rs.long_roots.intersection(fb)
@@ -334,9 +316,7 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         firsts, among = fa, seconds
         if case == "d" and gamma in rs.long_roots:
             firsts, among = longs, long_seconds
-        found = next(((al, be, cb.struct_const(al, be))
-                      for al, be, _ in splits(gamma, firsts, among, ((1, 1),))
-                      if abs(cb.struct_const(al, be)) in unit_abs), None)
+        found = unit_split(cb, gamma, firsts, among, units=unit_abs)
         require(found, "no unit hit for %s (falsifies surjectivity case %s)",
                 gamma, case)
         al, be, c = found

@@ -9,14 +9,16 @@ integer), so there are no irrational norms anywhere.  The Cartan integers
 2 g_ij / g_ii are checked integral when they are built, and every pairing
 <beta, alpha_i^vee> is then the integer sum over j of beta_j times the
 Cartan integer <alpha_j, alpha_i^vee>; squared lengths, which fix the
-length classes, are integer quadratic forms.  The full root set is
-generated by closing the simple roots under the simple reflections and is
-cross-checked against the closed-form root counts.
+length classes, are integer quadratic forms, taken once per root in
+``RootSystem.norms``.  ``RootSystem.orbit`` closes a set of roots under
+the simple reflections: the orbit of the simple roots is the full root
+set, cross-checked against the closed-form root counts.
 
 Three helpers read pairs of coordinate tuples: ``collinear``,
 ``multiples`` (the i*a + j*b that are roots) and ``splits`` (the pairs
 whose i*beta + j*gamma is a given root), the one search behind every
-commutator witness.  Relative roots reach them by their ``coords``.
+commutator witness; ``chevalley.unit_split`` takes its first split with a
+unit constant.  Relative roots reach them by their ``coords``.
 """
 
 from __future__ import annotations
@@ -173,10 +175,10 @@ class RootSystem:
 
     Immutable after construction.  A root is its coordinate tuple over the
     simple roots; ``roots`` lists them in increasing order, ``root_set``
-    holds them for lookups and ``long_roots`` holds the long ones (every
-    root of a simply laced type).  ``cartan[i][j]`` is the Cartan integer
-    <alpha_j, alpha_i^vee>, so the simple reflection s_i acts by
-    ``beta - <beta, alpha_i^vee> * alpha_i``.
+    holds them for lookups, ``norms`` maps each to its squared length and
+    ``long_roots`` holds the long ones (every root of a simply laced type).
+    ``cartan[i][j]`` is the Cartan integer <alpha_j, alpha_i^vee>, so the
+    simple reflection s_i acts by ``beta - <beta, alpha_i^vee> * alpha_i``.
     """
 
     def __init__(self, root_type: RootType):
@@ -185,11 +187,12 @@ class RootSystem:
         self.gram = _gram_matrix(root_type)
         self.cartan = _cartan_matrix(self.gram)
         l = self.rank
-        self.roots = tuple(sorted(self._generate()))
-        self.root_set = frozenset(self.roots)
-        long_norm = max(self._norm(c) for c in self.roots)
-        self.long_roots = frozenset(c for c in self.roots if self._norm(c) == long_norm)
         self.simple_roots = tuple(tuple(int(j == i) for j in range(l)) for i in range(l))
+        self.root_set = self.orbit(self.simple_roots)
+        self.roots = tuple(sorted(self.root_set))
+        self.norms = {c: self._norm(c) for c in self.roots}
+        long_norm = max(self.norms.values())
+        self.long_roots = frozenset(c for c, n in self.norms.items() if n == long_norm)
         expected = ROOT_COUNT[root_type.series](l)
         if len(self.roots) != expected:
             raise AssertionError("generated %d roots for %s, expected %d"
@@ -206,25 +209,20 @@ class RootSystem:
         """<coords, alpha_i^vee> = sum_j coords_j <alpha_j, alpha_i^vee>, an integer."""
         return sum(map(mul, coords, self.cartan[i]))
 
-    def _generate(self):
-        l = self.rank
-        frontier = {tuple(1 if j == i else 0 for j in range(l)) for i in range(l)}
-        seen = set(frontier)
+    def orbit(self, seeds):
+        """The closure of the coordinate tuples ``seeds`` under the simple
+        reflections s_i, a frozenset."""
+        seen = set(seeds)
+        frontier = list(seen)
         while frontier:
-            nxt = set()
-            for c in frontier:
-                for i in range(l):
-                    n = self._pairing_coords(c, i)
-                    if n == 0:
-                        continue
-                    refl = list(c)
-                    refl[i] -= n
-                    refl = tuple(refl)
-                    if refl not in seen:
-                        seen.add(refl)
-                        nxt.add(refl)
-            frontier = nxt
-        return seen | {tuple(-x for x in c) for c in seen}
+            c = frontier.pop()
+            for i in range(self.rank):
+                n = self._pairing_coords(c, i)
+                refl = c[:i] + (c[i] - n,) + c[i + 1:]
+                if refl not in seen:
+                    seen.add(refl)
+                    frontier.append(refl)
+        return frozenset(seen)
 
     # -- lookups ---------------------------------------------------------
 
@@ -255,7 +253,7 @@ class RootSystem:
 
     def coroot_coords(self, alpha):
         """alpha^vee as an integer vector over the simple coroots."""
-        na = self._norm(alpha)
+        na = self.norms[alpha]
         out = []
         for i, k in enumerate(alpha):
             v, rem = divmod(k * self.gram[i][i], na)

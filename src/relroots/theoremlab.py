@@ -37,11 +37,11 @@ from .chevalley import (
     build_chevalley_basis,
     collect,
     collected_commutator,
-    commutator_constants,
     commutator_factors,
     cone_weights,
     invert_factors,
     product_of_root_elements,
+    unit_split,
 )
 from .folding import (
     DecompositionError,
@@ -51,12 +51,11 @@ from .folding import (
     enumerate_foldings,
     parse_folding_spec,
 )
-from .polyring import PolyElem, VarRegistry, _decode, _require_slot
+from .polyring import VarRegistry
 from .rootcore import (
     RootType,
     VerificationError,
     build_root_system,
-    multiples,
     require,
     root_str,
     splits,
@@ -316,12 +315,9 @@ def _schema_f4_long(k):
     longs = [r for r in rs.roots if r in rs.long_roots]
 
     def witness(A):
-        clean = [(B, C) for B, C, _ in splits(A, longs, rs.long_roots, ((1, 1),))
-                 if multiples(B, C, rs.root_set) == [(1, 1)]]
-        require(clean, "no clean long pair")
-        B, C = clean[0]
-        n = cb.struct_const(B, C)
-        require(abs(n) == 1, "constant of %s, %s is not a unit", B, C)
+        got = unit_split(cb, A, longs, rs.long_roots, clean=True)
+        require(got, "no unit clean long pair for %s", A)
+        B, C, n = got
         word = commutator_factors([(B, Z)],
                                   [(C, (reg.var("Z", k - 1) * v).scale(n))])
         cone = cone_weights(B, C)
@@ -362,24 +358,31 @@ def _schema_bl_pairs(l):
             for A in rel_roots]
 
 
-def _unit_split(rrs, cb, src_rel, mid_rel, gamma, ij, clean=False):
-    """(alpha, beta, C_ij) with i*alpha + j*beta = gamma for ``ij`` = (i, j)
-    and |C_ij| = 1, alpha in the fiber of ``src_rel`` (in fiber order) and
-    beta in that of ``mid_rel``; with ``clean``, also 2*alpha + beta not a
-    root.  None if no pair qualifies.
+def _cancelled_chain(cb, reg, k, v, gamma, hit, canceller, clean):
+    """A word for x_gamma(Z^k v), gamma = 2 alpha + beta: the unit (2,1)
+    commutator [x_alpha(Z), x_beta(C_21 Z^{k-2} v)], which is
+    x_{alpha+beta}(N_{alpha,beta} C_21 Z^{k-1} v) x_gamma(Z^k v), times
+    [x_mu(-(N_{alpha,beta} C_21 / n) Z v), x_nu(Z^{k-2})], which cancels
+    the factor on alpha + beta = mu + nu.
 
-    C_11 is the structure constant N_{alpha,beta}; any other C_ij is read
-    from the ``commutator_constants`` of the pair.
+    (alpha, beta, C_21) is the first unit (2,1) split of gamma over the
+    fibers ``hit`` and (mu, nu, n) the first unit split of alpha + beta
+    over ``canceller`` (``clean`` as in ``unit_split``).  Returns the word
+    and (alpha, beta, C_21, alpha + beta); the caller's identity check
+    proves it.
     """
-    rs = rrs.rs
-    for alpha, beta, _ in splits(gamma, rrs.fiber(src_rel), set(rrs.fiber(mid_rel)), (ij,)):
-        if clean and tuple(2 * a + b for a, b in zip(alpha, beta)) in rs:
-            continue
-        c = (cb.struct_const(alpha, beta) if ij == (1, 1)
-             else commutator_constants(cb, alpha, beta).get(ij, 0))
-        if abs(c) == 1:
-            return alpha, beta, c
-    return None
+    found = unit_split(cb, gamma, *hit, ij=(2, 1))
+    require(found, "no unit (2,1) pair for %s", gamma)
+    alpha, beta, c21 = found
+    byproduct = tuple(a + b for a, b in zip(alpha, beta))
+    found = unit_split(cb, byproduct, *canceller, clean=clean)
+    require(found, "no unit canceller for %s", byproduct)
+    mu, nu, n = found
+    Z, zk2 = reg.var("Z"), reg.var("Z", k - 2)
+    c = -Fraction(cb.struct_const(alpha, beta) * c21, n)
+    word = (commutator_factors([(alpha, Z)], [(beta, (zk2 * v).scale(c21))])
+            + commutator_factors([(mu, (Z * v).scale(c))], [(nu, zk2)]))
+    return word, (alpha, beta, c21, byproduct)
 
 
 def _schema_cl_bc2(l, k):
@@ -407,62 +410,23 @@ def _schema_cl_bc2(l, k):
 
     # chain for the long root A = 2A1 + 2A2 at the stated threshold
     def chain():
-        A = RelativeRoot((2, 2))
-        (gamma_A,) = rrs.fiber(A)
+        (gamma_A,) = rrs.fiber(RelativeRoot((2, 2)))
         reg = VarRegistry(["Z", "v"])
-        Z, v = reg.var("Z"), reg.var("v")
-        # step 1: [X_{A1}(Z e_a), X_{2A2}(Z^{k-2} c v e_b)] hits gamma_A with
-        # coefficient Z^k v and junk only on the fiber of A1+2A2
-        hit = _unit_split(rrs, cb, A1, A2.scaled(2), gamma_A, (2, 1))
-        require(hit, "no unit (2,1) pair for the long chain")
-        alpha, beta, c21 = hit
-        word1 = commutator_factors(
-            [(alpha, Z)],
-            [(beta, (reg.var("Z", k - 2) * v).scale(c21))])
-        M1 = product_of_root_elements(cb, reg, word1, height)
-        mid = RelativeRoot((1, 2))
-        slots = list(rrs.fiber(mid)) + list(rrs.fiber(A))
-        coeffs = collect(cb, M1, slots)
-        require(coeffs.get(gamma_A) == reg.var("Z", k) * v,
-                "step 1 does not hit %s with Z^%d v", gamma_A, k)
-        junk = {g: coeffs[g] for g in rrs.fiber(mid) if g in coeffs}
-
-        # step 2: rewrite the junk-cancelling X_{A1+2A2}(-junk) factor as
-        # [X_{A1+A2}(Z u4), X_{A2}(Z^{k-3} u5)] (single-slot cone)
-        cancel_factors = []
-        for g, c in junk.items():
-            got = _unit_split(rrs, cb, A1 + A2, A2, g, (1, 1))
-            require(got, "no unit pair for the middle fiber root %s", g)
-            mu, nu, n = got
-            arg = (c.scale(-Fraction(1, n)))
-            # split Z-degrees: Z * Z^{k-3} against the total Z^{k-1} junk
-            u5 = arg  # carries Z^{k-1}; fold Z-powers into the second slot
-            cancel_factors += commutator_factors(
-                [(mu, Z)], [(nu, _shift_z(u5, reg, -1))])
-        total = product_of_root_elements(cb, reg, word1 + cancel_factors, height)
+        v = reg.var("v")
+        word, (alpha, beta, c21, byproduct) = _cancelled_chain(
+            cb, reg, k, v, gamma_A, (rrs.fiber(A1), rrs.fiber(A2.scaled(2))),
+            (rrs.fiber(A1 + A2), rrs.fiber(A2)), clean=False)
+        total = product_of_root_elements(cb, reg, word, height)
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
         return {
             "step1": "[x_%s(Z), x_%s(%+d Z^%d v)]" % (root_str(alpha), root_str(beta),
                                                        c21, k - 2),
-            "cancellers": [root_str(g) for g in junk],
+            "cancellers": [root_str(byproduct)],
         }
 
     return [run_case("clbc2/C%d/fibers" % l, spec_str, shortness),
             run_case("clbc2/C%d/chain/k=%d" % (l, k), spec_str, chain, {"k": k})]
-
-
-def _shift_z(p, reg, delta):
-    """Multiply by Z**delta (delta may be negative; exactness checked)."""
-    zi = reg.index("Z")
-    n, shift = len(reg.names), delta * reg.units[zi]
-    out = {}
-    for key, c in p.terms.items():
-        e = _decode(key, n)[0][zi] + delta
-        require(e >= 0, "negative Z power")
-        _require_slot(e)
-        out[key + shift] = c
-    return PolyElem(reg, out)
 
 
 def _schema_cl_c2(l, k):
@@ -508,35 +472,22 @@ def _schema_cl_c2(l, k):
 
     # short root A = A1+A2: per-fiber clean commutators
     def short_factors(reg, j, gamma):
-        got = _unit_split(rrs, cb, A1, A2, gamma, (1, 1), clean=True)
-        require(got, "no clean unit pair for %s", gamma)
+        got = unit_split(cb, gamma, rrs.fiber(A1), rrs.fiber(A2), clean=True)
+        require(got, "no unit clean pair for %s", gamma)
         return unit_commutator(reg, j, gamma, got)
 
     # long root A = 2A1+A2 (the source text calls this root C; read as A)
     def long_factors(reg, j, gamma):
         if gamma not in rs.long_roots:
             # reachable from the A1 x (A1+A2) commutator: single-slot cone
-            got = _unit_split(rrs, cb, A1, mid, gamma, (1, 1))
+            got = unit_split(cb, gamma, rrs.fiber(A1), rrs.fiber(mid))
             require(got, "no unit pair for short %s", gamma)
             return unit_commutator(reg, j, gamma, got)
-        # long gamma = 2 alpha + beta: take the (2,1) slot of an
-        # A1 x A2 commutator, then cancel its (1,1) byproduct
-        hit = _unit_split(rrs, cb, A1, A2, gamma, (2, 1))
-        require(hit, "no unit (2,1) pair for long %s", gamma)
-        alpha, beta, c21 = hit
-        Z, vj = reg.var("Z"), reg.var("v%d" % j)
-        word = commutator_factors(
-            [(alpha, Z)],
-            [(beta, (reg.var("Z", k - 2) * vj).scale(c21))])
-        byproduct = rs.sum(alpha, beta)
-        # coefficient on x_{a+b}(Z^{k-1} v_j), C_11 = N_{alpha,beta}
-        c_by = cb.struct_const(alpha, beta) * c21
-        got = _unit_split(rrs, cb, A1, A2, byproduct, (1, 1), clean=True)
-        require(got, "no clean canceller for %s", byproduct)
-        mu, nu, n = got
-        word += commutator_factors(
-            [(mu, (Z * vj).scale(-Fraction(c_by, n)))],
-            [(nu, reg.var("Z", k - 2))])
+        # long gamma = 2 alpha + beta: the (2,1) slot of an A1 x A2
+        # commutator, its (1,1) byproduct cancelled by a clean A1 x A2 pair
+        fibers = (rrs.fiber(A1), rrs.fiber(A2))
+        word, (alpha, beta, c21, byproduct) = _cancelled_chain(
+            cb, reg, k, reg.var("v%d" % j), gamma, fibers, fibers, clean=True)
         return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
                       % (root_str(gamma), root_str(alpha), root_str(beta), c21, k - 2, j,
                          root_str(byproduct)))

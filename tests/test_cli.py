@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import relroots
+import relroots.chevalley as chevalley
 import relroots.cli as cli
 import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
@@ -353,7 +354,7 @@ FAULTS = {
            _doubled_target, 2, 0),
     "g2": ("g2", ["--k", "3"], theoremlab, "adjoint_root_element",
            _doubled_target, 1, 1),
-    "cases": ("cases", [], theoremlab, "commutator_constants",
+    "cases": ("cases", [], chevalley, "commutator_constants",
               lambda cb, alpha, beta: {}, 3, 43),
 }
 

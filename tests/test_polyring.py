@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from eval_oracle import evaluate
 from ring_oracle import RefPoly, RefRegistry
 
 from relroots.polyring import (
@@ -11,7 +12,6 @@ from relroots.polyring import (
     SlotOverflow,
     VarRegistry,
     _decode,
-    evaluate,
     row_reduce,
 )
 from relroots.rootcore import VerificationError

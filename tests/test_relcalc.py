@@ -6,6 +6,7 @@ import sys
 from operator import mul
 
 import pytest
+from eval_oracle import evaluate
 from lie_oracles import full_product
 
 import relroots
@@ -19,7 +20,7 @@ from relroots.chevalley import (
 )
 from relroots.folding import (RelativeRoot, build_relative_system, enumerate_foldings,
                               parse_folding_spec)
-from relroots.polyring import PolyElem, VarRegistry, _decode, evaluate
+from relroots.polyring import PolyElem, VarRegistry, _decode
 from relroots.relcalc import (
     CaseHypothesisError,
     RelcalcError,
