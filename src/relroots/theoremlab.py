@@ -307,7 +307,9 @@ def verify_case_schemas(case, l=None, k=None):
 
 
 def _schema_f4_long(k):
-    """Every long F4 root splits as a clean commutator of two long roots."""
+    """Every long F4 root splits as a clean commutator of two long roots
+    (for long B, C with B + C a root, |2B + C|^2 is three times the long
+    length, so 2B + C is never a root)."""
     rs = build_root_system(RootType("F", 4))
     cb = build_chevalley_basis(rs)
     reg = VarRegistry(["Z", "v"])
@@ -315,8 +317,8 @@ def _schema_f4_long(k):
     longs = [r for r in rs.roots if r in rs.long_roots]
 
     def witness(A):
-        got = unit_split(cb, A, longs, rs.long_roots, clean=True)
-        require(got, "no unit clean long pair for %s", A)
+        got = unit_split(cb, A, longs, rs.long_roots)
+        require(got, "no unit long pair for %s", A)
         B, C, n = got
         word = commutator_factors([(B, Z)],
                                   [(C, (reg.var("Z", k - 1) * v).scale(n))])
@@ -358,7 +360,7 @@ def _schema_bl_pairs(l):
             for A in rel_roots]
 
 
-def _cancelled_chain(cb, reg, k, v, gamma, hit, canceller, clean):
+def _cancelled_chain(cb, reg, k, v, gamma, hit, canceller):
     """A word for x_gamma(Z^k v), gamma = 2 alpha + beta: the unit (2,1)
     commutator [x_alpha(Z), x_beta(C_21 Z^{k-2} v)], which is
     x_{alpha+beta}(N_{alpha,beta} C_21 Z^{k-1} v) x_gamma(Z^k v), times
@@ -366,16 +368,15 @@ def _cancelled_chain(cb, reg, k, v, gamma, hit, canceller, clean):
     the factor on alpha + beta = mu + nu.
 
     (alpha, beta, C_21) is the first unit (2,1) split of gamma over the
-    fibers ``hit`` and (mu, nu, n) the first unit split of alpha + beta
-    over ``canceller`` (``clean`` as in ``unit_split``).  Returns the word
-    and (alpha, beta, C_21, alpha + beta); the caller's identity check
-    proves it.
+    fibers ``hit`` and (mu, nu, n) the first clean unit split of alpha +
+    beta over ``canceller``.  Returns the word and (alpha, beta, C_21,
+    alpha + beta); the caller's identity check proves it.
     """
     found = unit_split(cb, gamma, *hit, ij=(2, 1))
     require(found, "no unit (2,1) pair for %s", gamma)
     alpha, beta, c21 = found
     byproduct = tuple(a + b for a, b in zip(alpha, beta))
-    found = unit_split(cb, byproduct, *canceller, clean=clean)
+    found = unit_split(cb, byproduct, *canceller, clean=True)
     require(found, "no unit canceller for %s", byproduct)
     mu, nu, n = found
     Z, zk2 = reg.var("Z"), reg.var("Z", k - 2)
@@ -415,7 +416,7 @@ def _schema_cl_bc2(l, k):
         v = reg.var("v")
         word, (alpha, beta, c21, byproduct) = _cancelled_chain(
             cb, reg, k, v, gamma_A, (rrs.fiber(A1), rrs.fiber(A2.scaled(2))),
-            (rrs.fiber(A1 + A2), rrs.fiber(A2)), clean=False)
+            (rrs.fiber(A1 + A2), rrs.fiber(A2)))
         total = product_of_root_elements(cb, reg, word, height)
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
@@ -487,7 +488,7 @@ def _schema_cl_c2(l, k):
         # commutator, its (1,1) byproduct cancelled by a clean A1 x A2 pair
         fibers = (rrs.fiber(A1), rrs.fiber(A2))
         word, (alpha, beta, c21, byproduct) = _cancelled_chain(
-            cb, reg, k, reg.var("v%d" % j), gamma, fibers, fibers, clean=True)
+            cb, reg, k, reg.var("v%d" % j), gamma, fibers, fibers)
         return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"
                       % (root_str(gamma), root_str(alpha), root_str(beta), c21, k - 2, j,
                          root_str(byproduct)))

@@ -134,6 +134,7 @@ def test_integer_root_data_matches_fraction_oracle(t):
     longest = max(norms.values())
     for r in rs.roots:
         assert rs._norm(r) == norms[r]
+        assert rs.norms[r] == norms[r]
         assert (r in rs.long_roots) == (norms[r] == longest)
         for i, simple in enumerate(rs.simple_roots):
             assert rs._pairing_coords(r, i) == cartan_pairing(rs, r, simple)
