@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from operator import add
 
 from .chevalley import build_chevalley_basis
 from .folding import (
@@ -62,8 +63,8 @@ class CliError(ValueError):
     pass
 
 
-def _dump(obj, stream=None):
-    (stream or sys.stdout).write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _dump(obj):
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _fraction(text):
@@ -181,7 +182,8 @@ def suite_lemma2(seed, max_rank=5):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
         pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-                 if A + B in rrs and not collinear(A.coords, B.coords)]
+                 if tuple(map(add, A.coords, B.coords)) in rrs.fibers
+                 and not collinear(A.coords, B.coords)]
         if not pairs:
             continue
 

@@ -80,18 +80,13 @@ def enumerate_diagram_automorphisms(t: RootType):
 
 
 def closure_of_auts(gens, l):
-    """Subgroup generated by the given automorphisms."""
+    """Subgroup generated by the given automorphisms, grown from the identity."""
     ident = DiagramAut(tuple(range(l)))
-    group = {ident.perm: ident}
-    frontier = list(gens)
+    group, frontier = {ident.perm: ident}, [ident]
     while frontier:
         g = frontier.pop()
-        if g.perm not in group:
-            group[g.perm] = g
-            frontier.extend(g.compose(h) for h in list(group.values()))
-            continue
-        for h in list(group.values()):
-            c = g.compose(h)
+        for h in gens:
+            c = h.compose(g)
             if c.perm not in group:
                 group[c.perm] = c
                 frontier.append(c)
@@ -247,7 +242,7 @@ class RelativeRoot:
 
 
 class RelativeRootSystem:
-    """``fibers`` maps the coordinate tuple of each relative root to its
+    """``fibers``, the one set of relative coordinates, maps each to its
     fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
     node j, or ``rank`` for a node outside J."""
 
@@ -275,9 +270,8 @@ class RelativeRootSystem:
                 fibers.setdefault(c, []).append(root)
         # the roots are in increasing order, so each fiber is too
         self.fibers = {c: tuple(f) for c, f in fibers.items()}
-        self.rel_coords = frozenset(self.fibers)
         self.rel_roots = frozenset(map(RelativeRoot, self.fibers))
-        for c in self.rel_coords:
+        for c in self.fibers:
             if len({x > 0 for x in c if x}) != 1:
                 raise AssertionError("mixed-sign relative root %s" % root_str(c))
         self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
@@ -290,7 +284,7 @@ class RelativeRootSystem:
         return RelativeRoot(c) if any(c) else None
 
     def __contains__(self, A):
-        return A.coords in self.rel_coords
+        return A.coords in self.fibers
 
     def fiber(self, A):
         return self.fibers[A.coords]
@@ -327,7 +321,7 @@ def classify_relative_type(rrs: RelativeRootSystem):
     transitively and the relative system is irreducible too.
     """
     rank = rrs.rank
-    coord_set = rrs.rel_coords
+    coord_set = rrs.fibers
     if rank == 1:
         label = "BC" if any(abs(c) == 2 for (c,) in coord_set) else "A"
         return label, 1
@@ -407,7 +401,7 @@ def check_lemma1_decomposition(rrs, A, B, C):
     bp, bq, cp, cq = b[p], b[q], c[p], c[q]
     det = bp * cq - bq * cp
     multiples = []
-    for d in rrs.rel_coords:
+    for d in rrs.fibers:
         i, ri = divmod(d[p] * cq - d[q] * cp, det)
         if ri or i < 1:
             continue

@@ -31,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 
-from .rootcore import require
-
 EPS = "eps"
 
 _BITS = 16  # exponent bits per slot of a packed term, one struct "H"

@@ -34,7 +34,7 @@ from operator import add
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
                         invert_factors, product_of_root_elements, unit_split)
-from .folding import (RelativeRoot, RelativeRootSystem, build_relative_system,
+from .folding import (RelativeRoot, build_relative_system,
                       classify_relative_type, parse_folding_spec)
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
 from .rootcore import (MULTIPLE_BOUND, MULTIPLE_PAIRS, VerificationError, collinear,
@@ -82,13 +82,10 @@ class NMapTable:
     (coordinates on V_B).
     """
 
-    rrs: RelativeRootSystem
-    A: RelativeRoot
-    B: RelativeRoot
     registry: VarRegistry
     u_index: dict  # root (coordinate tuple) in fiber(A) -> registry variable position
     v_index: dict
-    entries: dict = field(default_factory=dict)  # (i,j) -> {root: PolyElem}
+    entries: dict  # (i,j) -> {root: PolyElem}
     # (i,j) -> [(root, [(coeff, [(variable, exponent), ...]), ...])], by ``evaluate``
     _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -144,37 +141,45 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
 
     slots, owner = _table_slots(rrs, A, B)
-    coeffs = collect(cb, U, slots)
-
-    table = NMapTable(rrs, A, B, reg, u_index, v_index)
-    for gamma, p in coeffs.items():
-        table.entries.setdefault(owner[gamma], {})[gamma] = p
-    _verify_table(rrs, cb, table, U, slots, owner)
+    table = NMapTable(reg, u_index, v_index, _collect_recomposed(
+        cb, U, slots, owner, "recomposed product differs from the commutator"))
+    _verify_table(table)
     return table
 
 
-def _table_slots(rrs, A, B):
-    """The fibers of the relative roots iA + jB, (i, j) in the order of
-    ``multiples``, as slots, and the (i, j) that owns each slot."""
+def _slots(rrs, owned):
+    """The fibers of the relative roots in ``owned``, (owner, coordinates)
+    pairs in order, as slots, and the owner of each slot."""
     slots, owner = [], {}
-    ab = list(zip(A.coords, B.coords))
-    for ij in MULTIPLE_PAIRS:
-        i, j = ij
-        for gamma in rrs.fibers.get(tuple([i * a + j * b for a, b in ab]), ()):
+    for o, coords in owned:
+        for gamma in rrs.fibers.get(coords, ()):
             slots.append(gamma)
-            owner[gamma] = ij
+            owner[gamma] = o
     return slots, owner
 
 
-def _verify_table(rrs, cb, table, U, slots, owner):
-    # recomposition: the grouped product reproduces the commutator matrix
-    factors = []
-    for gamma in slots:
-        p = table.entries.get(owner[gamma], {}).get(gamma)
-        if p is not None:
-            factors.append((gamma, p))
-    require(product_of_root_elements(cb, table.registry, factors, U.cone) == U,
-            "recomposed product differs from the commutator")
+def _table_slots(rrs, A, B):
+    """The slots of the relative roots iA + jB, each owned by its (i, j),
+    (i, j) in the order of ``multiples``."""
+    ab = list(zip(A.coords, B.coords))
+    return _slots(rrs, [((i, j), tuple([i * a + j * b for a, b in ab]))
+                        for i, j in MULTIPLE_PAIRS])
+
+
+def _collect_recomposed(cb, U, slots, owner, failure):
+    """``collect`` U along the slots, check that the product of the
+    coefficients in slot order is U (the oracle), and return them grouped
+    by the owner of their slot."""
+    coeffs = collect(cb, U, slots)
+    require(product_of_root_elements(cb, U.registry, list(coeffs.items()), U.cone) == U,
+            failure)
+    grouped = {}
+    for gamma, p in coeffs.items():
+        grouped.setdefault(owner[gamma], {})[gamma] = p
+    return grouped
+
+
+def _verify_table(table):
     n = len(table.registry.names)
     n_u = len(table.u_index)
     # the root of each variable, in registry order
@@ -193,7 +198,7 @@ def _verify_table(rrs, cb, table, U, slots, owner):
                 require((du, dv) == (i, j),
                         "N_{%d%d} monomial of degree (%d,%d)", i, j, du, dv)
                 # fiber grading: underlying roots sum to gamma
-                total = [0] * rrs.rs.rank
+                total = [0] * len(gamma)
                 for k, e in enumerate(exp):
                     if e:
                         for pos, c in enumerate(roots[k]):
@@ -214,33 +219,15 @@ def check_sum_formula(rrs, cb, A):
     reg = VarRegistry(names)
     u = {alpha: reg.var("u%d" % k) for k, alpha in enumerate(fiber)}
     w = {alpha: reg.var("w%d" % k) for k, alpha in enumerate(fiber)}
-    both = {alpha: u[alpha] + w[alpha] for alpha in fiber}
-    cone = _relative_cone(rrs, A, A)
-    lhs_factors = relative_factors(rrs, A, both)
-    lhs = product_of_root_elements(cb, reg, lhs_factors, cone)
-    base = (relative_factors(rrs, A, u) + relative_factors(rrs, A, w))
+    lhs_factors = relative_factors(rrs, A, {alpha: u[alpha] + w[alpha] for alpha in fiber})
+    base = relative_factors(rrs, A, u) + relative_factors(rrs, A, w)
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
-                                        cone)
-    slots, owner = [], {}
-    for i in range(2, MULTIPLE_BOUND + 1):
-        if A.scaled(i) not in rrs:
-            continue
-        for gamma in rrs.fiber(A.scaled(i)):
-            slots.append(gamma)
-            owner[gamma] = i
-    coeffs = collect(cb, residual, slots)
-    corrections = {}
-    for gamma, p in coeffs.items():
-        corrections.setdefault(owner[gamma], {})[gamma] = p
-    # oracle: recompose the full right-hand side and compare matrices
-    rhs_factors = list(base)
-    for gamma in slots:
-        p = corrections.get(owner[gamma], {}).get(gamma)
-        if p is not None:
-            rhs_factors.append((gamma, p))
-    require(product_of_root_elements(cb, reg, rhs_factors, cone) == lhs,
-            "recomposed sum formula differs from X_A(u+u')")
+                                        _relative_cone(rrs, A, A))
+    slots, owner = _slots(rrs, [(i, tuple([i * a for a in A.coords]))
+                                for i in range(2, MULTIPLE_BOUND + 1)])
+    corrections = _collect_recomposed(cb, residual, slots, owner,
+                                      "recomposed sum formula differs from its residual")
     return {
         "A": A,
         "corrections": corrections,
@@ -330,12 +317,12 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
             "status": "pass"}
 
 
-def applicable_surjectivity_cases(rrs, cb, A, B, units=frozenset({1, -1})):
+def applicable_surjectivity_cases(rrs, cb, A, B):
     """Which of the four hypotheses hold for (A, B); may be empty."""
     out = []
     for case in "abcd":
         try:
-            check_N11_surjectivity(rrs, cb, A, B, case, units)
+            check_N11_surjectivity(rrs, cb, A, B, case)
             out.append(case)
         except CaseHypothesisError:
             continue
@@ -367,6 +354,14 @@ def _as_row(col, n, *vals):
     return row
 
 
+def _unit_rows(rrs, cb, A, B, col, n):
+    """The rows N_{AB11}(e_alpha, e_beta), alpha over the fiber of A and
+    beta over the fiber of B."""
+    table = compute_relative_commutator_maps(rrs, cb, A, B)
+    return [_as_row(col, n, table.evaluate(1, 1, {al: 1}, {be: 1}))
+            for al in rrs.fiber(A) for be in rrs.fiber(B)]
+
+
 def _probe_vectors(basis, rng, n_random):
     """Basis vectors, pairwise sums (polarization), and random vectors."""
     probes = [{b: 1} for b in basis]
@@ -394,17 +389,10 @@ def check_spanning_lemma2_2(rrs, cb, A, B, seed=0, n_random=100):
     n = len(target)
     rng = random.Random(seed)
 
-    rows = []
-    t11 = compute_relative_commutator_maps(rrs, cb, A, B)
-    for al in rrs.fiber(A):
-        for be in rrs.fiber(B):
-            rows.append(_as_row(col, n, t11.evaluate(1, 1, {al: 1}, {be: 1})))
+    rows = _unit_rows(rrs, cb, A, B, col, n)
     twoB = B.scaled(2)
     if twoB in rrs:
-        tmid = compute_relative_commutator_maps(rrs, cb, diff, twoB)
-        for al in rrs.fiber(diff):
-            for be in rrs.fiber(twoB):
-                rows.append(_as_row(col, n, tmid.evaluate(1, 1, {al: 1}, {be: 1})))
+        rows += _unit_rows(rrs, cb, diff, twoB, col, n)
     t12 = compute_relative_commutator_maps(rrs, cb, diff, B)
     for v in _probe_vectors(rrs.fiber(B), rng, n_random):
         for al in rrs.fiber(diff):
@@ -435,11 +423,7 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
 
     _verify_lemma3_fiber_structure(rrs, f_mid, f_top)
 
-    rows = []
-    t_a1mid = compute_relative_commutator_maps(rrs, cb, A1, mid)
-    for al in rrs.fiber(A1):
-        for be in f_mid:
-            rows.append(_as_row(col, n, t_a1mid.evaluate(1, 1, {al: 1}, {be: 1})))
+    rows = _unit_rows(rrs, cb, A1, mid, col, n)
     t_a12 = compute_relative_commutator_maps(rrs, cb, A1, A2)
     for v in _probe_vectors(rrs.fiber(A1), rng, n_random):
         for be in rrs.fiber(A2):

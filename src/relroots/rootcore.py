@@ -280,8 +280,8 @@ def multiples(a, b, coords):
     """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
 
     ``a`` and ``b`` are coordinate tuples; ``coords`` is any container of
-    coordinate tuples (``RootSystem.root_set``, or the relative coordinates
-    of a folding).
+    coordinate tuples (``RootSystem.root_set``, or the ``fibers`` of a
+    relative root system).
     """
     ab = list(zip(a, b))
     return [(i, j) for i, j in MULTIPLE_PAIRS

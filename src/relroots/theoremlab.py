@@ -139,31 +139,37 @@ def check_identity_params(eps=None, **ks):
         raise ValueError("eps binding makes eps**2 - eps vanish")
 
 
-def _registry(eps_binding, extra=()):
-    names = ["Z", "v"] + list(extra)
+def _registry(eps_binding):
+    """The ring of an identity: the registry, Z, v, eps, (eps**2 - eps)**-1
+    and the label of the eps binding."""
     if eps_binding is None:
-        names.append("eps")
-    reg = VarRegistry(names)
-    if eps_binding is None:
-        eps = reg.var("eps")
-        inv = reg.eps_unit_inverse()
+        reg = VarRegistry(["Z", "v", "eps"])
+        eps, inv, label = reg.var("eps"), reg.eps_unit_inverse(), "symbolic"
     else:
-        c = Fraction(eps_binding)
-        eps = reg.const(c)
-        inv = reg.const(1 / (c * c - c))
-    return reg, eps, inv
+        reg, c = VarRegistry(["Z", "v"]), Fraction(eps_binding)
+        eps, inv, label = reg.const(c), reg.const(1 / (c * c - c)), str(eps_binding)
+    return reg, reg.var("Z"), reg.var("v"), eps, inv, label
 
 
 def _sign_search(slots, build, check,
                  failure="no sign assignment satisfies the identity"):
-    """Try all +-1 assignments of the named slots; return the first hit
-    as a {slot name: +1 / -1} dict, or raise VerificationError(failure)."""
+    """Try all +-1 assignments of the named slots; return the first hit, a
+    {slot name: +1 / -1} dict, with what ``build`` made of it, or raise
+    VerificationError(failure)."""
     require(len(slots) <= 6, "a sign search over %d slots is too large", len(slots))
     for values in itertools.product((1, -1), repeat=len(slots)):
         signs = dict(zip(slots, values))
-        if check(build(signs)):
-            return signs
+        built = build(signs)
+        if check(built):
+            return signs, built
     raise VerificationError(failure)
+
+
+def _signed_identity(cb, reg, root, k, height, slots, build):
+    """The witness of an identity for x_root(Z^k v): the first signs of
+    ``slots`` for which ``build`` gives the matrix of x_root(Z^k v)."""
+    target = adjoint_root_element(cb, root, reg.var("Z", k) * reg.var("v"), height)
+    return {"signs": _sign_search(slots, build, lambda m: m == target)[0]}
 
 
 def verify_C2_identities(k, eps_binding=None):
@@ -175,9 +181,7 @@ def verify_C2_identities(k, eps_binding=None):
     a12 = rs.root_from_coords((1, 1))
     a21 = rs.root_from_coords((2, 1))
     minus_a2 = rs.root_from_coords((0, -1))
-    reg, eps, inv = _registry(eps_binding)
-    Z, v = reg.var("Z"), reg.var("v")
-    eps_str = "symbolic" if eps_binding is None else str(eps_binding)
+    reg, Z, v, eps, inv, eps_str = _registry(eps_binding)
     height = (1, 1)
 
     def g1(s, t):
@@ -205,17 +209,15 @@ def verify_C2_identities(k, eps_binding=None):
                 + [(a21, (reg.var("Z", k + 1) * v).scale(-signs["x.t"]))])
         return product_of_root_elements(cb, reg, word, height)
 
-    def witness(root, slots, build):
-        target = adjoint_root_element(cb, root, reg.var("Z", k) * v, height)
-        return {"signs": _sign_search(slots, build, lambda m: m == target)}
-
     return [
         run_case("c2/long/k=%d/eps=%s" % (k, eps_str), "C2",
-                 lambda: witness(a21, ["g1.s", "g1.t", "g2.s", "g2.t", "g2.u"],
-                                 build_long),
+                 lambda: _signed_identity(cb, reg, a21, k, height,
+                                          ["g1.s", "g1.t", "g2.s", "g2.t", "g2.u"],
+                                          build_long),
                  {"k": k, "eps": eps_str, "root": "2A1+A2"}),
         run_case("c2/short/k=%d/eps=%s" % (k, eps_str), "C2",
-                 lambda: witness(a12, ["g1.s", "g1.t", "x.t"], build_short),
+                 lambda: _signed_identity(cb, reg, a12, k, height, ["g1.s", "g1.t", "x.t"],
+                                          build_short),
                  {"k": k, "eps": eps_str, "root": "A1+A2"}),
     ]
 
@@ -229,9 +231,7 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
     r21 = rs.root_from_coords((2, 1))
     r31 = rs.root_from_coords((3, 1))
     r32 = rs.root_from_coords((3, 2))
-    reg, eps, inv = _registry(eps_binding)
-    Z, v = reg.var("Z"), reg.var("v")
-    eps_str = "symbolic" if eps_binding is None else str(eps_binding)
+    reg, Z, v, eps, inv, eps_str = _registry(eps_binding)
     height = (1, 1)
 
     def build_long(signs):
@@ -240,13 +240,9 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
             [(r31, reg.var("Z", k_long - 1).scale(signs["t"]))])
         return product_of_root_elements(cb, reg, word, height)
 
-    def long_witness():
-        target = adjoint_root_element(cb, r32, reg.var("Z", k_long) * v, height)
-        return {"signs": _sign_search(["s", "t"], build_long,
-                                      lambda m: m == target)}
-
     long_case = run_case("g2/long/k=%d/eps=%s" % (k_long, eps_str), "G2",
-                         long_witness,
+                         lambda: _signed_identity(cb, reg, r32, k_long, height, ["s", "t"],
+                                                  build_long),
                          {"k": k_long, "eps": eps_str, "root": "3A1+2A2"})
 
     # short root: collect the two-commutator left side to normal form and
@@ -274,9 +270,8 @@ def verify_G2_identities(k_long=2, k_short=3, eps_binding=None):
         return coeffs.get(r21) == want_lead
 
     def short_witness():
-        signs = _sign_search(["s1", "t1", "s2", "t2"], build_short, check_short,
-                             "no sign assignment produces the stated shape")
-        coeffs = build_short(signs)
+        signs, coeffs = _sign_search(["s1", "t1", "s2", "t2"], build_short, check_short,
+                                     "no sign assignment produces the stated shape")
         trailing = sorted(r for r in coeffs if r != r21)
         require(rs.long_roots.issuperset(trailing), "trailing factors on non-long roots")
         return {
@@ -344,7 +339,7 @@ def _schema_bl_pairs(l):
 
     def witness(A):
         wit = []
-        for b, c, _ in splits(A.coords, firsts, rrs.rel_coords, ((1, 1),)):
+        for b, c, _ in splits(A.coords, firsts, rrs.fibers, ((1, 1),)):
             B, C = RelativeRoot(b), RelativeRoot(c)
             pair = next(((beta, gamma)
                          for beta in rrs.fiber(B) for gamma in rrs.fiber(C)

@@ -123,7 +123,7 @@ def test_empty_table_for_unlinked_pair():
 def test_simply_laced_unit_constants(a3_levi):
     rrs, cb = a3_levi
     pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-             if A + B in rrs and multiples(A.coords, B.coords, rrs.rel_coords)
+             if A + B in rrs and multiples(A.coords, B.coords, rrs.fibers)
              and not collinear(A.coords, B.coords)]
     assert pairs
     for A, B in pairs:
@@ -168,7 +168,7 @@ def test_cone_path_tables_equal_frame_path_tables(spec):
         v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
         word = commutator_factors(relative_factors(rrs, A, u), relative_factors(rrs, B, v))
         recomposed = [(gamma, table.entries[(i, j)][gamma])
-                      for i, j in multiples(A.coords, B.coords, rrs.rel_coords)
+                      for i, j in multiples(A.coords, B.coords, rrs.fibers)
                       for gamma in rrs.fiber(A.scaled(i) + B.scaled(j))
                       if gamma in table.entries.get((i, j), {})]
         assert full_product(cb, reg, word) == full_product(cb, reg, recomposed), (A, B)
@@ -363,7 +363,7 @@ def test_table_slots_and_cone_match_their_definitions():
             if collinear(A.coords, B.coords):
                 continue
             slots, owner = [], {}
-            for i, j in multiples(A.coords, B.coords, rrs.rel_coords):
+            for i, j in multiples(A.coords, B.coords, rrs.fibers):
                 for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
                     slots.append(gamma)
                     owner[gamma] = (i, j)
