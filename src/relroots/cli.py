@@ -13,12 +13,10 @@ the summary line instead.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
 from fractions import Fraction
-from operator import add
 
 from .chevalley import build_chevalley_basis
 from .folding import (
@@ -31,15 +29,16 @@ from .folding import (
 )
 from .polyring import is_prime
 from .relcalc import (
+    Configurations,
     RelcalcError,
     applicable_surjectivity_cases,
+    case_a_pairs,
     check_N11_surjectivity,
     check_spanning_lemma2_2,
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
-from .rootcore import (InvalidRootType, RootType, build_root_system, collinear, require,
-                       root_str)
+from .rootcore import InvalidRootType, RootType, build_root_system, require, root_str
 from .theoremlab import (
     check_identity_params,
     run_case,
@@ -177,19 +176,23 @@ def _report_witness(report):
 
 def suite_lemma2(seed, max_rank=5):
     cases = []
-    # case (a): unit constants — every valid pair of a simply laced folding
+    # case (a): unit constants — every valid pair of a simply laced folding;
+    # the direct check runs once per structure-constant configuration
+    configs = Configurations()
     for spec in enumerate_foldings(max_rank, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
-        pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-                 if tuple(map(add, A.coords, B.coords)) in rrs.fibers
-                 and not collinear(A.coords, B.coords)]
+        pairs = case_a_pairs(rrs)
         if not pairs:
             continue
 
         def case_a():
             for A, B in pairs:
-                check_N11_surjectivity(rrs, cb, A, B, "a")
+                key, slots = configs.key(rrs, cb, A, B)
+                if key in configs.witnesses:
+                    configs.recheck(cb, key, slots)
+                else:
+                    configs.record(key, slots, check_N11_surjectivity(rrs, cb, A, B, "a"))
             return {"pairs_checked": len(pairs)}
 
         cases.append(run_case("lemma2/a/%s" % spec, str(spec), case_a,

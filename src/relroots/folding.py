@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rootcore import (
+    MULTIPLE_BOUND,
     SERIES,
     InvalidRootType,
     RootType,
@@ -244,7 +245,9 @@ class RelativeRoot:
 class RelativeRootSystem:
     """``fibers``, the one set of relative coordinates, maps each to its
     fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
-    node j, or ``rank`` for a node outside J."""
+    node j, or ``rank`` for a node outside J.  ``codes`` and ``by_code``,
+    built on first use, find the relative roots among integer combinations
+    by integer sums."""
 
     def __init__(self, spec: FoldingSpec):
         spec.validate()
@@ -288,6 +291,23 @@ class RelativeRootSystem:
 
     def fiber(self, A):
         return self.fibers[A.coords]
+
+    @cached_property
+    def codes(self):
+        """coords -> sum_k c_k * base**k, with base > 2 * MULTIPLE_BOUND * max |c_k|.
+
+        The code is additive, and injective on the vectors i*A + j*B with
+        i + j <= MULTIPLE_BOUND, whose coordinates are below base / 2 in
+        absolute value: i*A + j*B is a relative root iff i*codes[A] +
+        j*codes[B] is a key of ``by_code``."""
+        base = 2 * MULTIPLE_BOUND * max(abs(c) for coords in self.fibers for c in coords) + 1
+        return {coords: sum(c * base ** k for k, c in enumerate(coords))
+                for coords in self.fibers}
+
+    @cached_property
+    def by_code(self):
+        """code -> fiber, for every relative root."""
+        return {self.codes[coords]: f for coords, f in self.fibers.items()}
 
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:

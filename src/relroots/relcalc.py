@@ -22,6 +22,20 @@ not from the table; evaluating the table at u_alpha = v_beta = 1 then
 re-checks it: that value is the table's coefficient of u_alpha v_beta in
 each (1,1) entry, read off the packed terms, so the table is an oracle
 independent of the search.
+
+Written by position (u_k the k-th root of fiber(A), v_k of fiber(B), each
+entry keyed by the position of its root in S: fiber(A), fiber(B), then the
+table's slots, as ``_pair_blocks`` orders them), a table is a function of
+its pair's configuration key: the owner and size of each block of S, and
+every (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S or a
+flag outside S.  Every factor, divided power and collected slot of the
+table lies in the span of the e_gamma, gamma in S, on which ad e_alpha
+acts by the N_pq, and the Cartan term alpha(h_f) moves only the column
+h_f, not the group element; so the collected coefficients are fixed by the
+commutator constants among S (Steinberg, *Lectures on Chevalley Groups*,
+section 3 and Lemma 17).  Lemma 2 case (a) therefore runs the direct check
+on the first pair of each key and re-checks only the mapped witnesses of
+the others (``Configurations``).
 """
 
 from __future__ import annotations
@@ -147,12 +161,26 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     return table
 
 
-def _slots(rrs, owned):
-    """The fibers of the relative roots in ``owned``, (owner, coordinates)
-    pairs in order, as slots, and the owner of each slot."""
+def _pair_blocks(rrs, A, B):
+    """S, the slots of the pair (A, B), as (owner, fiber) blocks in order:
+    ((1, 0), fiber(A)), ((0, 1), fiber(B)), then ((i, j), fiber(iA + jB))
+    for each (i, j) of ``MULTIPLE_PAIRS`` with iA + jB a relative root,
+    found by integer codes (``RelativeRootSystem.codes``)."""
+    codes, by_code = rrs.codes, rrs.by_code
+    a, b = codes[A.coords], codes[B.coords]
+    blocks = [((1, 0), by_code[a]), ((0, 1), by_code[b])]
+    for i, j in MULTIPLE_PAIRS:
+        fiber = by_code.get(i * a + j * b)
+        if fiber:
+            blocks.append(((i, j), fiber))
+    return blocks
+
+
+def _slots(blocks):
+    """The slots of (owner, fiber) blocks, in order, and the owner of each."""
     slots, owner = [], {}
-    for o, coords in owned:
-        for gamma in rrs.fibers.get(coords, ()):
+    for o, fiber in blocks:
+        for gamma in fiber:
             slots.append(gamma)
             owner[gamma] = o
     return slots, owner
@@ -160,10 +188,8 @@ def _slots(rrs, owned):
 
 def _table_slots(rrs, A, B):
     """The slots of the relative roots iA + jB, each owned by its (i, j),
-    (i, j) in the order of ``multiples``."""
-    ab = list(zip(A.coords, B.coords))
-    return _slots(rrs, [((i, j), tuple([i * a + j * b for a, b in ab]))
-                        for i, j in MULTIPLE_PAIRS])
+    in the order of ``_pair_blocks``."""
+    return _slots(_pair_blocks(rrs, A, B)[2:])
 
 
 def _collect_recomposed(cb, U, slots, owner, failure):
@@ -224,8 +250,9 @@ def check_sum_formula(rrs, cb, A):
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
                                         _relative_cone(rrs, A, A))
-    slots, owner = _slots(rrs, [(i, tuple([i * a for a in A.coords]))
-                                for i in range(2, MULTIPLE_BOUND + 1)])
+    code = rrs.codes[A.coords]
+    slots, owner = _slots([(i, rrs.by_code.get(i * code, ()))
+                           for i in range(2, MULTIPLE_BOUND + 1)])
     corrections = _collect_recomposed(cb, residual, slots, owner,
                                       "recomposed sum formula differs from its residual")
     return {
@@ -327,6 +354,89 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
         except CaseHypothesisError:
             continue
     return out
+
+
+# -- case (a) by structure-constant configuration ------------------------
+
+
+def case_a_pairs(rrs):
+    """The pairs of case (a): (A, B) in ``itertools.product(rrs.rel_roots,
+    repeat=2)`` order, not collinear, with A + B a relative root."""
+    codes, by_code = rrs.codes, rrs.by_code
+    return [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
+            if codes[A.coords] + codes[B.coords] in by_code
+            and not collinear(A.coords, B.coords)]
+
+
+def _root_brackets(cb):
+    """alpha -> {beta: (alpha + beta, N_{alpha,beta})} over the pairs of
+    roots whose sum is a root."""
+    rs = cb.rs
+    out = {}
+    for alpha in rs.roots:
+        row = out[alpha] = {}
+        for beta in rs.roots:
+            gamma = tuple(map(add, alpha, beta))
+            if gamma in rs:
+                row[beta] = (gamma, cb.struct_const(alpha, beta))
+    return out
+
+
+class Configurations:
+    """Case (a) verdicts by structure-constant configuration, for one run.
+
+    ``key`` reads a pair's configuration off S, its slots in
+    ``_pair_blocks`` order: the owner and size of each block, then every
+    (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S or len(S)
+    outside S.  Pairs with one key have one table by position (module
+    docstring), so the first pair of a key runs the direct check and
+    ``record`` keeps its witnesses by position; ``recheck`` maps them to a
+    later pair's slots and re-checks each against that pair's root sums and
+    ``struct_const``.  A key whose first pair failed is not kept, so its
+    next pair runs the direct check again.
+    """
+
+    def __init__(self):
+        self.witnesses = {}  # key -> ((gamma, alpha, beta) positions in S, N), ...
+        self._brackets = {}  # ChevalleyBasis -> _root_brackets
+
+    def key(self, rrs, cb, A, B):
+        """The configuration key of (A, B), as bytes, and S.
+
+        S holds distinct roots, at most 240 up to rank 8, so every position,
+        size and count is a byte; N_pq, in -3..3, is stored mod 256."""
+        brackets = self._brackets.get(cb)
+        if brackets is None:
+            brackets = self._brackets[cb] = _root_brackets(cb)
+        blocks = _pair_blocks(rrs, A, B)
+        slots = [gamma for _, fiber in blocks for gamma in fiber]
+        pos = {gamma: p for p, gamma in enumerate(slots)}
+        outside = len(slots)
+        key = [len(blocks)]
+        for (i, j), fiber in blocks:
+            key += (i, j, len(fiber))
+        for p, alpha in enumerate(slots):
+            row = brackets[alpha]
+            for q, beta in enumerate(slots):
+                hit = row.get(beta)
+                if hit:
+                    key += (p, q, pos.get(hit[0], outside), hit[1] % 256)
+        return bytes(key), slots
+
+    def record(self, key, slots, report):
+        """Keep the witnesses of a passing direct check by position."""
+        pos = {gamma: p for p, gamma in enumerate(slots)}
+        self.witnesses[key] = tuple(
+            (pos[gamma], pos[al], pos[be], c)
+            for gamma, (al, be, c) in report["witnesses"].items())
+
+    def recheck(self, cb, key, slots):
+        """The witnesses of ``key`` at ``slots``: al + be = gamma with
+        N_{al,be} the recorded unit."""
+        for g, a, b, c in self.witnesses[key]:
+            al, be, gamma = slots[a], slots[b], slots[g]
+            require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
+                    "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
 
 
 # -- linear spanning oracles ---------------------------------------------
