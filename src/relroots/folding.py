@@ -267,8 +267,9 @@ class RelativeRootSystem:
         cols = tuple(zip(*self.rs.roots))
         projected = zip(*[cols[o[0]] if len(o) == 1 else tuple(map(sum, zip(*map(
             cols.__getitem__, o)))) for o in orbits])
+        self._coords = dict(zip(self.rs.roots, projected))  # root -> its relative coordinates
         fibers = {}
-        for root, c in zip(self.rs.roots, projected):
+        for root, c in self._coords.items():
             if any(c):
                 fibers.setdefault(c, []).append(root)
         # the roots are in increasing order, so each fiber is too
@@ -279,11 +280,9 @@ class RelativeRootSystem:
                 raise AssertionError("mixed-sign relative root %s" % root_str(c))
         self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
-    def project_coords(self, coords):
-        return tuple(sum(coords[j] for j in orbit) for orbit in self.orbits)
-
     def project(self, root):
-        c = self.project_coords(root)
+        """The relative root of the root ``root``, or None where it projects to 0."""
+        c = self._coords[root]
         return RelativeRoot(c) if any(c) else None
 
     def __contains__(self, A):

@@ -23,6 +23,16 @@ re-checks it: that value is the table's coefficient of u_alpha v_beta in
 each (1,1) entry, read off the packed terms, so the table is an oracle
 independent of the search.
 
+The spanning checks read each image off exact probes (``_image_rows``): for
+g = L + Q from K^m to K^n, L linear, Q quadratic, K = Q or F_p, the values
+of g at e_i, -e_i and e_i + e_j span its image.  For p odd, g(e_i) +- g(-e_i)
+is 2 Q(e_i) or 2 L(e_i), and g(e_i + e_j) - g(e_i) - g(e_j) is the coefficient
+of x_i x_j; over F_2, x^2 = x, so the g(e_i) and those cross terms suffice.
+A linear g needs only the e_i.  Every table is (i, j)-homogeneous with i, j > 0
+(``_verify_table``) and every map checked has degree at most 2 in each
+argument, so, one argument at a time, the rows at all pairs of probes span
+the image of the maps.
+
 Written by position (u_k the k-th root of fiber(A), v_k of fiber(B), each
 entry keyed by the position of its root in S: fiber(A), fiber(B), then the
 table's slots, as ``_pair_blocks`` orders them), a table is a function of
@@ -41,7 +51,6 @@ the others (``Configurations``).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -454,35 +463,34 @@ def _span_verdict(rows, n):
             "status": "pass" if all(full.values()) else "fail"}
 
 
-def _as_row(col, n, *vals):
-    """A length-n row holding each nonzero value of the dicts at ``col[root]``."""
-    row = [0] * n
-    for val in vals:
-        for g, v in val.items():
-            if v:
-                row[col[g]] = v
-    return row
-
-
-def _unit_rows(rrs, cb, A, B, col, n):
-    """The rows N_{AB11}(e_alpha, e_beta), alpha over the fiber of A and
-    beta over the fiber of B."""
-    table = compute_relative_commutator_maps(rrs, cb, A, B)
-    return [_as_row(col, n, table.evaluate(1, 1, {al: 1}, {be: 1}))
-            for al in rrs.fiber(A) for be in rrs.fiber(B)]
-
-
-def _probe_vectors(basis, rng, n_random):
-    """Basis vectors, pairwise sums (polarization), and random vectors."""
+def _probes(basis, degree):
+    """The exact probe set of one argument of degree 1 or 2: the basis, and
+    for degree 2 also the negated basis and the pairwise sums.  Probes are
+    values of the maps, so a probe set too small for a degree can only
+    read a spanning image as deficient, never a deficient one as full."""
     probes = [{b: 1} for b in basis]
-    for x, y in itertools.combinations(basis, 2):
-        probes.append({x: 1, y: 1})
-    for _ in range(n_random):
-        probes.append({b: rng.randint(-3, 3) for b in basis})
+    if degree == 2:
+        probes += [{b: -1} for b in basis]
+        probes += [{x: 1, y: 1} for x, y in itertools.combinations(basis, 2)]
     return probes
 
 
-def check_spanning_lemma2_2(rrs, cb, A, B, seed=0, n_random=100):
+def _image_rows(table, maps, col):
+    """Rows spanning the joint image of the maps ``maps`` of ``table``, the
+    value at root g in column ``col[g]``, at every pair of exact probes."""
+    us = _probes(table.u_index, max(i for i, _ in maps))
+    vs = _probes(table.v_index, max(j for _, j in maps))
+    rows = []
+    for u, v in itertools.product(us, vs):
+        row = [0] * len(col)
+        for i, j in maps:
+            for g, x in table.evaluate(i, j, u, v).items():
+                row[col[g]] = x
+        rows.append(row)
+    return rows
+
+
+def check_spanning_lemma2_2(rrs, cb, A, B):
     """im N_AB11 + im N_{A-B,2B,11} + sum_v im N_{A-B,B,12}(-, v) fills V_{A+B}.
 
     Applies when A-B and A+B are both relative roots and the component is
@@ -497,20 +505,17 @@ def check_spanning_lemma2_2(rrs, cb, A, B, seed=0, n_random=100):
     target = rrs.fiber(A + B)
     col = {g: k for k, g in enumerate(target)}
     n = len(target)
-    rng = random.Random(seed)
 
-    rows = _unit_rows(rrs, cb, A, B, col, n)
+    rows = _image_rows(compute_relative_commutator_maps(rrs, cb, A, B), [(1, 1)], col)
     twoB = B.scaled(2)
     if twoB in rrs:
-        rows += _unit_rows(rrs, cb, diff, twoB, col, n)
-    t12 = compute_relative_commutator_maps(rrs, cb, diff, B)
-    for v in _probe_vectors(rrs.fiber(B), rng, n_random):
-        for al in rrs.fiber(diff):
-            rows.append(_as_row(col, n, t12.evaluate(1, 2, {al: 1}, v)))
+        rows += _image_rows(compute_relative_commutator_maps(rrs, cb, diff, twoB),
+                            [(1, 1)], col)
+    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, diff, B), [(1, 2)], col)
     return {"A": A, "B": B, "dim": n, **_span_verdict(rows, n)}
 
 
-def check_spanning_lemma3(l, seed=0, n_random=100):
+def check_spanning_lemma3(l):
     """The C_l half-split span identity on V_{A1+A2} + V_{2A1+A2}.
 
     For C_l with J = {alpha_i, alpha_l}, 2i = l: the images of
@@ -519,27 +524,19 @@ def check_spanning_lemma3(l, seed=0, n_random=100):
     """
     if l < 4 or l % 2:
         raise RelcalcError("need an even l >= 4")
-    i = l // 2
-    rrs = build_relative_system(
-        parse_folding_spec("C%d levi=%d,%d" % (l, i, l)))
+    rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, l // 2, l)))
     cb = build_chevalley_basis(rrs.rs)
     A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     mid, top = A1 + A2, A1.scaled(2) + A2
     f_mid, f_top = rrs.fiber(mid), rrs.fiber(top)
-    n = len(f_mid) + len(f_top)
-    col = {g: k for k, g in enumerate(f_mid)}
-    col.update({g: len(f_mid) + k for k, g in enumerate(f_top)})
-    rng = random.Random(seed)
+    col = {g: k for k, g in enumerate(f_mid + f_top)}
+    n = len(col)
 
     _verify_lemma3_fiber_structure(rrs, f_mid, f_top)
 
-    rows = _unit_rows(rrs, cb, A1, mid, col, n)
-    t_a12 = compute_relative_commutator_maps(rrs, cb, A1, A2)
-    for v in _probe_vectors(rrs.fiber(A1), rng, n_random):
-        for be in rrs.fiber(A2):
-            rows.append(_as_row(col, n, t_a12.evaluate(1, 1, v, {be: 1}),
-                                t_a12.evaluate(2, 1, v, {be: 1})))
-
+    rows = _image_rows(compute_relative_commutator_maps(rrs, cb, A1, mid), [(1, 1)], col)
+    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, A1, A2),
+                        [(1, 1), (2, 1)], col)
     return {"l": l, "dim": n, **_span_verdict(rows, n)}
 
 

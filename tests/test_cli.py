@@ -348,8 +348,11 @@ FAULTS = {
                      "compute_relative_commutator_maps", _fault_in_c3_table, 3, 4),
     "lemma2-hypothesis": ("lemma2", ["--max-rank", "2"], cli,
                           "check_N11_surjectivity", _case_a_without_units, 1, 6),
-    "lemma3": ("lemma3", [], relcalc, "_probe_vectors",
-               lambda basis, rng, n_random: [], 2, 0),
+    "lemma2-outside": ("lemma2", ["--max-rank", "2"], cli,
+                       "applicable_surjectivity_cases",
+                       lambda rrs, cb, A, B: ["a"], 1, 6),
+    "lemma3": ("lemma3", [], relcalc, "_image_rows",
+               lambda table, maps, col: [], 2, 0),
     "c2": ("c2", ["--k", "5"], theoremlab, "adjoint_root_element",
            _doubled_target, 2, 0),
     "g2": ("g2", ["--k", "3"], theoremlab, "adjoint_root_element",

@@ -39,6 +39,11 @@ def fold(text):
     return build_relative_system(parse_folding_spec(text))
 
 
+def project_coords(rrs, coords):
+    """Oracle: the relative coordinates of one root, as sums over the orbits."""
+    return tuple(sum(coords[j] for j in orbit) for orbit in rrs.orbits)
+
+
 def test_automorphism_groups():
     assert len(enumerate_diagram_automorphisms(RootType.parse("A1"))) == 1
     assert len(enumerate_diagram_automorphisms(RootType.parse("A3"))) == 2
@@ -142,19 +147,22 @@ def test_projection_is_gamma_invariant():
             for r in rs.roots:
                 moved = tuple(r[inv[i]] for i in range(rs.rank))
                 assert moved in rs
-                assert rrs.project_coords(moved) == rrs.project_coords(r)
+                assert project_coords(rrs, moved) == project_coords(rrs, r)
+                assert rrs.project(moved) == rrs.project(r)
 
 
 def test_gathered_fibers_match_the_projection():
-    # the fibers built by projecting every root at once against the
-    # orbit sums of each root on its own, for every Gamma up to rank 6
+    # the fibers and ``project``, both built by projecting every root at
+    # once, against the orbit sums of each root on its own, for every Gamma
+    # up to rank 6
     for spec in enumerate_foldings(6):
         rrs = build_relative_system(spec)
         want = {}
         for r in rrs.rs.roots:
-            c = rrs.project_coords(r)
+            c = project_coords(rrs, r)
             if any(c):
                 want.setdefault(c, []).append(r)
+            assert rrs.project(r) == (RelativeRoot(c) if any(c) else None), (spec, r)
         assert rrs.fibers == {c: tuple(f) for c, f in want.items()}, spec
         assert list(rrs.fibers) == list(want), spec
         for j, k in enumerate(rrs.orbit_index):

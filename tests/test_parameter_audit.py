@@ -17,8 +17,6 @@ ALLOWED = {
     "check_N11_surjectivity.units":
         "the unit set of R: tests run case (a) with {1, 2} and {7}; "
         "relroots itself only works over a ring whose units are +-1 (see ROADMAP item 6)",
-    "check_spanning_lemma2_2.n_random": "tests shorten the probe set",
-    "check_spanning_lemma3.n_random": "tests shorten the probe set",
 }
 
 SRC = os.path.dirname(relroots.__file__)

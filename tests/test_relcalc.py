@@ -311,7 +311,7 @@ def test_surjectivity_case_c(c3_bc2):
 def test_spanning_lemma2_2_bc2(c3_bc2):
     rrs, cb = c3_bc2
     A, B = RelativeRoot((1, 1)), RelativeRoot((0, 1))
-    report = check_spanning_lemma2_2(rrs, cb, A, B, n_random=20)
+    report = check_spanning_lemma2_2(rrs, cb, A, B)
     assert report["status"] == "pass"
     assert set(report["fields"]) == {"Q", "F2", "F3", "F5"}
     assert all(v == "full" for v in report["fields"].values())
@@ -332,13 +332,13 @@ def test_spanning_lemma2_2_rejects_bad_input(c2):
 
 
 def test_lemma3_c4():
-    report = check_spanning_lemma3(4, n_random=20)
+    report = check_spanning_lemma3(4)
     assert report["status"] == "pass"
     assert all(v == "full" for v in report["fields"].values())
 
 
 def test_lemma3_c6():
-    report = check_spanning_lemma3(6, n_random=10)
+    report = check_spanning_lemma3(6)
     assert report["status"] == "pass"
 
 
