@@ -21,7 +21,6 @@ from fractions import Fraction
 from .chevalley import build_chevalley_basis
 from .folding import (
     FoldingError,
-    RelativeRoot,
     build_relative_system,
     classify_relative_type,
     enumerate_foldings,
@@ -30,6 +29,7 @@ from .folding import (
 from .polyring import is_prime
 from .relcalc import (
     Configurations,
+    RelativeRoot,
     RelcalcError,
     applicable_surjectivity_cases,
     case_a_pairs,
@@ -112,13 +112,13 @@ def cmd_fold(args):
         "spec": str(spec),
         "classifiedType": "%s%d" % (label, rank),
         "relativeRank": rrs.rank,
-        "components": [{"rank": rrs.rank, "size": len(rrs.rel_roots)}],
+        "components": [{"rank": rrs.rank, "size": len(rrs.fibers)}],
         "relativeRoots": [{
-            "coords": list(A.coords),
-            "level": A.level,
-            "sign": 1 if A.is_positive() else -1,
-            "fiber": [list(g) for g in rrs.fiber(A)],
-        } for A in sorted(rrs.rel_roots, key=lambda A: A.coords)],
+            "coords": list(a),
+            "level": sum(a),
+            "sign": 1 if sum(a) > 0 else -1,
+            "fiber": list(map(list, fiber)),
+        } for a, fiber in sorted(rrs.fibers.items())],
     })
     return 0
 
@@ -148,8 +148,8 @@ def cmd_nmaps(args):
         "spec": str(spec),
         "A": list(A.coords),
         "B": list(B.coords),
-        "fiberA": [list(g) for g in rrs.fiber(A)],
-        "fiberB": [list(g) for g in rrs.fiber(B)],
+        "fiberA": [list(g) for g in rrs.fiber(A.coords)],
+        "fiberB": [list(g) for g in rrs.fiber(B.coords)],
         "maps": [{
             "i": i,
             "j": j,

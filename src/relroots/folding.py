@@ -9,8 +9,11 @@ non-reduced) type classification.
 
 The quotient lattice is coordinatized by the Gamma-orbits of J in
 increasing order of minimal node index, so relative simple roots are the
-unit vectors and the sign/level of a relative root can be read off its
-coordinates.
+unit vectors.  A relative root is its coordinate tuple, as a root is in
+``relroots.rootcore``: its level is ``sum(a)``, its sign the sign of that
+sum, ``root_str`` prints it, and ``RelativeRootSystem.fibers`` keys every
+fiber by it.  Lemma 1 (``decompose_relative_root`` and its checker) takes
+and returns these tuples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 
 from .rootcore import (
     MULTIPLE_BOUND,
@@ -216,32 +220,6 @@ def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
     return specs
 
 
-@dataclass(frozen=True)
-class RelativeRoot:
-    """Integer vector over the Gamma-orbits of J; all coords share a sign."""
-
-    coords: tuple
-
-    @property
-    def level(self):
-        return sum(self.coords)
-
-    def is_positive(self):
-        return self.level > 0
-
-    def __neg__(self):
-        return RelativeRoot(tuple(-c for c in self.coords))
-
-    def __add__(self, other):
-        return RelativeRoot(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scaled(self, k):
-        return RelativeRoot(tuple(k * c for c in self.coords))
-
-    def __str__(self):
-        return root_str(self.coords)
-
-
 class RelativeRootSystem:
     """``fibers``, the one set of relative coordinates, maps each to its
     fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
@@ -274,7 +252,6 @@ class RelativeRootSystem:
                 fibers.setdefault(c, []).append(root)
         # the roots are in increasing order, so each fiber is too
         self.fibers = {c: tuple(f) for c, f in fibers.items()}
-        self.rel_roots = frozenset(map(RelativeRoot, self.fibers))
         for c in self.fibers:
             if len({x > 0 for x in c if x}) != 1:
                 raise AssertionError("mixed-sign relative root %s" % root_str(c))
@@ -283,13 +260,13 @@ class RelativeRootSystem:
     def project(self, root):
         """The relative root of the root ``root``, or None where it projects to 0."""
         c = self._coords[root]
-        return RelativeRoot(c) if any(c) else None
+        return c if any(c) else None
 
-    def __contains__(self, A):
-        return A.coords in self.fibers
+    def __contains__(self, a):
+        return a in self.fibers
 
-    def fiber(self, A):
-        return self.fibers[A.coords]
+    def fiber(self, a):
+        return self.fibers[a]
 
     @cached_property
     def codes(self):
@@ -398,22 +375,21 @@ def _diagram_path(rs, start, targets):
     raise AssertionError("diagram is connected; no path found")
 
 
-def check_lemma1_decomposition(rrs, A, B, C):
+def check_lemma1_decomposition(rrs, a, b, c):
     """Independent re-verification of every clause of the decomposition.
 
-    Solves D = i*B + j*C for each relative root D through one nonzero 2x2
-    minor of (B, C), so every multiple i, j >= 1 other than (1, 1) is
+    Solves d = i*b + j*c for each relative root d through one nonzero 2x2
+    minor of (b, c), so every multiple i, j >= 1 other than (1, 1) is
     covered, with no bound on i and j.  Each integral solution that holds
-    on every coordinate must keep the sign of A and raise its level; the
+    on every coordinate must keep the sign of a and raise its level; the
     first violation in (i, j) order raises VerificationError (an
     AssertionError that ``python -O`` keeps).
     """
-    require(B in rrs and C in rrs, "B, C must be relative roots")
-    require(B + C == A, "B + C is not A")
-    b, c = B.coords, C.coords
+    require(b in rrs and c in rrs, "B, C must be relative roots")
+    require(tuple(map(add, b, c)) == a, "B + C is not A")
     require(not collinear(b, c), "B and C are collinear")
-    sign = 1 if A.is_positive() else -1
-    level = abs(A.level)
+    sign = 1 if sum(a) > 0 else -1
+    level = abs(sum(a))
     n = len(b)
     p, q = next((p, q) for p in range(n) for q in range(p + 1, n)
                 if b[p] * c[q] != b[q] * c[p])
@@ -437,45 +413,46 @@ def check_lemma1_decomposition(rrs, A, B, C):
     return True
 
 
-def decompose_relative_root(rrs: RelativeRootSystem, A: RelativeRoot):
-    """Split A = B + C per the constructive recipe; checker-verified.
+def decompose_relative_root(rrs: RelativeRootSystem, a):
+    """Split the relative root a = b + c per the constructive recipe;
+    checker-verified.
 
     The two branches mirror the constructive existence proof: multiples of
     a single relative simple root borrow a chain through the nearest other
     J-node; anything else splits off the last J-node of a root chain.
-    Negative A takes the negated split of -A (the clauses are symmetric
+    Negative a takes the negated split of -a (the clauses are symmetric
     under negation): the recipe runs once per +-pair, for whichever sign
     comes first, and ``rrs`` keeps the split for the other.  The split of
     each sign is checked once, by ``check_lemma1_decomposition``.  A
-    recipe step or clause that fails raises DecompositionError naming A,
+    recipe step or clause that fails raises DecompositionError naming a,
     so a gap in the recipe shows as a failed case.
     """
-    if A not in rrs:
-        raise DecompositionError("%s is not a relative root" % A)
+    if a not in rrs:
+        raise DecompositionError("%s is not a relative root" % root_str(a))
     if rrs.rank < 2:
-        raise DecompositionError("relative root %s lies in a rank-1 component" % A)
-    sign = 1 if A.is_positive() else -1
-    P = A if sign > 0 else -A
+        raise DecompositionError("relative root %s lies in a rank-1 component"
+                                 % root_str(a))
+    positive = sum(a) > 0
+    p = a if positive else tuple(-x for x in a)
     try:
-        split = rrs._splits.get(P.coords)
+        split = rrs._splits.get(p)
         if split is None:
-            split = rrs._splits[P.coords] = _decompose_positive(rrs, P)
-        B, C = split if sign > 0 else (-split[0], -split[1])
-        check_lemma1_decomposition(rrs, A, B, C)
+            split = rrs._splits[p] = _decompose_positive(rrs, p)
+        b, c = split if positive else (tuple(-x for x in r) for r in split)
+        check_lemma1_decomposition(rrs, a, b, c)
     except AssertionError as exc:
-        raise DecompositionError("no valid decomposition found for %s: %s" % (A, exc))
-    return B, C
+        raise DecompositionError("no valid decomposition found for %s: %s"
+                                 % (root_str(a), exc))
+    return b, c
 
 
-def _decompose_positive(rrs, A):
+def _decompose_positive(rrs, a):
     rs = rrs.rs
-    support = [k for k, c in enumerate(A.coords) if c]
-    fiber = rrs.fiber(A)
-    alpha = fiber[0]  # deterministic: minimal coordinate vector
+    support = [k for k, x in enumerate(a) if x]
+    alpha = rrs.fiber(a)[0]  # deterministic: minimal coordinate vector
     if len(support) == 1:
-        # A = k * pi(alpha_r): borrow a chain through the nearest other J-node
+        # a = k * pi(alpha_r): borrow a chain through the nearest other J-node
         orbit = rrs.orbits[support[0]]
-        r = orbit[0]
         others = [s for s in rrs.spec.levi if s not in set(orbit)]
         adj_path = {s: _diagram_path(rs, s, set(
             i for i, c in enumerate(alpha) if c)) for s in others}
@@ -484,7 +461,7 @@ def _decompose_positive(rrs, A):
         beta = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
         require(beta in rs, "chain sum is not a root")
         require(rs.sum_is_root(alpha, beta), "alpha + beta is not a root")
-        return rrs.project(rs.sum(alpha, beta)), rrs.project(tuple(-c for c in beta))
+        return rrs.project(rs.sum(alpha, beta)), rrs.project(tuple(-x for x in beta))
     # split off the last J-node of a root chain for alpha
     delta = set(range(rs.rank)) - set(rrs.spec.levi)
     gamma = alpha
@@ -499,6 +476,5 @@ def _decompose_positive(rrs, A):
             continue
         i = next(i for i in strippable if i in set(rrs.spec.levi))
         rest = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma))
-        B = rrs.project(rest)
-        C = rrs.project(tuple(1 if k == i else 0 for k in range(rs.rank)))
-        return B, C
+        simple = tuple(1 if k == i else 0 for k in range(rs.rank))
+        return rrs.project(rest), rrs.project(simple)

@@ -289,17 +289,25 @@ def is_prime(p):
 
 
 def row_reduce(rows, ncols, p=None):
-    """Reduced row echelon form over Q, or over F_p when ``p`` is given.
+    """Row reduction over Q, or over F_p when ``p`` is given.
 
     Pivots are sought in the first ``ncols`` columns only; any further
     columns (an augmented block) are carried along.  Returns the reduced
     rows, pivot rows first, and the pivot columns; the rank is
-    ``len(pivots)``.  Over Q the entries are ints or Fractions and come
-    back as Fractions, equal to those of Fraction Gauss-Jordan.
+    ``len(pivots)``.  Over F_p the rows are the reduced row echelon form.
+    Over Q the entries are ints or Fractions; each row is scaled to
+    integers, and eliminating with pivot a sets row := (a*row - f*top) /
+    gcd, so every row comes back as integers, a nonzero multiple of the
+    row Fraction Gauss-Jordan would hold (the eliminations, swaps and zero
+    patterns are the same).
     """
     if p is None:
-        return _row_reduce_rational(rows, ncols)
-    mat = [[int(x) % p for x in row] for row in rows]
+        mat = []
+        for row in rows:
+            den = math.lcm(*(x.denominator for x in row))
+            mat.append([x.numerator * (den // x.denominator) for x in row])
+    else:
+        mat = [[int(x) % p for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -307,54 +315,19 @@ def row_reduce(rows, ncols, p=None):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = top = [x * inv % p for x in mat[r]]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = [(x - f * y) % p for x, y in zip(row, top)]
-        pivots.append(c)
-    return mat, pivots
-
-
-def _row_reduce_rational(rows, ncols):
-    """``row_reduce`` over Q by integer-preserving elimination.
-
-    Each row is scaled to integers by the lcm of its denominators, and
-    eliminating with pivot a sets row := (a*row - f*top) / gcd, so no
-    Fraction is made until the end.  ``scale[i] = (num, den)`` tracks
-    row i as num/den times the row Fraction Gauss-Jordan would hold at
-    the same step (the eliminations, swaps and zero patterns are the
-    same); a pivot row is divided by its pivot, which Fraction
-    Gauss-Jordan sets to 1, and any other row by its scale.
-    """
-    mat, scale = [], []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (den // x.denominator) for x in row])
-        scale.append((den, 1))
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        scale[r], scale[piv] = scale[piv], scale[r]
+        if p is not None:
+            inv = pow(mat[r][c], -1, p)
+            mat[r] = [x * inv % p for x in mat[r]]
         top = mat[r]
         a = top[c]
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
                 new = [a * x - f * y for x, y in zip(row, top)]
-                g = math.gcd(*new) or 1
-                mat[i] = [x // g for x in new] if g > 1 else new
-                num, den = scale[i]
-                scale[i] = (num * a, den * g)
+                if p is None:
+                    g = math.gcd(*new)
+                    mat[i] = [x // g for x in new] if g > 1 else new
+                else:
+                    mat[i] = [x % p for x in new]
         pivots.append(c)
-    out = []
-    for i, row in enumerate(mat):
-        num, den = (row[pivots[i]], 1) if i < len(pivots) else scale[i]
-        out.append([Fraction(x * den, num) for x in row] if any(row)
-                   else [Fraction(0)] * len(row))
-    return out, pivots
+    return mat, pivots

@@ -53,15 +53,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
                         invert_factors, product_of_root_elements, unit_split)
-from .folding import (RelativeRoot, build_relative_system,
-                      classify_relative_type, parse_folding_spec)
+from .folding import build_relative_system, classify_relative_type, parse_folding_spec
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
 from .rootcore import (MULTIPLE_BOUND, MULTIPLE_PAIRS, VerificationError, collinear,
-                       require, splits)
+                       require, root_str, splits)
 
 
 class RelcalcError(ValueError):
@@ -75,24 +74,36 @@ class CaseHypothesisError(RelcalcError, VerificationError):
     """
 
 
+@dataclass(frozen=True)
+class RelativeRoot:
+    """The argument type of the public functions below: a relative root's
+    coordinate tuple, which each of them reads once, printed by
+    ``root_str``.  Inside, a relative root is the tuple itself."""
+
+    coords: tuple
+
+    def __str__(self):
+        return root_str(self.coords)
+
+
 def _require_split(rrs):
     if len(rrs.spec.gamma) != 1:
         raise RelcalcError(
             "relative root subschemes are only realized for trivial gamma")
 
 
-def relative_factors(rrs, A, coords):
-    """Elementary factor word for X_A(v), fiber in lexicographic order."""
-    return [(alpha, coords[alpha]) for alpha in rrs.fiber(A)]
+def relative_factors(rrs, a, coords):
+    """Elementary factor word for X_a(v), fiber in lexicographic order."""
+    return [(alpha, coords[alpha]) for alpha in rrs.fiber(a)]
 
 
-def _relative_cone(rrs, A, B):
-    """Weights of f = g o proj, g = ``cone_weights(A, B)`` on relative coordinates.
+def _relative_cone(rrs, a, b):
+    """Weights of f = g o proj, g = ``cone_weights(a, b)`` on relative coordinates.
 
-    f is positive on the fiber of every iA + jB (i, j >= 0, i + j > 0), so
+    f is positive on the fiber of every ia + jb (i, j >= 0, i + j > 0), so
     every word of an N-map table lies in one half-space.
     """
-    g = cone_weights(A.coords, B.coords) + (0,)  # g[rank] = 0 for the nodes outside J
+    g = cone_weights(a, b) + (0,)  # g[rank] = 0 for the nodes outside J
     return tuple([g[k] for k in rrs.orbit_index])
 
 
@@ -149,37 +160,38 @@ def _integral(value):
 
 def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
     _require_split(rrs)
-    if A not in rrs or B not in rrs:
+    a, b = A.coords, B.coords
+    if a not in rrs or b not in rrs:
         raise RelcalcError("A and B must be relative roots")
-    if collinear(A.coords, B.coords):
+    if collinear(a, b):
         raise RelcalcError("commutator maps need non-collinear A, B "
                            "(mA = -kB or proportional rays rejected)")
-    fa, fb = rrs.fiber(A), rrs.fiber(B)
+    fa, fb = rrs.fiber(a), rrs.fiber(b)
     names = ["u%d" % k for k in range(len(fa))] + ["v%d" % k for k in range(len(fb))]
     reg = VarRegistry(names)
     u_index = {alpha: k for k, alpha in enumerate(fa)}
     v_index = {beta: len(fa) + k for k, beta in enumerate(fb)}
     x = [PolyElem(reg, {unit: 1}, _canonical=True) for unit in reg.units]  # the variables
     word = commutator_factors(zip(fa, x), zip(fb, x[len(fa):]))
-    U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, A, B))
+    U = product_of_root_elements(cb, reg, word, _relative_cone(rrs, a, b))
 
-    slots, owner = _table_slots(rrs, A, B)
+    slots, owner = _table_slots(rrs, a, b)
     table = NMapTable(reg, u_index, v_index, _collect_recomposed(
         cb, U, slots, owner, "recomposed product differs from the commutator"))
     _verify_table(table)
     return table
 
 
-def _pair_blocks(rrs, A, B):
-    """S, the slots of the pair (A, B), as (owner, fiber) blocks in order:
-    ((1, 0), fiber(A)), ((0, 1), fiber(B)), then ((i, j), fiber(iA + jB))
-    for each (i, j) of ``MULTIPLE_PAIRS`` with iA + jB a relative root,
+def _pair_blocks(rrs, a, b):
+    """S, the slots of the pair (a, b), as (owner, fiber) blocks in order:
+    ((1, 0), fiber(a)), ((0, 1), fiber(b)), then ((i, j), fiber(ia + jb))
+    for each (i, j) of ``MULTIPLE_PAIRS`` with ia + jb a relative root,
     found by integer codes (``RelativeRootSystem.codes``)."""
     codes, by_code = rrs.codes, rrs.by_code
-    a, b = codes[A.coords], codes[B.coords]
-    blocks = [((1, 0), by_code[a]), ((0, 1), by_code[b])]
+    ka, kb = codes[a], codes[b]
+    blocks = [((1, 0), by_code[ka]), ((0, 1), by_code[kb])]
     for i, j in MULTIPLE_PAIRS:
-        fiber = by_code.get(i * a + j * b)
+        fiber = by_code.get(i * ka + j * kb)
         if fiber:
             blocks.append(((i, j), fiber))
     return blocks
@@ -195,10 +207,10 @@ def _slots(blocks):
     return slots, owner
 
 
-def _table_slots(rrs, A, B):
-    """The slots of the relative roots iA + jB, each owned by its (i, j),
+def _table_slots(rrs, a, b):
+    """The slots of the relative roots ia + jb, each owned by its (i, j),
     in the order of ``_pair_blocks``."""
-    return _slots(_pair_blocks(rrs, A, B)[2:])
+    return _slots(_pair_blocks(rrs, a, b)[2:])
 
 
 def _collect_recomposed(cb, U, slots, owner, failure):
@@ -248,18 +260,19 @@ def _verify_table(table):
 def check_sum_formula(rrs, cb, A):
     """X_A(u+u') = X_A(u) X_A(u') prod_{i>1} X_{iA}(u_i), with witnesses."""
     _require_split(rrs)
-    fiber = rrs.fiber(A)
+    a = A.coords
+    fiber = rrs.fiber(a)
     names = (["u%d" % k for k in range(len(fiber))]
              + ["w%d" % k for k in range(len(fiber))])
     reg = VarRegistry(names)
     u = {alpha: reg.var("u%d" % k) for k, alpha in enumerate(fiber)}
     w = {alpha: reg.var("w%d" % k) for k, alpha in enumerate(fiber)}
-    lhs_factors = relative_factors(rrs, A, {alpha: u[alpha] + w[alpha] for alpha in fiber})
-    base = relative_factors(rrs, A, u) + relative_factors(rrs, A, w)
+    lhs_factors = relative_factors(rrs, a, {alpha: u[alpha] + w[alpha] for alpha in fiber})
+    base = relative_factors(rrs, a, u) + relative_factors(rrs, a, w)
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
-                                        _relative_cone(rrs, A, A))
-    code = rrs.codes[A.coords]
+                                        _relative_cone(rrs, a, a))
+    code = rrs.codes[a]
     slots, owner = _slots([(i, rrs.by_code.get(i * code, ()))
                            for i in range(2, MULTIPLE_BOUND + 1)])
     corrections = _collect_recomposed(cb, residual, slots, owner,
@@ -284,11 +297,12 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
       d -- the fibers of A and B contain long roots summing to a root.
     """
     _require_split(rrs)
-    target = rrs.fibers.get(tuple(map(add, A.coords, B.coords)))
+    a, b = A.coords, B.coords
+    target = rrs.fibers.get(tuple(map(add, a, b)))
     if target is None:
         raise RelcalcError("A+B is not a relative root")
     rs = rrs.rs
-    fa, fb = rrs.fiber(A), rrs.fiber(B)
+    fa, fb = rrs.fiber(a), rrs.fiber(b)
     laced = rs.type.series in ("B", "C", "F")
     unit_abs = {abs(x) for x in units}
 
@@ -301,10 +315,9 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         if not hit <= unit_abs:
             raise CaseHypothesisError(
                 "constants %s of %s, %s not all invertible for the supplied units"
-                % (sorted(hit), A, B))
+                % (sorted(hit), root_str(a), root_str(b)))
     elif case == "b":
-        diff = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-        if A == B or diff in rrs:
+        if a == b or tuple(map(sub, a, b)) in rrs:
             raise CaseHypothesisError("need A != B and A-B not a relative root")
         unit_abs = {1}
     elif case == "c":
@@ -369,12 +382,12 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
 
 
 def case_a_pairs(rrs):
-    """The pairs of case (a): (A, B) in ``itertools.product(rrs.rel_roots,
+    """The pairs of case (a): (A, B) in ``itertools.product(rrs.fibers,
     repeat=2)`` order, not collinear, with A + B a relative root."""
     codes, by_code = rrs.codes, rrs.by_code
-    return [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-            if codes[A.coords] + codes[B.coords] in by_code
-            and not collinear(A.coords, B.coords)]
+    return [(RelativeRoot(a), RelativeRoot(b))
+            for a, b in itertools.product(rrs.fibers, repeat=2)
+            if codes[a] + codes[b] in by_code and not collinear(a, b)]
 
 
 def _root_brackets(cb):
@@ -417,7 +430,7 @@ class Configurations:
         brackets = self._brackets.get(cb)
         if brackets is None:
             brackets = self._brackets[cb] = _root_brackets(cb)
-        blocks = _pair_blocks(rrs, A, B)
+        blocks = _pair_blocks(rrs, A.coords, B.coords)
         slots = [gamma for _, fiber in blocks for gamma in fiber]
         pos = {gamma: p for p, gamma in enumerate(slots)}
         outside = len(slots)
@@ -497,21 +510,23 @@ def check_spanning_lemma2_2(rrs, cb, A, B):
     not G2; checked over the rationals and over F_2, F_3, F_5.
     """
     _require_split(rrs)
-    diff = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-    if diff not in rrs or (A + B) not in rrs:
+    a, b = A.coords, B.coords
+    diff, total = tuple(map(sub, a, b)), tuple(map(add, a, b))
+    if diff not in rrs or total not in rrs:
         raise RelcalcError("need both A-B and A+B relative roots")
     if classify_relative_type(rrs)[0] == "G" or rrs.rs.type.series == "G":
         raise RelcalcError("excluded for G2")
-    target = rrs.fiber(A + B)
+    target = rrs.fiber(total)
     col = {g: k for k, g in enumerate(target)}
     n = len(target)
 
+    D = RelativeRoot(diff)
     rows = _image_rows(compute_relative_commutator_maps(rrs, cb, A, B), [(1, 1)], col)
-    twoB = B.scaled(2)
-    if twoB in rrs:
-        rows += _image_rows(compute_relative_commutator_maps(rrs, cb, diff, twoB),
+    two_b = tuple(2 * x for x in b)
+    if two_b in rrs:
+        rows += _image_rows(compute_relative_commutator_maps(rrs, cb, D, RelativeRoot(two_b)),
                             [(1, 1)], col)
-    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, diff, B), [(1, 2)], col)
+    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, D, B), [(1, 2)], col)
     return {"A": A, "B": B, "dim": n, **_span_verdict(rows, n)}
 
 
@@ -526,9 +541,8 @@ def check_spanning_lemma3(l):
         raise RelcalcError("need an even l >= 4")
     rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, l // 2, l)))
     cb = build_chevalley_basis(rrs.rs)
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    mid, top = A1 + A2, A1.scaled(2) + A2
-    f_mid, f_top = rrs.fiber(mid), rrs.fiber(top)
+    A1, A2, mid = RelativeRoot((1, 0)), RelativeRoot((0, 1)), RelativeRoot((1, 1))
+    f_mid, f_top = rrs.fiber((1, 1)), rrs.fiber((2, 1))
     col = {g: k for k, g in enumerate(f_mid + f_top)}
     n = len(col)
 
@@ -543,10 +557,10 @@ def check_spanning_lemma3(l):
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):
     """The three fiber cases behind the span identity, checked directly."""
     rs = rrs.rs
-    f_a1 = rrs.fiber(RelativeRoot((1, 0)))
+    f_a1 = rrs.fiber((1, 0))
     short_a1 = [al for al in f_a1 if al not in rs.long_roots]
     short_mid = set(f_mid) - rs.long_roots
-    a2_but_l = set(rrs.fiber(RelativeRoot((0, 1)))) - {rs.simple_roots[rs.rank - 1]}
+    a2_but_l = set(rrs.fiber((0, 1))) - {rs.simple_roots[rs.rank - 1]}
     for gamma in f_top:
         if gamma not in rs.long_roots:
             require(any(splits(gamma, short_a1, short_mid, ((1, 1),))),

@@ -18,7 +18,8 @@ Three helpers read pairs of coordinate tuples: ``collinear``,
 ``multiples`` (the i*a + j*b that are roots) and ``splits`` (the pairs
 whose i*beta + j*gamma is a given root), the one search behind every
 commutator witness; ``chevalley.unit_split`` takes its first split with a
-unit constant.  Relative roots reach them by their ``coords``.
+unit constant.  A relative root is a coordinate tuple too
+(``relroots.folding``), so the helpers take it as it is.
 """
 
 from __future__ import annotations

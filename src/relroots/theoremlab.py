@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .chevalley import (
     CollectionError,
@@ -45,7 +46,6 @@ from .chevalley import (
 )
 from .folding import (
     DecompositionError,
-    RelativeRoot,
     build_relative_system,
     decompose_relative_root,
     enumerate_foldings,
@@ -111,8 +111,8 @@ def verify_lemma1_catalog(max_rank=6):
                                           witness="rank-1 component"))
             continue
         cases.append(run_case(cid, str(spec), lambda: [
-            "%s = %s + %s" % (A, *decompose_relative_root(rrs, A))
-            for A in sorted(rrs.rel_roots, key=lambda R: R.coords)]))
+            "%s = %s + %s" % (root_str(a), *map(root_str, decompose_relative_root(rrs, a)))
+            for a in sorted(rrs.fibers)]))
     return cases
 
 
@@ -334,25 +334,22 @@ def _schema_bl_pairs(l):
         raise ValueError("need l >= 3")
     rrs = build_relative_system(parse_folding_spec("B%d levi=1,2" % l))
     rs = rrs.rs
-    rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
-    firsts = [R.coords for R in rel_roots]
+    rel_roots = sorted(rrs.fibers)
 
-    def witness(A):
+    def witness(a):
         wit = []
-        for b, c, _ in splits(A.coords, firsts, rrs.fibers, ((1, 1),)):
-            B, C = RelativeRoot(b), RelativeRoot(c)
+        for b, c, _ in splits(a, rel_roots, rrs.fibers, ((1, 1),)):
             pair = next(((beta, gamma)
-                         for beta in rrs.fiber(B) for gamma in rrs.fiber(C)
+                         for beta in rrs.fiber(b) for gamma in rrs.fiber(c)
                          if beta in rs.long_roots and gamma in rs.long_roots
                          and rs.sum_is_root(beta, gamma)), None)
-            require(pair, "no long pair for %s = %s + %s", A, B, C)
-            wit.append("%s = %s + %s via %s + %s"
-                       % (A, B, C, root_str(pair[0]), root_str(pair[1])))
+            require(pair, "no long pair for %s = %s + %s", a, b, c)
+            wit.append("%s = %s + %s via %s + %s" % tuple(map(root_str, (a, b, c, *pair))))
         return wit
 
-    return [run_case("blpairs/B%d/%s" % (l, A), "B%d levi=1,2" % l,
-                     lambda: witness(A))
-            for A in rel_roots]
+    return [run_case("blpairs/B%d/%s" % (l, root_str(a)), "B%d levi=1,2" % l,
+                     lambda: witness(a))
+            for a in rel_roots]
 
 
 def _cancelled_chain(cb, reg, k, v, gamma, hit, canceller):
@@ -390,28 +387,28 @@ def _schema_cl_bc2(l, k):
     rrs = build_relative_system(parse_folding_spec("C%d levi=1,2" % l))
     rs = rrs.rs
     cb = build_chevalley_basis(rs)
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
+    a1, a2 = (1, 0), (0, 1)
     spec_str = "C%d levi=1,2" % l
     height = (1,) * l
 
     # extra-short and short relative roots have all-short fibers
     def shortness():
         # a relative root is long here iff it is twice another relative root
-        long_rel = {D.scaled(2) for D in rrs.rel_roots if D.scaled(2) in rrs}
-        bad = [str(A) for A in rrs.rel_roots if A not in long_rel
-               and not rs.long_roots.isdisjoint(rrs.fiber(A))]
+        doubles = {tuple(2 * x for x in d) for d in rrs.fibers}
+        bad = [root_str(a) for a in rrs.fibers if a not in doubles
+               and not rs.long_roots.isdisjoint(rrs.fiber(a))]
         require(not bad, "non-long relative roots with a non-short fiber: %s",
                 ", ".join(bad))
         return "all non-long relative roots have short fibers"
 
     # chain for the long root A = 2A1 + 2A2 at the stated threshold
     def chain():
-        (gamma_A,) = rrs.fiber(RelativeRoot((2, 2)))
+        (gamma_A,) = rrs.fiber((2, 2))
         reg = VarRegistry(["Z", "v"])
         v = reg.var("v")
         word, (alpha, beta, c21, byproduct) = _cancelled_chain(
-            cb, reg, k, v, gamma_A, (rrs.fiber(A1), rrs.fiber(A2.scaled(2))),
-            (rrs.fiber(A1 + A2), rrs.fiber(A2)))
+            cb, reg, k, v, gamma_A, (rrs.fiber(a1), rrs.fiber(tuple(2 * x for x in a2))),
+            (rrs.fiber(tuple(map(add, a1, a2))), rrs.fiber(a2)))
         total = product_of_root_elements(cb, reg, word, height)
         rhs = adjoint_root_element(cb, gamma_A, reg.var("Z", k) * v, height)
         require(total == rhs, "assembled chain does not reproduce X_A(Z^k v)")
@@ -435,15 +432,16 @@ def _schema_cl_c2(l, k):
     rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, i, l)))
     rs = rrs.rs
     cb = build_chevalley_basis(rs)
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
+    a1, a2 = (1, 0), (0, 1)
     spec_str = "C%d levi=%d,%d" % (l, i, l)
-    mid, top = A1 + A2, A1.scaled(2) + A2
+    mid = tuple(map(add, a1, a2))
+    top = tuple(map(add, mid, a1))
     height = (1,) * l
 
-    def product_formula(A, factors_for):
+    def product_formula(a, factors_for):
         """prod_j (commutator word for gamma_j) == prod_j x_{gamma_j}(Z^k v_j)
-        over the fiber of A; returns the per-root witness lines."""
-        fiber = rrs.fiber(A)
+        over the fiber of a; returns the per-root witness lines."""
+        fiber = rrs.fiber(a)
         reg = VarRegistry(["Z"] + ["v%d" % j for j in range(len(fiber))])
         word, wit = [], []
         for j, gamma in enumerate(fiber):
@@ -468,7 +466,7 @@ def _schema_cl_c2(l, k):
 
     # short root A = A1+A2: per-fiber clean commutators
     def short_factors(reg, j, gamma):
-        got = unit_split(cb, gamma, rrs.fiber(A1), rrs.fiber(A2), clean=True)
+        got = unit_split(cb, gamma, rrs.fiber(a1), rrs.fiber(a2), clean=True)
         require(got, "no unit clean pair for %s", gamma)
         return unit_commutator(reg, j, gamma, got)
 
@@ -476,12 +474,12 @@ def _schema_cl_c2(l, k):
     def long_factors(reg, j, gamma):
         if gamma not in rs.long_roots:
             # reachable from the A1 x (A1+A2) commutator: single-slot cone
-            got = unit_split(cb, gamma, rrs.fiber(A1), rrs.fiber(mid))
+            got = unit_split(cb, gamma, rrs.fiber(a1), rrs.fiber(mid))
             require(got, "no unit pair for short %s", gamma)
             return unit_commutator(reg, j, gamma, got)
         # long gamma = 2 alpha + beta: the (2,1) slot of an A1 x A2
         # commutator, its (1,1) byproduct cancelled by a clean A1 x A2 pair
-        fibers = (rrs.fiber(A1), rrs.fiber(A2))
+        fibers = (rrs.fiber(a1), rrs.fiber(a2))
         word, (alpha, beta, c21, byproduct) = _cancelled_chain(
             cb, reg, k, reg.var("v%d" % j), gamma, fibers, fibers)
         return word, ("%s: [x_%s(Z), x_%s(%+dZ^%d v%d)] cancelled on %s"

@@ -20,6 +20,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from operator import add
 
 from lie_oracles import commutator_constants_fast
 
@@ -27,13 +28,13 @@ from relroots.chevalley import build_chevalley_basis
 from relroots.cli import main
 from relroots.folding import (
     FoldingSpec,
-    RelativeRoot,
     build_relative_system,
     parse_folding_spec,
     trivial_gamma,
 )
 from relroots.finitelab import derived_subgroup_index, generate_elementary_group
 from relroots.relcalc import (
+    RelativeRoot,
     applicable_surjectivity_cases,
     check_N11_surjectivity,
     check_spanning_lemma3,
@@ -99,10 +100,10 @@ def test_2_commutator_formula_exact_rank_5():
         cb = build_chevalley_basis(rs)
         for spec in _trivial_foldings(t):
             rrs = build_relative_system(spec)
-            for A, B in itertools.product(rrs.rel_roots, repeat=2):
-                if _collinear(A.coords, B.coords):
+            for a, b in itertools.product(rrs.fibers, repeat=2):
+                if _collinear(a, b):
                     continue
-                compute_relative_commutator_maps(rrs, cb, A, B)
+                compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
                 pairs += 1
     assert pairs > 20000
     assert time.time() - t0 < 600
@@ -121,11 +122,12 @@ def test_4_surjectivity_cases():
         cb = build_chevalley_basis(rs)
         for spec in _trivial_foldings(t):
             rrs = build_relative_system(spec)
-            for A, B in itertools.product(rrs.rel_roots, repeat=2):
-                if A + B not in rrs or _collinear(A.coords, B.coords):
+            for a, b in itertools.product(rrs.fibers, repeat=2):
+                if tuple(map(add, a, b)) not in rrs or _collinear(a, b):
                     continue
-                report = check_N11_surjectivity(rrs, cb, A, B, "a")
-                assert report["status"] == "pass", (spec, A, B)
+                report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b),
+                                                "a")
+                assert report["status"] == "pass", (spec, a, b)
 
     # case (d) on the B_l half-spin foldings
     for l in (3, 4):

@@ -16,7 +16,7 @@ import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
 from relroots.cli import main
 from relroots.folding import DecompositionError
-from relroots.rootcore import require
+from relroots.rootcore import require, root_str
 from relroots.theoremlab import verify_lemma1_catalog
 
 
@@ -118,6 +118,8 @@ def test_verify_bad_eps_errors(capsys, eps):
 GOLDEN_SHA1 = {
     ("roots", "--type", "G2"): "bd35d39fdfd122c69574d71f115d2be7b32cc791",
     ("fold", "--type", "C3", "--levi", "1,2"): "00fa22ba21275ae6cffa62ce5ce3a0aeede28307",
+    ("fold", "--type", "A5", "--gamma", "flip", "--levi", "1,3,5"):
+        "f496fd94615752c7b9e57e7cee6243725ab912cc",
     ("nmaps", "--type", "C3", "--levi", "1,2", "--a", "1,0", "--b", "0,1"):
         "3cab54aa7be184d49f685e305a5edf11cb021925",
     ("nmaps", "--type", "G2", "--a", "1,0", "--b", "0,1"):
@@ -323,11 +325,11 @@ def _fault_in_c3_table(rrs, cb, A, B,
     return _table(rrs, cb, A, B)
 
 
-def _fault_in_decomposition(rrs, A,
+def _fault_in_decomposition(rrs, a,
                             _decompose=theoremlab.decompose_relative_root):
     if str(rrs.spec) == "A2 gamma=trivial levi=1,2":
-        raise DecompositionError("injected fault in %s" % A)
-    return _decompose(rrs, A)
+        raise DecompositionError("injected fault in %s" % root_str(a))
+    return _decompose(rrs, a)
 
 
 def _case_a_without_units(rrs, cb, A, B, case,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from operator import add, sub
 
 import pytest
 
@@ -10,7 +11,6 @@ from relroots.folding import (
     DecompositionError,
     FoldingError,
     FoldingSpec,
-    RelativeRoot,
     all_subgroups,
     build_relative_system,
     check_lemma1_decomposition,
@@ -37,6 +37,10 @@ from lie_oracles import diagram_automorphisms
 
 def fold(text):
     return build_relative_system(parse_folding_spec(text))
+
+
+def neg(a):
+    return tuple(-x for x in a)
 
 
 def project_coords(rrs, coords):
@@ -103,11 +107,10 @@ def test_a3_flip_gives_c2():
     rrs = fold("A3 gamma=flip")
     assert rrs.rank == 2
     assert rrs.orbits == ((0, 2), (1,))
-    assert len(rrs.rel_roots) == 8
+    assert len(rrs.fibers) == 8
     assert classify_relative_type(rrs) == ("C", 2)
     # the two outer simple roots land on the same relative root
-    s1 = RelativeRoot((1, 0))
-    assert len(rrs.fiber(s1)) == 2
+    assert len(rrs.fiber((1, 0))) == 2
 
 
 def test_c4_levi_gives_c2():
@@ -124,13 +127,13 @@ def test_c3_levi_gives_bc2():
     rrs = fold("C3 levi=1,2")
     assert classify_relative_type(rrs) == ("BC", 2)
     # non-reduced: some relative root has its double in the system
-    assert any(A.scaled(2) in rrs for A in rrs.rel_roots)
+    assert any(tuple(2 * x for x in a) in rrs for a in rrs.fibers)
 
 
 def test_d4_triality_gives_g2():
     rrs = fold("D4 gamma=triality")
     assert classify_relative_type(rrs) == ("G", 2)
-    assert sorted(A.level for A in rrs.rel_roots if A.is_positive()) == [1, 1, 2, 3, 4, 5]
+    assert sorted(sum(a) for a in rrs.fibers if sum(a) > 0) == [1, 1, 2, 3, 4, 5]
 
 
 def test_rank_one_classification():
@@ -162,7 +165,7 @@ def test_gathered_fibers_match_the_projection():
             c = project_coords(rrs, r)
             if any(c):
                 want.setdefault(c, []).append(r)
-            assert rrs.project(r) == (RelativeRoot(c) if any(c) else None), (spec, r)
+            assert rrs.project(r) == (c if any(c) else None), (spec, r)
         assert rrs.fibers == {c: tuple(f) for c, f in want.items()}, spec
         assert list(rrs.fibers) == list(want), spec
         for j, k in enumerate(rrs.orbit_index):
@@ -172,53 +175,53 @@ def test_gathered_fibers_match_the_projection():
 def test_sign_and_level_coherence():
     for text in ["A3 gamma=flip", "C3 levi=1,2", "D4 gamma=triality"]:
         rrs = fold(text)
-        for A in rrs.rel_roots:
-            root_signs = {sum(r) > 0 for r in rrs.fiber(A)}
-            assert root_signs == {A.is_positive()}
-        assert {-A for A in rrs.rel_roots} == set(rrs.rel_roots)
+        for a in rrs.fibers:
+            root_signs = {sum(r) > 0 for r in rrs.fiber(a)}
+            assert root_signs == {sum(a) > 0}
+        assert {neg(a) for a in rrs.fibers} == set(rrs.fibers)
 
 
 def test_decompose_c2_split_example():
     rrs = fold("C2")
-    B, C = decompose_relative_root(rrs, RelativeRoot((2, 1)))
-    assert B == RelativeRoot((1, 1))
-    assert C == RelativeRoot((1, 0))
+    b, c = decompose_relative_root(rrs, (2, 1))
+    assert b == (1, 1)
+    assert c == (1, 0)
 
 
 def test_decompose_d4_triality_simple():
     rrs = fold("D4 gamma=triality")
-    B, C = decompose_relative_root(rrs, RelativeRoot((1, 0)))
-    assert B == RelativeRoot((1, 1))
-    assert C == RelativeRoot((0, -1))
+    b, c = decompose_relative_root(rrs, (1, 0))
+    assert b == (1, 1)
+    assert c == (0, -1)
     # the summands sit at levels 2 and -1; later multiples only go higher
-    check_lemma1_decomposition(rrs, RelativeRoot((1, 0)), B, C)
+    check_lemma1_decomposition(rrs, (1, 0), b, c)
 
 
 def test_decompose_a3_flip_long_root():
     rrs = fold("A3 gamma=flip")
-    A = RelativeRoot((2, 1))
-    B, C = decompose_relative_root(rrs, A)
-    assert {B, C} == {RelativeRoot((1, 1)), RelativeRoot((1, 0))}
-    check_lemma1_decomposition(rrs, A, B, C)
+    a = (2, 1)
+    b, c = decompose_relative_root(rrs, a)
+    assert {b, c} == {(1, 1), (1, 0)}
+    check_lemma1_decomposition(rrs, a, b, c)
 
 
 def test_decompose_negative_mirrors_positive():
     rrs = fold("C2")
-    A = RelativeRoot((2, 1))
-    B, C = decompose_relative_root(rrs, A)
-    Bn, Cn = decompose_relative_root(rrs, -A)
-    assert (Bn, Cn) == (-B, -C)
+    a = (2, 1)
+    b, c = decompose_relative_root(rrs, a)
+    bn, cn = decompose_relative_root(rrs, neg(a))
+    assert (bn, cn) == (neg(b), neg(c))
 
 
 def test_decompose_rejects_rank_one():
     rrs = fold("A2 levi=1")
     with pytest.raises(DecompositionError):
-        decompose_relative_root(rrs, RelativeRoot((1,)))
+        decompose_relative_root(rrs, (1,))
 
 
 def test_decompose_rejects_non_root():
     with pytest.raises(DecompositionError, match="not a relative root"):
-        decompose_relative_root(fold("C2"), RelativeRoot((5, 5)))
+        decompose_relative_root(fold("C2"), (5, 5))
 
 
 FOLDS_FOR_SWEEP = [
@@ -244,26 +247,26 @@ def test_decompose_every_relative_root(text):
     rrs = fold(text)
     if rrs.rank < 2:
         pytest.skip("rank-1 relative system")
-    for A in sorted(rrs.rel_roots, key=lambda R: R.coords):
-        B, C = decompose_relative_root(rrs, A)
-        assert check_lemma1_decomposition(rrs, A, B, C)
+    for a in sorted(rrs.fibers):
+        b, c = decompose_relative_root(rrs, a)
+        assert check_lemma1_decomposition(rrs, a, b, c)
 
 
-def exhaustive_splits(rrs, A):
-    """Every B + (A - B) that passes the checker, in B order.
+def exhaustive_splits(rrs, a):
+    """Every b + (a - b) that passes the checker, in b order.
 
     Written apart from the recipe in ``decompose_relative_root``, so it is
     the oracle for it.
     """
     out = []
-    for B in sorted(rrs.rel_roots, key=lambda R: R.coords):
-        C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-        if C in rrs:
+    for b in sorted(rrs.fibers):
+        c = tuple(map(sub, a, b))
+        if c in rrs:
             try:
-                check_lemma1_decomposition(rrs, A, B, C)
+                check_lemma1_decomposition(rrs, a, b, c)
             except VerificationError:
                 continue
-            out.append((B, C))
+            out.append((b, c))
     return out
 
 
@@ -271,22 +274,22 @@ def exhaustive_splits(rrs, A):
                                   "A3 gamma=flip", "D4 gamma=triality"])
 def test_recipe_split_is_among_oracle_splits(text):
     rrs = fold(text)
-    for A in rrs.rel_roots:
-        assert decompose_relative_root(rrs, A) in exhaustive_splits(rrs, A)
+    for a in rrs.fibers:
+        assert decompose_relative_root(rrs, a) in exhaustive_splits(rrs, a)
 
 
 def test_broken_recipe_is_a_fail_row(monkeypatch):
     # a recipe gap for (1,1) of C2 must fail that case, naming the root,
     # although the oracle finds a valid split there
     recipe = folding._decompose_positive
-    bad = (RelativeRoot((2, 1)), RelativeRoot((-1, 0)))  # 1*B+2*C = (0,1)
+    bad = ((2, 1), (-1, 0))  # 1*B+2*C = (0,1)
 
-    def broken(rrs, P):
-        if str(rrs.spec) == "C2 gamma=trivial levi=1,2" and P == RelativeRoot((1, 1)):
+    def broken(rrs, p):
+        if str(rrs.spec) == "C2 gamma=trivial levi=1,2" and p == (1, 1):
             return bad
-        return recipe(rrs, P)
+        return recipe(rrs, p)
 
-    assert exhaustive_splits(fold("C2"), RelativeRoot((1, 1)))
+    assert exhaustive_splits(fold("C2"), (1, 1))
     monkeypatch.setattr(folding, "_decompose_positive", broken)
     cases = {c.id: c for c in verify_lemma1_catalog(2)}
     broken_case = cases.pop("lemma1/C2 gamma=trivial levi=1,2")
@@ -300,21 +303,21 @@ def test_recipe_runs_once_per_pair_and_checker_once_per_root(monkeypatch):
     recipe, check = folding._decompose_positive, folding.check_lemma1_decomposition
     decomposed, checked = [], []
 
-    def counted_recipe(rrs, P):
-        decomposed.append((str(rrs.spec), P.coords))
-        return recipe(rrs, P)
+    def counted_recipe(rrs, p):
+        decomposed.append((str(rrs.spec), p))
+        return recipe(rrs, p)
 
-    def counted_check(rrs, A, B, C):
-        checked.append((str(rrs.spec), A.coords))
-        return check(rrs, A, B, C)
+    def counted_check(rrs, a, b, c):
+        checked.append((str(rrs.spec), a))
+        return check(rrs, a, b, c)
 
     monkeypatch.setattr(folding, "_decompose_positive", counted_recipe)
     monkeypatch.setattr(folding, "check_lemma1_decomposition", counted_check)
     cases = verify_lemma1_catalog(4)
     assert {c.status for c in cases} == {"pass", "skipped"}
-    roots = [(str(spec), A.coords) for spec in enumerate_foldings(4)
+    roots = [(str(spec), a) for spec in enumerate_foldings(4)
              for rrs in [build_relative_system(spec)] if rrs.rank >= 2
-             for A in rrs.rel_roots]
+             for a in rrs.fibers]
     assert sorted(checked) == sorted(roots)
     assert sorted(decomposed) == sorted(r for r in roots if sum(r[1]) > 0)
     assert 2 * len(decomposed) == len(checked) > 0
@@ -328,33 +331,33 @@ def test_classification_always_succeeds(text):
     assert label in ("A", "B", "C", "BC", "D", "E", "F", "G")
 
 
-def scan_clauses(rrs, A, B, C, max_mult=8):
-    """The clause check as an 8x8 scan of the multiples i*B + j*C.
+def scan_clauses(rrs, a, b, c, max_mult=8):
+    """The clause check as an 8x8 scan of the multiples i*b + j*c.
 
     Written apart from the per-root solve in ``check_lemma1_decomposition``,
     so it is the oracle for it on the multiples it reaches.
     """
-    require(B in rrs and C in rrs, "B, C must be relative roots")
-    require(B + C == A, "B + C is not A")
-    require(not collinear(B.coords, C.coords), "B and C are collinear")
-    sign = 1 if A.is_positive() else -1
-    level = abs(A.level)
+    require(b in rrs and c in rrs, "B, C must be relative roots")
+    require(tuple(map(add, b, c)) == a, "B + C is not A")
+    require(not collinear(b, c), "B and C are collinear")
+    sign = 1 if sum(a) > 0 else -1
+    level = abs(sum(a))
     for i in range(1, max_mult + 1):
         for j in range(1, max_mult + 1):
             if (i, j) == (1, 1):
                 continue
-            D = B.scaled(i) + C.scaled(j)
-            if D in rrs:
-                require((1 if D.level > 0 else -1) == sign,
+            d = tuple(i * y + j * z for y, z in zip(b, c))
+            if d in rrs:
+                require((1 if sum(d) > 0 else -1) == sign,
                         "%d*B+%d*C has the wrong sign", i, j)
-                require(abs(D.level) > level,
+                require(abs(sum(d)) > level,
                         "%d*B+%d*C does not increase the level", i, j)
     return True
 
 
-def clause_verdict(check, rrs, A, B, C):
+def clause_verdict(check, rrs, a, b, c):
     try:
-        return check(rrs, A, B, C)
+        return check(rrs, a, b, c)
     except VerificationError as exc:
         return str(exc)
 
@@ -365,14 +368,14 @@ def clause_verdict(check, rrs, A, B, C):
 def test_checker_agrees_with_scan_on_every_split(text):
     # relative rank 3 and 4 (B3, F4) reach coordinates outside the 2x2 minor
     rrs = fold(text)
-    roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
+    roots = sorted(rrs.fibers)
     verdicts = set()
-    for A in roots:
-        for B in roots:
-            C = RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords)))
-            if C in rrs:
-                want = clause_verdict(scan_clauses, rrs, A, B, C)
-                assert clause_verdict(check_lemma1_decomposition, rrs, A, B, C) == want
+    for a in roots:
+        for b in roots:
+            c = tuple(map(sub, a, b))
+            if c in rrs:
+                want = clause_verdict(scan_clauses, rrs, a, b, c)
+                assert clause_verdict(check_lemma1_decomposition, rrs, a, b, c) == want
                 verdicts.add(want is True)
     # the sweep covers passing and failing splits alike
     assert verdicts == {True, False}
@@ -382,21 +385,45 @@ def test_checker_rejects_bad_split():
     rrs = fold("C2")
     # (1,0) + (1,1) = (2,1) is valid, but (1,1)+(1,0) with collinear pair:
     with pytest.raises(AssertionError):
-        check_lemma1_decomposition(
-            fold("C3 levi=1,2"), RelativeRoot((2, 2)),
-            RelativeRoot((1, 1)), RelativeRoot((1, 1)))
+        check_lemma1_decomposition(fold("C3 levi=1,2"), (2, 2), (1, 1), (1, 1))
     # wrong sum
     with pytest.raises(AssertionError):
-        check_lemma1_decomposition(rrs, RelativeRoot((2, 1)),
-                                   RelativeRoot((1, 1)), RelativeRoot((0, 1)))
+        check_lemma1_decomposition(rrs, (2, 1), (1, 1), (0, 1))
+
+
+def test_checker_rejects_summands_outside_the_fibers():
+    rrs = fold("C2")
+    # (3,1) is no relative root, although (3,1) + (-1,0) = (2,1) and (-1,0) is
+    with pytest.raises(VerificationError, match="B, C must be relative roots"):
+        check_lemma1_decomposition(rrs, (2, 1), (3, 1), (-1, 0))
+    with pytest.raises(VerificationError, match="B, C must be relative roots"):
+        check_lemma1_decomposition(rrs, (2, 1), (-1, 0), (3, 1))
+
+
+# a diagram path forced on the single-support branch of the recipe, and the
+# check that it trips: nodes 2 and 4 of A4 are not joined, so their chain sum
+# is no root; node 3 of A3, a root on its own, does not add to alpha_1
+FORCED_PATHS = [
+    ("A4 levi=1,4", [3, 1, 0], "chain sum is not a root"),
+    ("A3 levi=1,3", [2, 0], "alpha + beta is not a root"),
+]
+
+
+@pytest.mark.parametrize("text,path,message", FORCED_PATHS)
+def test_recipe_chain_checks_fire(monkeypatch, text, path, message):
+    rrs = fold(text)
+    assert rrs.fiber((1, 0))[0] == (1,) + (0,) * (rrs.rs.rank - 1)
+    monkeypatch.setattr(folding, "_diagram_path", lambda rs, start, targets: path)
+    with pytest.raises(DecompositionError) as exc:
+        decompose_relative_root(rrs, (1, 0))
+    assert str(exc.value) == "no valid decomposition found for (1,0): " + message
 
 
 BAD_SPLIT = """
-from relroots.folding import RelativeRoot, build_relative_system, \\
-    check_lemma1_decomposition, parse_folding_spec
+from relroots.folding import build_relative_system, check_lemma1_decomposition, \\
+    parse_folding_spec
 rrs = build_relative_system(parse_folding_spec("A3"))
-check_lemma1_decomposition(rrs, RelativeRoot((1, 1, 0)),
-                           RelativeRoot((1, 0, 0)), RelativeRoot((1, 0, 0)))
+check_lemma1_decomposition(rrs, (1, 1, 0), (1, 0, 0), (1, 0, 0))
 """
 
 

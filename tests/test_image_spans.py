@@ -23,9 +23,9 @@ import pytest
 
 import relroots
 from relroots.chevalley import build_chevalley_basis
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.polyring import VarRegistry, row_reduce
-from relroots.relcalc import (NMapTable, _image_rows, _span_verdict,
+from relroots.relcalc import (NMapTable, RelativeRoot, _image_rows, _span_verdict,
                               compute_relative_commutator_maps)
 
 SRC = os.path.dirname(relroots.__file__)
@@ -34,10 +34,10 @@ SRC = os.path.dirname(relroots.__file__)
 @pytest.fixture(scope="module")
 def c4_pair():
     rrs = build_relative_system(parse_folding_spec("C4 levi=2,4"))
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    table = compute_relative_commutator_maps(rrs, build_chevalley_basis(rrs.rs), A1, A2)
-    col = {g: k for k, g in enumerate(rrs.fiber(A1 + A2) + rrs.fiber(A1.scaled(2) + A2))}
-    return rrs.fiber(A1), rrs.fiber(A2), table, col
+    table = compute_relative_commutator_maps(rrs, build_chevalley_basis(rrs.rs),
+                                             RelativeRoot((1, 0)), RelativeRoot((0, 1)))
+    col = {g: k for k, g in enumerate(rrs.fiber((1, 1)) + rrs.fiber((2, 1)))}
+    return rrs.fiber((1, 0)), rrs.fiber((0, 1)), table, col
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -79,13 +79,12 @@ def test_square_map_needs_the_negated_basis():
 PERTURBED_FIBERS = """
 import json
 
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.relcalc import _verify_lemma3_fiber_structure
 from relroots.rootcore import VerificationError
 
 rrs = build_relative_system(parse_folding_spec("C4 levi=2,4"))
-A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-f_mid, f_top = rrs.fiber(A1 + A2), rrs.fiber(A1.scaled(2) + A2)
+f_mid, f_top = rrs.fiber((1, 1)), rrs.fiber((2, 1))
 alpha_l = rrs.rs.simple_roots[-1]  # long, and in the fiber of A2
 
 

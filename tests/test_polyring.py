@@ -244,7 +244,7 @@ def test_row_reduce_rank_nullspace_inverse():
     reduced, pivots = row_reduce(rows, 3)
     v = [0, 0, 1]
     for row, pc in zip(reduced, pivots):
-        v[pc] = -row[2]
+        v[pc] = -Fraction(row[2], row[pc])
     assert v == [-1, 1, 1]
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
     # inverse mod 7 by reducing [A | I] to [I | A^-1]
@@ -283,6 +283,12 @@ def fraction_row_reduce(rows, ncols):
     return mat, pivots
 
 
+def leading_one(rows):
+    """Each row divided by its first nonzero entry (a pivot row by its
+    pivot), so two rows that are nonzero multiples of each other agree."""
+    return [[Fraction(x) / next((y for y in row if y), 1) for x in row] for row in rows]
+
+
 def _random_matrix(rng, nrows, width, rank, fractions, zero_rows):
     """Rows spanned by ``rank`` random rows, some replaced by zero rows."""
     def entry():
@@ -310,8 +316,9 @@ def test_row_reduce_matches_fraction_gauss_jordan(fractions, augmented):
         rows = _random_matrix(rng, nrows, ncols + augmented, rank, fractions,
                               zero_rows=rng.randint(0, 2))
         reduced, pivots = row_reduce(rows, ncols)
-        assert (reduced, pivots) == fraction_row_reduce(rows, ncols)
-        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+        want, want_pivots = fraction_row_reduce(rows, ncols)
+        assert (leading_one(reduced), pivots) == (leading_one(want), want_pivots)
+        assert all(type(x) is int for row in reduced for x in row)
         assert len(pivots) <= rank
 
 
@@ -321,5 +328,6 @@ def test_row_reduce_matches_oracle_on_a_lemma3_sized_matrix():
     rows = _random_matrix(rng, 1000, 15, 12, fractions=False, zero_rows=40)
     rows += [[rng.randint(-4, 4) for _ in range(15)] for _ in range(5)]
     reduced, pivots = row_reduce(rows, 15)
-    assert (reduced, pivots) == fraction_row_reduce(rows, 15)
+    want, want_pivots = fraction_row_reduce(rows, 15)
+    assert (leading_one(reduced), pivots) == (leading_one(want), want_pivots)
     assert len(pivots) == 15

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 from eval_oracle import evaluate
@@ -18,11 +18,11 @@ from relroots.chevalley import (
     cone_weights,
     product_of_root_elements,
 )
-from relroots.folding import (RelativeRoot, build_relative_system, enumerate_foldings,
-                              parse_folding_spec)
+from relroots.folding import build_relative_system, enumerate_foldings, parse_folding_spec
 from relroots.polyring import PolyElem, VarRegistry, _decode
 from relroots.relcalc import (
     CaseHypothesisError,
+    RelativeRoot,
     RelcalcError,
     applicable_surjectivity_cases,
     check_N11_surjectivity,
@@ -58,31 +58,30 @@ def a3_levi():
 def test_embed_identity_folding_singleton(c2):
     rrs, cb = c2
     reg = VarRegistry(["t"])
-    A = RelativeRoot((1, 0))
-    (alpha,) = rrs.fiber(A)
-    word = relative_factors(rrs, A, {alpha: reg.var("t")})
+    (alpha,) = rrs.fiber((1, 0))
+    word = relative_factors(rrs, (1, 0), {alpha: reg.var("t")})
     assert product_of_root_elements(cb, reg, word, (1, 1)) == adjoint_root_element(
         cb, alpha, reg.var("t"), (1, 1))
 
 
 def test_embed_zero_is_identity(c3_bc2):
     rrs, cb = c3_bc2
-    A = RelativeRoot((0, 1))
+    a = (0, 1)
     reg = VarRegistry(["t"])
-    word = relative_factors(rrs, A, {alpha: reg.zero() for alpha in rrs.fiber(A)})
+    word = relative_factors(rrs, a, {alpha: reg.zero() for alpha in rrs.fiber(a)})
     assert (product_of_root_elements(cb, reg, word, (1, 1, 1))
             == product_of_root_elements(cb, reg, [], (1, 1, 1)))
 
 
 def test_embed_multi_factor_fiber():
     rrs, cb = setup_fold("C4 levi=2,4")
-    A = RelativeRoot((1, 0))
-    fiber = rrs.fiber(A)
+    a = (1, 0)
+    fiber = rrs.fiber(a)
     assert len(fiber) > 1
     names = ["t%d" % k for k in range(len(fiber))]
     reg = VarRegistry(names)
     coords = {alpha: reg.var(n) for alpha, n in zip(fiber, names)}
-    word = relative_factors(rrs, A, coords)
+    word = relative_factors(rrs, a, coords)
     assert [root for root, _ in word] == list(fiber)
     assert not (product_of_root_elements(cb, reg, word, (1, 1, 1, 1))
                 == product_of_root_elements(cb, reg, [], (1, 1, 1, 1)))
@@ -113,21 +112,20 @@ def test_c2_split_table_matches_displayed_formula(c2):
 def test_empty_table_for_unlinked_pair():
     rrs, cb = setup_fold("D4")
     # the two outer simple roots are orthogonal: no iA+jB is a root
-    A = RelativeRoot((1, 0, 0, 0))
-    B = RelativeRoot((0, 0, 0, 1))
-    assert A + B not in rrs
-    table = compute_relative_commutator_maps(rrs, cb, A, B)
+    assert (1, 0, 0, 1) not in rrs
+    table = compute_relative_commutator_maps(rrs, cb, RelativeRoot((1, 0, 0, 0)),
+                                             RelativeRoot((0, 0, 0, 1)))
     assert table.entries == {}
 
 
 def test_simply_laced_unit_constants(a3_levi):
     rrs, cb = a3_levi
-    pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-             if A + B in rrs and multiples(A.coords, B.coords, rrs.fibers)
-             and not collinear(A.coords, B.coords)]
+    pairs = [(a, b) for a, b in itertools.product(rrs.fibers, repeat=2)
+             if tuple(map(add, a, b)) in rrs and multiples(a, b, rrs.fibers)
+             and not collinear(a, b)]
     assert pairs
-    for A, B in pairs:
-        table = compute_relative_commutator_maps(rrs, cb, A, B)
+    for a, b in pairs:
+        table = compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
         # every (1,1) term is one u_al * v_be (homogeneity and fiber grading)
         for p in table.entries.get((1, 1), {}).values():
             for c in p.terms.values():
@@ -140,7 +138,7 @@ def test_rejects_collinear_pair(c3_bc2):
     with pytest.raises(RelcalcError):
         compute_relative_commutator_maps(rrs, cb, A, A)
     with pytest.raises(RelcalcError):
-        compute_relative_commutator_maps(rrs, cb, A, -A)
+        compute_relative_commutator_maps(rrs, cb, A, RelativeRoot((0, -1)))
 
 
 def test_bc2_table_verifies_internally(c3_bc2):
@@ -157,21 +155,20 @@ def test_cone_path_tables_equal_frame_path_tables(spec):
     # each table, recomposed in slot order, has the full matrix of its
     # commutator word
     rrs, cb = setup_fold(spec)
-    pairs = [(A, B) for A, B in itertools.product(sorted(rrs.rel_roots, key=lambda R: R.coords),
-                                                  repeat=2)
-             if not collinear(A.coords, B.coords)]
+    pairs = [(a, b) for a, b in itertools.product(sorted(rrs.fibers), repeat=2)
+             if not collinear(a, b)]
     assert len(pairs) > 20
-    for A, B in pairs:
-        table = compute_relative_commutator_maps(rrs, cb, A, B)
+    for a, b in pairs:
+        table = compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
         reg = table.registry
         u = {alpha: reg.var(reg.names[k]) for alpha, k in table.u_index.items()}
         v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
-        word = commutator_factors(relative_factors(rrs, A, u), relative_factors(rrs, B, v))
+        word = commutator_factors(relative_factors(rrs, a, u), relative_factors(rrs, b, v))
         recomposed = [(gamma, table.entries[(i, j)][gamma])
-                      for i, j in multiples(A.coords, B.coords, rrs.fibers)
-                      for gamma in rrs.fiber(A.scaled(i) + B.scaled(j))
+                      for i, j in multiples(a, b, rrs.fibers)
+                      for gamma in rrs.fiber(tuple(i * x + j * y for x, y in zip(a, b)))
                       if gamma in table.entries.get((i, j), {})]
-        assert full_product(cb, reg, word) == full_product(cb, reg, recomposed), (A, B)
+        assert full_product(cb, reg, word) == full_product(cb, reg, recomposed), (a, b)
 
 
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4", "G2"])
@@ -214,18 +211,18 @@ def test_sum_formula_extra_short_correction(c3_bc2):
 
 def test_sum_formula_identity_folding_no_corrections(c2):
     rrs, cb = c2
-    for A in [A for A in rrs.rel_roots if A.is_positive()]:
-        report = check_sum_formula(rrs, cb, A)
+    for a in [a for a in rrs.fibers if sum(a) > 0]:
+        report = check_sum_formula(rrs, cb, RelativeRoot(a))
         assert report["corrections"] == {}
 
 
 def test_surjectivity_simply_laced_case_a(a3_levi):
     rrs, cb = a3_levi
-    pairs = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-             if A + B in rrs and not collinear(A.coords, B.coords)]
+    pairs = [(a, b) for a, b in itertools.product(rrs.fibers, repeat=2)
+             if tuple(map(add, a, b)) in rrs and not collinear(a, b)]
     assert pairs
-    for A, B in pairs:
-        report = check_N11_surjectivity(rrs, cb, A, B, "a")
+    for a, b in pairs:
+        report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
         assert report["status"] == "pass"
         for gamma, (al, be, c) in report["witnesses"].items():
             assert abs(c) == 1
@@ -244,11 +241,11 @@ DOUBLED_COEFFICIENT = """
 import relroots.relcalc as relcalc
 from relroots.chevalley import build_chevalley_basis
 from relroots.cli import suite_lemma2
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.polyring import PolyElem
 
 rrs = build_relative_system(parse_folding_spec("B3 levi=1,2"))
-A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
+A, B = relcalc.RelativeRoot((1, 0)), relcalc.RelativeRoot((0, 1))
 report = relcalc.check_N11_surjectivity(rrs, build_chevalley_basis(rrs.rs), A, B, "d")
 gamma, (al, be, c) = min(report["witnesses"].items())
 real = relcalc.compute_relative_commutator_maps
@@ -319,9 +316,8 @@ def test_spanning_lemma2_2_bc2(c3_bc2):
 
 def test_spanning_lemma2_2_vacuous_simply_laced(a3_levi):
     rrs, cb = a3_levi
-    hits = [(A, B) for A, B in itertools.product(rrs.rel_roots, repeat=2)
-            if A + B in rrs
-            and RelativeRoot(tuple(a - b for a, b in zip(A.coords, B.coords))) in rrs]
+    hits = [(a, b) for a, b in itertools.product(rrs.fibers, repeat=2)
+            if tuple(map(add, a, b)) in rrs and tuple(map(sub, a, b)) in rrs]
     assert hits == []  # no length-3 root chains in the simply laced case
 
 
@@ -350,7 +346,7 @@ def test_lemma3_rejects_odd_or_small():
 
 def test_table_slots_and_cone_match_their_definitions():
     # the coordinate-keyed slots against multiples and the fibers of
-    # A.scaled(i) + B.scaled(j), and the gathered cone against the weights
+    # i*a + j*b, and the gathered cone against the weights
     # pulled back through the projection matrix, on every non-collinear pair
     specs = enumerate_foldings(5, trivial_only=True)
     assert {"C3 gamma=trivial levi=1,2", "F4 gamma=trivial levi=1,4",
@@ -359,17 +355,17 @@ def test_table_slots_and_cone_match_their_definitions():
     for spec in specs:
         rrs = build_relative_system(spec)
         proj = [[int(j in orbit) for j in range(rrs.rs.rank)] for orbit in rrs.orbits]
-        for A, B in itertools.product(rrs.rel_roots, repeat=2):
-            if collinear(A.coords, B.coords):
+        for a, b in itertools.product(rrs.fibers, repeat=2):
+            if collinear(a, b):
                 continue
             slots, owner = [], {}
-            for i, j in multiples(A.coords, B.coords, rrs.fibers):
-                for gamma in rrs.fiber(A.scaled(i) + B.scaled(j)):
+            for i, j in multiples(a, b, rrs.fibers):
+                for gamma in rrs.fiber(tuple(i * x + j * y for x, y in zip(a, b))):
                     slots.append(gamma)
                     owner[gamma] = (i, j)
-            assert relcalc._table_slots(rrs, A, B) == (slots, owner)
-            g = cone_weights(A.coords, B.coords)
-            assert relcalc._relative_cone(rrs, A, B) == tuple(
+            assert relcalc._table_slots(rrs, a, b) == (slots, owner)
+            g = cone_weights(a, b)
+            assert relcalc._relative_cone(rrs, a, b) == tuple(
                 sum(map(mul, g, col)) for col in zip(*proj))
             pairs += 1
     assert pairs > 10000

@@ -228,8 +228,7 @@ def test_splits_match_brute_force_on_root_sets(t):
 @pytest.mark.parametrize("spec", ["C3 levi=1,2", "C4 levi=2,4"])
 def test_splits_match_brute_force_on_fibers(spec):
     rrs = build_relative_system(parse_folding_spec(spec))
-    rel_roots = sorted(rrs.rel_roots, key=lambda R: R.coords)
     found = set()
-    for A, B in itertools.product(rel_roots, repeat=2):
-        found.update(_check_splits(rrs.rs.roots, rrs.fiber(A), rrs.fiber(B)))
+    for a, b in itertools.product(sorted(rrs.fibers), repeat=2):
+        found.update(_check_splits(rrs.rs.roots, rrs.fiber(a), rrs.fiber(b)))
     assert found == set(SPLIT_PAIRS)

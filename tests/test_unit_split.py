@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from operator import add
 
 import pytest
 
@@ -22,9 +23,8 @@ import relroots
 import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
 from relroots.chevalley import build_chevalley_basis, commutator_constants, unit_split
-from relroots.folding import (RelativeRoot, build_relative_system, enumerate_foldings,
-                              parse_folding_spec)
-from relroots.relcalc import check_N11_surjectivity
+from relroots.folding import build_relative_system, enumerate_foldings, parse_folding_spec
+from relroots.relcalc import RelativeRoot, check_N11_surjectivity
 from relroots.rootcore import (RootType, build_root_system, collinear, multiples,
                                require, root_str, splits)
 from relroots.theoremlab import verify_case_schemas
@@ -122,11 +122,11 @@ def test_unit_split_matches_the_n11_search_on_every_case_a_target():
     for spec in enumerate_foldings(5, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
-        for A, B in itertools.product(rrs.rel_roots, repeat=2):
-            if A + B not in rrs or collinear(A.coords, B.coords):
+        for a, b in itertools.product(rrs.fibers, repeat=2):
+            if tuple(map(add, a, b)) not in rrs or collinear(a, b):
                 continue
-            fa, fb = rrs.fiber(A), set(rrs.fiber(B))
-            for gamma in rrs.fiber(A + B):
+            fa, fb = rrs.fiber(a), set(rrs.fiber(b))
+            for gamma in rrs.fiber(tuple(map(add, a, b))):
                 for units in ({1}, {2}):
                     got = unit_split(cb, gamma, fa, fb, units=units)
                     assert got == old_n11_search(cb, gamma, fa, fb, units)
@@ -142,16 +142,16 @@ def test_unit_split_matches_the_n11_search_on_the_suite_cases(spec, case):
     rrs = build_relative_system(parse_folding_spec(spec))
     cb = build_chevalley_basis(rrs.rs)
     rs = rrs.rs
-    A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    fa, fb = rrs.fiber(A), rrs.fiber(B)
+    fa, fb = rrs.fiber((1, 0)), rrs.fiber((0, 1))
     want = {}
-    for gamma in rrs.fiber(A + B):
+    for gamma in rrs.fiber((1, 1)):
         firsts, among = fa, set(fb)
         if case == "d" and gamma in rs.long_roots:
             firsts = [al for al in fa if al in rs.long_roots]
             among = rs.long_roots.intersection(fb)
         want[gamma] = old_n11_search(cb, gamma, firsts, among, {1})
     assert None not in want.values()
+    A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     assert check_N11_surjectivity(rrs, cb, A, B, case)["witnesses"] == want
 
 
@@ -174,17 +174,18 @@ def old_cl_c2_calls(l):
     """The results of every ``_unit_split`` call of the old C_l C2 schema."""
     rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, l // 2, l)))
     cb = build_chevalley_basis(rrs.rs)
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    mid, top = A1 + A2, A1.scaled(2) + A2
-    out = [old_unit_split(rrs, cb, A1, A2, gamma, (1, 1), clean=True)
+    a1, a2 = (1, 0), (0, 1)
+    mid = tuple(map(add, a1, a2))
+    top = tuple(map(add, mid, a1))
+    out = [old_unit_split(rrs, cb, a1, a2, gamma, (1, 1), clean=True)
            for gamma in rrs.fiber(mid)]
     for gamma in rrs.fiber(top):
         if gamma not in rrs.rs.long_roots:
-            out.append(old_unit_split(rrs, cb, A1, mid, gamma, (1, 1)))
+            out.append(old_unit_split(rrs, cb, a1, mid, gamma, (1, 1)))
             continue
-        hit = old_unit_split(rrs, cb, A1, A2, gamma, (2, 1))
+        hit = old_unit_split(rrs, cb, a1, a2, gamma, (2, 1))
         byproduct = rrs.rs.sum(*hit[:2])
-        out += [hit, old_unit_split(rrs, cb, A1, A2, byproduct, (1, 1), clean=True)]
+        out += [hit, old_unit_split(rrs, cb, a1, a2, byproduct, (1, 1), clean=True)]
     return out
 
 
@@ -193,10 +194,11 @@ def old_cl_bc2_calls(l):
     one junk root, found there by ``collect``, is alpha + beta."""
     rrs = build_relative_system(parse_folding_spec("C%d levi=1,2" % l))
     cb = build_chevalley_basis(rrs.rs)
-    A1, A2 = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    (gamma_A,) = rrs.fiber(RelativeRoot((2, 2)))
-    hit = old_unit_split(rrs, cb, A1, A2.scaled(2), gamma_A, (2, 1))
-    return [hit, old_unit_split(rrs, cb, A1 + A2, A2, rrs.rs.sum(*hit[:2]), (1, 1))]
+    a1, a2 = (1, 0), (0, 1)
+    (gamma_A,) = rrs.fiber((2, 2))
+    hit = old_unit_split(rrs, cb, a1, tuple(2 * x for x in a2), gamma_A, (2, 1))
+    return [hit, old_unit_split(rrs, cb, tuple(map(add, a1, a2)), a2,
+                                rrs.rs.sum(*hit[:2]), (1, 1))]
 
 
 @pytest.mark.parametrize("schema,l", [("Cl_C2", 4), ("Cl_C2", 6), ("Cl_C2", 8),
@@ -227,7 +229,8 @@ import json
 import relroots.chevalley as chevalley
 import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.folding import build_relative_system, parse_folding_spec
+from relroots.relcalc import RelativeRoot
 from relroots.rootcore import RootSystem
 from relroots.theoremlab import run_case, verify_case_schemas
 

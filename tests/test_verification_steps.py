@@ -60,15 +60,15 @@ import json
 from fractions import Fraction
 
 import relroots.relcalc as relcalc
-from relroots.folding import RelativeRoot, build_relative_system, parse_folding_spec
+from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.chevalley import build_chevalley_basis
 from relroots.polyring import PolyElem
 from relroots.rootcore import VerificationError
 
 rrs = build_relative_system(parse_folding_spec("C3 levi=1,2"))
 cb = build_chevalley_basis(rrs.rs)
-A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-fa, fb = rrs.fiber(A), rrs.fiber(B)
+A, B = relcalc.RelativeRoot((1, 0)), relcalc.RelativeRoot((0, 1))
+fa, fb = rrs.fiber(A.coords), rrs.fiber(B.coords)
 
 
 def outcome(run):
