@@ -23,15 +23,17 @@ re-checks it: that value is the table's coefficient of u_alpha v_beta in
 each (1,1) entry, read off the packed terms, so the table is an oracle
 independent of the search.
 
-The spanning checks read each image off exact probes (``_image_rows``): for
-g = L + Q from K^m to K^n, L linear, Q quadratic, K = Q or F_p, the values
-of g at e_i, -e_i and e_i + e_j span its image.  For p odd, g(e_i) +- g(-e_i)
-is 2 Q(e_i) or 2 L(e_i), and g(e_i + e_j) - g(e_i) - g(e_j) is the coefficient
-of x_i x_j; over F_2, x^2 = x, so the g(e_i) and those cross terms suffice.
-A linear g needs only the e_i.  Every table is (i, j)-homogeneous with i, j > 0
-(``_verify_table``) and every map checked has degree at most 2 in each
-argument, so, one argument at a time, the rows at all pairs of probes span
-the image of the maps.
+The spanning checks read each image's span off the table's coefficients
+(``_image_rows``).  A map g from K^m to K^n, K = Q or F_p, is the sum of
+c_M M over its monomials M, with c_M in K^n.  Distinct monomials are
+linearly independent functions on K^m: over Q always, and over F_p once
+each exponent e >= 1 is read as ((e - 1) mod (p - 1)) + 1, the rule x^p = x
+(R. Lidl and H. Niederreiter, *Finite Fields*, section 7.1; N. Alon,
+"Combinatorial Nullstellensatz", Lemma 2.1).  So a linear form vanishes on
+the image of g exactly when it vanishes on every c_M, once the monomials
+that are one function over F_p share their c_M: the c_M span the image.
+The arguments of different tables are independent, so the rows of several
+tables span the sum of their images.
 
 Written by position (u_k the k-th root of fiber(A), v_k of fiber(B), each
 entry keyed by the position of its root in S: fiber(A), fiber(B), then the
@@ -51,8 +53,7 @@ the others (``Configurations``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from operator import add, sub
 
 from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
@@ -120,42 +121,9 @@ class NMapTable:
     u_index: dict  # root (coordinate tuple) in fiber(A) -> registry variable position
     v_index: dict
     entries: dict  # (i,j) -> {root: PolyElem}
-    # (i,j) -> [(root, [(coeff, [(variable, exponent), ...]), ...])], by ``evaluate``
-    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def pairs(self):
         return sorted(self.entries, key=lambda ij: (ij[0] + ij[1], ij[0]))
-
-    def evaluate(self, i, j, u_coords, v_coords):
-        """N_{ABij} at concrete coordinates (root -> number); each entry's
-        terms, none with w (``_verify_table``), are decoded on the first call."""
-        n = len(self.registry.names)
-        vals = [0] * n
-        for alpha, k in self.u_index.items():
-            vals[k] = u_coords.get(alpha, 0)
-        for beta, k in self.v_index.items():
-            vals[k] = v_coords.get(beta, 0)
-        compiled = self._compiled.get((i, j))
-        if compiled is None:
-            compiled = self._compiled[(i, j)] = [
-                (gamma, [(c, [(k, e) for k, e in enumerate(_decode(key, n)[0]) if e])
-                         for key, c in p.terms.items()])
-                for gamma, p in self.entries.get((i, j), {}).items()]
-        out = {}
-        for gamma, terms in compiled:
-            total = 0
-            for c, mono in terms:
-                for k, e in mono:
-                    c *= vals[k] ** e
-                total += c
-            out[gamma] = _integral(total)
-        return out
-
-
-def _integral(value):
-    if type(value) is not int:
-        require(Fraction(value).denominator == 1, "N-map value %s is not an integer", value)
-    return int(value)
 
 
 def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
@@ -467,40 +435,34 @@ class Configurations:
 SPAN_PRIMES = (2, 3, 5)
 
 
-def _span_verdict(rows, n):
-    """Whether the rows span the n-dimensional target over Q and each F_p."""
-    full = {"Q": len(row_reduce(rows, n)[1]) == n}
+def _image_rows(images, p):
+    """One row per monomial of the joint map of each (table, maps, col) of
+    ``images``: its coefficient on root g in column ``col[g]``.  Over F_p
+    each exponent e >= 1 is read as ((e - 1) mod (p - 1)) + 1, so the
+    monomials that are one function over F_p share a row (module docstring);
+    over Q (``p`` None) the packed key is the monomial."""
+    rows = []
+    for table, maps, col in images:
+        n = len(table.registry.names)
+        by_monomial = {}
+        for ij in maps:
+            for g, poly in table.entries.get(ij, {}).items():
+                for key, c in poly.terms.items():
+                    if p is not None:
+                        key = tuple([e and (e - 1) % (p - 1) + 1 for e in _decode(key, n)[0]])
+                    by_monomial.setdefault(key, [0] * len(col))[col[g]] += c
+        rows += by_monomial.values()
+    return rows
+
+
+def _span_verdict(images, n):
+    """Whether the images of the (table, maps, col) triples span the
+    n-dimensional target over Q and each F_p."""
+    full = {"Q": len(row_reduce(_image_rows(images, None), n)[1]) == n}
     for p in SPAN_PRIMES:
-        full["F%d" % p] = len(row_reduce(rows, n, p)[1]) == n
+        full["F%d" % p] = len(row_reduce(_image_rows(images, p), n, p)[1]) == n
     return {"fields": {k: "full" if v else "deficient" for k, v in full.items()},
             "status": "pass" if all(full.values()) else "fail"}
-
-
-def _probes(basis, degree):
-    """The exact probe set of one argument of degree 1 or 2: the basis, and
-    for degree 2 also the negated basis and the pairwise sums.  Probes are
-    values of the maps, so a probe set too small for a degree can only
-    read a spanning image as deficient, never a deficient one as full."""
-    probes = [{b: 1} for b in basis]
-    if degree == 2:
-        probes += [{b: -1} for b in basis]
-        probes += [{x: 1, y: 1} for x, y in itertools.combinations(basis, 2)]
-    return probes
-
-
-def _image_rows(table, maps, col):
-    """Rows spanning the joint image of the maps ``maps`` of ``table``, the
-    value at root g in column ``col[g]``, at every pair of exact probes."""
-    us = _probes(table.u_index, max(i for i, _ in maps))
-    vs = _probes(table.v_index, max(j for _, j in maps))
-    rows = []
-    for u, v in itertools.product(us, vs):
-        row = [0] * len(col)
-        for i, j in maps:
-            for g, x in table.evaluate(i, j, u, v).items():
-                row[col[g]] = x
-        rows.append(row)
-    return rows
 
 
 def check_spanning_lemma2_2(rrs, cb, A, B):
@@ -521,13 +483,13 @@ def check_spanning_lemma2_2(rrs, cb, A, B):
     n = len(target)
 
     D = RelativeRoot(diff)
-    rows = _image_rows(compute_relative_commutator_maps(rrs, cb, A, B), [(1, 1)], col)
+    images = [(compute_relative_commutator_maps(rrs, cb, A, B), [(1, 1)], col)]
     two_b = tuple(2 * x for x in b)
     if two_b in rrs:
-        rows += _image_rows(compute_relative_commutator_maps(rrs, cb, D, RelativeRoot(two_b)),
-                            [(1, 1)], col)
-    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, D, B), [(1, 2)], col)
-    return {"A": A, "B": B, "dim": n, **_span_verdict(rows, n)}
+        images.append((compute_relative_commutator_maps(rrs, cb, D, RelativeRoot(two_b)),
+                       [(1, 1)], col))
+    images.append((compute_relative_commutator_maps(rrs, cb, D, B), [(1, 2)], col))
+    return {"A": A, "B": B, "dim": n, **_span_verdict(images, n)}
 
 
 def check_spanning_lemma3(l):
@@ -548,10 +510,9 @@ def check_spanning_lemma3(l):
 
     _verify_lemma3_fiber_structure(rrs, f_mid, f_top)
 
-    rows = _image_rows(compute_relative_commutator_maps(rrs, cb, A1, mid), [(1, 1)], col)
-    rows += _image_rows(compute_relative_commutator_maps(rrs, cb, A1, A2),
-                        [(1, 1), (2, 1)], col)
-    return {"l": l, "dim": n, **_span_verdict(rows, n)}
+    images = [(compute_relative_commutator_maps(rrs, cb, A1, mid), [(1, 1)], col),
+              (compute_relative_commutator_maps(rrs, cb, A1, A2), [(1, 1), (2, 1)], col)]
+    return {"l": l, "dim": n, **_span_verdict(images, n)}
 
 
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):

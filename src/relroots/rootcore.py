@@ -19,7 +19,11 @@ Three helpers read pairs of coordinate tuples: ``collinear``,
 whose i*beta + j*gamma is a given root), the one search behind every
 commutator witness; ``chevalley.unit_split`` takes its first split with a
 unit constant.  A relative root is a coordinate tuple too
-(``relroots.folding``), so the helpers take it as it is.
+(``relroots.folding``), so ``collinear``, and ``splits`` with its own
+``pairs``, take it as it is.  ``MULTIPLE_PAIRS``, the range of ``multiples``
+and the default of ``splits``, is a bound for root systems only: in the
+relative system of F4 with J = {2, 4}, 3*(-3,-2) + 4*(2,1) = (-1,-2) is a
+relative root.
 """
 
 from __future__ import annotations
@@ -280,9 +284,10 @@ MULTIPLE_PAIRS = tuple((i, total - i) for total in range(2, MULTIPLE_BOUND + 1)
 def multiples(a, b, coords):
     """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
 
-    ``a`` and ``b`` are coordinate tuples; ``coords`` is any container of
-    coordinate tuples (``RootSystem.root_set``, or the ``fibers`` of a
-    relative root system).
+    ``a`` and ``b`` are roots and ``coords`` a container of the roots of a
+    root system (``RootSystem.root_set``): (i, j) runs over
+    ``MULTIPLE_PAIRS``, which bounds the multiples of roots, not those of
+    relative roots (module docstring).
     """
     ab = list(zip(a, b))
     return [(i, j) for i, j in MULTIPLE_PAIRS

@@ -1,5 +1,6 @@
-"""Exact evaluation of a packed ``PolyElem``, the oracle of the compiled
-``NMapTable.evaluate`` and of the packed ring against ``ring_oracle``."""
+"""Exact evaluation of a packed ``PolyElem``: the brute-force oracle of the
+image spans that ``relcalc._image_rows`` reads off coefficients, and of the
+packed ring against ``ring_oracle``."""
 
 from relroots.polyring import _SLOT_MAX, _decode
 from relroots.rootcore import require

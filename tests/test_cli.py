@@ -354,7 +354,7 @@ FAULTS = {
                        "applicable_surjectivity_cases",
                        lambda rrs, cb, A, B: ["a"], 1, 6),
     "lemma3": ("lemma3", [], relcalc, "_image_rows",
-               lambda table, maps, col: [], 2, 0),
+               lambda images, p: [], 2, 0),
     "c2": ("c2", ["--k", "5"], theoremlab, "adjoint_root_element",
            _doubled_target, 2, 0),
     "g2": ("g2", ["--k", "3"], theoremlab, "adjoint_root_element",

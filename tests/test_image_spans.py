@@ -1,15 +1,15 @@
 """Exact image spans, and no random draw in relroots.
 
-The probe rows of ``relcalc._image_rows`` are values of the maps, so their
-span lies in the span of the image; the brute-force oracle enumerates the
-whole first argument over F_p and shows the ranks agree, so the spans are
-equal.  The maps are linear in the second argument (``_verify_table``), so
-its basis stands for all of it.  The hand-made map v -> (v, v^2) needs the
-negated-basis probe over Q and F_3 and spans nothing more than the line
-(1, 1) over F_2.  The Lemma 3 fiber checks are shown to fire on perturbed
-fibers under ``python -O``, and an AST scan shows that no module of
-relroots can draw a random number, so every verdict is a function of its
-inputs.
+``relcalc._image_rows`` reads a span off the coefficients of the maps: one
+row per monomial, with exponents read by the rule x^p = x over F_p.  The
+brute-force oracle evaluates the maps (``eval_oracle.evaluate``) with each
+argument of degree > 1 ranging over all of F_p^m, and shows that the ranks
+agree.  An argument of degree 1 ranges over its basis, which spans it.  The
+hand-made maps x -> (x, x^2) and x -> (x, x^3) pin the exponent rule: the
+first is deficient over F_2 only, the second over F_2 and F_3.  The Lemma 3
+fiber checks are shown to fire on perturbed fibers under ``python -O``, and
+an AST scan shows that no module of relroots can draw a random number, so
+every verdict is a function of its inputs.
 """
 
 import ast
@@ -20,6 +20,7 @@ import subprocess
 import sys
 
 import pytest
+from eval_oracle import evaluate
 
 import relroots
 from relroots.chevalley import build_chevalley_basis
@@ -29,6 +30,33 @@ from relroots.relcalc import (NMapTable, RelativeRoot, _image_rows, _span_verdic
                               compute_relative_commutator_maps)
 
 SRC = os.path.dirname(relroots.__file__)
+
+
+def brute_force_rank(images, p):
+    """The rank over F_p of the values of the (table, maps, col) triples of
+    ``images``, each argument of degree > 1 over all of F_p^m and each of
+    degree 1 over its basis."""
+    image, n = [], len(images[0][2])
+    for table, maps, col in images:
+        args = []
+        for index, degree in ((table.u_index, max(i for i, _ in maps)),
+                              (table.v_index, max(j for _, j in maps))):
+            if degree == 1:
+                args.append([{k: 1} for k in index.values()])
+            else:
+                args.append([dict(zip(index.values(), xs))
+                             for xs in itertools.product(range(p), repeat=len(index))])
+        for u, v in itertools.product(*args):
+            row = [0] * n
+            for ij in maps:
+                for g, poly in table.entries.get(ij, {}).items():
+                    row[col[g]] = evaluate(poly, {**u, **v})
+            image.append(row)
+    return len(row_reduce(image, n, p)[1])
+
+
+def rank(images, p):
+    return len(row_reduce(_image_rows(images, p), len(images[0][2]), p)[1])
 
 
 @pytest.fixture(scope="module")
@@ -46,34 +74,68 @@ def test_probe_rows_span_the_whole_image_over_F_p(c4_pair, p):
     assert (len(fa), len(fb), len(col)) == (4, 3, 7)
     ranks = []
     for maps in ([(1, 1)], [(2, 1)], [(1, 1), (2, 1)]):
-        image = []
-        for values in itertools.product(range(p), repeat=len(fa)):
-            u = dict(zip(fa, values))
-            for be in fb:
-                row = [0] * len(col)
-                for i, j in maps:
-                    for g, x in table.evaluate(i, j, u, {be: 1}).items():
-                        row[col[g]] = x
-                image.append(row)
-        rank = len(row_reduce(image, len(col), p)[1])
-        assert len(row_reduce(_image_rows(table, maps, col), len(col), p)[1]) == rank, maps
-        ranks.append(rank)
+        images = [(table, maps, col)]
+        ranks.append(rank(images, p))
+        assert ranks[-1] == brute_force_rank(images, p), maps
     # one map alone falls short of V_{A1+A2} + V_{2A1+A2}; the two together fill it
     assert ranks == [4, 3, 7]
 
 
-def test_square_map_needs_the_negated_basis():
+@pytest.fixture(scope="module")
+def c3_spanning_tables():
+    """The three tables of the lemma2/spanning case, A = (1,1), B = (0,1)."""
+    rrs = build_relative_system(parse_folding_spec("C3 levi=1,2"))
+    cb = build_chevalley_basis(rrs.rs)
+    col = {g: k for k, g in enumerate(rrs.fiber((1, 2)))}
+    return [(compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b)),
+             maps, col)
+            for a, b, maps in (((1, 1), (0, 1), [(1, 1)]), ((1, 0), (0, 2), [(1, 1)]),
+                               ((1, 0), (0, 1), [(1, 2)]))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coefficient_rows_match_brute_force_on_the_spanning_case(c3_spanning_tables, p):
+    images = c3_spanning_tables
+    assert all(t.entries.get(maps[0]) for t, maps, _ in images)
+    for one in images:
+        assert rank([one], p) == brute_force_rank([one], p)
+    assert rank(images, p) == brute_force_rank(images, p) == len(images[0][2])
+
+
+def _power_map(k):
+    """The table of x -> (N_11(x, 1), N_k1(x, 1)) = (x, x^k)."""
     reg = VarRegistry(["u0", "v0"])
     u, v = reg.var("u0"), reg.var("v0")
-    # f(x) = N_11(x, 1), N_21(x, 1) = (x, x^2)
-    table = NMapTable(reg, {(1, 0): 0}, {(0, 1): 1},
-                      {(1, 1): {(1, 1): u * v}, (2, 1): {(2, 1): u * u * v}})
-    rows = _image_rows(table, [(1, 1), (2, 1)], {(1, 1): 0, (2, 1): 1})
-    assert rows == [[1, 1], [-1, 1]]
-    # over F_2, x^2 = x: the image is the line through (1, 1)
-    assert _span_verdict(rows, 2)["fields"] == {
-        "Q": "full", "F2": "deficient", "F3": "full", "F5": "full"}
-    assert _span_verdict(rows[:1], 2)["fields"]["Q"] == "deficient"
+    power = v
+    for _ in range(k):
+        power = power * u
+    return NMapTable(reg, {(1, 0): 0}, {(0, 1): 1},
+                     {(1, 1): {(1, 1): u * v}, (k, 1): {(k, 1): power}})
+
+
+@pytest.mark.parametrize("k,deficient", [(2, {"F2"}), (3, {"F2", "F3"})], ids=["square", "cube"])
+def test_power_maps_follow_the_exponent_rule(k, deficient):
+    table = _power_map(k)
+    images = [(table, [(1, 1), (k, 1)], {(1, 1): 0, (k, 1): 1})]
+    assert _image_rows(images, None) == [[1, 0], [0, 1]]
+    # over F_p, x^k = x when k = 1 mod (p - 1): the image is the line through (1, 1)
+    for p in (2, 3, 5):
+        assert _image_rows(images, p) == ([[1, 1]] if "F%d" % p in deficient
+                                          else [[1, 0], [0, 1]])
+        assert rank(images, p) == brute_force_rank(images, p)
+    assert _span_verdict(images, 2)["fields"] == {
+        f: "deficient" if f in deficient else "full" for f in ("Q", "F2", "F3", "F5")}
+    assert _span_verdict([(table, [(1, 1)], images[0][2])], 2)["fields"]["Q"] == "deficient"
+
+
+def test_images_of_separate_tables_add_up():
+    # (x, 0) and (0, y^2) with independent x, y span K^2 over every field,
+    # although u v and u^2 v are one function over F_2
+    col = {(1, 1): 0, (2, 1): 1}
+    images = [(_power_map(2), [(1, 1)], col), (_power_map(2), [(2, 1)], col)]
+    for p in (None, 2, 3, 5):
+        assert _image_rows(images, p) == [[1, 0], [0, 1]]
+    assert _span_verdict(images, 2)["status"] == "pass"
 
 
 PERTURBED_FIBERS = """

@@ -1,12 +1,10 @@
 import itertools
 import os
-import random
 import subprocess
 import sys
 from operator import add, mul, sub
 
 import pytest
-from eval_oracle import evaluate
 from lie_oracles import full_product
 
 import relroots
@@ -369,30 +367,3 @@ def test_table_slots_and_cone_match_their_definitions():
                 sum(map(mul, g, col)) for col in zip(*proj))
             pairs += 1
     assert pairs > 10000
-
-
-def test_compiled_evaluate_matches_polynomial_evaluation(monkeypatch):
-    # every table the Lemma 3 span (l = 4) and the lemma2 spanning case
-    # build, at random integer points with zeros and at 0
-    tables, build = [], relcalc.compute_relative_commutator_maps
-
-    def recorded(rrs, cb, A, B):
-        tables.append(build(rrs, cb, A, B))
-        return tables[-1]
-
-    monkeypatch.setattr(relcalc, "compute_relative_commutator_maps", recorded)
-    check_spanning_lemma3(4)
-    rrs, cb = setup_fold("C3 levi=1,2")
-    check_spanning_lemma2_2(rrs, cb, RelativeRoot((1, 1)), RelativeRoot((0, 1)))
-    assert len(tables) == 5
-    rng = random.Random(0)
-    for table in tables:
-        n = len(table.registry.names)
-        points = [dict.fromkeys(range(n), 0)] + [
-            {k: rng.choice((0, 0, rng.randint(-9, 9))) for k in range(n)} for _ in range(50)]
-        for vals in points:
-            u = {al: vals[k] for al, k in table.u_index.items()}
-            v = {be: vals[k] for be, k in table.v_index.items()}
-            for i, j in table.pairs():
-                assert table.evaluate(i, j, u, v) == {
-                    gamma: evaluate(p, vals) for gamma, p in table.entries[(i, j)].items()}
