@@ -97,10 +97,11 @@ from operator import mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _require_slot,
                        _slots, row_reduce)
-from .rootcore import RootSystem, collinear, multiples, require, root_str, splits
+from .rootcore import (RootSystem, VerificationError, collinear, multiples, require, root_str,
+                       splits)
 
 
-class CollectionError(ValueError):
+class CollectionError(VerificationError):
     pass
 
 

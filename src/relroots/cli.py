@@ -8,6 +8,10 @@ sorted keys so that parse + re-serialize is byte-identical.  The wallTime
 field is pinned to 0.0 in serialized reports so that repeated runs with
 the same seed produce byte-identical files; measured time is printed on
 the summary line instead.
+
+Every command exits 1 on a check that does not hold (a fail case or row, or
+``fail: <message>``) and 2 on bad input (``error: <message>``); ``main`` alone
+maps a ``VerificationError`` and a ``ValueError`` to these codes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from fractions import Fraction
 
 from .chevalley import build_chevalley_basis
 from .folding import (
-    FoldingError,
     build_relative_system,
     classify_relative_type,
     enumerate_foldings,
@@ -30,7 +33,6 @@ from .polyring import is_prime
 from .relcalc import (
     Configurations,
     RelativeRoot,
-    RelcalcError,
     applicable_surjectivity_cases,
     case_a_pairs,
     check_N11_surjectivity,
@@ -38,7 +40,7 @@ from .relcalc import (
     check_spanning_lemma3,
     compute_relative_commutator_maps,
 )
-from .rootcore import InvalidRootType, RootType, build_root_system, require, root_str
+from .rootcore import RootType, VerificationError, build_root_system, require, root_str
 from .theoremlab import (
     check_identity_params,
     run_case,
@@ -81,17 +83,11 @@ def _parse_spec(args):
         text += " gamma=" + args.gamma
     if args.levi is not None:
         text += " levi=" + args.levi
-    try:
-        return parse_folding_spec(text)
-    except (FoldingError, InvalidRootType, ValueError) as exc:
-        raise CliError(str(exc))
+    return parse_folding_spec(text)
 
 
 def cmd_roots(args):
-    try:
-        rs = build_root_system(RootType.parse(args.type))
-    except InvalidRootType as exc:
-        raise CliError(str(exc))
+    rs = build_root_system(RootType.parse(args.type))
     _dump({
         "type": str(rs.type),
         "count": len(rs.roots),
@@ -103,11 +99,8 @@ def cmd_roots(args):
 
 def cmd_fold(args):
     spec = _parse_spec(args)
-    try:
-        rrs = build_relative_system(spec)
-        label, rank = classify_relative_type(rrs)
-    except FoldingError as exc:
-        raise CliError(str(exc))
+    rrs = build_relative_system(spec)
+    label, rank = classify_relative_type(rrs)
     _dump({
         "spec": str(spec),
         "classifiedType": "%s%d" % (label, rank),
@@ -140,10 +133,7 @@ def cmd_nmaps(args):
     cb = build_chevalley_basis(rrs.rs)
     A = _parse_rel(args.a, rrs.rank)
     B = _parse_rel(args.b, rrs.rank)
-    try:
-        table = compute_relative_commutator_maps(rrs, cb, A, B)
-    except RelcalcError as exc:
-        raise CliError(str(exc))
+    table = compute_relative_commutator_maps(rrs, cb, A, B)
     _dump({
         "spec": str(spec),
         "A": list(A.coords),
@@ -317,10 +307,7 @@ def cmd_verify(args):
         raise CliError("unknown suite %r (choose from %s)"
                        % (args.suite, ", ".join(SUITES)))
     t0 = time.time()
-    try:
-        cases = run_suite(args.suite, args)
-    except (ValueError, FoldingError) as exc:
-        raise CliError(str(exc))
+    cases = run_suite(args.suite, args)
     report = make_report(args.suite, cases)
     if args.report:
         try:
@@ -341,19 +328,13 @@ def cmd_perfect(args):
     # finitelab loads numpy, which no other command needs
     from .finitelab import DEFAULT_CAP, format_report, perfectness_report
 
-    try:
-        t = RootType.parse(args.type)
-    except InvalidRootType as exc:
-        raise CliError(str(exc))
+    t = RootType.parse(args.type)
     if not is_prime(args.p):
         raise CliError("%d is not prime" % args.p)
     cap = DEFAULT_CAP if args.cap is None else args.cap
     if cap < 1:
         raise CliError("--cap must be a positive integer")
-    try:
-        rows = perfectness_report([(t, args.p)], cap=cap)
-    except ValueError as exc:  # p too large for exact int64 products
-        raise CliError(str(exc))
+    rows = perfectness_report([(t, args.p)], cap=cap)
     print(format_report(rows))
     return 0 if all(r["status"] != "fail" for r in rows) else 1
 
@@ -383,8 +364,8 @@ def build_parser():
     p = sub.add_parser("nmaps",
                        help="commutator N-map table for a relative pair")
     add_fold_args(p)
-    p.add_argument("--a", required=True, help="relative root, e.g. 1,0")
-    p.add_argument("--b", required=True, help="relative root, e.g. 0,1")
+    p.add_argument("--a", required=True, help="relative root, e.g. 1,0 or --a=-1,0")
+    p.add_argument("--b", required=True, help="relative root, e.g. 0,1 or --b=-1,0")
     p.set_defaults(func=cmd_nmaps)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -412,7 +393,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except VerificationError as exc:  # before ValueError: CaseHypothesisError is both
+        print("fail: %s" % exc, file=sys.stderr)
+        return 1
+    except ValueError as exc:  # every relroots bad-input error, CliError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

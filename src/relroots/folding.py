@@ -28,6 +28,7 @@ from .rootcore import (
     SERIES,
     InvalidRootType,
     RootType,
+    VerificationError,
     build_root_system,
     collinear,
     require,
@@ -253,8 +254,7 @@ class RelativeRootSystem:
         # the roots are in increasing order, so each fiber is too
         self.fibers = {c: tuple(f) for c, f in fibers.items()}
         for c in self.fibers:
-            if len({x > 0 for x in c if x}) != 1:
-                raise AssertionError("mixed-sign relative root %s" % root_str(c))
+            require(len({x > 0 for x in c if x}) == 1, "mixed-sign relative root %s", c)
         self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
     def project(self, root):
@@ -321,12 +321,16 @@ def classify_relative_type(rrs: RelativeRootSystem):
     if rank == 1:
         label = "BC" if any(abs(c) == 2 for (c,) in coord_set) else "A"
         return label, 1
+    # a set matches one candidate at most, up to coordinate order (D3 = A3 is
+    # left out; B2 and C2 are told apart below): map it once per permutation
+    refs = []
     for label in ("A", "B", "C", "BC", "D", "E", "F", "G"):
-        ref = _reference_root_set(label, rank)
-        if ref is None or len(ref) != len(coord_set):
-            continue
-        for perm in itertools.permutations(range(rank)):
-            mapped = {tuple(c[perm[i]] for i in range(rank)) for c in coord_set}
+        ref = None if (label, rank) == ("D", 3) else _reference_root_set(label, rank)
+        if ref is not None and len(ref) == len(coord_set):
+            refs.append((label, ref))
+    for perm in itertools.permutations(range(rank)) if refs else ():
+        mapped = {tuple(c[i] for i in perm) for c in coord_set}
+        for label, ref in refs:
             if mapped == ref:
                 if rank == 2 and label in ("B", "C"):
                     # B2 and C2 coincide up to swapping the coordinates; B2
@@ -342,7 +346,7 @@ def classify_relative_type(rrs: RelativeRootSystem):
 # -- Lemma-style decomposition -------------------------------------------
 
 
-class DecompositionError(ValueError):
+class DecompositionError(VerificationError):
     pass
 
 
@@ -372,7 +376,7 @@ def _diagram_path(rs, start, targets):
                     prev[w] = v
                     nxt.append(w)
         frontier = nxt
-    raise AssertionError("diagram is connected; no path found")
+    raise VerificationError("diagram is connected; no path found")
 
 
 def check_lemma1_decomposition(rrs, a, b, c):
@@ -382,8 +386,8 @@ def check_lemma1_decomposition(rrs, a, b, c):
     minor of (b, c), so every multiple i, j >= 1 other than (1, 1) is
     covered, with no bound on i and j.  Each integral solution that holds
     on every coordinate must keep the sign of a and raise its level; the
-    first violation in (i, j) order raises VerificationError (an
-    AssertionError that ``python -O`` keeps).
+    first violation in (i, j) order raises VerificationError, which
+    ``python -O`` keeps.
     """
     require(b in rrs and c in rrs, "B, C must be relative roots")
     require(tuple(map(add, b, c)) == a, "B + C is not A")

@@ -199,9 +199,8 @@ class RootSystem:
         long_norm = max(self.norms.values())
         self.long_roots = frozenset(c for c, n in self.norms.items() if n == long_norm)
         expected = ROOT_COUNT[root_type.series](l)
-        if len(self.roots) != expected:
-            raise AssertionError("generated %d roots for %s, expected %d"
-                                 % (len(self.roots), root_type, expected))
+        require(len(self.roots) == expected, "generated %d roots for %s, expected %d",
+                len(self.roots), root_type, expected)
 
     def _norm(self, coords):
         """|coords|^2 as an integer."""

@@ -33,7 +33,6 @@ from fractions import Fraction
 from operator import add
 
 from .chevalley import (
-    CollectionError,
     adjoint_root_element,
     build_chevalley_basis,
     collect,
@@ -45,7 +44,6 @@ from .chevalley import (
     unit_split,
 )
 from .folding import (
-    DecompositionError,
     build_relative_system,
     decompose_relative_root,
     enumerate_foldings,
@@ -78,16 +76,15 @@ class VerificationCase:
 def run_case(cid, spec, body, params=None):
     """Run one case: its witness is ``body()``.
 
-    A check that does not hold inside the body (an ``AssertionError``,
-    which covers ``VerificationError`` and relcalc's ``CaseHypothesisError``,
-    a ``DecompositionError`` or a ``CollectionError``) makes the case a
-    fail whose witness is the failing check's message.  Any other
-    exception propagates, so bad parameters still abort the run.
+    A check that does not hold inside the body (an ``AssertionError``;
+    every failed check in relroots raises a ``VerificationError``) makes
+    the case a fail whose witness is the failing check's message.  Any
+    other exception propagates, so bad parameters still abort the run.
     """
     case = VerificationCase(id=cid, spec=spec, params=params or {})
     try:
         case.witness = body()
-    except (AssertionError, DecompositionError, CollectionError) as exc:
+    except AssertionError as exc:
         case.status = "fail"
         case.witness = str(exc)
     return case

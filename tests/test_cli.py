@@ -12,8 +12,10 @@ import pytest
 import relroots
 import relroots.chevalley as chevalley
 import relroots.cli as cli
+import relroots.finitelab as finitelab
 import relroots.relcalc as relcalc
 import relroots.theoremlab as theoremlab
+from relroots.chevalley import CollectionError
 from relroots.cli import main
 from relroots.folding import DecompositionError
 from relroots.rootcore import require, root_str
@@ -224,6 +226,70 @@ def test_nmaps_rejects_bad_coords(capsys):
                        "--b", "0,1")
     assert code == 2
     assert "coordinates" in err
+
+
+def test_nmaps_negative_root_in_equals_form(capsys):
+    # argparse reads "--b -1,0" as an option; the help shows "--b=-1,0"
+    code, out, _ = run(capsys, "nmaps", "--type", "C2", "--a", "1,1", "--b=-1,0")
+    assert code == 0
+    assert json.loads(out)["B"] == [-1, 0]
+
+
+def _without_last_slot(rrs, a, b, _table_slots=relcalc._table_slots):
+    slots, owner = _table_slots(rrs, a, b)
+    return slots[:-1], owner
+
+
+NMAPS_C2 = ["nmaps", "--type", "C2", "--a", "1,0", "--b", "0,1"]
+
+
+def test_failed_table_check_in_nmaps_exits_1(capsys, monkeypatch):
+    # the product has a factor on 2A+B, the last slot, so collect fails
+    monkeypatch.setattr(relcalc, "_table_slots", _without_last_slot)
+    code, out, err = run(capsys, *NMAPS_C2)
+    assert (code, out) == (1, "")
+    assert err == "fail: residual is not the identity; input not supported on the given slots\n"
+
+
+PERFECT_A2 = ["perfect", "--type", "A2", "--p", "3"]
+
+
+def _no_constants(cb, beta, gamma):
+    raise CollectionError("injected fault on %s, %s" % (root_str(beta), root_str(gamma)))
+
+
+def test_failed_check_in_perfect_is_a_fail_row(capsys, monkeypatch):
+    monkeypatch.setattr(finitelab, "commutator_constants", _no_constants)
+    code, out, err = run(capsys, *PERFECT_A2)
+    assert (code, err) == (1, "")
+    row = out.splitlines()[1]
+    assert row.startswith("A2") and "fail: injected fault on" in row
+
+
+# each fault above, injected into a ``python -O`` child before ``cli.main``:
+# (patch, argv, the stream that shows the failure, how it starts there)
+OPTIMIZED_FAULTS = {
+    "nmaps": ("relcalc._table_slots = test_cli._without_last_slot", NMAPS_C2,
+              "stderr", "fail: residual is not the identity"),
+    "perfect": ("finitelab.commutator_constants = test_cli._no_constants", PERFECT_A2,
+                "stdout", "type  p  route  order  index  verdict\nA2    3  -      -      -      "
+                "fail: injected fault on"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIMIZED_FAULTS))
+def test_failed_check_exits_1_under_optimized_mode(command):
+    patch, argv, stream, start = OPTIMIZED_FAULTS[command]
+    child = ("import sys, test_cli\nfrom relroots import cli, finitelab, relcalc\n"
+             "%s\nsys.exit(cli.main(sys.argv[1:]))" % patch)
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", child] + argv,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert getattr(proc, stream).startswith(start)
 
 
 def test_verify_c2_k5_two_passes(capsys):

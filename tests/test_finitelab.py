@@ -351,6 +351,32 @@ def test_witness_out_of_order_fails_the_recheck():
         check_witnesses(t, p, witnesses[::-1])
 
 
+# lists of A2 witnesses over F_3 that pass every check but the one on the
+# root each witness names: its factors and its matrices are right
+WRONG_ROOT = {
+    "repeated": "ws[:1] + ws[:1]",
+    "not-a-combination": "[replace(ws[0], root=ws[1].root)]",
+}
+WRONG_ROOT_CHILD = """
+from dataclasses import replace
+from relroots.finitelab import check_witnesses, find_witnesses
+from relroots.rootcore import RootType
+t, p = RootType.parse("A2"), 3
+ws = find_witnesses(t, p)
+check_witnesses(t, p, %s)
+"""
+
+
+@pytest.mark.parametrize("how", sorted(WRONG_ROOT))
+def test_witness_for_a_wrong_root_fails_under_optimized_mode(how):
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_ROOT_CHILD % WRONG_ROOT[how]],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "VerificationError: witness for" in proc.stderr and " with constant " in proc.stderr
+
+
 @pytest.mark.parametrize("how", ["constant", "dropped"])
 def test_corrupted_witness_is_a_fail_row(monkeypatch, how):
     t, p = RootType.parse("C2"), 3

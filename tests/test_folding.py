@@ -136,6 +136,12 @@ def test_d4_triality_gives_g2():
     assert sorted(sum(a) for a in rrs.fibers if sum(a) > 0) == [1, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("text, expected", [("C8", ("C", 8)), ("D3", ("A", 3))])
+def test_trivial_folding_keeps_its_type(text, expected):
+    # C8 is not B8 under any order of coordinates; D3 is A3, named A
+    assert classify_relative_type(fold(text)) == expected
+
+
 def test_rank_one_classification():
     assert classify_relative_type(fold("A2 levi=1")) == ("A", 1)
     assert classify_relative_type(fold("C2 levi=1")) == ("BC", 1)
