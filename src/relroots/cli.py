@@ -303,9 +303,6 @@ def make_report(suite, cases):
 
 
 def cmd_verify(args):
-    if args.suite not in SUITES:
-        raise CliError("unknown suite %r (choose from %s)"
-                       % (args.suite, ", ".join(SUITES)))
     t0 = time.time()
     cases = run_suite(args.suite, args)
     report = make_report(args.suite, cases)

@@ -13,7 +13,10 @@ unit vectors.  A relative root is its coordinate tuple, as a root is in
 ``relroots.rootcore``: its level is ``sum(a)``, its sign the sign of that
 sum, ``root_str`` prints it, and ``RelativeRootSystem.fibers`` keys every
 fiber by it.  Lemma 1 (``decompose_relative_root`` and its checker) takes
-and returns these tuples.
+and returns these tuples.  The checker reads a system only through its set
+of relative coordinates, so a verdict map keyed by (A, B, C), one per
+coordinate set and kept for one ``lemma1`` catalog run, lets the checker
+run once per distinct (coordinate set, A, B, C).
 """
 
 from __future__ import annotations
@@ -417,7 +420,7 @@ def check_lemma1_decomposition(rrs, a, b, c):
     return True
 
 
-def decompose_relative_root(rrs: RelativeRootSystem, a):
+def decompose_relative_root(rrs: RelativeRootSystem, a, verdicts=None):
     """Split the relative root a = b + c per the constructive recipe;
     checker-verified.
 
@@ -426,10 +429,12 @@ def decompose_relative_root(rrs: RelativeRootSystem, a):
     J-node; anything else splits off the last J-node of a root chain.
     Negative a takes the negated split of -a (the clauses are symmetric
     under negation): the recipe runs once per +-pair, for whichever sign
-    comes first, and ``rrs`` keeps the split for the other.  The split of
-    each sign is checked once, by ``check_lemma1_decomposition``.  A
-    recipe step or clause that fails raises DecompositionError naming a,
-    so a gap in the recipe shows as a failed case.
+    comes first, and ``rrs`` keeps the split for the other.  The split is
+    checked by ``check_lemma1_decomposition``: directly, or, given
+    ``verdicts``, a dict (a, b, c) -> "" or the checker's message for
+    systems with the coordinate set of ``rrs``, once per key.  A recipe
+    step or clause that fails raises DecompositionError naming a, so a gap
+    in the recipe shows as a failed case.
     """
     if a not in rrs:
         raise DecompositionError("%s is not a relative root" % root_str(a))
@@ -438,12 +443,21 @@ def decompose_relative_root(rrs: RelativeRootSystem, a):
                                  % root_str(a))
     positive = sum(a) > 0
     p = a if positive else tuple(-x for x in a)
+    verdicts = {} if verdicts is None else verdicts
     try:
         split = rrs._splits.get(p)
         if split is None:
             split = rrs._splits[p] = _decompose_positive(rrs, p)
         b, c = split if positive else (tuple(-x for x in r) for r in split)
-        check_lemma1_decomposition(rrs, a, b, c)
+        verdict = verdicts.get((a, b, c))
+        if verdict is None:
+            try:
+                check_lemma1_decomposition(rrs, a, b, c)
+                verdict = ""
+            except AssertionError as exc:
+                verdict = str(exc)
+            verdicts[a, b, c] = verdict
+        require(not verdict, verdict)
     except AssertionError as exc:
         raise DecompositionError("no valid decomposition found for %s: %s"
                                  % (root_str(a), exc))
@@ -466,19 +480,13 @@ def _decompose_positive(rrs, a):
         require(beta in rs, "chain sum is not a root")
         require(rs.sum_is_root(alpha, beta), "alpha + beta is not a root")
         return rrs.project(rs.sum(alpha, beta)), rrs.project(tuple(-x for x in beta))
-    # split off the last J-node of a root chain for alpha
-    delta = set(range(rs.rank)) - set(rrs.spec.levi)
+    # split off the last J-node of a root chain for alpha: step down by the
+    # least node outside J while there is one, then by the least node in J
+    levi = set(rrs.spec.levi)
     gamma = alpha
     while True:
-        strippable = [i for i in range(rs.rank)
-                      if gamma[i] > 0 and tuple(
-                          c - (1 if k == i else 0) for k, c in enumerate(gamma)) in rs]
-        in_delta = [i for i in strippable if i in delta]
-        if in_delta:
-            i = in_delta[0]
-            gamma = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma))
-            continue
-        i = next(i for i in strippable if i in set(rrs.spec.levi))
-        rest = tuple(c - (1 if k == i else 0) for k, c in enumerate(gamma))
-        simple = tuple(1 if k == i else 0 for k in range(rs.rank))
-        return rrs.project(rest), rrs.project(simple)
+        steps = rs.lowerings[gamma]
+        i, rest = next((step for step in steps if step[0] not in levi), steps[0])
+        if i in levi:
+            return rrs.project(rest), rrs.project(rs.simple_roots[i])
+        gamma = rest

@@ -97,9 +97,13 @@ def verify_lemma1_catalog(max_rank=6):
     """Decompose every relative root of every folding.
 
     ``decompose_relative_root`` returns only splits that passed the
-    independent checker, so each witness is checked exactly once.
+    independent checker.  Its verdict depends on the folding only through
+    the set of relative coordinates, so the foldings that share a set share
+    one verdict map for this call: the checker runs once per distinct
+    (coordinate set, A, B, C), and a failed verdict fails every case that
+    cites it, with the checker's message.
     """
-    cases = []
+    cases, verdicts = [], {}  # frozenset(rrs.fibers) -> {(a, b, c): verdict}
     for spec in enumerate_foldings(max_rank):
         rrs = build_relative_system(spec)
         cid = "lemma1/%s" % spec
@@ -107,9 +111,10 @@ def verify_lemma1_catalog(max_rank=6):
             cases.append(VerificationCase(id=cid, spec=str(spec), status="skipped",
                                           witness="rank-1 component"))
             continue
+        shared = verdicts.setdefault(frozenset(rrs.fibers), {})
         cases.append(run_case(cid, str(spec), lambda: [
-            "%s = %s + %s" % (root_str(a), *map(root_str, decompose_relative_root(rrs, a)))
-            for a in sorted(rrs.fibers)]))
+            "%s = %s + %s" % (root_str(a), *map(root_str, decompose_relative_root(
+                rrs, a, shared))) for a in sorted(rrs.fibers)]))
     return cases
 
 

@@ -673,3 +673,24 @@ def test_constant_checks_survive_optimized_mode():
     assert all("not an integer" in line for line in lines[8:10])
     assert "non-integer" in lines[10] and "7 slots" in lines[11]
     assert all("not the product of its table" in line for line in lines[12:14])
+
+
+ANTISYMMETRY = """
+from relroots.chevalley import ChevalleyBasis
+from relroots.rootcore import RootType, build_root_system
+
+# negate one of the two entries of an A2 pair: |N| = p+1 still holds on both
+cb = ChevalleyBasis(build_root_system(RootType("A", 2)))
+cb._n_cache[((1, 0), (0, 1))] *= -1
+cb._verify_pair_laws()
+"""
+
+
+def test_antisymmetry_check_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", ANTISYMMETRY],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1] == (
+        "relroots.rootcore.VerificationError: N is not antisymmetric on (0,1), (1,0)")

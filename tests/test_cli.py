@@ -391,11 +391,11 @@ def _fault_in_c3_table(rrs, cb, A, B,
     return _table(rrs, cb, A, B)
 
 
-def _fault_in_decomposition(rrs, a,
+def _fault_in_decomposition(rrs, a, verdicts=None,
                             _decompose=theoremlab.decompose_relative_root):
     if str(rrs.spec) == "A2 gamma=trivial levi=1,2":
         raise DecompositionError("injected fault in %s" % root_str(a))
-    return _decompose(rrs, a)
+    return _decompose(rrs, a, verdicts)
 
 
 def _case_a_without_units(rrs, cb, A, B, case,

@@ -305,7 +305,13 @@ def test_broken_recipe_is_a_fail_row(monkeypatch):
     assert {c.status for c in cases.values()} == {"pass", "skipped"}
 
 
-def test_recipe_runs_once_per_pair_and_checker_once_per_root(monkeypatch):
+def test_recipe_runs_once_per_pair_and_checker_once_per_input(monkeypatch):
+    # the recipe reads the diagram, so it runs per folding; the checker reads
+    # only the coordinate set, so it runs once per distinct (set, a, b, c)
+    inputs = {(frozenset(rrs.fibers), a, *decompose_relative_root(rrs, a))
+              for spec in enumerate_foldings(6)
+              for rrs in [build_relative_system(spec)] if rrs.rank >= 2
+              for a in rrs.fibers}
     recipe, check = folding._decompose_positive, folding.check_lemma1_decomposition
     decomposed, checked = [], []
 
@@ -314,19 +320,74 @@ def test_recipe_runs_once_per_pair_and_checker_once_per_root(monkeypatch):
         return recipe(rrs, p)
 
     def counted_check(rrs, a, b, c):
-        checked.append((str(rrs.spec), a))
+        checked.append((frozenset(rrs.fibers), a, b, c))
         return check(rrs, a, b, c)
 
     monkeypatch.setattr(folding, "_decompose_positive", counted_recipe)
     monkeypatch.setattr(folding, "check_lemma1_decomposition", counted_check)
-    cases = verify_lemma1_catalog(4)
+    cases = verify_lemma1_catalog(6)
     assert {c.status for c in cases} == {"pass", "skipped"}
-    roots = [(str(spec), a) for spec in enumerate_foldings(4)
+    roots = [(str(spec), a) for spec in enumerate_foldings(6)
              for rrs in [build_relative_system(spec)] if rrs.rank >= 2
              for a in rrs.fibers]
-    assert sorted(checked) == sorted(roots)
     assert sorted(decomposed) == sorted(r for r in roots if sum(r[1]) > 0)
-    assert 2 * len(decomposed) == len(checked) > 0
+    assert len(checked) == len(set(checked)) == 3950
+    assert set(checked) == inputs
+    assert len(roots) == 10416
+
+
+SHARED_VERDICT = """
+import relroots.folding as folding
+from relroots.rootcore import require, root_str
+from relroots.theoremlab import verify_lemma1_catalog
+
+cited = {}  # (coordinate set, a, b, c) -> the cases whose split it is
+for spec in folding.enumerate_foldings(4):
+    rrs = folding.build_relative_system(spec)
+    if rrs.rank >= 2:
+        for a in sorted(rrs.fibers):
+            key = (frozenset(rrs.fibers), a, *folding.decompose_relative_root(rrs, a))
+            cited.setdefault(key, []).append("lemma1/%s" % spec)
+bad = next(key for key, ids in cited.items() if len(ids) >= 2)
+check, calls = folding.check_lemma1_decomposition, []
+
+def faulty(rrs, a, b, c):
+    key = (frozenset(rrs.fibers), a, b, c)
+    calls.append(key)
+    require(key != bad, "injected fault on %s", a)
+    return check(rrs, a, b, c)
+
+folding.check_lemma1_decomposition = faulty
+cases = verify_lemma1_catalog(4)
+a = root_str(bad[1])
+print("citing", *cited[bad], sep="|")
+print("message", "no valid decomposition found for %s: injected fault on %s" % (a, a), sep="|")
+print("calls", calls.count(bad), len(calls), len(set(calls)), len(cited), sep="|")
+for case in cases:
+    print("case", case.id, case.status, case.witness if case.status == "fail" else "", sep="|")
+"""
+
+
+def test_failed_verdict_fails_every_case_that_cites_it():
+    # under -O, one failed input that several foldings share is checked once,
+    # and every case whose split it is becomes a fail row with its message
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", SHARED_VERDICT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("|") for line in proc.stdout.splitlines()]
+    info = {row[0]: row[1:] for row in rows if row[0] != "case"}
+    cases = {row[1]: row[2:] for row in rows if row[0] == "case"}
+    citing, (message,) = info["citing"], info["message"]
+    assert len(citing) >= 2
+    bad_calls, calls, distinct, inputs = map(int, info["calls"])
+    # no input is checked twice; the cases that fail stop at the failed root
+    assert bad_calls == 1 and calls == distinct <= inputs
+    assert {cid: w for cid, (status, w) in cases.items() if status == "fail"} == dict.fromkeys(
+        citing, message)
+    assert {status for cid, (status, _) in cases.items() if cid not in citing} == {
+        "pass", "skipped"}
 
 
 @pytest.mark.parametrize("text", FOLDS_FOR_SWEEP)

@@ -51,6 +51,21 @@ def test_example_counts():
     assert a1.roots == ((-1,), (1,))
 
 
+@pytest.mark.parametrize("t", ALL_TYPES_RANK8, ids=str)
+def test_lowerings_match_brute_force(t):
+    rs = build_root_system(t)
+    roots = set(rs.roots)
+    positive = [r for r in rs.roots if sum(r) > 0]
+    want = {}
+    for gamma in positive:
+        lower = [(i, tuple(g - s for g, s in zip(gamma, simple)))
+                 for i, simple in enumerate(rs.simple_roots)]
+        want[gamma] = tuple((i, r) for i, r in lower if r in roots)
+    assert rs.lowerings == want
+    # only the simple roots have no lowering
+    assert {g for g, steps in want.items() if not steps} == set(rs.simple_roots)
+
+
 @pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
 def test_negation_closure_and_sign_coherence(t):
     rs = build_root_system(t)
