@@ -54,7 +54,10 @@ form_j for each factor; ``collect`` reads the form there and takes the
 same value as the ``pair`` it divides by, by ``divmod``, with a
 ``Fraction`` only where a remainder is left.  Every other row moves by
 the root's compiled action, built once per root with its divided powers
-in the one per-basis cache entry (``ChevalleyBasis._root_entry``):
+in the one per-basis cache entry (``ChevalleyBasis._root_entry``).  Its
+ad e_alpha is read off root sums: column e_beta holds N_{alpha,beta} on
+e_{alpha+beta} when alpha + beta is a root, column e_-alpha the coroot
+h_alpha, and column h_i -<alpha, alpha_i^vee> on e_alpha.  The entry is
 (powers, row of e_alpha, action), where ``action[r]`` is None or the flat
 tuple (k, i, c, k', i', c', ...) of the nonzero entries c = ((ad
 e_alpha)^(k+1) / (k+1)!)[i][r], k ascending, h rows left out as sources
@@ -67,10 +70,18 @@ half-space of ``cone_weights(alpha, beta)`` whatever the signs of alpha
 and beta.  ``collected_commutator`` returns its normal form there, a word
 on the roots i*alpha + j*beta, which may then stand inside a word of
 another half-space.  The residual check of the collection proves the
-rewrite for the s and t given.  ``commutator_constants`` reads the C_ij
-off it over Z[s, t], and ``unit_split``, the one search for a commutator
-witness with a unit constant, reads C_11 = N_{alpha,beta} and any other
-C_ij there.
+rewrite for the s and t given.  When alpha + beta is not a root, no
+i*alpha + j*beta (i, j >= 1) is one, so the commutator is 1 and the
+word is empty, with no product and no collection.  For alpha = beta the
+multiples of a root are not roots.  Otherwise take such a root gamma with
+i + j least, so i + j > 2.  (gamma, gamma) > 0 gives (gamma, alpha) > 0 or
+(gamma, beta) > 0, so gamma - alpha or gamma - beta is a root (Humphreys,
+*Introduction to Lie Algebras and Representation Theory* 9.4): a
+combination with a smaller i + j, or a multiple 2*beta, 3*beta, ... (or of
+alpha), and neither can be.  ``commutator_constants`` reads the C_ij off the
+word over one fixed ring Z[s, t], and ``unit_split``, the one search for
+a commutator witness with a unit constant, reads C_11 = N_{alpha,beta}
+and any other C_ij there.
 
 A column entry is a raw term dict of :class:`~relroots.polyring.PolyElem`
 ({packed exponent: coefficient}, see ``relroots.polyring``): each
@@ -93,7 +104,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _require_slot,
                        _slots, row_reduce)
@@ -174,14 +185,14 @@ class ChevalleyBasis:
         if not a_pos:
             return -self.struct_const(b, a)
         # a positive, b negative
-        if s in self._pos_set:
-            # cyclic relation for a + b + (-s) = 0
-            ratio = Fraction(self.rs.norms[s], self.rs.norms[a])
-            val = -ratio * self.struct_const(tuple(-x for x in b), s)
-        else:
-            val = -self.struct_const(tuple(-x for x in a), tuple(-x for x in b))
-        require(val.denominator == 1, "N(%s, %s) = %s is not an integer", a, b, val)
-        return int(val)
+        if s not in self._pos_set:
+            return -self.struct_const(tuple(-x for x in a), tuple(-x for x in b))
+        # cyclic relation for a + b + (-s) = 0: N_ab = -|s|^2 / |a|^2 N_{-b,s}
+        num = -self.rs.norms[s] * self.struct_const(tuple(-x for x in b), s)
+        den = self.rs.norms[a]
+        val, rem = divmod(num, den)
+        require(rem == 0, "N(%s, %s) = %s/%s is not an integer", a, b, num, den)
+        return val
 
     def _n_pos(self, a, b):
         gamma = tuple(x + y for x, y in zip(a, b))
@@ -200,9 +211,9 @@ class ChevalleyBasis:
             num += self.struct_const(b, neg_eps) * self.struct_const(a, b_m)
         den = self.struct_const(gamma, neg_eps)
         require(den != 0, "N(%s, %s) vanishes on an extraspecial pair", gamma, neg_eps)
-        val = Fraction(num, den)
-        require(val.denominator == 1, "N(%s, %s) = %s is not an integer", a, b, val)
-        return int(val)
+        val, rem = divmod(num, den)
+        require(rem == 0, "N(%s, %s) = %s/%s is not an integer", a, b, num, den)
+        return val
 
     def _verify_pair_laws(self):
         """Antisymmetry and |N| = p+1 over all positive pairs with root sum."""
@@ -216,32 +227,6 @@ class ChevalleyBasis:
                             "N is not antisymmetric on %s, %s", a, b)
                     require(abs(n) == self._string_p(a, b) + 1,
                             "|N(%s, %s)| = %d breaks the law |N| = p+1", a, b, abs(n))
-
-    # -- brackets --------------------------------------------------------
-
-    def bracket(self, x, y):
-        """Bracket of two basis labels as {basis index: integer coeff}."""
-        if x[0] == "h" and y[0] == "h":
-            return {}
-        if x[0] == "h":
-            out = self.bracket(y, x)
-            return {i: -c for i, c in out.items()}
-        if y[0] == "h":
-            # [e_a, h_i] = -<a, alpha_i^vee> e_a
-            a = x[1]
-            pair = self.rs._pairing_coords(a, y[1])
-            return {self.index[x]: -pair} if pair else {}
-        a, b = x[1], y[1]
-        s = tuple(p + q for p, q in zip(a, b))
-        if not any(s):
-            # [e_a, e_-a] = h_a (coroot of a)
-            cor = self.rs.coroot_coords(a)
-            npos = len(self.pos_roots)
-            return {npos + i: c for i, c in enumerate(cor) if c}
-        if s in self.rs:
-            n = self.struct_const(a, b)
-            return {self.index[("e", s)]: n} if n else {}
-        return {}
 
     # -- root elements ---------------------------------------------------
 
@@ -257,12 +242,21 @@ class ChevalleyBasis:
         entry = self._exp_cache.get(coords)
         if entry is not None:
             return entry
-        lab = ("e", coords)
-        ad = {}
-        for j, other in enumerate(self.basis):
-            col = self.bracket(lab, other)
-            if col:
-                ad[j] = col
+        rs, index = self.rs, self.index
+        row = index[("e", coords)]
+        npos = len(self.pos_roots)
+        ad = {}  # read off root sums (module docstring), in basis order
+        for j, (kind, other) in enumerate(self.basis):
+            if kind == "h":
+                pair = rs._pairing_coords(coords, other)
+                if pair:
+                    ad[j] = {row: -pair}
+                continue
+            s = tuple(map(add, coords, other))
+            if s in rs:
+                ad[j] = {index[("e", s)]: self.struct_const(coords, other)}
+            elif not any(s):
+                ad[j] = {npos + i: c for i, c in enumerate(rs.coroot_coords(coords)) if c}
         powers = []
         cur = ad
         k = 1
@@ -287,8 +281,7 @@ class ChevalleyBasis:
                         frac[i] = q
                     nxt[j] = frac
             cur = nxt
-        npos, l = len(self.pos_roots), self.rs.rank
-        h_rows = range(npos, npos + l)
+        h_rows = range(npos, npos + rs.rank)
         action = [[] for _ in range(self.dim)]
         for k, power in enumerate(powers):
             for r, col in power.items():
@@ -297,7 +290,7 @@ class ChevalleyBasis:
                         if i not in h_rows:
                             action[r] += (k, i, c)
         entry = self._exp_cache[coords] = (
-            powers, self.index[lab], tuple(tuple(t) if t else None for t in action))
+            powers, row, tuple(tuple(t) if t else None for t in action))
         return entry
 
     def exp_ad_powers(self, coords):
@@ -546,10 +539,13 @@ def collected_commutator(cb, registry, first, second):
     beta)`` and collected along the roots i*alpha + j*beta in the order of
     ``multiples``.  Returns the word [(gamma, c_gamma)] in that order, zero
     coefficients left out; the residual check of ``collect`` proves that
-    its product is the commutator.
+    its product is the commutator.  The word is empty, and nothing is
+    multiplied, when alpha + beta is not a root (module docstring).
     """
     (a, _), (b, _) = first, second
     _check_not_opposite_ray(a, b)
+    if tuple(map(add, a, b)) not in cb.rs:
+        return []  # no i*alpha + j*beta is a root (module docstring)
     U = product_of_root_elements(cb, registry, commutator_factors([first], [second]),
                                  cone_weights(a, b))
     slots = [tuple(i * x + j * y for x, y in zip(a, b))
@@ -557,17 +553,21 @@ def collected_commutator(cb, registry, first, second):
     return list(collect(cb, U, slots).items())
 
 
+# the one ring Z[s, t] of every C_ij table; its elements are never changed
+_ST = VarRegistry(("s", "t"))
+_S, _T = _ST.var("s"), _ST.var("t")
+
+
 def commutator_constants(cb, alpha, beta):
     """Constants C_ij with [x_alpha(s), x_beta(t)] = prod x_{i a + j b}(C_ij s^i t^j),
     for roots alpha and beta given as coordinate tuples.
 
-    Read off ``collected_commutator`` over Z[s, t], so the returned table
-    is verified by construction.  Empty dict when no i*alpha + j*beta is a
-    root.
+    Read off ``collected_commutator`` over the module's one Z[s, t], so
+    the returned table is verified by construction.  Empty dict when no
+    i*alpha + j*beta is a root, that is when alpha + beta is not one.
     """
-    reg = VarRegistry(["s", "t"])
     table = {}
-    for root, c in collected_commutator(cb, reg, (alpha, reg.var("s")), (beta, reg.var("t"))):
+    for root, c in collected_commutator(cb, _ST, (alpha, _S), (beta, _T)):
         # must be a single monomial C * s^i t^j on the root i*alpha + j*beta,
         # with |C| in {1, 2, 3}
         key, coeff = next(iter(c.terms.items()))

@@ -34,16 +34,17 @@ stack of matrices held by columns times a right factor, summed over the
 factor's nonzeros in the narrowest unsigned dtype that holds every sum
 (uint8 over F_2).  A Dimino coset is one such product of the whole
 subgroup, and the witness re-check and the one-parameter law multiply by
-root elements, which have few nonzeros.  Single dense products (coset
-representatives times generators, the commutators of the derived
-subgroup) stay int64 matmul, exact while dim (p - 1)^2 < 2^63.
+root elements and their divided powers, which have few nonzeros.  Single
+dense products (coset representatives times generators, the commutators
+of the derived subgroup) stay int64 matmul, exact while dim (p - 1)^2 <
+2^63.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -144,28 +145,26 @@ def _root_powers(cb, coords, p):
 
 
 def _check_one_parameter_law(powers, p, keep=()):
-    """x(a) x(1) = x(a + 1) for every a in F_p; returns {c: x(c)} for each
-    c in ``keep`` (0 <= c < p), in the dtype of ``powers``.
+    """x(a) x(b) = x(a + b) for all a, b in F_p, x(c) = sum_k c^k N_k;
+    returns {c: x(c)} for each c in ``keep`` (0 <= c < p), in the dtype of
+    ``powers``.
 
-    With x(0) = N_0 = 1 this is the whole law x(a) x(b) = x(a + b), by
-    induction on b, so x(c) = x(1)^c and x(1) generates every x(c)."""
-    kept = {}
-    n = powers.shape[1]
-    flat = powers.reshape(len(powers), n * n)
-    x1 = powers.sum(axis=0) % p
-    chunk = max(1, (1 << 18) // (n * n))
-    for lo in range(0, p, chunk):
-        a = np.arange(lo, min(lo + chunk, p) + 1, dtype=np.int64)  # a and a + 1
-        coeff = np.ones((len(a), len(powers)), dtype=np.int64)
-        for k in range(1, len(powers)):
-            coeff[:, k] = coeff[:, k - 1] * a % p
-        x = (coeff @ flat % p).reshape(len(a), n, n)
-        require(np.array_equal(_times(_columns(x[:-1]), x1, p), _columns(x[1:])),
+    With N_0 = 1, x(a) x(b) = sum_{i,j} a^i b^j N_i N_j and x(a + b) =
+    sum_{i,j} a^i b^j C(i + j, i) N_{i+j}, so the law holds as polynomials
+    in a and b once N_i N_j = C(i + j, i) N_{i+j} mod p for all i, j >= 1,
+    N_m = 0 above the top power: one product of the stack N_1..N_top by
+    each N_j, whatever p.  So x(c) = x(1)^c and x(1) generates every x(c)."""
+    top = len(powers) - 1
+    stack = _columns(powers[1:])
+    wide = powers.astype(np.int64)
+    for j in range(1, top + 1):
+        want = np.zeros((top,) + powers.shape[1:], dtype=np.int64)
+        for i in range(1, top + 1 - j):
+            want[i - 1] = comb(i + j, i) * wide[i + j] % p
+        require(np.array_equal(_times(stack, powers[j], p), _columns(want)),
                 "one-parameter law fails mod %d", p)
-        for c in keep:
-            if lo <= c < lo + len(a) - 1:
-                kept[c] = x[c - lo].astype(powers.dtype)
-    return kept
+    return {c: (np.tensordot([pow(c, k, p) for k in range(top + 1)], wide, 1) % p).astype(
+        powers.dtype) for c in keep}
 
 
 def adjoint_generators(t: RootType, p):

@@ -6,14 +6,25 @@ root data from the root set and the Gram matrix alone, in Fractions, and
 ``h_of`` the Cartan vector h_f of a cone from them;
 ``commutator_constants_fast`` gives the magnitudes of the commutator
 constants from the structure constants, with no matrix work;
-``diagram_automorphisms`` tries every permutation of the Dynkin nodes.
+``diagram_automorphisms`` tries every permutation of the Dynkin nodes;
+``bracket`` is the Lie bracket of two basis labels, case by case, and
+``all_types`` lists every irreducible type up to a rank.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from relroots.rootcore import collinear, require
+from relroots.rootcore import InvalidRootType, RootType, collinear, require
+
+
+def all_types(max_rank):
+    for series in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                yield RootType(series, rank)
+            except InvalidRootType:
+                pass
 
 
 def full_product(cb, reg, factors):
@@ -39,6 +50,28 @@ def full_product(cb, reg, factors):
             out[j] = {i: v for i, v in acc.items() if not v.is_zero()}
         M = out
     return M
+
+
+def bracket(cb, x, y):
+    """[x, y] of two basis labels of ``cb`` as {basis index: integer coeff},
+    each case of the bracket on its own: [h, h'] = 0, [e_a, h_i] =
+    -<a, alpha_i^vee> e_a, [e_a, e_-a] = h_a and [e_a, e_b] = N_ab e_{a+b}."""
+    if x[0] == "h" and y[0] == "h":
+        return {}
+    if x[0] == "h":
+        return {i: -c for i, c in bracket(cb, y, x).items()}
+    if y[0] == "h":
+        pair = cb.rs._pairing_coords(x[1], y[1])
+        return {cb.index[x]: -pair} if pair else {}
+    a, b = x[1], y[1]
+    s = tuple(p + q for p, q in zip(a, b))
+    if not any(s):
+        npos = len(cb.pos_roots)
+        return {npos + i: c for i, c in enumerate(cb.rs.coroot_coords(a)) if c}
+    if s in cb.rs:
+        n = cb.struct_const(a, b)
+        return {cb.index[("e", s)]: n} if n else {}
+    return {}
 
 
 def root_string(rs, a, b):

@@ -6,7 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from lie_oracles import commutator_constants_fast, full_product, h_of, root_string
+from lie_oracles import (all_types, bracket, commutator_constants_fast, full_product, h_of,
+                         root_string)
 
 import relroots
 import relroots.chevalley as chevalley
@@ -75,12 +76,12 @@ def test_antisymmetry_and_magnitude_law(c2):
 
 
 def assert_jacobi(cb, triples):
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on basis triples, by ``cb.bracket``."""
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on basis triples, by ``bracket``."""
     for x, y, z in triples:
         acc = {}
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            for i, c in cb.bracket(u, v).items():
-                for j, d in cb.bracket(cb.basis[i], w).items():
+            for i, c in bracket(cb, u, v).items():
+                for j, d in bracket(cb, cb.basis[i], w).items():
                     acc[j] = acc.get(j, 0) + c * d
         assert not any(acc.values()), (x, y, z, acc)
 
@@ -95,6 +96,33 @@ def test_jacobi_sampled_f4():
     cb = cb_for("F4")
     rng = random.Random(0)
     assert_jacobi(cb, [tuple(rng.choice(cb.basis) for _ in range(3)) for _ in range(2000)])
+
+
+SWEEP_TYPES = [str(t) for t in all_types(6)] + ["E7"]
+
+
+@pytest.mark.parametrize("name", SWEEP_TYPES)
+def test_ad_rows_match_the_bracket(name):
+    # ad e_alpha, read off root sums in _root_entry, is the column list of
+    # [e_alpha, -] by the bracket oracle, in basis order, for every root
+    cb = cb_for(name)
+    for root in cb.rs.roots:
+        cols = [(j, bracket(cb, ("e", root), other)) for j, other in enumerate(cb.basis)]
+        assert list(cb.exp_ad_powers(root)[0].items()) == [(j, c) for j, c in cols if c], root
+
+
+@pytest.mark.parametrize("name", [str(t) for t in all_types(6)])
+def test_no_multiple_is_a_root_when_the_sum_is_not(name):
+    # collected_commutator returns the empty word, with no product and no
+    # collect, for every non-opposite pair whose sum is not a root: then no
+    # i*alpha + j*beta is a root, so the commutator is 1
+    rs = build_root_system(RootType.parse(name))
+    pairs = [(a, b) for a, b in itertools.product(rs.roots, repeat=2)
+             if a != neg(b) and not rs.sum_is_root(a, b)]
+    assert pairs
+    for a, b in pairs:
+        assert not [(i, j) for i in range(1, 6) for j in range(1, 7 - i)
+                    if tuple(i * x + j * y for x, y in zip(a, b)) in rs], (a, b)
 
 
 def test_adjoint_element_identity_at_zero(c2):
@@ -694,3 +722,42 @@ def test_antisymmetry_check_survives_optimized_mode():
     assert proc.returncode != 0
     assert proc.stderr.splitlines()[-1] == (
         "relroots.rootcore.VerificationError: N is not antisymmetric on (0,1), (1,0)")
+
+
+INTEGRALITY = {
+    # N((1,0,0), (0,1,1)) of A3 is the Jacobi quotient N((0,1,1), -eps)
+    # N((1,0,0), (0,1,0)) / N((1,1,1), -eps), eps = (0,0,1), with numerator
+    # -1 or 1; a denominator of 2 leaves a remainder
+    "jacobi quotient": ("A", 3, ((1, 1, 1), (0, 0, -1)), 2, ((1, 0, 0), (0, 1, 1))),
+    # N((2,1), (-1,-1)) of C2 is -|(1,0)|^2 / |(2,1)|^2 N((1,1), (1,0)) =
+    # -2 N((1,1), (1,0)) / 4, exact for N = -2, not for N = -1
+    "cyclic relation": ("C", 2, ((1, 1), (1, 0)), -1, ((2, 1), (-1, -1))),
+}
+
+STRUCT_CONST = """
+import ast
+import sys
+from relroots.chevalley import ChevalleyBasis
+from relroots.rootcore import RootType, build_root_system
+
+series, rank, perturbed, value, pair = ast.literal_eval(sys.argv[1])
+cb = ChevalleyBasis(build_root_system(RootType(series, rank)))
+cb._n_cache[perturbed] = value
+cb._n_cache.pop(pair, None)
+cb.struct_const(*pair)
+"""
+
+
+@pytest.mark.parametrize("label", sorted(INTEGRALITY))
+def test_struct_const_integrality_survives_optimized_mode(label):
+    # each integer division of struct_const checks its remainder
+    series, rank, _, _, (a, b) = INTEGRALITY[label]
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", STRUCT_CONST, repr(INTEGRALITY[label])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("relroots.rootcore.VerificationError: N(%s, %s) = "
+                           % tuple(",".join(map(str, r)).join("()") for r in (a, b)))
+    assert last.endswith(" is not an integer")

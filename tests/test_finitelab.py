@@ -35,9 +35,9 @@ from relroots.finitelab import (
     perfect_by_witness,
     perfectness_report,
 )
-from relroots.rootcore import InvalidRootType, RootType, VerificationError, build_root_system
+from relroots.rootcore import RootType, VerificationError, build_root_system
 
-from lie_oracles import DEGREES
+from lie_oracles import DEGREES, all_types
 
 
 def oracle_key(a, p):
@@ -250,15 +250,6 @@ def test_order_formula_matches_the_closure_rank_one(p):
     assert adjoint_order(t, p) == generate_elementary_group(t, p).order
 
 
-def all_types(max_rank):
-    for series in "ABCDEFG":
-        for rank in range(1, max_rank + 1):
-            try:
-                yield RootType(series, rank)
-            except InvalidRootType:
-                pass
-
-
 def test_exponents_from_heights_match_the_degrees():
     types = list(all_types(8))
     assert len(types) == 8 + 7 + 7 + 6 + 3 + 1 + 1
@@ -409,18 +400,37 @@ def test_witness_route_checks_the_one_parameter_law(monkeypatch):
 
 
 def test_law_check_hands_back_every_requested_element():
-    # F4 over F_101 runs the law check in two chunks of a; the x(c) it
-    # hands back are sum c^k N_k mod p, on both sides of the chunk edge
+    # the x(c) the F4 law check hands back over F_101 are sum c^k N_k mod p
     cb = build_chevalley_basis(build_root_system(RootType.parse("F4")))
     p = 101
     powers = _root_powers(cb, cb.rs.roots[0], p)
-    assert (1 << 18) // cb.dim ** 2 < p
     kept = _check_one_parameter_law(powers, p, range(p))
     assert sorted(kept) == list(range(p))
     for c, x in kept.items():
         expected = sum(pow(c, k, p) * n.astype(np.int64) for k, n in enumerate(powers)) % p
         assert x.dtype == powers.dtype and np.array_equal(x, expected), c
     assert _check_one_parameter_law(powers, p) == {}
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_law_check_takes_as_many_products_at_every_prime(name, monkeypatch):
+    # the check multiplies the divided powers N_i N_j, not x(a) for every a
+    # in F_p: one product per power, at p = 5 as at p = 1000003
+    cb = build_chevalley_basis(build_root_system(RootType.parse(name)))
+    real, calls = finitelab._times, []
+
+    def counted(cols, r, p):
+        calls.append(p)
+        return real(cols, r, p)
+
+    monkeypatch.setattr(finitelab, "_times", counted)
+    counts = []
+    for p in (5, 1000003):
+        calls.clear()
+        for root in cb.rs.roots:
+            _check_one_parameter_law(_root_powers(cb, root, p), p)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == sum(len(cb.exp_ad_powers(r)) for r in cb.rs.roots)
 
 
 def test_closure_idempotent(a2_mod2):
