@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 
 from .polyring import (PolyElem, RegistryMismatch, VarRegistry, _decode, _require_slot,
@@ -171,6 +171,20 @@ class ChevalleyBasis:
         val = self._compute_n(a, b)
         self._n_cache[key] = val
         return val
+
+    @cached_property
+    def brackets(self):
+        """alpha -> {beta: (alpha + beta, N_{alpha,beta})} over the pairs of
+        roots whose sum is a root."""
+        rs = self.rs
+        out = {}
+        for alpha in rs.roots:
+            row = out[alpha] = {}
+            for beta in rs.roots:
+                gamma = tuple(map(add, alpha, beta))
+                if gamma in rs:
+                    row[beta] = (gamma, self.struct_const(alpha, beta))
+        return out
 
     def _compute_n(self, a, b):
         s = tuple(x + y for x, y in zip(a, b))
@@ -356,9 +370,6 @@ class UnipotentMatrix:
         a, b, reg = self.packed, other.packed, self.registry
         return a == b or all(PolyElem(reg, a.get(i, {})) == PolyElem(reg, b.get(i, {}))
                              for i in a.keys() | b.keys() if a.get(i) != b.get(i))
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
 
 def _vanishes(registry, col):

@@ -31,10 +31,9 @@ from .folding import (
 )
 from .polyring import is_prime
 from .relcalc import (
-    Configurations,
     RelativeRoot,
     applicable_surjectivity_cases,
-    case_a_pairs,
+    check_case_a,
     check_N11_surjectivity,
     check_spanning_lemma2_2,
     check_spanning_lemma3,
@@ -168,25 +167,14 @@ def suite_lemma2(seed, max_rank=5):
     cases = []
     # case (a): unit constants — every valid pair of a simply laced folding;
     # the direct check runs once per structure-constant configuration
-    configs = Configurations()
+    witnesses = {}  # configuration key -> positional witnesses, for this run
     for spec in enumerate_foldings(max_rank, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
-        cb = build_chevalley_basis(rrs.rs)
-        pairs = case_a_pairs(rrs)
-        if not pairs:
+        if rrs.rank < 2:  # every pair is collinear
             continue
-
-        def case_a():
-            for A, B in pairs:
-                key, slots = configs.key(rrs, cb, A, B)
-                if key in configs.witnesses:
-                    configs.recheck(cb, key, slots)
-                else:
-                    configs.record(key, slots, check_N11_surjectivity(rrs, cb, A, B, "a"))
-            return {"pairs_checked": len(pairs)}
-
-        cases.append(run_case("lemma2/a/%s" % spec, str(spec), case_a,
-                              {"case": "a"}))
+        cb = build_chevalley_basis(rrs.rs)
+        cases.append(run_case("lemma2/a/%s" % spec, str(spec),
+                              lambda: check_case_a(rrs, cb, witnesses), {"case": "a"}))
 
     def surjectivity(spec, case):
         rrs = build_relative_system(spec)

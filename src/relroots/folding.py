@@ -353,16 +353,9 @@ class DecompositionError(VerificationError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _diagram_adjacency(rs):
-    l = rs.rank
-    return {i: tuple(j for j in range(l) if j != i and rs.cartan[i][j] != 0)
-            for i in range(l)}
-
-
 def _diagram_path(rs, start, targets):
     """Shortest node path from start to any node in targets (BFS)."""
-    adj = _diagram_adjacency(rs)
+    cartan = rs.cartan
     prev = {start: None}
     frontier = [start]
     while frontier:
@@ -374,8 +367,8 @@ def _diagram_path(rs, start, targets):
                     path.append(v)
                     v = prev[v]
                 return list(reversed(path))
-            for w in adj[v]:
-                if w not in prev:
+            for w, c in enumerate(cartan[v]):
+                if c and w not in prev:
                     prev[w] = v
                     nxt.append(w)
         frontier = nxt
@@ -478,8 +471,9 @@ def _decompose_positive(rrs, a):
         beta_nodes = adj_path[s][:-1] or [s]
         beta = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
         require(beta in rs, "chain sum is not a root")
-        require(rs.sum_is_root(alpha, beta), "alpha + beta is not a root")
-        return rrs.project(rs.sum(alpha, beta)), rrs.project(tuple(-x for x in beta))
+        gamma = tuple(map(add, alpha, beta))
+        require(gamma in rs, "alpha + beta is not a root")
+        return rrs.project(gamma), rrs.project(tuple(-x for x in beta))
     # split off the last J-node of a root chain for alpha: step down by the
     # least node outside J while there is one, then by the least node in J
     levi = set(rrs.spec.levi)

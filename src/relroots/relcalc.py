@@ -47,7 +47,7 @@ h_f, not the group element; so the collected coefficients are fixed by the
 commutator constants among S (Steinberg, *Lectures on Chevalley Groups*,
 section 3 and Lemma 17).  Lemma 2 case (a) therefore runs the direct check
 on the first pair of each key and re-checks only the mapped witnesses of
-the others (``Configurations``).
+the others (``check_case_a``).
 """
 
 from __future__ import annotations
@@ -349,84 +349,62 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
 # -- case (a) by structure-constant configuration ------------------------
 
 
-def case_a_pairs(rrs):
-    """The pairs of case (a): (A, B) in ``itertools.product(rrs.fibers,
-    repeat=2)`` order, not collinear, with A + B a relative root."""
-    codes, by_code = rrs.codes, rrs.by_code
-    return [(RelativeRoot(a), RelativeRoot(b))
-            for a, b in itertools.product(rrs.fibers, repeat=2)
-            if codes[a] + codes[b] in by_code and not collinear(a, b)]
-
-
-def _root_brackets(cb):
-    """alpha -> {beta: (alpha + beta, N_{alpha,beta})} over the pairs of
-    roots whose sum is a root."""
-    rs = cb.rs
-    out = {}
-    for alpha in rs.roots:
-        row = out[alpha] = {}
-        for beta in rs.roots:
-            gamma = tuple(map(add, alpha, beta))
-            if gamma in rs:
-                row[beta] = (gamma, cb.struct_const(alpha, beta))
-    return out
-
-
-class Configurations:
-    """Case (a) verdicts by structure-constant configuration, for one run.
-
-    ``key`` reads a pair's configuration off S, its slots in
+def _case_a_key(rrs, cb, a, b):
+    """The configuration key of (a, b), as bytes, and S, its slots in
     ``_pair_blocks`` order: the owner and size of each block, then every
     (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S or len(S)
-    outside S.  Pairs with one key have one table by position (module
-    docstring), so the first pair of a key runs the direct check and
-    ``record`` keeps its witnesses by position; ``recheck`` maps them to a
-    later pair's slots and re-checks each against that pair's root sums and
-    ``struct_const``.  A key whose first pair failed is not kept, so its
-    next pair runs the direct check again.
+    outside S.
+
+    S holds distinct roots, at most 240 up to rank 8, so every position,
+    size and count is a byte; N_pq, in -3..3, is stored mod 256."""
+    brackets = cb.brackets
+    blocks = _pair_blocks(rrs, a, b)
+    slots = [gamma for _, fiber in blocks for gamma in fiber]
+    pos = {gamma: p for p, gamma in enumerate(slots)}
+    outside = len(slots)
+    key = [len(blocks)]
+    for (i, j), fiber in blocks:
+        key += (i, j, len(fiber))
+    for p, alpha in enumerate(slots):
+        row = brackets[alpha]
+        for q, beta in enumerate(slots):
+            hit = row.get(beta)
+            if hit:
+                key += (p, q, pos.get(hit[0], outside), hit[1] % 256)
+    return bytes(key), slots
+
+
+def check_case_a(rrs, cb, witnesses):
+    """Case (a) on every pair (A, B) of ``itertools.product(rrs.fibers,
+    repeat=2)``, not collinear, with A + B a relative root.
+
+    Pairs with one configuration key have one table by position (module
+    docstring).  The first pair of a key runs the direct check, and
+    ``witnesses``, a map for one suite run, keeps its witnesses by
+    position: key -> ((gamma, alpha, beta) positions in S, N), ...  Every
+    later pair of the key re-checks them at its own slots against its root
+    sums and ``struct_const``.  A key whose first pair failed is not kept,
+    so its next pair runs the direct check again.
     """
-
-    def __init__(self):
-        self.witnesses = {}  # key -> ((gamma, alpha, beta) positions in S, N), ...
-        self._brackets = {}  # ChevalleyBasis -> _root_brackets
-
-    def key(self, rrs, cb, A, B):
-        """The configuration key of (A, B), as bytes, and S.
-
-        S holds distinct roots, at most 240 up to rank 8, so every position,
-        size and count is a byte; N_pq, in -3..3, is stored mod 256."""
-        brackets = self._brackets.get(cb)
-        if brackets is None:
-            brackets = self._brackets[cb] = _root_brackets(cb)
-        blocks = _pair_blocks(rrs, A.coords, B.coords)
-        slots = [gamma for _, fiber in blocks for gamma in fiber]
-        pos = {gamma: p for p, gamma in enumerate(slots)}
-        outside = len(slots)
-        key = [len(blocks)]
-        for (i, j), fiber in blocks:
-            key += (i, j, len(fiber))
-        for p, alpha in enumerate(slots):
-            row = brackets[alpha]
-            for q, beta in enumerate(slots):
-                hit = row.get(beta)
-                if hit:
-                    key += (p, q, pos.get(hit[0], outside), hit[1] % 256)
-        return bytes(key), slots
-
-    def record(self, key, slots, report):
-        """Keep the witnesses of a passing direct check by position."""
-        pos = {gamma: p for p, gamma in enumerate(slots)}
-        self.witnesses[key] = tuple(
-            (pos[gamma], pos[al], pos[be], c)
-            for gamma, (al, be, c) in report["witnesses"].items())
-
-    def recheck(self, cb, key, slots):
-        """The witnesses of ``key`` at ``slots``: al + be = gamma with
-        N_{al,be} the recorded unit."""
-        for g, a, b, c in self.witnesses[key]:
-            al, be, gamma = slots[a], slots[b], slots[g]
-            require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
-                    "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
+    codes, by_code = rrs.codes, rrs.by_code
+    pairs = 0
+    for a, b in itertools.product(rrs.fibers, repeat=2):
+        if codes[a] + codes[b] not in by_code or collinear(a, b):
+            continue
+        pairs += 1
+        key, slots = _case_a_key(rrs, cb, a, b)
+        known = witnesses.get(key)
+        if known is None:
+            report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
+            pos = {gamma: p for p, gamma in enumerate(slots)}
+            witnesses[key] = tuple((pos[gamma], pos[al], pos[be], c)
+                                   for gamma, (al, be, c) in report["witnesses"].items())
+        else:
+            for g, p, q, c in known:
+                al, be, gamma = slots[p], slots[q], slots[g]
+                require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
+                        "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
+    return {"pairs_checked": pairs}
 
 
 # -- linear spanning oracles ---------------------------------------------

@@ -414,7 +414,7 @@ FAULTS = {
                "decompose_relative_root", _fault_in_decomposition, 1, 3),
     "lemma2-table": ("lemma2", ["--max-rank", "2"], relcalc,
                      "compute_relative_commutator_maps", _fault_in_c3_table, 3, 4),
-    "lemma2-hypothesis": ("lemma2", ["--max-rank", "2"], cli,
+    "lemma2-hypothesis": ("lemma2", ["--max-rank", "2"], relcalc,
                           "check_N11_surjectivity", _case_a_without_units, 1, 6),
     "lemma2-outside": ("lemma2", ["--max-rank", "2"], cli,
                        "applicable_surjectivity_cases",

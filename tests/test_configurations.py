@@ -1,6 +1,6 @@
 """Lemma 2 case (a) by structure-constant configuration.
 
-``relcalc.Configurations`` runs the direct check once per configuration key
+``relcalc.check_case_a`` runs the direct check once per configuration key
 and passes every other pair of the key on its mapped witnesses.  The sweep
 here checks the lemma behind that: every case (a) pair of rank <= 5 has,
 term by term by position, the table of the first pair with its key.  A key
@@ -22,11 +22,16 @@ import pytest
 
 import relroots
 from relroots import relcalc
-from relroots.chevalley import build_chevalley_basis
+from relroots.chevalley import ChevalleyBasis, build_chevalley_basis
 from relroots.folding import build_relative_system, enumerate_foldings
-from relroots.relcalc import (Configurations, RelativeRoot, case_a_pairs,
-                              compute_relative_commutator_maps)
+from relroots.relcalc import RelativeRoot, check_case_a, compute_relative_commutator_maps
 from relroots.rootcore import collinear
+
+
+def _case_a_pairs(rrs):
+    """The pairs of case (a) by tuple sums, in ``check_case_a`` order."""
+    return [(a, b) for a, b in itertools.product(rrs.fibers, repeat=2)
+            if tuple(map(add, a, b)) in rrs.fibers and not collinear(a, b)]
 
 
 def _positional(table, slots):
@@ -46,21 +51,19 @@ def rank5_tables():
     for spec in enumerate_foldings(5, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
-        for A, B in case_a_pairs(rrs):
-            slots = [gamma for _, fiber in relcalc._pair_blocks(rrs, A.coords, B.coords)
-                     for gamma in fiber]
-            out.append((rrs, cb, A, B,
-                        _positional(compute_relative_commutator_maps(rrs, cb, A, B), slots)))
+        for a, b in _case_a_pairs(rrs):
+            slots = [gamma for _, fiber in relcalc._pair_blocks(rrs, a, b) for gamma in fiber]
+            table = compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
+            out.append((rrs, cb, a, b, _positional(table, slots)))
     return out
 
 
 def _sweep(tables):
     """(keys, pairs whose table differs from the first table of their key)."""
-    configs = Configurations()
     first = {}
     mismatches = 0
-    for rrs, cb, A, B, table in tables:
-        key, _ = configs.key(rrs, cb, A, B)
+    for rrs, cb, a, b, table in tables:
+        key, _ = relcalc._case_a_key(rrs, cb, a, b)
         mismatches += first.setdefault(key, table) != table
     return len(first), mismatches
 
@@ -71,25 +74,44 @@ def test_every_pair_has_the_table_of_its_configuration(rank5_tables):
 
 
 def test_a_key_without_signs_is_caught_by_the_sweep(rank5_tables, monkeypatch):
-    def unsigned(cb, _brackets=relcalc._root_brackets):
-        return {alpha: {beta: (gamma, abs(n)) for beta, (gamma, n) in row.items()}
-                for alpha, row in _brackets(cb).items()}
+    real = ChevalleyBasis.__dict__["brackets"]
 
-    monkeypatch.setattr(relcalc, "_root_brackets", unsigned)
+    def unsigned(cb):
+        return {alpha: {beta: (gamma, abs(n)) for beta, (gamma, n) in row.items()}
+                for alpha, row in real.func(cb).items()}
+
+    # a property outranks the value the cached_property stored on the basis
+    monkeypatch.setattr(ChevalleyBasis, "brackets", property(unsigned))
     # fewer keys, and pairs whose table differs from the first of their key;
-    # the count depends on which pair comes first, in ``case_a_pairs`` order
+    # the count depends on which pair comes first, in ``check_case_a`` order
     assert _sweep(rank5_tables) == (62, 3212)
 
 
-def test_case_a_pairs_match_coordinate_sums():
+def test_case_a_pairs_match_coordinate_sums(monkeypatch):
     # the pair filter by integer codes against tuple sums, on every type up
     # to rank 5 (``_table_slots``, the rest of ``_pair_blocks``, is checked
-    # against its definition in test_relcalc.py)
+    # against its definition in test_relcalc.py); the direct check, replaced
+    # by a record of its pair, runs on the first pair of each key in order
+    seen = []
+
+    def record(rrs, cb, A, B, case):
+        seen.append((A.coords, B.coords))
+        return {"witnesses": {}}
+
+    monkeypatch.setattr(relcalc, "check_N11_surjectivity", record)
     for spec in enumerate_foldings(5, trivial_only=True):
         rrs = build_relative_system(spec)
-        assert case_a_pairs(rrs) == [
-            (RelativeRoot(a), RelativeRoot(b)) for a, b in itertools.product(rrs.fibers, repeat=2)
-            if tuple(map(add, a, b)) in rrs.fibers and not collinear(a, b)], spec
+        cb = build_chevalley_basis(rrs.rs)
+        want = _case_a_pairs(rrs)
+        first = {}
+        for a, b in want:
+            first.setdefault(relcalc._case_a_key(rrs, cb, a, b)[0], (a, b))
+        seen.clear()
+        witnesses = {}
+        assert check_case_a(rrs, cb, witnesses) == {"pairs_checked": len(want)}, spec
+        assert seen == list(first.values()) and witnesses.keys() == first.keys(), spec
+        # the suite skips a folding without pairs by its rank alone
+        assert bool(want) == (rrs.rank >= 2), spec
 
 
 # A first run without faults finds the pairs that cite a configuration
@@ -99,32 +121,40 @@ import json
 from collections import Counter, defaultdict
 
 import relroots.relcalc as relcalc
-from relroots.chevalley import build_chevalley_basis
+from relroots.chevalley import ChevalleyBasis, build_chevalley_basis
 from relroots.cli import main
 from relroots.folding import build_relative_system, enumerate_foldings
 
-configs = relcalc.Configurations()
+witnesses = {}
 citing = defaultdict(set)  # key -> case ids of the foldings with a pair of the key
 profiles = {}  # key -> block sizes by owner
 mapped = []  # (case id, type, mapped witness) of every pair not first of its key
 first_witnesses = set()
+real_key, real_check = relcalc._case_a_key, relcalc.check_N11_surjectivity
+
+
+def observed_key(rrs, cb, a, b):
+    key, slots = real_key(rrs, cb, a, b)
+    citing[key].add(case)
+    profiles[key] = Counter({o: len(f) for o, f in relcalc._pair_blocks(rrs, a, b)})
+    mapped.extend((case, str(rrs.rs.type), (slots[p], slots[q]))
+                  for _, p, q, _ in witnesses.get(key, ()))
+    return key, slots
+
+
+def observed_check(rrs, cb, A, B, which):
+    report = real_check(rrs, cb, A, B, which)
+    first_witnesses.update((str(rrs.rs.type), (al, be))
+                           for al, be, _ in report["witnesses"].values())
+    return report
+
+
+relcalc._case_a_key, relcalc.check_N11_surjectivity = observed_key, observed_check
 for spec in enumerate_foldings(3, series="ADE", trivial_only=True):
     rrs = build_relative_system(spec)
-    cb = build_chevalley_basis(rrs.rs)
-    for A, B in relcalc.case_a_pairs(rrs):
-        key, slots = configs.key(rrs, cb, A, B)
-        citing[key].add("lemma2/a/%s" % spec)
-        profiles[key] = Counter({o: len(f) for o, f in
-                                 relcalc._pair_blocks(rrs, A.coords, B.coords)})
-        if key in configs.witnesses:
-            mapped += [("lemma2/a/%s" % spec, str(rrs.rs.type), (slots[a], slots[b]))
-                       for _, a, b, _ in configs.witnesses[key]]
-        else:
-            report = relcalc.check_N11_surjectivity(rrs, cb, A, B, "a")
-            configs.record(key, slots, report)
-            first_witnesses |= {(str(rrs.rs.type), (al, be))
-                                for al, be, _ in report["witnesses"].values()}
-
+    case = "lemma2/a/%s" % spec
+    relcalc.check_case_a(rrs, build_chevalley_basis(rrs.rs), witnesses)
+relcalc._case_a_key, relcalc.check_N11_surjectivity = real_key, real_check
 
 def verify():
     code = main(["verify", "--suite", "lemma2", "--max-rank", "3", "--report", "REPORT"])
@@ -137,18 +167,19 @@ def verify():
 # once the key tables are built
 PERTURBED_CONSTANT = FIRST_RUN + """
 case, rtype, (al, be) = [m for m in mapped if (m[1], m[2]) not in first_witnesses][-1]
-real = relcalc._root_brackets
+real = ChevalleyBasis.__dict__["brackets"]
 
 
 def then_flipped(cb):
-    table = real(cb)
-    if str(cb.rs.type) == rtype:
+    table = real.__get__(cb, ChevalleyBasis)
+    if str(cb.rs.type) == rtype and "struct_const" not in vars(cb):
         honest = cb.struct_const
         cb.struct_const = lambda a, b: -honest(a, b) if (a, b) == (al, be) else honest(a, b)
     return table
 
 
-relcalc._root_brackets = then_flipped
+# a property outranks the value the cached_property stored on the basis
+ChevalleyBasis.brackets = property(then_flipped)
 code, cases = verify()
 print(json.dumps({"code": code, "case": case, "cases": cases}))
 """

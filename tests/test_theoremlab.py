@@ -1,7 +1,12 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import relroots
 import relroots.theoremlab as theoremlab
 from relroots.chevalley import build_chevalley_basis, commutator_constants
 from relroots.rootcore import RootType, build_root_system
@@ -148,3 +153,93 @@ def test_schema_rejects_bad_params():
         verify_case_schemas("Cl_BC2", l=3, k=3)
     with pytest.raises(ValueError):
         verify_case_schemas("nonsense")
+
+
+# each case-schema check that guards a verdict, made to fire in a
+# ``python -O`` child by a monkeypatched step or a perturbed root system
+# (built, with its Chevalley basis, before the perturbation)
+SCHEMA_FAULTS = """
+import json
+
+from relroots import theoremlab
+from relroots.chevalley import build_chevalley_basis
+from relroots.rootcore import RootType, build_root_system
+from relroots.theoremlab import verify_G2_identities, verify_case_schemas
+
+
+def rows(cases):
+    return [[c.id, c.status, c.witness if c.status == "fail" else None] for c in cases]
+
+
+def perturbed(series, rank):
+    rs = build_root_system(RootType(series, rank))
+    build_chevalley_basis(rs)
+    return rs
+
+
+out = {}
+# every target doubled: no long commutator reproduces it
+adjoint = theoremlab.adjoint_root_element
+theoremlab.adjoint_root_element = lambda cb, alpha, t, cone: adjoint(
+    cb, alpha, t.scale(2), cone)
+out["F4_long"] = rows(verify_case_schemas("F4_long"))
+theoremlab.adjoint_root_element = adjoint
+
+# no two roots of B3 sum to a root
+rs = perturbed("B", 3)
+rs.sum_is_root = lambda a, b: False
+out["Bl_pairs"] = rows(verify_case_schemas("Bl_pairs", l=3))
+del rs.sum_is_root
+
+# the short simple root alpha_1 of C3, in the fiber of A1, counted long
+rs = perturbed("C", 3)
+longs = rs.long_roots
+rs.long_roots = longs | {(1, 0, 0)}
+out["Cl_BC2"] = rows(verify_case_schemas("Cl_BC2", l=3, k=4))
+rs.long_roots = longs
+
+# the long root 3A1+A2 of G2, a trailing factor of the short identity,
+# counted short
+rs = perturbed("G", 2)
+longs = rs.long_roots
+rs.long_roots = longs - {(3, 1)}
+out["G2"] = rows(verify_G2_identities())
+rs.long_roots = longs
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def schema_faults():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", SCHEMA_FAULTS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_f4_long_matrix_identity_fires_under_optimized_mode(schema_faults):
+    rows = schema_faults["F4_long"]
+    assert len(rows) == 24
+    assert all(status == "fail" and witness.startswith("matrix identity failed for ")
+               for _, status, witness in rows)
+
+
+def test_bl_pairs_long_pair_fires_under_optimized_mode(schema_faults):
+    rows = schema_faults["Bl_pairs"]
+    assert len(rows) == 8
+    assert all(status == "fail" and witness.startswith("no long pair for ")
+               for _, status, witness in rows)
+
+
+def test_cl_bc2_shortness_fires_under_optimized_mode(schema_faults):
+    assert schema_faults["Cl_BC2"] == [
+        ["clbc2/C3/fibers", "fail", "non-long relative roots with a non-short fiber: (1,0)"],
+        ["clbc2/C3/chain/k=4", "pass", None]]
+
+
+def test_g2_trailing_factors_fire_under_optimized_mode(schema_faults):
+    long_case, short_case = schema_faults["G2"]
+    assert long_case[1] == "pass"
+    assert short_case[1:] == ["fail", "trailing factors on non-long roots"]
