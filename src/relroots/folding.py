@@ -24,10 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, mul
 
 from .rootcore import (
-    MULTIPLE_BOUND,
     SERIES,
     InvalidRootType,
     RootType,
@@ -227,9 +226,9 @@ def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
 class RelativeRootSystem:
     """``fibers``, the one set of relative coordinates, maps each to its
     fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
-    node j, or ``rank`` for a node outside J.  ``codes`` and ``by_code``,
-    built on first use, find the relative roots among integer combinations
-    by integer sums."""
+    node j, or ``rank`` for a node outside J.  ``multiples`` finds the
+    relative roots among the combinations of two by the integer ``codes``
+    and ``by_code``, built on first use."""
 
     def __init__(self, spec: FoldingSpec):
         spec.validate()
@@ -258,6 +257,7 @@ class RelativeRootSystem:
         self.fibers = {c: tuple(f) for c, f in fibers.items()}
         for c in self.fibers:
             require(len({x > 0 for x in c if x}) == 1, "mixed-sign relative root %s", c)
+        self._bounds = tuple(max(map(abs, col)) for col in zip(*self.fibers))  # m_k = max |c_k|
         self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
     def project(self, root):
@@ -273,20 +273,48 @@ class RelativeRootSystem:
 
     @cached_property
     def codes(self):
-        """coords -> sum_k c_k * base**k, with base > 2 * MULTIPLE_BOUND * max |c_k|.
-
-        The code is additive, and injective on the vectors i*A + j*B with
-        i + j <= MULTIPLE_BOUND, whose coordinates are below base / 2 in
-        absolute value: i*A + j*B is a relative root iff i*codes[A] +
-        j*codes[B] is a key of ``by_code``."""
-        base = 2 * MULTIPLE_BOUND * max(abs(c) for coords in self.fibers for c in coords) + 1
-        return {coords: sum(c * base ** k for k, c in enumerate(coords))
-                for coords in self.fibers}
+        """coords -> sum_k c_k (2m + 1)**k, m = max m_k (``_bounds``): additive,
+        and injective where every |c_k| <= m, so on the relative roots but not
+        on every i*A + j*B (``multiples`` checks the coordinates of a hit)."""
+        powers = [(2 * max(self._bounds) + 1) ** k for k in range(self.rank)]
+        return {c: sum(map(mul, c, powers)) for c in self.fibers}
 
     @cached_property
     def by_code(self):
-        """code -> fiber, for every relative root."""
-        return {self.codes[coords]: f for coords, f in self.fibers.items()}
+        """code -> relative root, for every relative root."""
+        return dict(zip(self.codes.values(), self.codes))
+
+    def multiples(self, a, b):
+        """(i, j) with i, j >= 1 and i*a + j*b a relative root, sorted by (i + j, i).
+
+        ``a`` and ``b`` are relative roots, not collinear unless they point one
+        way (b = a gives the multiples (i + j)*a).  As a, b and d = i*a + j*b
+        each have one sign and |d_k| <= m_k (``_bounds``), Cramer's rule on the
+        first nonzero minor (p, q), i * det = d_p b_q - d_q b_p, gives |i| <=
+        max(m_p |b_q|, m_q |b_p|) / |det|, and j likewise; a collinear pair has
+        i |a_p| + j |b_p| <= m_p.  A hit by code counts if its coordinates match."""
+        for p, ap in enumerate(a):
+            if ap:
+                break
+        mp, ap, bp = self._bounds[p], abs(ap), abs(b[p])
+        for aq, bq, mq in zip(map(abs, a), map(abs, b), self._bounds):
+            det = abs(ap * bq - aq * bp)  # |det|, as a and b each have one sign
+            if det:
+                imax, jmax = max(mp * bq, mq * bp) // det, max(mp * aq, mq * ap) // det
+                break
+        else:
+            if a[p] * b[p] < 0:
+                raise ValueError("%s and %s point opposite ways" % (root_str(a), root_str(b)))
+            imax, jmax = (mp - bp) // ap, (mp - ap) // bp
+        ka, kb, by_code = self.codes[a], self.codes[b], self.by_code
+        hits = []
+        for i in range(1, imax + 1):
+            ki = i * ka
+            for j in range(1, jmax + 1):
+                d = by_code.get(ki + j * kb)
+                if d is not None and d == tuple([i * x + j * y for x, y in zip(a, b)]):
+                    hits.append((i, j))
+        return sorted(hits, key=sum)  # stable: i increases within each i + j
 
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
@@ -378,38 +406,19 @@ def _diagram_path(rs, start, targets):
 def check_lemma1_decomposition(rrs, a, b, c):
     """Independent re-verification of every clause of the decomposition.
 
-    Solves d = i*b + j*c for each relative root d through one nonzero 2x2
-    minor of (b, c), so every multiple i, j >= 1 other than (1, 1) is
-    covered, with no bound on i and j.  Each integral solution that holds
-    on every coordinate must keep the sign of a and raise its level; the
-    first violation in (i, j) order raises VerificationError, which
-    ``python -O`` keeps.
+    Every multiple i*b + j*c other than b + c that is a relative root
+    (``RelativeRootSystem.multiples``, with no bound on i and j) must keep
+    the sign of a and raise its level; the first violation in (i, j) order
+    raises VerificationError, which ``python -O`` keeps.
     """
     require(b in rrs and c in rrs, "B, C must be relative roots")
     require(tuple(map(add, b, c)) == a, "B + C is not A")
     require(not collinear(b, c), "B and C are collinear")
-    sign = 1 if sum(a) > 0 else -1
-    level = abs(sum(a))
-    n = len(b)
-    p, q = next((p, q) for p in range(n) for q in range(p + 1, n)
-                if b[p] * c[q] != b[q] * c[p])
-    bp, bq, cp, cq = b[p], b[q], c[p], c[q]
-    det = bp * cq - bq * cp
-    multiples = []
-    for d in rrs.fibers:
-        i, ri = divmod(d[p] * cq - d[q] * cp, det)
-        if ri or i < 1:
-            continue
-        j, rj = divmod(bp * d[q] - bq * d[p], det)
-        if (rj or j < 1 or i == j == 1
-                or any(x != i * y + j * z for x, y, z in zip(d, b, c))):
-            continue
-        multiples.append((i, j, sum(d)))
-    for i, j, d_level in sorted(multiples):
-        require((1 if d_level > 0 else -1) == sign,
-                "%d*B+%d*C has the wrong sign", i, j)
-        require(abs(d_level) > level,
-                "%d*B+%d*C does not increase the level", i, j)
+    level, lb, lc = sum(a), sum(b), sum(c)
+    for i, j in sorted(set(rrs.multiples(b, c)) - {(1, 1)}):  # (1, 1) gives a itself
+        d_level = i * lb + j * lc
+        require(d_level * level > 0, "%d*B+%d*C has the wrong sign", i, j)
+        require(abs(d_level) > abs(level), "%d*B+%d*C does not increase the level", i, j)
     return True
 
 

@@ -60,8 +60,7 @@ from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone
                         invert_factors, product_of_root_elements, unit_split)
 from .folding import build_relative_system, classify_relative_type, parse_folding_spec
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
-from .rootcore import (MULTIPLE_BOUND, MULTIPLE_PAIRS, VerificationError, collinear,
-                       require, root_str, splits)
+from .rootcore import VerificationError, collinear, require, root_str, splits
 
 
 class RelcalcError(ValueError):
@@ -153,16 +152,11 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
 def _pair_blocks(rrs, a, b):
     """S, the slots of the pair (a, b), as (owner, fiber) blocks in order:
     ((1, 0), fiber(a)), ((0, 1), fiber(b)), then ((i, j), fiber(ia + jb))
-    for each (i, j) of ``MULTIPLE_PAIRS`` with ia + jb a relative root,
-    found by integer codes (``RelativeRootSystem.codes``)."""
-    codes, by_code = rrs.codes, rrs.by_code
-    ka, kb = codes[a], codes[b]
-    blocks = [((1, 0), by_code[ka]), ((0, 1), by_code[kb])]
-    for i, j in MULTIPLE_PAIRS:
-        fiber = by_code.get(i * ka + j * kb)
-        if fiber:
-            blocks.append(((i, j), fiber))
-    return blocks
+    for each (i, j) of ``RelativeRootSystem.multiples``."""
+    fibers, by_code = rrs.fibers, rrs.by_code
+    ka, kb = rrs.codes[a], rrs.codes[b]
+    return [((1, 0), fibers[a]), ((0, 1), fibers[b])] + [
+        ((i, j), fibers[by_code[i * ka + j * kb]]) for i, j in rrs.multiples(a, b)]
 
 
 def _slots(blocks):
@@ -240,9 +234,8 @@ def check_sum_formula(rrs, cb, A):
     # residual = (X_A(u)X_A(u'))^-1 X_A(u+u'), supported on multiples iA, i >= 2
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
                                         _relative_cone(rrs, a, a))
-    code = rrs.codes[a]
-    slots, owner = _slots([(i, rrs.by_code.get(i * code, ()))
-                           for i in range(2, MULTIPLE_BOUND + 1)])
+    slots, owner = _slots([(k, rrs.fiber(tuple(k * x for x in a)))
+                           for k in sorted({i + j for i, j in rrs.multiples(a, a)})])
     corrections = _collect_recomposed(cb, residual, slots, owner,
                                       "recomposed sum formula differs from its residual")
     return {
@@ -349,16 +342,15 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
 # -- case (a) by structure-constant configuration ------------------------
 
 
-def _case_a_key(rrs, cb, a, b):
-    """The configuration key of (a, b), as bytes, and S, its slots in
-    ``_pair_blocks`` order: the owner and size of each block, then every
-    (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S or len(S)
-    outside S.
+def _case_a_key(cb, blocks):
+    """The configuration key of a pair with the ``_pair_blocks`` ``blocks``,
+    as bytes, and S, its slots in order: the owner and size of each block,
+    then every (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S
+    or len(S) outside S.
 
     S holds distinct roots, at most 240 up to rank 8, so every position,
     size and count is a byte; N_pq, in -3..3, is stored mod 256."""
     brackets = cb.brackets
-    blocks = _pair_blocks(rrs, a, b)
     slots = [gamma for _, fiber in blocks for gamma in fiber]
     pos = {gamma: p for p, gamma in enumerate(slots)}
     outside = len(slots)
@@ -389,10 +381,14 @@ def check_case_a(rrs, cb, witnesses):
     codes, by_code = rrs.codes, rrs.by_code
     pairs = 0
     for a, b in itertools.product(rrs.fibers, repeat=2):
+        # a + b is a relative root only if its code is one; its blocks decide
         if codes[a] + codes[b] not in by_code or collinear(a, b):
             continue
+        blocks = _pair_blocks(rrs, a, b)
+        if len(blocks) < 3 or blocks[2][0] != (1, 1):
+            continue
         pairs += 1
-        key, slots = _case_a_key(rrs, cb, a, b)
+        key, slots = _case_a_key(cb, blocks)
         known = witnesses.get(key)
         if known is None:
             report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")

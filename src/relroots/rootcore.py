@@ -21,9 +21,11 @@ commutator witness; ``chevalley.unit_split`` takes its first split with a
 unit constant.  A relative root is a coordinate tuple too
 (``relroots.folding``), so ``collinear``, and ``splits`` with its own
 ``pairs``, take it as it is.  ``MULTIPLE_PAIRS``, the range of ``multiples``
-and the default of ``splits``, is a bound for root systems only: in the
-relative system of F4 with J = {2, 4}, 3*(-3,-2) + 4*(2,1) = (-1,-2) is a
-relative root.
+and the default of ``splits``, rests on a theorem about root systems and
+holds for roots only: in the relative system of F4 with J = {2, 4},
+3*(-3,-2) + 4*(2,1) = (-1,-2) is a relative root.  The multiples of
+relative roots are ``RelativeRootSystem.multiples``, which derives its
+bounds from the system.
 """
 
 from __future__ import annotations
@@ -261,13 +263,6 @@ class RootSystem:
     def sum_is_root(self, a, b):
         return tuple(x + y for x, y in zip(a, b)) in self.root_set
 
-    def sum(self, a, b):
-        coords = tuple(x + y for x, y in zip(a, b))
-        if coords not in self.root_set:
-            raise ValueError("%s + %s is not a root of %s"
-                             % (root_str(a), root_str(b), self.type))
-        return coords
-
     def coroot_coords(self, alpha):
         """alpha^vee as an integer vector over the simple coroots."""
         na = self.norms[alpha]
@@ -298,8 +293,8 @@ def multiples(a, b, coords):
 
     ``a`` and ``b`` are roots and ``coords`` a container of the roots of a
     root system (``RootSystem.root_set``): (i, j) runs over
-    ``MULTIPLE_PAIRS``, which bounds the multiples of roots, not those of
-    relative roots (module docstring).
+    ``MULTIPLE_PAIRS``, which bounds the multiples of roots only; relative
+    roots take ``RelativeRootSystem.multiples`` (module docstring).
     """
     ab = list(zip(a, b))
     return [(i, j) for i, j in MULTIPLE_PAIRS

@@ -7,8 +7,10 @@ root data from the root set and the Gram matrix alone, in Fractions, and
 ``commutator_constants_fast`` gives the magnitudes of the commutator
 constants from the structure constants, with no matrix work;
 ``diagram_automorphisms`` tries every permutation of the Dynkin nodes;
-``bracket`` is the Lie bracket of two basis labels, case by case, and
-``all_types`` lists every irreducible type up to a rank.
+``bracket`` is the Lie bracket of two basis labels, case by case,
+``all_types`` lists every irreducible type up to a rank, and
+``solved_multiples`` finds the multiples of a pair of relative roots by one
+exact solve per relative root.
 """
 
 import itertools
@@ -186,3 +188,34 @@ def diagram_automorphisms(cartan):
     return tuple(perm for perm in itertools.permutations(range(l))
                  if all(cartan[perm[i]][perm[j]] == cartan[i][j]
                         for i in range(l) for j in range(l)))
+
+
+def solved_multiples(fibers, a, b):
+    """(i, j) with i, j >= 1 and i*a + j*b in ``fibers``, sorted by (i + j, i).
+
+    Written apart from ``RelativeRootSystem.multiples``, with no bound and
+    no code: for each d in ``fibers`` it solves d = i*a + j*b and keeps an
+    integral solution that holds on every coordinate.  A pair that is not
+    collinear is solved on its first nonzero 2x2 minor (p, q) by Cramer's
+    rule.  A collinear pair must point one way; then on the first nonzero
+    coordinate p, i*|a_p| + j*|b_p| = |d_p|, so each i <= |d_p| is tried.
+    """
+    n = len(a)
+    minors = [(p, q) for p in range(n) for q in range(p + 1, n)
+              if a[p] * b[q] != a[q] * b[p]]
+    out = []
+    for d in fibers:
+        if minors:
+            p, q = minors[0]
+            det = a[p] * b[q] - a[q] * b[p]
+            i, ri = divmod(d[p] * b[q] - d[q] * b[p], det)
+            j, rj = divmod(a[p] * d[q] - a[q] * d[p], det)
+            solutions = [(i, j)] if not ri and not rj else []
+        else:
+            p = next(k for k, x in enumerate(a) if x)
+            require(a[p] * b[p] > 0, "a and b point opposite ways")
+            solutions = [(i, j) for i in range(1, abs(d[p]) + 1)
+                         for j, r in [divmod(d[p] - i * a[p], b[p])] if not r]
+        out += [(i, j) for i, j in solutions if i >= 1 and j >= 1
+                and all(x == i * y + j * z for x, y, z in zip(d, a, b))]
+    return sorted(out, key=lambda ij: (ij[0] + ij[1], ij[0]))

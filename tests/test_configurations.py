@@ -63,7 +63,7 @@ def _sweep(tables):
     first = {}
     mismatches = 0
     for rrs, cb, a, b, table in tables:
-        key, _ = relcalc._case_a_key(rrs, cb, a, b)
+        key, _ = relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))
         mismatches += first.setdefault(key, table) != table
     return len(first), mismatches
 
@@ -88,10 +88,11 @@ def test_a_key_without_signs_is_caught_by_the_sweep(rank5_tables, monkeypatch):
 
 
 def test_case_a_pairs_match_coordinate_sums(monkeypatch):
-    # the pair filter by integer codes against tuple sums, on every type up
-    # to rank 5 (``_table_slots``, the rest of ``_pair_blocks``, is checked
-    # against its definition in test_relcalc.py); the direct check, replaced
-    # by a record of its pair, runs on the first pair of each key in order
+    # the pair filter by integer codes and ``_pair_blocks`` against tuple
+    # sums, on every type up to rank 5 (``_table_slots``, the rest of the
+    # blocks, is checked against the solved multiples in test_relcalc.py);
+    # the direct check, replaced by a record of its pair, runs on the first
+    # pair of each key in order
     seen = []
 
     def record(rrs, cb, A, B, case):
@@ -105,7 +106,8 @@ def test_case_a_pairs_match_coordinate_sums(monkeypatch):
         want = _case_a_pairs(rrs)
         first = {}
         for a, b in want:
-            first.setdefault(relcalc._case_a_key(rrs, cb, a, b)[0], (a, b))
+            first.setdefault(relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))[0],
+                             (a, b))
         seen.clear()
         witnesses = {}
         assert check_case_a(rrs, cb, witnesses) == {"pairs_checked": len(want)}, spec
@@ -133,10 +135,10 @@ first_witnesses = set()
 real_key, real_check = relcalc._case_a_key, relcalc.check_N11_surjectivity
 
 
-def observed_key(rrs, cb, a, b):
-    key, slots = real_key(rrs, cb, a, b)
+def observed_key(cb, blocks):
+    key, slots = real_key(cb, blocks)
     citing[key].add(case)
-    profiles[key] = Counter({o: len(f) for o, f in relcalc._pair_blocks(rrs, a, b)})
+    profiles[key] = Counter({o: len(f) for o, f in blocks})
     mapped.extend((case, str(rrs.rs.type), (slots[p], slots[q]))
                   for _, p, q, _ in witnesses.get(key, ()))
     return key, slots

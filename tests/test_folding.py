@@ -24,6 +24,7 @@ from relroots.folding import (
 from relroots.rootcore import (
     SERIES,
     InvalidRootType,
+    RootSystem,
     RootType,
     VerificationError,
     build_root_system,
@@ -504,3 +505,29 @@ def test_checker_survives_optimized_mode():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
     assert "VerificationError: B + C is not A" in proc.stderr
+
+
+MIXED_SIGN_ROOT = """
+import relroots.folding as folding
+from relroots.rootcore import RootSystem, RootType
+spec = folding.parse_folding_spec("A2")
+rs = RootSystem(RootType("A", 2))
+rs.roots += ((1, -1),)  # a root list with a vector of mixed sign
+folding.build_root_system = lambda t: rs
+folding.RelativeRootSystem(spec)
+"""
+
+
+def test_mixed_sign_check_survives_optimized_mode(monkeypatch):
+    spec = parse_folding_spec("A2")
+    rs = RootSystem(RootType("A", 2))
+    rs.roots += ((1, -1),)
+    monkeypatch.setattr(folding, "build_root_system", lambda t: rs)
+    with pytest.raises(VerificationError, match=r"mixed-sign relative root \(1,-1\)"):
+        folding.RelativeRootSystem(spec)
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", MIXED_SIGN_ROOT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "VerificationError: mixed-sign relative root (1,-1)" in proc.stderr

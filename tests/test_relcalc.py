@@ -5,7 +5,7 @@ import sys
 from operator import add, mul, sub
 
 import pytest
-from lie_oracles import full_product
+from lie_oracles import full_product, solved_multiples
 
 import relroots
 import relroots.relcalc as relcalc
@@ -30,7 +30,7 @@ from relroots.relcalc import (
     compute_relative_commutator_maps,
     relative_factors,
 )
-from relroots.rootcore import VerificationError, collinear, multiples
+from relroots.rootcore import VerificationError, collinear
 
 
 def setup_fold(text):
@@ -119,8 +119,8 @@ def test_empty_table_for_unlinked_pair():
 def test_simply_laced_unit_constants(a3_levi):
     rrs, cb = a3_levi
     pairs = [(a, b) for a, b in itertools.product(rrs.fibers, repeat=2)
-             if tuple(map(add, a, b)) in rrs and multiples(a, b, rrs.fibers)
-             and not collinear(a, b)]
+             if tuple(map(add, a, b)) in rrs and not collinear(a, b)
+             and solved_multiples(rrs.fibers, a, b)]
     assert pairs
     for a, b in pairs:
         table = compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
@@ -163,7 +163,7 @@ def test_cone_path_tables_equal_frame_path_tables(spec):
         v = {beta: reg.var(reg.names[k]) for beta, k in table.v_index.items()}
         word = commutator_factors(relative_factors(rrs, a, u), relative_factors(rrs, b, v))
         recomposed = [(gamma, table.entries[(i, j)][gamma])
-                      for i, j in multiples(a, b, rrs.fibers)
+                      for i, j in solved_multiples(rrs.fibers, a, b)
                       for gamma in rrs.fiber(tuple(i * x + j * y for x, y in zip(a, b)))
                       if gamma in table.entries.get((i, j), {})]
         assert full_product(cb, reg, word) == full_product(cb, reg, recomposed), (a, b)
@@ -343,8 +343,8 @@ def test_lemma3_rejects_odd_or_small():
 
 
 def test_table_slots_and_cone_match_their_definitions():
-    # the coordinate-keyed slots against multiples and the fibers of
-    # i*a + j*b, and the gathered cone against the weights
+    # the coordinate-keyed slots against the solved multiples and the
+    # fibers of i*a + j*b, and the gathered cone against the weights
     # pulled back through the projection matrix, on every non-collinear pair
     specs = enumerate_foldings(5, trivial_only=True)
     assert {"C3 gamma=trivial levi=1,2", "F4 gamma=trivial levi=1,4",
@@ -357,7 +357,7 @@ def test_table_slots_and_cone_match_their_definitions():
             if collinear(a, b):
                 continue
             slots, owner = [], {}
-            for i, j in multiples(a, b, rrs.fibers):
+            for i, j in solved_multiples(rrs.fibers, a, b):
                 for gamma in rrs.fiber(tuple(i * x + j * y for x, y in zip(a, b))):
                     slots.append(gamma)
                     owner[gamma] = (i, j)

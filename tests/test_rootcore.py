@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from operator import add
 
 import pytest
 from lie_oracles import cartan_pairing, gram_dot, root_string
 
+import relroots
 import relroots.rootcore as rootcore
 from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.rootcore import (
@@ -82,11 +87,33 @@ def test_reduced(t):
         assert tuple(2 * c for c in r) not in rs
 
 
+SHORT_ROOT_LIST = """
+from relroots.rootcore import RootSystem, RootType
+orbit = RootSystem.orbit
+# the root list of A2 without its highest root
+RootSystem.orbit = lambda rs, seeds: orbit(rs, seeds) - {(1, 1)}
+RootSystem(RootType("A", 2))
+"""
+
+
+def test_root_count_check_survives_optimized_mode(monkeypatch):
+    orbit = RootSystem.orbit
+    monkeypatch.setattr(RootSystem, "orbit", lambda rs, seeds: orbit(rs, seeds) - {(1, 1)})
+    with pytest.raises(VerificationError, match="generated 5 roots for A2, expected 6"):
+        RootSystem(RootType("A", 2))
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", SHORT_ROOT_LIST], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "VerificationError: generated 5 roots for A2, expected 6" in proc.stderr
+
+
 def test_c2_sum_example():
     rs = build_root_system(RootType.parse("C2"))
     a1, a2 = rs.simple_roots
     assert rs.sum_is_root(a1, a2)
-    assert rs.sum(a1, a2) == (1, 1)
+    assert tuple(map(add, a1, a2)) == (1, 1) and (1, 1) in rs
     # 2A1+A2 is a root of C2
     assert (2, 1) in rs
 
@@ -95,16 +122,15 @@ def test_g2_sum_example():
     rs = build_root_system(RootType.parse("G2"))
     r = rs.root_from_coords((3, 1))
     a2 = rs.simple_roots[1]
-    assert rs.sum(r, a2) == (3, 2)
+    assert tuple(map(add, r, a2)) == (3, 2) and (3, 2) in rs
 
 
 def test_height_linearity():
     rs = build_root_system(RootType.parse("B3"))
     pos = rs.positive_roots()
     assert len(pos) == len(rs.roots) // 2 and all(sum(r) > 0 for r in pos)
-    with pytest.raises(ValueError):
-        a = rs.simple_roots[0]
-        rs.sum(a, a)
+    a = rs.simple_roots[0]
+    assert tuple(map(add, a, a)) not in rs
 
 
 def test_root_string_examples():

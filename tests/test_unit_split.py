@@ -184,7 +184,8 @@ def old_cl_c2_calls(l):
             out.append(old_unit_split(rrs, cb, a1, mid, gamma, (1, 1)))
             continue
         hit = old_unit_split(rrs, cb, a1, a2, gamma, (2, 1))
-        byproduct = rrs.rs.sum(*hit[:2])
+        byproduct = tuple(map(add, *hit[:2]))
+        assert byproduct in rrs.rs
         out += [hit, old_unit_split(rrs, cb, a1, a2, byproduct, (1, 1), clean=True)]
     return out
 
@@ -197,8 +198,9 @@ def old_cl_bc2_calls(l):
     a1, a2 = (1, 0), (0, 1)
     (gamma_A,) = rrs.fiber((2, 2))
     hit = old_unit_split(rrs, cb, a1, tuple(2 * x for x in a2), gamma_A, (2, 1))
-    return [hit, old_unit_split(rrs, cb, tuple(map(add, a1, a2)), a2,
-                                rrs.rs.sum(*hit[:2]), (1, 1))]
+    byproduct = tuple(map(add, *hit[:2]))
+    assert byproduct in rrs.rs
+    return [hit, old_unit_split(rrs, cb, tuple(map(add, a1, a2)), a2, byproduct, (1, 1))]
 
 
 @pytest.mark.parametrize("schema,l", [("Cl_C2", 4), ("Cl_C2", 6), ("Cl_C2", 8),
