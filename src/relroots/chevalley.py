@@ -91,12 +91,12 @@ the same path as the polynomial tables.  Column work does not reduce by
 w (eps^2 - eps) = 1, so two equal entries can differ raw; equality and
 ``collect``, its residual test included, compare and read entries as the
 PolyElem they build, which is reduced.  No slot may pass 2^16 - 1: a running
-bound, the sum over factors x(t) of (number of divided powers of ad e) *
-(largest slot of any key of t), is checked before any column work, and a
-word that could overflow raises ``SlotOverflow``.  The largest slot of a
-key is unpacked once per distinct key within one product or ``collect``
-call (t and -t share their keys), and the cone once per distinct root of
-the word.
+bound per slot, the sum over factors x(t) of (number of divided powers of
+ad e) * (largest exponent of t in that slot), is checked before any column
+work, and a word that could overflow a slot raises ``SlotOverflow``.  The
+slots of a key are unpacked once per distinct key within one product or
+``collect`` call (t and -t share their keys), and the cone once per
+distinct root of the word.
 """
 
 from __future__ import annotations
@@ -320,18 +320,20 @@ def build_chevalley_basis(rs: RootSystem) -> ChevalleyBasis:
 # -- symbolic matrices ---------------------------------------------------
 
 
-def _grow_bound(bound, reach, terms, n, largest):
-    """The slot bound after a factor x(t), t with ``terms``: x(t) reaches
-    t^reach.  ``largest`` memoizes the largest slot of each key over one
-    product or ``collect`` call."""
-    top = 0
+def _grow_bound(bound, reach, terms, n, unpacked):
+    """Raise ``bound``, one bound per slot, in place for a factor x(t), t
+    with ``terms``: x(t) reaches t^reach.  ``unpacked`` memoizes the nonzero
+    (slot, exponent) pairs of each key over one product or ``collect`` call."""
+    top = {}
     for key in terms:
-        slot = largest.get(key)
-        if slot is None:
-            slot = largest[key] = max(_slots(key, n))
-        if slot > top:
-            top = slot
-    return _require_slot(bound + reach * top)
+        nonzero = unpacked.get(key)
+        if nonzero is None:
+            nonzero = unpacked[key] = [(k, e) for k, e in enumerate(_slots(key, n)) if e]
+        for k, e in nonzero:
+            if e > top.get(k, 0):
+                top[k] = e
+    for k, e in top.items():
+        bound[k] = _require_slot(bound[k] + reach * e)
 
 
 class UnipotentMatrix:
@@ -340,7 +342,7 @@ class UnipotentMatrix:
     ``cone`` is the form (alpha_j(h_f))_j, the weights of f divided by their
     gcd, so root(h_f) = sum_j root_j cone_j.  ``packed`` holds u(h_f) - h_f,
     the root rows of the image, {row: raw PolyElem terms} with no empty
-    entry; every slot exponent of every entry is at most ``bound``.
+    entry; slot k of every key of every entry is at most ``bound[k]``.
     """
 
     __slots__ = ("dim", "registry", "packed", "bound", "cone")
@@ -466,8 +468,8 @@ def product_of_root_elements(cb, registry, factors, cone):
     work.
     """
     n = len(registry.names)
-    entries, largest = {}, {}
-    word, bound = [], 0
+    entries, unpacked = {}, {}
+    word, bound = [], [0] * (n + 1)
     for root, t in reversed(list(factors)):
         if t.registry != registry:
             raise RegistryMismatch("factor over a different registry")
@@ -475,7 +477,7 @@ def product_of_root_elements(cb, registry, factors, cone):
         if entry is None:
             _require_in_cone(cone, root)
             entry = entries[root] = cb._root_entry(root)
-        bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
+        _grow_bound(bound, len(entry[0]), t.terms, n, unpacked)
         if t.terms:
             word.append((root, entry, t.terms))
     g = math.gcd(*cone)
@@ -483,7 +485,7 @@ def product_of_root_elements(cb, registry, factors, cone):
     col = {}
     for root, entry, terms in word:
         _left_multiply(col, entry, sum(map(mul, root, form)), terms)
-    return UnipotentMatrix(cb.dim, registry, col, bound, form)
+    return UnipotentMatrix(cb.dim, registry, col, tuple(bound), form)
 
 
 def invert_factors(factors):
@@ -514,8 +516,8 @@ def collect(cb, U, slots):
     """
     reg, form = U.registry, U.cone
     n = len(reg.names)
-    col, bound = dict(U.packed), U.bound
-    coeffs, largest = {}, {}
+    col, bound = dict(U.packed), list(U.bound)
+    coeffs, unpacked = {}, {}
     for root in slots:
         _require_in_cone(form, root)
         entry = cb._root_entry(root)
@@ -531,7 +533,7 @@ def collect(cb, U, slots):
         if t.is_zero():
             continue
         coeffs[root] = t
-        bound = _grow_bound(bound, len(entry[0]), t.terms, n, largest)
+        _grow_bound(bound, len(entry[0]), t.terms, n, unpacked)
         _left_multiply(col, entry, pair, {k: -v for k, v in t.terms.items()})
     if not _vanishes(reg, col):
         raise CollectionError("residual is not the identity; "
@@ -560,7 +562,7 @@ def collected_commutator(cb, registry, first, second):
     U = product_of_root_elements(cb, registry, commutator_factors([first], [second]),
                                  cone_weights(a, b))
     slots = [tuple(i * x + j * y for x, y in zip(a, b))
-             for i, j in multiples(a, b, cb.rs.root_set)]
+             for i, j in multiples(a, b, cb.rs)]
     return list(collect(cb, U, slots).items())
 
 

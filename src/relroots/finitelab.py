@@ -50,7 +50,7 @@ import numpy as np
 
 from .chevalley import build_chevalley_basis, commutator_constants
 from .polyring import is_prime, row_reduce
-from .rootcore import RootType, VerificationError, build_root_system, require, splits
+from .rootcore import RootType, VerificationError, build_root_system, multiples, require, splits
 
 DEFAULT_CAP = 10 ** 6
 
@@ -304,6 +304,15 @@ def _combination(ij, beta, gamma):
     return tuple(i * x + j * y for x, y in zip(beta, gamma))
 
 
+def _split_pairs(rs):
+    """Every (i, j) with i*b + j*c a root for some roots b, c, by (i + j, i):
+    each root is W-conjugate to a simple b, W keeps the roots (Humphreys,
+    *Introduction to Lie Algebras*, 10.3), and b + c is a root (``chevalley``)."""
+    return sorted({ij for b in rs.simple_roots for c in rs.roots
+                   if rs.sum_is_root(b, c) for ij in multiples(b, c, rs)},
+                  key=lambda ij: (sum(ij), ij[0]))
+
+
 def find_witnesses(t: RootType, p):
     """Commutator witnesses over F_p, in the order they were accepted.
 
@@ -313,13 +322,14 @@ def find_witnesses(t: RootType, p):
     rs = build_root_system(t)
     cb = build_chevalley_basis(rs)
     position = {r: k for k, r in enumerate(rs.roots)}
+    pairs = _split_pairs(rs)
     tables, resolved, witnesses = {}, set(), []
     while True:
         before = len(witnesses)
         for alpha in position:
             if alpha in resolved:
                 continue
-            for beta, gamma, ij in splits(alpha, position, rs.root_set):
+            for beta, gamma, ij in splits(alpha, position, rs.root_set, pairs):
                 # one of the two orders of each pair: [x_gamma, x_beta] is the
                 # inverse of [x_beta, x_gamma], whose factors sit on the same roots
                 if position[gamma] <= position[beta]:

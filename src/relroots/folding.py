@@ -11,28 +11,31 @@ The quotient lattice is coordinatized by the Gamma-orbits of J in
 increasing order of minimal node index, so relative simple roots are the
 unit vectors.  A relative root is its coordinate tuple, as a root is in
 ``relroots.rootcore``: its level is ``sum(a)``, its sign the sign of that
-sum, ``root_str`` prints it, and ``RelativeRootSystem.fibers`` keys every
-fiber by it.  Lemma 1 (``decompose_relative_root`` and its checker) takes
-and returns these tuples.  The checker reads a system only through its set
-of relative coordinates, so a verdict map keyed by (A, B, C), one per
-coordinate set and kept for one ``lemma1`` catalog run, lets the checker
-run once per distinct (coordinate set, A, B, C).
+sum, ``root_str`` prints it, ``RelativeRootSystem.fibers`` keys every
+fiber by it, and ``rootcore.multiples`` takes it as it takes a root.
+Lemma 1 (``decompose_relative_root`` and its checker) takes and returns
+these tuples.  The checker reads a system only through its set of relative
+coordinates, so a verdict map keyed by (A, B, C), one per coordinate set
+and kept for one ``lemma1`` catalog run, lets the checker run once per
+distinct (coordinate set, A, B, C).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import add, mul
+from functools import lru_cache
+from operator import add
 
 from .rootcore import (
     SERIES,
+    Coded,
     InvalidRootType,
     RootType,
     VerificationError,
     build_root_system,
     collinear,
+    multiples,
     require,
     root_str,
 )
@@ -223,12 +226,11 @@ def enumerate_foldings(max_rank, series=SERIES, trivial_only=False):
     return specs
 
 
-class RelativeRootSystem:
-    """``fibers``, the one set of relative coordinates, maps each to its
-    fiber, in increasing order; ``orbit_index[j]`` is the Gamma-orbit of
-    node j, or ``rank`` for a node outside J.  ``multiples`` finds the
-    relative roots among the combinations of two by the integer ``codes``
-    and ``by_code``, built on first use."""
+class RelativeRootSystem(Coded):
+    """``fibers``, the one set of relative coordinates and the ``points``,
+    maps each to its fiber, in increasing order; ``orbit_index[j]`` is the
+    Gamma-orbit of node j, or ``rank`` for a node outside J.  The ``coding``
+    of the relative roots (``Coded``) is built on first use."""
 
     def __init__(self, spec: FoldingSpec):
         spec.validate()
@@ -254,10 +256,9 @@ class RelativeRootSystem:
             if any(c):
                 fibers.setdefault(c, []).append(root)
         # the roots are in increasing order, so each fiber is too
-        self.fibers = {c: tuple(f) for c, f in fibers.items()}
+        self.fibers = self.points = {c: tuple(f) for c, f in fibers.items()}
         for c in self.fibers:
             require(len({x > 0 for x in c if x}) == 1, "mixed-sign relative root %s", c)
-        self._bounds = tuple(max(map(abs, col)) for col in zip(*self.fibers))  # m_k = max |c_k|
         self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
     def project(self, root):
@@ -271,50 +272,6 @@ class RelativeRootSystem:
     def fiber(self, a):
         return self.fibers[a]
 
-    @cached_property
-    def codes(self):
-        """coords -> sum_k c_k (2m + 1)**k, m = max m_k (``_bounds``): additive,
-        and injective where every |c_k| <= m, so on the relative roots but not
-        on every i*A + j*B (``multiples`` checks the coordinates of a hit)."""
-        powers = [(2 * max(self._bounds) + 1) ** k for k in range(self.rank)]
-        return {c: sum(map(mul, c, powers)) for c in self.fibers}
-
-    @cached_property
-    def by_code(self):
-        """code -> relative root, for every relative root."""
-        return dict(zip(self.codes.values(), self.codes))
-
-    def multiples(self, a, b):
-        """(i, j) with i, j >= 1 and i*a + j*b a relative root, sorted by (i + j, i).
-
-        ``a`` and ``b`` are relative roots, not collinear unless they point one
-        way (b = a gives the multiples (i + j)*a).  As a, b and d = i*a + j*b
-        each have one sign and |d_k| <= m_k (``_bounds``), Cramer's rule on the
-        first nonzero minor (p, q), i * det = d_p b_q - d_q b_p, gives |i| <=
-        max(m_p |b_q|, m_q |b_p|) / |det|, and j likewise; a collinear pair has
-        i |a_p| + j |b_p| <= m_p.  A hit by code counts if its coordinates match."""
-        for p, ap in enumerate(a):
-            if ap:
-                break
-        mp, ap, bp = self._bounds[p], abs(ap), abs(b[p])
-        for aq, bq, mq in zip(map(abs, a), map(abs, b), self._bounds):
-            det = abs(ap * bq - aq * bp)  # |det|, as a and b each have one sign
-            if det:
-                imax, jmax = max(mp * bq, mq * bp) // det, max(mp * aq, mq * ap) // det
-                break
-        else:
-            if a[p] * b[p] < 0:
-                raise ValueError("%s and %s point opposite ways" % (root_str(a), root_str(b)))
-            imax, jmax = (mp - bp) // ap, (mp - ap) // bp
-        ka, kb, by_code = self.codes[a], self.codes[b], self.by_code
-        hits = []
-        for i in range(1, imax + 1):
-            ki = i * ka
-            for j in range(1, jmax + 1):
-                d = by_code.get(ki + j * kb)
-                if d is not None and d == tuple([i * x + j * y for x, y in zip(a, b)]):
-                    hits.append((i, j))
-        return sorted(hits, key=sum)  # stable: i increases within each i + j
 
 
 def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
@@ -407,7 +364,7 @@ def check_lemma1_decomposition(rrs, a, b, c):
     """Independent re-verification of every clause of the decomposition.
 
     Every multiple i*b + j*c other than b + c that is a relative root
-    (``RelativeRootSystem.multiples``, with no bound on i and j) must keep
+    (``rootcore.multiples``, with no bound on i and j) must keep
     the sign of a and raise its level; the first violation in (i, j) order
     raises VerificationError, which ``python -O`` keeps.
     """
@@ -415,7 +372,7 @@ def check_lemma1_decomposition(rrs, a, b, c):
     require(tuple(map(add, b, c)) == a, "B + C is not A")
     require(not collinear(b, c), "B and C are collinear")
     level, lb, lc = sum(a), sum(b), sum(c)
-    for i, j in sorted(set(rrs.multiples(b, c)) - {(1, 1)}):  # (1, 1) gives a itself
+    for i, j in sorted(set(multiples(b, c, rrs)) - {(1, 1)}):  # (1, 1) gives a itself
         d_level = i * lb + j * lc
         require(d_level * level > 0, "%d*B+%d*C has the wrong sign", i, j)
         require(abs(d_level) > abs(level), "%d*B+%d*C does not increase the level", i, j)

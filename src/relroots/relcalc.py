@@ -60,7 +60,7 @@ from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone
                         invert_factors, product_of_root_elements, unit_split)
 from .folding import build_relative_system, classify_relative_type, parse_folding_spec
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
-from .rootcore import VerificationError, collinear, require, root_str, splits
+from .rootcore import VerificationError, collinear, multiples, require, root_str, splits
 
 
 class RelcalcError(ValueError):
@@ -152,11 +152,11 @@ def compute_relative_commutator_maps(rrs, cb, A, B) -> NMapTable:
 def _pair_blocks(rrs, a, b):
     """S, the slots of the pair (a, b), as (owner, fiber) blocks in order:
     ((1, 0), fiber(a)), ((0, 1), fiber(b)), then ((i, j), fiber(ia + jb))
-    for each (i, j) of ``RelativeRootSystem.multiples``."""
+    for each (i, j) of ``rootcore.multiples``."""
     fibers, by_code = rrs.fibers, rrs.by_code
     ka, kb = rrs.codes[a], rrs.codes[b]
     return [((1, 0), fibers[a]), ((0, 1), fibers[b])] + [
-        ((i, j), fibers[by_code[i * ka + j * kb]]) for i, j in rrs.multiples(a, b)]
+        ((i, j), fibers[by_code[i * ka + j * kb]]) for i, j in multiples(a, b, rrs)]
 
 
 def _slots(blocks):
@@ -235,7 +235,7 @@ def check_sum_formula(rrs, cb, A):
     residual = product_of_root_elements(cb, reg, invert_factors(base) + lhs_factors,
                                         _relative_cone(rrs, a, a))
     slots, owner = _slots([(k, rrs.fiber(tuple(k * x for x in a)))
-                           for k in sorted({i + j for i, j in rrs.multiples(a, a)})])
+                           for k in sorted({i + j for i, j in multiples(a, a, rrs)})])
     corrections = _collect_recomposed(cb, residual, slots, owner,
                                       "recomposed sum formula differs from its residual")
     return {

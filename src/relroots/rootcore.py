@@ -15,17 +15,12 @@ the simple reflections: the orbit of the simple roots is the full root
 set, cross-checked against the closed-form root counts.
 
 Three helpers read pairs of coordinate tuples: ``collinear``,
-``multiples`` (the i*a + j*b that are roots) and ``splits`` (the pairs
-whose i*beta + j*gamma is a given root), the one search behind every
-commutator witness; ``chevalley.unit_split`` takes its first split with a
-unit constant.  A relative root is a coordinate tuple too
-(``relroots.folding``), so ``collinear``, and ``splits`` with its own
-``pairs``, take it as it is.  ``MULTIPLE_PAIRS``, the range of ``multiples``
-and the default of ``splits``, rests on a theorem about root systems and
-holds for roots only: in the relative system of F4 with J = {2, 4},
-3*(-3,-2) + 4*(2,1) = (-1,-2) is a relative root.  The multiples of
-relative roots are ``RelativeRootSystem.multiples``, which derives its
-bounds from the system.
+``multiples`` (the i*a + j*b in a system) and ``splits`` (the pairs whose
+i*beta + j*gamma is a given root), the one search behind every commutator
+witness; ``chevalley.unit_split`` takes its first split with a unit
+constant.  A root system is the relative system of its own trivial
+folding (``relroots.folding``), so they take roots and relative roots
+alike; ``multiples`` reads the ``coding`` of its system (``Coded``).
 """
 
 from __future__ import annotations
@@ -177,15 +172,35 @@ def root_str(coords):
     return "(%s)" % ",".join(map(str, coords))
 
 
-class RootSystem:
+def coding(points):
+    """(bounds, codes, by_code) of a collection of integer tuples: the
+    largest |c_k| of a point in each place k, and each point c to and from
+    its code sum_k c_k (2m + 1)**k, m = max(bounds), which is additive and
+    injective where every |c_k| <= m (so not on every i*a + j*b)."""
+    bounds = tuple(max(map(abs, col)) for col in zip(*points))
+    powers = [(2 * max(bounds) + 1) ** k for k in range(len(bounds))]
+    codes = {c: sum(map(mul, c, powers)) for c in points}
+    return bounds, codes, dict(zip(codes.values(), codes))
+
+
+class Coded:
+    """Integer ``points`` and the ``bounds``, ``codes``, ``by_code`` of their ``coding``."""
+
+    _coding = cached_property(lambda self: coding(self.points))
+    bounds = cached_property(lambda self: self._coding[0])
+    codes = cached_property(lambda self: self._coding[1])
+    by_code = cached_property(lambda self: self._coding[2])
+
+
+class RootSystem(Coded):
     """All roots of an irreducible type, closed under reflections.
 
     Immutable after construction.  A root is its coordinate tuple over the
-    simple roots; ``roots`` lists them in increasing order, ``root_set``
-    holds them for lookups, ``norms`` maps each to its squared length,
-    ``long_roots`` holds the long ones (every root of a simply laced type)
-    and ``lowerings``, built on first use, the simple roots each positive
-    root steps down by.
+    simple roots; ``roots``, the ``points``, lists them in increasing order,
+    ``root_set`` holds them for lookups, ``norms`` maps each to its squared
+    length, ``long_roots`` holds the long ones (every root of a simply laced
+    type) and ``lowerings``, built on first use as the ``coding``
+    (``Coded``) is, the simple roots each positive root steps down by.
     ``cartan[i][j]`` is the Cartan integer <alpha_j, alpha_i^vee>, so the
     simple reflection s_i acts by ``beta - <beta, alpha_i^vee> * alpha_i``.
     """
@@ -198,7 +213,7 @@ class RootSystem:
         l = self.rank
         self.simple_roots = tuple(tuple(int(j == i) for j in range(l)) for i in range(l))
         self.root_set = self.orbit(self.simple_roots)
-        self.roots = tuple(sorted(self.root_set))
+        self.roots = self.points = tuple(sorted(self.root_set))
         self.norms = {c: self._norm(c) for c in self.roots}
         long_norm = max(self.norms.values())
         self.long_roots = frozenset(c for c, n in self.norms.items() if n == long_norm)
@@ -282,26 +297,41 @@ def collinear(a, b):
     return k is None or [a[k] * y for y in b] == [b[k] * x for x in a]
 
 
-MULTIPLE_BOUND = 6  # no root system has i*a + j*b a root beyond i + j = 5
-# (i, j) with i, j >= 1 and i + j <= MULTIPLE_BOUND, sorted by (i + j, i)
-MULTIPLE_PAIRS = tuple((i, total - i) for total in range(2, MULTIPLE_BOUND + 1)
-                       for i in range(1, total))
+def multiples(a, b, system):
+    """(i, j) with i, j >= 1 and i*a + j*b in ``system``, sorted by (i + j, i).
 
-
-def multiples(a, b, coords):
-    """(i, j) with i, j >= 1 and i*a + j*b in ``coords``, sorted by (i + j, i).
-
-    ``a`` and ``b`` are roots and ``coords`` a container of the roots of a
-    root system (``RootSystem.root_set``): (i, j) runs over
-    ``MULTIPLE_PAIRS``, which bounds the multiples of roots only; relative
-    roots take ``RelativeRootSystem.multiples`` (module docstring).
+    ``system`` is a ``RootSystem`` or a ``folding.RelativeRootSystem``;
+    ``a`` and ``b`` lie in it, not collinear unless they point one way
+    (b = a gives the multiples (i + j)*a).  As a, b and d = i*a + j*b each
+    have one sign and |d_k| <= m_k (``system.bounds``), Cramer's rule on the
+    first nonzero minor (p, q), i * det = d_p b_q - d_q b_p, gives |i| <=
+    max(m_p |b_q|, m_q |b_p|) / |det|, and j likewise; a collinear pair has
+    i |a_p| + j |b_p| <= m_p.  A hit by code counts if its coordinates match.
     """
-    ab = list(zip(a, b))
-    return [(i, j) for i, j in MULTIPLE_PAIRS
-            if tuple([i * x + j * y for x, y in ab]) in coords]
+    bounds = system.bounds
+    p = next(k for k, x in enumerate(a) if x)
+    mp, ap, bp = bounds[p], abs(a[p]), abs(b[p])
+    for aq, bq, mq in zip(map(abs, a), map(abs, b), bounds):
+        det = abs(ap * bq - aq * bp)  # |det|, as a and b each have one sign
+        if det:
+            imax, jmax = max(mp * bq, mq * bp) // det, max(mp * aq, mq * ap) // det
+            break
+    else:
+        if a[p] * b[p] < 0:
+            raise ValueError("%s and %s point opposite ways" % (root_str(a), root_str(b)))
+        imax, jmax = (mp - bp) // ap, (mp - ap) // bp
+    ka, kb, by_code = system.codes[a], system.codes[b], system.by_code
+    hits = []
+    for i in range(1, imax + 1):
+        ki = i * ka
+        for j in range(1, jmax + 1):
+            d = by_code.get(ki + j * kb)
+            if d is not None and d == tuple([i * x + j * y for x, y in zip(a, b)]):
+                hits.append((i, j))
+    return sorted(hits, key=sum)  # stable: i increases within each i + j
 
 
-def splits(alpha, firsts, seconds, pairs=MULTIPLE_PAIRS):
+def splits(alpha, firsts, seconds, pairs):
     """(beta, gamma, (i, j)) with i*beta + j*gamma = alpha, beta and gamma
     not collinear: the ways to write ``alpha`` as the root of an entry of a
     commutator [x_beta, x_gamma].

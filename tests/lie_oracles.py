@@ -9,8 +9,8 @@ constants from the structure constants, with no matrix work;
 ``diagram_automorphisms`` tries every permutation of the Dynkin nodes;
 ``bracket`` is the Lie bracket of two basis labels, case by case,
 ``all_types`` lists every irreducible type up to a rank, and
-``solved_multiples`` finds the multiples of a pair of relative roots by one
-exact solve per relative root.
+``solved_multiples`` finds the multiples of a pair of roots or relative
+roots by one exact solve per point of the system.
 """
 
 import itertools
@@ -193,9 +193,10 @@ def diagram_automorphisms(cartan):
 def solved_multiples(fibers, a, b):
     """(i, j) with i, j >= 1 and i*a + j*b in ``fibers``, sorted by (i + j, i).
 
-    Written apart from ``RelativeRootSystem.multiples``, with no bound and
-    no code: for each d in ``fibers`` it solves d = i*a + j*b and keeps an
-    integral solution that holds on every coordinate.  A pair that is not
+    Written apart from ``rootcore.multiples``, with no bound and no code:
+    for each d in ``fibers`` (the roots or the relative roots) it solves
+    d = i*a + j*b and keeps an integral solution that holds on every
+    coordinate.  A pair that is not
     collinear is solved on its first nonzero 2x2 minor (p, q) by Cramer's
     rule.  A collinear pair must point one way; then on the first nonzero
     coordinate p, i*|a_p| + j*|b_p| = |d_p|, so each i <= |d_p| is tried.

@@ -528,14 +528,19 @@ def test_slot_overflow_rejected_before_column_work(monkeypatch):
     assert not isinstance(info.value, AssertionError)
 
 
-@pytest.mark.parametrize("exps, bound", [((5000, 5133, 5001), 65535),
-                                         ((5000, 5134, 5000), 65536)])
+@pytest.mark.parametrize("exps, bound", [((5000, 5133, 5001, 3), 65535),
+                                         ((5000, 5134, 5000, 3), 65536),
+                                         ((5000, 5133, 5001, 8884), 65535)])
 def test_slot_bound_at_its_edge(exps, bound, g2, monkeypatch):
-    # G2: x_a(t) reaches t^3 on a short root, t^2 on a long one, so the
-    # word below has the bound 3p + 2q + 3r + 2q + 3p; p and -p, q and -q
-    # repeat their keys, and the largest slot of each coefficient is its
-    # largest exponent in any variable, not its degree
-    p_exp, q_exp, r_exp = exps
+    # G2: x_a(t) reaches t^3 on a short root, t^2 on a long one, so slot k
+    # of the word below has the bound 3p_k + 2q_k + 3r_k + 2q_k + 3p_k, p_k
+    # the largest exponent of p in slot k; p and -p, q and -q repeat their
+    # keys.  Each slot has its own bound: the last word passes, while one
+    # bound over every slot, 3*5000 + 2*8884 + 3*5001 + 2*8884 + 3*5000 =
+    # 80539, would refuse it
+    p_exp, q_exp, r_exp, t_exp = exps
+    slot_bounds = (6 * p_exp + 4 * q_exp + 3 * r_exp, 6 * 4999 + 4 * t_exp + 3, 0)
+    assert max(slot_bounds) == bound
     reg = VarRegistry(["s", "t"])
     s, t = reg.var("s"), reg.var("t")
     short, long = g2.rs.simple_roots
@@ -543,14 +548,14 @@ def test_slot_bound_at_its_edge(exps, bound, g2, monkeypatch):
     # the largest slot is on neither the first nor the last term
     p = (reg.var("s", 4000) * reg.var("t", 7)).scale(3) + reg.var("s", p_exp) \
         - reg.var("t", 4999)
-    q = (s * s * t).scale(-2) + reg.var("t", q_exp) + reg.var("s", 3)
+    q = (s * s * t).scale(-2) + reg.var("s", q_exp) + reg.var("t", t_exp)
     r = reg.var("s", r_exp) * t
     word = [(short, p), (long, q), (mid, r), (long, -q), (short, -p)]
     if bound < 65536:
         U = product_of_root_elements(g2, reg, word, height(g2))
-        assert U.bound == bound
-        slots = [e for d in U.packed.values() for key in d for e in _slots(key, 2)]
-        assert max(slots) <= bound
+        assert U.bound == slot_bounds
+        for key in (key for d in U.packed.values() for key in d):
+            assert all(e <= b for e, b in zip(_slots(key, 2), slot_bounds))
     else:
         monkeypatch.setattr(chevalley, "_left_multiply", None)  # any column work fails
         with pytest.raises(SlotOverflow, match="exponents up to 65536 overflow"):
@@ -680,6 +685,31 @@ for label, edit in [("witness constant", lambda w, tab: tab.update({w.ij: tab[w.
     edit(ws[k], table)
     ws[k] = dataclasses.replace(ws[k], table=table)
     expect_failure(label, lambda: check_witnesses(c2, 3, ws))
+
+# the extraspecial pairs come from ``splits``: a search that finds nothing
+splits = chevalley.splits
+chevalley.splits = lambda *args: iter(())
+expect_failure("extraspecial", lambda: ChevalleyBasis(build_root_system(RootType("A", 2))))
+chevalley.splits = splits
+
+# N((1,0,0), (0,1,1)) of A3 divides by N((1,1,1), -eps), eps = (0,0,1): zero it
+cb = ChevalleyBasis(build_root_system(RootType("A", 3)))
+cb._n_cache[((1, 1, 1), (0, 0, -1))] = 0
+cb._n_cache.pop(((1, 0, 0), (0, 1, 1)))
+expect_failure("extraspecial denominator", lambda: cb.struct_const((1, 0, 0), (0, 1, 1)))
+
+# (ad e_a1)^2 / 2 of C2 takes e_a2 to N(a1, a2) N(a1, a1 + a2) / 2 e_(2a1+a2):
+# halve N(a1, a1 + a2) = +-2 once every constant is cached
+cb = ChevalleyBasis(build_root_system(RootType("C", 2)))
+cb.brackets
+cb._n_cache[((1, 0), (1, 1))] //= 2
+expect_failure("divided power", lambda: cb._root_entry((1, 0)))
+
+# C_ij must be one monomial: add the constant 1 to every collected coefficient
+chevalley.collect = lambda *args: {r: c + c.registry.const(1) for r, c in collect(*args).items()}
+cb = ChevalleyBasis(build_root_system(RootType("A", 2)))
+expect_failure("monomial", lambda: commutator_constants(cb, *cb.rs.simple_roots))
+chevalley.collect = collect
 """
 
 
@@ -693,7 +723,8 @@ def test_constant_checks_survive_optimized_mode():
     assert [line.split(":")[0] for line in lines] == [
         "pair law", "fast table", "constant bound", "slot bound", "cone factor",
         "cone slot", "columns", "singular cartan", "cartan", "cartan pairing", "coroot",
-        "sign search", "witness constant", "witness factor"]
+        "sign search", "witness constant", "witness factor", "extraspecial",
+        "extraspecial denominator", "divided power", "monomial"]
     assert "|N" in lines[0] and "not an integer" in lines[1]
     assert "not in {1, 2, 3}" in lines[2] and "overflow" in lines[3]
     assert all("outside the cone" in line for line in lines[4:6])
@@ -701,6 +732,9 @@ def test_constant_checks_survive_optimized_mode():
     assert all("not an integer" in line for line in lines[8:10])
     assert "non-integer" in lines[10] and "7 slots" in lines[11]
     assert all("not the product of its table" in line for line in lines[12:14])
+    assert "no decomposition for (1,1)" in lines[14]
+    assert "vanishes on an extraspecial pair" in lines[15]
+    assert "divided power not integral" in lines[16] and "not a monomial" in lines[17]
 
 
 ANTISYMMETRY = """

@@ -98,7 +98,7 @@ def old_unit_split(rrs, cb, src_rel, mid_rel, gamma, ij, clean=False):
 def old_f4_pair(cb, A, longs):
     rs = cb.rs
     clean = [(B, C) for B, C, _ in splits(A, longs, rs.long_roots, ((1, 1),))
-             if multiples(B, C, rs.root_set) == [(1, 1)]]
+             if multiples(B, C, rs) == [(1, 1)]]
     require(clean, "no clean long pair")
     B, C = clean[0]
     n = cb.struct_const(B, C)
