@@ -117,6 +117,9 @@ def all_subgroups(t: RootType):
     return sorted(seen.values(), key=lambda g: (len(g), [a.perm for a in g]))
 
 
+GAMMA_NAMES = {1: "trivial", 2: "flip", 6: "triality"}  # by order; any other is orderN
+
+
 @dataclass(frozen=True)
 class FoldingSpec:
     """(root type, automorphism subgroup Gamma, Levi subset J); 0-based nodes."""
@@ -140,13 +143,11 @@ class FoldingSpec:
             raise FoldingError("repeated levi nodes")
         if not jset <= set(range(l)):
             raise FoldingError("levi nodes out of range")
-        for a in self.gamma:
-            if {a(i) for i in jset} != jset:
-                raise FoldingError("levi subset is not gamma-invariant")
+        if any({a(i) for i in jset} != jset for a in self.gamma):
+            raise FoldingError("levi subset is not gamma-invariant")
 
     def __str__(self):
-        names = {1: "trivial", 2: "flip", 6: "triality"}
-        g = names.get(len(self.gamma), "order%d" % len(self.gamma))
+        g = GAMMA_NAMES.get(len(self.gamma), "order%d" % len(self.gamma))
         return "%s gamma=%s levi=%s" % (
             self.root_type, g, ",".join(str(i + 1) for i in self.levi))
 
@@ -156,7 +157,10 @@ def trivial_gamma(t: RootType):
 
 
 def parse_folding_spec(text):
-    """Parse "<TYPE> gamma=<trivial|flip|triality|perm:...> levi=<i,...|all>"."""
+    """Parse "<TYPE> gamma=<trivial|flip|triality|orderN|perm:...> levi=<i,...|all>".
+
+    A Gamma name is the subgroup of its order that leaves J invariant; several
+    that do are an error naming each one's ``perm:`` spec."""
     parts = text.split()
     if not parts:
         raise FoldingError("empty folding spec")
@@ -169,25 +173,6 @@ def parse_folding_spec(text):
             levi_arg = p[len("levi="):]
         else:
             raise FoldingError("unrecognized token %r" % p)
-    auts = enumerate_diagram_automorphisms(t)
-    if gamma_arg == "trivial":
-        gamma = trivial_gamma(t)
-    elif gamma_arg in ("flip", "triality"):
-        want = 2 if gamma_arg == "flip" else 6
-        if len(auts) != want:
-            raise FoldingError("%s has no %s automorphism group" % (t, gamma_arg))
-        gamma = tuple(closure_of_auts(auts, t.rank))
-    elif gamma_arg.startswith("perm:"):
-        try:
-            images = tuple(int(x) - 1 for x in gamma_arg[len("perm:"):].split(","))
-        except ValueError:
-            raise FoldingError("bad gamma %r" % gamma_arg)
-        if sorted(images) != list(range(t.rank)):
-            raise FoldingError("gamma images %s are not a permutation of 1..%d"
-                               % (gamma_arg[len("perm:"):], t.rank))
-        gamma = tuple(closure_of_auts([DiagramAut(images)], t.rank))
-    else:
-        raise FoldingError("bad gamma %r" % gamma_arg)
     if levi_arg == "all":
         levi = tuple(range(t.rank))
     else:
@@ -195,8 +180,32 @@ def parse_folding_spec(text):
             levi = tuple(sorted(int(x) - 1 for x in levi_arg.split(",")))
         except ValueError:
             raise FoldingError("bad levi %r" % levi_arg)
-    spec = FoldingSpec(t, gamma, levi)
+    order = {n: k for k, n in GAMMA_NAMES.items()}.get(gamma_arg)
+    if gamma_arg.startswith("perm:"):
+        try:
+            images = tuple(int(x) - 1 for x in gamma_arg[5:].split(","))
+        except ValueError:
+            raise FoldingError("bad gamma %r" % gamma_arg)
+        if sorted(images) != list(range(t.rank)):
+            raise FoldingError("gamma images %s are not a permutation of 1..%d"
+                               % (gamma_arg[5:], t.rank))
+        groups = [closure_of_auts([DiagramAut(images)], t.rank)]
+    elif order is None and not (gamma_arg.startswith("order") and gamma_arg[5:].isdigit()):
+        raise FoldingError("bad gamma %r" % gamma_arg)
+    else:
+        groups = [g for g in all_subgroups(t) if len(g) == (order or int(gamma_arg[5:]))]
+        if not groups:
+            raise FoldingError("%s has no %s automorphism group" % (t, gamma_arg))
+    jset = set(levi)
+    fits = [g for g in groups if jset <= set(range(t.rank))
+            and all({a(i) for i in jset} == jset for a in g)]
+    # bad input, or no group that fits, fails validation with its message
+    spec = FoldingSpec(t, tuple((fits or groups)[0]), levi)
     spec.validate()
+    if len(fits) > 1:
+        # only D4 has two groups of one order, 2: each is the closure of its largest element
+        raise FoldingError("gamma=%s names %d subgroups of %s leaving J invariant: %s" % (
+            gamma_arg, len(fits), t, ", ".join("perm:%s" % max(g, key=str) for g in fits)))
     return spec
 
 

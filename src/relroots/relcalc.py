@@ -13,15 +13,16 @@ residual check proves the table; every table is also re-verified by
 recomposition and by structural homogeneity and fiber-grading checks.
 Every root of these words lies in the half-space f > 0 of
 ``_relative_cone``, so each product carries the one column h_f (see
-``relroots.chevalley``).  On top of the tables sit the surjectivity and
-spanning verifications used by the perfectness argument: unit-coefficient
-witnesses for N_{AB11}, and exact linear-span oracles over the rationals
-and small prime fields.  A witness alpha + beta = gamma is found by
-``chevalley.unit_split`` from the integer structure constant N_{alpha,beta},
-not from the table; evaluating the table at u_alpha = v_beta = 1 then
-re-checks it: that value is the table's coefficient of u_alpha v_beta in
-each (1,1) entry, read off the packed terms, so the table is an oracle
-independent of the search.
+``relroots.chevalley``).  On top of the tables sit the surjectivity and spanning
+verifications used by the perfectness argument: unit-coefficient witnesses for
+N_{AB11}, and exact linear-span oracles over the rationals and small prime
+fields.  Each check returns its witness alone and fails only by raising:
+``RelcalcError`` outside its hypothesis, else ``VerificationError``.  A witness
+alpha + beta = gamma is found by ``chevalley.unit_split`` from the integer
+structure constant N_{alpha,beta}, not from the table; evaluating the table at
+u_alpha = v_beta = 1 then re-checks it: that value is the table's coefficient
+of u_alpha v_beta in each (1,1) entry, read off the packed terms, so the table
+is an oracle independent of the search.
 
 The spanning checks read each image's span off the table's coefficients
 (``_image_rows``).  A map g from K^m to K^n, K = Q or F_p, is the sum of
@@ -56,9 +57,9 @@ import itertools
 from dataclasses import dataclass
 from operator import add, sub
 
-from .chevalley import (build_chevalley_basis, collect, commutator_factors, cone_weights,
-                        invert_factors, product_of_root_elements, unit_split)
-from .folding import build_relative_system, classify_relative_type, parse_folding_spec
+from .chevalley import (collect, commutator_factors, cone_weights, invert_factors,
+                        product_of_root_elements, unit_split)
+from .folding import classify_relative_type
 from .polyring import PolyElem, VarRegistry, _decode, row_reduce
 from .rootcore import VerificationError, collinear, multiples, require, root_str, splits
 
@@ -220,7 +221,7 @@ def _verify_table(table):
 
 
 def check_sum_formula(rrs, cb, A):
-    """X_A(u+u') = X_A(u) X_A(u') prod_{i>1} X_{iA}(u_i), with witnesses."""
+    """X_A(u+u') = X_A(u) X_A(u') prod_{i>1} X_{iA}(u_i); returns {i: u_i}."""
     _require_split(rrs)
     a = A.coords
     fiber = rrs.fiber(a)
@@ -236,20 +237,16 @@ def check_sum_formula(rrs, cb, A):
                                         _relative_cone(rrs, a, a))
     slots, owner = _slots([(k, rrs.fiber(tuple(k * x for x in a)))
                            for k in sorted({i + j for i, j in multiples(a, a, rrs)})])
-    corrections = _collect_recomposed(cb, residual, slots, owner,
-                                      "recomposed sum formula differs from its residual")
-    return {
-        "A": A,
-        "corrections": corrections,
-        "status": "pass",
-    }
+    return _collect_recomposed(cb, residual, slots, owner,
+                               "recomposed sum formula differs from its residual")
 
 
 # -- surjectivity of N_AB11 (four unit-coefficient cases) ----------------
 
 
 def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
-    """Unit-coefficient witnesses that N_AB11 covers every target basis vector.
+    """Unit-coefficient witnesses that N_AB11 covers every target basis
+    vector, as {gamma: (alpha, beta, N_{alpha,beta})}.
 
     ``case`` selects which hypothesis justifies invertibility:
       a -- all structure constants hit by the pair lie in ``units``;
@@ -323,8 +320,7 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         require(value == {gamma: c},
                 "witness %s + %s does not evaluate to %+d on %s", al, be, c, gamma)
         witnesses[gamma] = found
-    return {"A": A, "B": B, "case": case, "witnesses": witnesses,
-            "status": "pass"}
+    return witnesses
 
 
 def applicable_surjectivity_cases(rrs, cb, A, B):
@@ -391,10 +387,10 @@ def check_case_a(rrs, cb, witnesses):
         key, slots = _case_a_key(cb, blocks)
         known = witnesses.get(key)
         if known is None:
-            report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
+            found = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
             pos = {gamma: p for p, gamma in enumerate(slots)}
             witnesses[key] = tuple((pos[gamma], pos[al], pos[be], c)
-                                   for gamma, (al, be, c) in report["witnesses"].items())
+                                   for gamma, (al, be, c) in found.items())
         else:
             for g, p, q, c in known:
                 al, be, gamma = slots[p], slots[q], slots[g]
@@ -430,20 +426,23 @@ def _image_rows(images, p):
 
 
 def _span_verdict(images, n):
-    """Whether the images of the (table, maps, col) triples span the
-    n-dimensional target over Q and each F_p."""
+    """The verdict of each field, Q and each F_p, by name: "full" where
+    the images of the (table, maps, col) triples span the n-dimensional
+    target, else "deficient", which fails the check."""
     full = {"Q": len(row_reduce(_image_rows(images, None), n)[1]) == n}
     for p in SPAN_PRIMES:
         full["F%d" % p] = len(row_reduce(_image_rows(images, p), n, p)[1]) == n
-    return {"fields": {k: "full" if v else "deficient" for k, v in full.items()},
-            "status": "pass" if all(full.values()) else "fail"}
+    fields = {k: "full" if v else "deficient" for k, v in sorted(full.items())}
+    require(all(full.values()), "image does not span the target: %s", fields)
+    return fields
 
 
 def check_spanning_lemma2_2(rrs, cb, A, B):
     """im N_AB11 + im N_{A-B,2B,11} + sum_v im N_{A-B,B,12}(-, v) fills V_{A+B}.
 
     Applies when A-B and A+B are both relative roots and the component is
-    not G2; checked over the rationals and over F_2, F_3, F_5.
+    not G2; checked over the rationals and over F_2, F_3, F_5, and returns
+    the field verdicts of ``_span_verdict``.
     """
     _require_split(rrs)
     a, b = A.coords, B.coords
@@ -452,9 +451,7 @@ def check_spanning_lemma2_2(rrs, cb, A, B):
         raise RelcalcError("need both A-B and A+B relative roots")
     if classify_relative_type(rrs)[0] == "G" or rrs.rs.type.series == "G":
         raise RelcalcError("excluded for G2")
-    target = rrs.fiber(total)
-    col = {g: k for k, g in enumerate(target)}
-    n = len(target)
+    col = {g: k for k, g in enumerate(rrs.fiber(total))}
 
     D = RelativeRoot(diff)
     images = [(compute_relative_commutator_maps(rrs, cb, A, B), [(1, 1)], col)]
@@ -463,30 +460,29 @@ def check_spanning_lemma2_2(rrs, cb, A, B):
         images.append((compute_relative_commutator_maps(rrs, cb, D, RelativeRoot(two_b)),
                        [(1, 1)], col))
     images.append((compute_relative_commutator_maps(rrs, cb, D, B), [(1, 2)], col))
-    return {"A": A, "B": B, "dim": n, **_span_verdict(images, n)}
+    return _span_verdict(images, len(col))
 
 
-def check_spanning_lemma3(l):
+def check_spanning_lemma3(rrs, cb):
     """The C_l half-split span identity on V_{A1+A2} + V_{2A1+A2}.
 
-    For C_l with J = {alpha_i, alpha_l}, 2i = l: the images of
+    For C_l (Gamma trivial) with J = {alpha_i, alpha_l}, 2i = l >= 4: the images of
     (0, N_{A1,A1+A2,1,1}) and of f_v = (N_{A1,A2,1,1}(v,-), N_{A1,A2,2,1}(v,-))
-    over v in V_{A1} span the direct sum, over Q and F_2, F_3, F_5.
+    over v in V_{A1} span the direct sum, over Q and F_2, F_3, F_5; returns
+    the field verdicts of ``_span_verdict``.
     """
-    if l < 4 or l % 2:
-        raise RelcalcError("need an even l >= 4")
-    rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, l // 2, l)))
-    cb = build_chevalley_basis(rrs.rs)
+    spec, l = rrs.spec, rrs.rs.rank
+    if (spec.root_type.series, spec.levi, l % 2) != ("C", (l // 2 - 1, l - 1), 0) or l < 4:
+        raise RelcalcError("need the half-split folding C_l levi=l/2,l with an even l >= 4")
     A1, A2, mid = RelativeRoot((1, 0)), RelativeRoot((0, 1)), RelativeRoot((1, 1))
     f_mid, f_top = rrs.fiber((1, 1)), rrs.fiber((2, 1))
     col = {g: k for k, g in enumerate(f_mid + f_top)}
-    n = len(col)
 
     _verify_lemma3_fiber_structure(rrs, f_mid, f_top)
 
     images = [(compute_relative_commutator_maps(rrs, cb, A1, mid), [(1, 1)], col),
               (compute_relative_commutator_maps(rrs, cb, A1, A2), [(1, 1), (2, 1)], col)]
-    return {"l": l, "dim": n, **_span_verdict(images, n)}
+    return _span_verdict(images, len(col))
 
 
 def _verify_lemma3_fiber_structure(rrs, f_mid, f_top):

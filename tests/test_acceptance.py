@@ -125,24 +125,24 @@ def test_4_surjectivity_cases():
             for a, b in itertools.product(rrs.fibers, repeat=2):
                 if tuple(map(add, a, b)) not in rrs or _collinear(a, b):
                     continue
-                report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b),
-                                                "a")
-                assert report["status"] == "pass", (spec, a, b)
+                witnesses = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b),
+                                                   "a")
+                assert set(witnesses) == set(rrs.fiber(tuple(map(add, a, b)))), (spec, a, b)
 
     # case (d) on the B_l half-spin foldings
     for l in (3, 4):
         rrs = build_relative_system(parse_folding_spec("B%d levi=1,2" % l))
         cb = build_chevalley_basis(rrs.rs)
-        report = check_N11_surjectivity(rrs, cb, RelativeRoot((1, 0)),
-                                        RelativeRoot((0, 1)), "d")
-        assert report["status"] == "pass"
+        witnesses = check_N11_surjectivity(rrs, cb, RelativeRoot((1, 0)),
+                                           RelativeRoot((0, 1)), "d")
+        assert set(witnesses) == set(rrs.fiber((1, 1)))
 
     # case (c) on the BC2 folding of C3
     rrs = build_relative_system(parse_folding_spec("C3 levi=1,2"))
     cb = build_chevalley_basis(rrs.rs)
-    report = check_N11_surjectivity(rrs, cb, RelativeRoot((1, 0)),
-                                    RelativeRoot((0, 1)), "c")
-    assert report["status"] == "pass"
+    witnesses = check_N11_surjectivity(rrs, cb, RelativeRoot((1, 0)),
+                                       RelativeRoot((0, 1)), "c")
+    assert set(witnesses) == set(rrs.fiber((1, 1)))
 
     # the split C2 pair with constant +-2 is outside every case
     rrs = build_relative_system(parse_folding_spec("C2"))
@@ -153,10 +153,10 @@ def test_4_surjectivity_cases():
 
 def test_5_spanning_l4_l6():
     for l in (4, 6):
-        report = check_spanning_lemma3(l)
-        assert report["status"] == "pass"
-        assert set(report["fields"]) == {"Q", "F2", "F3", "F5"}
-        assert all(v == "full" for v in report["fields"].values())
+        rrs = build_relative_system(parse_folding_spec("C%d levi=%d,%d" % (l, l // 2, l)))
+        fields = check_spanning_lemma3(rrs, build_chevalley_basis(rrs.rs))
+        assert set(fields) == {"Q", "F2", "F3", "F5"}
+        assert all(v == "full" for v in fields.values())
 
 
 def test_6_explicit_identities():

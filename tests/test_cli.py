@@ -336,6 +336,25 @@ def test_verify_max_rank_bounds_every_suite(capsys, suite, rank):
     assert err.startswith("error:") and "max rank" in err
 
 
+@pytest.mark.parametrize("suite,flag,value,readers", [
+    ("c2", "--max-rank", "3", "lemma1 and lemma2"),
+    ("lemma3", "--max-rank", "3", "lemma1 and lemma2"),
+    ("cases", "--max-rank", "3", "lemma1 and lemma2"),
+    ("lemma3", "--k", "7", "c2 and g2"),
+    ("lemma1", "--k", "5", "c2 and g2"),
+    ("lemma2", "--eps", "2", "c2 and g2"),
+    ("cases", "--eps", "2", "c2 and g2"),
+])
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, monkeypatch, suite, flag,
+                                                      value, readers):
+    for name in ("verify_lemma1_catalog", "suite_lemma2", "suite_lemma3", "suite_c2",
+                 "suite_g2", "suite_cases"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, value, "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: %s applies only to the %s suites\n" % (flag, readers)
+
+
 def test_verify_all_passes_flags_to_every_suite(capsys, monkeypatch):
     calls = []
 

@@ -104,6 +104,50 @@ def test_parse_round_trip():
     assert len(spec3.gamma) == 2
 
 
+def test_every_unambiguous_spec_string_round_trips():
+    # a gamma name is the subgroup of its order that leaves J invariant; the
+    # three order-2 subgroups of D4 all leave these three J invariant
+    specs = enumerate_foldings(8)
+    ambiguous = {"D4 gamma=flip levi=%s" % j for j in ("2", "1,3,4", "1,2,3,4")}
+    back, refused = 0, []
+    for spec in specs:
+        try:
+            back += parse_folding_spec(str(spec)) == spec
+        except FoldingError as exc:
+            refused.append((str(spec), str(exc)))
+    assert (len(specs), back, len(refused)) == (2797, 2788, 9)
+    assert {text for text, _ in refused} == ambiguous
+    assert {message for _, message in refused} == {
+        "gamma=flip names 3 subgroups of D4 leaving J invariant: "
+        "perm:1,2,4,3, perm:3,2,1,4, perm:4,2,3,1"}
+
+
+@pytest.mark.parametrize("text,perms", [
+    ("D4 gamma=flip levi=1", {(0, 1, 3, 2)}),
+    ("D4 gamma=flip levi=3,4", {(0, 1, 3, 2)}),
+    ("D4 gamma=order3 levi=2", {(0, 1, 2, 3), (2, 1, 3, 0), (3, 1, 0, 2)}),
+    ("A5 gamma=order2 levi=3", {(4, 3, 2, 1, 0)}),
+])
+def test_gamma_names_pick_the_subgroup_that_fits(text, perms):
+    spec = parse_folding_spec(text)
+    assert {a.perm for a in spec.gamma} == perms | {tuple(range(spec.root_type.rank))}
+    assert parse_folding_spec(str(spec)) == spec
+
+
+@pytest.mark.parametrize("text,message", [
+    ("A1 gamma=flip", "A1 has no flip automorphism group"),
+    ("A3 gamma=order3", "A3 has no order3 automorphism group"),
+    ("D4 gamma=orderx", "bad gamma 'orderx'"),
+    ("A3 gamma=flip levi=1", "levi subset is not gamma-invariant"),
+    ("D4 gamma=triality levi=1", "levi subset is not gamma-invariant"),
+    ("D4 gamma=flip levi=9", "levi nodes out of range"),
+])
+def test_gamma_names_keep_their_messages(text, message):
+    with pytest.raises(FoldingError) as info:
+        parse_folding_spec(text)
+    assert str(info.value) == message
+
+
 def test_a3_flip_gives_c2():
     rrs = fold("A3 gamma=flip")
     assert rrs.rank == 2

@@ -28,6 +28,7 @@ from relroots.folding import build_relative_system, parse_folding_spec
 from relroots.polyring import VarRegistry, row_reduce
 from relroots.relcalc import (NMapTable, RelativeRoot, _image_rows, _span_verdict,
                               compute_relative_commutator_maps)
+from relroots.rootcore import VerificationError
 
 SRC = os.path.dirname(relroots.__file__)
 
@@ -123,9 +124,12 @@ def test_power_maps_follow_the_exponent_rule(k, deficient):
         assert _image_rows(images, p) == ([[1, 1]] if "F%d" % p in deficient
                                           else [[1, 0], [0, 1]])
         assert rank(images, p) == brute_force_rank(images, p)
-    assert _span_verdict(images, 2)["fields"] == {
-        f: "deficient" if f in deficient else "full" for f in ("Q", "F2", "F3", "F5")}
-    assert _span_verdict([(table, [(1, 1)], images[0][2])], 2)["fields"]["Q"] == "deficient"
+    fields = {f: "deficient" if f in deficient else "full" for f in ("F2", "F3", "F5", "Q")}
+    with pytest.raises(VerificationError) as info:
+        _span_verdict(images, 2)
+    assert str(info.value) == "image does not span the target: %s" % fields
+    with pytest.raises(VerificationError, match="'Q': 'deficient'"):
+        _span_verdict([(table, [(1, 1)], images[0][2])], 2)
 
 
 def test_images_of_separate_tables_add_up():
@@ -135,7 +139,7 @@ def test_images_of_separate_tables_add_up():
     images = [(_power_map(2), [(1, 1)], col), (_power_map(2), [(2, 1)], col)]
     for p in (None, 2, 3, 5):
         assert _image_rows(images, p) == [[1, 0], [0, 1]]
-    assert _span_verdict(images, 2)["status"] == "pass"
+    assert _span_verdict(images, 2) == {"F2": "full", "F3": "full", "F5": "full", "Q": "full"}
 
 
 PERTURBED_FIBERS = """

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -192,26 +193,22 @@ def test_one_column_recomposition_catches_a_perturbed_monomial(spec, monkeypatch
 
 def test_sum_formula_singleton_no_corrections(c2):
     rrs, cb = c2
-    report = check_sum_formula(rrs, cb, RelativeRoot((1, 1)))
-    assert report["status"] == "pass"
-    assert report["corrections"] == {}
+    assert check_sum_formula(rrs, cb, RelativeRoot((1, 1))) == {}
 
 
 def test_sum_formula_extra_short_correction(c3_bc2):
     rrs, cb = c3_bc2
-    report = check_sum_formula(rrs, cb, RelativeRoot((0, 1)))
-    assert report["status"] == "pass"
-    assert set(report["corrections"]) == {2}
+    corrections = check_sum_formula(rrs, cb, RelativeRoot((0, 1)))
+    assert set(corrections) == {2}
     # quadratic correction mixing u and u'
-    polys = list(report["corrections"][2].values())
+    polys = list(corrections[2].values())
     assert any(not p.is_zero() for p in polys)
 
 
 def test_sum_formula_identity_folding_no_corrections(c2):
     rrs, cb = c2
     for a in [a for a in rrs.fibers if sum(a) > 0]:
-        report = check_sum_formula(rrs, cb, RelativeRoot(a))
-        assert report["corrections"] == {}
+        assert check_sum_formula(rrs, cb, RelativeRoot(a)) == {}
 
 
 def test_surjectivity_simply_laced_case_a(a3_levi):
@@ -220,17 +217,16 @@ def test_surjectivity_simply_laced_case_a(a3_levi):
              if tuple(map(add, a, b)) in rrs and not collinear(a, b)]
     assert pairs
     for a, b in pairs:
-        report = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
-        assert report["status"] == "pass"
-        for gamma, (al, be, c) in report["witnesses"].items():
+        witnesses = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
+        assert set(witnesses) == set(rrs.fiber(tuple(map(add, a, b))))
+        for gamma, (al, be, c) in witnesses.items():
             assert abs(c) == 1
 
 
 def test_surjectivity_b3_case_d():
     rrs, cb = setup_fold("B3 levi=1,2")
     A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    report = check_N11_surjectivity(rrs, cb, A, B, "d")
-    assert report["status"] == "pass"
+    assert set(check_N11_surjectivity(rrs, cb, A, B, "d")) == set(rrs.fiber((1, 1)))
 
 
 # the witness of one B3 target is found from N_{al,be}; its (1,1) coefficient
@@ -244,8 +240,8 @@ from relroots.polyring import PolyElem
 
 rrs = build_relative_system(parse_folding_spec("B3 levi=1,2"))
 A, B = relcalc.RelativeRoot((1, 0)), relcalc.RelativeRoot((0, 1))
-report = relcalc.check_N11_surjectivity(rrs, build_chevalley_basis(rrs.rs), A, B, "d")
-gamma, (al, be, c) = min(report["witnesses"].items())
+witnesses = relcalc.check_N11_surjectivity(rrs, build_chevalley_basis(rrs.rs), A, B, "d")
+gamma, (al, be, c) = min(witnesses.items())
 real = relcalc.compute_relative_commutator_maps
 
 def doubled(rrs_, cb, A_, B_):
@@ -277,14 +273,80 @@ def test_doubled_witness_coefficient_is_a_fail_row_under_optimized_mode():
     assert lines[1].startswith("lemma2/d/B4 gamma=trivial levi=1,2: pass")
 
 
+# every public check returns its witness alone; with one F_3 pivot dropped,
+# both span checks raise the report's message from relcalc itself
+CONTRACT = """
+import json
+
+import relroots.relcalc as relcalc
+from relroots.chevalley import build_chevalley_basis
+from relroots.folding import build_relative_system, parse_folding_spec
+from relroots.polyring import PolyElem
+from relroots.rootcore import VerificationError
+
+
+def setup(text):
+    rrs = build_relative_system(parse_folding_spec(text))
+    return rrs, build_chevalley_basis(rrs.rs)
+
+
+R = relcalc.RelativeRoot
+bc2 = setup("C3 levi=1,2")
+out = {}
+corrections = relcalc.check_sum_formula(*bc2, R((0, 1)))
+out["sum"] = {str(i): all(isinstance(p, PolyElem) for p in ent.values())
+              for i, ent in corrections.items()}
+witnesses = relcalc.check_N11_surjectivity(*bc2, R((1, 0)), R((0, 1)), "c")
+out["n11"] = [sorted(witnesses) == sorted(bc2[0].fiber((1, 1))),
+              all(al in bc2[0].fiber((1, 0)) and be in bc2[0].fiber((0, 1)) and abs(c) == 1
+                  and tuple(map(sum, zip(al, be))) == gamma
+                  for gamma, (al, be, c) in witnesses.items())]
+spans = {"lemma2_2": lambda: relcalc.check_spanning_lemma2_2(*bc2, R((1, 1)), R((0, 1))),
+         "lemma3": lambda: relcalc.check_spanning_lemma3(*setup("C4 levi=2,4"))}
+for name, check in spans.items():
+    out[name] = check()
+
+real = relcalc.row_reduce
+
+
+def dropped(rows, n, p=None):
+    reduced, pivots = real(rows, n, p)
+    return reduced, pivots[:-1] if p == 3 else pivots
+
+
+relcalc.row_reduce = dropped
+for name, check in spans.items():
+    try:
+        out[name + "/deficient"] = ["returned", check()]
+    except VerificationError as exc:
+        out[name + "/deficient"] = ["raised", str(exc)]
+print(json.dumps(out))
+"""
+
+
+def test_checks_return_their_witness_or_raise_under_optimized_mode():
+    src = os.path.dirname(os.path.dirname(relroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", CONTRACT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    full = {"F2": "full", "F3": "full", "F5": "full", "Q": "full"}
+    assert out["sum"] == {"2": True}
+    assert out["n11"] == [True, True]
+    assert out["lemma2_2"] == out["lemma3"] == full
+    message = "image does not span the target: %s" % dict(full, F3="deficient")
+    assert out["lemma2_2/deficient"] == out["lemma3/deficient"] == ["raised", message]
+
+
 def test_surjectivity_c2_no_case_applies(c2):
     rrs, cb = c2
     A, B = RelativeRoot((1, 0)), RelativeRoot((1, 1))
     assert applicable_surjectivity_cases(rrs, cb, A, B) == []
     # the obstruction is the non-unit constant +-2; widening the unit set helps
-    report = check_N11_surjectivity(rrs, cb, A, B, "a", units=frozenset({1, 2}))
-    assert report["status"] == "pass"
-    (witness,) = report["witnesses"].values()
+    witnesses = check_N11_surjectivity(rrs, cb, A, B, "a", units=frozenset({1, 2}))
+    assert set(witnesses) == set(rrs.fiber((2, 1)))
+    (witness,) = witnesses.values()
     assert abs(witness[2]) == 2
 
 
@@ -292,24 +354,21 @@ def test_surjectivity_case_b(c3_bc2):
     rrs, cb = c3_bc2
     A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
     # A - B = (1,-1) is not a relative root of BC2
-    report = check_N11_surjectivity(rrs, cb, A, B, "b")
-    assert report["status"] == "pass"
+    assert set(check_N11_surjectivity(rrs, cb, A, B, "b")) == set(rrs.fiber((1, 1)))
 
 
 def test_surjectivity_case_c(c3_bc2):
     rrs, cb = c3_bc2
     A, B = RelativeRoot((1, 0)), RelativeRoot((0, 1))
-    report = check_N11_surjectivity(rrs, cb, A, B, "c")
-    assert report["status"] == "pass"
+    assert set(check_N11_surjectivity(rrs, cb, A, B, "c")) == set(rrs.fiber((1, 1)))
 
 
 def test_spanning_lemma2_2_bc2(c3_bc2):
     rrs, cb = c3_bc2
     A, B = RelativeRoot((1, 1)), RelativeRoot((0, 1))
-    report = check_spanning_lemma2_2(rrs, cb, A, B)
-    assert report["status"] == "pass"
-    assert set(report["fields"]) == {"Q", "F2", "F3", "F5"}
-    assert all(v == "full" for v in report["fields"].values())
+    fields = check_spanning_lemma2_2(rrs, cb, A, B)
+    assert set(fields) == {"Q", "F2", "F3", "F5"}
+    assert all(v == "full" for v in fields.values())
 
 
 def test_spanning_lemma2_2_vacuous_simply_laced(a3_levi):
@@ -326,20 +385,27 @@ def test_spanning_lemma2_2_rejects_bad_input(c2):
 
 
 def test_lemma3_c4():
-    report = check_spanning_lemma3(4)
-    assert report["status"] == "pass"
-    assert all(v == "full" for v in report["fields"].values())
+    fields = check_spanning_lemma3(*setup_fold("C4 levi=2,4"))
+    assert all(v == "full" for v in fields.values())
 
 
 def test_lemma3_c6():
-    report = check_spanning_lemma3(6)
-    assert report["status"] == "pass"
+    fields = check_spanning_lemma3(*setup_fold("C6 levi=3,6"))
+    assert fields == {"F2": "full", "F3": "full", "F5": "full", "Q": "full"}
 
 
 def test_lemma3_rejects_odd_or_small():
-    for bad in (3, 5, 2):
-        with pytest.raises(RelcalcError):
-            check_spanning_lemma3(bad)
+    for text in ("C3 levi=1,3", "C5 levi=2,5", "C2 levi=1,2"):
+        with pytest.raises(RelcalcError, match="half-split"):
+            check_spanning_lemma3(*setup_fold(text))
+
+
+@pytest.mark.parametrize("text", ["C4 levi=1,4", "C4 levi=2,3", "C4", "B4 levi=2,4",
+                                  "D4 levi=2,4", "A5 gamma=flip levi=3"])
+def test_lemma3_rejects_every_other_folding(text):
+    # the wrong J or the wrong type
+    with pytest.raises(RelcalcError, match="half-split"):
+        check_spanning_lemma3(*setup_fold(text))
 
 
 def test_table_slots_and_cone_match_their_definitions():
