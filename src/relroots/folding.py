@@ -14,10 +14,12 @@ unit vectors.  A relative root is its coordinate tuple, as a root is in
 sum, ``root_str`` prints it, ``RelativeRootSystem.fibers`` keys every
 fiber by it, and ``rootcore.multiples`` takes it as it takes a root.
 Lemma 1 (``decompose_relative_root`` and its checker) takes and returns
-these tuples.  The checker reads a system only through its set of relative
-coordinates, so a verdict map keyed by (A, B, C), one per coordinate set
-and kept for one ``lemma1`` catalog run, lets the checker run once per
-distinct (coordinate set, A, B, C).
+these tuples.  Its recipe reads only the least root of each fiber and the
+diagram: a lowering by a simple root, or one breadth-first search from the
+root's support to the nearest other J-node.  The checker reads a system
+only through its set of relative coordinates, so a verdict map keyed by
+(A, B, C), one per coordinate set and kept for one ``lemma1`` catalog run,
+lets the checker run once per distinct (coordinate set, A, B, C).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .rootcore import (
     SERIES,
@@ -291,15 +293,14 @@ def build_relative_system(spec: FoldingSpec) -> RelativeRootSystem:
 
 
 def _reference_root_set(label, rank):
-    """Root coordinate vectors over simple roots for a (possibly BC) type."""
+    """Root coordinate vectors over simple roots for a (possibly BC) type,
+    or None for a type of no such rank."""
     if label == "BC":
-        base = build_root_system(RootType("B", rank)) if rank >= 2 else None
         if rank == 1:
             return {(1,), (-1,), (2,), (-2,)}
+        base = build_root_system(RootType("B", rank))
         shorts = base.root_set - base.long_roots
         return base.root_set | {tuple(2 * c for c in r) for r in shorts}
-    if rank == 1:
-        return {(1,), (-1,)} if label == "A" else None
     try:
         t = RootType(label, rank)
     except ValueError:
@@ -311,13 +312,11 @@ def classify_relative_type(rrs: RelativeRootSystem):
     """Match the relative system against the abstract root-system types.
 
     The input system is irreducible, so Gamma permutes its single component
-    transitively and the relative system is irreducible too.
+    transitively and the relative system is irreducible too.  Every rank
+    matches the same way: at rank 1 against A1 = {+-1} and BC1 = {+-1, +-2}.
     """
     rank = rrs.rank
     coord_set = rrs.fibers
-    if rank == 1:
-        label = "BC" if any(abs(c) == 2 for (c,) in coord_set) else "A"
-        return label, 1
     # a set matches one candidate at most, up to coordinate order (D3 = A3 is
     # left out; B2 and C2 are told apart below): map it once per permutation
     refs = []
@@ -347,28 +346,6 @@ class DecompositionError(VerificationError):
     pass
 
 
-def _diagram_path(rs, start, targets):
-    """Shortest node path from start to any node in targets (BFS)."""
-    cartan = rs.cartan
-    prev = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in sorted(frontier):
-            if v in targets:
-                path = []
-                while v is not None:
-                    path.append(v)
-                    v = prev[v]
-                return list(reversed(path))
-            for w, c in enumerate(cartan[v]):
-                if c and w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    raise VerificationError("diagram is connected; no path found")
-
-
 def check_lemma1_decomposition(rrs, a, b, c):
     """Independent re-verification of every clause of the decomposition.
 
@@ -392,9 +369,10 @@ def decompose_relative_root(rrs: RelativeRootSystem, a, verdicts=None):
     """Split the relative root a = b + c per the constructive recipe;
     checker-verified.
 
-    The two branches mirror the constructive existence proof: multiples of
-    a single relative simple root borrow a chain through the nearest other
-    J-node; anything else splits off the last J-node of a root chain.
+    The two branches of ``_decompose_positive`` mirror the constructive
+    existence proof: multiples of a single relative simple root borrow a
+    chain through the nearest other J-node; anything else splits off the
+    least simple root by which the least root of its fiber lowers.
     Negative a takes the negated split of -a (the clauses are symmetric
     under negation): the recipe runs once per +-pair, for whichever sign
     comes first, and ``rrs`` keeps the split for the other.  The split is
@@ -432,30 +410,56 @@ def decompose_relative_root(rrs: RelativeRootSystem, a, verdicts=None):
     return b, c
 
 
+def _nearest_path(cartan, support, targets):
+    """The diagram path (s, ..., t) from the least of the nodes of
+    ``targets`` nearest to ``support`` back to its node t in ``support``: one
+    breadth-first search from ``support`` over the Cartan adjacency.
+
+    A Dynkin diagram is a connected tree and the support of a root is
+    connected (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI, section 1.6),
+    so the path is unique and the search ends for nonempty ``targets``.
+    """
+    parent = dict.fromkeys(support)
+    level = support
+    while targets.isdisjoint(level):
+        nxt = []
+        for v in level:
+            for w, c in enumerate(cartan[v]):
+                if c and w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        level = nxt
+    path = [min(targets.intersection(level))]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
 def _decompose_positive(rrs, a):
+    """The recipe's split (b, c) of the positive relative root a, read off
+    alpha, the least root of the fiber of a.
+
+    For a = k * pi(alpha_r), beta is the chain of nodes from the nearest
+    J-node s outside the orbit of r (the least one at that distance) up to
+    the support of alpha, which it joins: b = pi(alpha + beta), c = -pi(beta).
+    Otherwise alpha - alpha_i for a node i outside J would be a root of the
+    same fiber (it has the same projection) and, as it is lexicographically
+    smaller than alpha, the least root of that fiber, which alpha is: so every
+    lowering of alpha is by a node of J, and the least one splits a into
+    pi(alpha - alpha_i) + pi(alpha_i).
+    """
     rs = rrs.rs
     support = [k for k, x in enumerate(a) if x]
-    alpha = rrs.fiber(a)[0]  # deterministic: minimal coordinate vector
+    alpha = rrs.fiber(a)[0]
     if len(support) == 1:
-        # a = k * pi(alpha_r): borrow a chain through the nearest other J-node
-        orbit = rrs.orbits[support[0]]
-        others = [s for s in rrs.spec.levi if s not in set(orbit)]
-        adj_path = {s: _diagram_path(rs, s, set(
-            i for i, c in enumerate(alpha) if c)) for s in others}
-        s = min(others, key=lambda v: (len(adj_path[v]), v))
-        beta_nodes = adj_path[s][:-1] or [s]
-        beta = tuple(1 if i in set(beta_nodes) else 0 for i in range(rs.rank))
+        others = set(rrs.spec.levi).difference(rrs.orbits[support[0]])
+        path = _nearest_path(rs.cartan, [i for i, x in enumerate(alpha) if x], others)
+        beta = tuple(int(i in path[:-1]) for i in range(rs.rank))
         require(beta in rs, "chain sum is not a root")
         gamma = tuple(map(add, alpha, beta))
         require(gamma in rs, "alpha + beta is not a root")
         return rrs.project(gamma), rrs.project(tuple(-x for x in beta))
-    # split off the last J-node of a root chain for alpha: step down by the
-    # least node outside J while there is one, then by the least node in J
-    levi = set(rrs.spec.levi)
-    gamma = alpha
-    while True:
-        steps = rs.lowerings[gamma]
-        i, rest = next((step for step in steps if step[0] not in levi), steps[0])
-        if i in levi:
-            return rrs.project(rest), rrs.project(rs.simple_roots[i])
-        gamma = rest
+    for simple in rs.simple_roots:
+        rest = tuple(map(sub, alpha, simple))
+        if rest in rs:
+            return rrs.project(rest), rrs.project(simple)

@@ -83,9 +83,6 @@ class RelativeRoot:
 
     coords: tuple
 
-    def __str__(self):
-        return root_str(self.coords)
-
 
 def _require_split(rrs):
     if len(rrs.spec.gamma) != 1:
@@ -249,7 +246,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     vector, as {gamma: (alpha, beta, N_{alpha,beta})}.
 
     ``case`` selects which hypothesis justifies invertibility:
-      a -- all structure constants hit by the pair lie in ``units``;
+      a -- every |N_{al,be}|, al in fiber(A), be in fiber(B), al + be a
+           root, lies in ``units``;
       b -- A != B and A - B is not a relative root;
       c -- the target fiber consists of short roots (doubly laced type);
       d -- the fibers of A and B contain long roots summing to a root.
@@ -265,11 +263,8 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
     unit_abs = {abs(x) for x in units}
 
     if case == "a":
-        # the only hypothesis read off the table; the others are checked first
-        table = compute_relative_commutator_maps(rrs, cb, A, B)
-        # _verify_table checked that each (1,1) term is some u_al v_be
-        hit = {abs(c) for p in table.entries.get((1, 1), {}).values()
-               for c in p.terms.values()}
+        hit = {abs(cb.struct_const(al, be)) for al in fa for be in fb
+               if rs.sum_is_root(al, be)}
         if not hit <= unit_abs:
             raise CaseHypothesisError(
                 "constants %s of %s, %s not all invertible for the supplied units"
@@ -297,8 +292,7 @@ def check_N11_surjectivity(rrs, cb, A, B, case, units=frozenset({1, -1})):
         unit_abs = {1}
     else:
         raise RelcalcError("unknown case %r" % (case,))
-    if case != "a":
-        table = compute_relative_commutator_maps(rrs, cb, A, B)
+    table = compute_relative_commutator_maps(rrs, cb, A, B)
 
     # N_AB11 at u_al = v_be = 1, others 0: _verify_table checked that each
     # (1,1) term is some u_al v_be with an integer coefficient

@@ -198,9 +198,8 @@ class RootSystem(Coded):
     Immutable after construction.  A root is its coordinate tuple over the
     simple roots; ``roots``, the ``points``, lists them in increasing order,
     ``root_set`` holds them for lookups, ``norms`` maps each to its squared
-    length, ``long_roots`` holds the long ones (every root of a simply laced
-    type) and ``lowerings``, built on first use as the ``coding``
-    (``Coded``) is, the simple roots each positive root steps down by.
+    length and ``long_roots`` holds the long ones (every root of a simply
+    laced type); the ``coding`` (``Coded``) is built on first use.
     ``cartan[i][j]`` is the Cartan integer <alpha_j, alpha_i^vee>, so the
     simple reflection s_i acts by ``beta - <beta, alpha_i^vee> * alpha_i``.
     """
@@ -246,17 +245,6 @@ class RootSystem(Coded):
                     seen.add(refl)
                     frontier.append(refl)
         return frozenset(seen)
-
-    @cached_property
-    def lowerings(self):
-        """Each positive root gamma -> ((i, gamma - alpha_i), ...), in
-        increasing i, over the i with gamma - alpha_i a root."""
-        out = {}
-        for g in self.roots:
-            if sum(g) > 0:
-                lower = ((i, g[:i] + (g[i] - 1,) + g[i + 1:]) for i in range(self.rank) if g[i])
-                out[g] = tuple((i, r) for i, r in lower if r in self.root_set)
-        return out
 
     # -- lookups ---------------------------------------------------------
 

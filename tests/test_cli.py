@@ -72,6 +72,14 @@ def test_fold_inadmissible_levi_errors(capsys):
     assert "no root-system type" in err
 
 
+def test_fold_rank_one_set_of_no_type_errors(capsys):
+    # G2 levi=1 has the relative roots +-1, +-2, +-3: neither A1 nor BC1
+    code, out, err = run(capsys, "fold", "--type", "G2", "--levi", "1")
+    assert code == 2
+    assert out == ""
+    assert "no root-system type" in err
+
+
 def test_fold_repeated_levi_node_errors(capsys):
     code, out, err = run(capsys, "fold", "--type", "A3", "--levi", "1,1")
     assert code == 2

@@ -192,6 +192,31 @@ def test_rank_one_classification():
     assert classify_relative_type(fold("C2 levi=1")) == ("BC", 1)
 
 
+def test_rank_one_sets_match_a_type_or_are_refused():
+    # rank 1 matches A1 = {+-1} and BC1 = {+-1, +-2} as every rank matches its
+    # types; a set reaching +-3 or beyond is no root system
+    labels, refused = {}, {}
+    for spec in enumerate_foldings(8):
+        rrs = build_relative_system(spec)
+        if rrs.rank == 1:
+            reach = max(c for (c,) in rrs.fibers)
+            try:
+                label = classify_relative_type(rrs)
+            except FoldingError as exc:
+                assert "matches no root-system type" in str(exc)
+                refused[str(spec)] = reach
+                continue
+            assert reach == {("A", 1): 1, ("BC", 1): 2}[label]
+            labels[label] = labels.get(label, 0) + 1
+    assert labels == {("A", 1): 82, ("BC", 1): 127}
+    assert len(refused) == 17 and min(refused.values()) == 3
+    assert {text: refused[text] for text in (
+        "G2 gamma=trivial levi=1", "D4 gamma=triality levi=1,3,4",
+        "F4 gamma=trivial levi=2", "E8 gamma=trivial levi=4")} == {
+        "G2 gamma=trivial levi=1": 3, "D4 gamma=triality levi=1,3,4": 3,
+        "F4 gamma=trivial levi=2": 3, "E8 gamma=trivial levi=4": 6}
+
+
 def test_projection_is_gamma_invariant():
     for text in ["A3 gamma=flip", "D4 gamma=triality", "A5 gamma=flip levi=1,3,5"]:
         rrs = fold(text)
@@ -327,6 +352,78 @@ def test_recipe_split_is_among_oracle_splits(text):
     rrs = fold(text)
     for a in rrs.fibers:
         assert decompose_relative_root(rrs, a) in exhaustive_splits(rrs, a)
+
+
+def oracle_lowerings(rs, gamma):
+    """(i, gamma - alpha_i) over every node i with gamma - alpha_i a root,
+    in increasing i: the lowerings of gamma by brute force."""
+    lowered = ((i, tuple(g - s for g, s in zip(gamma, simple)))
+               for i, simple in enumerate(rs.simple_roots))
+    return [(i, r) for i, r in lowered if r in rs]
+
+
+def oracle_diagram_path(rs, start, targets):
+    """A shortest node path from ``start`` to a node of ``targets``, by a
+    breadth-first search from ``start``."""
+    prev, frontier = {start: None}, [start]
+    while frontier:
+        nxt = []
+        for v in sorted(frontier):
+            if v in targets:
+                path = []
+                while v is not None:
+                    path.append(v)
+                    v = prev[v]
+                return path[::-1]
+            for w, c in enumerate(rs.cartan[v]):
+                if c and w not in prev:
+                    prev[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    raise AssertionError("no path from %d" % start)
+
+
+def oracle_recipe(rrs, a):
+    """The Lemma 1 recipe with a diagram search from each candidate J-node
+    and a lowering chain that steps down by nodes outside J first.
+
+    Written apart from ``folding._decompose_positive``, which reads one
+    search from the support and the first lowering of the least root of
+    the fiber, so it is the oracle for it.
+    """
+    rs = rrs.rs
+    support = [k for k, x in enumerate(a) if x]
+    alpha = rrs.fiber(a)[0]
+    if len(support) == 1:
+        orbit = rrs.orbits[support[0]]
+        targets = {i for i, x in enumerate(alpha) if x}
+        paths = {s: oracle_diagram_path(rs, s, targets)
+                 for s in rrs.spec.levi if s not in orbit}
+        s = min(paths, key=lambda v: (len(paths[v]), v))
+        beta_nodes = paths[s][:-1] or [s]
+        beta = tuple(int(i in beta_nodes) for i in range(rs.rank))
+        return rrs.project(tuple(map(add, alpha, beta))), rrs.project(neg(beta))
+    gamma = alpha
+    while True:
+        steps = oracle_lowerings(rs, gamma)
+        i, rest = next((step for step in steps if step[0] not in rrs.spec.levi), steps[0])
+        if i in rrs.spec.levi:
+            return rrs.project(rest), rrs.project(rs.simple_roots[i])
+        gamma = rest
+
+
+def test_recipe_agrees_with_the_per_node_search_and_lowering_chain():
+    # every positive relative root of every folding of rank <= 8, each Gamma
+    count = 0
+    for spec in enumerate_foldings(8):
+        rrs = build_relative_system(spec)
+        if rrs.rank >= 2:
+            for a in rrs.fibers:
+                if sum(a) > 0:
+                    assert folding._decompose_positive(rrs, a) == oracle_recipe(rrs, a), (
+                        str(spec), a)
+                    count += 1
+    assert count == 43136
 
 
 def test_broken_recipe_is_a_fail_row(monkeypatch):
@@ -525,7 +622,7 @@ FORCED_PATHS = [
 def test_recipe_chain_checks_fire(monkeypatch, text, path, message):
     rrs = fold(text)
     assert rrs.fiber((1, 0))[0] == (1,) + (0,) * (rrs.rs.rank - 1)
-    monkeypatch.setattr(folding, "_diagram_path", lambda rs, start, targets: path)
+    monkeypatch.setattr(folding, "_nearest_path", lambda cartan, support, targets: path)
     with pytest.raises(DecompositionError) as exc:
         decompose_relative_root(rrs, (1, 0))
     assert str(exc.value) == "no valid decomposition found for (1,0): " + message

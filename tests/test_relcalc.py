@@ -339,10 +339,16 @@ def test_checks_return_their_witness_or_raise_under_optimized_mode():
     assert out["lemma2_2/deficient"] == out["lemma3/deficient"] == ["raised", message]
 
 
-def test_surjectivity_c2_no_case_applies(c2):
+def test_surjectivity_c2_no_case_applies(c2, monkeypatch):
     rrs, cb = c2
     A, B = RelativeRoot((1, 0)), RelativeRoot((1, 1))
+    tables, build = [], relcalc.compute_relative_commutator_maps
+    monkeypatch.setattr(relcalc, "compute_relative_commutator_maps",
+                        lambda *args: tables.append(args) or build(*args))
     assert applicable_surjectivity_cases(rrs, cb, A, B) == []
+    # every hypothesis, case (a)'s structure constants included, fails
+    # before a table is built
+    assert tables == []
     # the obstruction is the non-unit constant +-2; widening the unit set helps
     witnesses = check_N11_surjectivity(rrs, cb, A, B, "a", units=frozenset({1, 2}))
     assert set(witnesses) == set(rrs.fiber((2, 1)))
