@@ -31,6 +31,7 @@ from .folding import (
 )
 from .polyring import is_prime
 from .relcalc import (
+    GaugeClasses,
     RelativeRoot,
     applicable_surjectivity_cases,
     check_case_a,
@@ -158,15 +159,15 @@ def _report_witness(witnesses):
 def suite_lemma2(seed, max_rank=5):
     cases = []
     # case (a): unit constants — every valid pair of a simply laced folding;
-    # the direct check runs once per structure-constant configuration
-    witnesses = {}  # configuration key -> positional witnesses, for this run
+    # the direct check runs once per gauge class of configurations
+    classes = GaugeClasses()  # for this run
     for spec in enumerate_foldings(max_rank, series="ADE", trivial_only=True):
         rrs = build_relative_system(spec)
         if rrs.rank < 2:  # every pair is collinear
             continue
         cb = build_chevalley_basis(rrs.rs)
         cases.append(run_case("lemma2/a/%s" % spec, str(spec),
-                              lambda: check_case_a(rrs, cb, witnesses), {"case": "a"}))
+                              lambda: check_case_a(rrs, cb, classes), {"case": "a"}))
 
     def surjectivity(spec, case):
         rrs = build_relative_system(spec)

@@ -318,16 +318,19 @@ def row_reduce(rows, ncols, p=None):
         if p is not None:
             inv = pow(mat[r][c], -1, p)
             mat[r] = [x * inv % p for x in mat[r]]
+            # the pivot is 1: a row changes only where the pivot row is nonzero
+            nonzero = [(k, y) for k, y in enumerate(mat[r]) if y]
         top = mat[r]
         a = top[c]
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
-                new = [a * x - f * y for x, y in zip(row, top)]
                 if p is None:
+                    new = [a * x - f * y for x, y in zip(row, top)]
                     g = math.gcd(*new)
                     mat[i] = [x // g for x in new] if g > 1 else new
                 else:
-                    mat[i] = [x % p for x in new]
+                    for k, y in nonzero:
+                        row[k] = (row[k] - f * y) % p
         pivots.append(c)
     return mat, pivots

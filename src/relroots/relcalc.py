@@ -46,15 +46,27 @@ table lies in the span of the e_gamma, gamma in S, on which ad e_alpha
 acts by the N_pq, and the Cartan term alpha(h_f) moves only the column
 h_f, not the group element; so the collected coefficients are fixed by the
 commutator constants among S (Steinberg, *Lectures on Chevalley Groups*,
-section 3 and Lemma 17).  Lemma 2 case (a) therefore runs the direct check
-on the first pair of each key and re-checks only the mapped witnesses of
-the others (``check_case_a``).
+section 3 and Lemma 17).
+
+A Chevalley basis is fixed only up to the signs e_gamma -> eps_gamma
+e_gamma (R. W. Carter, *Simple Groups of Lie Type*, Prop. 4.2.2), which
+take N_pq to eps_p eps_q eps_r N_pq.  So if two keys agree up to the
+signs of their N_pq, and some eps in {+1, -1}^S carries the one's N_pq
+onto the other's for every bracket inside S, their tables are related by
+the same gauge: N'(u, v)_gamma = eps_gamma N(eps.u, eps.v)_gamma, with
+eps.u the vector of the eps_k u_k.  A bracket that lands outside S joins
+two roots of fiber(A), or two of fiber(B), and collecting [X_A(u),
+X_B(v)] on S never moves one such root past the other, so there only
+|N_pq| is kept.  Such keys form a gauge class, and a unit witness of one
+table is one of the other, with its sign changed by eps.  Lemma 2 case
+(a) therefore runs the direct check on the first pair of each class and
+re-checks only the mapped witnesses of the others (``check_case_a``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, sub
 
 from .chevalley import (collect, commutator_factors, cone_weights, invert_factors,
@@ -329,7 +341,7 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
     return out
 
 
-# -- case (a) by structure-constant configuration ------------------------
+# -- case (a) by gauge class of the structure-constant configuration ----
 
 
 def _case_a_key(cb, blocks):
@@ -356,17 +368,83 @@ def _case_a_key(cb, blocks):
     return bytes(key), slots
 
 
-def check_case_a(rrs, cb, witnesses):
+def _key_brackets(key):
+    """The length of the header of a ``_case_a_key``, the size of S, and
+    its brackets (p, q, r, N_pq) with N_pq signed."""
+    head = 1 + 3 * key[0]
+    quads = zip(*[iter(key[head:])] * 4)
+    return head, sum(key[3:head:3]), [(p, q, r, n - 256 if n > 127 else n)
+                                      for p, q, r, n in quads]
+
+
+@dataclass
+class GaugeClasses:
+    """Lemma 2 case (a) for one suite run, read by ``check_case_a``.  A
+    class is named by its first key, and a gauge eps is a bit set with bit
+    k set where eps_k = -1, k a position in S."""
+
+    keys: dict = field(default_factory=dict)  # key -> (class, gauge)
+    solves: dict = field(default_factory=dict)  # unsigned key -> reduced gauge rows
+    first: dict = field(default_factory=dict)  # (unsigned key, reduced signs) -> (class, its gauge)
+    witnesses: dict = field(default_factory=dict)  # class -> positional witnesses, in its signs
+
+
+def _bits(row):
+    """A row of 0s and 1s as a bit set."""
+    return sum(1 << k for k, x in enumerate(row) if x)
+
+
+def _gauge_class(classes, key):
+    """The gauge class of a configuration key and its gauge eps, with N_pq
+    = eps_p eps_q eps_r N0_pq for every bracket inside S, N0 the brackets
+    of the class's first key (module docstring).
+
+    The class is the key with |N_pq| for N_pq, the unsigned key, and the
+    signs of the inside brackets with p < q as a vector over F_2, reduced
+    modulo the gauge rows: row k has a 1 at each bracket with k among p, q
+    and r.  ``row_reduce`` solves the rows of an unsigned key once, with
+    an identity block that records which gauge makes each reduced row."""
+    head, n, quads = _key_brackets(key)
+    unsigned = key[:head] + bytes([x for p, q, r, n_pq in quads for x in (p, q, r, abs(n_pq))])
+    inside, signs = [], 0
+    for p, q, r, n_pq in quads:
+        if r < n and p < q:
+            signs |= (n_pq < 0) << len(inside)
+            inside.append((p, q, r))
+    solve = classes.solves.get(unsigned)
+    if solve is None:
+        m = len(inside)
+        rows = [[0] * m + [k == col for col in range(n)] for k in range(n)]
+        for c, pqr in enumerate(inside):
+            for k in pqr:
+                rows[k][c] = 1
+        mat, pivots = row_reduce(rows, m, 2)
+        solve = classes.solves[unsigned] = [(c, _bits(row[:m]), _bits(row[m:]))
+                                            for c, row in zip(pivots, mat)]
+    gauge = 0
+    for c, row, made_by in solve:
+        if signs >> c & 1:
+            signs ^= row
+            gauge ^= made_by
+    cls, first_gauge = classes.first.setdefault((unsigned, signs), (key, gauge))
+    return cls, gauge ^ first_gauge
+
+
+def check_case_a(rrs, cb, classes):
     """Case (a) on every pair (A, B) of ``itertools.product(rrs.fibers,
     repeat=2)``, not collinear, with A + B a relative root.
 
-    Pairs with one configuration key have one table by position (module
-    docstring).  The first pair of a key runs the direct check, and
-    ``witnesses``, a map for one suite run, keeps its witnesses by
-    position: key -> ((gamma, alpha, beta) positions in S, N), ...  Every
-    later pair of the key re-checks them at its own slots against its root
-    sums and ``struct_const``.  A key whose first pair failed is not kept,
-    so its next pair runs the direct check again.
+    Pairs of one gauge class have one table up to the signs of a gauge
+    (module docstring).  Each new configuration key of the run gets its
+    class and gauge eps from ``_gauge_class``, and every bracket inside S
+    is checked against the class's first key under eps.  The first pair of
+    a class runs the direct check, and ``classes``, a ``GaugeClasses`` for
+    one suite run, keeps its witnesses by position: class -> ((gamma,
+    alpha, beta) positions in S, N in the signs of the class's first key),
+    ...  Every later pair re-checks them at its own slots against its root
+    sums and ``struct_const``, with the sign eps_gamma eps_alpha eps_beta.
+    A class whose first pair failed keeps no witnesses, so its next pair
+    runs the direct check again.
     """
     codes, by_code = rrs.codes, rrs.by_code
     pairs = 0
@@ -379,15 +457,29 @@ def check_case_a(rrs, cb, witnesses):
             continue
         pairs += 1
         key, slots = _case_a_key(cb, blocks)
-        known = witnesses.get(key)
+        entry = classes.keys.get(key)
+        if entry is None:
+            cls, gauge = _gauge_class(classes, key)
+            for (p, q, r, n_pq), (_, _, _, n0) in zip(_key_brackets(key)[2],
+                                                      _key_brackets(cls)[2]):
+                flip = (gauge >> p ^ gauge >> q ^ gauge >> r) & 1
+                require(r == len(slots) or n_pq == (-n0 if flip else n0),
+                        "gauge fails on %s + %s -> %+d", slots[p], slots[q], n_pq)
+            entry = classes.keys[key] = cls, gauge
+        cls, gauge = entry
+        known = classes.witnesses.get(cls)
         if known is None:
             found = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
             pos = {gamma: p for p, gamma in enumerate(slots)}
-            witnesses[key] = tuple((pos[gamma], pos[al], pos[be], c)
-                                   for gamma, (al, be, c) in found.items())
+            known = [(pos[gamma], pos[al], pos[be], c) for gamma, (al, be, c) in found.items()]
+            classes.witnesses[cls] = tuple(
+                (g, p, q, -c if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1 else c)
+                for g, p, q, c in known)
         else:
             for g, p, q, c in known:
                 al, be, gamma = slots[p], slots[q], slots[g]
+                if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1:
+                    c = -c
                 require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
                         "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
     return {"pairs_checked": pairs}

@@ -14,7 +14,7 @@ fails there counts for no mutant.
 The result goes to ``MUTANTS.json`` at the root of the repository, next to
 the ``BENCH_*.json`` files, unless ``--out`` names another file.  pytest
 does not collect this file (its name does not start with ``test_``).  One
-sweep runs the suite once per check site: 33 to 39 minutes with ``--jobs
+sweep runs the suite once per check site: 28 to 42 minutes with ``--jobs
 2`` on a two-vCPU machine.
 """
 

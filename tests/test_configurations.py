@@ -1,14 +1,17 @@
-"""Lemma 2 case (a) by structure-constant configuration.
+"""Lemma 2 case (a) by gauge class of the structure-constant configuration.
 
-``relcalc.check_case_a`` runs the direct check once per configuration key
-and passes every other pair of the key on its mapped witnesses.  The sweep
-here checks the lemma behind that: every case (a) pair of rank <= 5 has,
-term by term by position, the table of the first pair with its key.  A key
-without the signs of N_pq fails the sweep, so the sweep can see a key that
-is too coarse.  Under ``python -O``, a perturbed structure constant fails
-the mapped-witness re-check of a pair that is not the first of its key, and
-a perturbed recomposition fails every case that cites its configuration
-with the direct check's message.
+``relcalc.check_case_a`` runs the direct check once per gauge class and
+passes every other pair of the class on its mapped witnesses.  The sweeps
+here check the lemma behind that: every case (a) pair of rank <= 5 has,
+term by term by position, the table of the first pair with its key, and,
+after the sign substitution of its gauge, the table of the first pair of
+its class (ADE up to rank 5, BCFG up to rank 4).  A key without the signs
+of N_pq, or a class whose gauge is taken to be 1, fails the sweep, so the
+sweep can see a key that is too coarse.  Under ``python -O``, a perturbed
+structure constant fails the mapped-witness re-check of a pair whose key
+is not the first of its class, a gauge with one sign flipped fails the
+check of the brackets against the class, and a perturbed recomposition
+fails every case that cites its class with the direct check's message.
 """
 
 import itertools
@@ -24,7 +27,9 @@ import relroots
 from relroots import relcalc
 from relroots.chevalley import ChevalleyBasis, build_chevalley_basis
 from relroots.folding import build_relative_system, enumerate_foldings
-from relroots.relcalc import RelativeRoot, check_case_a, compute_relative_commutator_maps
+from relroots.polyring import _decode
+from relroots.relcalc import (GaugeClasses, RelativeRoot, check_case_a,
+                              compute_relative_commutator_maps)
 from relroots.rootcore import collinear
 
 
@@ -44,33 +49,80 @@ def _positional(table, slots):
             for ij, entries in table.entries.items() for gamma, p in entries.items()}
 
 
-@pytest.fixture(scope="module")
-def rank5_tables():
-    """(rrs, cb, A, B, positional direct table) for every case (a) pair of rank <= 5."""
-    out = []
-    for spec in enumerate_foldings(5, series="ADE", trivial_only=True):
+def _gauged(table, gauge, n):
+    """The positional table with every entry of root position g and
+    monomial prod x_k^e_k multiplied by eps_g prod eps_k^e_k, eps the gauge
+    with bit k of ``gauge`` set where eps_k = -1: N'(u, v)_g = eps_g N(eps.u,
+    eps.v)_g, for the ``n`` variables x_k at positions k."""
+    out = {}
+    for (ij, g), terms in table.items():
+        out[(ij, g)] = mapped = {}
+        for key, c in terms.items():
+            flips = (gauge >> g) + sum(e * (gauge >> k) for k, e in enumerate(_decode(key, n)[0]))
+            mapped[key] = -c if flips & 1 else c
+    return out
+
+
+def _case_a_tables(max_rank, series):
+    """(rrs, cb, A, B, positional direct table, variable count) for every
+    case (a) pair of the trivial foldings of ``series`` up to ``max_rank``."""
+    for spec in enumerate_foldings(max_rank, series=series, trivial_only=True):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
         for a, b in _case_a_pairs(rrs):
-            slots = [gamma for _, fiber in relcalc._pair_blocks(rrs, a, b) for gamma in fiber]
+            blocks = relcalc._pair_blocks(rrs, a, b)
+            slots = [gamma for _, fiber in blocks for gamma in fiber]
             table = compute_relative_commutator_maps(rrs, cb, RelativeRoot(a), RelativeRoot(b))
-            out.append((rrs, cb, a, b, _positional(table, slots)))
-    return out
+            yield rrs, cb, a, b, _positional(table, slots), len(blocks[0][1]) + len(blocks[1][1])
+
+
+@pytest.fixture(scope="module")
+def rank5_tables():
+    """(rrs, cb, A, B, positional direct table, variable count) for every
+    case (a) pair of rank <= 5."""
+    return list(_case_a_tables(5, "ADE"))
 
 
 def _sweep(tables):
     """(keys, pairs whose table differs from the first table of their key)."""
     first = {}
     mismatches = 0
-    for rrs, cb, a, b, table in tables:
+    for rrs, cb, a, b, table, _ in tables:
         key, _ = relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))
         mismatches += first.setdefault(key, table) != table
+    return len(first), mismatches
+
+
+def _gauge_sweep(tables, gauge_of=lambda gauge: gauge):
+    """(classes, pairs whose table, mapped by the gauge of its key, differs
+    from the first table of its class), the gauge read through ``gauge_of``."""
+    classes, first = GaugeClasses(), {}
+    mismatches = 0
+    for rrs, cb, a, b, table, n in tables:
+        key, _ = relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))
+        cls, gauge = relcalc._gauge_class(classes, key)
+        mismatches += first.setdefault(cls, table) != _gauged(table, gauge_of(gauge), n)
     return len(first), mismatches
 
 
 def test_every_pair_has_the_table_of_its_configuration(rank5_tables):
     assert len(rank5_tables) == 5328
     assert _sweep(rank5_tables) == (255, 0)
+
+
+def test_every_pair_has_the_gauged_table_of_its_class(rank5_tables):
+    assert _gauge_sweep(rank5_tables) == (62, 0)
+    # the control: without its gauge a pair keeps the signs of its own key
+    assert _gauge_sweep(rank5_tables, lambda gauge: 0) == (62, 3212)
+
+
+def test_every_bcfg_pair_has_the_gauged_table_of_its_class():
+    # constants +-2 and +-3, where case (a) itself does not apply
+    tables = list(_case_a_tables(4, "BCFG"))
+    assert len(tables) == 5484
+    assert _sweep(tables) == (906, 0)
+    assert _gauge_sweep(tables) == (107, 0)
+    assert _gauge_sweep(tables, lambda gauge: 0) == (107, 3917)
 
 
 def test_a_key_without_signs_is_caught_by_the_sweep(rank5_tables, monkeypatch):
@@ -87,12 +139,42 @@ def test_a_key_without_signs_is_caught_by_the_sweep(rank5_tables, monkeypatch):
     assert _sweep(rank5_tables) == (62, 3212)
 
 
+def _rank2(vectors):
+    """The rank over F_2 of vectors held as bit sets."""
+    lead = {}
+    for v in vectors:
+        while v and v.bit_length() in lead:
+            v ^= lead[v.bit_length()]
+        if v:
+            lead[v.bit_length()] = v
+    return len(lead)
+
+
+def _first_of_each_class(keyed):
+    """The pair of each (key, pair) of ``keyed`` whose key is the first of
+    its gauge class: two keys share a class when they agree up to the signs
+    of N_pq and the sign vectors of their brackets inside S with p < q
+    differ by a sum of gauge rows (row k: the brackets with k among p, q, r)."""
+    firsts = []
+    for key, pair in keyed:
+        head, n, quads = relcalc._key_brackets(key)
+        unsigned = (key[:head], [(p, q, r, abs(v)) for p, q, r, v in quads])
+        inside = [(p, q, r, v) for p, q, r, v in quads if r < n and p < q]
+        rows = [sum(1 << c for c, bracket in enumerate(inside) if k in bracket[:3])
+                for k in range(n)]
+        signs = sum(1 << c for c, bracket in enumerate(inside) if bracket[3] < 0)
+        if not any(u == unsigned and _rank2(rows + [s ^ signs]) == _rank2(rows)
+                   for u, s, _ in firsts):
+            firsts.append((unsigned, signs, pair))
+    return [pair for _, _, pair in firsts]
+
+
 def test_case_a_pairs_match_coordinate_sums(monkeypatch):
     # the pair filter by integer codes and ``_pair_blocks`` against tuple
     # sums, on every type up to rank 5 (``_table_slots``, the rest of the
     # blocks, is checked against the solved multiples in test_relcalc.py);
     # the direct check, replaced by a record of its pair, runs on the first
-    # pair of each key in order
+    # pair of each gauge class in order, the classes found here by F_2 rank
     seen = []
 
     def record(rrs, cb, A, B, case):
@@ -100,24 +182,34 @@ def test_case_a_pairs_match_coordinate_sums(monkeypatch):
         return {}
 
     monkeypatch.setattr(relcalc, "check_N11_surjectivity", record)
+    suite, suite_checks = GaugeClasses(), 0  # one map over ADE, as the suite keeps it
     for spec in enumerate_foldings(5, trivial_only=True):
         rrs = build_relative_system(spec)
         cb = build_chevalley_basis(rrs.rs)
         want = _case_a_pairs(rrs)
-        first = {}
+        keyed = {}
         for a, b in want:
-            first.setdefault(relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))[0],
+            keyed.setdefault(relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))[0],
                              (a, b))
         seen.clear()
-        witnesses = {}
-        assert check_case_a(rrs, cb, witnesses) == {"pairs_checked": len(want)}, spec
-        assert seen == list(first.values()) and witnesses.keys() == first.keys(), spec
+        classes = GaugeClasses()
+        assert check_case_a(rrs, cb, classes) == {"pairs_checked": len(want)}, spec
+        assert seen == _first_of_each_class(keyed.items()), spec
+        assert classes.keys.keys() == keyed.keys(), spec
+        assert set(classes.witnesses) == {cls for cls, _ in classes.first.values()}
+        assert len(seen) == len(classes.first), spec
         # the suite skips a folding without pairs by its rank alone
         assert bool(want) == (rrs.rank >= 2), spec
+        if spec.root_type.series in "ADE":
+            seen.clear()
+            check_case_a(rrs, cb, suite)
+            suite_checks += len(seen)
+    # 62 direct checks, one per class, for the 255 keys of 5,328 pairs
+    assert (suite_checks, len(suite.first), len(suite.keys)) == (62, 62, 255)
 
 
-# A first run without faults finds the pairs that cite a configuration
-# (every pair of a key but the first) and the foldings that cite each key.
+# A first run without faults finds the pairs that cite a class (every pair
+# of a class but the first) and the foldings that cite each class.
 FIRST_RUN = """
 import json
 from collections import Counter, defaultdict
@@ -127,24 +219,21 @@ from relroots.chevalley import ChevalleyBasis, build_chevalley_basis
 from relroots.cli import main
 from relroots.folding import build_relative_system, enumerate_foldings
 
-witnesses = {}
-citing = defaultdict(set)  # key -> case ids of the foldings with a pair of the key
-profiles = {}  # key -> block sizes by owner
-mapped = []  # (case id, type, mapped witness) of every pair not first of its key
+classes = relcalc.GaugeClasses()
+pairs = []  # [case id, type, key, slots, block sizes by owner, direct] in order
 first_witnesses = set()
 real_key, real_check = relcalc._case_a_key, relcalc.check_N11_surjectivity
 
 
 def observed_key(cb, blocks):
     key, slots = real_key(cb, blocks)
-    citing[key].add(case)
-    profiles[key] = Counter({o: len(f) for o, f in blocks})
-    mapped.extend((case, str(rrs.rs.type), (slots[p], slots[q]))
-                  for _, p, q, _ in witnesses.get(key, ()))
+    pairs.append([case, str(rrs.rs.type), key, slots,
+                  Counter({o: len(f) for o, f in blocks}), False])
     return key, slots
 
 
 def observed_check(rrs, cb, A, B, which):
+    pairs[-1][-1] = True
     witnesses = real_check(rrs, cb, A, B, which)
     first_witnesses.update((str(rrs.rs.type), (al, be)) for al, be, _ in witnesses.values())
     return witnesses
@@ -154,8 +243,23 @@ relcalc._case_a_key, relcalc.check_N11_surjectivity = observed_key, observed_che
 for spec in enumerate_foldings(3, series="ADE", trivial_only=True):
     rrs = build_relative_system(spec)
     case = "lemma2/a/%s" % spec
-    relcalc.check_case_a(rrs, build_chevalley_basis(rrs.rs), witnesses)
+    relcalc.check_case_a(rrs, build_chevalley_basis(rrs.rs), classes)
 relcalc._case_a_key, relcalc.check_N11_surjectivity = real_key, real_check
+
+citing = defaultdict(set)  # class -> case ids of the foldings with a pair of the class
+citing_key = defaultdict(set)  # key -> the same
+profiles = {}  # class -> block sizes by owner
+# (case id, type, mapped witness, whether the pair's key is not the first
+# of its class) of every pair not first of its class
+mapped = []
+for case, rtype, key, slots, profile, direct in pairs:
+    cls = classes.keys[key][0]
+    citing[cls].add(case)
+    citing_key[key].add(case)
+    profiles[cls] = profile
+    if not direct:
+        mapped.extend((case, rtype, (slots[p], slots[q]), key != cls)
+                      for _, p, q, _ in classes.witnesses[cls])
 
 def verify():
     code = main(["verify", "--suite", "lemma2", "--max-rank", "3", "--report", "REPORT"])
@@ -164,10 +268,11 @@ def verify():
     return code, {c["id"]: [c["status"], c["witness"]] for c in cases if "/a/" in c["id"]}
 """
 
-# the last mapped witness that no first pair of a key found flips its sign,
-# once the key tables are built
+# the last mapped witness that no first pair of a class found, at a pair whose
+# key is not the first of its class, flips its sign once the key tables are built
 PERTURBED_CONSTANT = FIRST_RUN + """
-case, rtype, (al, be) = [m for m in mapped if (m[1], m[2]) not in first_witnesses][-1]
+case, rtype, (al, be), _ = [m for m in mapped
+                            if m[3] and (m[1], m[2]) not in first_witnesses][-1]
 real = ChevalleyBasis.__dict__["brackets"]
 
 
@@ -185,8 +290,8 @@ code, cases = verify()
 print(json.dumps({"code": code, "case": case, "cases": cases}))
 """
 
-# the configuration cited by the most foldings: the recomposition of every
-# table with its block sizes has one coefficient doubled
+# the class cited by the most foldings: the recomposition of every table
+# with its block sizes has one coefficient doubled
 PERTURBED_RECOMPOSITION = FIRST_RUN + """
 key = max(citing, key=lambda k: (len(citing[k]), k))
 profile = profiles[key]
@@ -218,6 +323,26 @@ code, cases = verify()
 print(json.dumps({"code": code, "citing": sorted(citing[key]), "cases": cases}))
 """
 
+# the last key that is not the first of its class gets its gauge with the
+# sign of one position of a bracket inside S flipped
+PERTURBED_GAUGE = FIRST_RUN + """
+key = [k for k, (cls, _) in classes.keys.items() if k != cls][-1]
+real = relcalc._gauge_class
+
+
+def flipped(classes, k):
+    cls, gauge = real(classes, k)
+    if k == key:
+        _, n, quads = relcalc._key_brackets(k)
+        gauge ^= 1 << next(p for p, _, r, _ in quads if r < n)
+    return cls, gauge
+
+
+relcalc._gauge_class = flipped
+code, cases = verify()
+print(json.dumps({"code": code, "citing": sorted(citing_key[key]), "cases": cases}))
+"""
+
 
 def _run_optimized(script, tmp_path):
     src = os.path.dirname(os.path.dirname(relroots.__file__))
@@ -247,3 +372,14 @@ def test_perturbed_recomposition_fails_every_citing_case_under_optimized_mode(tm
     for cid in out["citing"]:
         assert out["cases"][cid] == ["fail", "recomposed product differs from the commutator"]
     assert any(status == "pass" for status, _ in out["cases"].values())
+
+
+def test_flipped_gauge_fails_the_class_brackets_under_optimized_mode(tmp_path):
+    out = _run_optimized(PERTURBED_GAUGE, tmp_path)
+    assert out["code"] == 1
+    failed = {cid: witness for cid, (status, witness) in out["cases"].items()
+              if status == "fail"}
+    # the key is never kept, so every folding with a pair of it fails
+    assert sorted(failed) == out["citing"]
+    assert all(w.startswith("gauge fails on ") for w in failed.values())
+    assert len(failed) < len(out["cases"])
