@@ -61,6 +61,20 @@ X_B(v)] on S never moves one such root past the other, so there only
 table is one of the other, with its sign changed by eps.  Lemma 2 case
 (a) therefore runs the direct check on the first pair of each class and
 re-checks only the mapped witnesses of the others (``check_case_a``).
+
+Two maps on the pairs need no table at all.  Swap: [X_B(v), X_A(u)] =
+[X_A(u), X_B(v)]^-1, and N_{beta,alpha} = -N_{alpha,beta}, so N_{BA11}(v,
+u) = -N_{AB11}(u, v).  Negation: the Chevalley basis is chosen with
+N_{-alpha,-beta} = -N_{alpha,beta}, so that e_alpha -> -e_{-alpha} is an
+automorphism, the Chevalley involution (Carter, Thm 4.2.1; Steinberg,
+section 3); ``chevalley`` builds its constants that way.  A unit witness
+(gamma, alpha, beta, c) of the pair (A, B) is therefore (gamma, beta,
+alpha, -c) of (B, A), (-gamma, -alpha, -beta, -c) of (-A, -B) and (-gamma,
+-beta, -alpha, c) of (-B, -A).  In case (a), A and B are not collinear
+and A + B is a relative root, of nonzero level, so these four pairs are
+distinct, and exactly one of them has A < B and A + B of positive level:
+``check_case_a`` keys that one and re-checks the mapped witnesses of the
+other three (``_images``).
 """
 
 from __future__ import annotations
@@ -430,32 +444,54 @@ def _gauge_class(classes, key):
     return cls, gauge ^ first_gauge
 
 
-def check_case_a(rrs, cb, classes):
-    """Case (a) on every pair (A, B) of ``itertools.product(rrs.fibers,
-    repeat=2)``, not collinear, with A + B a relative root.
+def _images(a, b, witnesses, neg):
+    """The pairs (b, a), (-a, -b) and (-b, -a), each with the witnesses
+    (gamma, alpha, beta, N) of the pair (a, b) mapped to it by swap and
+    negation (module docstring); ``neg`` maps each root and relative root
+    to its negative."""
+    swapped = [(g, be, al, -c) for g, al, be, c in witnesses]
+    negated = [(neg[g], neg[al], neg[be], -c) for g, al, be, c in witnesses]
+    return [((b, a), swapped), ((neg[a], neg[b]), negated),
+            ((neg[b], neg[a]), [(g, be, al, -c) for g, al, be, c in negated])]
 
-    Pairs of one gauge class have one table up to the signs of a gauge
-    (module docstring).  Each new configuration key of the run gets its
-    class and gauge eps from ``_gauge_class``, and every bracket inside S
-    is checked against the class's first key under eps.  The first pair of
-    a class runs the direct check, and ``classes``, a ``GaugeClasses`` for
-    one suite run, keeps its witnesses by position: class -> ((gamma,
-    alpha, beta) positions in S, N in the signs of the class's first key),
-    ...  Every later pair re-checks them at its own slots against its root
-    sums and ``struct_const``, with the sign eps_gamma eps_alpha eps_beta.
-    A class whose first pair failed keeps no witnesses, so its next pair
-    runs the direct check again.
+
+def check_case_a(rrs, cb, classes):
+    """Case (a) on every pair (A, B) of relative roots, not collinear, with
+    A + B a relative root.
+
+    Swap and negation take each such pair to three others (module
+    docstring), and the keyed path runs on the one of the four with A < B
+    and A + B of positive level, in ``itertools.product`` order.  Pairs of
+    one gauge class have one table up to the signs of a gauge.  Each new
+    configuration key of the run gets its class and gauge eps from
+    ``_gauge_class``, and every bracket inside S is checked against the
+    class's first key under eps.  The first pair of a class runs the
+    direct check, and ``classes``, a ``GaugeClasses`` for one suite run,
+    keeps its witnesses by position: class -> ((gamma, alpha, beta)
+    positions in S, N in the signs of the class's first key), ...  Every
+    later pair re-checks them at its own slots against its root sums and
+    ``struct_const``, with the sign eps_gamma eps_alpha eps_beta.  A class
+    whose first pair failed keeps no witnesses, so its next pair runs the
+    direct check again.  The witnesses of each keyed pair are then mapped
+    to the other three pairs (``_images``), and each is re-checked there:
+    its bracket in ``cb.brackets``, its roots in the pair's fibers, and
+    its targets covering the fiber of the pair's sum.
     """
-    codes, by_code = rrs.codes, rrs.by_code
+    codes, by_code, fibers, brackets = rrs.codes, rrs.by_code, rrs.fibers, cb.brackets
+    # one negation map for the roots and the relative roots, as negation
+    # does not depend on which a tuple is
+    neg = {x: tuple([-t for t in x]) for x in itertools.chain(brackets, fibers)}
+    level = {a: sum(a) for a in fibers}
     pairs = 0
-    for a, b in itertools.product(rrs.fibers, repeat=2):
+    for a, b in itertools.product(fibers, repeat=2):
         # a + b is a relative root only if its code is one; its blocks decide
-        if codes[a] + codes[b] not in by_code or collinear(a, b):
+        if (a >= b or level[a] + level[b] <= 0 or codes[a] + codes[b] not in by_code
+                or collinear(a, b)):
             continue
         blocks = _pair_blocks(rrs, a, b)
         if len(blocks) < 3 or blocks[2][0] != (1, 1):
             continue
-        pairs += 1
+        pairs += 4
         key, slots = _case_a_key(cb, blocks)
         entry = classes.keys.get(key)
         if entry is None:
@@ -470,18 +506,29 @@ def check_case_a(rrs, cb, classes):
         known = classes.witnesses.get(cls)
         if known is None:
             found = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
+            witnesses = [(gamma, al, be, c) for gamma, (al, be, c) in found.items()]
             pos = {gamma: p for p, gamma in enumerate(slots)}
-            known = [(pos[gamma], pos[al], pos[be], c) for gamma, (al, be, c) in found.items()]
             classes.witnesses[cls] = tuple(
-                (g, p, q, -c if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1 else c)
-                for g, p, q, c in known)
+                (pos[gamma], pos[al], pos[be],
+                 -c if (gauge >> pos[gamma] ^ gauge >> pos[al] ^ gauge >> pos[be]) & 1 else c)
+                for gamma, al, be, c in witnesses)
         else:
+            witnesses = []
             for g, p, q, c in known:
                 al, be, gamma = slots[p], slots[q], slots[g]
                 if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1:
                     c = -c
                 require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
                         "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
+                witnesses.append((gamma, al, be, c))
+        for (x, y), mapped in _images(a, b, witnesses, neg):
+            fx, fy, total = fibers[x], fibers[y], tuple(map(add, x, y))
+            for gamma, al, be, c in mapped:
+                require(al in fx and be in fy and brackets[al].get(be) == (gamma, c),
+                        "mapped witness %s + %s -> %+d fails on %s at (%s, %s)",
+                        al, be, c, gamma, x, y)
+            require(tuple(sorted([gamma for gamma, _, _, _ in mapped])) == fibers[total],
+                    "mapped witnesses do not cover the fiber of %s at (%s, %s)", total, x, y)
     return {"pairs_checked": pairs}
 
 
