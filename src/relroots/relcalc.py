@@ -60,7 +60,8 @@ X_B(v)] on S never moves one such root past the other, so there only
 |N_pq| is kept.  Such keys form a gauge class, and a unit witness of one
 table is one of the other, with its sign changed by eps.  Lemma 2 case
 (a) therefore runs the direct check on the first pair of each class and
-re-checks only the mapped witnesses of the others (``check_case_a``).
+re-checks its witnesses, by position and gauge, at every pair of the
+class (``check_case_a``).
 
 Two maps on the pairs need no table at all.  Swap: [X_B(v), X_A(u)] =
 [X_A(u), X_B(v)]^-1, and N_{beta,alpha} = -N_{alpha,beta}, so N_{BA11}(v,
@@ -73,8 +74,8 @@ alpha, -c) of (B, A), (-gamma, -alpha, -beta, -c) of (-A, -B) and (-gamma,
 -beta, -alpha, c) of (-B, -A).  In case (a), A and B are not collinear
 and A + B is a relative root, of nonzero level, so these four pairs are
 distinct, and exactly one of them has A < B and A + B of positive level:
-``check_case_a`` keys that one and re-checks the mapped witnesses of the
-other three (``_images``).
+``check_case_a`` keys that one and re-checks the witnesses of all four
+(``_images``).
 """
 
 from __future__ import annotations
@@ -359,13 +360,14 @@ def applicable_surjectivity_cases(rrs, cb, A, B):
 
 
 def _case_a_key(cb, blocks):
-    """The configuration key of a pair with the ``_pair_blocks`` ``blocks``,
-    as bytes, and S, its slots in order: the owner and size of each block,
-    then every (p, q, r, N_pq) with S[p] + S[q] a root, r its position in S
-    or len(S) outside S.
-
-    S holds distinct roots, at most 240 up to rank 8, so every position,
-    size and count is a byte; N_pq, in -3..3, is stored mod 256."""
+    """The configuration key of a pair with the ``_pair_blocks`` ``blocks``
+    and S, its slots in order.  The key is (unsigned, signs): ``unsigned``
+    holds, as bytes, the owner and size of each block, then every (p, q,
+    r, |N_pq|, |N_qp|) with p < q and S[p] + S[q] a root, r its position
+    in S or len(S) outside S; ``signs`` has bit c set where the c-th
+    bracket inside S has N_pq < 0, and bit m + c where its N_qp < 0, m
+    the count of those brackets.  S holds distinct roots, at most 240 up
+    to rank 8, so every position, size and count is a byte."""
     brackets = cb.brackets
     slots = [gamma for _, fiber in blocks for gamma in fiber]
     pos = {gamma: p for p, gamma in enumerate(slots)}
@@ -373,34 +375,42 @@ def _case_a_key(cb, blocks):
     key = [len(blocks)]
     for (i, j), fiber in blocks:
         key += (i, j, len(fiber))
+    lower = upper = m = 0
     for p, alpha in enumerate(slots):
         row = brackets[alpha]
-        for q, beta in enumerate(slots):
-            hit = row.get(beta)
-            if hit:
-                key += (p, q, pos.get(hit[0], outside), hit[1] % 256)
-    return bytes(key), slots
+        for q in range(p + 1, outside):
+            hit = row.get(slots[q])
+            if hit:  # then S[q] + S[p] is the same root
+                r, n, back = pos.get(hit[0], outside), hit[1], brackets[slots[q]][alpha][1]
+                if r < outside:
+                    lower |= (n < 0) << m
+                    upper |= (back < 0) << m
+                    m += 1
+                key += (p, q, r, -n if n < 0 else n, -back if back < 0 else back)
+    return (bytes(key), lower | upper << m), slots
 
 
-def _key_brackets(key):
-    """The length of the header of a ``_case_a_key``, the size of S, and
-    its brackets (p, q, r, N_pq) with N_pq signed."""
-    head = 1 + 3 * key[0]
-    quads = zip(*[iter(key[head:])] * 4)
-    return head, sum(key[3:head:3]), [(p, q, r, n - 256 if n > 127 else n)
-                                      for p, q, r, n in quads]
+def _inside_brackets(unsigned):
+    """The size of S and the brackets (p, q, r, |N_pq|) inside S of an
+    unsigned key, in the order of the bits of its signs."""
+    head = 1 + 3 * unsigned[0]
+    n = sum(unsigned[3:head:3])
+    inside = [five for five in zip(*[iter(unsigned[head:])] * 5) if five[2] < n]
+    return n, ([(p, q, r, x) for p, q, r, x, _ in inside]
+               + [(q, p, r, y) for p, q, r, _, y in inside])
 
 
 @dataclass
 class GaugeClasses:
     """Lemma 2 case (a) for one suite run, read by ``check_case_a``.  A
-    class is named by its first key, and a gauge eps is a bit set with bit
-    k set where eps_k = -1, k a position in S."""
+    gauge eps is a bit set with bit k set where eps_k = -1, k a position
+    in S.  A class record is [the signs of its first key, the gauge that
+    reduces them, its witnesses or None], each witness ((gamma, alpha,
+    beta) positions in S, N in the signs of the first key)."""
 
-    keys: dict = field(default_factory=dict)  # key -> (class, gauge)
-    solves: dict = field(default_factory=dict)  # unsigned key -> reduced gauge rows
-    first: dict = field(default_factory=dict)  # (unsigned key, reduced signs) -> (class, its gauge)
-    witnesses: dict = field(default_factory=dict)  # class -> positional witnesses, in its signs
+    keys: dict = field(default_factory=dict)  # key -> (class record, gauge)
+    solves: dict = field(default_factory=dict)  # unsigned key -> (p < q mask, gauge rows)
+    records: dict = field(default_factory=dict)  # (unsigned key, reduced signs) -> class record
 
 
 def _bits(row):
@@ -409,49 +419,51 @@ def _bits(row):
 
 
 def _gauge_class(classes, key):
-    """The gauge class of a configuration key and its gauge eps, with N_pq
+    """The class record of a configuration key and its gauge eps, with N_pq
     = eps_p eps_q eps_r N0_pq for every bracket inside S, N0 the brackets
     of the class's first key (module docstring).
 
-    The class is the key with |N_pq| for N_pq, the unsigned key, and the
-    signs of the inside brackets with p < q as a vector over F_2, reduced
-    modulo the gauge rows: row k has a 1 at each bracket with k among p, q
-    and r.  ``row_reduce`` solves the rows of an unsigned key once, with
-    an identity block that records which gauge makes each reduced row."""
-    head, n, quads = _key_brackets(key)
-    unsigned = key[:head] + bytes([x for p, q, r, n_pq in quads for x in (p, q, r, abs(n_pq))])
-    inside, signs = [], 0
-    for p, q, r, n_pq in quads:
-        if r < n and p < q:
-            signs |= (n_pq < 0) << len(inside)
-            inside.append((p, q, r))
+    The class is the unsigned key and the signs of its inside brackets
+    with p < q, a vector over F_2, reduced modulo the gauge rows: row k
+    has a 1 at each such bracket with k among p, q and r.  ``row_reduce``
+    solves the rows of an unsigned key once, with an identity block that
+    records which gauge makes each reduced row."""
+    unsigned, signs = key
     solve = classes.solves.get(unsigned)
     if solve is None:
-        m = len(inside)
+        n, inside = _inside_brackets(unsigned)
+        m = len(inside) // 2  # the brackets with p < q come first
         rows = [[0] * m + [k == col for col in range(n)] for k in range(n)]
-        for c, pqr in enumerate(inside):
-            for k in pqr:
-                rows[k][c] = 1
+        for c, (p, q, r, _) in enumerate(inside[:m]):
+            rows[p][c] = rows[q][c] = rows[r][c] = 1
         mat, pivots = row_reduce(rows, m, 2)
-        solve = classes.solves[unsigned] = [(c, _bits(row[:m]), _bits(row[m:]))
-                                            for c, row in zip(pivots, mat)]
-    gauge = 0
-    for c, row, made_by in solve:
-        if signs >> c & 1:
-            signs ^= row
+        solve = classes.solves[unsigned] = ((1 << m) - 1, [
+            (c, _bits(row[:m]), _bits(row[m:])) for c, row in zip(pivots, mat)])
+    mask, rows = solve
+    reduced, gauge = signs & mask, 0
+    for c, row, made_by in rows:
+        if reduced >> c & 1:
+            reduced ^= row
             gauge ^= made_by
-    cls, first_gauge = classes.first.setdefault((unsigned, signs), (key, gauge))
-    return cls, gauge ^ first_gauge
+    record = classes.records.setdefault((unsigned, reduced), [signs, gauge, None])
+    return record, gauge ^ record[1]
+
+
+def _regauged(witnesses, gauge):
+    """Positional witnesses (gamma, alpha, beta, N) with N taken to
+    eps_gamma eps_alpha eps_beta N; the map is its own inverse."""
+    return [(g, p, q, -c if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1 else c)
+            for g, p, q, c in witnesses]
 
 
 def _images(a, b, witnesses, neg):
-    """The pairs (b, a), (-a, -b) and (-b, -a), each with the witnesses
-    (gamma, alpha, beta, N) of the pair (a, b) mapped to it by swap and
-    negation (module docstring); ``neg`` maps each root and relative root
-    to its negative."""
+    """The pair (a, b) with its witnesses (gamma, alpha, beta, N), then
+    the pairs (b, a), (-a, -b) and (-b, -a), each with the witnesses mapped
+    to it by swap and negation (module docstring); ``neg`` maps each root
+    and relative root to its negative."""
     swapped = [(g, be, al, -c) for g, al, be, c in witnesses]
     negated = [(neg[g], neg[al], neg[be], -c) for g, al, be, c in witnesses]
-    return [((b, a), swapped), ((neg[a], neg[b]), negated),
+    return [((a, b), witnesses), ((b, a), swapped), ((neg[a], neg[b]), negated),
             ((neg[b], neg[a]), [(g, be, al, -c) for g, al, be, c in negated])]
 
 
@@ -459,23 +471,18 @@ def check_case_a(rrs, cb, classes):
     """Case (a) on every pair (A, B) of relative roots, not collinear, with
     A + B a relative root.
 
-    Swap and negation take each such pair to three others (module
-    docstring), and the keyed path runs on the one of the four with A < B
-    and A + B of positive level, in ``itertools.product`` order.  Pairs of
-    one gauge class have one table up to the signs of a gauge.  Each new
-    configuration key of the run gets its class and gauge eps from
-    ``_gauge_class``, and every bracket inside S is checked against the
-    class's first key under eps.  The first pair of a class runs the
-    direct check, and ``classes``, a ``GaugeClasses`` for one suite run,
-    keeps its witnesses by position: class -> ((gamma, alpha, beta)
-    positions in S, N in the signs of the class's first key), ...  Every
-    later pair re-checks them at its own slots against its root sums and
-    ``struct_const``, with the sign eps_gamma eps_alpha eps_beta.  A class
-    whose first pair failed keeps no witnesses, so its next pair runs the
-    direct check again.  The witnesses of each keyed pair are then mapped
-    to the other three pairs (``_images``), and each is re-checked there:
-    its bracket in ``cb.brackets``, its roots in the pair's fibers, and
-    its targets covering the fiber of the pair's sum.
+    The keyed path runs on the one pair of each orbit under swap and
+    negation with A < B and A + B of positive level, in
+    ``itertools.product`` order (module docstring).  A new configuration
+    key gets its class record and gauge eps from ``_gauge_class``
+    (``classes``, a ``GaugeClasses``, lasts one suite run), and the sign of
+    every bracket inside S is checked against the record's under eps.  The
+    first pair of a class runs the direct check and, unless it fails,
+    stores its witnesses in the record; every keyed pair reads them back at
+    its slots under its gauge.  The keyed pair and its three images
+    (``_images``) re-check their witnesses alike: the roots in the pair's
+    fibers, the bracket in ``cb.brackets`` and ``struct_const``, and the
+    targets covering the fiber of the pair's sum.
     """
     codes, by_code, fibers, brackets = rrs.codes, rrs.by_code, rrs.fibers, cb.brackets
     # one negation map for the roots and the relative roots, as negation
@@ -495,36 +502,27 @@ def check_case_a(rrs, cb, classes):
         key, slots = _case_a_key(cb, blocks)
         entry = classes.keys.get(key)
         if entry is None:
-            cls, gauge = _gauge_class(classes, key)
-            for (p, q, r, n_pq), (_, _, _, n0) in zip(_key_brackets(key)[2],
-                                                      _key_brackets(cls)[2]):
-                flip = (gauge >> p ^ gauge >> q ^ gauge >> r) & 1
-                require(r == len(slots) or n_pq == (-n0 if flip else n0),
-                        "gauge fails on %s + %s -> %+d", slots[p], slots[q], n_pq)
-            entry = classes.keys[key] = cls, gauge
-        cls, gauge = entry
-        known = classes.witnesses.get(cls)
-        if known is None:
+            record, gauge = _gauge_class(classes, key)
+            unsigned, signs = key
+            flips = signs ^ record[0]  # the signs that differ from the class's first key
+            for c, (p, q, r, n) in enumerate(_inside_brackets(unsigned)[1]):
+                require(not (flips >> c ^ gauge >> p ^ gauge >> q ^ gauge >> r) & 1,
+                        "gauge fails on %s + %s -> %+d", slots[p], slots[q],
+                        -n if signs >> c & 1 else n)
+            entry = classes.keys[key] = record, gauge
+        record, gauge = entry
+        if record[2] is None:
             found = check_N11_surjectivity(rrs, cb, RelativeRoot(a), RelativeRoot(b), "a")
-            witnesses = [(gamma, al, be, c) for gamma, (al, be, c) in found.items()]
             pos = {gamma: p for p, gamma in enumerate(slots)}
-            classes.witnesses[cls] = tuple(
-                (pos[gamma], pos[al], pos[be],
-                 -c if (gauge >> pos[gamma] ^ gauge >> pos[al] ^ gauge >> pos[be]) & 1 else c)
-                for gamma, al, be, c in witnesses)
-        else:
-            witnesses = []
-            for g, p, q, c in known:
-                al, be, gamma = slots[p], slots[q], slots[g]
-                if (gauge >> g ^ gauge >> p ^ gauge >> q) & 1:
-                    c = -c
-                require(tuple(map(add, al, be)) == gamma and cb.struct_const(al, be) == c,
-                        "configuration witness %s + %s -> %+d fails on %s", al, be, c, gamma)
-                witnesses.append((gamma, al, be, c))
+            record[2] = _regauged([(pos[gamma], pos[al], pos[be], c)
+                                   for gamma, (al, be, c) in found.items()], gauge)
+        witnesses = [(slots[g], slots[p], slots[q], c)
+                     for g, p, q, c in _regauged(record[2], gauge)]
         for (x, y), mapped in _images(a, b, witnesses, neg):
             fx, fy, total = fibers[x], fibers[y], tuple(map(add, x, y))
             for gamma, al, be, c in mapped:
-                require(al in fx and be in fy and brackets[al].get(be) == (gamma, c),
+                require(al in fx and be in fy and brackets[al].get(be) == (gamma, c)
+                        and cb.struct_const(al, be) == c,
                         "mapped witness %s + %s -> %+d fails on %s at (%s, %s)",
                         al, be, c, gamma, x, y)
             require(tuple(sorted([gamma for gamma, _, _, _ in mapped])) == fibers[total],

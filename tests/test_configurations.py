@@ -1,22 +1,23 @@
 """Lemma 2 case (a) by gauge class of the structure-constant configuration.
 
 ``relcalc.check_case_a`` keys one pair of each orbit under swap and
-negation, runs the direct check once per gauge class, passes every other
-keyed pair of the class on its mapped witnesses, and maps the witnesses
-of each keyed pair to the other three pairs of its orbit.  The sweeps here
-check the lemmas behind that: every case (a) pair of rank <= 5 has, term
-by term by position, the table of the first pair with its key, and, after
-the sign substitution of its gauge, the table of the first pair of its
-class; and the (1,1) entries of the three images of each keyed pair are
-its own, mapped by swap and negation with their signs (ADE up to rank 5,
-BCFG up to rank 4).  A key without the signs of N_pq, a class whose gauge
-is taken to be 1, or images mapped without their signs fail the sweeps,
-so a sweep can see a map that is too coarse.  Under ``python -O``, a
-perturbed structure constant fails the mapped-witness re-check of a pair
-whose key is not the first of its class, a perturbed bracket fails the
-re-check of a witness mapped to an image pair, a mapped witness list
-with one entry dropped fails the check that the witnesses cover the
-target fiber, a gauge with one sign flipped fails the check of the
+negation, runs the direct check once per gauge class, keeps the class's
+witnesses by position in its record, gives every keyed pair of the class
+those witnesses under its gauge, and maps them to the other three pairs of
+its orbit.  The sweeps here check the lemmas behind that: every case (a)
+pair of rank <= 5 has, term by term by position, the table of the first
+pair with its key, and, after the sign substitution of its gauge, the
+table of the first pair of its class; and the (1,1) entries of the three
+images of each keyed pair are its own, mapped by swap and negation with
+their signs (ADE up to rank 5, BCFG up to rank 4).  A key without the
+signs of N_pq, a class whose gauge is taken to be 1, or images mapped
+without their signs fail the sweeps, so a sweep can see a map that is too
+coarse.  Under ``python -O``, a perturbed structure constant fails the
+witness re-check of a pair whose key is not the first of its class, a
+perturbed bracket fails the re-check of a witness mapped to an image
+pair, a witness list with one entry dropped, at an image pair or in a
+class record, fails the check that the witnesses cover the target fiber
+at that pair, a gauge with one sign flipped fails the check of the
 brackets against the class, and a perturbed recomposition fails every
 case that cites its class with the direct check's message.
 """
@@ -128,14 +129,14 @@ def _gauge_sweep(tables, gauge_of=lambda gauge: gauge):
     mismatches = 0
     for rrs, cb, a, b, table, n in tables:
         key, _ = relcalc._case_a_key(cb, relcalc._pair_blocks(rrs, a, b))
-        cls, gauge = relcalc._gauge_class(classes, key)
-        mismatches += first.setdefault(cls, table) != _gauged(table, gauge_of(gauge), n)
+        record, gauge = relcalc._gauge_class(classes, key)
+        mismatches += first.setdefault(id(record), table) != _gauged(table, gauge_of(gauge), n)
     return len(first), mismatches
 
 
 def test_every_pair_has_the_table_of_its_configuration(rank5_tables):
     assert len(rank5_tables) == 5328
-    assert _sweep(rank5_tables) == (255, 0)
+    assert _sweep(rank5_tables) == (251, 0)
 
 
 def test_every_pair_has_the_gauged_table_of_its_class(rank5_tables):
@@ -147,7 +148,7 @@ def test_every_pair_has_the_gauged_table_of_its_class(rank5_tables):
 def test_every_bcfg_pair_has_the_gauged_table_of_its_class(bcfg4_tables):
     tables = bcfg4_tables
     assert len(tables) == 5484
-    assert _sweep(tables) == (906, 0)
+    assert _sweep(tables) == (809, 0)
     assert _gauge_sweep(tables) == (107, 0)
     assert _gauge_sweep(tables, lambda gauge: 0) == (107, 3917)
 
@@ -230,13 +231,12 @@ def _first_of_each_class(keyed):
     of N_pq and the sign vectors of their brackets inside S with p < q
     differ by a sum of gauge rows (row k: the brackets with k among p, q, r)."""
     firsts = []
-    for key, pair in keyed:
-        head, n, quads = relcalc._key_brackets(key)
-        unsigned = (key[:head], [(p, q, r, abs(v)) for p, q, r, v in quads])
-        inside = [(p, q, r, v) for p, q, r, v in quads if r < n and p < q]
+    for (unsigned, all_signs), pair in keyed:
+        n, inside = relcalc._inside_brackets(unsigned)
+        inside = inside[:len(inside) // 2]  # p < q, the low bits of the signs
         rows = [sum(1 << c for c, bracket in enumerate(inside) if k in bracket[:3])
                 for k in range(n)]
-        signs = sum(1 << c for c, bracket in enumerate(inside) if bracket[3] < 0)
+        signs = all_signs & (1 << len(inside)) - 1
         if not any(u == unsigned and _rank2(rows + [s ^ signs]) == _rank2(rows)
                    for u, s, _ in firsts):
             firsts.append((unsigned, signs, pair))
@@ -276,8 +276,8 @@ def test_case_a_pairs_match_coordinate_sums(monkeypatch):
         assert check_case_a(rrs, cb, classes) == {"pairs_checked": len(want)}, spec
         assert seen == _first_of_each_class(keyed.items()), spec
         assert classes.keys.keys() == keyed.keys(), spec
-        assert set(classes.witnesses) == {cls for cls, _ in classes.first.values()}
-        assert len(seen) == len(classes.first), spec
+        assert all(record[2] is not None for record in classes.records.values())
+        assert len(seen) == len(classes.records), spec
         # the suite skips a folding without pairs by its rank alone
         assert bool(want) == (rrs.rank >= 2), spec
         if spec.root_type.series in "ADE":
@@ -286,7 +286,7 @@ def test_case_a_pairs_match_coordinate_sums(monkeypatch):
             suite_checks += len(seen)
     # 53 direct checks, one per class, for the 118 keys of the 1,332
     # representatives of 5,328 pairs
-    assert (suite_checks, len(suite.first), len(suite.keys)) == (53, 53, 118)
+    assert (suite_checks, len(suite.records), len(suite.keys)) == (53, 53, 118)
 
 
 # A first run without faults finds the pairs that cite a class (every pair
@@ -340,6 +340,7 @@ for spec in enumerate_foldings(3, series="ADE", trivial_only=True):
 relcalc._case_a_key, relcalc.check_N11_surjectivity, relcalc._images = (
     real_key, real_check, real_images)
 
+name = {id(record): cls for cls, record in classes.records.items()}
 citing = defaultdict(set)  # class -> case ids of the foldings with a pair of the class
 citing_key = defaultdict(set)  # key -> the same
 profiles = {}  # class -> block sizes by owner
@@ -348,15 +349,16 @@ profiles = {}  # class -> block sizes by owner
 mapped = []
 # (case id, type, mapped witness) of every witness mapped to an image pair
 image_witnesses = [(case, rtype, w) for case, rtype, out in images
-                   for _, witnesses in out for w in witnesses]
+                   for _, witnesses in out[1:] for w in witnesses]
 for case, rtype, key, slots, profile, direct in pairs:
-    cls = classes.keys[key][0]
+    record = classes.keys[key][0]
+    cls = name[id(record)]
     citing[cls].add(case)
     citing_key[key].add(case)
     profiles[cls] = profile
     if not direct:
-        mapped.extend((case, rtype, (slots[p], slots[q]), key != cls)
-                      for _, p, q, _ in classes.witnesses[cls])
+        mapped.extend((case, rtype, (slots[p], slots[q]), key[1] != record[0])
+                      for _, p, q, _ in record[2])
 
 def verify():
     code = main(["verify", "--suite", "lemma2", "--max-rank", "3", "--report", "REPORT"])
@@ -427,6 +429,37 @@ code, cases = verify()
 print(json.dumps({"code": code, "case": case, "cases": cases}))
 """
 
+# the last class with a keyed pair after its first loses the last witness of
+# its record once its first pair has read them back
+DROPPED_RECORD = FIRST_RUN + """
+from relroots.rootcore import root_str
+
+class_of = [name[id(classes.keys[key][0])] for _, _, key, _, _, _ in pairs]
+first = max(k for k, pair in enumerate(pairs) if pair[-1] and class_of[k] in class_of[k + 1:])
+after = class_of.index(class_of[first], first + 1)
+(a, b), _ = images[after][2][0]
+real_gauge, last, calls = relcalc._gauge_class, [], []
+
+
+def remembered(classes, key):
+    record, gauge = real_gauge(classes, key)
+    last[:] = [record]
+    return record, gauge
+
+
+def dropped(a, b, witnesses, neg):
+    calls.append((a, b))
+    if len(calls) == first + 1:
+        last[0][2] = last[0][2][:-1]
+    return real_images(a, b, witnesses, neg)
+
+
+relcalc._gauge_class, relcalc._images = remembered, dropped
+code, cases = verify()
+print(json.dumps({"code": code, "case": pairs[after][0], "cases": cases,
+                  "at": "at (%s, %s)" % (root_str(a), root_str(b))}))
+"""
+
 # the class cited by the most foldings: the recomposition of every table
 # with its block sizes has one coefficient doubled
 PERTURBED_RECOMPOSITION = FIRST_RUN + """
@@ -463,16 +496,15 @@ print(json.dumps({"code": code, "citing": sorted(citing[key]), "cases": cases}))
 # the last key that is not the first of its class gets its gauge with the
 # sign of one position of a bracket inside S flipped
 PERTURBED_GAUGE = FIRST_RUN + """
-key = [k for k, (cls, _) in classes.keys.items() if k != cls][-1]
+key = [k for k, (record, _) in classes.keys.items() if k[1] != record[0]][-1]
 real = relcalc._gauge_class
 
 
 def flipped(classes, k):
-    cls, gauge = real(classes, k)
+    record, gauge = real(classes, k)
     if k == key:
-        _, n, quads = relcalc._key_brackets(k)
-        gauge ^= 1 << next(p for p, _, r, _ in quads if r < n)
-    return cls, gauge
+        gauge ^= 1 << relcalc._inside_brackets(k[0])[1][0][0]
+    return record, gauge
 
 
 relcalc._gauge_class = flipped
@@ -498,7 +530,7 @@ def test_perturbed_constant_fails_the_mapped_witness_under_optimized_mode(tmp_pa
     failed = {cid: witness for cid, (status, witness) in out["cases"].items()
               if status == "fail"}
     assert out["case"] in failed
-    assert all(w.startswith("configuration witness ") for w in failed.values())
+    assert all(w.startswith("mapped witness ") for w in failed.values())
     assert len(failed) < len(out["cases"])
 
 
@@ -521,6 +553,19 @@ def test_dropped_image_witness_fails_the_coverage_under_optimized_mode(tmp_path)
               if status == "fail"}
     assert list(failed) == [out["case"]]
     assert failed[out["case"]].startswith("mapped witnesses do not cover the fiber of ")
+    assert len(failed) < len(out["cases"])
+
+
+def test_dropped_record_witness_fails_the_coverage_of_the_next_pair_under_optimized_mode(
+        tmp_path):
+    out = _run_optimized(DROPPED_RECORD, tmp_path)
+    assert out["code"] == 1
+    failed = {cid: witness for cid, (status, witness) in out["cases"].items()
+              if status == "fail"}
+    # the next keyed pair of the class fails at itself, not at an image
+    assert out["case"] in failed
+    assert failed[out["case"]].startswith("mapped witnesses do not cover the fiber of ")
+    assert failed[out["case"]].endswith(out["at"])
     assert len(failed) < len(out["cases"])
 
 
