@@ -50,12 +50,7 @@ from .theoremlab import (
     verify_lemma1_catalog,
 )
 
-try:
-    from importlib.metadata import version
-
-    TOOL_VERSION = version("relroots")
-except Exception:  # pragma: no cover - not installed
-    TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # the version in pyproject.toml
 
 SUITES = ("lemma1", "lemma2", "lemma3", "c2", "g2", "cases", "all")
 

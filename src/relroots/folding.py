@@ -13,13 +13,15 @@ unit vectors.  A relative root is its coordinate tuple, as a root is in
 ``relroots.rootcore``: its level is ``sum(a)``, its sign the sign of that
 sum, ``root_str`` prints it, ``RelativeRootSystem.fibers`` keys every
 fiber by it, and ``rootcore.multiples`` takes it as it takes a root.
-Lemma 1 (``decompose_relative_root`` and its checker) takes and returns
-these tuples.  Its recipe reads only the least root of each fiber and the
-diagram: a lowering by a simple root, or one breadth-first search from the
-root's support to the nearest other J-node.  The checker reads a system
-only through its set of relative coordinates, so a verdict map keyed by
-(A, B, C), one per coordinate set and kept for one ``lemma1`` catalog run,
-lets the checker run once per distinct (coordinate set, A, B, C).
+Lemma 1 (``decompose_relative_roots`` and its checker) takes and returns
+these tuples: one pass over the sorted relative roots of a system splits
+each.  Its recipe runs once per +-pair and reads only the least root of
+the fiber and the diagram: a lowering by a simple root, or one
+breadth-first search from the root's support to the nearest other J-node.
+The checker reads a system only through its set of relative coordinates,
+so a verdict map keyed by (A, B, C), one per coordinate set and kept for
+one ``lemma1`` catalog run, lets the checker run once per distinct
+(coordinate set, A, B, C).
 """
 
 from __future__ import annotations
@@ -270,7 +272,6 @@ class RelativeRootSystem(Coded):
         self.fibers = self.points = {c: tuple(f) for c, f in fibers.items()}
         for c in self.fibers:
             require(len({x > 0 for x in c if x}) == 1, "mixed-sign relative root %s", c)
-        self._splits = {}  # positive coords -> Lemma 1 split, see decompose_relative_root
 
     def project(self, root):
         """The relative root of the root ``root``, or None where it projects to 0."""
@@ -365,49 +366,50 @@ def check_lemma1_decomposition(rrs, a, b, c):
     return True
 
 
-def decompose_relative_root(rrs: RelativeRootSystem, a, verdicts=None):
-    """Split the relative root a = b + c per the constructive recipe;
-    checker-verified.
+def decompose_relative_roots(rrs: RelativeRootSystem, verdicts=None):
+    """Split every relative root a = b + c per the constructive recipe;
+    checker-verified.  Returns [(a, b, c)] over ``sorted(rrs.fibers)``.
 
     The two branches of ``_decompose_positive`` mirror the constructive
     existence proof: multiples of a single relative simple root borrow a
     chain through the nearest other J-node; anything else splits off the
-    least simple root by which the least root of its fiber lowers.
-    Negative a takes the negated split of -a (the clauses are symmetric
-    under negation): the recipe runs once per +-pair, for whichever sign
-    comes first, and ``rrs`` keeps the split for the other.  The split is
-    checked by ``check_lemma1_decomposition``: directly, or, given
-    ``verdicts``, a dict (a, b, c) -> "" or the checker's message for
-    systems with the coordinate set of ``rrs``, once per key.  A recipe
-    step or clause that fails raises DecompositionError naming a, so a gap
-    in the recipe shows as a failed case.
+    least simple root by which the least root of its fiber lowers.  A
+    negative root sorts before every positive one, so the recipe runs once
+    per +-pair, at the negative root, and the positive root takes the
+    negated split (the clauses are symmetric under negation).  Each split
+    of either sign is checked by ``check_lemma1_decomposition``: directly,
+    or, given ``verdicts``, a dict (a, b, c) -> "" or the checker's message
+    for systems with the coordinate set of ``rrs``, once per key.  The
+    first recipe step or clause that fails raises DecompositionError naming
+    its root, so a gap in the recipe shows as a failed case.
     """
-    if a not in rrs:
-        raise DecompositionError("%s is not a relative root" % root_str(a))
     if rrs.rank < 2:
-        raise DecompositionError("relative root %s lies in a rank-1 component"
-                                 % root_str(a))
-    positive = sum(a) > 0
-    p = a if positive else tuple(-x for x in a)
+        raise DecompositionError("the relative roots of %s lie in a rank-1 component"
+                                 % (rrs.spec,))
     verdicts = {} if verdicts is None else verdicts
-    try:
-        split = rrs._splits.get(p)
-        if split is None:
-            split = rrs._splits[p] = _decompose_positive(rrs, p)
-        b, c = split if positive else (tuple(-x for x in r) for r in split)
-        verdict = verdicts.get((a, b, c))
-        if verdict is None:
-            try:
-                check_lemma1_decomposition(rrs, a, b, c)
-                verdict = ""
-            except AssertionError as exc:
-                verdict = str(exc)
-            verdicts[a, b, c] = verdict
-        require(not verdict, verdict)
-    except AssertionError as exc:
-        raise DecompositionError("no valid decomposition found for %s: %s"
-                                 % (root_str(a), exc))
-    return b, c
+    splits, out = {}, []  # positive root -> its split
+    for a in sorted(rrs.fibers):
+        try:
+            if sum(a) < 0:
+                p = tuple(-x for x in a)
+                splits[p] = _decompose_positive(rrs, p)
+                b, c = (tuple(-x for x in r) for r in splits[p])
+            else:
+                b, c = splits[a]
+            verdict = verdicts.get((a, b, c))
+            if verdict is None:
+                try:
+                    check_lemma1_decomposition(rrs, a, b, c)
+                    verdict = ""
+                except AssertionError as exc:
+                    verdict = str(exc)
+                verdicts[a, b, c] = verdict
+            require(not verdict, verdict)
+        except AssertionError as exc:
+            raise DecompositionError("no valid decomposition found for %s: %s"
+                                     % (root_str(a), exc))
+        out.append((a, b, c))
+    return out
 
 
 def _nearest_path(cartan, support, targets):

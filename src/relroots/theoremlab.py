@@ -45,7 +45,7 @@ from .chevalley import (
 )
 from .folding import (
     build_relative_system,
-    decompose_relative_root,
+    decompose_relative_roots,
     enumerate_foldings,
     parse_folding_spec,
 )
@@ -93,17 +93,27 @@ def run_case(cid, spec, body, params=None):
 # -- decomposition catalog ------------------------------------------------
 
 
+class _Names(dict):
+    """Coordinate tuple -> its ``root_str``, printed on first use."""
+
+    def __missing__(self, coords):
+        name = self[coords] = root_str(coords)
+        return name
+
+
 def verify_lemma1_catalog(max_rank=6):
     """Decompose every relative root of every folding.
 
-    ``decompose_relative_root`` returns only splits that passed the
+    ``decompose_relative_roots`` returns only splits that passed the
     independent checker.  Its verdict depends on the folding only through
     the set of relative coordinates, so the foldings that share a set share
     one verdict map for this call: the checker runs once per distinct
     (coordinate set, A, B, C), and a failed verdict fails every case that
-    cites it, with the checker's message.
+    cites it, with the checker's message.  Each relative root is printed
+    once per call, in one map of names.
     """
     cases, verdicts = [], {}  # frozenset(rrs.fibers) -> {(a, b, c): verdict}
+    names = _Names()
     for spec in enumerate_foldings(max_rank):
         rrs = build_relative_system(spec)
         cid = "lemma1/%s" % spec
@@ -113,8 +123,8 @@ def verify_lemma1_catalog(max_rank=6):
             continue
         shared = verdicts.setdefault(frozenset(rrs.fibers), {})
         cases.append(run_case(cid, str(spec), lambda: [
-            "%s = %s + %s" % (root_str(a), *map(root_str, decompose_relative_root(
-                rrs, a, shared))) for a in sorted(rrs.fibers)]))
+            "%s = %s + %s" % (names[a], names[b], names[c])
+            for a, b, c in decompose_relative_roots(rrs, shared)]))
     return cases
 
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -163,6 +164,25 @@ def test_golden_cases_report_sha1(tmp_path, optimize):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha1(report.read_bytes()).hexdigest() == CASES_REPORT_SHA1
+
+
+def test_golden_lemma1_rank8_report_sha1(capsys, tmp_path):
+    # every folding of rank <= 8; ``verify --suite all`` pins rank 6 only
+    report = tmp_path / "lemma1.json"
+    code, _, _ = run(capsys, "verify", "--suite", "lemma1", "--max-rank", "8",
+                     "--report", str(report))
+    assert code == 0
+    assert hashlib.sha1(report.read_bytes()).hexdigest() == (
+        "661f910f948d85c0fd2a8da7a07b3cd2b570e174")
+
+
+def test_tool_version_is_the_project_version():
+    # read by a regex: Python 3.10 has no tomllib
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "pyproject.toml")
+    with open(path) as f:
+        (version,) = re.findall(r'^version = "([^"]+)"$', f.read(), re.M)
+    assert cli.TOOL_VERSION == version
 
 
 def test_benchmark_tracer_counts_nmaps(capsys):
@@ -418,11 +438,11 @@ def _fault_in_c3_table(rrs, cb, A, B,
     return _table(rrs, cb, A, B)
 
 
-def _fault_in_decomposition(rrs, a, verdicts=None,
-                            _decompose=theoremlab.decompose_relative_root):
+def _fault_in_decomposition(rrs, verdicts=None,
+                            _decompose=theoremlab.decompose_relative_roots):
     if str(rrs.spec) == "A2 gamma=trivial levi=1,2":
-        raise DecompositionError("injected fault in %s" % root_str(a))
-    return _decompose(rrs, a, verdicts)
+        raise DecompositionError("injected fault in %s" % root_str(min(rrs.fibers)))
+    return _decompose(rrs, verdicts)
 
 
 def _case_a_without_units(rrs, cb, A, B, case,
@@ -438,7 +458,7 @@ def _doubled_target(cb, alpha, t, cone, _adjoint=theoremlab.adjoint_root_element
 # (suite, extra flags, module, attribute, replacement, fail rows, pass rows)
 FAULTS = {
     "lemma1": ("lemma1", ["--max-rank", "2"], theoremlab,
-               "decompose_relative_root", _fault_in_decomposition, 1, 3),
+               "decompose_relative_roots", _fault_in_decomposition, 1, 3),
     "lemma2-table": ("lemma2", ["--max-rank", "2"], relcalc,
                      "compute_relative_commutator_maps", _fault_in_c3_table, 3, 4),
     "lemma2-hypothesis": ("lemma2", ["--max-rank", "2"], relcalc,

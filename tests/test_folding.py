@@ -15,7 +15,7 @@ from relroots.folding import (
     build_relative_system,
     check_lemma1_decomposition,
     classify_relative_type,
-    decompose_relative_root,
+    decompose_relative_roots,
     enumerate_diagram_automorphisms,
     enumerate_foldings,
     parse_folding_spec,
@@ -38,6 +38,11 @@ from lie_oracles import diagram_automorphisms
 
 def fold(text):
     return build_relative_system(parse_folding_spec(text))
+
+
+def splits_of(rrs):
+    """{a: (b, c)} over the one pass of ``decompose_relative_roots``."""
+    return {a: (b, c) for a, b, c in decompose_relative_roots(rrs)}
 
 
 def neg(a):
@@ -259,14 +264,14 @@ def test_sign_and_level_coherence():
 
 def test_decompose_c2_split_example():
     rrs = fold("C2")
-    b, c = decompose_relative_root(rrs, (2, 1))
+    b, c = splits_of(rrs)[2, 1]
     assert b == (1, 1)
     assert c == (1, 0)
 
 
 def test_decompose_d4_triality_simple():
     rrs = fold("D4 gamma=triality")
-    b, c = decompose_relative_root(rrs, (1, 0))
+    b, c = splits_of(rrs)[1, 0]
     assert b == (1, 1)
     assert c == (0, -1)
     # the summands sit at levels 2 and -1; later multiples only go higher
@@ -276,7 +281,7 @@ def test_decompose_d4_triality_simple():
 def test_decompose_a3_flip_long_root():
     rrs = fold("A3 gamma=flip")
     a = (2, 1)
-    b, c = decompose_relative_root(rrs, a)
+    b, c = splits_of(rrs)[a]
     assert {b, c} == {(1, 1), (1, 0)}
     check_lemma1_decomposition(rrs, a, b, c)
 
@@ -284,20 +289,16 @@ def test_decompose_a3_flip_long_root():
 def test_decompose_negative_mirrors_positive():
     rrs = fold("C2")
     a = (2, 1)
-    b, c = decompose_relative_root(rrs, a)
-    bn, cn = decompose_relative_root(rrs, neg(a))
+    splits = splits_of(rrs)
+    b, c = splits[a]
+    bn, cn = splits[neg(a)]
     assert (bn, cn) == (neg(b), neg(c))
 
 
 def test_decompose_rejects_rank_one():
     rrs = fold("A2 levi=1")
     with pytest.raises(DecompositionError):
-        decompose_relative_root(rrs, (1,))
-
-
-def test_decompose_rejects_non_root():
-    with pytest.raises(DecompositionError, match="not a relative root"):
-        decompose_relative_root(fold("C2"), (5, 5))
+        decompose_relative_roots(rrs)
 
 
 FOLDS_FOR_SWEEP = [
@@ -323,15 +324,16 @@ def test_decompose_every_relative_root(text):
     rrs = fold(text)
     if rrs.rank < 2:
         pytest.skip("rank-1 relative system")
-    for a in sorted(rrs.fibers):
-        b, c = decompose_relative_root(rrs, a)
+    split = decompose_relative_roots(rrs)
+    assert [a for a, _, _ in split] == sorted(rrs.fibers)
+    for a, b, c in split:
         assert check_lemma1_decomposition(rrs, a, b, c)
 
 
 def exhaustive_splits(rrs, a):
     """Every b + (a - b) that passes the checker, in b order.
 
-    Written apart from the recipe in ``decompose_relative_root``, so it is
+    Written apart from the recipe in ``decompose_relative_roots``, so it is
     the oracle for it.
     """
     out = []
@@ -350,8 +352,8 @@ def exhaustive_splits(rrs, a):
                                   "A3 gamma=flip", "D4 gamma=triality"])
 def test_recipe_split_is_among_oracle_splits(text):
     rrs = fold(text)
-    for a in rrs.fibers:
-        assert decompose_relative_root(rrs, a) in exhaustive_splits(rrs, a)
+    for a, b, c in decompose_relative_roots(rrs):
+        assert (b, c) in exhaustive_splits(rrs, a)
 
 
 def oracle_lowerings(rs, gamma):
@@ -450,10 +452,10 @@ def test_broken_recipe_is_a_fail_row(monkeypatch):
 def test_recipe_runs_once_per_pair_and_checker_once_per_input(monkeypatch):
     # the recipe reads the diagram, so it runs per folding; the checker reads
     # only the coordinate set, so it runs once per distinct (set, a, b, c)
-    inputs = {(frozenset(rrs.fibers), a, *decompose_relative_root(rrs, a))
+    inputs = {(frozenset(rrs.fibers), *split)
               for spec in enumerate_foldings(6)
               for rrs in [build_relative_system(spec)] if rrs.rank >= 2
-              for a in rrs.fibers}
+              for split in decompose_relative_roots(rrs)}
     recipe, check = folding._decompose_positive, folding.check_lemma1_decomposition
     decomposed, checked = [], []
 
@@ -479,18 +481,26 @@ def test_recipe_runs_once_per_pair_and_checker_once_per_input(monkeypatch):
 
 
 SHARED_VERDICT = """
+import sys
+
 import relroots.folding as folding
 from relroots.rootcore import require, root_str
 from relroots.theoremlab import verify_lemma1_catalog
+
+# 0: the first input cited twice; -1 or 1: the first cited twice whose
+# root has that sign and is not the least root of its coordinate set
+sign = int(sys.argv[1])
 
 cited = {}  # (coordinate set, a, b, c) -> the cases whose split it is
 for spec in folding.enumerate_foldings(4):
     rrs = folding.build_relative_system(spec)
     if rrs.rank >= 2:
-        for a in sorted(rrs.fibers):
-            key = (frozenset(rrs.fibers), a, *folding.decompose_relative_root(rrs, a))
+        for split in folding.decompose_relative_roots(rrs):
+            key = (frozenset(rrs.fibers), *split)
             cited.setdefault(key, []).append("lemma1/%s" % spec)
-bad = next(key for key, ids in cited.items() if len(ids) >= 2)
+bad = next(key for key, ids in cited.items() if len(ids) >= 2 and (
+    not sign or sum(key[1]) * sign > 0 and key[1] != min(key[0])))
+mirror = (bad[0], *(tuple(-x for x in r) for r in bad[1:]))
 check, calls = folding.check_lemma1_decomposition, []
 
 def faulty(rrs, a, b, c):
@@ -505,17 +515,19 @@ a = root_str(bad[1])
 print("citing", *cited[bad], sep="|")
 print("message", "no valid decomposition found for %s: injected fault on %s" % (a, a), sep="|")
 print("calls", calls.count(bad), len(calls), len(set(calls)), len(cited), sep="|")
+print("mirror", calls.count(mirror), sep="|")
 for case in cases:
     print("case", case.id, case.status, case.witness if case.status == "fail" else "", sep="|")
 """
 
 
-def test_failed_verdict_fails_every_case_that_cites_it():
-    # under -O, one failed input that several foldings share is checked once,
-    # and every case whose split it is becomes a fail row with its message
+def faulty_verdict_run(sign):
+    """The fail rows of ``SHARED_VERDICT`` run under ``python -O`` with one
+    input of the given sign (0: either) failing the checker, and the
+    script's counts."""
     src = os.path.dirname(os.path.dirname(relroots.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", SHARED_VERDICT], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", SHARED_VERDICT, str(sign)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split("|") for line in proc.stdout.splitlines()]
@@ -530,6 +542,26 @@ def test_failed_verdict_fails_every_case_that_cites_it():
         citing, message)
     assert {status for cid, (status, _) in cases.items() if cid not in citing} == {
         "pass", "skipped"}
+    return message, int(info["mirror"][0])
+
+
+def test_failed_verdict_fails_every_case_that_cites_it():
+    # under -O, one failed input that several foldings share is checked once,
+    # and every case whose split it is becomes a fail row with its message
+    faulty_verdict_run(0)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_verdict_of_one_sign_fails_only_its_cases(sign):
+    # under -O, the checker fails one input of the pass, the split of a
+    # negative root or of a positive one, and not its negation: exactly the
+    # cases that cite it fail, each naming that root.  A negative root sorts
+    # first, so its cases stop before they reach the mirror input; a positive
+    # fault leaves the negative mirror checked, and passed, on its own
+    message, mirror_calls = faulty_verdict_run(sign)
+    root = message.split(": ")[0].rsplit(" ", 1)[1]
+    assert ("-" in root) == (sign < 0)
+    assert mirror_calls == (0 if sign < 0 else 1)
 
 
 @pytest.mark.parametrize("text", FOLDS_FOR_SWEEP)
@@ -624,8 +656,9 @@ def test_recipe_chain_checks_fire(monkeypatch, text, path, message):
     assert rrs.fiber((1, 0))[0] == (1,) + (0,) * (rrs.rs.rank - 1)
     monkeypatch.setattr(folding, "_nearest_path", lambda cartan, support, targets: path)
     with pytest.raises(DecompositionError) as exc:
-        decompose_relative_root(rrs, (1, 0))
-    assert str(exc.value) == "no valid decomposition found for (1,0): " + message
+        decompose_relative_roots(rrs)
+    # the recipe runs at the negative root of the pair, which sorts first
+    assert str(exc.value) == "no valid decomposition found for (-1,0): " + message
 
 
 BAD_SPLIT = """
